@@ -10,7 +10,9 @@ Strong preservation of a structure is decided exactly (no formula-depth
 bound) through the *paired semantic closure*: the least set of pairs
 (⟦φ⟧, γ⟦φ⟧♯) containing the atom pairs and closed under paired operator
 application.  It is finite (⊆ ℘(Σ)×℘(Σ)) and covers every formula of the
-language; the verdict reads off the pairs.
+language; the verdict reads off the pairs.  The pairs are saturated by
+the same engine as the shells, :func:`~abspres.languages.close`, with
+pairs of masks as its items.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .formulas import App, Atom, Formula
 from .kripke import KripkeModel, Quotient
 from .lattice import AbstractDomain, Mask, StateSet, powerset_domain
-from .languages import LanguageSpec, Operator, apply_operator, eval_formula
+from .languages import LanguageSpec, Operator, apply_operator, close, eval_formula
 from .partitions import adp
 
 DEFAULT_MAX_TUPLES = 1 << 20
@@ -112,36 +114,13 @@ class AbstractStructure:
         meeting the concrete atom set); operators are evaluated over the
         block-level model and mapped back through the union of blocks.
         """
-        domain = adp(q.partition)
-        blocks = q.blocks
-
-        def to_blocks(mask: Mask) -> Mask:
-            bm = 0
-            for i, blk in enumerate(blocks):
-                if blk & ~mask == 0:
-                    bm |= 1 << i
-            return bm
-
-        def to_union(bm: Mask) -> Mask:
-            acc = 0
-            for i, blk in enumerate(blocks):
-                if (bm >> i) & 1:
-                    acc |= blk
-            return acc
-
-        atoms = {}
-        for name, s in lang.atoms:
-            bm = 0
-            for i, blk in enumerate(blocks):
-                if blk & s.mask:
-                    bm |= 1 << i
-            atoms[name] = to_union(bm)
+        p = q.partition
+        atoms = {name: p.block_containing(s.mask) for name, s in lang.atoms}
 
         def apply_fn(op: Operator, args: tuple[Mask, ...]) -> Mask:
-            bargs = tuple(to_blocks(a) for a in args)
-            return to_union(apply_operator(op, q.model, bargs))
+            return p.union(apply_operator(op, q.model, tuple(p.inner(a) for a in args)))
 
-        return AbstractStructure(domain, lang, atoms, apply_fn, f"quotient-{q.kind}")
+        return AbstractStructure(adp(p), lang, atoms, apply_fn, f"quotient-{q.kind}")
 
     @staticmethod
     def from_tables(
@@ -193,6 +172,10 @@ class PairedClosure:
     aborted: bool
 
 
+class _Violation(Exception):
+    """Raised inside the paired closure to stop at the first violating pair."""
+
+
 def paired_semantic_closure(
     model: KripkeModel,
     structure: AbstractStructure,
@@ -203,75 +186,58 @@ def paired_semantic_closure(
 ) -> PairedClosure:
     """Compute the least pair set; track the first strongness violation.
 
-    With ``abort_on_violation`` the closure stops at the first pair whose
-    abstract side differs from its concrete side (used by the relation
-    search, which only needs a strong/not-strong verdict).
+    The pairs are saturated by :func:`~abspres.languages.close`; each pair
+    keeps the formula that first produced it, so the witness is the first
+    violating pair in discovery order.  With ``abort_on_violation`` the
+    closure stops at that pair (used by the relation search, which only
+    needs a strong/not-strong verdict).
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
-    seen: dict[tuple[Mask, Mask], int] = {}
-    pairs: list[tuple[Mask, Mask]] = []
-    formulas: list[Formula] = []
-    strong = True
-    weak = True
-    witness: Optional[Formula] = None
+    formulas: dict[tuple[Mask, Mask], Formula] = {}
 
-    def push(c: Mask, a: Mask, phi: Formula) -> bool:
-        nonlocal strong, weak, witness
-        key = (c, a)
-        if key in seen:
-            return False
-        if len(pairs) >= max_pairs:
+    def result(aborted: bool) -> PairedClosure:
+        bad = [pair for pair in formulas if pair[0] != pair[1]]
+        weak = not any(a & ~c for c, a in bad)
+        witness = formulas[bad[0]] if bad else None
+        return PairedClosure(
+            tuple(formulas), tuple(formulas.values()), not bad, weak, witness, aborted
+        )
+
+    def check_size(extra: int) -> None:
+        if len(formulas) + extra > max_pairs:
             raise CapacityError(f"paired closure exceeded {max_pairs} pairs")
-        seen[key] = len(pairs)
-        pairs.append(key)
-        formulas.append(phi)
-        if a != c:
-            if witness is None:
-                witness = phi
-            strong = False
-            if a & ~c:
-                weak = False
-        return True
 
     for name, s in lang.atoms:
-        push(s.mask, structure.atom_value(name), Atom(name))
-        if abort_on_violation and not strong:
-            return PairedClosure(tuple(pairs), tuple(formulas), False, weak, witness, True)
+        pair = (s.mask, structure.atom_value(name))
+        if pair not in formulas:
+            check_size(1)
+            formulas[pair] = Atom(name)
+            if abort_on_violation and pair[0] != pair[1]:
+                return result(True)
 
-    ops = sorted(lang.operators, key=lambda op: op.arity)
-    frontier = list(range(len(pairs)))
-    round_no = 0
-    while frontier:
-        created: list[int] = []
-        for op in ops:
-            if op.arity == 0:
-                tuples: Iterable[tuple[int, ...]] = [()] if round_no == 0 else []
-            elif op.arity == 1:
-                tuples = ((i,) for i in frontier)
-            else:
-                known = range(len(pairs))
-                fset = set(frontier)
-                tuples = (
-                    t
-                    for t in product(known, repeat=op.arity)
-                    if any(i in fset for i in t)
-                )
-            for t in list(tuples):
-                cargs = tuple(pairs[i][0] for i in t)
-                aargs = tuple(pairs[i][1] for i in t)
-                c = apply_operator(op, model, cargs)
-                a = structure.apply(op, aargs)
-                phi = App(op.name, tuple(formulas[i] for i in t))
-                if push(c, a, phi):
-                    created.append(len(pairs) - 1)
-                if abort_on_violation and not strong:
-                    return PairedClosure(
-                        tuple(pairs), tuple(formulas), False, weak, witness, True
-                    )
-        frontier = created
-        round_no += 1
-    return PairedClosure(tuple(pairs), tuple(formulas), strong, weak, witness, False)
+    def apply(op: Operator, args: tuple[tuple[Mask, Mask], ...]) -> tuple[Mask, Mask]:
+        c = apply_operator(op, model, [x[0] for x in args])
+        a = structure.apply(op, tuple([x[1] for x in args]))
+        if abort_on_violation and c != a:
+            formulas[(c, a)] = App(op.name, tuple(formulas[x] for x in args))
+            raise _Violation
+        return (c, a)
+
+    def admit(fresh: dict) -> Iterable[tuple[Mask, Mask]]:
+        check_size(len(fresh))
+        for pair, (op, args) in fresh.items():
+            formulas[pair] = App(op.name, tuple(formulas[x] for x in args))
+        return fresh
+
+    # one stage per operator, lowest arity first: later operators of a round
+    # already see the pairs earlier ones added, which fixes the witness found
+    stages = [[op] for op in sorted(lang.operators, key=lambda op: op.arity)]
+    try:
+        close(formulas, stages, apply, admit)
+    except _Violation:
+        return result(True)
+    return result(False)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -130,7 +131,9 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _ops_from_names(names: str) -> list:
-    return [builtin_operator(tok.strip()) for tok in names.split(",") if tok.strip()]
+    # commas inside brackets belong to a bound, as in EF[0,2]
+    tokens = re.split(r",(?![^\[]*\])", names)
+    return [builtin_operator(tok.strip()) for tok in tokens if tok.strip()]
 
 
 def cmd_eval(args) -> int:

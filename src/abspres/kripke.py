@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import SpaceMismatchError, ValidationError
@@ -207,28 +209,15 @@ def quotient(kind: str, model: KripkeModel, p: Partition) -> Quotient:
         raise ValidationError(f"unknown quotient kind {kind!r} (want 'ee' or 'ae')")
     if p.space != model.space:
         raise SpaceMismatchError("partition over a different space than the model")
-    blocks = p.blocks
-    b = len(blocks)
-    bsucc = [0] * b
-    for i, b1 in enumerate(blocks):
-        for j, b2 in enumerate(blocks):
-            members = [s for s in range(model.n) if (b1 >> s) & 1]
-            if kind == "ee":
-                hit = any(model.succ[s] & b2 for s in members)
-            else:
-                hit = all(model.succ[s] & b2 for s in members)
-            if hit:
-                bsucc[i] |= 1 << j
-    names = tuple(block_name(model, m) for m in blocks)
-    bspace = StateSpace(names)
-    items = []
-    for label, mask in model.label_items:
-        bmask = 0
-        for j, blk in enumerate(blocks):
-            if blk & mask:
-                bmask |= 1 << j
-        items.append((label, bmask))
-    qmodel = KripkeModel(bspace, tuple(bsucc), tuple(items))
+    # a block's row joins (∃∃) or intersects (∀∃) its members' successor blocks
+    combine = or_ if kind == "ee" else and_
+    bsucc = []
+    for blk in p.blocks:
+        rows = (p.meeting(model.succ[s]) for s in range(model.n) if (blk >> s) & 1)
+        bsucc.append(reduce(combine, rows))
+    bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
+    items = tuple((label, p.meeting(mask)) for label, mask in model.label_items)
+    qmodel = KripkeModel(bspace, tuple(bsucc), items)
     return Quotient(kind, model, p, qmodel, qmodel.is_total())
 
 
@@ -254,6 +243,13 @@ def model_from_json(doc: object) -> KripkeModel:
     labels = doc.get("labels", {})
     if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
         raise ValidationError("'states' must be a list of names")
+    if not isinstance(transitions, list):
+        raise ValidationError("'transitions' must be a list of [source, target] pairs")
+    if not isinstance(labels, dict):
+        raise ValidationError("'labels' must map each label to a list of state names")
+    for name, members in labels.items():
+        if not isinstance(members, list) or not all(isinstance(s, str) for s in members):
+            raise ValidationError(f"label {name!r} must be a list of state names")
     pairs = []
     for entry in transitions:
         if not (isinstance(entry, list) and len(entry) == 2):

@@ -6,6 +6,10 @@ named operators, each defined by a transformer expression over the built-ins
 fixpoints and bounded reachability).  Fixpoints are computed by
 Knaster-Tarski iteration, which terminates on these finite lattices.
 
+:func:`close` is the one saturation engine of the package: the forward
+complete shell, the semantic closure of a language and the paired semantic
+closure all run it with their own item type and admission step.
+
 Shipped presets: L1 (atoms, ∧, ¬, EX), L2 (atoms, ∧, ¬, EU), L3 (atoms and
 negated atoms, ∧, ∨, AX), CTL, the traffic-light language ``semaforo``
 (atoms + AXX) and the bounded-reachability language ``exef`` (atoms, ∧,
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import ResolutionError, ValidationError
 from .formulas import (
@@ -34,6 +39,8 @@ from .kripke import KripkeModel
 from .lattice import Mask, StateSet
 
 PRESET_NAMES = ("L1", "L2", "L3", "CTL", "semaforo", "exef", "full")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -105,10 +112,27 @@ def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
 
 
 def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
-    """EF_[lo,hi](S) = ∪_{i in [lo,hi]} pre^i(S)."""
+    """EF_[lo,hi](S) = ∪_{i in [lo,hi]} pre^i(S).
+
+    The sets pre^i(S) are eventually periodic: once one repeats, the rest of
+    [lo, hi] is read off the cycle, so the cost is bounded by the number of
+    distinct sets, not by ``hi``.
+    """
+    seq: list[Mask] = []
+    index: dict[Mask, int] = {}
     acc = 0
     cur = s
     for i in range(hi + 1):
+        if cur in index:
+            # pre^r(S) = seq[j + (r - j) % period] for every r ≥ j
+            j = index[cur]
+            period = i - j
+            first = max(i, lo)
+            for r in range(first, min(hi, first + period - 1) + 1):
+                acc |= seq[j + (r - j) % period]
+            break
+        index[cur] = i
+        seq.append(cur)
         if i >= lo:
             acc |= cur
         cur = model.pre(cur)
@@ -173,6 +197,53 @@ def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Ma
     if len(args) != op.arity:
         raise ValidationError(f"{op.name} expects {op.arity} arguments, got {len(args)}")
     return eval_node(op.body, model, args)
+
+
+def close(
+    seeds: Iterable[T],
+    stages: Sequence[Sequence[Operator]],
+    apply: Callable[[Operator, tuple[T, ...]], T],
+    admit: Callable[[dict[T, tuple[Operator, tuple[T, ...]]]], Iterable[T]],
+) -> None:
+    """Saturate ``seeds`` under the operators of ``stages``, round by round.
+
+    A round runs the stages in order.  A stage applies each of its
+    operators to every tuple over the items known when the stage starts
+    that has a member admitted in the previous round (0-ary operators run
+    in the first round only).  Results not yet known are collected as they
+    appear, each with the (operator, arguments) that first produced it, and
+    at the end of the stage ``admit`` receives them and returns the items
+    to add.  The loop stops after a round that adds nothing.
+    """
+    known = list(seeds)
+    seen = set(known)
+    frontier = list(known)
+    first_round = True
+    while frontier:
+        fset = set(frontier)
+        previous, frontier = frontier, []
+        for ops in stages:
+            fresh: dict[T, tuple[Operator, tuple[T, ...]]] = {}
+            for op in ops:
+                if op.arity == 0:
+                    tuples: Iterable[tuple[T, ...]] = [()] if first_round else []
+                elif op.arity == 1:
+                    tuples = ((x,) for x in previous)
+                else:
+                    tuples = (
+                        t
+                        for t in product(known, repeat=op.arity)
+                        if any(x in fset for x in t)
+                    )
+                for args in tuples:
+                    r = apply(op, args)
+                    if r not in seen and r not in fresh:
+                        fresh[r] = (op, args)
+            added = list(admit(fresh))
+            known.extend(added)
+            seen.update(added)
+            frontier.extend(added)
+        first_round = False
 
 
 def builtin_operator(name: str) -> Operator:
@@ -350,18 +421,32 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
         name = "file"
         if "atoms" not in doc:
             atom_items = list(_model_atoms(model))
-    for atom, interp in (doc.get("atoms") or {}).items():
+    atoms = doc.get("atoms") or {}
+    if not isinstance(atoms, dict):
+        raise ValidationError("'atoms' must map each atom to a list of state names or null")
+    for atom, interp in atoms.items():
         if interp is None:
             value = StateSet(model.space, model.label_mask(atom))
-        else:
+        elif isinstance(interp, list) and all(isinstance(s, str) for s in interp):
             value = model.space.set_of(interp)
+        else:
+            raise ValidationError(f"atom {atom!r} must be a list of state names or null")
         atom_items = [(n, s) for n, s in atom_items if n != atom]
         atom_items.append((atom, value))
-    for entry in doc.get("operators") or []:
+    entries = doc.get("operators") or []
+    if not isinstance(entries, list):
+        raise ValidationError("'operators' must be a list of operator objects")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValidationError(f"operator entry {k} needs a string 'name'")
         op_name = entry["name"]
         if "expr" in entry and entry["expr"] is not None:
-            arity = int(entry.get("arity", max_placeholder(parse_transformer(entry["expr"]))))
-            op = Operator(op_name, arity, parse_transformer(entry["expr"]))
+            body = parse_transformer(entry["expr"])
+            try:
+                arity = int(entry.get("arity", max_placeholder(body)))
+            except (TypeError, ValueError):
+                raise ValidationError(f"operator {op_name!r} needs an integer 'arity'") from None
+            op = Operator(op_name, arity, body)
         else:
             op = builtin_operator(op_name)
         operators = [o for o in operators if o.name != op_name]

@@ -208,21 +208,21 @@ class SetFamily:
         return self.mask_set() <= other.mask_set()
 
 
-def _moore_close_masks(space: StateSpace, masks: Iterable[Mask]) -> frozenset[Mask]:
-    """Least meet-closed superset of ``masks`` containing Σ (the empty meet)."""
-    closed = set(masks)
-    closed.add(space.full_mask)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closed):
-                meet = a & b
-                if meet not in closed:
-                    closed.add(meet)
-                    fresh.append(meet)
-        frontier = fresh
-    return frozenset(closed)
+def meet_close(closed: set[Mask], fresh: Iterable[Mask]) -> set[Mask]:
+    """Add ``fresh`` to the meet-closed set ``closed`` and re-close it under
+    intersection, in place; returns the masks added."""
+    added = {m for m in fresh if m not in closed}
+    closed |= added
+    pending = list(added)
+    while pending:
+        m = pending.pop()
+        for other in list(closed):
+            meet = m & other
+            if meet not in closed:
+                closed.add(meet)
+                added.add(meet)
+                pending.append(meet)
+    return added
 
 
 def _is_moore(space: StateSpace, masks: frozenset[Mask]) -> bool:
@@ -339,9 +339,9 @@ def moore_close(family: SetFamily) -> AbstractDomain:
 
     Always contains Σ (the empty meet) and is idempotent.
     """
-    return AbstractDomain(
-        family.space, image=_moore_close_masks(family.space, family.masks)
-    )
+    closed = {family.space.full_mask}
+    meet_close(closed, family.masks)
+    return AbstractDomain(family.space, image=closed)
 
 
 def closure_of(domain: AbstractDomain, s: StateSet) -> StateSet:
@@ -360,9 +360,9 @@ def domain_meet(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
     """Greatest lower bound in precision (reduced product): M(img₁ ∪ img₂)."""
     if a1.space != a2.space:
         raise SpaceMismatchError("domains over different spaces")
-    return AbstractDomain(
-        a1.space, image=_moore_close_masks(a1.space, a1.masks | a2.masks)
-    )
+    closed = set(a1.masks)
+    meet_close(closed, a2.masks)
+    return AbstractDomain(a1.space, image=closed)
 
 
 def domain_join(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:

@@ -101,6 +101,33 @@ class Partition:
                 acc |= b
         return acc
 
+    # Block-index masks: bit i stands for ``blocks[i]``, the state order of
+    # the block-level models built from this partition.
+
+    def meeting(self, mask: Mask) -> Mask:
+        """Indices of the blocks that meet ``mask``."""
+        bm = 0
+        for i, b in enumerate(self.blocks):
+            if b & mask:
+                bm |= 1 << i
+        return bm
+
+    def inner(self, mask: Mask) -> Mask:
+        """Indices of the blocks contained in ``mask``."""
+        bm = 0
+        for i, b in enumerate(self.blocks):
+            if b & ~mask == 0:
+                bm |= 1 << i
+        return bm
+
+    def union(self, bm: Mask) -> Mask:
+        """Union of the blocks whose indices are set in ``bm``."""
+        acc = 0
+        for i, b in enumerate(self.blocks):
+            if (bm >> i) & 1:
+                acc |= b
+        return acc
+
     def refines(self, other: "Partition") -> bool:
         """P ≼ Q: every block of P fits inside a block of Q."""
         if self.space != other.space:

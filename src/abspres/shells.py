@@ -3,31 +3,32 @@ strongly preserving domain and the block-relation search.
 
 The shell of a domain A for a set F of transformers is the most abstract
 refinement of A that is forward complete for every f ∈ F.  On these finite
-lattices it is computed by the obvious worklist: repeatedly add images of F
-on the family and re-close under intersection until nothing new appears.
-The result is the greatest fixpoint of ρ ↦ μ_A ⊓ M(F(ρ)), reached from
-above; maximality is exhaustively verified at n = 3 by the tests.
+lattices it is computed by the package's one saturation engine,
+:func:`~abspres.languages.close`: repeatedly add images of F on the family
+and re-close under intersection until nothing new appears.  The semantic
+closure of a language runs the same engine without the re-closing.  The
+result is the greatest fixpoint of ρ ↦ μ_A ⊓ M(F(ρ)), reached from above;
+maximality is exhaustively verified at n = 3 by the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 from .abstraction import AbstractStructure, paired_semantic_closure
 from .errors import CapacityError, SpaceMismatchError, ValidationError
-from .kripke import KripkeModel, block_name
+from .kripke import KripkeModel, quotient
 from .lattice import (
     AbstractDomain,
     DEFAULT_MAX_FAMILY,
     Mask,
     SetFamily,
-    StateSpace,
+    meet_close,
     moore_close,
 )
-from .languages import LanguageSpec, Operator, apply_operator
-from .partitions import Partition, adp, pr
+from .languages import LanguageSpec, Operator, apply_operator, close
+from .partitions import Partition, pr
 
 #: Candidate bound for the abstract-relation search (2^{b²} relations).
 MAX_SEARCH_CANDIDATES = 1 << 25
@@ -60,23 +61,6 @@ class ShellResult:
     trace: ShellTrace
 
 
-def _close_new_masks(masks: set[Mask], fresh: set[Mask]) -> set[Mask]:
-    """Meet-close ``masks ∪ fresh`` incrementally; returns everything added."""
-    added = set()
-    pending = [m for m in fresh if m not in masks]
-    while pending:
-        m = pending.pop()
-        if m in masks:
-            continue
-        masks.add(m)
-        added.add(m)
-        for other in list(masks):
-            meet = m & other
-            if meet not in masks:
-                pending.append(meet)
-    return added
-
-
 def forward_complete_shell(
     domain: AbstractDomain,
     fs: Sequence[Operator],
@@ -86,88 +70,49 @@ def forward_complete_shell(
 ) -> ShellResult:
     """Most abstract refinement of the domain forward complete for every f.
 
-    Worklist closure: X := image(A); repeat X := M(X ∪ F(X)) to fixpoint.
-    Unary operators are processed before higher arities to delay tuple
-    blowup; the fixpoint is order-independent but the trace records the
-    chosen order.
+    Runs :func:`~abspres.languages.close` from image(A): each round adds
+    F(X) and re-closes under intersection, X := M(X ∪ F(X)), to fixpoint.
+    The fixpoint is order-independent; the trace records one snapshot per
+    round.
     """
     if model.space != domain.space:
         raise SpaceMismatchError("model over a different space than the domain")
     masks: set[Mask] = set(domain.masks)
-    ops = sorted(fs, key=lambda op: op.arity)
     snapshots = [AbstractDomain(domain.space, image=frozenset(masks))]
     counts: list[int] = []
-    frontier: set[Mask] = set(masks)
-    first_round = True
-    while True:
-        produced: set[Mask] = set()
-        known = sorted(masks, key=domain.space.lex_key)
-        front = sorted(frontier, key=domain.space.lex_key)
-        for op in ops:
-            if op.arity == 0:
-                tuples: Iterable[tuple[Mask, ...]] = [()] if first_round else []
-            elif op.arity == 1:
-                tuples = ((x,) for x in front)
-            else:
-                fset = frontier
-                tuples = (
-                    t
-                    for t in product(known, repeat=op.arity)
-                    if any(x in fset for x in t)
-                )
-            for args in tuples:
-                r = apply_operator(op, model, args)
-                if r not in masks:
-                    produced.add(r)
-        first_round = False
-        if not produced:
-            snapshots.append(snapshots[-1])
-            counts.append(0)
-            break
-        frontier = _close_new_masks(masks, produced)
+
+    def admit(fresh: Iterable[Mask]) -> set[Mask]:
+        added = meet_close(masks, fresh)
         if len(masks) > max_size:
             raise CapacityError(
                 f"shell image exceeded {max_size} sets (now {len(masks)})"
             )
-        snapshots.append(AbstractDomain(domain.space, image=frozenset(masks)))
-        counts.append(len(frontier))
+        snapshots.append(
+            AbstractDomain(domain.space, image=frozenset(masks)) if added else snapshots[-1]
+        )
+        counts.append(len(added))
+        return added
+
+    close(masks, [fs], lambda op, args: apply_operator(op, model, args), admit)
     trace = ShellTrace(tuple(snapshots), tuple(counts))
     return ShellResult(snapshots[-1], trace)
 
 
 def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
     """The exact set {⟦φ⟧ | φ ∈ L}: atom denotations closed under the
-    language's operators (no Moore closure here)."""
+    language's operators by :func:`~abspres.languages.close` (no Moore
+    closure here)."""
     if lang.open_ops:
         raise ValidationError("semantic closure needs a closed language")
     masks: set[Mask] = {s.mask for _, s in lang.atoms}
-    frontier = set(masks)
-    first_round = True
-    while frontier:
-        produced: set[Mask] = set()
-        known = sorted(masks, key=model.space.lex_key)
-        front = sorted(frontier, key=model.space.lex_key)
-        for op in sorted(lang.operators, key=lambda op: op.arity):
-            if op.arity == 0:
-                tuples: Iterable[tuple[Mask, ...]] = [()] if first_round else []
-            elif op.arity == 1:
-                tuples = ((x,) for x in front)
-            else:
-                fset = frontier
-                tuples = (
-                    t
-                    for t in product(known, repeat=op.arity)
-                    if any(x in fset for x in t)
-                )
-            for args in tuples:
-                r = apply_operator(op, model, args)
-                if r not in masks:
-                    produced.add(r)
-        first_round = False
-        masks |= produced
-        frontier = produced
+
+    def admit(fresh: Iterable[Mask]) -> Iterable[Mask]:
+        masks.update(fresh)
         if len(masks) > DEFAULT_MAX_FAMILY:
             raise CapacityError("semantic closure exceeded the family bound")
+        return fresh
+
+    close(masks, [lang.operators], lambda op, args: apply_operator(op, model, args), admit)
     return SetFamily.of(model.space, masks)
 
 
@@ -217,43 +162,20 @@ def sp_abstract_kripke_search(
         if p.block_containing(s.mask) != s.mask:
             return []
 
-    bspace = StateSpace(tuple(block_name(model, m) for m in blocks))
-    blabels = []
-    for label, mask in model.label_items:
-        bm = 0
-        for j, blk in enumerate(blocks):
-            if blk & mask:
-                bm |= 1 << j
-        blabels.append((label, bm))
-    blabel_items = tuple(blabels)
-
-    adp_domain = adp(p)
-    atom_values = {name: p.block_containing(s.mask) for name, s in lang.atoms}
-
-    def to_blocks(mask: Mask) -> Mask:
-        bm = 0
-        for i, blk in enumerate(blocks):
-            if blk & ~mask == 0:
-                bm |= 1 << i
-        return bm
-
-    def to_union(bm: Mask) -> Mask:
-        acc = 0
-        for i, blk in enumerate(blocks):
-            if (bm >> i) & 1:
-                acc |= blk
-        return acc
+    # block space, labels, domain and atom values do not depend on the
+    # candidate relation: take them once from the ∃∃ quotient's structure
+    q = quotient("ee", model, p)
+    base = AbstractStructure.from_quotient(q, lang)
 
     hits: list[frozenset[tuple[int, int]]] = []
     for bits in range(1 << (b * b)):
         succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
-        qmodel = KripkeModel(bspace, succ, blabel_items)
+        qmodel = KripkeModel(q.model.space, succ, q.model.label_items)
 
         def apply_fn(op: Operator, args: tuple[Mask, ...], qmodel=qmodel) -> Mask:
-            bargs = tuple(to_blocks(a) for a in args)
-            return to_union(apply_operator(op, qmodel, bargs))
+            return p.union(apply_operator(op, qmodel, tuple([p.inner(a) for a in args])))
 
-        structure = AbstractStructure(adp_domain, lang, atom_values, apply_fn, "search")
+        structure = AbstractStructure(base.domain, lang, base.atom_values, apply_fn, "search")
         closure = paired_semantic_closure(
             model, structure, lang, abort_on_violation=True
         )

@@ -282,6 +282,38 @@ class TestPairedSpCheck:
         with pytest.raises(CapacityError):
             paired_sp_check(kpq, q, lang, max_pairs=4)
 
+    def test_abort_agrees_with_full_closure(self):
+        # stopping at the first violation keeps the full closure's verdict
+        # and witness, and the witness separates the two semantics
+        from abspres.abstraction import paired_semantic_closure
+        from abspres.kripke import label_partition
+        from conftest import random_total_model
+
+        rng = random.Random(131)
+        witnesses = 0
+        for _ in range(30):
+            model = random_total_model(rng, max_states=3)
+            p = label_partition(model)
+            for name in ("L1", "L2", "L3", "exef", "semaforo"):
+                lang = preset_language(name, model)
+                structures = [
+                    AbstractStructure.from_quotient(quotient("ee", model, p), lang),
+                    AbstractStructure.from_quotient(quotient("ae", model, p), lang),
+                    AbstractStructure.best_approximation(adp(p), model, lang),
+                ]
+                for structure in structures:
+                    full = paired_semantic_closure(model, structure, lang)
+                    cut = paired_semantic_closure(
+                        model, structure, lang, abort_on_violation=True
+                    )
+                    assert (cut.strong, cut.witness) == (full.strong, full.witness)
+                    assert cut.aborted == (not full.strong)
+                    if full.witness is not None:
+                        witnesses += 1
+                        concrete = eval_concrete(full.witness, model, lang)
+                        assert structure.semantics(full.witness) != concrete
+        assert witnesses >= 20
+
 
 class TestClosureAgainstDepthSaturation:
     def test_pairs_match_levelwise_saturation(self, k3, tl):

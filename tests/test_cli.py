@@ -443,3 +443,51 @@ class TestEquivAndVerify:
             capsys, "check", "--model", fx("k5.json"), "--property", "partitioning"
         )
         assert code == 2 and "--domain" in err
+
+
+class TestInputErrors:
+    MODEL = {"states": ["1", "2"], "transitions": [["1", "2"], ["2", "1"]]}
+
+    @staticmethod
+    def write(tmp_path, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"labels": ["p"]}, "'labels'"),
+            ({"labels": {"p": "12"}}, "label 'p'"),
+            ({"transitions": {"1": "2"}}, "'transitions'"),
+        ],
+    )
+    def test_malformed_model(self, capsys, tmp_path, fields, name):
+        path = self.write(tmp_path, dict(self.MODEL, **fields))
+        code, _, err = run(capsys, "eval", "--model", path, "--formula", "p")
+        assert code == 2
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            ({"operators": [{"arity": 1, "expr": "pre #1"}]}, "'name'"),
+            ({"atoms": {"p": "12"}}, "atom 'p'"),
+            ({"operators": [{"name": "F", "arity": "x", "expr": "pre #1"}]}, "'arity'"),
+        ],
+    )
+    def test_malformed_language(self, capsys, tmp_path, doc, name):
+        path = self.write(tmp_path, doc)
+        code, _, err = run(capsys, "sp-partition", "--model", fx("k5.json"), "--lang", path)
+        assert code == 2
+        assert name in err
+
+    def test_ops_keep_bracketed_bounds(self, capsys):
+        from abspres.cli import _ops_from_names
+
+        assert [op.name for op in _ops_from_names("EF[0,2],pre")] == ["EF[0,2]", "pre"]
+        code, out, _ = run(
+            capsys, "check", "--model", fx("k5.json"), "--property", "fwd-complete",
+            "--domain", "adp:1/2/3/4/5", "--ops", "EF[0,2],pre",
+        )
+        assert (code, out.strip()) == (0, "true")

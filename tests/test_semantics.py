@@ -6,7 +6,9 @@ import pytest
 
 from abspres import (
     FormulaSyntaxError,
+    KripkeModel,
     ResolutionError,
+    StateSpace,
     ValidationError,
     eval_concrete,
     language_from_json,
@@ -128,17 +130,55 @@ class TestConcreteEvaluation:
         assert got == kpq.space.set_of(["4"])
 
     def test_bounded_reach_is_iterated_pre(self, kpq):
+        # oracle: the union of pre^i(S) over i in [lo, hi], one step at a
+        # time; rings make pre^i(S) cycle with periods above 1
+        rng = random.Random(41)
+        cases = [(kpq, kpq.label_mask("q"))]
+        for n in (3, 5):
+            ring = KripkeModel(
+                StateSpace(tuple(str(i) for i in range(n + 1))),
+                tuple(1 << ((i + 1) % n) for i in range(n)) + (1,),
+                (),
+            )
+            cases.append((ring, 1))
+        for _ in range(25):
+            model = random_total_model(rng, max_states=6)
+            cases.append((model, rng.randrange(1 << model.n)))
+        for model, s in cases:
+            steps = [s]
+            for _ in range(40):
+                steps.append(model.pre(steps[-1]))
+            for hi in range(41):
+                for lo in range(hi + 1):
+                    op = builtin_operator(f"EF[{lo},{hi}]")
+                    want = 0
+                    for m in steps[lo : hi + 1]:
+                        want |= m
+                    assert apply_operator(op, model, (s,)) == want, (lo, hi)
+
+    def test_huge_reach_bounds_return_at_once(self, kpq, monkeypatch):
+        ring = KripkeModel(StateSpace.of("a", "b", "c"), (0b010, 0b100, 0b001), (("p", 1),))
+        calls = []
+        pre = KripkeModel.pre
+
+        def counted(model, y):
+            calls.append(y)
+            assert len(calls) < 100, "EF bound iterated step by step"
+            return pre(model, y)
+
+        monkeypatch.setattr(KripkeModel, "pre", counted)
+        lang = preset_language("full", ring)
+        # pre^i({a}) cycles {a}, {c}, {b}; 99999999 is divisible by 3
+        got = eval_concrete(parse_formula("EF[0,99999999] p"), ring, lang)
+        assert got.names == ("a", "b", "c")
+        got = eval_concrete(parse_formula("EF[99999998,99999999] p"), ring, lang)
+        assert got.names == ("a", "b")
+        # from i = 3 on, pre^i({5}) alternates {1,2,4} and {1,2,3,5}
         lang = preset_language("full", kpq)
-        q_mask = kpq.label_mask("q")
-        for lo, hi in ((0, 0), (0, 1), (0, 3), (1, 2), (2, 2)):
-            got = eval_concrete(parse_formula(f"EF[{lo},{hi}] q"), kpq, lang)
-            want = 0
-            cur = q_mask
-            for i in range(hi + 1):
-                if i >= lo:
-                    want |= cur
-                cur = kpq.pre(cur)
-            assert got.mask == want
+        got = eval_concrete(parse_formula("EF[99999999,99999999] q"), kpq, lang)
+        assert got.names == ("1", "2", "4")
+        got = eval_concrete(parse_formula("EF[99999998,99999999] q"), kpq, lang)
+        assert got.names == ("1", "2", "3", "4", "5")
 
 
 class TestFixpointOracles:

@@ -158,6 +158,31 @@ class TestSemanticClosure:
             kpq.space, ["", "5", "34", "345", "1234", "12345"]
         ).mask_set()
 
+    def test_matches_naive_saturation(self):
+        # oracle: apply every operator to every tuple of the whole set,
+        # again and again, until nothing new appears
+        from itertools import product as iproduct
+
+        from abspres.languages import apply_operator
+
+        def naive(lang, model):
+            masks = {s.mask for _, s in lang.atoms}
+            while True:
+                nxt = set(masks)
+                for op in lang.operators:
+                    for args in iproduct(sorted(masks), repeat=op.arity):
+                        nxt.add(apply_operator(op, model, args))
+                if nxt == masks:
+                    return masks
+                masks = nxt
+
+        rng = random.Random(97)
+        for _ in range(30):
+            model = random_total_model(rng, max_states=5)
+            for name in ("L1", "L2", "L3", "exef", "semaforo"):
+                lang = preset_language(name, model)
+                assert semantic_closure(lang, model).mask_set() == naive(lang, model)
+
 
 class TestLanguageDomain:
     def test_traffic_light(self, tl):
@@ -321,8 +346,9 @@ class TestRelationSearch:
             sp_abstract_kripke_search(Partition.identity(space), lang, model)
 
     def test_search_agrees_with_quotient_route(self):
-        # the search's inlined block lifting must classify every candidate
-        # relation exactly like the public quotient-structure check
+        # the search builds one block model per candidate relation itself,
+        # without a Quotient; it must classify every candidate exactly like
+        # the public quotient-structure check
         from abspres import paired_sp_check
         from abspres.kripke import Quotient, block_name
 

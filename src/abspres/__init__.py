@@ -10,7 +10,6 @@ from .errors import (
     AbspresError,
     CapacityError,
     FormulaSyntaxError,
-    InternalConsistencyError,
     ResolutionError,
     SpaceMismatchError,
     ValidationError,
@@ -61,6 +60,7 @@ from .languages import (
     builtin_operator,
     const_operator,
     eval_concrete,
+    label_constants,
     language_from_json,
     language_from_ops,
     load_language,

@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 = success / property true, 1 = property false or empty
-search result, 2 = usage or validation error.  Every command renders one
+search result, 2 = usage, validation or input-file error, 3 = internal
+error (any other exception, reported in one line without a traceback;
+it indicates a bug).  Every command renders one
 report object either as text or as JSON ({"command", "result", and
 optionally "witness"/"trace"}); the JSON form is the source of truth and
 the text form is a rendering of the same content.
@@ -30,6 +32,7 @@ from .languages import (
     LanguageSpec,
     builtin_operator,
     eval_concrete,
+    label_constants,
     load_language,
 )
 from .lattice import AbstractDomain, SetFamily, StateSet, moore_close
@@ -50,8 +53,9 @@ from .equivalences import (
 from .kripke import label_partition
 from .verify import format_results, run_paper_suite
 
-USAGE_ERROR = 2
 PROPERTY_FALSE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _set_names(model: KripkeModel, s: StateSet) -> list[str]:
@@ -245,12 +249,7 @@ def cmd_check(args) -> int:
         domain = _parse_domain(model, need(args.domain, "--domain"), lang)
         ops = _ops_from_names(args.ops) if args.ops else list(lang.operators if lang else [])
         if args.with_atoms:
-            from .languages import const_operator
-
-            ops = [
-                const_operator(name, StateSet(model.space, mask))
-                for name, mask in model.label_items
-            ] + ops
+            ops = label_constants(model) + ops
         direction = "forward" if prop == "fwd-complete" else "backward"
         report = completeness_check(direction, domain, ops, model)
         verdict = report.holds
@@ -431,9 +430,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except AbspresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable input files
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -1,16 +1,18 @@
 """Bisimulation, divergence-blind stuttering and simulation.
 
-Each relation comes with three routes that must agree:
+Each relation is computed by one route, a naive refinement (splitter loop
+or gfp over pairs) for the coarsest relation, and judged by one checker,
+its literal per-pair definition; both are polynomial.
 
-* a naive refinement (splitter loop / gfp over pairs) computing the
-  coarsest relation,
-* the literal per-pair definition as a checker, and
-* a forward-completeness characterization of the induced domain:
-  bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪ {EU},
-  simulation ↔ {atoms} ∪ {pre~} on the preorder domain.
-
-Disagreement between routes raises InternalConsistencyError; the report
-object exposes the verdict of every route.
+The paper characterizes the same relations by forward completeness of the
+induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
+{EU}, simulation ↔ {atoms} ∪ {pre~} on the preorder domain) and the
+coarsest ones by forward complete shells.  Those routes build families of
+up to 2^n sets, so they stay off the default path: the shell routes
+are public here (``*_shell_partition``), the completeness route is
+:func:`abspres.abstraction.completeness_check` with
+:func:`abspres.languages.label_constants`, and the tests check that both
+agree with the refinements and the checkers.
 """
 
 from __future__ import annotations
@@ -18,20 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .abstraction import completeness_check
-from .errors import InternalConsistencyError, SpaceMismatchError, ValidationError
+from .errors import SpaceMismatchError, ValidationError
 from .kripke import KripkeModel, label_partition
-from .lattice import Mask, SetFamily, StateSet, moore_close
-from .languages import Operator, builtin_operator, const_operator, until_mask
-from .partitions import Partition, Preorder, add, adp, pr
+from .lattice import Mask, SetFamily, moore_close
+from .languages import builtin_operator, until_mask
+from .partitions import Partition, Preorder, pr
 from .shells import forward_complete_shell
-
-
-def _atom_constants(model: KripkeModel) -> list[Operator]:
-    return [
-        const_operator(name, StateSet(model.space, mask))
-        for name, mask in model.label_items
-    ]
 
 
 def _split_once(model: KripkeModel, blocks: list[Mask], split_mask_fn) -> bool:
@@ -61,7 +55,11 @@ def bisim_partition(model: KripkeModel) -> Partition:
     return Partition.from_masks(model.space, blocks)
 
 
-def _definitional_bisim(p: Partition, model: KripkeModel) -> bool:
+def check_bisimulation(p: Partition, model: KripkeModel) -> bool:
+    """Is P a bisimulation?  Per block: one label set, and every move of a
+    member into a block is matched by every other member."""
+    if p.space != model.space:
+        raise SpaceMismatchError("partition over a different space than the model")
     for block in p.blocks:
         members = [s for s in range(model.n) if (block >> s) & 1]
         labels = {model.label_of_state(s) for s in members}
@@ -76,22 +74,6 @@ def _definitional_bisim(p: Partition, model: KripkeModel) -> bool:
                     if not model.succ[s2] & t_block:
                         return False
     return True
-
-
-def check_bisimulation(p: Partition, model: KripkeModel) -> bool:
-    """Definitional per-pair check and the forward-completeness check of
-    adp(P) for {atoms} ∪ {pre}; the two must agree."""
-    if p.space != model.space:
-        raise SpaceMismatchError("partition over a different space than the model")
-    definitional = _definitional_bisim(p, model)
-    ops = _atom_constants(model) + [builtin_operator("pre")]
-    complete = completeness_check("forward", adp(p), ops, model).holds
-    if definitional != complete:
-        raise InternalConsistencyError(
-            f"bisimulation routes disagree on {p!r}: "
-            f"definitional={definitional}, completeness={complete}"
-        )
-    return definitional
 
 
 def dbs_partition(model: KripkeModel) -> Partition:
@@ -109,10 +91,12 @@ def dbs_partition(model: KripkeModel) -> Partition:
     return Partition.from_masks(model.space, blocks)
 
 
-def _definitional_dbs(p: Partition, model: KripkeModel) -> bool:
-    # Label condition plus the block criterion: for B1 ≠ B2 the set
-    # EU(B1,B2) ∩ B1 is empty or all of B1 (members reach B2 inside B1
-    # together, or none does).
+def check_dbs(p: Partition, model: KripkeModel) -> bool:
+    """Is P a divergence-blind stuttering equivalence?  Label condition plus
+    the block criterion: for B1 ≠ B2 the set EU(B1,B2) ∩ B1 is empty or all
+    of B1 (members reach B2 inside B1 together, or none does)."""
+    if p.space != model.space:
+        raise SpaceMismatchError("partition over a different space than the model")
     for block in p.blocks:
         members = [s for s in range(model.n) if (block >> s) & 1]
         if len({model.label_of_state(s) for s in members}) > 1:
@@ -125,22 +109,6 @@ def _definitional_dbs(p: Partition, model: KripkeModel) -> bool:
             if x not in (0, b1):
                 return False
     return True
-
-
-def check_dbs(p: Partition, model: KripkeModel) -> bool:
-    """Definitional EU-based block criterion and forward completeness of
-    adp(P) for {atoms} ∪ {EU}; the two must agree."""
-    if p.space != model.space:
-        raise SpaceMismatchError("partition over a different space than the model")
-    definitional = _definitional_dbs(p, model)
-    ops = _atom_constants(model) + [builtin_operator("EU")]
-    complete = completeness_check("forward", adp(p), ops, model).holds
-    if definitional != complete:
-        raise InternalConsistencyError(
-            f"stuttering routes disagree on {p!r}: "
-            f"definitional={definitional}, completeness={complete}"
-        )
-    return definitional
 
 
 def _similarity_rows(model: KripkeModel, equal_labels: bool) -> tuple[Mask, ...]:
@@ -192,7 +160,11 @@ def equal_label_simulation(model: KripkeModel) -> Preorder:
     return Preorder(model.space, _similarity_rows(model, equal_labels=True))
 
 
-def _definitional_simulation(r: Preorder, model: KripkeModel) -> bool:
+def check_simulation(r: Preorder, model: KripkeModel) -> bool:
+    """Is R a simulation?  s R s' needs ℓ(s') ⊆ ℓ(s), and every move s → t
+    matched by a move s' → t' with t R t'."""
+    if r.space != model.space:
+        raise SpaceMismatchError("preorder over a different space than the model")
     n = model.n
     labels = [model.label_of_state(s) for s in range(n)]
     for s in range(n):
@@ -205,22 +177,6 @@ def _definitional_simulation(r: Preorder, model: KripkeModel) -> bool:
                 if (model.succ[s] >> t) & 1 and not model.succ[s2] & r.rows[t]:
                     return False
     return True
-
-
-def check_simulation(r: Preorder, model: KripkeModel) -> bool:
-    """Definitional simulation conditions and forward completeness of
-    add(R) for {atoms} ∪ {pre~}; the two must agree."""
-    if r.space != model.space:
-        raise SpaceMismatchError("preorder over a different space than the model")
-    definitional = _definitional_simulation(r, model)
-    ops = _atom_constants(model) + [builtin_operator("pre~")]
-    complete = completeness_check("forward", add(r), ops, model).holds
-    if definitional != complete:
-        raise InternalConsistencyError(
-            f"simulation routes disagree: definitional={definitional}, "
-            f"completeness={complete}"
-        )
-    return definitional
 
 
 def bisim_shell_partition(model: KripkeModel) -> Partition:
@@ -252,26 +208,20 @@ def simeq_shell_partition(model: KripkeModel) -> Partition:
 
 def simeq_partition(model: KripkeModel) -> Partition:
     """Simulation-equivalence partition: symmetric kernel of the (equal
-    label) similarity preorder, cross-checked against the shell route.
+    label) similarity preorder.
 
     The inclusion-labeled similarity of :func:`largest_simulation` would
     give a coarser kernel on overlapping labelings, because its witnessing
     simulations may pass through pairs with strictly fewer labels; the
-    literal-seeded shell pins the classical notion.
+    literal-seeded shell of :func:`simeq_shell_partition` pins the
+    classical notion.
     """
-    kernel = equal_label_simulation(model).kernel()
-    shell = simeq_shell_partition(model)
-    if kernel != shell:
-        raise InternalConsistencyError(
-            f"simulation-equivalence routes disagree: kernel={kernel!r}, "
-            f"shell={shell!r}"
-        )
-    return kernel
+    return equal_label_simulation(model).kernel()
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """One behavioural-equivalence computation with its cross-check verdicts."""
+    """One behavioural-equivalence computation with its checker verdict."""
 
     kind: str
     partition: Optional[Partition]
@@ -281,24 +231,21 @@ class EquivalenceReport:
 
 
 def equivalence_report(kind: str, model: KripkeModel) -> EquivalenceReport:
+    """Compute one equivalence and judge it with its definitional checker."""
+    partition = preorder = None
     if kind == "bisim":
-        p = bisim_partition(model)
-        shell_ok = bisim_shell_partition(model) == p
-        checker_ok = check_bisimulation(p, model)
-        routes = {"refinement_equals_shell": shell_ok, "checker_accepts": checker_ok}
-        return EquivalenceReport(kind, p, None, routes, all(routes.values()))
-    if kind == "dbs":
-        p = dbs_partition(model)
-        shell_ok = dbs_shell_partition(model) == p
-        checker_ok = check_dbs(p, model)
-        routes = {"refinement_equals_shell": shell_ok, "checker_accepts": checker_ok}
-        return EquivalenceReport(kind, p, None, routes, all(routes.values()))
-    if kind == "sim":
-        r = largest_simulation(model)
-        routes = {"checker_accepts": check_simulation(r, model)}
-        return EquivalenceReport(kind, None, r, routes, all(routes.values()))
-    if kind == "simeq":
-        p = simeq_partition(model)  # raises on route disagreement
-        routes = {"kernel_equals_shell": True}
-        return EquivalenceReport(kind, p, None, routes, True)
-    raise ValidationError(f"unknown equivalence kind {kind!r}")
+        partition = bisim_partition(model)
+        accepted = check_bisimulation(partition, model)
+    elif kind == "dbs":
+        partition = dbs_partition(model)
+        accepted = check_dbs(partition, model)
+    elif kind == "sim":
+        preorder = largest_simulation(model)
+        accepted = check_simulation(preorder, model)
+    elif kind == "simeq":
+        similarity = equal_label_simulation(model)
+        partition = similarity.kernel()
+        accepted = check_simulation(similarity, model)
+    else:
+        raise ValidationError(f"unknown equivalence kind {kind!r}")
+    return EquivalenceReport(kind, partition, preorder, {"checker_accepts": accepted}, accepted)

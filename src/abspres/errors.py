@@ -30,7 +30,3 @@ class FormulaSyntaxError(AbspresError):
 
 class ResolutionError(AbspresError):
     """A formula references an atom or operator the language does not define."""
-
-
-class InternalConsistencyError(AbspresError):
-    """Two independent computation routes disagreed; indicates a bug."""

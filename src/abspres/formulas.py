@@ -81,6 +81,13 @@ BINARY_KEYWORDS = ("EU", "AU", "ER", "AR")
 UNARY_KEYWORDS = ("EX", "AX", "pre", "post", "pre~", "post~")
 EF_PATTERN = re.compile(r"^EF\[(\d+),(\d+)\]$")
 
+# Deepest formula tree the parser accepts, counted in operators.  The text
+# may nest twice as deep (a parenthesised group or an operand each open a
+# level), which is what repr writes for a tree of this depth.  Both bounds
+# keep parsing and the recursive walks of a parsed tree (evaluation,
+# max_placeholder, repr) well inside Python's default recursion limit.
+MAX_DEPTH = 50
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*~?)|(?P<int>\d+)|(?P<arg>#\d+)"
     r"|(?P<punct>[!&|(),\[\]]))"
@@ -103,11 +110,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each level returns a (node, tree depth) pair."""
+
     def __init__(self, text: str, allow_placeholders: bool):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.allow_placeholders = allow_placeholders
+        self.open = 0  # text levels open at the current token
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -122,36 +132,49 @@ class _Parser:
         if val != value:
             raise FormulaSyntaxError(f"expected {value!r}, found {val!r}", pos)
 
+    def nested(self, level, pos: int):
+        """Parse with ``level`` one text level further down; the count is
+        checked before the recursion goes deeper."""
+        self.open += 1
+        if self.open > 2 * MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula text nested deeper than {2 * MAX_DEPTH} levels", pos)
+        item = level()
+        self.open -= 1
+        return item
+
+    def app(self, op: str, items, pos: int):
+        depth = 1 + max(d for _, d in items)
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula deeper than {MAX_DEPTH} operators", pos)
+        return App(op, tuple(node for node, _ in items)), depth
+
     def parse(self) -> Node:
-        node = self.or_level()
+        node, _ = self.or_level()
         kind, val, pos = self.peek()
         if kind is not None:
             raise FormulaSyntaxError(f"trailing input {val!r}", pos)
         return node
 
-    def or_level(self) -> Node:
-        node = self.and_level()
+    def or_level(self):
+        item = self.and_level()
         while self.peek()[1] == "|":
-            self.take()
-            node = App("or", (node, self.and_level()))
-        return node
+            pos = self.take()[2]
+            item = self.app("or", (item, self.and_level()), pos)
+        return item
 
-    def and_level(self) -> Node:
-        node = self.unary_level()
+    def and_level(self):
+        item = self.unary_level()
         while self.peek()[1] == "&":
-            self.take()
-            node = App("and", (node, self.unary_level()))
-        return node
+            pos = self.take()[2]
+            item = self.app("and", (item, self.unary_level()), pos)
+        return item
 
-    def unary_level(self) -> Node:
+    def unary_level(self):
         kind, val, pos = self.peek()
-        if val == "!":
+        if val == "!" or (kind == "ident" and val in UNARY_KEYWORDS):
             self.take()
-            return App("not", (self.unary_level(),))
-        if kind == "ident" and val in UNARY_KEYWORDS:
-            self.take()
-            return App(val, (self.unary_level(),))
-        if kind == "ident" and val == "EF":
+            op = "not" if val == "!" else val
+        elif kind == "ident" and val == "EF":
             self.take()
             self.expect("[")
             lo = self.int_token()
@@ -160,8 +183,10 @@ class _Parser:
             self.expect("]")
             if lo > hi:
                 raise FormulaSyntaxError(f"empty bound range [{lo},{hi}]", pos)
-            return App(f"EF[{lo},{hi}]", (self.unary_level(),))
-        return self.primary()
+            op = f"EF[{lo},{hi}]"
+        else:
+            return self.primary()
+        return self.app(op, (self.nested(self.unary_level, pos),), pos)
 
     def int_token(self) -> int:
         kind, val, pos = self.take()
@@ -169,36 +194,36 @@ class _Parser:
             raise FormulaSyntaxError(f"expected an integer, found {val!r}", pos)
         return int(val)
 
-    def primary(self) -> Node:
+    def primary(self):
         kind, val, pos = self.take()
         if val == "(":
-            node = self.or_level()
+            item = self.nested(self.or_level, pos)
             self.expect(")")
-            return node
+            return item
         if kind == "arg":
             if not self.allow_placeholders:
                 raise FormulaSyntaxError("argument placeholders are not allowed here", pos)
             index = int(val[1:])
             if index < 1:
                 raise FormulaSyntaxError("placeholder indices are 1-based", pos)
-            return Arg(index)
+            return Arg(index), 0
         if kind == "ident":
             if val in BINARY_KEYWORDS:
                 self.expect("(")
-                left = self.or_level()
+                left = self.nested(self.or_level, pos)
                 self.expect(",")
-                right = self.or_level()
+                right = self.nested(self.or_level, pos)
                 self.expect(")")
-                return App(val, (left, right))
+                return self.app(val, (left, right), pos)
             if self.peek()[1] == "(":
                 self.take()
-                args = [self.or_level()]
+                args = [self.nested(self.or_level, pos)]
                 while self.peek()[1] == ",":
                     self.take()
-                    args.append(self.or_level())
+                    args.append(self.nested(self.or_level, pos))
                 self.expect(")")
-                return App(val, tuple(args))
-            return Atom(val)
+                return self.app(val, args, pos)
+            return Atom(val), 0
         raise FormulaSyntaxError(f"unexpected token {val!r}", pos)
 
 

@@ -348,6 +348,12 @@ def _model_atoms(model: KripkeModel) -> tuple[tuple[str, StateSet], ...]:
     )
 
 
+def label_constants(model: KripkeModel) -> list[Operator]:
+    """One 0-ary operator per label, valued at the label's states: the atoms
+    of the forward-completeness characterizations of the equivalences."""
+    return [const_operator(name, value) for name, value in _model_atoms(model)]
+
+
 def _ops(*names: str) -> tuple[Operator, ...]:
     return tuple(builtin_operator(n) for n in names)
 

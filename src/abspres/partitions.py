@@ -138,12 +138,22 @@ class Partition:
         return True
 
 
+def _transitive_closure(rows: Iterable[Mask]) -> tuple[Mask, ...]:
+    """Warshall's closure of a relation given as row masks."""
+    closure = list(rows)
+    for k in range(len(closure)):
+        for s in range(len(closure)):
+            if (closure[s] >> k) & 1:
+                closure[s] |= closure[k]
+    return tuple(closure)
+
+
 @dataclass(frozen=True)
 class Preorder:
     """A reflexive and transitive relation as a dense row-mask matrix.
 
     ``rows[s]`` holds the mask {t | s R t}.  Transitivity is validated by
-    comparing against a Warshall-style closure.
+    comparing against Warshall's closure.
     """
 
     space: StateSpace
@@ -158,12 +168,7 @@ class Preorder:
                 raise ValidationError(
                     f"relation is not reflexive at state {self.space.names[s]!r}"
                 )
-        closure = list(self.rows)
-        for k in range(n):
-            for s in range(n):
-                if (closure[s] >> k) & 1:
-                    closure[s] |= closure[k]
-        if tuple(closure) != self.rows:
+        if _transitive_closure(self.rows) != self.rows:
             raise ValidationError("relation is not transitive")
 
     @staticmethod
@@ -227,6 +232,14 @@ class Preorder:
         return f"Preorder({items})"
 
 
+def _unions(masks: Iterable[Mask]) -> frozenset[Mask]:
+    """Every union of some of the masks, the empty union ∅ included."""
+    unions = {0}
+    for m in masks:
+        unions |= {u | m for u in unions}
+    return frozenset(unions)
+
+
 def adp(p: Partition) -> AbstractDomain:
     """Partitioning domain of P: image = all unions of blocks (2^|P| sets).
 
@@ -235,15 +248,9 @@ def adp(p: Partition) -> AbstractDomain:
     """
     if 1 << len(p.blocks) > DEFAULT_MAX_FAMILY:
         raise CapacityError(f"adp image would have 2^{len(p.blocks)} members")
-    blocks = p.blocks
-
-    def image() -> frozenset[Mask]:
-        unions = {0}
-        for b in blocks:
-            unions |= {u | b for u in unions}
-        return frozenset(unions)
-
-    return AbstractDomain(p.space, image_fn=image, closure_fn=p.block_containing)
+    return AbstractDomain(
+        p.space, image_fn=lambda: _unions(p.blocks), closure_fn=p.block_containing
+    )
 
 
 def pr(a: AbstractDomain) -> Partition:
@@ -275,15 +282,11 @@ def add(r: Preorder) -> AbstractDomain:
     generators = sorted({r.pre_mask(1 << x) for x in range(space.n)})
     if 1 << len(generators) > DEFAULT_MAX_FAMILY:
         raise CapacityError(f"add image would have up to 2^{len(generators)} members")
-
-    def image() -> frozenset[Mask]:
-        unions = {0}
-        for g in generators:
-            unions |= {u | g for u in unions}
-        unions.add(space.full_mask)
-        return frozenset(unions)
-
-    return AbstractDomain(space, image_fn=image, closure_fn=r.pre_mask)
+    return AbstractDomain(
+        space,
+        image_fn=lambda: _unions(generators) | {space.full_mask},
+        closure_fn=r.pre_mask,
+    )
 
 
 def preord_of(a: AbstractDomain) -> Preorder:
@@ -359,10 +362,5 @@ def iter_preorders(space: StateSpace) -> Iterator[Preorder]:
         for k, (s, t) in enumerate(off_diagonal):
             if (bits >> k) & 1:
                 rows[s] |= 1 << t
-        closure = list(rows)
-        for k in range(n):
-            for s in range(n):
-                if (closure[s] >> k) & 1:
-                    closure[s] |= closure[k]
-        if closure == rows:
+        if _transitive_closure(rows) == tuple(rows):
             yield Preorder(space, tuple(rows))

@@ -26,7 +26,13 @@ from .fixtures import (
 )
 from .formulas import parse_formula
 from .kripke import KripkeModel, Quotient, label_partition, quotient, transformer, validate_model
-from .languages import builtin_operator, eval_concrete, language_from_ops, preset_language
+from .languages import (
+    builtin_operator,
+    eval_concrete,
+    label_constants,
+    language_from_ops,
+    preset_language,
+)
 from .lattice import AbstractDomain, SetFamily, StateSpace, family_of_names, moore_close
 from .partitions import Partition, adp, is_disjunctive, is_partitioning, pr
 from .shells import (
@@ -387,11 +393,15 @@ def run_paper_suite() -> list[CheckResult]:
 
     # Behavioural equivalences.
     push(_check("bisimulation partition of the five-state model", bisim_partition(kpq), pbis))
+    bisim_ops = label_constants(kpq) + [builtin_operator("pre")]
     push(
         _check(
             "computed bisimulation passes both checker routes",
-            check_bisimulation(pbis, kpq),
-            True,
+            (
+                check_bisimulation(pbis, kpq),
+                completeness_check("forward", adp(pbis), bisim_ops, kpq).holds,
+            ),
+            (True, True),
         )
     )
 

@@ -482,6 +482,35 @@ class TestInputErrors:
         assert code == 2
         assert name in err
 
+    @pytest.mark.parametrize(
+        "formula",
+        ["!" * 5000 + "p", "(" * 400 + "p" + ")" * 400, " & ".join(["p"] * 3000)],
+        ids=["negations", "parentheses", "conjunctions"],
+    )
+    def test_deep_formula(self, capsys, formula):
+        code, _, err = run(capsys, "eval", "--model", fx("k5.json"), "--formula", formula)
+        assert code == 2
+        assert "deeper than" in err
+
+    def test_unreadable_model_file(self, capsys, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe")
+        for path in (str(tmp_path), str(binary)):
+            code, _, err = run(capsys, "eval", "--model", path, "--formula", "p")
+            assert code == 2
+            assert err.startswith("error: ")
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        import abspres.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_eval", broken)
+        code, _, err = run(capsys, "eval", "--model", fx("k5.json"), "--formula", "p")
+        assert code == 3
+        assert err == "internal error: RuntimeError: boom\n"
+
     def test_ops_keep_bracketed_bounds(self, capsys):
         from abspres.cli import _ops_from_names
 

@@ -1,7 +1,9 @@
-"""Behavioural equivalences: refinement computations, definitional checkers
-and the forward-completeness cross-checks."""
+"""Behavioural equivalences: refinement computations, definitional checkers,
+and their agreement with the shell and forward-completeness routes."""
 
 import random
+
+import pytest
 
 from abspres import (
     KripkeModel,
@@ -17,13 +19,17 @@ from abspres import (
     largest_simulation,
     simeq_partition,
 )
+from abspres import abstraction, equivalences, shells
+from abspres.abstraction import completeness_check
 from abspres.equivalences import (
     bisim_shell_partition,
     dbs_shell_partition,
     simeq_shell_partition,
 )
+from abspres.languages import builtin_operator, label_constants, preset_language
+from abspres.lattice import StateSpace
+from abspres.partitions import add, adp, iter_partitions, iter_preorders
 from abspres.shells import coarsest_sp_partition
-from abspres.languages import preset_language
 
 from conftest import random_total_model
 
@@ -232,8 +238,60 @@ class TestReports:
             for kind in ("bisim", "dbs", "sim", "simeq"):
                 report = equivalence_report(kind, model)
                 assert report.consistent
+                assert report.routes == {"checker_accepts": True}
                 assert report.kind == kind
                 if kind == "sim":
                     assert report.preorder is not None
                 else:
                     assert report.partition is not None
+
+
+class TestCompletenessCharacterizations:
+    """The checkers decide the definitions; the paper proves the same
+    verdicts are forward completeness of adp(P) or add(R) for the atoms and
+    one operator.  Checked on every partition or preorder of small models."""
+
+    @pytest.mark.parametrize(
+        "check, op", [(check_bisimulation, "pre"), (check_dbs, "EU")], ids=["bisim", "dbs"]
+    )
+    def test_partition_checkers(self, kpq, tl, k3, check, op):
+        rng = random.Random(2004)
+        models = [kpq, tl, k3] + [random_total_model(rng, max_states=5) for _ in range(20)]
+        for model in models:
+            ops = label_constants(model) + [builtin_operator(op)]
+            for p in iter_partitions(model.space):
+                complete = completeness_check("forward", adp(p), ops, model).holds
+                assert check(p, model) == complete, p
+
+    def test_simulation_checker(self):
+        rng = random.Random(2005)
+        for _ in range(20):
+            model = random_total_model(rng, max_states=4)
+            ops = label_constants(model) + [builtin_operator("pre~")]
+            for r in iter_preorders(model.space):
+                complete = completeness_check("forward", add(r), ops, model).holds
+                assert check_simulation(r, model) == complete, r
+
+
+class TestDefaultPath:
+    def test_no_exponential_route(self, kpq, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exponential route on the default path")
+
+        for module in (equivalences, shells, abstraction):
+            for name in ("forward_complete_shell", "completeness_check"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        for kind in ("bisim", "dbs", "sim", "simeq"):
+            assert equivalence_report(kind, kpq).consistent
+        assert simeq_partition(kpq) == bisim_partition(kpq)
+        assert check_bisimulation(bisim_partition(kpq), kpq)
+        assert check_dbs(dbs_partition(kpq), kpq)
+        assert check_simulation(largest_simulation(kpq), kpq)
+
+    def test_checker_has_no_block_cap(self):
+        # adp of 24 blocks would have 2^24 members
+        n = 24
+        space = StateSpace(tuple(str(i) for i in range(n)))
+        succ = tuple(1 << ((i + 1) % n) for i in range(n))
+        model = KripkeModel(space, succ, (("p", 0x555555),))
+        assert check_bisimulation(Partition.identity(space), model)

@@ -17,7 +17,7 @@ from abspres import (
     parse_transformer,
     preset_language,
 )
-from abspres.formulas import App, Arg, Atom
+from abspres.formulas import MAX_DEPTH, App, Arg, Atom, max_placeholder
 from abspres.languages import apply_operator, builtin_operator, operator_from_expr
 
 from conftest import (
@@ -84,6 +84,31 @@ class TestParser:
         for text in texts:
             phi = parse_formula(text)
             assert parse_formula(repr(phi)) == phi
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda d: "!" * d + "p",
+            lambda d: " & ".join(["p"] * (d + 1)),
+            lambda d: "EU(p, " * d + "q" + ")" * d,
+            lambda d: "EX (" * d + "p" + ")" * d,
+        ],
+        ids=["negations", "conjunctions", "until", "next"],
+    )
+    def test_depth_bound(self, kpq, make):
+        phi = parse_formula(make(MAX_DEPTH))
+        assert parse_formula(repr(phi)) == phi
+        eval_concrete(phi, kpq, preset_language("full", kpq))
+        assert max_placeholder(phi) == 0
+        with pytest.raises(FormulaSyntaxError, match="deeper than"):
+            parse_formula(make(MAX_DEPTH + 1))
+
+    def test_parentheses_bound_the_text_not_the_tree(self):
+        deep = 2 * MAX_DEPTH
+        assert parse_formula("(" * deep + "p" + ")" * deep) == Atom("p")
+        with pytest.raises(FormulaSyntaxError, match="deeper than") as err:
+            parse_formula("(" * (deep + 1) + "p" + ")" * (deep + 1))
+        assert err.value.position == deep
 
     def test_transformer_placeholders(self):
         assert parse_transformer("AX AX #1") == App(

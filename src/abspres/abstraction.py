@@ -12,7 +12,9 @@ bound) through the *paired semantic closure*: the least set of pairs
 application.  It is finite (⊆ ℘(Σ)×℘(Σ)) and covers every formula of the
 language; the verdict reads off the pairs.  The pairs are saturated by
 the same engine as the shells, :func:`~abspres.languages.close`, with
-pairs of masks as its items.
+pairs of masks as its items.  The relation search of :mod:`abspres.shells`
+needs no paired closure: S = {⟦φ⟧ | φ ∈ L} is the same for every candidate,
+so it closes S once and checks each candidate against that record.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .formulas import App, Atom, Formula
 from .kripke import KripkeModel, Quotient
-from .lattice import AbstractDomain, Mask, StateSet, powerset_domain
+from .lattice import AbstractDomain, Mask, StateSet
 from .languages import LanguageSpec, Operator, apply_operator, close, eval_formula
 from .partitions import adp
+from .shells import semantic_closure
 
 DEFAULT_MAX_TUPLES = 1 << 20
 DEFAULT_MAX_PAIRS = 1 << 16
@@ -189,8 +192,8 @@ def paired_semantic_closure(
     The pairs are saturated by :func:`~abspres.languages.close`; each pair
     keeps the formula that first produced it, so the witness is the first
     violating pair in discovery order.  With ``abort_on_violation`` the
-    closure stops at that pair (used by the relation search, which only
-    needs a strong/not-strong verdict).
+    closure stops at that pair, for callers that only need a
+    strong/not-strong verdict.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -393,10 +396,10 @@ def completeness_check(
 
 def is_sp_domain(domain: AbstractDomain, lang: LanguageSpec, model: KripkeModel) -> bool:
     """True iff the domain is strongly preserving for the language: it must
-    contain every member of the most abstract strongly preserving domain."""
-    from .shells import ad_of_language  # deferred: shells builds on this module
-
-    return ad_of_language(lang, model).masks <= domain.masks
+    contain every member of the most abstract strongly preserving domain
+    M(S), S = {⟦φ⟧ | φ ∈ L}.  The domain is a Moore family, so containing S
+    is enough; neither M(S) nor the domain's member list is built."""
+    return all(domain.contains(c) for c in semantic_closure(lang, model).masks)
 
 
 @dataclass(frozen=True)
@@ -463,10 +466,3 @@ def gfp_transfer_check(
     else:
         detail += ", lfp skipped (∅ not closed)"
     return GfpTransferReport(True, gfp_ok, lfp_checked, lfp_ok, detail)
-
-
-def identity_structure(model: KripkeModel, lang: LanguageSpec) -> AbstractStructure:
-    """The concrete semantics as an abstract structure over ℘(Σ)."""
-    return AbstractStructure.best_approximation(
-        powerset_domain(model.space), model, lang
-    )

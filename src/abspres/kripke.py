@@ -79,10 +79,6 @@ class KripkeModel:
     def labels(self) -> dict[str, Mask]:
         return dict(self.label_items)
 
-    @property
-    def atom_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.label_items)
-
     def label_mask(self, name: str) -> Mask:
         for n, m in self.label_items:
             if n == name:

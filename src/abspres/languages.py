@@ -271,10 +271,6 @@ class LanguageSpec:
         if len(set(names)) != len(names):
             raise ValidationError("duplicate atom/operator names in language")
 
-    @property
-    def atom_map(self) -> dict[str, StateSet]:
-        return dict(self.atoms)
-
     def atom_mask(self, name: str) -> Mask:
         for n, s in self.atoms:
             if n == name:

@@ -202,11 +202,6 @@ class SetFamily:
     def mask_set(self) -> frozenset[Mask]:
         return frozenset(self.masks)
 
-    def issubset(self, other: "SetFamily") -> bool:
-        if self.space != other.space:
-            raise SpaceMismatchError("families over different spaces")
-        return self.mask_set() <= other.mask_set()
-
 
 def meet_close(closed: set[Mask], fresh: Iterable[Mask]) -> set[Mask]:
     """Add ``fresh`` to the meet-closed set ``closed`` and re-close it under

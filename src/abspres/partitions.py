@@ -86,13 +86,6 @@ class Partition:
     def family(self) -> SetFamily:
         return SetFamily.of(self.space, self.blocks)
 
-    def block_of(self, state: str) -> StateSet:
-        i = self.space.index(state)
-        for b in self.blocks:
-            if (b >> i) & 1:
-                return StateSet(self.space, b)
-        raise AssertionError("cover invariant violated")
-
     def block_containing(self, mask: Mask) -> Mask:
         """Union of blocks meeting ``mask`` (the adp closure)."""
         acc = 0

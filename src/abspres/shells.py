@@ -9,6 +9,9 @@ and re-close under intersection until nothing new appears.  The semantic
 closure of a language runs the same engine without the re-closing.  The
 result is the greatest fixpoint of ρ ↦ μ_A ⊓ M(F(ρ)), reached from above;
 maximality is exhaustively verified at n = 3 by the tests.
+
+The relation search runs the engine once over the concrete atoms and checks
+each candidate block relation against the applications it recorded.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractStructure, paired_semantic_closure
 from .errors import CapacityError, SpaceMismatchError, ValidationError
-from .kripke import KripkeModel, quotient
+from .kripke import KripkeModel, block_name
 from .lattice import (
     AbstractDomain,
     DEFAULT_MAX_FAMILY,
     Mask,
     SetFamily,
+    StateSpace,
     meet_close,
     moore_close,
 )
@@ -130,6 +133,10 @@ def coarsest_sp_partition(lang: LanguageSpec, model: KripkeModel) -> Partition:
     return pr(ad_of_language(lang, model))
 
 
+class _NotBlockUnion(Exception):
+    """A set of S is not a union of blocks, so no relation is strong."""
+
+
 def sp_abstract_kripke_search(
     p: Partition,
     lang: LanguageSpec,
@@ -143,7 +150,14 @@ def sp_abstract_kripke_search(
     every block meeting the atom's denotation); operators are interpreted
     over the candidate block relation through the language's transformer
     bodies.  Relations are returned as index pairs over ``p.blocks``.
+
+    A strong structure agrees with ⟦·⟧ on every formula, so one recorded
+    closure of S = {⟦φ⟧ | φ ∈ L} (one stage per operator, lowest arity
+    first, as in the paired closure) fixes it: a candidate is strong iff its
+    block model gives the recorded value on every recorded application.
     """
+    if lang.open_ops:
+        raise ValidationError("strong-preservation checks need a closed language")
     if mode not in ("all", "first"):
         raise ValidationError(f"unknown search mode {mode!r}")
     if p.space != model.space:
@@ -155,31 +169,32 @@ def sp_abstract_kripke_search(
             f"{b} blocks means 2^{b * b} candidate relations; bound is 2^25"
         )
 
-    # Strong preservation forces γ(I♯(p)) = ⟦p⟧ already at the atoms, and
-    # atom interpretations do not depend on the candidate relation: if some
-    # atom is not a union of blocks, no relation can work.
-    for _, s in lang.atoms:
-        if p.block_containing(s.mask) != s.mask:
-            return []
+    # abstract values are block unions: if an atom or a set of S is not
+    # one, no relation can work
+    atoms = list(dict.fromkeys(s.mask for _, s in lang.atoms))
+    if any(p.block_containing(m) != m for m in atoms):
+        return []
+    steps: list[tuple[Operator, tuple[Mask, ...], Mask]] = []
 
-    # block space, labels, domain and atom values do not depend on the
-    # candidate relation: take them once from the ∃∃ quotient's structure
-    q = quotient("ee", model, p)
-    base = AbstractStructure.from_quotient(q, lang)
+    def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
+        value = apply_operator(op, model, args)
+        if p.block_containing(value) != value:
+            raise _NotBlockUnion
+        steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
+        return value
 
+    stages = [[op] for op in sorted(lang.operators, key=lambda op: op.arity)]
+    try:
+        close(atoms, stages, apply, lambda fresh: fresh)
+    except _NotBlockUnion:
+        return []
+
+    bspace = StateSpace(tuple(block_name(model, m) for m in blocks))
     hits: list[frozenset[tuple[int, int]]] = []
     for bits in range(1 << (b * b)):
         succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
-        qmodel = KripkeModel(q.model.space, succ, q.model.label_items)
-
-        def apply_fn(op: Operator, args: tuple[Mask, ...], qmodel=qmodel) -> Mask:
-            return p.union(apply_operator(op, qmodel, tuple([p.inner(a) for a in args])))
-
-        structure = AbstractStructure(base.domain, lang, base.atom_values, apply_fn, "search")
-        closure = paired_semantic_closure(
-            model, structure, lang, abort_on_violation=True
-        )
-        if closure.strong:
+        qmodel = KripkeModel(bspace, succ, ())
+        if all(apply_operator(op, qmodel, args) == value for op, args, value in steps):
             rel = frozenset(
                 (i, j) for i in range(b) for j in range(b) if (succ[i] >> j) & 1
             )

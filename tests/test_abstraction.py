@@ -199,6 +199,46 @@ class TestSpDomain:
         assert not is_sp_domain(bad, lang, kpq)
         assert not all(bad.closure_mask(m) == m for m in closure.masks)
 
+    def test_partition_domain_members_are_never_listed(self, kpq, monkeypatch):
+        # an adp domain answers membership through its closure, so the check
+        # never forms its 2^b unions of blocks
+        from abspres import partitions
+
+        def boom(masks):
+            raise AssertionError("is_sp_domain listed the domain's members")
+
+        monkeypatch.setattr(partitions, "_unions", boom)
+        lang = preset_language("L1", kpq)
+        fine = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
+        coarse = Partition.of(kpq.space, [["1", "2"], ["3", "4"], ["5"]])
+        assert is_sp_domain(adp(fine), lang, kpq)
+        assert not is_sp_domain(adp(coarse), lang, kpq)
+
+    def test_agrees_with_the_language_domain(self):
+        # oracle: the definition, AD_L ⊆ A, with AD_L = M(S) built in full
+        from abspres.equivalences import bisim_partition
+        from abspres.kripke import label_partition
+        from abspres.lattice import SetFamily, moore_close
+        from conftest import random_total_model
+
+        rng = random.Random(149)
+        verdicts = []
+        for _ in range(20):
+            model = random_total_model(rng, max_states=5)
+            masks = {rng.randrange(1 << model.n) for _ in range(4)}
+            domains = [
+                moore_close(SetFamily.of(model.space, masks)),
+                adp(label_partition(model)),
+                adp(bisim_partition(model)),
+            ]
+            for name in ("L1", "L2", "L3", "exef", "semaforo"):
+                lang = preset_language(name, model)
+                want = ad_of_language(lang, model).masks
+                for dom in domains:
+                    verdicts.append(is_sp_domain(dom, lang, model))
+                    assert verdicts[-1] == (want <= dom.masks)
+        assert 50 <= sum(verdicts) <= len(verdicts) - 50
+
 
 from conftest import chain_abstract_structure
 
@@ -357,6 +397,35 @@ class TestClosureAgainstDepthSaturation:
             structure = AbstractStructure.best_approximation(adp(p), model, lang)
             closure = paired_semantic_closure(model, structure, lang)
             assert set(closure.pairs) == saturate(model, structure, lang)
+
+    def test_recorded_formulas_evaluate_to_their_pairs(self):
+        # every pair (c, a) keeps a formula φ with ⟦φ⟧ = c and ⟦φ⟧♯ = a: the
+        # induction that lets the relation search judge a candidate by the
+        # concrete closure alone
+        from abspres.abstraction import paired_semantic_closure
+        from abspres.kripke import label_partition
+        from conftest import random_total_model
+
+        rng = random.Random(163)
+        checked = differing = 0
+        for _ in range(25):
+            model = random_total_model(rng, max_states=4)
+            p = label_partition(model)
+            for name in ("L1", "L2", "L3", "exef", "semaforo"):
+                lang = preset_language(name, model)
+                structures = [
+                    AbstractStructure.from_quotient(quotient("ee", model, p), lang),
+                    AbstractStructure.from_quotient(quotient("ae", model, p), lang),
+                    AbstractStructure.best_approximation(adp(p), model, lang),
+                ]
+                for structure in structures:
+                    closure = paired_semantic_closure(model, structure, lang)
+                    for (c, a), phi in zip(closure.pairs, closure.formulas):
+                        assert eval_concrete(phi, model, lang).mask == c
+                        assert structure.semantics(phi).mask == a
+                        checked += 1
+                        differing += c != a
+        assert checked >= 2000 and differing >= 200
 
 
 def bisect_blocks(model):

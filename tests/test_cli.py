@@ -345,6 +345,20 @@ class TestSearchAndQuotient:
         assert len(doc["result"]["relations"]) == 1
         assert len(doc["result"]["blocks"]) == 4
 
+    def test_search_rejects_open_language(self, capsys):
+        code, _, err = run(
+            capsys,
+            "search-abstract-kripke",
+            "--model",
+            fx("k5.json"),
+            "--lang",
+            "full",
+            "--partition",
+            "labels",
+        )
+        assert code == 2
+        assert "closed language" in err
+
     def test_quotient(self, capsys):
         code, out, _ = run(
             capsys,

@@ -9,6 +9,7 @@ from abspres import (
     Partition,
     SetFamily,
     StateSpace,
+    ValidationError,
     adp,
     completeness_check,
     domain_leq,
@@ -345,30 +346,75 @@ class TestRelationSearch:
         with pytest.raises(CapacityError):
             sp_abstract_kripke_search(Partition.identity(space), lang, model)
 
+    def test_open_language_rejected(self, kpq):
+        # checked first: on the trivial partition the atom p = {1,2,3,4} is
+        # not a union of blocks, and on the bisimulation blocks the open
+        # language lists no operators, so no recorded step would reject
+        # any of the 2^16 relations
+        lang = preset_language("full", kpq)
+        bisim = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
+        for p in (bisim, Partition.trivial(kpq.space)):
+            with pytest.raises(ValidationError):
+                sp_abstract_kripke_search(p, lang, kpq)
+
+    def test_no_paired_closure_per_candidate(self, kpq, monkeypatch):
+        # the search checks candidates against one concrete closure; it
+        # builds no abstract structure and runs no paired closure
+        from abspres import abstraction, shells
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the search must not build structures")
+
+        for module in (shells, abstraction):
+            monkeypatch.setattr(module, "paired_semantic_closure", boom, raising=False)
+            monkeypatch.setattr(module, "AbstractStructure", boom, raising=False)
+        lang = preset_language("L1", kpq)
+        p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
+        assert sp_abstract_kripke_search(p, lang, kpq) == [
+            quotient("ee", kpq, p).relation_pairs()
+        ]
+
     def test_search_agrees_with_quotient_route(self):
-        # the search builds one block model per candidate relation itself,
-        # without a Quotient; it must classify every candidate exactly like
-        # the public quotient-structure check
-        from abspres import paired_sp_check
+        # oracle: a paired closure of the quotient structure for every
+        # candidate relation, for b ≤ 3 blocks.  The aborting closure gives
+        # the full closure's verdict (TestPairedSpCheck) at a fraction of
+        # the cost; every hit is confirmed by the full paired_sp_check.
+        from abspres import AbstractStructure, paired_sp_check
+        from abspres.abstraction import paired_semantic_closure
+        from abspres.equivalences import bisim_partition
         from abspres.kripke import Quotient, block_name
 
         rng = random.Random(59)
-        for _ in range(6):
+        checked = strong = 0
+        for _ in range(8):
             model = random_total_model(rng, max_states=4)
-            lang = preset_language("L1", model)
-            p = label_partition(model)
-            if len(p.blocks) > 3:
-                continue
-            hits = set(sp_abstract_kripke_search(p, lang, model))
-            b = len(p.blocks)
-            names = tuple(block_name(model, m) for m in p.blocks)
-            bspace = StateSpace(names)
-            for bits in range(1 << (b * b)):
-                succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
-                qmodel = KripkeModel(bspace, succ, ())
-                q = Quotient("ee", model, p, qmodel, qmodel.is_total())
-                rel = frozenset(
-                    (i, j) for i in range(b) for j in range(b) if (succ[i] >> j) & 1
-                )
-                want_strong = paired_sp_check(model, q, lang).verdict == "strong"
-                assert (rel in hits) == want_strong
+            picks = [rng.randrange(3) for _ in range(model.n)]
+            shuffled = Partition.from_masks(
+                model.space,
+                {sum(1 << s for s in range(model.n) if picks[s] == k) for k in set(picks)},
+            )
+            for p in (label_partition(model), bisim_partition(model), shuffled):
+                b = len(p.blocks)
+                if b > 3:
+                    continue
+                bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
+                for name in ("L1", "L2", "L3", "exef", "semaforo", "CTL"):
+                    lang = preset_language(name, model)
+                    hits = set(sp_abstract_kripke_search(p, lang, model))
+                    for bits in range(1 << (b * b)):
+                        succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
+                        qmodel = KripkeModel(bspace, succ, ())
+                        q = Quotient("ee", model, p, qmodel, qmodel.is_total())
+                        rel = frozenset(
+                            (i, j) for i in range(b) for j in range(b) if (succ[i] >> j) & 1
+                        )
+                        structure = AbstractStructure.from_quotient(q, lang)
+                        want = paired_semantic_closure(
+                            model, structure, lang, abort_on_violation=True
+                        ).strong
+                        assert (rel in hits) == want
+                        if want:
+                            assert paired_sp_check(model, q, lang).strong
+                        checked += 1
+                        strong += want
+        assert strong >= 400 and checked - strong >= 9000

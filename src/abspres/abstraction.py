@@ -34,6 +34,7 @@ from .shells import semantic_closure
 
 DEFAULT_MAX_TUPLES = 1 << 20
 DEFAULT_MAX_PAIRS = 1 << 16
+SAMPLE_SEED = 2654435769  # of the random argument sample of a backward completeness check
 
 
 def bca_apply(
@@ -62,13 +63,7 @@ def eval_abstract(
 ) -> StateSet:
     """⟦φ⟧ under the structure induced by the domain: atoms are abstracted
     by μ and operators by their best correct approximations."""
-    mask = eval_formula(
-        phi,
-        lang,
-        lambda name: domain.closure_mask(lang.atom_mask(name)),
-        lambda op, args: domain.closure_mask(apply_operator(op, model, args)),
-    )
-    return StateSet(domain.space, mask)
+    return AbstractStructure.best_approximation(domain, model, lang).semantics(phi)
 
 
 class AbstractStructure:
@@ -85,11 +80,9 @@ class AbstractStructure:
         lang: LanguageSpec,
         atom_values: dict[str, Mask],
         apply_fn: Callable[[Operator, tuple[Mask, ...]], Mask],
-        kind: str,
     ):
         self.domain = domain
         self.lang = lang
-        self.kind = kind
         self._apply_fn = apply_fn
         self.atom_values = atom_values
         for name, mask in atom_values.items():
@@ -107,7 +100,7 @@ class AbstractStructure:
         def apply_fn(op: Operator, args: tuple[Mask, ...]) -> Mask:
             return domain.closure_mask(apply_operator(op, model, args))
 
-        return AbstractStructure(domain, lang, atoms, apply_fn, "best-approximation")
+        return AbstractStructure(domain, lang, atoms, apply_fn)
 
     @staticmethod
     def from_quotient(q: Quotient, lang: LanguageSpec) -> "AbstractStructure":
@@ -123,7 +116,7 @@ class AbstractStructure:
         def apply_fn(op: Operator, args: tuple[Mask, ...]) -> Mask:
             return p.union(apply_operator(op, q.model, tuple(p.inner(a) for a in args)))
 
-        return AbstractStructure(adp(p), lang, atoms, apply_fn, f"quotient-{q.kind}")
+        return AbstractStructure(adp(p), lang, atoms, apply_fn)
 
     @staticmethod
     def from_tables(
@@ -142,13 +135,13 @@ class AbstractStructure:
                     f"interpretation table for {op.name!r} lacks entry {args}"
                 ) from None
 
-        return AbstractStructure(domain, lang, atom_values, apply_fn, "tabulated")
+        return AbstractStructure(domain, lang, atom_values, apply_fn)
 
     def atom_value(self, name: str) -> Mask:
-        try:
-            return self.atom_values[name]
-        except KeyError:
-            raise ValidationError(f"structure does not interpret atom {name!r}") from None
+        if name not in self.atom_values:
+            self.lang.atom_mask(name)  # an atom the language lacks: ResolutionError
+            raise ValidationError(f"structure does not interpret atom {name!r}")
+        return self.atom_values[name]
 
     def apply(self, op: Operator, args: tuple[Mask, ...]) -> Mask:
         out = self._apply_fn(op, args)
@@ -249,7 +242,6 @@ class SpCheckReport:
 
     verdict: str  # "strong" | "weak-only" | "neither"
     witness: Optional[Formula]
-    pair_count: int
     closure: PairedClosure
 
     @property
@@ -283,7 +275,7 @@ def paired_sp_check(
         verdict = "weak-only"
     else:
         verdict = "neither"
-    return SpCheckReport(verdict, closure.witness, len(closure.pairs), closure)
+    return SpCheckReport(verdict, closure.witness, closure)
 
 
 @dataclass(frozen=True)
@@ -319,7 +311,6 @@ def completeness_check(
     model: KripkeModel,
     *,
     max_tuples: int = DEFAULT_MAX_TUPLES,
-    sample_seed: int = 2654435769,
 ) -> CompletenessReport:
     """Check forward (f∘μ⃗ = μ∘f∘μ⃗) or backward (μ∘f = μ∘f∘μ⃗) completeness.
 
@@ -362,7 +353,7 @@ def completeness_check(
         return CompletenessReport(direction, True, None, checked, True)
 
     subsets = 1 << space.n
-    rng = random.Random(sample_seed)
+    rng = random.Random(SAMPLE_SEED)
     for f in fs:
         count = subsets**f.arity
         if count <= max_tuples:

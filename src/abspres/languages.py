@@ -6,6 +6,9 @@ named operators, each defined by a transformer expression over the built-ins
 fixpoints and bounded reachability).  Fixpoints are computed by
 Knaster-Tarski iteration, which terminates on these finite lattices.
 
+An :class:`Operator` resolves its body once, when it is built; only a
+constant's space is left for :func:`apply_operator` to check.
+
 :func:`close` is the one saturation engine of the package: the forward
 complete shell, the semantic closure of a language and the paired semantic
 closure all run it with their own item type and admission step.
@@ -19,7 +22,7 @@ EF[0,2]).  The ``full`` preset resolves every built-in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
@@ -45,18 +48,21 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class Operator:
-    """A named n-ary transformer: a body over built-ins and #k placeholders."""
+    """A named n-ary transformer: a body over built-ins and #k placeholders.
+
+    The body is resolved once, at construction, into a function of (model,
+    argument masks); a bad body raises then, naming the operator.
+    """
 
     name: str
     arity: int
     body: Node
+    _resolved: Callable[[KripkeModel, Sequence[Mask]], Mask] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
-        used = max_placeholder(self.body)
-        if used > self.arity:
-            raise ValidationError(
-                f"operator {self.name!r} uses #{used} but has arity {self.arity}"
-            )
+        object.__setattr__(self, "_resolved", _resolve_body(self, self.body))
 
 
 def operator_from_expr(name: str, arity: int, expr: str) -> Operator:
@@ -90,7 +96,8 @@ def _gfp(step: Callable[[Mask], Mask], top: Mask) -> Mask:
         z = nxt
 
 
-def _eu(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
+def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
+    """EU(S1, S2) over masks; handy for the stuttering block criterion."""
     return _lfp(lambda z: s2 | (s1 & model.pre(z)), 0)
 
 
@@ -104,11 +111,6 @@ def _er(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
 
 def _ar(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
     return _gfp(lambda z: s2 & (s1 | model.cpre(z)), model.space.full_mask)
-
-
-def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    """EU(S1, S2) over masks; handy for the stuttering block criterion."""
-    return _eu(model, s1, s2)
 
 
 def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
@@ -139,64 +141,70 @@ def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
     return acc
 
 
+# Transformers are called through the model, so a rebound KripkeModel method is seen.
 _BUILTIN_TABLE: dict[str, tuple[int, Callable[..., Mask]]] = {
-    "not": (1, lambda model, full, a: full & ~a),
-    "and": (2, lambda model, full, a, b: a & b),
-    "or": (2, lambda model, full, a, b: a | b),
-    "EX": (1, lambda model, full, a: model.pre(a)),
-    "AX": (1, lambda model, full, a: model.cpre(a)),
-    "pre": (1, lambda model, full, a: model.pre(a)),
-    "post": (1, lambda model, full, a: model.post(a)),
-    "pre~": (1, lambda model, full, a: model.cpre(a)),
-    "post~": (1, lambda model, full, a: model.cpost(a)),
-    "EU": (2, lambda model, full, a, b: _eu(model, a, b)),
-    "AU": (2, lambda model, full, a, b: _au(model, a, b)),
-    "ER": (2, lambda model, full, a, b: _er(model, a, b)),
-    "AR": (2, lambda model, full, a, b: _ar(model, a, b)),
+    "not": (1, lambda model, a: model.space.full_mask & ~a),
+    "and": (2, lambda model, a, b: a & b),
+    "or": (2, lambda model, a, b: a | b),
+    "EX": (1, lambda model, a: model.pre(a)),
+    "AX": (1, lambda model, a: model.cpre(a)),
+    "pre": (1, lambda model, a: model.pre(a)),
+    "post": (1, lambda model, a: model.post(a)),
+    "pre~": (1, lambda model, a: model.cpre(a)),
+    "post~": (1, lambda model, a: model.cpost(a)),
+    "EU": (2, until_mask),
+    "AU": (2, _au),
+    "ER": (2, _er),
+    "AR": (2, _ar),
 }
 
 
-def builtin_arity(name: str) -> Optional[int]:
-    if name in _BUILTIN_TABLE:
-        return _BUILTIN_TABLE[name][0]
-    if EF_PATTERN.match(name):
-        return 1
-    return None
+def _builtin(name: str) -> Optional[tuple[int, Callable[..., Mask]]]:
+    """(arity, semantics) of the built-in ``name``, or None if there is none."""
+    m = EF_PATTERN.match(name)
+    if m is None:
+        return _BUILTIN_TABLE.get(name)
+    lo, hi = int(m.group(1)), int(m.group(2))
+    return 1, lambda model, a: _ef_bounded(model, lo, hi, a)
 
 
-def eval_node(node: Node, model: KripkeModel, args: Sequence[Mask] = ()) -> Mask:
-    """Evaluate a transformer body over the model; atoms are not allowed here."""
-    full = model.space.full_mask
-    if isinstance(node, Const):
-        if node.value.space != model.space:
-            raise ValidationError("constant set over a different space")
-        return node.value.mask
+def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[Mask]], Mask]:
+    """``node`` of the body of ``op`` as a function of (model, argument masks)."""
+    where = f"operator {op.name!r}:"
     if isinstance(node, Arg):
-        if node.index > len(args):
-            raise ValidationError(f"missing argument #{node.index}")
-        return args[node.index - 1]
+        if node.index > op.arity:
+            raise ValidationError(f"{where} uses #{node.index} but has arity {op.arity}")
+        i = node.index - 1
+        return lambda model, args: args[i]
+    if isinstance(node, Const):
+        value = node.value
+
+        def const(model: KripkeModel, args: Sequence[Mask]) -> Mask:
+            if value.space != model.space:
+                raise ValidationError("constant set over a different space")
+            return value.mask
+
+        return const
     if isinstance(node, Atom):
-        raise ResolutionError(
-            f"atom {node.name!r} cannot appear inside an operator definition"
-        )
-    vals = [eval_node(a, model, args) for a in node.args]
-    entry = _BUILTIN_TABLE.get(node.op)
-    if entry is not None:
-        arity, fn = entry
-        if arity != len(vals):
-            raise ValidationError(f"{node.op} expects {arity} arguments")
-        return fn(model, full, *vals)
-    m = EF_PATTERN.match(node.op)
-    if m is not None:
-        (val,) = vals
-        return _ef_bounded(model, int(m.group(1)), int(m.group(2)), val)
-    raise ResolutionError(f"unknown built-in operator {node.op!r}")
+        raise ResolutionError(f"{where} atom {node.name!r} cannot appear in an operator body")
+    entry = _builtin(node.op)
+    if entry is None:
+        raise ResolutionError(f"{where} unknown built-in operator {node.op!r}")
+    arity, fn = entry
+    if arity != len(node.args):
+        raise ValidationError(f"{where} {node.op} expects {arity} arguments, got {len(node.args)}")
+    parts = [_resolve_body(op, a) for a in node.args]
+    if arity == 1:
+        (p,) = parts
+        return lambda model, args: fn(model, p(model, args))
+    p, q = parts
+    return lambda model, args: fn(model, p(model, args), q(model, args))
 
 
 def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Mask:
     if len(args) != op.arity:
         raise ValidationError(f"{op.name} expects {op.arity} arguments, got {len(args)}")
-    return eval_node(op.body, model, args)
+    return op._resolved(model, args)
 
 
 def close(
@@ -247,9 +255,10 @@ def close(
 
 
 def builtin_operator(name: str) -> Operator:
-    arity = builtin_arity(name)
-    if arity is None:
+    entry = _builtin(name)
+    if entry is None:
         raise ResolutionError(f"unknown built-in operator {name!r}")
+    arity, _ = entry
     return Operator(name, arity, App(name, tuple(Arg(i + 1) for i in range(arity))))
 
 
@@ -284,14 +293,14 @@ class LanguageSpec:
         for op in self.operators:
             if op.name == name:
                 return op
-        if self.open_ops and builtin_arity(name) is not None:
+        if self.open_ops and _builtin(name) is not None:
             return builtin_operator(name)
         raise ResolutionError(f"unknown operator {name!r} in language {self.name}")
 
     def has_operator(self, name: str) -> bool:
         if any(op.name == name for op in self.operators):
             return True
-        return self.open_ops and builtin_arity(name) is not None
+        return self.open_ops and _builtin(name) is not None
 
 
 def resolve_application(lang: LanguageSpec, phi: App) -> App | Atom:

@@ -48,7 +48,6 @@ class ShellTrace:
 
     iterations: tuple[AbstractDomain, ...]
     new_counts: tuple[int, ...]
-    converged: bool = True
 
     def to_json(self) -> list[list[str]]:
         out = []

@@ -488,6 +488,18 @@ class TestInputErrors:
             ({"operators": [{"arity": 1, "expr": "pre #1"}]}, "'name'"),
             ({"atoms": {"p": "12"}}, "atom 'p'"),
             ({"operators": [{"name": "F", "arity": "x", "expr": "pre #1"}]}, "'arity'"),
+            (
+                {"operators": [{"name": "F", "arity": 1, "expr": "foo(#1)"}]},
+                "error: operator 'F': unknown built-in operator 'foo'",
+            ),
+            (
+                {"operators": [{"name": "F", "arity": 1, "expr": "p & #1"}]},
+                "error: operator 'F': atom 'p'",
+            ),
+            (
+                {"operators": [{"name": "F", "arity": 1, "expr": "or(#1)"}]},
+                "error: operator 'F': or expects 2 arguments",
+            ),
         ],
     )
     def test_malformed_language(self, capsys, tmp_path, doc, name):
@@ -495,6 +507,15 @@ class TestInputErrors:
         code, _, err = run(capsys, "sp-partition", "--model", fx("k5.json"), "--lang", path)
         assert code == 2
         assert name in err
+
+    def test_bad_operator_body_rejected_at_load(self, capsys, tmp_path):
+        # the formula uses no operator; the body is still checked
+        path = self.write(tmp_path, {"operators": [{"name": "F", "arity": 1, "expr": "foo(#1)"}]})
+        code, _, err = run(
+            capsys, "eval", "--model", fx("k5.json"), "--lang", path, "--formula", "p"
+        )
+        assert code == 2
+        assert err.startswith("error: operator 'F': ")
 
     @pytest.mark.parametrize(
         "formula",

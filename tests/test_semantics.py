@@ -17,8 +17,9 @@ from abspres import (
     parse_transformer,
     preset_language,
 )
-from abspres.formulas import MAX_DEPTH, App, Arg, Atom, max_placeholder
-from abspres.languages import apply_operator, builtin_operator, operator_from_expr
+from abspres.formulas import MAX_DEPTH, App, Arg, Atom, Const, max_placeholder
+from abspres.languages import Operator, apply_operator, builtin_operator, operator_from_expr
+from abspres.lattice import StateSet
 
 from conftest import (
     brute_greatest_fixpoint,
@@ -209,6 +210,11 @@ class TestConcreteEvaluation:
 class TestFixpointOracles:
     def test_until_release_against_subset_scan(self):
         rng = random.Random(97)
+        const_rng = random.Random(98)  # leaves the draws of rng as they were
+        # composite bodies, resolved once when the operator is built
+        swapped = operator_from_expr("S", 2, "EU(#2, #1)")
+        twice = operator_from_expr("D", 1, "#1 & #1")
+        nested = operator_from_expr("N", 2, "AX (#1 & !EX #2)")
         for _ in range(15):
             model = random_total_model(rng, max_states=4)
             n = model.n
@@ -232,6 +238,16 @@ class TestFixpointOracles:
                 assert ar == brute_greatest_fixpoint(
                     lambda z: s2 & (s1 | model.cpre(z)), n
                 )
+                c = const_rng.randrange(1 << n)
+                const = Operator("C", 1, App("or", (Arg(1), Const(StateSet(model.space, c)))))
+                assert apply_operator(swapped, model, (s1, s2)) == brute_least_fixpoint(
+                    lambda z: s1 | (s2 & model.pre(z)), n
+                )
+                assert apply_operator(twice, model, (s1,)) == s1
+                assert apply_operator(nested, model, (s1, s2)) == model.cpre(
+                    s1 & full & ~model.pre(s2)
+                )
+                assert apply_operator(const, model, (s1,)) == s1 | c
 
     def test_until_against_path_enumeration(self, kpq, tl, k3):
         rng = random.Random(11)

@@ -6,15 +6,22 @@ approximation of an operator f is simply μ∘f on closed arguments, and a
 domain is forward complete for f exactly when f maps closed tuples to
 closed sets.
 
+An :class:`AbstractStructure` checks each value once, when it is built:
+its atoms, and the values of an explicit table.  Closures (the best
+approximation) and block unions (a quotient's structure) are closed by
+construction, so no application is re-checked.
+
 Strong preservation of a structure is decided exactly (no formula-depth
 bound) through the *paired semantic closure*: the least set of pairs
 (⟦φ⟧, γ⟦φ⟧♯) containing the atom pairs and closed under paired operator
 application.  It is finite (⊆ ℘(Σ)×℘(Σ)) and covers every formula of the
-language; the verdict reads off the pairs.  The pairs are saturated by
-the same engine as the shells, :func:`~abspres.languages.close`, with
-pairs of masks as its items.  The relation search of :mod:`abspres.shells`
-needs no paired closure: S = {⟦φ⟧ | φ ∈ L} is the same for every candidate,
-so it closes S once and checks each candidate against that record.
+language; :func:`paired_sp_check` returns the :class:`PairedClosure`, and
+its verdict, weak flag and witness are read off the pairs.  The pairs are
+saturated by the same engine as the shells, :func:`~abspres.languages.close`,
+with pairs of masks as its items.  The relation search of
+:mod:`abspres.shells` needs no paired closure: S = {⟦φ⟧ | φ ∈ L} is the same
+for every candidate, so it closes S once and checks each candidate against
+that record.
 """
 
 from __future__ import annotations
@@ -66,27 +73,26 @@ def eval_abstract(
     return AbstractStructure.best_approximation(domain, model, lang).semantics(phi)
 
 
+@dataclass(frozen=True, eq=False)
 class AbstractStructure:
     """An abstract semantic structure (A, I♯) over closed sets.
 
-    Atom interpretations are closed sets; operator interpretations are
-    functions on closed sets.  Construct through one of
-    :meth:`best_approximation`, :meth:`from_quotient` or :meth:`from_tables`.
+    Atom interpretations are closed sets; ``apply`` interprets an operator
+    on a tuple of closed sets and returns a closed set.  Construct through
+    one of :meth:`best_approximation` (values are closures),
+    :meth:`from_quotient` (values are block unions) or :meth:`from_tables`
+    (every table value is checked when the structure is built), so
+    ``apply`` never re-checks its result.
     """
 
-    def __init__(
-        self,
-        domain: AbstractDomain,
-        lang: LanguageSpec,
-        atom_values: dict[str, Mask],
-        apply_fn: Callable[[Operator, tuple[Mask, ...]], Mask],
-    ):
-        self.domain = domain
-        self.lang = lang
-        self._apply_fn = apply_fn
-        self.atom_values = atom_values
-        for name, mask in atom_values.items():
-            if not domain.contains(mask):
+    domain: AbstractDomain
+    lang: LanguageSpec
+    atom_values: dict[str, Mask]
+    apply: Callable[[Operator, tuple[Mask, ...]], Mask]
+
+    def __post_init__(self):
+        for name, mask in self.atom_values.items():
+            if not self.domain.contains(mask):
                 raise ValidationError(f"atom {name!r} is interpreted by a non-closed set")
 
     @staticmethod
@@ -97,10 +103,10 @@ class AbstractStructure:
             name: domain.closure_mask(s.mask) for name, s in lang.atoms
         }
 
-        def apply_fn(op: Operator, args: tuple[Mask, ...]) -> Mask:
+        def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
             return domain.closure_mask(apply_operator(op, model, args))
 
-        return AbstractStructure(domain, lang, atoms, apply_fn)
+        return AbstractStructure(domain, lang, atoms, apply)
 
     @staticmethod
     def from_quotient(q: Quotient, lang: LanguageSpec) -> "AbstractStructure":
@@ -113,10 +119,10 @@ class AbstractStructure:
         p = q.partition
         atoms = {name: p.block_containing(s.mask) for name, s in lang.atoms}
 
-        def apply_fn(op: Operator, args: tuple[Mask, ...]) -> Mask:
+        def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
             return p.union(apply_operator(op, q.model, tuple(p.inner(a) for a in args)))
 
-        return AbstractStructure(adp(p), lang, atoms, apply_fn)
+        return AbstractStructure(adp(p), lang, atoms, apply)
 
     @staticmethod
     def from_tables(
@@ -126,8 +132,14 @@ class AbstractStructure:
         tables: dict[str, dict[tuple[Mask, ...], Mask]],
     ) -> "AbstractStructure":
         """An explicitly tabulated interpretation (used to enumerate I♯)."""
+        for name, table in tables.items():
+            for args, out in table.items():
+                if not domain.contains(out):
+                    raise ValidationError(
+                        f"interpretation table for {name!r} maps {args} to a non-closed set"
+                    )
 
-        def apply_fn(op: Operator, args: tuple[Mask, ...]) -> Mask:
+        def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
             try:
                 return tables[op.name][args]
             except KeyError:
@@ -135,21 +147,13 @@ class AbstractStructure:
                     f"interpretation table for {op.name!r} lacks entry {args}"
                 ) from None
 
-        return AbstractStructure(domain, lang, atom_values, apply_fn)
+        return AbstractStructure(domain, lang, atom_values, apply)
 
     def atom_value(self, name: str) -> Mask:
         if name not in self.atom_values:
             self.lang.atom_mask(name)  # an atom the language lacks: ResolutionError
             raise ValidationError(f"structure does not interpret atom {name!r}")
         return self.atom_values[name]
-
-    def apply(self, op: Operator, args: tuple[Mask, ...]) -> Mask:
-        out = self._apply_fn(op, args)
-        if not self.domain.contains(out):
-            raise ValidationError(
-                f"operator {op.name!r} produced a non-closed set"
-            )
-        return out
 
     def semantics(self, phi: Formula) -> StateSet:
         mask = eval_formula(phi, self.lang, self.atom_value, self.apply)
@@ -158,14 +162,35 @@ class AbstractStructure:
 
 @dataclass(frozen=True)
 class PairedClosure:
-    """Result of the paired semantic closure."""
+    """The pairs (⟦φ⟧, γ⟦φ⟧♯) in discovery order, each with the formula φ
+    that first produced it; ``aborted`` when the closure stopped at the
+    first violating pair.  The verdict is read off the pairs: strong when
+    every pair agrees, weak when every abstract side lies inside its
+    concrete side, and the witness is the first pair that disagrees."""
 
     pairs: tuple[tuple[Mask, Mask], ...]
     formulas: tuple[Formula, ...]
-    strong: bool
-    weak: bool
-    witness: Optional[Formula]
     aborted: bool
+
+    @property
+    def strong(self) -> bool:
+        return all(c == a for c, a in self.pairs)
+
+    @property
+    def weak(self) -> bool:
+        return not any(a & ~c for c, a in self.pairs)
+
+    @property
+    def witness(self) -> Optional[Formula]:
+        bad = (phi for (c, a), phi in zip(self.pairs, self.formulas) if c != a)
+        return next(bad, None)
+
+    @property
+    def verdict(self) -> str:
+        """One of "strong", "weak-only" and "neither"."""
+        if self.strong:
+            return "strong"
+        return "weak-only" if self.weak else "neither"
 
 
 class _Violation(Exception):
@@ -193,12 +218,7 @@ def paired_semantic_closure(
     formulas: dict[tuple[Mask, Mask], Formula] = {}
 
     def result(aborted: bool) -> PairedClosure:
-        bad = [pair for pair in formulas if pair[0] != pair[1]]
-        weak = not any(a & ~c for c, a in bad)
-        witness = formulas[bad[0]] if bad else None
-        return PairedClosure(
-            tuple(formulas), tuple(formulas.values()), not bad, weak, witness, aborted
-        )
+        return PairedClosure(tuple(formulas), tuple(formulas.values()), aborted)
 
     def check_size(extra: int) -> None:
         if len(formulas) + extra > max_pairs:
@@ -236,46 +256,25 @@ def paired_semantic_closure(
     return result(False)
 
 
-@dataclass(frozen=True)
-class SpCheckReport:
-    """Outcome of a strong-preservation check on an abstract structure."""
-
-    verdict: str  # "strong" | "weak-only" | "neither"
-    witness: Optional[Formula]
-    closure: PairedClosure
-
-    @property
-    def strong(self) -> bool:
-        return self.verdict == "strong"
-
-
 def paired_sp_check(
     model: KripkeModel,
     abstract: "AbstractStructure | Quotient",
     lang: LanguageSpec,
     *,
     max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> SpCheckReport:
-    """Exact strong/weak preservation verdict for an abstract model.
+) -> PairedClosure:
+    """Exact strong/weak preservation verdict for an abstract model: the full
+    paired closure, read through its ``verdict`` and ``witness``.
 
     ``abstract`` is either an :class:`AbstractStructure` or a block-level
     :class:`Quotient` (then the induced structure with existential labeling
-    is checked).  The verdict quantifies over the full language.
+    is checked).
     """
     if isinstance(abstract, Quotient):
         if abstract.parent.space != model.space:
             raise SpaceMismatchError("quotient of a different model")
-        structure = AbstractStructure.from_quotient(abstract, lang)
-    else:
-        structure = abstract
-    closure = paired_semantic_closure(model, structure, lang, max_pairs=max_pairs)
-    if closure.strong:
-        verdict = "strong"
-    elif closure.weak:
-        verdict = "weak-only"
-    else:
-        verdict = "neither"
-    return SpCheckReport(verdict, closure.witness, closure)
+        abstract = AbstractStructure.from_quotient(abstract, lang)
+    return paired_semantic_closure(model, abstract, lang, max_pairs=max_pairs)
 
 
 @dataclass(frozen=True)
@@ -317,47 +316,27 @@ def completeness_check(
     Forward ranges over tuples of image members in canonical order and
     reports the first counterexample.  Backward ranges over all argument
     tuples when (2^n)^arity fits the bound, otherwise over a seeded random
-    sample (the report says which).
+    sample (the report says which); it never materializes the domain.
     """
     if direction not in ("forward", "backward"):
         raise ValidationError(f"unknown direction {direction!r}")
     space = domain.space
-    checked = 0
-    exhaustive = True
-
-    if direction == "forward":
+    mu = domain.closure_mask
+    forward = direction == "forward"
+    if forward:
         members = sorted(domain.masks, key=space.lex_key)
-        for f in fs:
-            count = len(members) ** f.arity
-            if count > max_tuples:
-                raise CapacityError(
-                    f"forward check for {f.name!r} needs {count} tuples"
-                )
-            for args in product(members, repeat=f.arity):
-                checked += 1
-                raw = apply_operator(f, model, args)
-                closed = domain.closure_mask(raw)
-                if closed != raw:
-                    return CompletenessReport(
-                        direction,
-                        False,
-                        CompletenessCounterexample(
-                            f.name,
-                            tuple(StateSet(space, a) for a in args),
-                            StateSet(space, raw),
-                            StateSet(space, closed),
-                        ),
-                        checked,
-                        True,
-                    )
-        return CompletenessReport(direction, True, None, checked, True)
-
     subsets = 1 << space.n
     rng = random.Random(SAMPLE_SEED)
+    checked = 0
+    exhaustive = True
     for f in fs:
-        count = subsets**f.arity
-        if count <= max_tuples:
-            tuples: Iterable[tuple[Mask, ...]] = product(range(subsets), repeat=f.arity)
+        if forward:
+            count = len(members) ** f.arity
+            if count > max_tuples:
+                raise CapacityError(f"forward check for {f.name!r} needs {count} tuples")
+            tuples: Iterable[tuple[Mask, ...]] = product(members, repeat=f.arity)
+        elif subsets**f.arity <= max_tuples:
+            tuples = product(range(subsets), repeat=f.arity)
         else:
             exhaustive = False
             tuples = (
@@ -366,22 +345,19 @@ def completeness_check(
             )
         for args in tuples:
             checked += 1
-            lhs = domain.closure_mask(apply_operator(f, model, args))
-            closed_args = tuple(domain.closure_mask(a) for a in args)
-            rhs = domain.closure_mask(apply_operator(f, model, closed_args))
+            raw = apply_operator(f, model, args)
+            if forward:
+                lhs, rhs = raw, mu(raw)
+            else:
+                lhs, rhs = mu(raw), mu(apply_operator(f, model, tuple(mu(a) for a in args)))
             if lhs != rhs:
-                return CompletenessReport(
-                    direction,
-                    False,
-                    CompletenessCounterexample(
-                        f.name,
-                        tuple(StateSet(space, a) for a in args),
-                        StateSet(space, lhs),
-                        StateSet(space, rhs),
-                    ),
-                    checked,
-                    exhaustive,
+                ce = CompletenessCounterexample(
+                    f.name,
+                    tuple(StateSet(space, a) for a in args),
+                    StateSet(space, lhs),
+                    StateSet(space, rhs),
                 )
+                return CompletenessReport(direction, False, ce, checked, exhaustive)
     return CompletenessReport(direction, True, None, checked, exhaustive)
 
 

@@ -89,15 +89,17 @@ class KripkeModel:
         return frozenset(n for n, m in self.label_items if (m >> i) & 1)
 
     def edges(self) -> list[tuple[str, str]]:
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if (self.succ[i] >> j) & 1:
-                    out.append((self.space.names[i], self.space.names[j]))
-        return out
+        names = self.space.names
+        return [(names[i], names[j]) for i, j in sorted(self.relation_pairs())]
 
     def is_total(self) -> bool:
         return all(m != 0 for m in self.succ)
+
+    def relation_pairs(self) -> frozenset[tuple[int, int]]:
+        """The transition relation as (source, target) state-index pairs."""
+        return frozenset(
+            (i, j) for i in range(self.n) for j in range(self.n) if (self.succ[i] >> j) & 1
+        )
 
     # Transformers over masks.
 
@@ -163,30 +165,18 @@ def label_partition(model: KripkeModel) -> Partition:
 
 @dataclass(frozen=True)
 class Quotient:
-    """A block-level Kripke model obtained from a partition.
-
-    ``blocks`` lists the parent-space block masks in the same order as the
-    quotient model's states; ``total`` flags whether the abstract relation
-    is total (∀∃ quotients may not be).
+    """A block-level Kripke model over the blocks of a partition of
+    ``parent``: state i of ``model`` is ``partition.blocks[i]``.  ∀∃
+    quotients may leave a block stuck, so ``total`` is read off the model.
     """
 
-    kind: str
     parent: KripkeModel
     partition: Partition
     model: KripkeModel
-    total: bool
 
     @property
-    def blocks(self) -> tuple[Mask, ...]:
-        return self.partition.blocks
-
-    def relation_pairs(self) -> frozenset[tuple[int, int]]:
-        pairs = set()
-        for i in range(self.model.n):
-            for j in range(self.model.n):
-                if (self.model.succ[i] >> j) & 1:
-                    pairs.add((i, j))
-        return frozenset(pairs)
+    def total(self) -> bool:
+        return self.model.is_total()
 
 
 def block_name(model: KripkeModel, mask: Mask) -> str:
@@ -213,8 +203,7 @@ def quotient(kind: str, model: KripkeModel, p: Partition) -> Quotient:
         bsucc.append(reduce(combine, rows))
     bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
     items = tuple((label, p.meeting(mask)) for label, mask in model.label_items)
-    qmodel = KripkeModel(bspace, tuple(bsucc), items)
-    return Quotient(kind, model, p, qmodel, qmodel.is_total())
+    return Quotient(model, p, KripkeModel(bspace, tuple(bsucc), items))
 
 
 def model_to_json(model: KripkeModel) -> dict:

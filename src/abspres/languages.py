@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
-from .errors import ResolutionError, ValidationError
+from .errors import CapacityError, ResolutionError, ValidationError
 from .formulas import (
     App,
     Arg,
@@ -42,6 +42,9 @@ from .kripke import KripkeModel
 from .lattice import Mask, StateSet
 
 PRESET_NAMES = ("L1", "L2", "L3", "CTL", "semaforo", "exef", "full")
+# tuples one operator may try in one stage of close: L1 at n=10 tries 2^20
+# `and` tuples a stage, and an arity-12 operator over 5 sets would try 5^12
+MAX_STAGE_TUPLES = 1 << 24
 
 T = TypeVar("T")
 
@@ -165,6 +168,8 @@ def _builtin(name: str) -> Optional[tuple[int, Callable[..., Mask]]]:
     if m is None:
         return _BUILTIN_TABLE.get(name)
     lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        raise ValidationError(f"empty bound range [{lo},{hi}]")
     return 1, lambda model, a: _ef_bounded(model, lo, hi, a)
 
 
@@ -221,7 +226,9 @@ def close(
     in the first round only).  Results not yet known are collected as they
     appear, each with the (operator, arguments) that first produced it, and
     at the end of the stage ``admit`` receives them and returns the items
-    to add.  The loop stops after a round that adds nothing.
+    to add.  The loop stops after a round that adds nothing.  An operator of
+    arity 2 or more whose |known|^arity tuples exceed :data:`MAX_STAGE_TUPLES`
+    raises :class:`CapacityError` before its stage tries any of them.
     """
     known = list(seeds)
     seen = set(known)
@@ -238,6 +245,12 @@ def close(
                 elif op.arity == 1:
                     tuples = ((x,) for x in previous)
                 else:
+                    count = len(known) ** op.arity
+                    if count > MAX_STAGE_TUPLES:
+                        raise CapacityError(
+                            f"operator {op.name!r} of arity {op.arity} needs {count} tuples "
+                            f"in one stage, over the bound {MAX_STAGE_TUPLES} (MAX_STAGE_TUPLES)"
+                        )
                     tuples = (
                         t
                         for t in product(known, repeat=op.arity)

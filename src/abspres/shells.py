@@ -194,10 +194,7 @@ def sp_abstract_kripke_search(
         succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
         qmodel = KripkeModel(bspace, succ, ())
         if all(apply_operator(op, qmodel, args) == value for op, args, value in steps):
-            rel = frozenset(
-                (i, j) for i in range(b) for j in range(b) if (succ[i] >> j) & 1
-            )
-            hits.append(rel)
+            hits.append(qmodel.relation_pairs())
             if mode == "first":
                 break
     return hits

@@ -294,7 +294,7 @@ def run_paper_suite() -> list[CheckResult]:
     chain_model = KripkeModel(
         base_chain.model.space, tuple(chain_succ), base_chain.model.label_items
     )
-    q_chain = Quotient("ee", k3, p12_3, chain_model, chain_model.is_total())
+    q_chain = Quotient(k3, p12_3, chain_model)
     push(
         _check(
             "chain abstract structure strongly preserves p/EX",
@@ -316,7 +316,7 @@ def run_paper_suite() -> list[CheckResult]:
     base_q = quotient("ee", tl, p_l_tl)
     # The candidate abstract relation B1 <-> B2 from the worked example.
     swap_rel = KripkeModel(base_q.model.space, (2, 1), base_q.model.label_items)
-    swapped_q = Quotient("ee", tl, p_l_tl, swap_rel, swap_rel.is_total())
+    swapped_q = Quotient(tl, p_l_tl, swap_rel)
     verdict = paired_sp_check(tl, swapped_q, semaforo).verdict
     push(
         _check(
@@ -387,7 +387,7 @@ def run_paper_suite() -> list[CheckResult]:
         _check(
             "unique strong relation equals the existential quotient",
             (len(hits), hits[0] if hits else None),
-            (1, q.relation_pairs()),
+            (1, q.model.relation_pairs()),
         )
     )
 

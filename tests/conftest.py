@@ -135,7 +135,7 @@ def chain_abstract_structure(k3: KripkeModel):
     succ[i12] = 1 << i3
     succ[i3] = 1 << i3
     model = KM(base.model.space, tuple(succ), base.model.label_items)
-    return Quotient("ee", k3, p, model, model.is_total())
+    return Quotient(k3, p, model)
 
 
 # --- fixtures ----------------------------------------------------------------

@@ -279,14 +279,14 @@ class TestPairedSpCheck:
         # the candidate relation B1 <-> B2
         swapped = KripkeModel(base.model.space, (2, 1), base.model.label_items)
         report = paired_sp_check(
-            tl, Quotient("ee", tl, p, swapped, True), lang
+            tl, Quotient(tl, p, swapped), lang
         )
         assert report.verdict in ("weak-only", "neither")
         assert report.witness is not None
         # the witness really does violate strongness
         concrete = eval_concrete(report.witness, tl, lang)
         induced = AbstractStructure.from_quotient(
-            Quotient("ee", tl, p, swapped, True), lang
+            Quotient(tl, p, swapped), lang
         )
         assert induced.semantics(report.witness) != concrete
 
@@ -307,7 +307,7 @@ class TestPairedSpCheck:
         succ = [0, 0]
         succ[i3] = 1 << i3  # keep only the [3] self-loop
         starved = KripkeModel(base.model.space, tuple(succ), base.model.label_items)
-        report = paired_sp_check(k3, Quotient("ee", k3, p, starved, False), lang)
+        report = paired_sp_check(k3, Quotient(k3, p, starved), lang)
         assert report.verdict == "weak-only"
         assert report.witness is not None
 
@@ -353,6 +353,52 @@ class TestPairedSpCheck:
                         concrete = eval_concrete(full.witness, model, lang)
                         assert structure.semantics(full.witness) != concrete
         assert witnesses >= 20
+
+
+class TestStructureValues:
+    def test_from_tables_rejects_a_non_closed_value_when_built(self, tl):
+        lang = preset_language("semaforo", tl)
+        dom = ad_of_language(lang, tl)
+        members = sorted(dom.masks)
+        stray = tl.space.mask_of(["R"])  # not a member of the four-set domain
+        assert not dom.contains(stray)
+        atoms = {name: dom.closure_mask(s.mask) for name, s in lang.atoms}
+        table = {(m,): m for m in members}
+        table[(members[1],)] = stray
+        with pytest.raises(ValidationError, match=r"'AXX' maps .* non-closed"):
+            AbstractStructure.from_tables(dom, lang, atoms, {"AXX": table})
+
+    def test_applications_in_a_full_closure_return_closed_sets(self):
+        # the invariant that lets AbstractStructure.apply skip a re-check:
+        # best approximations return closures, quotient structures block unions
+        from dataclasses import replace
+
+        from abspres.abstraction import paired_semantic_closure
+        from abspres.kripke import label_partition
+        from conftest import random_total_model
+
+        rng = random.Random(606)
+        applications = 0
+        for _ in range(24):
+            model = random_total_model(rng, max_states=4)
+            p = label_partition(model)
+            for name in ("L1", "L2", "L3", "exef", "semaforo"):
+                lang = preset_language(name, model)
+                for structure in (
+                    AbstractStructure.best_approximation(adp(p), model, lang),
+                    AbstractStructure.from_quotient(quotient("ee", model, p), lang),
+                    AbstractStructure.from_quotient(quotient("ae", model, p), lang),
+                ):
+
+                    def checked(op, args, structure=structure):
+                        nonlocal applications
+                        out = structure.apply(op, args)
+                        assert structure.domain.contains(out), (name, op.name, args, out)
+                        applications += 1
+                        return out
+
+                    paired_semantic_closure(model, replace(structure, apply=checked), lang)
+        assert applications >= 5000
 
 
 class TestClosureAgainstDepthSaturation:

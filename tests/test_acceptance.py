@@ -161,7 +161,7 @@ def test_criterion_5_unique_strong_relation():
         lang = preset_language("L1", model)
         hits = sp_abstract_kripke_search(pbis, lang, model, mode="all")
         assert len(hits) == 1
-        assert hits[0] == quotient("ee", model, pbis).relation_pairs()
+        assert hits[0] == quotient("ee", model, pbis).model.relation_pairs()
 
 
 def test_criterion_6_two_strong_structures_one_semantics():

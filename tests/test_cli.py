@@ -555,3 +555,38 @@ class TestInputErrors:
             "--domain", "adp:1/2/3/4/5", "--ops", "EF[0,2],pre",
         )
         assert (code, out.strip()) == (0, "true")
+
+    def test_ops_reject_empty_bound_range(self, capsys):
+        code, _, err = run(
+            capsys, "check", "--model", fx("k5.json"), "--property", "fwd-complete",
+            "--domain", "labels", "--ops", "EF[3,1]",
+        )
+        assert code == 2
+        assert "empty bound range [3,1]" in err
+
+    def test_language_file_rejects_empty_bound_range(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"preset": "L1", "operators": [{"name": "EF[3,1]"}]})
+        code, _, err = run(capsys, "sp-partition", "--model", fx("k5.json"), "--lang", path)
+        assert code == 2
+        assert "empty bound range [3,1]" in err
+
+    def test_high_arity_operator_hits_the_stage_bound(self, tmp_path):
+        # 5^12 tuples in the second round: refused before any is tried, in a
+        # subprocess so that an unbounded closure fails the test, not hangs it
+        import subprocess
+        import sys
+
+        import abspres
+
+        doc = {"preset": "L1", "operators": [{"name": "F", "arity": 12, "expr": "pre #1"}]}
+        path = self.write(tmp_path, doc)
+        src = os.path.dirname(os.path.dirname(abspres.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "abspres", "sp-partition", "--model", fx("k5.json"),
+             "--lang", path],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert proc.returncode == 2
+        assert "operator 'F' of arity 12 needs 244140625 tuples" in proc.stderr
+        assert "over the bound 16777216" in proc.stderr

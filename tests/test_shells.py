@@ -383,7 +383,7 @@ class TestRelationSearch:
         p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
         hits = sp_abstract_kripke_search(p, lang, kpq)
         assert len(hits) == 1
-        assert hits[0] == quotient("ee", kpq, p).relation_pairs()
+        assert hits[0] == quotient("ee", kpq, p).model.relation_pairs()
 
     def test_first_mode_stops_early(self, kpq):
         lang = preset_language("L1", kpq)
@@ -423,7 +423,7 @@ class TestRelationSearch:
         lang = preset_language("L1", kpq)
         p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
         assert sp_abstract_kripke_search(p, lang, kpq) == [
-            quotient("ee", kpq, p).relation_pairs()
+            quotient("ee", kpq, p).model.relation_pairs()
         ]
 
     def test_search_agrees_with_quotient_route(self):
@@ -456,7 +456,7 @@ class TestRelationSearch:
                     for bits in range(1 << (b * b)):
                         succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
                         qmodel = KripkeModel(bspace, succ, ())
-                        q = Quotient("ee", model, p, qmodel, qmodel.is_total())
+                        q = Quotient(model, p, qmodel)
                         rel = frozenset(
                             (i, j) for i in range(b) for j in range(b) if (succ[i] >> j) & 1
                         )

@@ -26,7 +26,6 @@ that record.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
@@ -35,13 +34,12 @@ from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .formulas import App, Atom, Formula
 from .kripke import KripkeModel, Quotient
 from .lattice import AbstractDomain, Mask, StateSet
-from .languages import LanguageSpec, Operator, apply_operator, close, eval_formula
+from .languages import LanguageSpec, Operator, apply_operator, close, eval_formula, gfp, lfp
 from .partitions import adp
 from .shells import semantic_closure
 
 DEFAULT_MAX_TUPLES = 1 << 20
 DEFAULT_MAX_PAIRS = 1 << 16
-SAMPLE_SEED = 2654435769  # of the random argument sample of a backward completeness check
 
 
 def bca_apply(
@@ -297,7 +295,6 @@ class CompletenessReport:
     holds: bool
     counterexample: Optional[CompletenessCounterexample]
     checked: int
-    exhaustive: bool
 
     def __bool__(self) -> bool:
         return self.holds
@@ -313,10 +310,11 @@ def completeness_check(
 ) -> CompletenessReport:
     """Check forward (f∘μ⃗ = μ∘f∘μ⃗) or backward (μ∘f = μ∘f∘μ⃗) completeness.
 
-    Forward ranges over tuples of image members in canonical order and
-    reports the first counterexample.  Backward ranges over all argument
-    tuples when (2^n)^arity fits the bound, otherwise over a seeded random
-    sample (the report says which); it never materializes the domain.
+    Forward ranges over tuples of image members in canonical order, backward
+    over tuples of all subsets (it never materializes the domain); both
+    report the first counterexample.  The check is exhaustive: an operator
+    whose tuples exceed ``max_tuples`` raises :class:`CapacityError` before
+    any of them is tried.
     """
     if direction not in ("forward", "backward"):
         raise ValidationError(f"unknown direction {direction!r}")
@@ -324,26 +322,20 @@ def completeness_check(
     mu = domain.closure_mask
     forward = direction == "forward"
     if forward:
-        members = sorted(domain.masks, key=space.lex_key)
-    subsets = 1 << space.n
-    rng = random.Random(SAMPLE_SEED)
+        members: Sequence[Mask] = sorted(domain.masks, key=space.lex_key)
+        size = len(members)
+    else:
+        size = 1 << space.n
+        members = range(size)
     checked = 0
-    exhaustive = True
     for f in fs:
-        if forward:
-            count = len(members) ** f.arity
-            if count > max_tuples:
-                raise CapacityError(f"forward check for {f.name!r} needs {count} tuples")
-            tuples: Iterable[tuple[Mask, ...]] = product(members, repeat=f.arity)
-        elif subsets**f.arity <= max_tuples:
-            tuples = product(range(subsets), repeat=f.arity)
-        else:
-            exhaustive = False
-            tuples = (
-                tuple(rng.randrange(subsets) for _ in range(f.arity))
-                for _ in range(max_tuples)
+        count = size**f.arity
+        if count > max_tuples:
+            raise CapacityError(
+                f"{direction} check for {f.name!r} needs {count} tuples, "
+                f"over max_tuples = {max_tuples}"
             )
-        for args in tuples:
+        for args in product(members, repeat=f.arity):
             checked += 1
             raw = apply_operator(f, model, args)
             if forward:
@@ -357,8 +349,8 @@ def completeness_check(
                     StateSet(space, lhs),
                     StateSet(space, rhs),
                 )
-                return CompletenessReport(direction, False, ce, checked, exhaustive)
-    return CompletenessReport(direction, True, None, checked, exhaustive)
+                return CompletenessReport(direction, False, ce, checked)
+    return CompletenessReport(direction, True, None, checked)
 
 
 def is_sp_domain(domain: AbstractDomain, lang: LanguageSpec, model: KripkeModel) -> bool:
@@ -392,6 +384,8 @@ def gfp_transfer_check(
 
     On these finite lattices the continuity side conditions hold, so when
     ∅ is closed (γ(⊥) = ⊥) the least-fixpoint direction is verified too.
+    Every iteration stops within the height of the lattice, or raises
+    :class:`ValidationError` at the first step that shows f is not monotone.
     """
     if f.arity != 1:
         raise ValidationError("fixpoint transfer checks unary operators")
@@ -408,24 +402,15 @@ def gfp_transfer_check(
     def abstract(z: Mask) -> Mask:
         return domain.closure_mask(concrete(z))
 
-    def iterate(step: Callable[[Mask], Mask], start: Mask) -> Mask:
-        z = start
-        for _ in range(2 + (1 << domain.space.n)):
-            nxt = step(z)
-            if nxt == z:
-                return z
-            z = nxt
-        raise ValidationError("fixpoint iteration failed to converge (f monotone?)")
-
-    gfp_c = iterate(concrete, full)
-    gfp_a = iterate(abstract, domain.closure_mask(full))
+    gfp_c = gfp(concrete, full)
+    gfp_a = gfp(abstract, full)
     gfp_ok = domain.closure_mask(gfp_c) == gfp_a
 
     lfp_checked = domain.contains(0)
     lfp_ok: Optional[bool] = None
     if lfp_checked:
-        lfp_c = iterate(concrete, 0)
-        lfp_a = iterate(abstract, 0)
+        lfp_c = lfp(concrete, 0)
+        lfp_a = lfp(abstract, 0)
         lfp_ok = domain.closure_mask(lfp_c) == lfp_a
     detail = f"gfp {'=' if gfp_ok else '≠'}"
     if lfp_checked:

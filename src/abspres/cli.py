@@ -35,7 +35,7 @@ from .languages import (
     label_constants,
     load_language,
 )
-from .lattice import AbstractDomain, SetFamily, StateSet, moore_close
+from .lattice import AbstractDomain, SetFamily, moore_close
 from .partitions import Partition, Preorder, adp, is_disjunctive, is_partitioning
 from .shells import (
     ad_of_language,
@@ -58,12 +58,8 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _set_names(model: KripkeModel, s: StateSet) -> list[str]:
-    return list(s.names)
-
-
-def _family_lists(model: KripkeModel, fam: SetFamily) -> list[list[str]]:
-    return [list(model.space.names_of(m)) for m in fam.masks]
+def _family_lists(fam: SetFamily) -> list[list[str]]:
+    return [list(fam.space.names_of(m)) for m in fam.masks]
 
 
 def _partition_lists(p: Partition) -> list[list[str]]:
@@ -147,7 +143,7 @@ def cmd_eval(args) -> int:
     result = eval_concrete(phi, model, lang)
     payload = {
         "command": "eval",
-        "result": _set_names(model, result),
+        "result": list(result.names),
     }
     _emit(args, payload, "{" + ",".join(result.names) + "}")
     return 0
@@ -158,7 +154,7 @@ def cmd_abs_eval(args) -> int:
     lang = load_language(args.lang, model)
     domain = _parse_domain(model, args.domain, lang)
     result = eval_abstract(parse_formula(args.formula), domain, model, lang)
-    payload = {"command": "abs-eval", "result": _set_names(model, result)}
+    payload = {"command": "abs-eval", "result": list(result.names)}
     _emit(args, payload, "{" + ",".join(result.names) + "}")
     return 0
 
@@ -174,7 +170,7 @@ def cmd_shell(args) -> int:
         seed = _parse_domain(model, args.seed, lang)
     result = forward_complete_shell(seed, list(lang.operators), model)
     fam = result.domain.image
-    payload = {"command": "shell", "result": _family_lists(model, fam)}
+    payload = {"command": "shell", "result": _family_lists(fam)}
     if args.trace:
         payload["trace"] = result.trace.to_json()
     text = _render_sets(payload["result"])
@@ -188,7 +184,7 @@ def cmd_sp_domain(args) -> int:
     model = _resolve_model(args.model)
     lang = load_language(args.lang, model)
     dom = ad_of_language(lang, model)
-    payload = {"command": "sp-domain", "result": _family_lists(model, dom.image)}
+    payload = {"command": "sp-domain", "result": _family_lists(dom.image)}
     _emit(args, payload, _render_sets(payload["result"]))
     return 0
 
@@ -205,7 +201,7 @@ def cmd_sp_partition(args) -> int:
 def cmd_equiv(args) -> int:
     model = _resolve_model(args.model)
     report = equivalence_report(args.kind, model)
-    result: dict = {"kind": args.kind, "routes": report.routes, "consistent": report.consistent}
+    result: dict = {"kind": args.kind, "consistent": report.consistent}
     if report.partition is not None:
         result["partition"] = _partition_lists(report.partition)
         text = _render_sets(result["partition"])

@@ -226,7 +226,6 @@ class EquivalenceReport:
     kind: str
     partition: Optional[Partition]
     preorder: Optional[Preorder]
-    routes: dict[str, bool]
     consistent: bool
 
 
@@ -248,4 +247,4 @@ def equivalence_report(kind: str, model: KripkeModel) -> EquivalenceReport:
         accepted = check_simulation(similarity, model)
     else:
         raise ValidationError(f"unknown equivalence kind {kind!r}")
-    return EquivalenceReport(kind, partition, preorder, {"checker_accepts": accepted}, accepted)
+    return EquivalenceReport(kind, partition, preorder, accepted)

@@ -21,8 +21,6 @@ from .errors import SpaceMismatchError, ValidationError
 from .lattice import Mask, StateSet, StateSpace
 from .partitions import Partition
 
-TRANSFORMER_KINDS = ("pre", "post", "pre~", "post~")
-
 
 @dataclass(frozen=True)
 class KripkeModel:

@@ -77,7 +77,8 @@ def const_operator(name: str, value: StateSet) -> Operator:
     return Operator(name, 0, Const(value))
 
 
-def _lfp(step: Callable[[Mask], Mask], bottom: Mask) -> Mask:
+def lfp(step: Callable[[Mask], Mask], bottom: Mask) -> Mask:
+    """Least fixpoint above ``bottom`` by ascending Knaster-Tarski iteration."""
     z = bottom
     while True:
         nxt = step(z)
@@ -88,7 +89,8 @@ def _lfp(step: Callable[[Mask], Mask], bottom: Mask) -> Mask:
         z = nxt
 
 
-def _gfp(step: Callable[[Mask], Mask], top: Mask) -> Mask:
+def gfp(step: Callable[[Mask], Mask], top: Mask) -> Mask:
+    """Greatest fixpoint below ``top`` by descending Knaster-Tarski iteration."""
     z = top
     while True:
         nxt = step(z)
@@ -101,19 +103,19 @@ def _gfp(step: Callable[[Mask], Mask], top: Mask) -> Mask:
 
 def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
     """EU(S1, S2) over masks; handy for the stuttering block criterion."""
-    return _lfp(lambda z: s2 | (s1 & model.pre(z)), 0)
+    return lfp(lambda z: s2 | (s1 & model.pre(z)), 0)
 
 
 def _au(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    return _lfp(lambda z: s2 | (s1 & model.cpre(z)), 0)
+    return lfp(lambda z: s2 | (s1 & model.cpre(z)), 0)
 
 
 def _er(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    return _gfp(lambda z: s2 & (s1 | model.pre(z)), model.space.full_mask)
+    return gfp(lambda z: s2 & (s1 | model.pre(z)), model.space.full_mask)
 
 
 def _ar(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    return _gfp(lambda z: s2 & (s1 | model.cpre(z)), model.space.full_mask)
+    return gfp(lambda z: s2 & (s1 | model.cpre(z)), model.space.full_mask)
 
 
 def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:

@@ -10,19 +10,25 @@ decidable by plain set arithmetic.
 
 Domains are compared in the precision order: A1 ⊑ A2 ("A1 is more precise")
 iff image(A2) ⊆ image(A1).
+
+A state space may have any number of states.  The bound sits with each
+route that builds a family over ℘(Σ): :data:`DEFAULT_MAX_FAMILY` for a
+materialized family, :data:`MAX_ENUMERATION_STATES` for the enumeration.
+The Moore property is checked once, where an image enters from outside the
+library (``AbstractDomain(space, image=...)``); the families the library
+builds itself (Moore closures, meets, joins, ℘(Σ), {Σ}, the enumeration,
+partition and preorder images, shell rounds) are Moore by construction and
+are not checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 
 Mask = int
-
-#: Default bound on |Σ|.  Worst-case family size 2^|Σ| is accepted at desk scale.
-DEFAULT_MAX_STATES = 24
 
 #: Default bound on the number of sets a single family may materialize.
 DEFAULT_MAX_FAMILY = 1 << 20
@@ -41,15 +47,13 @@ class StateSpace:
     """
 
     names: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+        index = {name: i for i, name in enumerate(self.names)}
+        if len(index) != len(self.names):
             raise ValidationError(f"duplicate state names in {self.names!r}")
-        if len(self.names) > DEFAULT_MAX_STATES:
-            raise CapacityError(
-                f"state space of size {len(self.names)} exceeds the "
-                f"{DEFAULT_MAX_STATES}-state bound"
-            )
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def of(*names: str) -> "StateSpace":
@@ -65,8 +69,8 @@ class StateSpace:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name from a file
             raise ValidationError(f"unknown state name {name!r}") from None
 
     def mask_of(self, names: Iterable[str]) -> Mask:
@@ -93,11 +97,9 @@ class StateSpace:
         return StateSet(self, 0)
 
     def lex_key(self, mask: Mask) -> int:
-        """Order key: lexicographic on the characteristic vector."""
-        key = 0
-        for i in range(self.n):
-            key = (key << 1) | ((mask >> i) & 1)
-        return key
+        """Order key: lexicographic on the characteristic vector (the mask's
+        n bits reversed, so index 0 is the most significant)."""
+        return int(format(mask, f"0{self.n}b")[::-1], 2)
 
     def format_mask(self, mask: Mask) -> str:
         return "{" + ",".join(self.names_of(mask)) + "}"
@@ -234,9 +236,14 @@ def _is_moore(space: StateSpace, masks: frozenset[Mask]) -> bool:
 class AbstractDomain:
     """A Moore family of closed sets over one space; houses μ, α and γ.
 
-    The image may be supplied eagerly, or lazily through ``image_fn``
-    together with a direct closure function (partition- and preorder-derived
-    domains answer closure queries without materializing their 2^k unions).
+    An ``image`` is checked to be a Moore family (it holds Σ and is closed
+    under intersection) when the domain is built: it is data from outside
+    the library.  The library's own constructors build families that are
+    Moore by construction and skip that check: eager ones through
+    :meth:`_of_moore`, lazy ones through ``image_fn`` together with a direct
+    closure function (partition- and preorder-derived domains answer closure
+    queries without materializing their 2^k unions).  A lazy image is only
+    checked against :data:`DEFAULT_MAX_FAMILY` when it is materialized.
     Equality, hashing and iteration force materialization.
     """
 
@@ -267,6 +274,14 @@ class AbstractDomain:
         else:
             self._masks = None
 
+    @classmethod
+    def _of_moore(cls, space: StateSpace, masks: frozenset[Mask]) -> "AbstractDomain":
+        """The domain of an image that is a Moore family by construction."""
+        domain = cls.__new__(cls)
+        domain.space, domain._masks = space, masks
+        domain._image_fn = domain._closure_fn = domain._hash = None
+        return domain
+
     @property
     def masks(self) -> frozenset[Mask]:
         if self._masks is None:
@@ -275,8 +290,6 @@ class AbstractDomain:
                 raise CapacityError(
                     f"materializing a family of {len(masks)} sets exceeds the bound"
                 )
-            if not _is_moore(self.space, masks):
-                raise ValidationError("lazily built image is not a Moore family")
             self._masks = masks
         return self._masks
 
@@ -336,7 +349,7 @@ def moore_close(family: SetFamily) -> AbstractDomain:
     """
     closed = {family.space.full_mask}
     meet_close(closed, family.masks)
-    return AbstractDomain(family.space, image=closed)
+    return AbstractDomain._of_moore(family.space, frozenset(closed))
 
 
 def closure_of(domain: AbstractDomain, s: StateSet) -> StateSet:
@@ -357,26 +370,26 @@ def domain_meet(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
         raise SpaceMismatchError("domains over different spaces")
     closed = set(a1.masks)
     meet_close(closed, a2.masks)
-    return AbstractDomain(a1.space, image=closed)
+    return AbstractDomain._of_moore(a1.space, frozenset(closed))
 
 
 def domain_join(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
     """Least upper bound in precision: img₁ ∩ img₂ (meet-closed automatically)."""
     if a1.space != a2.space:
         raise SpaceMismatchError("domains over different spaces")
-    return AbstractDomain(a1.space, image=a1.masks & a2.masks)
+    return AbstractDomain._of_moore(a1.space, a1.masks & a2.masks)
 
 
 def powerset_domain(space: StateSpace) -> AbstractDomain:
     """The identical abstraction ℘(Σ): every subset is closed."""
-    if space.n > 20:
-        raise CapacityError(f"refusing to materialize ℘(Σ) for |Σ| = {space.n}")
-    return AbstractDomain(space, image=frozenset(range(1 << space.n)))
+    if 1 << space.n > DEFAULT_MAX_FAMILY:
+        raise CapacityError(f"℘(Σ) would have 2^{space.n} members (DEFAULT_MAX_FAMILY)")
+    return AbstractDomain._of_moore(space, frozenset(range(1 << space.n)))
 
 
 def top_domain(space: StateSpace) -> AbstractDomain:
     """The most abstract domain {Σ} (λx.⊤)."""
-    return AbstractDomain(space, image={space.full_mask})
+    return AbstractDomain._of_moore(space, frozenset({space.full_mask}))
 
 
 def enumerate_moore_families(n: int) -> Iterator[AbstractDomain]:
@@ -406,7 +419,7 @@ def enumerate_moore_families(n: int) -> Iterator[AbstractDomain]:
             if not ok:
                 break
         if ok:
-            yield AbstractDomain(space, image=frozenset(members))
+            yield AbstractDomain._of_moore(space, frozenset(members))
 
 
 def family_of_names(space: StateSpace, compact: Sequence[str]) -> SetFamily:

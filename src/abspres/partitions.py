@@ -59,11 +59,11 @@ class Partition:
                 masks.append(b)
             else:
                 masks.append(space.mask_of(b))
-        return Partition(space, tuple(sorted(masks, key=space.lex_key)))
+        return Partition(space, tuple(masks))
 
     @staticmethod
     def from_masks(space: StateSpace, masks: Iterable[Mask]) -> "Partition":
-        return Partition(space, tuple(sorted(set(masks), key=space.lex_key)))
+        return Partition(space, tuple(masks))
 
     @staticmethod
     def identity(space: StateSpace) -> "Partition":
@@ -237,10 +237,10 @@ def adp(p: Partition) -> AbstractDomain:
     """Partitioning domain of P: image = all unions of blocks (2^|P| sets).
 
     The closure maps S to the union of blocks meeting S; the image is
-    materialized only on demand.
+    materialized only on demand, and is Moore by construction.
     """
     if 1 << len(p.blocks) > DEFAULT_MAX_FAMILY:
-        raise CapacityError(f"adp image would have 2^{len(p.blocks)} members")
+        raise CapacityError(f"adp image has 2^{len(p.blocks)} members (DEFAULT_MAX_FAMILY)")
     return AbstractDomain(
         p.space, image_fn=lambda: _unions(p.blocks), closure_fn=p.block_containing
     )
@@ -269,12 +269,13 @@ def is_partitioning(a: AbstractDomain) -> bool:
 def add(r: Preorder) -> AbstractDomain:
     """Disjunctive domain of a preorder: unions of {pre_R({x}) | x ∈ Σ} plus ∅.
 
-    The closure of add(R) is pre_R itself.
+    The closure of add(R) is pre_R itself; the image is materialized only
+    on demand, and is Moore by construction.
     """
     space = r.space
     generators = sorted({r.pre_mask(1 << x) for x in range(space.n)})
     if 1 << len(generators) > DEFAULT_MAX_FAMILY:
-        raise CapacityError(f"add image would have up to 2^{len(generators)} members")
+        raise CapacityError(f"add image has up to 2^{len(generators)} members (DEFAULT_MAX_FAMILY)")
     return AbstractDomain(
         space,
         image_fn=lambda: _unions(generators) | {space.full_mask},

@@ -80,7 +80,8 @@ def forward_complete_shell(
     if model.space != domain.space:
         raise SpaceMismatchError("model over a different space than the domain")
     masks: set[Mask] = set(domain.masks)
-    snapshots = [AbstractDomain(domain.space, image=frozenset(masks))]
+    # every round's family is meet-closed and holds Σ, so no snapshot is re-checked
+    snapshots = [AbstractDomain._of_moore(domain.space, frozenset(masks))]
     counts: list[int] = []
 
     def admit(fresh: Iterable[Mask]) -> set[Mask]:
@@ -90,7 +91,7 @@ def forward_complete_shell(
                 f"shell image exceeded {max_size} sets (now {len(masks)})"
             )
         snapshots.append(
-            AbstractDomain(domain.space, image=frozenset(masks)) if added else snapshots[-1]
+            AbstractDomain._of_moore(domain.space, frozenset(masks)) if added else snapshots[-1]
         )
         counts.append(len(added))
         return added

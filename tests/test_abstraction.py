@@ -26,7 +26,7 @@ from abspres import (
     quotient,
 )
 from abspres.languages import builtin_operator, const_operator, operator_from_expr
-from abspres.lattice import StateSet
+from abspres.lattice import StateSet, StateSpace
 from abspres.shells import ad_of_language
 
 
@@ -144,7 +144,6 @@ class TestCompleteness:
         ce = report.counterexample
         assert mu(k3.pre(ce.args[0].mask)) == ce.lhs.mask
         assert mu(k3.pre(mu(ce.args[0].mask))) == ce.rhs.mask
-        assert report.exhaustive
 
     def test_backward_trivial_domains(self, kpq):
         pre = builtin_operator("pre")
@@ -154,11 +153,10 @@ class TestCompleteness:
         assert completeness_check("backward", top_domain(kpq.space), [pre], kpq).holds
 
     def test_backward_sampling_mode(self, kpq):
+        # no sampling: past max_tuples the backward check raises before any tuple
         dom = powerset_domain(kpq.space)
-        report = completeness_check(
-            "backward", dom, [builtin_operator("EU")], kpq, max_tuples=100
-        )
-        assert report.holds and not report.exhaustive and report.checked == 100
+        with pytest.raises(CapacityError, match=r"'EU' needs 1024 tuples, over max_tuples = 100"):
+            completeness_check("backward", dom, [builtin_operator("EU")], kpq, max_tuples=100)
 
     def test_unknown_direction(self, kpq):
         with pytest.raises(ValidationError):
@@ -608,3 +606,13 @@ class TestGfpTransfer:
         body = App("or", (Const(q_set), App("and", (Const(p_set), App("EX", (Arg(1),))))))
         report = gfp_transfer_check(dom, Operator("step", 1, body), kpq)
         assert report.applicable and report.holds
+
+    def test_non_monotone_operator_stops_at_the_first_bad_step(self):
+        # not on Σ gives ∅ and then Σ again: the descending gfp iteration
+        # stops there, on a space far too large to bound it by 2^n steps
+        n = 40
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        model = KripkeModel(space, tuple(1 << ((i + 1) % n) for i in range(n)), ())
+        dom = adp(Partition.of(space, [(1 << 20) - 1, space.full_mask ^ ((1 << 20) - 1)]))
+        with pytest.raises(ValidationError, match="not descending"):
+            gfp_transfer_check(dom, builtin_operator("not"), model)

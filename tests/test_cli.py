@@ -590,3 +590,60 @@ class TestInputErrors:
         assert proc.returncode == 2
         assert "operator 'F' of arity 12 needs 244140625 tuples" in proc.stderr
         assert "over the bound 16777216" in proc.stderr
+
+
+class TestLargeModels:
+    """No global state cap: polynomial commands run on models of any size,
+    and exponential routes end in a CapacityError that names their bound."""
+
+    @staticmethod
+    def ring(tmp_path, n, chords=True, seed=40):
+        import random
+
+        rng = random.Random(seed)
+        names = [f"s{i}" for i in range(n)]
+        transitions = [[names[i], names[(i + 1) % n]] for i in range(n)]
+        if chords:
+            transitions += [[names[i], names[rng.randrange(n)]] for i in range(n)]
+        labels = {
+            "p": [s for s in names if rng.random() < 0.5],
+            "q": [s for s in names if rng.random() < 0.3],
+        }
+        path = tmp_path / f"ring{n}.json"
+        path.write_text(json.dumps({"states": names, "transitions": transitions, "labels": labels}))
+        return str(path)
+
+    def test_polynomial_commands_on_40_states(self, capsys, tmp_path):
+        path = self.ring(tmp_path, 40)
+        for kind in ("bisim", "dbs", "sim", "simeq"):
+            code, out, err = run(capsys, "--format", "json", "equiv", "--model", path, "--kind", kind)
+            assert code == 0, err
+            assert json.loads(out)["result"]["consistent"] is True
+        code, out, err = run(
+            capsys, "--format", "json", "quotient", "--model", path, "--kind", "ee",
+            "--partition", "labels",
+        )
+        assert code == 0, err
+        assert json.loads(out)["result"]["total"] is True
+        code, out, err = run(capsys, "eval", "--model", path, "--formula", "EX p & q")
+        assert code == 0, err
+        code, out, err = run(capsys, "sp-partition", "--model", path, "--lang", "exef")
+        assert code == 0, err
+        blocks = [line.strip("{}").split(",") for line in out.split()]
+        assert sorted(s for b in blocks for s in b) == sorted(f"s{i}" for i in range(40))
+
+    def test_exponential_routes_name_their_bound(self, capsys, tmp_path):
+        path = self.ring(tmp_path, 40)
+        code, _, err = run(capsys, "check", "--model", path, "--property", "partitioning",
+                           "--domain", "adp:" + "/".join(f"s{i}" for i in range(40)))
+        assert code == 2 and "DEFAULT_MAX_FAMILY" in err
+
+    def test_backward_completeness_is_never_sampled(self, capsys, tmp_path):
+        # 2^11 subsets, so 2^22 argument tuples for 'and': over max_tuples,
+        # refused before any tuple is tried instead of sampled
+        path = self.ring(tmp_path, 11, chords=False)
+        identity = "/".join(f"s{i}" for i in range(11))
+        code, _, err = run(capsys, "check", "--model", path, "--property", "bwd-complete",
+                           "--domain", f"adp:{identity}", "--ops", "and")
+        assert code == 2
+        assert "backward check for 'and' needs 4194304 tuples, over max_tuples = 1048576" in err

@@ -234,3 +234,106 @@ class TestRepresentation:
         assert (s | t).names == ("1", "2", "3")
         assert (~s).names == ("3", "4")
         assert "1" in s and "3" not in s
+
+
+def _brute_is_moore(masks, full):
+    return full in masks and all(a & b in masks for a in masks for b in masks)
+
+
+class TestMooreCheckedWhereItEnters:
+    """The Moore property is checked on images from outside the library,
+    not on the families the library builds."""
+
+    @pytest.fixture
+    def no_moore_check(self, monkeypatch):
+        from abspres import lattice
+
+        def forbidden(*args):
+            raise AssertionError("a library-built family was checked again")
+
+        monkeypatch.setattr(lattice, "_is_moore", forbidden)
+
+    def test_library_families_build_unchecked(self, no_moore_check):
+        from abspres import Preorder, add, adp, forward_complete_shell
+        from abspres.kripke import label_partition
+        from abspres.languages import builtin_operator
+        from abspres.partitions import iter_partitions
+        from conftest import random_total_model
+
+        rng = random.Random(707)
+        ops = [builtin_operator("not"), builtin_operator("pre")]
+        for _ in range(40):
+            model = random_total_model(rng, max_states=4)
+            space, full = model.space, model.space.full_mask
+            universe = frozenset(space.names)
+            seed = label_partition(model).family
+            closed = moore_close(seed)
+            assert domain_as_frozensets(closed) == brute_moore_close(
+                universe, [frozenset(s.names) for s in seed]
+            )
+            shell = forward_complete_shell(closed, ops, model)
+            for dom in shell.trace.iterations + (shell.domain,):
+                assert _brute_is_moore(dom.masks, full)
+            meet = domain_meet(closed, shell.domain)
+            assert domain_as_frozensets(meet) == brute_moore_close(
+                universe, domain_as_frozensets(closed) | domain_as_frozensets(shell.domain)
+            )
+            join = domain_join(closed, powerset_domain(space))
+            assert join.masks == closed.masks and _brute_is_moore(join.masks, full)
+            assert top_domain(space).masks == {full}
+            assert len(powerset_domain(space)) == 1 << space.n
+            for p in iter_partitions(space):
+                assert _brute_is_moore(adp(p).masks, full)
+            for r in (Preorder.identity(space), Preorder.total(space)):
+                assert _brute_is_moore(add(r).masks, full)
+        families = list(enumerate_moore_families(3))
+        assert len(families) == 61
+        assert all(_brute_is_moore(d.masks, 0b111) for d in families)
+
+    def test_outside_images_are_still_checked(self, no_moore_check):
+        with pytest.raises(AssertionError, match="checked again"):
+            AbstractDomain(SPACE4, image=[0b1111])
+
+    def test_non_moore_outside_images_are_rejected(self):
+        from abspres import ValidationError
+
+        for compact in (["12", "13"], ["12"], []):
+            with pytest.raises(ValidationError, match="not a Moore family"):
+                AbstractDomain(SPACE4, image=family_of_names(SPACE4, compact).masks)
+
+
+class TestLargeSpaces:
+    def test_no_state_cap(self):
+        names = tuple(f"s{i}" for i in range(1000))
+        space = StateSpace(names)
+        assert space.n == 1000
+        assert all(space.index(name) == i for i, name in enumerate(names))
+        assert space.names_of(space.mask_of(["s999", "s3"])) == ("s3", "s999")
+        with pytest.raises(CapacityError, match="DEFAULT_MAX_FAMILY"):
+            powerset_domain(StateSpace(names[:21]))
+
+    def test_index_errors(self):
+        from abspres import ValidationError
+
+        space = StateSpace.of("a", "b")
+        for bad in ("c", ["a"], 0):
+            with pytest.raises(ValidationError, match="unknown state name"):
+                space.index(bad)
+        with pytest.raises(ValidationError, match="duplicate"):
+            StateSpace.of("a", "b", "a")
+
+    def test_lex_key_reverses_the_bits(self):
+        def reference(mask, n):
+            key = 0
+            for i in range(n):
+                key = (key << 1) | ((mask >> i) & 1)
+            return key
+
+        for n in range(11):
+            space = StateSpace(tuple(str(i) for i in range(n)))
+            assert all(space.lex_key(m) == reference(m, n) for m in range(1 << n))
+        space = StateSpace(tuple(str(i) for i in range(200)))
+        rng = random.Random(200)
+        for _ in range(500):
+            m = rng.getrandbits(200)
+            assert space.lex_key(m) == reference(m, 200)

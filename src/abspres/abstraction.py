@@ -219,8 +219,9 @@ def paired_semantic_closure(
         return PairedClosure(tuple(formulas), tuple(formulas.values()), aborted)
 
     def check_size(extra: int) -> None:
-        if len(formulas) + extra > max_pairs:
-            raise CapacityError(f"paired closure exceeded {max_pairs} pairs")
+        size = len(formulas) + extra
+        if size > max_pairs:
+            raise CapacityError(f"paired closure exceeded max_pairs = {max_pairs} (now {size} pairs)")
 
     for name, s in lang.atoms:
         pair = (s.mask, structure.atom_value(name))

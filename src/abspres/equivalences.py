@@ -1,8 +1,10 @@
 """Bisimulation, divergence-blind stuttering and simulation.
 
-Each relation is computed by one route, a naive refinement (splitter loop
-or gfp over pairs) for the coarsest relation, and judged by one checker,
-its literal per-pair definition; both are polynomial.
+Each relation is computed by one route, a naive refinement for the
+coarsest relation (splitter passes for the partitions, a gfp over pairs for
+similarity), and judged by one checker, its literal per-pair definition;
+both are polynomial.  Bisimulation is checked as a symmetric simulation: an
+equivalence is a bisimulation exactly when it is a simulation.
 
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
@@ -18,7 +20,7 @@ agree with the refinements and the checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import SpaceMismatchError, ValidationError
 from .kripke import KripkeModel, label_partition
@@ -28,67 +30,57 @@ from .partitions import Partition, Preorder, pr
 from .shells import forward_complete_shell
 
 
-def _split_once(model: KripkeModel, blocks: list[Mask], split_mask_fn) -> bool:
-    """One deterministic refinement step: lowest-index block, lowest-index
-    splitter.  Returns True when a block was split."""
-    for i, b1 in enumerate(blocks):
+def _split_once(blocks: list[Mask], split_mask_fn) -> int:
+    """One refinement pass: each block is split by the first block of the
+    current list that cuts it; the part ``split_mask_fn`` selects stays in
+    place and the rest goes to the end.  Returns the number of splits.
+    A splitter made of blocks coarser than the coarsest stable partition only
+    separates states that partition separates, so the passes reach it
+    whatever the order of the splits."""
+    splits = 0
+    for i in range(len(blocks)):
+        b1 = blocks[i]
         for b2 in blocks:
             x = split_mask_fn(b1, b2)
             if x and x != b1:
-                rest = b1 & ~x
-                blocks[i : i + 1] = [x, rest]
-                blocks.sort(key=model.space.lex_key)
-                return True
-    return False
+                blocks[i] = x
+                blocks.append(b1 & ~x)
+                splits += 1
+                break
+    return splits
 
 
-def bisim_partition(model: KripkeModel) -> Partition:
-    """Coarsest bisimulation partition by naive splitter refinement:
-    start from the label partition, split B1 by pre(B2) ∩ B1 while proper."""
-    blocks = sorted(label_partition(model).blocks, key=model.space.lex_key)
-
-    def splitter(b1: Mask, b2: Mask) -> Mask:
-        return b1 & model.pre(b2)
-
-    while _split_once(model, blocks, splitter):
+def _refine_labels(model: KripkeModel, split_mask_fn) -> Partition:
+    """The label partition split by :func:`_split_once` passes until none splits."""
+    blocks = list(label_partition(model).blocks)
+    while _split_once(blocks, split_mask_fn):
         pass
     return Partition.from_masks(model.space, blocks)
 
 
+def bisim_partition(model: KripkeModel) -> Partition:
+    """Coarsest bisimulation partition by naive splitter refinement: start
+    from the label partition and split B1 by pre(B2) ∩ B1, in passes, until
+    no intersection is proper."""
+    return _refine_labels(model, lambda b1, b2: b1 & model.pre(b2))
+
+
 def check_bisimulation(p: Partition, model: KripkeModel) -> bool:
-    """Is P a bisimulation?  Per block: one label set, and every move of a
-    member into a block is matched by every other member."""
+    """Is P a bisimulation?  It is one exactly when, as an equivalence, it
+    is a simulation: the label inclusion both ways makes labels equal in a
+    block, and every move of a member is matched by every other member."""
     if p.space != model.space:
         raise SpaceMismatchError("partition over a different space than the model")
-    for block in p.blocks:
-        members = [s for s in range(model.n) if (block >> s) & 1]
-        labels = {model.label_of_state(s) for s in members}
-        if len(labels) > 1:
-            return False
-        for s in members:
-            for t in range(model.n):
-                if not (model.succ[s] >> t) & 1:
-                    continue
-                t_block = p.block_containing(1 << t)
-                for s2 in members:
-                    if not model.succ[s2] & t_block:
-                        return False
-    return True
+    return check_simulation(Preorder.from_partition(p), model)
 
 
 def dbs_partition(model: KripkeModel) -> Partition:
     """Coarsest divergence-blind stuttering partition: start from the label
-    partition; split B1 by EU(B1, B2) ∩ B1 while that intersection is proper."""
-    blocks = sorted(label_partition(model).blocks, key=model.space.lex_key)
-
-    def splitter(b1: Mask, b2: Mask) -> Mask:
-        if b1 == b2:
-            return b1
-        return until_mask(model, b1, b2) & b1
-
-    while _split_once(model, blocks, splitter):
-        pass
-    return Partition.from_masks(model.space, blocks)
+    partition and split B1 by EU(B1, B2) ∩ B1 for B2 ≠ B1, in passes, until
+    no intersection is proper."""
+    return _refine_labels(
+        model, lambda b1, b2: b1 if b1 == b2 else until_mask(model, b1, b2) & b1
+    )
 
 
 def check_dbs(p: Partition, model: KripkeModel) -> bool:
@@ -97,49 +89,40 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
     of B1 (members reach B2 inside B1 together, or none does)."""
     if p.space != model.space:
         raise SpaceMismatchError("partition over a different space than the model")
-    for block in p.blocks:
-        members = [s for s in range(model.n) if (block >> s) & 1]
-        if len({model.label_of_state(s) for s in members}) > 1:
-            return False
-    for b1 in p.blocks:
-        for b2 in p.blocks:
-            if b1 == b2:
-                continue
-            x = until_mask(model, b1, b2) & b1
-            if x not in (0, b1):
-                return False
-    return True
+    return p.refines(label_partition(model)) and all(
+        (until_mask(model, b1, b2) & b1) in (0, b1)
+        for b1 in p.blocks
+        for b2 in p.blocks
+        if b1 != b2
+    )
 
 
 def _similarity_rows(model: KripkeModel, equal_labels: bool) -> tuple[Mask, ...]:
     n = model.n
     labels = [model.label_of_state(s) for s in range(n)]
-    rows = []
-    for s in range(n):
-        row = 0
-        for s2 in range(n):
-            related = labels[s2] == labels[s] if equal_labels else labels[s2] <= labels[s]
-            if related:
-                row |= 1 << s2
-        rows.append(row)
+    # R₀: s R s' when ℓ(s') equals, or lies inside, ℓ(s)
+    rows = [
+        sum(1 << s2 for s2, b in enumerate(labels) if (b == a if equal_labels else b <= a))
+        for a in labels
+    ]
     changed = True
     while changed:
         changed = False
         for s in range(n):
-            row = rows[s]
             for s2 in range(n):
-                if not (row >> s2) & 1:
-                    continue
-                ok = True
-                for t in range(n):
-                    if (model.succ[s] >> t) & 1 and not model.succ[s2] & rows[t]:
-                        ok = False
-                        break
-                if not ok:
-                    row &= ~(1 << s2)
+                if (rows[s] >> s2) & 1 and not _matched(model, s, s2, rows):
+                    rows[s] &= ~(1 << s2)
                     changed = True
-            rows[s] = row
     return tuple(rows)
+
+
+def _matched(model: KripkeModel, s: int, s2: int, rows: Sequence[Mask]) -> bool:
+    """Is every move s → t matched by a move s2 → t' with t R t' (R as rows)?"""
+    succ2 = model.succ[s2]
+    for t in range(model.n):
+        if (model.succ[s] >> t) & 1 and not succ2 & rows[t]:
+            return False
+    return True
 
 
 def largest_simulation(model: KripkeModel) -> Preorder:
@@ -165,18 +148,13 @@ def check_simulation(r: Preorder, model: KripkeModel) -> bool:
     matched by a move s' → t' with t R t'."""
     if r.space != model.space:
         raise SpaceMismatchError("preorder over a different space than the model")
-    n = model.n
-    labels = [model.label_of_state(s) for s in range(n)]
-    for s in range(n):
-        for s2 in range(n):
-            if not (r.rows[s] >> s2) & 1:
-                continue
-            if not labels[s2] <= labels[s]:
-                return False
-            for t in range(n):
-                if (model.succ[s] >> t) & 1 and not model.succ[s2] & r.rows[t]:
-                    return False
-    return True
+    labels = [model.label_of_state(s) for s in range(model.n)]
+    return all(
+        labels[s2] <= labels[s] and _matched(model, s, s2, r.rows)
+        for s in range(model.n)
+        for s2 in range(model.n)
+        if (r.rows[s] >> s2) & 1
+    )
 
 
 def bisim_shell_partition(model: KripkeModel) -> Partition:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import CapacityError, ResolutionError, ValidationError
 from .formulas import (
@@ -214,6 +214,24 @@ def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Ma
     return op._resolved(model, args)
 
 
+def _touching(known: Sequence[T], lo: int, hi: int, k: int) -> Iterator[tuple[T, ...]]:
+    """The k-tuples over ``known`` with a member in the window ``known[lo:hi]``,
+    in ``product(known, repeat=k)`` order; for k = 0, the empty tuple while
+    ``lo`` is 0 (the first round)."""
+    if k == 0:
+        if lo == 0:
+            yield ()
+        return
+    # after a window item any (k-1)-tuple, after another one that touches it
+    tails = list(_touching(known, lo, hi, k - 1)) if k > 1 else []
+    for i, x in enumerate(known):
+        if lo <= i < hi:
+            yield from product((x,), *[known] * (k - 1))
+        else:
+            for t in tails:
+                yield (x, *t)
+
+
 def close(
     seeds: Iterable[T],
     stages: Sequence[Sequence[Operator]],
@@ -224,49 +242,36 @@ def close(
 
     A round runs the stages in order.  A stage applies each of its
     operators to every tuple over the items known when the stage starts
-    that has a member admitted in the previous round (0-ary operators run
-    in the first round only).  Results not yet known are collected as they
-    appear, each with the (operator, arguments) that first produced it, and
-    at the end of the stage ``admit`` receives them and returns the items
-    to add.  The loop stops after a round that adds nothing.  An operator of
-    arity 2 or more whose |known|^arity tuples exceed :data:`MAX_STAGE_TUPLES`
-    raises :class:`CapacityError` before its stage tries any of them.
+    that has a member admitted in the previous round, the index window
+    ``known[lo:hi]`` (0-ary operators run in the first round only).  Results
+    not yet known are collected as they appear, each with the (operator,
+    arguments) that first produced it, and at the end of the stage ``admit``
+    receives them and returns the items to add.  The loop stops after a
+    round that adds nothing.  An operator of arity 2 or more whose
+    |known|^arity tuples exceed :data:`MAX_STAGE_TUPLES` raises
+    :class:`CapacityError` before its stage tries any of them.
     """
     known = list(seeds)
     seen = set(known)
-    frontier = list(known)
-    first_round = True
-    while frontier:
-        fset = set(frontier)
-        previous, frontier = frontier, []
+    lo, hi = 0, len(known)
+    while lo < hi:
         for ops in stages:
             fresh: dict[T, tuple[Operator, tuple[T, ...]]] = {}
             for op in ops:
-                if op.arity == 0:
-                    tuples: Iterable[tuple[T, ...]] = [()] if first_round else []
-                elif op.arity == 1:
-                    tuples = ((x,) for x in previous)
-                else:
-                    count = len(known) ** op.arity
-                    if count > MAX_STAGE_TUPLES:
-                        raise CapacityError(
-                            f"operator {op.name!r} of arity {op.arity} needs {count} tuples "
-                            f"in one stage, over the bound {MAX_STAGE_TUPLES} (MAX_STAGE_TUPLES)"
-                        )
-                    tuples = (
-                        t
-                        for t in product(known, repeat=op.arity)
-                        if any(x in fset for x in t)
+                count = len(known) ** op.arity
+                if op.arity >= 2 and count > MAX_STAGE_TUPLES:
+                    raise CapacityError(
+                        f"operator {op.name!r} of arity {op.arity} needs {count} tuples "
+                        f"in one stage, over the bound {MAX_STAGE_TUPLES} (MAX_STAGE_TUPLES)"
                     )
-                for args in tuples:
+                for args in _touching(known, lo, hi, op.arity):
                     r = apply(op, args)
                     if r not in seen and r not in fresh:
                         fresh[r] = (op, args)
             added = list(admit(fresh))
             known.extend(added)
             seen.update(added)
-            frontier.extend(added)
-        first_round = False
+        lo, hi = hi, len(known)
 
 
 def builtin_operator(name: str) -> Operator:

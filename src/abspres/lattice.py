@@ -288,7 +288,8 @@ class AbstractDomain:
             masks = self._image_fn()
             if len(masks) > DEFAULT_MAX_FAMILY:
                 raise CapacityError(
-                    f"materializing a family of {len(masks)} sets exceeds the bound"
+                    f"materializing a family of {len(masks)} sets exceeds "
+                    f"DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
                 )
             self._masks = masks
         return self._masks
@@ -383,7 +384,9 @@ def domain_join(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
 def powerset_domain(space: StateSpace) -> AbstractDomain:
     """The identical abstraction ℘(Σ): every subset is closed."""
     if 1 << space.n > DEFAULT_MAX_FAMILY:
-        raise CapacityError(f"℘(Σ) would have 2^{space.n} members (DEFAULT_MAX_FAMILY)")
+        raise CapacityError(
+            f"℘(Σ) would have 2^{space.n} members, over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
+        )
     return AbstractDomain._of_moore(space, frozenset(range(1 << space.n)))
 
 
@@ -401,7 +404,8 @@ def enumerate_moore_families(n: int) -> Iterator[AbstractDomain]:
     """
     if n < 0 or n > MAX_ENUMERATION_STATES:
         raise CapacityError(
-            f"enumeration supports 0 ≤ n ≤ {MAX_ENUMERATION_STATES}, got {n}"
+            f"enumeration supports 0 ≤ n ≤ MAX_ENUMERATION_STATES = {MAX_ENUMERATION_STATES}, "
+            f"got {n}"
         )
     space = StateSpace(tuple(str(i + 1) for i in range(n)))
     full = space.full_mask

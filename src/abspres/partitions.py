@@ -36,18 +36,20 @@ class Partition:
     blocks: tuple[Mask, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.blocks), key=self.space.lex_key))
-        if ordered != self.blocks:
-            object.__setattr__(self, "blocks", ordered)
         union = 0
-        for b in self.blocks:
+        for k, b in enumerate(self.blocks):
             if b == 0:
                 raise ValidationError("partition blocks must be nonempty")
             if b & union:
+                if b in self.blocks[:k]:
+                    raise ValidationError(f"partition block {self.space.format_mask(b)} is repeated")
                 raise ValidationError("partition blocks must be disjoint")
             union |= b
         if union != self.space.full_mask:
             raise ValidationError("partition blocks must cover the space")
+        ordered = tuple(sorted(self.blocks, key=self.space.lex_key))
+        if ordered != self.blocks:
+            object.__setattr__(self, "blocks", ordered)
 
     @staticmethod
     def of(space: StateSpace, blocks: Iterable[Iterable[str] | StateSet | Mask]) -> "Partition":
@@ -240,7 +242,9 @@ def adp(p: Partition) -> AbstractDomain:
     materialized only on demand, and is Moore by construction.
     """
     if 1 << len(p.blocks) > DEFAULT_MAX_FAMILY:
-        raise CapacityError(f"adp image has 2^{len(p.blocks)} members (DEFAULT_MAX_FAMILY)")
+        raise CapacityError(
+            f"adp image has 2^{len(p.blocks)} members, over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
+        )
     return AbstractDomain(
         p.space, image_fn=lambda: _unions(p.blocks), closure_fn=p.block_containing
     )
@@ -275,7 +279,10 @@ def add(r: Preorder) -> AbstractDomain:
     space = r.space
     generators = sorted({r.pre_mask(1 << x) for x in range(space.n)})
     if 1 << len(generators) > DEFAULT_MAX_FAMILY:
-        raise CapacityError(f"add image has up to 2^{len(generators)} members (DEFAULT_MAX_FAMILY)")
+        raise CapacityError(
+            f"add image has up to 2^{len(generators)} members, "
+            f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
+        )
     return AbstractDomain(
         space,
         image_fn=lambda: _unions(generators) | {space.full_mask},
@@ -348,7 +355,7 @@ def iter_preorders(space: StateSpace) -> Iterator[Preorder]:
     """All preorders over a small space, by filtering reflexive relations."""
     n = space.n
     if n > 4:
-        raise CapacityError("preorder enumeration supports n ≤ 4")
+        raise CapacityError(f"preorder enumeration supports n ≤ 4, got {n}")
     off_diagonal = [(s, t) for s in range(n) for t in range(n) if s != t]
     base = tuple(1 << i for i in range(n))
     for bits in range(1 << len(off_diagonal)):

@@ -88,7 +88,7 @@ def forward_complete_shell(
         added = meet_close(masks, fresh)
         if len(masks) > max_size:
             raise CapacityError(
-                f"shell image exceeded {max_size} sets (now {len(masks)})"
+                f"shell image exceeded max_size = {max_size} sets (now {len(masks)})"
             )
         snapshots.append(
             AbstractDomain._of_moore(domain.space, frozenset(masks)) if added else snapshots[-1]
@@ -112,7 +112,10 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
     def admit(fresh: Iterable[Mask]) -> Iterable[Mask]:
         masks.update(fresh)
         if len(masks) > DEFAULT_MAX_FAMILY:
-            raise CapacityError("semantic closure exceeded the family bound")
+            raise CapacityError(
+                f"semantic closure reached {len(masks)} sets, "
+                f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
+            )
         return fresh
 
     close(masks, [lang.operators], lambda op, args: apply_operator(op, model, args), admit)
@@ -166,7 +169,8 @@ def sp_abstract_kripke_search(
     b = len(blocks)
     if (1 << (b * b)) > MAX_SEARCH_CANDIDATES:
         raise CapacityError(
-            f"{b} blocks means 2^{b * b} candidate relations; bound is 2^25"
+            f"{b} blocks means 2^{b * b} candidate relations, "
+            f"over MAX_SEARCH_CANDIDATES = {MAX_SEARCH_CANDIDATES}"
         )
 
     # abstract values are block unions: if an atom or a set of S is not

@@ -527,6 +527,14 @@ class TestInputErrors:
         assert code == 2
         assert "deeper than" in err
 
+    def test_repeated_partition_block(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--model", "five_state_pq", "--property", "bisim",
+            "--partition", "1,2/1,2/3/4/5",
+        )
+        assert (code, out) == (2, "")
+        assert "partition block {1,2} is repeated" in err
+
     def test_unreadable_model_file(self, capsys, tmp_path):
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe")
@@ -647,3 +655,43 @@ class TestLargeModels:
                            "--domain", f"adp:{identity}", "--ops", "and")
         assert code == 2
         assert "backward check for 'and' needs 4194304 tuples, over max_tuples = 1048576" in err
+
+
+class TestReadme:
+    """The README's command lines and library example run as documented."""
+
+    PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+    @classmethod
+    def fenced(cls, language):
+        """The bodies of the README's fenced blocks opened with ```<language>."""
+        import re
+
+        with open(cls.PATH, encoding="utf-8") as handle:
+            text = handle.read()
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```", text, re.M | re.S)
+        return [body for lang, body in blocks if lang == language]
+
+    def test_command_lines(self, capsys):
+        import shlex
+
+        lines = [
+            line for block in self.fenced("") for line in block.splitlines()
+            if line.startswith("abspres ")
+        ]
+        assert len(lines) >= 10
+        for line in lines:
+            # model files named in the README are the test fixtures
+            argv = [fx(a) if a.endswith(".json") else a for a in shlex.split(line)[1:]]
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1), (line, err)
+            assert "internal error" not in err, line
+
+    def test_library_example(self, capsys):
+        (example,) = self.fenced("python")
+        exec(compile(example, self.PATH, "exec"), {})
+        want = [
+            line.split("#", 1)[1].strip()
+            for line in example.splitlines() if line.startswith("print(")
+        ]
+        assert capsys.readouterr().out.splitlines() == want

@@ -70,6 +70,27 @@ class TestBisimulation:
                     assert not check_bisimulation(merge_two_blocks(p, i, j), model)
 
 
+class TestSplitPasses:
+    def test_one_pass_splits_every_unstable_block(self):
+        # a1 -> c, a2 -> a2 and b1 -> c, b2 -> b2: both two-state blocks are
+        # cut by their own pre-image, so one pass splits both
+        model = KripkeModel.of(
+            ["a1", "a2", "b1", "b2", "c"],
+            [("a1", "c"), ("a2", "a2"), ("b1", "c"), ("b2", "b2"), ("c", "c")],
+            {"p": ["a1", "a2"], "q": ["b1", "b2"]},
+        )
+        mask = model.space.mask_of
+        blocks = [mask(["a1", "a2"]), mask(["b1", "b2"]), mask(["c"])]
+
+        def splitter(b1, b2):
+            return b1 & model.pre(b2)
+
+        assert equivalences._split_once(blocks, splitter) == 2
+        assert blocks == [mask(["a2"]), mask(["b2"]), mask(["c"]), mask(["a1"]), mask(["b1"])]
+        assert equivalences._split_once(blocks, splitter) == 0
+        assert bisim_partition(model) == Partition.identity(model.space)
+
+
 class TestStuttering:
     def test_five_state(self, kpq):
         assert dbs_partition(kpq) == Partition.of(
@@ -255,7 +276,13 @@ class TestCompletenessCharacterizations:
     )
     def test_partition_checkers(self, kpq, tl, k3, check, op):
         rng = random.Random(2004)
-        models = [kpq, tl, k3] + [random_total_model(rng, max_states=5) for _ in range(20)]
+        # a non-total model: states 3 and 4 have no successor
+        stuck = KripkeModel.of(
+            ["1", "2", "3", "4", "5"],
+            [("1", "3"), ("1", "5"), ("2", "4"), ("2", "5"), ("5", "5")],
+            {"p": ["1", "2", "5"], "q": ["3", "4"]},
+        )
+        models = [kpq, tl, k3, stuck] + [random_total_model(rng, max_states=5) for _ in range(20)]
         for model in models:
             ops = label_constants(model) + [builtin_operator(op)]
             for p in iter_partitions(model.space):

@@ -235,3 +235,7 @@ class TestPartitionValidation:
     def test_empty_block_rejected(self):
         with pytest.raises(ValidationError):
             Partition.of(SPACE4, [["1", "2", "3", "4"], []])
+
+    def test_repeated_block_rejected(self):
+        with pytest.raises(ValidationError, match=r"partition block \{1,2\} is repeated"):
+            Partition.of(SPACE4, [["1", "2"], ["1", "2"], ["3"], ["4"]])

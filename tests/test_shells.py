@@ -237,6 +237,52 @@ class TestSemanticClosure:
                 assert semantic_closure(lang, model).mask_set() == naive(lang, model)
 
 
+class TestCloseEngine:
+    """``languages.close`` tries exactly the tuples over the known items that
+    touch the last round's window ``known[lo:hi]``, in product order."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_window_tuples_match_filtered_product(self, k):
+        from itertools import product as iproduct
+
+        from abspres.languages import _touching
+
+        items = ["a", "b", "c", "d", "e"]
+        # empty windows, whole-list windows, and items past hi
+        for lo, hi in [(0, 0), (2, 2), (5, 5), (0, 5), (0, 2), (1, 3), (3, 5), (4, 5)]:
+            if k == 0:
+                want = [()] if lo == 0 else []
+            else:
+                want = [
+                    t for t in iproduct(items, repeat=k)
+                    if any(lo <= items.index(x) < hi for x in t)
+                ]
+            assert list(_touching(items, lo, hi, k)) == want, (lo, hi)
+
+    def test_builds_no_tuple_it_does_not_apply(self, monkeypatch):
+        from abspres import languages, shells
+
+        real_product, real_apply = languages.product, shells.apply_operator
+        built = applied = 0
+
+        def counting_product(*iterables, **kwargs):
+            nonlocal built
+            for t in real_product(*iterables, **kwargs):
+                built += 1
+                yield t
+
+        def counting_apply(op, model, args):
+            nonlocal applied
+            applied += 1
+            return real_apply(op, model, args)
+
+        monkeypatch.setattr(languages, "product", counting_product)
+        monkeypatch.setattr(shells, "apply_operator", counting_apply)
+        model = random_total_model(random.Random(20))
+        semantic_closure(preset_language("L1", model), model)
+        assert 0 < built <= applied
+
+
 class TestLanguageDomain:
     def test_traffic_light(self, tl):
         lang = preset_language("semaforo", tl)
@@ -470,3 +516,59 @@ class TestRelationSearch:
                         checked += 1
                         strong += want
         assert strong >= 400 and checked - strong >= 9000
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["semantic-closure", "shell", "search", "paired", "masks", "powerset", "moore-enumeration",
+     "adp", "add", "preorder-enumeration"],
+)
+def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
+    from abspres import Preorder, add, lattice, partitions, powerset_domain, shells
+    from abspres.abstraction import paired_sp_check
+    from abspres.partitions import iter_preorders
+
+    big = StateSpace(tuple(str(i) for i in range(24)))
+    l1 = preset_language("L1", kpq)
+    seed = moore_close(label_partition(kpq).family)
+    if case == "semantic-closure":
+        monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 3)
+        call = lambda: semantic_closure(l1, kpq)
+        message = "semantic closure reached 5 sets, over DEFAULT_MAX_FAMILY = 3"
+    elif case == "shell":
+        ops = [builtin_operator("not"), builtin_operator("pre")]
+        call = lambda: forward_complete_shell(seed, ops, kpq, max_size=4)
+        message = "shell image exceeded max_size = 4 sets (now 7)"
+    elif case == "search":
+        monkeypatch.setattr(shells, "MAX_SEARCH_CANDIDATES", 8)
+        p = Partition.of(kpq.space, [["1", "2"], ["3", "4", "5"]])
+        call = lambda: sp_abstract_kripke_search(p, l1, kpq)
+        message = "2 blocks means 2^4 candidate relations, over MAX_SEARCH_CANDIDATES = 8"
+    elif case == "paired":
+        q = quotient("ee", kpq, Partition.identity(kpq.space))
+        call = lambda: paired_sp_check(kpq, q, l1, max_pairs=4)
+        message = "paired closure exceeded max_pairs = 4 (now 6 pairs)"
+    elif case == "masks":
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
+        p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4", "5"]])
+        call = lambda: adp(p).masks
+        message = "materializing a family of 8 sets exceeds DEFAULT_MAX_FAMILY = 4"
+    elif case == "powerset":
+        call = lambda: powerset_domain(StateSpace(big.names[:21]))
+        message = "℘(Σ) would have 2^21 members, over DEFAULT_MAX_FAMILY = 1048576"
+    elif case == "moore-enumeration":
+        call = lambda: list(enumerate_moore_families(5))
+        message = "enumeration supports 0 ≤ n ≤ MAX_ENUMERATION_STATES = 4, got 5"
+    elif case == "adp":
+        call = lambda: adp(Partition.identity(big))
+        message = "adp image has 2^24 members, over DEFAULT_MAX_FAMILY = 1048576"
+    elif case == "add":
+        monkeypatch.setattr(partitions, "DEFAULT_MAX_FAMILY", 4)
+        call = lambda: add(Preorder.identity(kpq.space))
+        message = "add image has up to 2^5 members, over DEFAULT_MAX_FAMILY = 4"
+    else:
+        call = lambda: list(iter_preorders(kpq.space))
+        message = "preorder enumeration supports n ≤ 4, got 5"
+    with pytest.raises(CapacityError) as info:
+        call()
+    assert str(info.value) == message

@@ -11,6 +11,13 @@ its atoms, and the values of an explicit table.  Closures (the best
 approximation) and block unions (a quotient's structure) are closed by
 construction, so no application is re-checked.
 
+The closed sets of adp(P) are the unions of blocks, a Boolean subalgebra of
+℘(Σ): they are closed under ¬, ∧ and ∨, so on them the best correct
+approximation of each is the concrete operator itself.  A quotient
+structure therefore applies an operator with a Boolean body (``not``,
+``and``, ``or`` and placeholders) straight to its block-union arguments;
+only the other operators go through the block-level model.
+
 Strong preservation of a structure is decided exactly (no formula-depth
 bound) through the *paired semantic closure*: the least set of pairs
 (⟦φ⟧, γ⟦φ⟧♯) containing the atom pairs and closed under paired operator
@@ -113,11 +120,18 @@ class AbstractStructure:
         Atom interpretations follow the existential labeling (every block
         meeting the concrete atom set); operators are evaluated over the
         block-level model and mapped back through the union of blocks.
+
+        Operators with a Boolean body skip the block model: ``inner`` and
+        ``union`` are a Boolean-algebra isomorphism between the block unions
+        of Σ and the block-index masks (Σ maps to the full mask), so ¬, ∧
+        and ∨ give the same block union applied to the arguments themselves.
         """
         p = q.partition
         atoms = {name: p.block_containing(s.mask) for name, s in lang.atoms}
 
         def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
+            if op._boolean:
+                return apply_operator(op, q.parent, args)
             return p.union(apply_operator(op, q.model, tuple(p.inner(a) for a in args)))
 
         return AbstractStructure(adp(p), lang, atoms, apply)

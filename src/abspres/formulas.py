@@ -109,6 +109,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _shown(kind, val) -> str:
+    """A token as a message names it; ``peek`` gives kind None at the end."""
+    return "end of formula" if kind is None else repr(val)
+
+
 class _Parser:
     """Recursive descent; each level returns a (node, tree depth) pair."""
 
@@ -130,7 +135,7 @@ class _Parser:
     def expect(self, value: str):
         kind, val, pos = self.take()
         if val != value:
-            raise FormulaSyntaxError(f"expected {value!r}, found {val!r}", pos)
+            raise FormulaSyntaxError(f"expected {value!r}, found {_shown(kind, val)}", pos)
 
     def nested(self, level, pos: int):
         """Parse with ``level`` one text level further down; the count is
@@ -191,7 +196,7 @@ class _Parser:
     def int_token(self) -> int:
         kind, val, pos = self.take()
         if kind != "int":
-            raise FormulaSyntaxError(f"expected an integer, found {val!r}", pos)
+            raise FormulaSyntaxError(f"expected an integer, found {_shown(kind, val)}", pos)
         return int(val)
 
     def primary(self):
@@ -224,6 +229,8 @@ class _Parser:
                 self.expect(")")
                 return self.app(val, args, pos)
             return Atom(val), 0
+        if kind is None:
+            raise FormulaSyntaxError("unexpected end of formula", pos)
         raise FormulaSyntaxError(f"unexpected token {val!r}", pos)
 
 

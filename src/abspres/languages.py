@@ -7,7 +7,10 @@ fixpoints and bounded reachability).  Fixpoints are computed by
 Knaster-Tarski iteration, which terminates on these finite lattices.
 
 An :class:`Operator` resolves its body once, when it is built; only a
-constant's space is left for :func:`apply_operator` to check.
+constant's space is left for :func:`apply_operator` to check.  It also
+records then whether its body is Boolean (only ``not``, ``and``, ``or`` and
+placeholders), which lets quotient structures apply it to block unions
+directly.
 
 :func:`close` is the one saturation engine of the package: the forward
 complete shell, the semantic closure of a language and the paired semantic
@@ -55,6 +58,8 @@ class Operator:
 
     The body is resolved once, at construction, into a function of (model,
     argument masks); a bad body raises then, naming the operator.
+    ``_boolean`` holds when the body uses only ``not``, ``and``, ``or`` and
+    placeholders.
     """
 
     name: str
@@ -63,9 +68,11 @@ class Operator:
     _resolved: Callable[[KripkeModel, Sequence[Mask]], Mask] = field(
         init=False, compare=False, repr=False
     )
+    _boolean: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_resolved", _resolve_body(self, self.body))
+        object.__setattr__(self, "_boolean", _is_boolean(self.body))
 
 
 def operator_from_expr(name: str, arity: int, expr: str) -> Operator:
@@ -206,6 +213,14 @@ def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[M
         return lambda model, args: fn(model, p(model, args))
     p, q = parts
     return lambda model, args: fn(model, p(model, args), q(model, args))
+
+
+def _is_boolean(node: Node) -> bool:
+    if isinstance(node, Arg):
+        return True
+    return isinstance(node, App) and node.op in ("not", "and", "or") and all(
+        _is_boolean(a) for a in node.args
+    )
 
 
 def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Mask:

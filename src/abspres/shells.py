@@ -158,6 +158,9 @@ def sp_abstract_kripke_search(
     closure of S = {⟦φ⟧ | φ ∈ L} (one stage per operator, lowest arity
     first, as in the paired closure) fixes it: a candidate is strong iff its
     block model gives the recorded value on every recorded application.
+    Applications of Boolean operators are not recorded: on block unions
+    they agree with every block model (see
+    :meth:`~abspres.abstraction.AbstractStructure.from_quotient`).
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -184,7 +187,8 @@ def sp_abstract_kripke_search(
         value = apply_operator(op, model, args)
         if p.block_containing(value) != value:
             raise _NotBlockUnion
-        steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
+        if not op._boolean:
+            steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
         return value
 
     stages = [[op] for op in sorted(lang.operators, key=lambda op: op.arity)]

@@ -483,6 +483,106 @@ def bisect_blocks(model):
     return blocks
 
 
+def block_model_structure(q, lang):
+    """The quotient structure that maps every application, Boolean ones
+    included, through ``inner``, the block-level model and ``union``."""
+    from abspres.languages import apply_operator
+
+    p = q.partition
+    atoms = {name: p.block_containing(s.mask) for name, s in lang.atoms}
+
+    def apply(op, args):
+        return p.union(apply_operator(op, q.model, tuple(p.inner(a) for a in args)))
+
+    return AbstractStructure(adp(p), lang, atoms, apply)
+
+
+class TestBooleanMaskRoute:
+    def test_paired_check_matches_the_block_model_route(self):
+        from abspres import bisim_partition, language_from_json
+        from abspres.kripke import label_partition
+        from conftest import random_total_model
+
+        # a closure past 64 pairs is stopped on both routes, which must then
+        # fail alike: uncapped, the few L1/L2 closures of 512-1024 pairs at
+        # six states make this test take about 90 s
+        def check(structure, lang):
+            try:
+                return paired_sp_check(model, structure, lang, max_pairs=64)
+            except CapacityError as exc:
+                return str(exc)
+
+        rng = random.Random(977)
+        file_doc = {"operators": [{"name": "imp", "expr": "!#1 | #2"}, {"name": "EX"}]}
+        checked = strong = capped = 0
+        for _ in range(20):
+            model = random_total_model(rng, max_states=6)
+            picks = [rng.randrange(3) for _ in range(model.n)]
+            shuffled = Partition.from_masks(
+                model.space,
+                {sum(1 << s for s in range(model.n) if picks[s] == k) for k in set(picks)},
+            )
+            langs = [preset_language(n, model) for n in ("L1", "L2", "L3", "exef", "semaforo")]
+            langs.append(language_from_json(file_doc, model))
+            for p in (label_partition(model), bisim_partition(model), shuffled):
+                for kind in ("ee", "ae"):
+                    q = quotient(kind, model, p)
+                    for lang in langs:
+                        got = check(q, lang)
+                        want = check(block_model_structure(q, lang), lang)
+                        if isinstance(want, str):
+                            assert got == want
+                            capped += 1
+                            continue
+                        assert got.pairs == want.pairs
+                        assert got.formulas == want.formulas
+                        assert (got.verdict, got.witness) == (want.verdict, want.witness)
+                        checked += 1
+                        strong += got.strong
+        assert checked >= 650 and capped <= 50 and 400 <= strong <= checked - 200
+
+    def test_boolean_operators_skip_inner_and_union(self, kpq, monkeypatch):
+        lang = language_from_ops(kpq, ["and", "or", "not"])
+        p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
+        q = quotient("ee", kpq, p)
+        want = paired_sp_check(kpq, q, lang)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("Boolean operators must not use the block model")
+
+        monkeypatch.setattr(Partition, "inner", boom)
+        monkeypatch.setattr(Partition, "union", boom)
+        structure = AbstractStructure.from_quotient(q, lang)
+        got = paired_sp_check(kpq, structure, lang)
+        assert (got.pairs, got.formulas) == (want.pairs, want.formulas)
+        assert got.strong and len(got.pairs) == 4
+        imp = operator_from_expr("imp", 2, "!#1 | #2")
+        a, b = p.blocks[0], p.blocks[0] | p.blocks[2]
+        assert structure.apply(imp, (b, a)) == kpq.space.full_mask & ~b | a
+
+    def test_other_operators_go_through_the_block_model(self, tl, monkeypatch):
+        from abspres import abstraction, bisim_partition
+        from abspres.languages import apply_operator
+
+        models = []
+
+        def recording(op, model, args):
+            models.append((op.name, model))
+            return apply_operator(op, model, args)
+
+        monkeypatch.setattr(abstraction, "apply_operator", recording)
+        q = quotient("ee", tl, bisim_partition(tl))
+        axx = operator_from_expr("AXX", 1, "AX AX #1")
+        eu, ex, conj = builtin_operator("EU"), builtin_operator("EX"), builtin_operator("and")
+        structure = AbstractStructure.from_quotient(q, preset_language("semaforo", tl))
+        go = tl.label_mask("go")
+        for op, args in ((ex, (go,)), (eu, (go, go)), (axx, (go,)), (conj, (go, go))):
+            structure.apply(op, args)
+        assert models == [
+            ("EX", q.model), ("EU", q.model), ("AXX", q.model), ("and", q.parent)
+        ]
+
+
 class TestQuotientPreservationTheorems:
     def test_existential_quotient_of_bisimulation_preserves_ctl(self, kpq, tl):
         from abspres import bisim_partition

@@ -73,6 +73,20 @@ class TestEval:
         )
         assert code == 2 and "position" in err
 
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            ("", "unexpected end of formula"),
+            ("(p", "expected ')', found end of formula"),
+            ("EF[1,", "expected an integer, found end of formula"),
+            ("AU(p", "expected ',', found end of formula"),
+        ],
+    )
+    def test_syntax_error_at_the_end_names_it(self, capsys, formula, message):
+        code, _, err = run(capsys, "eval", "--model", fx("k5.json"), "--formula", formula)
+        assert code == 2
+        assert message in err and "None" not in err
+
     def test_builtin_model_names(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--model", "traffic_light", "--lang", "semaforo",

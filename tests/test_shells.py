@@ -472,6 +472,37 @@ class TestRelationSearch:
             quotient("ee", kpq, p).model.relation_pairs()
         ]
 
+    def test_boolean_steps_are_not_checked_per_candidate(self, monkeypatch):
+        # a Boolean step holds for every candidate, so no block model is asked
+        # for not/and/or; the hit lists, in both modes, stay those of the
+        # quotient route (test_search_agrees_with_quotient_route)
+        from abspres import shells
+        from abspres.languages import apply_operator
+
+        block_calls = []
+
+        def counting(op, model, args):
+            if model is not concrete and op.name in ("not", "and", "or"):
+                block_calls.append(op.name)
+            return apply_operator(op, model, args)
+
+        monkeypatch.setattr(shells, "apply_operator", counting)
+        rng = random.Random(71)
+        searches = hits = 0
+        for _ in range(12):
+            concrete = random_total_model(rng, max_states=5)
+            p = label_partition(concrete)
+            if len(p.blocks) > 3:
+                continue
+            for name in ("L1", "L2", "L3", "exef"):
+                lang = preset_language(name, concrete)
+                found = sp_abstract_kripke_search(p, lang, concrete)
+                assert sp_abstract_kripke_search(p, lang, concrete, mode="first") == found[:1]
+                searches += 1
+                hits += len(found)
+        assert block_calls == []
+        assert searches >= 30 and hits >= 30
+
     def test_search_agrees_with_quotient_route(self):
         # oracle: a paired closure of the quotient structure for every
         # candidate relation, for b ≤ 3 blocks.  The aborting closure gives

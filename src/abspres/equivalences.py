@@ -15,6 +15,13 @@ are public here (``*_shell_partition``), the completeness route is
 :func:`abspres.abstraction.completeness_check` with
 :func:`abspres.languages.label_constants`, and the tests check that both
 agree with the refinements and the checkers.
+
+The refinements are also the default route of
+:func:`abspres.shells.coarsest_sp_partition` for the presets whose P_L they
+are: bisimulation for L1 and CTL, stuttering for L2 and simulation
+equivalence for L3.  This module reaches the shells through the module
+object, ``shells.forward_complete_shell``, so that ``shells`` can import it
+at module level.
 """
 
 from __future__ import annotations
@@ -22,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import shells
 from .errors import SpaceMismatchError, ValidationError
 from .kripke import KripkeModel, label_partition
 from .lattice import Mask, SetFamily, moore_close
 from .languages import builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
-from .shells import forward_complete_shell
 
 
 def _split_once(blocks: list[Mask], split_mask_fn) -> int:
@@ -161,14 +168,14 @@ def bisim_shell_partition(model: KripkeModel) -> Partition:
     """Bisimulation through the shell route: pr(S_{∁,pre}(M(P_ℓ)))."""
     seed = moore_close(label_partition(model).family)
     ops = [builtin_operator("not"), builtin_operator("pre")]
-    return pr(forward_complete_shell(seed, ops, model).domain)
+    return pr(shells.forward_complete_shell(seed, ops, model).domain)
 
 
 def dbs_shell_partition(model: KripkeModel) -> Partition:
     """Stuttering through the shell route: pr(S_{∁,EU}(M(P_ℓ)))."""
     seed = moore_close(label_partition(model).family)
     ops = [builtin_operator("not"), builtin_operator("EU")]
-    return pr(forward_complete_shell(seed, ops, model).domain)
+    return pr(shells.forward_complete_shell(seed, ops, model).domain)
 
 
 def simeq_shell_partition(model: KripkeModel) -> Partition:
@@ -181,7 +188,7 @@ def simeq_shell_partition(model: KripkeModel) -> Partition:
         literals.add(space.full_mask & ~mask)
     seed = moore_close(SetFamily.of(space, literals))
     ops = [builtin_operator("or"), builtin_operator("pre~")]
-    return pr(forward_complete_shell(seed, ops, model).domain)
+    return pr(shells.forward_complete_shell(seed, ops, model).domain)
 
 
 def simeq_partition(model: KripkeModel) -> Partition:

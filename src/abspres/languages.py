@@ -398,30 +398,46 @@ def _ops(*names: str) -> tuple[Operator, ...]:
     return tuple(builtin_operator(n) for n in names)
 
 
-def preset_language(name: str, model: KripkeModel) -> LanguageSpec:
-    """Instantiate a shipped preset against a model (atoms from its labels)."""
+def _preset_parts(
+    name: str, model: KripkeModel
+) -> tuple[tuple[tuple[str, StateSet], ...], tuple[Operator, ...], bool]:
+    """(atoms, operators, open_ops) of a shipped preset on a model; builds no
+    :class:`LanguageSpec`, so it never checks the names for clashes."""
     atoms = _model_atoms(model)
     if name == "L1":
-        return LanguageSpec("L1", atoms, _ops("and", "not", "EX"))
+        return atoms, _ops("and", "not", "EX"), False
     if name == "L2":
-        return LanguageSpec("L2", atoms, _ops("and", "not", "EU"))
+        return atoms, _ops("and", "not", "EU"), False
     if name == "L3":
-        literals = list(atoms)
-        for label, s in atoms:
-            literals.append(("!" + label, ~s))
-        return LanguageSpec("L3", tuple(literals), _ops("and", "or", "AX"))
+        literals = atoms + tuple(("!" + label, ~s) for label, s in atoms)
+        return literals, _ops("and", "or", "AX"), False
     if name == "CTL":
-        return LanguageSpec(
-            "CTL", atoms, _ops("and", "not", "AX", "EX", "AU", "EU", "AR", "ER")
-        )
+        return atoms, _ops("and", "not", "AX", "EX", "AU", "EU", "AR", "ER"), False
     if name == "semaforo":
-        axx = operator_from_expr("AXX", 1, "AX AX #1")
-        return LanguageSpec("semaforo", atoms, (axx,))
+        return atoms, (operator_from_expr("AXX", 1, "AX AX #1"),), False
     if name == "exef":
-        return LanguageSpec("exef", atoms, _ops("and", "EF[0,2]"))
+        return atoms, _ops("and", "EF[0,2]"), False
     if name == "full":
-        return LanguageSpec("full", atoms, (), open_ops=True)
+        return atoms, (), True
     raise ValidationError(f"unknown language preset {name!r}")
+
+
+def preset_language(name: str, model: KripkeModel) -> LanguageSpec:
+    """Instantiate a shipped preset against a model (atoms from its labels)."""
+    return LanguageSpec(name, *_preset_parts(name, model))
+
+
+def is_preset(lang: LanguageSpec, model: KripkeModel) -> bool:
+    """Is ``lang`` exactly the preset of its name instantiated on ``model``?
+
+    The parts are compared, not only the name, so a preset that a language
+    file extends or overrides is not one.  Never raises, also on a model
+    whose labels clash with the preset's names, where
+    :func:`preset_language` fails.
+    """
+    if lang.name not in PRESET_NAMES:
+        return False
+    return (lang.atoms, lang.operators, lang.open_ops) == _preset_parts(lang.name, model)
 
 
 def language_from_ops(
@@ -488,10 +504,12 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
         op_name = entry["name"]
         if "expr" in entry and entry["expr"] is not None:
             body = parse_transformer(entry["expr"])
-            try:
-                arity = int(entry.get("arity", max_placeholder(body)))
-            except (TypeError, ValueError):
-                raise ValidationError(f"operator {op_name!r} needs an integer 'arity'") from None
+            arity = entry.get("arity", max_placeholder(body))
+            # bool is a subclass of int, and JSON true must not read as arity 1
+            if type(arity) is not int or arity < 0:
+                raise ValidationError(
+                    f"operator {op_name!r} needs a non-negative integer 'arity', got {arity!r}"
+                )
             op = Operator(op_name, arity, body)
         else:
             op = builtin_operator(op_name)

@@ -10,6 +10,11 @@ closure of a language runs the same engine without the re-closing.  The
 result is the greatest fixpoint of ρ ↦ μ_A ⊓ M(F(ρ)), reached from above;
 maximality is exhaustively verified at n = 3 by the tests.
 
+The coarsest strongly preserving partition of the presets L1, CTL, L2 and
+L3 is a behavioural equivalence, so :func:`coarsest_sp_partition` answers
+them by the polynomial refinements of :mod:`~abspres.equivalences`; every
+other language goes through its semantic closure.
+
 The relation search runs the engine once over the concrete atoms and checks
 each candidate block relation against the applications it recorded.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import equivalences
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .kripke import KripkeModel, block_name
 from .lattice import (
@@ -30,7 +36,7 @@ from .lattice import (
     meet_close,
     moore_close,
 )
-from .languages import LanguageSpec, Operator, apply_operator, close
+from .languages import LanguageSpec, Operator, apply_operator, close, is_preset
 from .partitions import Partition, pr
 
 #: Candidate bound for the abstract-relation search (2^{b²} relations).
@@ -132,7 +138,23 @@ def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
 
 
 def coarsest_sp_partition(lang: LanguageSpec, model: KripkeModel) -> Partition:
-    """P_L: states grouped by logical equivalence, via pr of the domain."""
+    """P_L: states grouped by logical equivalence.
+
+    By the paper's main corollary, P_L of the presets L1 and CTL is
+    bisimulation, of L2 divergence-blind stuttering and of L3 simulation
+    equivalence, so when ``lang`` is one of them on ``model``
+    (:func:`~abspres.languages.is_preset`) with at least one atom, the
+    polynomial refinement of :mod:`~abspres.equivalences` answers.  A
+    language without atoms has no formulas and a one-block P_L.  Every
+    other language takes the domain route, pr(:func:`ad_of_language`).
+    """
+    if lang.atoms and is_preset(lang, model):
+        if lang.name in ("L1", "CTL"):
+            return equivalences.bisim_partition(model)
+        if lang.name == "L2":
+            return equivalences.dbs_partition(model)
+        if lang.name == "L3":
+            return equivalences.simeq_partition(model)
     return pr(ad_of_language(lang, model))
 
 

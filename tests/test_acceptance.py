@@ -194,10 +194,10 @@ def test_criterion_7_oracle_equivalences_on_random_models():
             # bisimulation: splitter refinement vs complement/pre shell
             assert bisim_partition(model) == bisim_shell_partition(model)
             # stuttering: refinement vs complement/EU shell vs the
-            # until-logic s.p. partition
+            # until-logic s.p. partition by the domain route
             p_dbs = dbs_partition(model)
             assert p_dbs == dbs_shell_partition(model)
-            assert p_dbs == coarsest_sp_partition(preset_language("L2", model), model)
+            assert p_dbs == pr(ad_of_language(preset_language("L2", model), model))
             # simulation equivalence: kernel route vs literal-seeded shell
             kernel = equal_label_simulation(model).kernel()
             assert kernel == simeq_shell_partition(model)

@@ -514,6 +514,10 @@ class TestInputErrors:
                 {"operators": [{"name": "F", "arity": 1, "expr": "or(#1)"}]},
                 "error: operator 'F': or expects 2 arguments",
             ),
+            ({"operators": [{"name": "F", "arity": 1.9, "expr": "pre #1"}]}, "'arity'"),
+            ({"operators": [{"name": "F", "arity": "1", "expr": "pre #1"}]}, "'arity'"),
+            ({"operators": [{"name": "F", "arity": True, "expr": "pre #1"}]}, "'arity'"),
+            ({"operators": [{"name": "F", "arity": -1, "expr": "pre #1"}]}, "'arity'"),
         ],
     )
     def test_malformed_language(self, capsys, tmp_path, doc, name):
@@ -654,11 +658,25 @@ class TestLargeModels:
         blocks = [line.strip("{}").split(",") for line in out.split()]
         assert sorted(s for b in blocks for s in b) == sorted(f"s{i}" for i in range(40))
 
+    @pytest.mark.parametrize(
+        "lang, kind", [("L1", "bisim"), ("CTL", "bisim"), ("L2", "dbs"), ("L3", "simeq")]
+    )
+    def test_preset_sp_partition_is_its_equivalence(self, capsys, tmp_path, lang, kind):
+        path = self.ring(tmp_path, 40)
+        code, want, err = run(capsys, "equiv", "--model", path, "--kind", kind)
+        assert code == 0, err
+        code, out, err = run(capsys, "sp-partition", "--model", path, "--lang", lang)
+        assert code == 0, err
+        assert out == want
+
     def test_exponential_routes_name_their_bound(self, capsys, tmp_path):
         path = self.ring(tmp_path, 40)
         code, _, err = run(capsys, "check", "--model", path, "--property", "partitioning",
                            "--domain", "adp:" + "/".join(f"s{i}" for i in range(40)))
         assert code == 2 and "DEFAULT_MAX_FAMILY" in err
+        # the domain route still closes ℘(Σ), whatever the language
+        code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", "L1")
+        assert code == 2 and "MAX_STAGE_TUPLES" in err
 
     def test_backward_completeness_is_never_sampled(self, capsys, tmp_path):
         # 2^11 subsets, so 2^22 argument tuples for 'and': over max_tuples,

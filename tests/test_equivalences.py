@@ -28,8 +28,8 @@ from abspres.equivalences import (
 )
 from abspres.languages import builtin_operator, label_constants, preset_language
 from abspres.lattice import StateSpace
-from abspres.partitions import add, adp, iter_partitions, iter_preorders
-from abspres.shells import coarsest_sp_partition
+from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
+from abspres.shells import ad_of_language
 
 from conftest import random_total_model
 
@@ -214,7 +214,7 @@ class TestShellRoutes:
         for model in models:
             p = dbs_partition(model)
             assert p == dbs_shell_partition(model)
-            assert p == coarsest_sp_partition(preset_language("L2", model), model)
+            assert p == pr(ad_of_language(preset_language("L2", model), model))
 
 
 class TestOrderings:

@@ -21,7 +21,13 @@ from abspres import (
     pr,
     quotient,
 )
-from abspres.languages import LanguageSpec, builtin_operator, preset_language
+from abspres import equivalences
+from abspres.languages import (
+    LanguageSpec,
+    builtin_operator,
+    language_from_json,
+    preset_language,
+)
 from abspres.lattice import StateSet
 from abspres.shells import (
     ad_of_language,
@@ -410,6 +416,80 @@ class TestCoarsestSpPartition:
         assert coarsest_sp_partition(
             preset_language("L1", kpq), kpq
         ) == Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
+
+    @staticmethod
+    def random_model(rng, n):
+        """n states, a dead state in about 40 % of the models, and one or
+        two labels whose masks are ∅, Σ or random."""
+        space = StateSpace(tuple(str(i + 1) for i in range(n)))
+        full = space.full_mask
+        lo = 0 if rng.random() < 0.4 else 1
+        succ = tuple(rng.randrange(lo, full + 1) for _ in range(n))
+        labels = tuple(
+            (name, rng.choice([0, full, rng.randrange(full + 1)]))
+            for name in "pq"[: rng.randint(1, 2)]
+        )
+        return KripkeModel(space, succ, labels)
+
+    def test_presets_agree_with_the_domain_route(self):
+        # L1 and CTL answer by bisimulation, L2 by stuttering and L3 by
+        # simulation equivalence; each must be pr(ad_of_language)
+        rng = random.Random(1010)
+        models = [self.random_model(rng, 1 + i % 7) for i in range(140)]
+        assert any(0 in m.succ for m in models) and any(0 not in m.succ for m in models)
+        masks = {mask for m in models for _, mask in m.label_items}
+        assert {0, 1, 127} <= masks
+        for model in models:
+            for name in ("L1", "L2", "L3", "CTL"):
+                if name == "CTL" and model.n > 6:
+                    continue
+                lang = preset_language(name, model)
+                want = pr(ad_of_language(lang, model))
+                assert coarsest_sp_partition(lang, model) == want, (name, model)
+
+    def test_presets_without_atoms_have_one_block(self):
+        # no atoms, no formulas; bisimulation would still split the dead state
+        model = KripkeModel(StateSpace(("a", "b", "c")), (0b010, 0, 0b100), ())
+        one_block = Partition.of(model.space, [["a", "b", "c"]])
+        assert len(equivalences.bisim_partition(model).blocks) == 3
+        for name in ("L1", "L2", "L3", "CTL"):
+            lang = preset_language(name, model)
+            assert pr(ad_of_language(lang, model)) == one_block
+            assert coarsest_sp_partition(lang, model) == one_block
+
+    @pytest.mark.parametrize(
+        "doc, refinement",
+        [
+            ({"preset": "L1", "operators": [{"name": "post"}]}, "bisim_partition"),
+            ({"preset": "L2", "operators": [{"name": "EX"}]}, "dbs_partition"),
+            ({"preset": "L1", "atoms": {"p": ["1"]}}, "bisim_partition"),
+        ],
+        ids=["L1+post", "L2+EX", "L1-atom-override"],
+    )
+    def test_extended_presets_take_the_domain_route(self, doc, refinement):
+        # the language keeps the preset's name, but not its P_L
+        rng = random.Random(2020)
+        differ = 0
+        for i in range(60):
+            model = self.random_model(rng, 2 + i % 5)
+            lang = language_from_json(doc, model)
+            assert lang.name == doc["preset"]
+            want = pr(ad_of_language(lang, model))
+            assert coarsest_sp_partition(lang, model) == want
+            differ += want != getattr(equivalences, refinement)(model)
+        assert differ > 0
+
+    def test_labels_that_clash_with_a_preset(self):
+        # labels p and !p: the L3 preset cannot be built on this model, and a
+        # hand-built language named L3 takes the domain route without raising
+        space = StateSpace(("1", "2", "3"))
+        model = KripkeModel(space, (0b010, 0b100, 0b001), (("p", 0b001), ("!p", 0b011)))
+        with pytest.raises(ValidationError):
+            preset_language("L3", model)
+        atoms = tuple((name, StateSet(space, mask)) for name, mask in model.label_items)
+        ops = tuple(builtin_operator(n) for n in ("and", "or", "AX"))
+        lang = LanguageSpec("L3", atoms, ops)
+        assert coarsest_sp_partition(lang, model) == pr(ad_of_language(lang, model))
 
 
 class TestRelationSearch:

@@ -17,11 +17,11 @@ are public here (``*_shell_partition``), the completeness route is
 agree with the refinements and the checkers.
 
 The refinements are also the default route of
-:func:`abspres.shells.coarsest_sp_partition` for the presets whose P_L they
-are: bisimulation for L1 and CTL, stuttering for L2 and simulation
-equivalence for L3.  This module reaches the shells through the module
-object, ``shells.forward_complete_shell``, so that ``shells`` can import it
-at module level.
+:func:`abspres.shells.ad_of_language` for the presets whose most abstract
+strongly preserving domain they induce: adp(bisimulation) for L1 and CTL,
+adp(stuttering) for L2 and add(similarity) for L3.  This module reaches the
+shells through the module object, ``shells.forward_complete_shell``, so
+that ``shells`` can import it at module level.
 """
 
 from __future__ import annotations

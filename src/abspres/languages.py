@@ -465,7 +465,8 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
 
     A null atom interpretation resolves to the model's label of the same
     name.  A preset provides the base language; atoms/operators in the file
-    extend or override it.  Operators without an "expr" must name built-ins.
+    extend or override it.  Operators without an "expr" name built-ins, at
+    their own arity.
     """
     if not isinstance(doc, dict):
         raise ValidationError("language file must contain a JSON object")
@@ -501,20 +502,21 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ValidationError(f"operator entry {k} needs a string 'name'")
-        op_name = entry["name"]
-        if "expr" in entry and entry["expr"] is not None:
-            body = parse_transformer(entry["expr"])
-            arity = entry.get("arity", max_placeholder(body))
-            # bool is a subclass of int, and JSON true must not read as arity 1
-            if type(arity) is not int or arity < 0:
-                raise ValidationError(
-                    f"operator {op_name!r} needs a non-negative integer 'arity', got {arity!r}"
-                )
-            op = Operator(op_name, arity, body)
-        else:
-            op = builtin_operator(op_name)
+        op_name, expr = entry["name"], entry.get("expr")
+        # a built-in's body takes exactly its arity's placeholders
+        body = builtin_operator(op_name).body if expr is None else parse_transformer(expr)
+        arity = entry.get("arity", max_placeholder(body))
+        # bool is a subclass of int, and JSON true must not read as arity 1
+        if type(arity) is not int or arity < 0:
+            raise ValidationError(
+                f"operator {op_name!r} needs a non-negative integer 'arity', got {arity!r}"
+            )
+        if expr is None and arity != max_placeholder(body):
+            raise ValidationError(
+                f"built-in {op_name!r} has 'arity' {max_placeholder(body)}, got {arity}"
+            )
         operators = [o for o in operators if o.name != op_name]
-        operators.append(op)
+        operators.append(Operator(op_name, arity, body))
     return LanguageSpec(name, tuple(atom_items), tuple(operators), open_ops)
 
 

@@ -242,9 +242,10 @@ class AbstractDomain:
     Moore by construction and skip that check: eager ones through
     :meth:`_of_moore`, lazy ones through ``image_fn`` together with a direct
     closure function (partition- and preorder-derived domains answer closure
-    queries without materializing their 2^k unions).  A lazy image is only
-    checked against :data:`DEFAULT_MAX_FAMILY` when it is materialized.
-    Equality, hashing and iteration force materialization.
+    queries without materializing their 2^k unions, at any size).  The image
+    function bounds its own family, so ``masks`` raises before it builds one
+    over :data:`DEFAULT_MAX_FAMILY`.  Equality, hashing and iteration force
+    materialization.
     """
 
     __slots__ = ("space", "_masks", "_image_fn", "_closure_fn", "_hash")
@@ -285,13 +286,7 @@ class AbstractDomain:
     @property
     def masks(self) -> frozenset[Mask]:
         if self._masks is None:
-            masks = self._image_fn()
-            if len(masks) > DEFAULT_MAX_FAMILY:
-                raise CapacityError(
-                    f"materializing a family of {len(masks)} sets exceeds "
-                    f"DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
-                )
-            self._masks = masks
+            self._masks = self._image_fn()
         return self._masks
 
     @property

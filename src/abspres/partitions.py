@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .lattice import (
     AbstractDomain,
     DEFAULT_MAX_FAMILY,
+    MAX_ENUMERATION_STATES,
     Mask,
     SetFamily,
     StateSet,
@@ -227,8 +228,13 @@ class Preorder:
         return f"Preorder({items})"
 
 
-def _unions(masks: Iterable[Mask]) -> frozenset[Mask]:
-    """Every union of some of the masks, the empty union ∅ included."""
+def _unions(masks: Sequence[Mask], what: str) -> frozenset[Mask]:
+    """Every union of some of the masks, ∅ included; refused before it is
+    built when 2^len(masks) is over :data:`DEFAULT_MAX_FAMILY`."""
+    if 1 << len(masks) > DEFAULT_MAX_FAMILY:
+        raise CapacityError(
+            f"{what} 2^{len(masks)} members, over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
+        )
     unions = {0}
     for m in masks:
         unions |= {u | m for u in unions}
@@ -238,15 +244,13 @@ def _unions(masks: Iterable[Mask]) -> frozenset[Mask]:
 def adp(p: Partition) -> AbstractDomain:
     """Partitioning domain of P: image = all unions of blocks (2^|P| sets).
 
-    The closure maps S to the union of blocks meeting S; the image is
-    materialized only on demand, and is Moore by construction.
+    The closure maps S to the union of blocks meeting S, at any size; the
+    image is materialized only on demand, and is Moore by construction.
     """
-    if 1 << len(p.blocks) > DEFAULT_MAX_FAMILY:
-        raise CapacityError(
-            f"adp image has 2^{len(p.blocks)} members, over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
-        )
     return AbstractDomain(
-        p.space, image_fn=lambda: _unions(p.blocks), closure_fn=p.block_containing
+        p.space,
+        image_fn=lambda: _unions(p.blocks, "adp image has"),
+        closure_fn=p.block_containing,
     )
 
 
@@ -273,19 +277,14 @@ def is_partitioning(a: AbstractDomain) -> bool:
 def add(r: Preorder) -> AbstractDomain:
     """Disjunctive domain of a preorder: unions of {pre_R({x}) | x ∈ Σ} plus ∅.
 
-    The closure of add(R) is pre_R itself; the image is materialized only
-    on demand, and is Moore by construction.
+    The closure of add(R) is pre_R itself, at any size; the image is
+    materialized only on demand, and is Moore by construction.
     """
     space = r.space
     generators = sorted({r.pre_mask(1 << x) for x in range(space.n)})
-    if 1 << len(generators) > DEFAULT_MAX_FAMILY:
-        raise CapacityError(
-            f"add image has up to 2^{len(generators)} members, "
-            f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
-        )
     return AbstractDomain(
         space,
-        image_fn=lambda: _unions(generators) | {space.full_mask},
+        image_fn=lambda: _unions(generators, "add image has up to") | {space.full_mask},
         closure_fn=r.pre_mask,
     )
 
@@ -354,8 +353,11 @@ def iter_partitions(space: StateSpace) -> Iterator[Partition]:
 def iter_preorders(space: StateSpace) -> Iterator[Preorder]:
     """All preorders over a small space, by filtering reflexive relations."""
     n = space.n
-    if n > 4:
-        raise CapacityError(f"preorder enumeration supports n ≤ 4, got {n}")
+    if n > MAX_ENUMERATION_STATES:
+        raise CapacityError(
+            f"preorder enumeration supports n ≤ MAX_ENUMERATION_STATES = "
+            f"{MAX_ENUMERATION_STATES}, got {n}"
+        )
     off_diagonal = [(s, t) for s in range(n) for t in range(n) if s != t]
     base = tuple(1 << i for i in range(n))
     for bits in range(1 << len(off_diagonal)):

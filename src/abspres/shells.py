@@ -10,10 +10,11 @@ closure of a language runs the same engine without the re-closing.  The
 result is the greatest fixpoint of ρ ↦ μ_A ⊓ M(F(ρ)), reached from above;
 maximality is exhaustively verified at n = 3 by the tests.
 
-The coarsest strongly preserving partition of the presets L1, CTL, L2 and
-L3 is a behavioural equivalence, so :func:`coarsest_sp_partition` answers
-them by the polynomial refinements of :mod:`~abspres.equivalences`; every
-other language goes through its semantic closure.
+The most abstract strongly preserving domain of the presets L1, CTL, L2
+and L3 is the domain of a behavioural relation, so :func:`ad_of_language`
+answers them by the polynomial refinements of :mod:`~abspres.equivalences`;
+every other language goes through its semantic closure.  The coarsest
+strongly preserving partition is pr of that domain, on both routes.
 
 The relation search runs the engine once over the concrete atoms and checks
 each candidate block relation against the applications it recorded.
@@ -37,7 +38,7 @@ from .lattice import (
     moore_close,
 )
 from .languages import LanguageSpec, Operator, apply_operator, close, is_preset
-from .partitions import Partition, pr
+from .partitions import Partition, add, adp, pr
 
 #: Candidate bound for the abstract-relation search (2^{b²} relations).
 MAX_SEARCH_CANDIDATES = 1 << 25
@@ -73,15 +74,13 @@ def forward_complete_shell(
     domain: AbstractDomain,
     fs: Sequence[Operator],
     model: KripkeModel,
-    *,
-    max_size: int = DEFAULT_MAX_FAMILY,
 ) -> ShellResult:
     """Most abstract refinement of the domain forward complete for every f.
 
     Runs :func:`~abspres.languages.close` from image(A): each round adds
     F(X) and re-closes under intersection, X := M(X ∪ F(X)), to fixpoint.
     The fixpoint is order-independent; the trace records one snapshot per
-    round.
+    round.  The image is bounded by :data:`DEFAULT_MAX_FAMILY`.
     """
     if model.space != domain.space:
         raise SpaceMismatchError("model over a different space than the domain")
@@ -92,9 +91,10 @@ def forward_complete_shell(
 
     def admit(fresh: Iterable[Mask]) -> set[Mask]:
         added = meet_close(masks, fresh)
-        if len(masks) > max_size:
+        if len(masks) > DEFAULT_MAX_FAMILY:
             raise CapacityError(
-                f"shell image exceeded max_size = {max_size} sets (now {len(masks)})"
+                f"shell image reached {len(masks)} sets, "
+                f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
             )
         snapshots.append(
             AbstractDomain._of_moore(domain.space, frozenset(masks)) if added else snapshots[-1]
@@ -129,32 +129,28 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
 
 
 def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
-    """The most abstract strongly preserving domain: M({⟦φ⟧ | φ ∈ L}).
+    """The most abstract strongly preserving domain A_L = M({⟦φ⟧ | φ ∈ L}).
 
-    Σ is always a member through the empty meet, matching the convention
-    that a conjunction-closed language expresses the tautology.
+    By the paper's main corollary, A_L of the presets L1 and CTL is
+    adp(bisimulation), of L2 adp(stuttering) and of L3 add(similarity), so
+    when ``lang`` is one of them on ``model`` (:func:`~abspres.languages.is_preset`)
+    with an atom, a refinement answers and the domain stays lazy.  Σ is
+    always a member, through the empty meet.
     """
+    if lang.atoms and is_preset(lang, model):
+        if lang.name in ("L1", "CTL"):
+            return adp(equivalences.bisim_partition(model))
+        if lang.name == "L2":
+            return adp(equivalences.dbs_partition(model))
+        if lang.name == "L3":
+            return add(equivalences.equal_label_simulation(model))
     return moore_close(semantic_closure(lang, model))
 
 
 def coarsest_sp_partition(lang: LanguageSpec, model: KripkeModel) -> Partition:
-    """P_L: states grouped by logical equivalence.
-
-    By the paper's main corollary, P_L of the presets L1 and CTL is
-    bisimulation, of L2 divergence-blind stuttering and of L3 simulation
-    equivalence, so when ``lang`` is one of them on ``model``
-    (:func:`~abspres.languages.is_preset`) with at least one atom, the
-    polynomial refinement of :mod:`~abspres.equivalences` answers.  A
-    language without atoms has no formulas and a one-block P_L.  Every
-    other language takes the domain route, pr(:func:`ad_of_language`).
-    """
-    if lang.atoms and is_preset(lang, model):
-        if lang.name in ("L1", "CTL"):
-            return equivalences.bisim_partition(model)
-        if lang.name == "L2":
-            return equivalences.dbs_partition(model)
-        if lang.name == "L3":
-            return equivalences.simeq_partition(model)
+    """P_L = pr(A_L): states grouped by logical equivalence.  On the
+    presets, pr(adp(P)) = P and pr(add(R)) is R's kernel; a language
+    without atoms has a one-block P_L."""
     return pr(ad_of_language(lang, model))
 
 

@@ -365,9 +365,9 @@ def run_paper_suite() -> list[CheckResult]:
     p_exef = Partition.of(kpq.space, [["1", "2"], ["3", "4"], ["5"]])
     push(_check("bounded-reach s.p. partition", coarsest_sp_partition(exef, kpq), p_exef))
     l1 = preset_language("L1", kpq)
-    # the domain route: coarsest_sp_partition of L1 is bisim_partition,
+    # the closure route: coarsest_sp_partition of L1 is pr(adp(bisim_partition)),
     # which the bisimulation check below already compares with pbis
-    push(_check("next-logic s.p. partition", pr(ad_of_language(l1, kpq)), pbis))
+    push(_check("next-logic s.p. partition", pr(moore_close(semantic_closure(l1, kpq))), pbis))
 
     # Abstract-relation searches.
     push(

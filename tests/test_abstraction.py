@@ -217,6 +217,7 @@ class TestSpDomain:
         from abspres.equivalences import bisim_partition
         from abspres.kripke import label_partition
         from abspres.lattice import SetFamily, moore_close
+        from abspres.shells import semantic_closure
         from conftest import random_total_model
 
         rng = random.Random(149)
@@ -231,7 +232,7 @@ class TestSpDomain:
             ]
             for name in ("L1", "L2", "L3", "exef", "semaforo"):
                 lang = preset_language(name, model)
-                want = ad_of_language(lang, model).masks
+                want = moore_close(semantic_closure(lang, model)).masks
                 for dom in domains:
                     verdicts.append(is_sp_domain(dom, lang, model))
                     assert verdicts[-1] == (want <= dom.masks)

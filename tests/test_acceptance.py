@@ -55,6 +55,7 @@ from abspres.shells import (
     ad_of_language,
     coarsest_sp_partition,
     forward_complete_shell,
+    semantic_closure,
     sp_abstract_kripke_search,
 )
 
@@ -194,10 +195,11 @@ def test_criterion_7_oracle_equivalences_on_random_models():
             # bisimulation: splitter refinement vs complement/pre shell
             assert bisim_partition(model) == bisim_shell_partition(model)
             # stuttering: refinement vs complement/EU shell vs the
-            # until-logic s.p. partition by the domain route
+            # until-logic s.p. partition by the closure route
             p_dbs = dbs_partition(model)
             assert p_dbs == dbs_shell_partition(model)
-            assert p_dbs == pr(ad_of_language(preset_language("L2", model), model))
+            l2 = preset_language("L2", model)
+            assert p_dbs == pr(moore_close(semantic_closure(l2, model)))
             # simulation equivalence: kernel route vs literal-seeded shell
             kernel = equal_label_simulation(model).kernel()
             assert kernel == simeq_shell_partition(model)

@@ -518,6 +518,12 @@ class TestInputErrors:
             ({"operators": [{"name": "F", "arity": "1", "expr": "pre #1"}]}, "'arity'"),
             ({"operators": [{"name": "F", "arity": True, "expr": "pre #1"}]}, "'arity'"),
             ({"operators": [{"name": "F", "arity": -1, "expr": "pre #1"}]}, "'arity'"),
+            # a built-in keeps its own arity
+            ({"preset": "L1", "operators": [{"name": "EU", "arity": 7}]}, "'arity'"),
+            ({"operators": [{"name": "EX", "arity": 2}]}, "'arity'"),
+            ({"operators": [{"name": "EX", "arity": True}]}, "'arity'"),
+            ({"operators": [{"name": "EX", "arity": "1"}]}, "'arity'"),
+            ({"operators": [{"name": "EX", "arity": -1}]}, "'arity'"),
         ],
     )
     def test_malformed_language(self, capsys, tmp_path, doc, name):
@@ -674,9 +680,30 @@ class TestLargeModels:
         code, _, err = run(capsys, "check", "--model", path, "--property", "partitioning",
                            "--domain", "adp:" + "/".join(f"s{i}" for i in range(40)))
         assert code == 2 and "DEFAULT_MAX_FAMILY" in err
-        # the domain route still closes ℘(Σ), whatever the language
-        code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", "L1")
+        # the presets' domains are adp or add of a refinement, whose 2^b
+        # members are refused before they are built
+        for lang in ("L1", "L2", "L3", "CTL"):
+            code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", lang)
+            assert code == 2 and "DEFAULT_MAX_FAMILY" in err, lang
+        # an extended preset still closes its semantic closure
+        lang_path = tmp_path / "l1_post.json"
+        lang_path.write_text(json.dumps({"preset": "L1", "operators": [{"name": "post"}]}))
+        code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", str(lang_path))
         assert code == 2 and "MAX_STAGE_TUPLES" in err
+
+    def test_preset_sp_domain_is_the_unions_of_its_blocks(self, capsys, tmp_path):
+        path = self.ring(tmp_path, 16)
+        code, blocks, err = run(capsys, "equiv", "--model", path, "--kind", "bisim")
+        assert code == 0, err
+        masks = [frozenset(line.strip("{}").split(",")) for line in blocks.split()]
+        code, out, err = run(capsys, "sp-domain", "--model", path, "--lang", "L1")
+        assert code == 0, err
+        got = [frozenset(line.strip("{}").split(",")) - {""} for line in out.split()]
+        unions = {frozenset()}
+        for b in masks:
+            unions |= {u | b for u in unions}
+        assert len(got) == len(unions) == 2 ** len(masks)
+        assert set(got) == unions
 
     def test_backward_completeness_is_never_sampled(self, capsys, tmp_path):
         # 2^11 subsets, so 2^22 argument tuples for 'and': over max_tuples,

@@ -27,9 +27,9 @@ from abspres.equivalences import (
     simeq_shell_partition,
 )
 from abspres.languages import builtin_operator, label_constants, preset_language
-from abspres.lattice import StateSpace
+from abspres.lattice import StateSpace, moore_close
 from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
-from abspres.shells import ad_of_language
+from abspres.shells import semantic_closure
 
 from conftest import random_total_model
 
@@ -214,7 +214,8 @@ class TestShellRoutes:
         for model in models:
             p = dbs_partition(model)
             assert p == dbs_shell_partition(model)
-            assert p == pr(ad_of_language(preset_language("L2", model), model))
+            closed = moore_close(semantic_closure(preset_language("L2", model), model))
+            assert p == pr(closed)
 
 
 class TestOrderings:

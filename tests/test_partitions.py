@@ -219,8 +219,23 @@ class TestCapacity:
         from abspres import CapacityError
 
         space = StateSpace(tuple(f"s{i}" for i in range(24)))
-        with pytest.raises(CapacityError):
-            adp(Partition.identity(space))
+        dom = adp(Partition.identity(space))
+        with pytest.raises(CapacityError, match="DEFAULT_MAX_FAMILY"):
+            dom.masks
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_lazy_domains_answer_at_any_size(self, n):
+        # closure queries never list the 2^n members; listing them fails at once
+        from abspres import CapacityError
+
+        space = StateSpace(tuple(f"s{i}" for i in range(n)))
+        some = 0b1011 << (n - 4)
+        for dom in (adp(Partition.identity(space)), add(Preorder.identity(space))):
+            assert dom.closure_mask(some) == some
+            assert dom.contains(some) and dom.contains(0) and dom.contains(space.full_mask)
+            assert pr(dom) == Partition.identity(space)
+            with pytest.raises(CapacityError, match=f"2\\^{n} members, over DEFAULT_MAX_FAMILY"):
+                dom.masks
 
 
 class TestPartitionValidation:

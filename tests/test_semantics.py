@@ -300,12 +300,13 @@ class TestLanguageSpecs:
     def test_language_file_atoms(self, kpq):
         doc = {
             "atoms": {"p": None, "top": ["1", "2", "3", "4", "5"]},
-            "operators": [{"name": "EX"}],
+            "operators": [{"name": "EX"}, {"name": "EU", "arity": 2}],
         }
         lang = language_from_json(doc, kpq)
         assert lang.atom_mask("p") == kpq.label_mask("p")
         assert lang.atom_mask("top") == kpq.space.full_mask
         assert lang.has_operator("EX") and not lang.has_operator("AX")
+        assert lang.operator("EU").arity == 2
 
     def test_custom_language_from_ops(self, kpqr):
         lang = language_from_ops(kpqr, ["and", "EX"], name="pq-next")

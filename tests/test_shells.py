@@ -102,12 +102,13 @@ class TestForwardCompleteShell:
             assert shell.masks == best.masks
             assert all(shell.masks <= c.masks for c in candidates)
 
-    def test_capacity_guard(self, kpq):
+    def test_capacity_guard(self, kpq, monkeypatch):
+        from abspres import shells
+
+        monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 4)
         seed = moore_close(label_partition(kpq).family)
-        with pytest.raises(CapacityError):
-            forward_complete_shell(
-                seed, [builtin_operator("not"), builtin_operator("pre")], kpq, max_size=4
-            )
+        with pytest.raises(CapacityError, match="DEFAULT_MAX_FAMILY"):
+            forward_complete_shell(seed, [builtin_operator("not"), builtin_operator("pre")], kpq)
 
     def test_worklist_matches_naive_iteration(self):
         # oracle: X := M(X ∪ F(X)) recomputed from scratch over all tuples
@@ -386,9 +387,10 @@ class TestShellLanguageTheorems:
     def test_negation_closure_decides_partitioning(self, kpq, tl):
         # among conjunction-closed languages, closure under ¬ (L1, L2)
         # gives a partitioning domain and its absence (the bounded-reach
-        # language) loses information against the partition
+        # language) loses information against the partition; the presets'
+        # domains are closed here, as ad_of_language answers them by adp
         for model, preset in ((kpq, "L1"), (kpq, "L2")):
-            dom = ad_of_language(preset_language(preset, model), model)
+            dom = moore_close(semantic_closure(preset_language(preset, model), model))
             assert is_partitioning(dom)
         dom = ad_of_language(preset_language("exef", kpq), kpq)
         assert not is_partitioning(dom)
@@ -432,8 +434,9 @@ class TestCoarsestSpPartition:
         return KripkeModel(space, succ, labels)
 
     def test_presets_agree_with_the_domain_route(self):
-        # L1 and CTL answer by bisimulation, L2 by stuttering and L3 by
-        # simulation equivalence; each must be pr(ad_of_language)
+        # ad_of_language answers L1 and CTL by adp(bisimulation), L2 by
+        # adp(stuttering) and L3 by add(similarity); each domain must equal
+        # the closure route M(S) as an image, and its pr must be P_L
         rng = random.Random(1010)
         models = [self.random_model(rng, 1 + i % 7) for i in range(140)]
         assert any(0 in m.succ for m in models) and any(0 not in m.succ for m in models)
@@ -444,8 +447,9 @@ class TestCoarsestSpPartition:
                 if name == "CTL" and model.n > 6:
                     continue
                 lang = preset_language(name, model)
-                want = pr(ad_of_language(lang, model))
-                assert coarsest_sp_partition(lang, model) == want, (name, model)
+                want = moore_close(semantic_closure(lang, model))
+                assert ad_of_language(lang, model).masks == want.masks, (name, model)
+                assert coarsest_sp_partition(lang, model) == pr(want), (name, model)
 
     def test_presets_without_atoms_have_one_block(self):
         # no atoms, no formulas; bisimulation would still split the dead state
@@ -454,6 +458,7 @@ class TestCoarsestSpPartition:
         assert len(equivalences.bisim_partition(model).blocks) == 3
         for name in ("L1", "L2", "L3", "CTL"):
             lang = preset_language(name, model)
+            assert ad_of_language(lang, model).masks == {model.space.full_mask}
             assert pr(ad_of_language(lang, model)) == one_block
             assert coarsest_sp_partition(lang, model) == one_block
 
@@ -474,7 +479,9 @@ class TestCoarsestSpPartition:
             model = self.random_model(rng, 2 + i % 5)
             lang = language_from_json(doc, model)
             assert lang.name == doc["preset"]
-            want = pr(ad_of_language(lang, model))
+            closed = moore_close(semantic_closure(lang, model))
+            assert ad_of_language(lang, model).masks == closed.masks
+            want = pr(closed)
             assert coarsest_sp_partition(lang, model) == want
             differ += want != getattr(equivalences, refinement)(model)
         assert differ > 0
@@ -489,7 +496,9 @@ class TestCoarsestSpPartition:
         atoms = tuple((name, StateSet(space, mask)) for name, mask in model.label_items)
         ops = tuple(builtin_operator(n) for n in ("and", "or", "AX"))
         lang = LanguageSpec("L3", atoms, ops)
-        assert coarsest_sp_partition(lang, model) == pr(ad_of_language(lang, model))
+        want = moore_close(semantic_closure(lang, model))
+        assert ad_of_language(lang, model) == want
+        assert coarsest_sp_partition(lang, model) == pr(want)
 
 
 class TestRelationSearch:
@@ -635,7 +644,7 @@ class TestRelationSearch:
      "adp", "add", "preorder-enumeration"],
 )
 def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
-    from abspres import Preorder, add, lattice, partitions, powerset_domain, shells
+    from abspres import Preorder, add, partitions, powerset_domain, shells
     from abspres.abstraction import paired_sp_check
     from abspres.partitions import iter_preorders
 
@@ -647,9 +656,10 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         call = lambda: semantic_closure(l1, kpq)
         message = "semantic closure reached 5 sets, over DEFAULT_MAX_FAMILY = 3"
     elif case == "shell":
+        monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 4)
         ops = [builtin_operator("not"), builtin_operator("pre")]
-        call = lambda: forward_complete_shell(seed, ops, kpq, max_size=4)
-        message = "shell image exceeded max_size = 4 sets (now 7)"
+        call = lambda: forward_complete_shell(seed, ops, kpq)
+        message = "shell image reached 7 sets, over DEFAULT_MAX_FAMILY = 4"
     elif case == "search":
         monkeypatch.setattr(shells, "MAX_SEARCH_CANDIDATES", 8)
         p = Partition.of(kpq.space, [["1", "2"], ["3", "4", "5"]])
@@ -660,10 +670,10 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         call = lambda: paired_sp_check(kpq, q, l1, max_pairs=4)
         message = "paired closure exceeded max_pairs = 4 (now 6 pairs)"
     elif case == "masks":
-        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
+        monkeypatch.setattr(partitions, "DEFAULT_MAX_FAMILY", 4)
         p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4", "5"]])
         call = lambda: adp(p).masks
-        message = "materializing a family of 8 sets exceeds DEFAULT_MAX_FAMILY = 4"
+        message = "adp image has 2^3 members, over DEFAULT_MAX_FAMILY = 4"
     elif case == "powerset":
         call = lambda: powerset_domain(StateSpace(big.names[:21]))
         message = "℘(Σ) would have 2^21 members, over DEFAULT_MAX_FAMILY = 1048576"
@@ -671,15 +681,15 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         call = lambda: list(enumerate_moore_families(5))
         message = "enumeration supports 0 ≤ n ≤ MAX_ENUMERATION_STATES = 4, got 5"
     elif case == "adp":
-        call = lambda: adp(Partition.identity(big))
+        call = lambda: adp(Partition.identity(big)).masks
         message = "adp image has 2^24 members, over DEFAULT_MAX_FAMILY = 1048576"
     elif case == "add":
         monkeypatch.setattr(partitions, "DEFAULT_MAX_FAMILY", 4)
-        call = lambda: add(Preorder.identity(kpq.space))
+        call = lambda: add(Preorder.identity(kpq.space)).masks
         message = "add image has up to 2^5 members, over DEFAULT_MAX_FAMILY = 4"
     else:
         call = lambda: list(iter_preorders(kpq.space))
-        message = "preorder enumeration supports n ≤ 4, got 5"
+        message = "preorder enumeration supports n ≤ MAX_ENUMERATION_STATES = 4, got 5"
     with pytest.raises(CapacityError) as info:
         call()
     assert str(info.value) == message

@@ -22,13 +22,27 @@ Strong preservation of a structure is decided exactly (no formula-depth
 bound) through the *paired semantic closure*: the least set of pairs
 (⟦φ⟧, γ⟦φ⟧♯) containing the atom pairs and closed under paired operator
 application.  It is finite (⊆ ℘(Σ)×℘(Σ)) and covers every formula of the
-language; :func:`paired_sp_check` returns the :class:`PairedClosure`, and
-its verdict, weak flag and witness are read off the pairs.  The pairs are
-saturated by the same engine as the shells, :func:`~abspres.languages.close`,
-with pairs of masks as its items.  The relation search of
-:mod:`abspres.shells` needs no paired closure: S = {⟦φ⟧ | φ ∈ L} is the same
-for every candidate, so it closes S once and checks each candidate against
-that record.
+language; :func:`paired_semantic_closure` returns it as a
+:class:`PairedClosure`, whose verdict, weak flag and witness are read off
+the pairs.  The pairs are saturated by the same engine as the shells,
+:func:`~abspres.languages.close`, with pairs of masks as its items.
+
+:func:`paired_sp_check` returns only an :class:`SpVerdict`: the verdict and
+a witness.  For a quotient and a language of the splitter class
+(:func:`~abspres.languages.in_splitter_class`) it needs no closure.  There
+S is the set of unions of P_L's blocks, so by the paper's characterisation
+(S representable, operators agreeing on S) the quotient by P is strong iff
+P refines P_L and each non-Boolean operator agrees with the concrete one
+on each block C of P_L (additive chains) or on Σ∖C (dual chains): both
+sides distribute over the unions, respectively intersections, that build S
+from these sets.  With ``not`` in the language weak-only cannot occur (an
+existential atom contains its concrete set, and ¬ is exact on block
+unions), so a failing test means "neither"; only then does an aborting
+paired closure run, for the full closure's witness.
+
+The relation search of :mod:`abspres.shells` needs no paired closure either:
+S = {⟦φ⟧ | φ ∈ L} is the same for every candidate, so it closes S once and
+checks each candidate against that record.
 """
 
 from __future__ import annotations
@@ -41,9 +55,18 @@ from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .formulas import App, Atom, Formula
 from .kripke import KripkeModel, Quotient
 from .lattice import AbstractDomain, Mask, StateSet
-from .languages import LanguageSpec, Operator, apply_operator, close, eval_formula, gfp, lfp
-from .partitions import adp
-from .shells import semantic_closure
+from .languages import (
+    LanguageSpec,
+    Operator,
+    apply_operator,
+    close,
+    eval_formula,
+    gfp,
+    in_splitter_class,
+    lfp,
+)
+from .partitions import Partition, adp
+from .shells import coarsest_sp_partition, semantic_closure
 
 DEFAULT_MAX_TUPLES = 1 << 20
 DEFAULT_MAX_PAIRS = 1 << 16
@@ -222,8 +245,9 @@ def paired_semantic_closure(
     The pairs are saturated by :func:`~abspres.languages.close`; each pair
     keeps the formula that first produced it, so the witness is the first
     violating pair in discovery order.  With ``abort_on_violation`` the
-    closure stops at that pair, for callers that only need a
-    strong/not-strong verdict.
+    closure stops at that pair, keeping the full closure's strong flag and
+    witness: :func:`paired_sp_check` runs it so for the witness of a failing
+    block test.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -269,25 +293,69 @@ def paired_semantic_closure(
     return result(False)
 
 
+@dataclass(frozen=True)
+class SpVerdict:
+    """A strong-preservation verdict, one of "strong", "weak-only" and
+    "neither", and unless strong a witness: a formula whose concrete and
+    abstract semantics differ."""
+
+    verdict: str
+    witness: Optional[Formula]
+
+    @property
+    def strong(self) -> bool:
+        return self.verdict == "strong"
+
+
+def _strong_on_blocks(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
+    """The block test of a quotient by ``p`` under a splitter-class language
+    (module docstring)."""
+    blocks = coarsest_sp_partition(structure.lang, model).blocks
+    if any(p.block_containing(c) != c for c in blocks):
+        return False
+    full = model.space.full_mask
+    for op in structure.lang.operators:
+        if op._boolean:
+            continue
+        for c in blocks:
+            x = c if op._chain == "additive" else full & ~c
+            if structure.apply(op, (x,)) != apply_operator(op, model, (x,)):
+                return False
+    return True
+
+
 def paired_sp_check(
     model: KripkeModel,
     abstract: "AbstractStructure | Quotient",
     lang: LanguageSpec,
     *,
     max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> PairedClosure:
-    """Exact strong/weak preservation verdict for an abstract model: the full
-    paired closure, read through its ``verdict`` and ``witness``.
+) -> SpVerdict:
+    """Exact strong/weak preservation verdict for an abstract model, with the
+    full paired closure's witness.
 
     ``abstract`` is either an :class:`AbstractStructure` or a block-level
     :class:`Quotient` (then the induced structure with existential labeling
-    is checked).
+    is checked).  A quotient under a splitter-class language is decided
+    block by block, and ``max_pairs`` bounds only the paired closure, which
+    then runs just for the witness of a "neither"; every other case reads
+    the verdict off the full paired closure.
     """
     if isinstance(abstract, Quotient):
         if abstract.parent.space != model.space:
             raise SpaceMismatchError("quotient of a different model")
-        abstract = AbstractStructure.from_quotient(abstract, lang)
-    return paired_semantic_closure(model, abstract, lang, max_pairs=max_pairs)
+        structure = AbstractStructure.from_quotient(abstract, lang)
+        if in_splitter_class(lang):
+            if _strong_on_blocks(model, abstract.partition, structure):
+                return SpVerdict("strong", None)
+            cut = paired_semantic_closure(
+                model, structure, lang, abort_on_violation=True, max_pairs=max_pairs
+            )
+            return SpVerdict("neither", cut.witness)
+    else:
+        structure = abstract
+    closure = paired_semantic_closure(model, structure, lang, max_pairs=max_pairs)
+    return SpVerdict(closure.verdict, closure.witness)
 
 
 @dataclass(frozen=True)

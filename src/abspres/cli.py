@@ -294,7 +294,8 @@ def cmd_search(args) -> int:
 
 def cmd_quotient(args) -> int:
     model = _resolve_model(args.model)
-    p = _parse_partition(model, args.partition, None)
+    lang = load_language(args.lang, model) if args.lang else None
+    p = _parse_partition(model, args.partition, lang)
     q = quotient(args.kind, model, p)
     payload = {
         "command": "quotient",

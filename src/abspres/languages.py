@@ -10,7 +10,9 @@ An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  It also
 records then whether its body is Boolean (only ``not``, ``and``, ``or`` and
 placeholders), which lets quotient structures apply it to block unions
-directly.
+directly, and whether a unary body is a chain of additive built-ins (or of
+their duals) applied to ``#1``.  :func:`in_splitter_class` reads these two
+records off a language's operators.
 
 :func:`close` is the one saturation engine of the package: the forward
 complete shell, the semantic closure of a language and the paired semantic
@@ -59,7 +61,10 @@ class Operator:
     The body is resolved once, at construction, into a function of (model,
     argument masks); a bad body raises then, naming the operator.
     ``_boolean`` holds when the body uses only ``not``, ``and``, ``or`` and
-    placeholders.
+    placeholders.  ``_chain`` is ``"additive"`` when the operator is unary
+    and its body is a chain of additive built-ins (``EX``, ``pre``, ``post``,
+    ``EF[lo,hi]``) applied to ``#1``, ``"dual"`` for a chain of their duals
+    (``AX``, ``pre~``, ``post~``), and None otherwise.
     """
 
     name: str
@@ -69,10 +74,12 @@ class Operator:
         init=False, compare=False, repr=False
     )
     _boolean: bool = field(init=False, compare=False, repr=False)
+    _chain: Optional[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_resolved", _resolve_body(self, self.body))
         object.__setattr__(self, "_boolean", _is_boolean(self.body))
+        object.__setattr__(self, "_chain", _chain_kind(self))
 
 
 def operator_from_expr(name: str, arity: int, expr: str) -> Operator:
@@ -223,6 +230,31 @@ def _is_boolean(node: Node) -> bool:
     )
 
 
+# unary built-ins that distribute over unions, and their duals ¬f¬
+_ADDITIVE = ("EX", "pre", "post")
+_DUAL = ("AX", "pre~", "post~")
+
+
+def _chain_kind(op: Operator) -> Optional[str]:
+    """``op._chain``: "additive", "dual" or None (see :class:`Operator`)."""
+    if op.arity != 1:
+        return None
+    kind = None
+    node = op.body
+    while isinstance(node, App) and len(node.args) == 1:
+        if node.op in _DUAL:
+            step = "dual"
+        elif node.op in _ADDITIVE or EF_PATTERN.match(node.op):
+            step = "additive"
+        else:
+            return None
+        if kind not in (None, step):
+            return None  # a mixed chain such as AX EX #1
+        kind = step
+        node = node.args[0]
+    return kind if node == Arg(1) else None
+
+
 def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Mask:
     if len(args) != op.arity:
         raise ValidationError(f"{op.name} expects {op.arity} arguments, got {len(args)}")
@@ -336,6 +368,31 @@ class LanguageSpec:
         if any(op.name == name for op in self.operators):
             return True
         return self.open_ops and _builtin(name) is not None
+
+
+_NOT_BODY = App("not", (Arg(1),))
+_JOIN_BODIES = (App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2))))
+
+
+def in_splitter_class(lang: LanguageSpec) -> bool:
+    """Is ``lang`` a closed language with an atom, an operator ``not #1``, an
+    operator ``and #1 #2`` or ``or #1 #2``, and otherwise only Boolean
+    operators and unary additive or dual chains (``Operator._chain``)?
+
+    Then S = {⟦φ⟧ | φ ∈ L} is a Boolean algebra of sets, the unions of the
+    blocks of P_L, and each non-Boolean operator is fixed on S by its values
+    on the blocks (additive) or on their complements (dual).  The test is
+    syntactic: a body that is equivalent to a chain but written otherwise
+    is not in the class.
+    """
+    ops = lang.operators
+    return (
+        bool(lang.atoms)
+        and not lang.open_ops
+        and any(op.body == _NOT_BODY for op in ops)
+        and any(op.body in _JOIN_BODIES for op in ops)
+        and all(op._boolean or op._chain is not None for op in ops)
+    )
 
 
 def resolve_application(lang: LanguageSpec, phi: App) -> App | Atom:

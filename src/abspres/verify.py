@@ -369,6 +369,23 @@ def run_paper_suite() -> list[CheckResult]:
     # which the bisimulation check below already compares with pbis
     push(_check("next-logic s.p. partition", pr(moore_close(semantic_closure(l1, kpq))), pbis))
 
+    # A quotient under L1 is decided block by block; a failing one gets the
+    # paired closure's witness, whose two semantics differ.
+    l1_tl = preset_language("L1", tl)
+    label_q = quotient("ee", tl, label_partition(tl))
+    failing = paired_sp_check(tl, label_q, l1_tl)
+    separated = failing.witness is not None and (
+        AbstractStructure.from_quotient(label_q, l1_tl).semantics(failing.witness)
+        != eval_concrete(failing.witness, tl, l1_tl)
+    )
+    push(
+        _check(
+            "L1: bisimulation quotient strong, traffic-light label quotient not",
+            (paired_sp_check(kpq, q, l1).verdict, failing.verdict, separated),
+            ("strong", "neither", True),
+        )
+    )
+
     # Abstract-relation searches.
     push(
         _check(

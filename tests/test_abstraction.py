@@ -316,10 +316,18 @@ class TestPairedSpCheck:
             paired_sp_check(kpq, q, preset_language("full", kpq))
 
     def test_pair_capacity(self, kpq):
-        lang = preset_language("L1", kpq)
+        # L3 has no `not`, so its quotient check runs the paired closure
+        lang = preset_language("L3", kpq)
         q = quotient("ee", kpq, Partition.identity(kpq.space))
         with pytest.raises(CapacityError):
             paired_sp_check(kpq, q, lang, max_pairs=4)
+
+    def test_pair_capacity_does_not_bound_the_block_route(self, kpq):
+        # a strong L1 check of a quotient runs no paired closure, so
+        # max_pairs does not apply to it
+        lang = preset_language("L1", kpq)
+        q = quotient("ee", kpq, Partition.identity(kpq.space))
+        assert paired_sp_check(kpq, q, lang, max_pairs=4).verdict == "strong"
 
     def test_abort_agrees_with_full_closure(self):
         # stopping at the first violation keeps the full closure's verdict
@@ -502,14 +510,17 @@ class TestBooleanMaskRoute:
     def test_paired_check_matches_the_block_model_route(self):
         from abspres import bisim_partition, language_from_json
         from abspres.kripke import label_partition
+        from abspres.languages import in_splitter_class
         from conftest import random_total_model
+
+        from abspres.abstraction import paired_semantic_closure
 
         # a closure past 64 pairs is stopped on both routes, which must then
         # fail alike: uncapped, the few L1/L2 closures of 512-1024 pairs at
         # six states make this test take about 90 s
         def check(structure, lang):
             try:
-                return paired_sp_check(model, structure, lang, max_pairs=64)
+                return paired_semantic_closure(model, structure, lang, max_pairs=64)
             except CapacityError as exc:
                 return str(exc)
 
@@ -529,7 +540,7 @@ class TestBooleanMaskRoute:
                 for kind in ("ee", "ae"):
                     q = quotient(kind, model, p)
                     for lang in langs:
-                        got = check(q, lang)
+                        got = check(AbstractStructure.from_quotient(q, lang), lang)
                         want = check(block_model_structure(q, lang), lang)
                         if isinstance(want, str):
                             assert got == want
@@ -538,15 +549,22 @@ class TestBooleanMaskRoute:
                         assert got.pairs == want.pairs
                         assert got.formulas == want.formulas
                         assert (got.verdict, got.witness) == (want.verdict, want.witness)
+                        if in_splitter_class(lang):
+                            verdict = paired_sp_check(model, q, lang, max_pairs=64)
+                            assert (verdict.verdict, verdict.witness) == (
+                                want.verdict, want.witness
+                            )
                         checked += 1
                         strong += got.strong
         assert checked >= 650 and capped <= 50 and 400 <= strong <= checked - 200
 
     def test_boolean_operators_skip_inner_and_union(self, kpq, monkeypatch):
+        from abspres.abstraction import paired_semantic_closure
+
         lang = language_from_ops(kpq, ["and", "or", "not"])
         p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
         q = quotient("ee", kpq, p)
-        want = paired_sp_check(kpq, q, lang)
+        want = paired_semantic_closure(kpq, AbstractStructure.from_quotient(q, lang), lang)
 
         def boom(*args, **kwargs):
             raise AssertionError("Boolean operators must not use the block model")
@@ -554,7 +572,7 @@ class TestBooleanMaskRoute:
         monkeypatch.setattr(Partition, "inner", boom)
         monkeypatch.setattr(Partition, "union", boom)
         structure = AbstractStructure.from_quotient(q, lang)
-        got = paired_sp_check(kpq, structure, lang)
+        got = paired_semantic_closure(kpq, structure, lang)
         assert (got.pairs, got.formulas) == (want.pairs, want.formulas)
         assert got.strong and len(got.pairs) == 4
         imp = operator_from_expr("imp", 2, "!#1 | #2")
@@ -582,6 +600,151 @@ class TestBooleanMaskRoute:
         assert models == [
             ("EX", q.model), ("EU", q.model), ("AXX", q.model), ("and", q.parent)
         ]
+
+
+def random_model(rng, max_states, stuck):
+    """A random model whose states have no successor with probability ``stuck``."""
+    n = rng.randint(1, max_states)
+    space = StateSpace(tuple(str(i + 1) for i in range(n)))
+    succ = tuple(0 if rng.random() < stuck else rng.randrange(1, 1 << n) for _ in range(n))
+    labels = tuple((name, rng.randrange(1 << n)) for name in "pq"[: rng.randint(1, 2)])
+    return KripkeModel(space, succ, labels)
+
+
+def splitter_class_languages(model):
+    """L1, L1 + post, L1 + AX, or/not/EF[0,2] and and/or/not/pre~/post~."""
+    return [preset_language("L1", model)] + [
+        language_from_ops(model, ops)
+        for ops in (
+            ["and", "not", "EX", "post"],
+            ["and", "not", "EX", "AX"],
+            ["or", "not", "EF[0,2]"],
+            ["and", "or", "not", "pre~", "post~"],
+        )
+    ]
+
+
+class TestBlockRoute:
+    def test_operator_records_its_chain(self):
+        cases = {
+            "EX #1": "additive",
+            "post EF[1,3] pre #1": "additive",
+            "AX #1": "dual",
+            "pre~ post~ AX #1": "dual",
+            "AX EX #1": None,
+            "!EX #1": None,
+            "EX !#1": None,
+            "#1": None,
+            "EX #1 & #1": None,
+        }
+        for expr, want in cases.items():
+            assert operator_from_expr("f", 1, expr)._chain == want, expr
+        assert operator_from_expr("f", 2, "EX #1")._chain is None
+        assert builtin_operator("EU")._chain is None
+
+    def test_block_route_matches_the_paired_closure(self):
+        # the verdict and witness of the block route against the full paired
+        # closure of the same quotient structure, on total and non-total
+        # models, ∃∃ and ∀∃ quotients and four kinds of partition.  A strong
+        # closure holds one pair per set of S, at most 2^5 here, so a closure
+        # stopped past 64 pairs is "neither" without being run to the end;
+        # uncapped, a few closures of 256-512 pairs make this test take 30 s
+        from abspres import bisim_partition
+        from abspres.abstraction import paired_semantic_closure
+        from abspres.kripke import label_partition
+        from abspres.languages import in_splitter_class
+
+        rng = random.Random(1213)
+        verdicts = {"strong": 0, "neither": 0, "capped": 0}
+        for k in range(50):
+            model = random_model(rng, 5, 0.3 if k % 2 else 0.0)
+            picks = [rng.randrange(3) for _ in range(model.n)]
+            shuffled = Partition.from_masks(
+                model.space,
+                {sum(1 << s for s in range(model.n) if picks[s] == j) for j in set(picks)},
+            )
+            partitions = (
+                label_partition(model),
+                bisim_partition(model),
+                Partition.identity(model.space),
+                shuffled,
+            )
+            for lang in splitter_class_languages(model):
+                assert in_splitter_class(lang)
+                for p in partitions:
+                    for kind in ("ee", "ae"):
+                        q = quotient(kind, model, p)
+                        structure = AbstractStructure.from_quotient(q, lang)
+                        got = paired_sp_check(model, q, lang)
+                        try:
+                            full = paired_semantic_closure(model, structure, lang, max_pairs=64)
+                        except CapacityError:
+                            assert got.verdict == "neither"
+                            verdicts["capped"] += 1
+                        else:
+                            assert (got.verdict, got.witness) == (full.verdict, full.witness)
+                            verdicts[got.verdict] += 1
+                        assert got.strong == (got.verdict == "strong")
+                        if got.witness is not None:
+                            concrete = eval_concrete(got.witness, model, lang)
+                            assert structure.semantics(got.witness) != concrete
+        assert verdicts["strong"] >= 300 and verdicts["neither"] >= 300
+
+    def test_strong_class_checks_run_no_paired_closure(self, tl, kpq, monkeypatch):
+        from abspres import abstraction, bisim_partition, coarsest_sp_partition
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a strong class check must not close pairs")
+
+        monkeypatch.setattr(abstraction, "paired_semantic_closure", boom)
+        cases = [
+            (model, lang, Partition.identity(model.space))
+            for model in (tl, kpq)
+            for lang in splitter_class_languages(model)
+        ]
+        # the ∃∃ quotient by P_L, strong for these five on the traffic light
+        # (not for EF[0,2] on kpq: P_L is stable for EF[0,2], not for EX)
+        cases += [(tl, lang, coarsest_sp_partition(lang, tl)) for lang in splitter_class_languages(tl)]
+        cases.append((kpq, preset_language("L1", kpq), bisim_partition(kpq)))
+        for model, lang, p in cases:
+            assert paired_sp_check(model, quotient("ee", model, p), lang).verdict == "strong"
+
+    def test_other_checks_take_the_paired_route(self, kpq, monkeypatch):
+        from abspres import LanguageSpec, abstraction, bisim_partition
+
+        calls = []
+        closure = abstraction.paired_semantic_closure
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("abort_on_violation", False))
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(abstraction, "paired_semantic_closure", recording)
+        l1 = preset_language("L1", kpq)
+        mixed = operator_from_expr("AXEX", 1, "AX EX #1")
+        langs = [preset_language(name, kpq) for name in ("L2", "L3", "CTL", "semaforo", "exef")]
+        langs += [
+            language_from_ops(kpq, ["and", "or", "EX"]),
+            LanguageSpec("L1+AXEX", l1.atoms, l1.operators + (mixed,)),
+            LanguageSpec("no-atoms", (), l1.operators),
+        ]
+        p = bisim_partition(kpq)
+        q = quotient("ee", kpq, p)
+        for lang in langs:
+            paired_sp_check(kpq, q, lang)
+            assert calls.pop() is False, lang.name
+        for structure in (
+            AbstractStructure.from_quotient(q, l1),
+            AbstractStructure.best_approximation(adp(p), kpq, l1),
+        ):
+            assert paired_sp_check(kpq, structure, l1).verdict == "strong"
+            assert calls.pop() is False
+        # a failing class check closes pairs only for the witness, and stops
+        # at the first violation
+        label_q = quotient("ee", kpq, Partition.of(kpq.space, [["1", "2", "3", "4"], ["5"]]))
+        report = paired_sp_check(kpq, label_q, l1)
+        assert report.verdict == "neither" and report.witness is not None
+        assert calls == [True]
 
 
 class TestQuotientPreservationTheorems:

@@ -399,6 +399,19 @@ class TestSearchAndQuotient:
             ]
         )
 
+    def test_quotient_by_the_computed_partition(self, capsys):
+        # --partition computed takes P_L of --lang: for L1 the bisimulation
+        # blocks, so the quotient is the one of test_quotient
+        argv = ["quotient", "--model", fx("k5.json"), "--kind", "ee", "--partition", "computed"]
+        code, out, _ = run(capsys, "--format", "json", *argv, "--lang", "L1")
+        assert code == 0
+        doc = json.loads(out)
+        assert sorted(doc["result"]["model"]["states"]) == ["[1,2]", "[3]", "[4]", "[5]"]
+        assert len(doc["result"]["model"]["transitions"]) == 5
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "--partition computed needs --lang" in err
+
     def test_quotient_ae_flags_non_total(self, capsys):
         code, out, _ = run(
             capsys,

@@ -509,11 +509,10 @@ def block_model_structure(q, lang):
 class TestBooleanMaskRoute:
     def test_paired_check_matches_the_block_model_route(self):
         from abspres import bisim_partition, language_from_json
+        from abspres.abstraction import paired_semantic_closure
         from abspres.kripke import label_partition
         from abspres.languages import in_splitter_class
         from conftest import random_total_model
-
-        from abspres.abstraction import paired_semantic_closure
 
         # a closure past 64 pairs is stopped on both routes, which must then
         # fail alike: uncapped, the few L1/L2 closures of 512-1024 pairs at

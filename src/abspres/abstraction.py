@@ -24,8 +24,8 @@ bound) through the *paired semantic closure*: the least set of pairs
 application.  It is finite (⊆ ℘(Σ)×℘(Σ)) and covers every formula of the
 language; :func:`paired_semantic_closure` returns it as a
 :class:`PairedClosure`, whose verdict, weak flag and witness are read off
-the pairs.  The pairs are saturated by the same engine as the shells,
-:func:`~abspres.languages.close`, with pairs of masks as its items.
+the pairs.  The pairs are saturated by the same engine as the semantic
+closure, :func:`~abspres.languages.close`, with pairs of masks as its items.
 
 :func:`paired_sp_check` returns only an :class:`SpVerdict`: the verdict and
 a witness.  For a quotient and a language of the splitter class

@@ -1,24 +1,36 @@
 """Bisimulation, divergence-blind stuttering and simulation.
 
-Each relation is computed by one route, a naive refinement for the
-coarsest relation (splitter passes for the partitions, a gfp over pairs for
-similarity), and judged by one checker, its literal per-pair definition;
-both are polynomial.  Bisimulation is checked as a symmetric simulation: an
-equivalence is a bisimulation exactly when it is a simulation.
+Each relation is computed by one polynomial route and judged by one
+checker, its literal per-pair definition.  Bisimulation is the coarsest
+partition of the label blocks that is stable for ``EX``, computed by the
+splitter engine :func:`_splitter_passes`; stuttering by naive splitter
+passes (:func:`_split_once`); similarity by a gfp over pairs.  Bisimulation
+is checked as a symmetric simulation: an equivalence is a bisimulation
+exactly when it is a simulation.
+
+The splitter engine is Ranzato and Tapparo's GPT view of Paige-Tarjan:
+when every operator is Boolean or a unary additive map (or the dual of
+one), a family closed under ``not`` and the operators is the set of unions
+of the blocks of a partition Q, and it is closed under an additive f
+exactly when f(B) is a union of Q's blocks for every block B.  So the
+engine splits blocks by f(B) (by f(Σ∖B) for a dual f) until nothing
+splits.  Besides :func:`bisim_partition` it serves
+:func:`abspres.shells.forward_complete_shell` and
+:func:`abspres.shells.ad_of_language` for such operator sets.
 
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
 {EU}, simulation ↔ {atoms} ∪ {pre~} on the preorder domain) and the
-coarsest ones by forward complete shells.  Those routes build families of
-up to 2^n sets, so they stay off the default path: the shell routes
-are public here (``*_shell_partition``), the completeness route is
+coarsest ones by forward complete shells.  The shell routes are public here
+(``*_shell_partition``), the completeness route is
 :func:`abspres.abstraction.completeness_check` with
 :func:`abspres.languages.label_constants`, and the tests check that both
-agree with the refinements and the checkers.
+agree with the refinements and the checkers.  The stuttering and
+simulation shells build families of up to 2^n sets, so they stay off the
+default path; the bisimulation shell runs the splitter engine.
 
-The refinements are also the default route of
-:func:`abspres.shells.ad_of_language` for the presets whose most abstract
-strongly preserving domain they induce: adp(bisimulation) for L1 and CTL,
+The refinements also answer :func:`abspres.shells.ad_of_language` for the
+presets outside the engine's class: adp(bisimulation) for CTL,
 adp(stuttering) for L2 and add(similarity) for L3.  This module reaches the
 shells through the module object, ``shells.forward_complete_shell``, so
 that ``shells`` can import it at module level.
@@ -27,13 +39,13 @@ that ``shells`` can import it at module level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import shells
 from .errors import SpaceMismatchError, ValidationError
 from .kripke import KripkeModel, label_partition
 from .lattice import Mask, SetFamily, moore_close
-from .languages import builtin_operator, until_mask
+from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
 
@@ -57,19 +69,70 @@ def _split_once(blocks: list[Mask], split_mask_fn) -> int:
     return splits
 
 
-def _refine_labels(model: KripkeModel, split_mask_fn) -> Partition:
-    """The label partition split by :func:`_split_once` passes until none splits."""
-    blocks = list(label_partition(model).blocks)
-    while _split_once(blocks, split_mask_fn):
+def _split(blocks: Iterable[Mask], x: Mask) -> list[Mask]:
+    """Each block cut by ``x`` into its parts inside and outside ``x``;
+    a block that ``x`` does not cut stays whole."""
+    out = []
+    for c in blocks:
+        inside = c & x
+        if inside and inside != c:
+            out += (inside, c & ~inside)
+        else:
+            out.append(c)
+    return out
+
+
+def _splitter_passes(
+    model: KripkeModel, blocks: Iterable[Mask], ops: Sequence[Operator]
+) -> Iterator[list[Mask]]:
+    """Refine ``blocks`` until f(B) is a union of blocks for every block B
+    and every operator f of ``ops``; yields the blocks after each pass.
+
+    A pass cuts every block by f(B) for each additive f (``op._chain ==
+    "additive"``) and by f(Σ∖B) for each dual one, over the blocks the last
+    pass made (all of them in the first pass): a block already used keeps
+    cutting nothing, since blocks only get finer.  Boolean operators are
+    skipped, and every other operator must be a chain.  The last pass makes
+    no block, so its yield repeats the one before (or the input).  The
+    result is the coarsest such refinement of the input, since each cut
+    separates states that every stable refinement of it separates.
+    """
+    full = model.space.full_mask
+    splitting = [op for op in ops if not op._boolean]
+    blocks = list(blocks)
+    fresh = blocks
+    while True:
+        splitters = set()
+        for op in splitting:
+            dual = op._chain == "dual"
+            for b in fresh:
+                splitters.add(apply_operator(op, model, (full & ~b if dual else b,)))
+        old = set(blocks)
+        for x in splitters:
+            blocks = _split(blocks, x)
+        fresh = [b for b in blocks if b not in old]
+        yield blocks
+        if not fresh:
+            return
+
+
+def _stable_partition(
+    model: KripkeModel, blocks: Iterable[Mask], ops: Sequence[Operator]
+) -> Partition:
+    """The last pass of :func:`_splitter_passes`, as a partition."""
+    for last in _splitter_passes(model, blocks, ops):
         pass
-    return Partition.from_masks(model.space, blocks)
+    return Partition.from_masks(model.space, last)
+
+
+_EX = (builtin_operator("EX"),)
 
 
 def bisim_partition(model: KripkeModel) -> Partition:
-    """Coarsest bisimulation partition by naive splitter refinement: start
-    from the label partition and split B1 by pre(B2) ∩ B1, in passes, until
-    no intersection is proper."""
-    return _refine_labels(model, lambda b1, b2: b1 & model.pre(b2))
+    """Coarsest bisimulation partition: the label partition refined by the
+    splitter engine on ``EX`` (pre) until pre(B) is a union of blocks for
+    every block B."""
+    return _stable_partition(model, label_partition(model).blocks, _EX)
 
 
 def check_bisimulation(p: Partition, model: KripkeModel) -> bool:
@@ -85,9 +148,12 @@ def dbs_partition(model: KripkeModel) -> Partition:
     """Coarsest divergence-blind stuttering partition: start from the label
     partition and split B1 by EU(B1, B2) ∩ B1 for B2 ≠ B1, in passes, until
     no intersection is proper."""
-    return _refine_labels(
-        model, lambda b1, b2: b1 if b1 == b2 else until_mask(model, b1, b2) & b1
-    )
+    blocks = list(label_partition(model).blocks)
+    while _split_once(
+        blocks, lambda b1, b2: b1 if b1 == b2 else until_mask(model, b1, b2) & b1
+    ):
+        pass
+    return Partition.from_masks(model.space, blocks)
 
 
 def check_dbs(p: Partition, model: KripkeModel) -> bool:
@@ -165,7 +231,9 @@ def check_simulation(r: Preorder, model: KripkeModel) -> bool:
 
 
 def bisim_shell_partition(model: KripkeModel) -> Partition:
-    """Bisimulation through the shell route: pr(S_{∁,pre}(M(P_ℓ)))."""
+    """Bisimulation through the shell route: pr(S_{∁,pre}(M(P_ℓ))).  The
+    shell of these operators runs the splitter engine, as
+    :func:`bisim_partition` does."""
     seed = moore_close(label_partition(model).family)
     ops = [builtin_operator("not"), builtin_operator("pre")]
     return pr(shells.forward_complete_shell(seed, ops, model).domain)

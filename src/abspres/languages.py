@@ -15,8 +15,10 @@ their duals) applied to ``#1``.  :func:`in_splitter_class` reads these two
 records off a language's operators.
 
 :func:`close` is the one saturation engine of the package: the forward
-complete shell, the semantic closure of a language and the paired semantic
-closure all run it with their own item type and admission step.
+complete shell (outside the splitter class, whose shells the splitter
+engine of :mod:`~abspres.equivalences` computes), the semantic closure of a
+language and the paired semantic closure all run it with their own item
+type and admission step.
 
 Shipped presets: L1 (atoms, ∧, ¬, EX), L2 (atoms, ∧, ¬, EU), L3 (atoms and
 negated atoms, ∧, ∨, AX), CTL, the traffic-light language ``semaforo``
@@ -374,6 +376,16 @@ _NOT_BODY = App("not", (Arg(1),))
 _JOIN_BODIES = (App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2))))
 
 
+def _splitter_ops(ops: Sequence[Operator]) -> bool:
+    """Is there an operator ``not #1``, and is every operator Boolean or a
+    unary additive or dual chain?  Then a Moore family is closed under
+    ``ops`` exactly when it is the set of unions of the blocks of a
+    partition that the splitter engine leaves whole."""
+    return any(op.body == _NOT_BODY for op in ops) and all(
+        op._boolean or op._chain is not None for op in ops
+    )
+
+
 def in_splitter_class(lang: LanguageSpec) -> bool:
     """Is ``lang`` a closed language with an atom, an operator ``not #1``, an
     operator ``and #1 #2`` or ``or #1 #2``, and otherwise only Boolean
@@ -385,13 +397,11 @@ def in_splitter_class(lang: LanguageSpec) -> bool:
     syntactic: a body that is equivalent to a chain but written otherwise
     is not in the class.
     """
-    ops = lang.operators
     return (
         bool(lang.atoms)
         and not lang.open_ops
-        and any(op.body == _NOT_BODY for op in ops)
-        and any(op.body in _JOIN_BODIES for op in ops)
-        and all(op._boolean or op._chain is not None for op in ops)
+        and _splitter_ops(lang.operators)
+        and any(op.body in _JOIN_BODIES for op in lang.operators)
     )
 
 

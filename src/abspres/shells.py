@@ -2,22 +2,35 @@
 strongly preserving domain and the block-relation search.
 
 The shell of a domain A for a set F of transformers is the most abstract
-refinement of A that is forward complete for every f ∈ F.  On these finite
-lattices it is computed by the package's one saturation engine,
-:func:`~abspres.languages.close`: repeatedly add images of F on the family
-and re-close under intersection until nothing new appears.  The semantic
-closure of a language runs the same engine without the re-closing.  The
-result is the greatest fixpoint of ρ ↦ μ_A ⊓ M(F(ρ)), reached from above;
-maximality is exhaustively verified at n = 3 by the tests.
+refinement of A that is forward complete for every f ∈ F: the least Moore
+family holding A's image that F maps into itself.  It has two routes.
 
-The most abstract strongly preserving domain of the presets L1, CTL, L2
-and L3 is the domain of a behavioural relation, so :func:`ad_of_language`
-answers them by the polynomial refinements of :mod:`~abspres.equivalences`;
-every other language goes through its semantic closure.  The coarsest
-strongly preserving partition is pr of that domain, on both routes.
+- When F has ``not #1`` and every other operator is Boolean or a unary
+  additive or dual chain (:func:`~abspres.languages.in_splitter_class`
+  names these chains), the shell is partitioning: it is adp(Q), where Q is
+  the coarsest refinement of pr(A) that the splitter engine of
+  :mod:`~abspres.equivalences` leaves whole.  pr(A) is the start because
+  the shell holds the Boolean algebra adp(pr(A)) that A generates, so A
+  need not be partitioning.  The answer is lazy, as adp is.
+- Every other F runs the package's saturation engine,
+  :func:`~abspres.languages.close`: repeatedly add images of F on the
+  family and re-close under intersection until nothing new appears.  The
+  result is the greatest fixpoint of ρ ↦ μ_A ⊓ M(F(ρ)), reached from above;
+  maximality is exhaustively verified at n = 3 by the tests, and the tests
+  run this route as the oracle of the first.
 
-The relation search runs the engine once over the concrete atoms and checks
-each candidate block relation against the applications it recorded.
+The semantic closure of a language runs the saturation engine without the
+re-closing.  The most abstract strongly preserving domain A_L of a language
+in the splitter class is adp of the atom partition refined by the same
+engine; A_L of the presets CTL, L2 and L3 is the domain of a behavioural
+relation, so :func:`ad_of_language` answers them by the polynomial
+refinements of :mod:`~abspres.equivalences`; every other language goes
+through its semantic closure.  The coarsest strongly preserving partition
+is pr of that domain, on every route.
+
+The relation search runs the saturation engine once over the concrete
+atoms and checks each candidate block relation against the applications it
+recorded.
 """
 
 from __future__ import annotations
@@ -37,7 +50,15 @@ from .lattice import (
     meet_close,
     moore_close,
 )
-from .languages import LanguageSpec, Operator, apply_operator, close, is_preset
+from .languages import (
+    LanguageSpec,
+    Operator,
+    _splitter_ops,
+    apply_operator,
+    close,
+    in_splitter_class,
+    is_preset,
+)
 from .partitions import Partition, add, adp, pr
 
 #: Candidate bound for the abstract-relation search (2^{b²} relations).
@@ -48,9 +69,13 @@ MAX_SEARCH_CANDIDATES = 1 << 25
 class ShellTrace:
     """Iteration snapshots of a shell computation.
 
-    Image sizes strictly increase until the last step; the final snapshot
-    repeats the fixpoint, so the last two entries are equal and the last
-    new-set count is 0.
+    The first snapshot is the seed.  On the saturation route each round adds
+    one snapshot.  On the splitter route the next snapshot is adp(pr(seed))
+    when the seed is not partitioning, and then each pass of the splitter
+    engine adds adp of its partition.  On both routes image sizes strictly
+    increase until the last step, the final snapshot repeats the fixpoint
+    (the last two entries are equal), ``new_counts`` holds the number of
+    sets each step adds, and the last new-set count is 0.
     """
 
     iterations: tuple[AbstractDomain, ...]
@@ -77,13 +102,48 @@ def forward_complete_shell(
 ) -> ShellResult:
     """Most abstract refinement of the domain forward complete for every f.
 
-    Runs :func:`~abspres.languages.close` from image(A): each round adds
-    F(X) and re-closes under intersection, X := M(X ∪ F(X)), to fixpoint.
-    The fixpoint is order-independent; the trace records one snapshot per
-    round.  The image is bounded by :data:`DEFAULT_MAX_FAMILY`.
+    With ``not #1`` among ``fs`` and every other operator Boolean or an
+    additive or dual chain, the answer is adp of the splitter refinement of
+    pr(A), and only materializing its image is bounded by
+    :data:`DEFAULT_MAX_FAMILY`.  Otherwise it runs
+    :func:`~abspres.languages.close` from image(A): each round adds F(X) and
+    re-closes under intersection, X := M(X ∪ F(X)), to fixpoint, with the
+    image bounded by :data:`DEFAULT_MAX_FAMILY`.  See :class:`ShellTrace`
+    for the snapshots of each route.
     """
     if model.space != domain.space:
         raise SpaceMismatchError("model over a different space than the domain")
+    if _splitter_ops(fs):
+        return _splitter_shell(domain, fs, model)
+    return _closure_shell(domain, fs, model)
+
+
+def _splitter_shell(
+    domain: AbstractDomain, fs: Sequence[Operator], model: KripkeModel
+) -> ShellResult:
+    """The shell as adp of the splitter refinement of pr(A)."""
+    space = domain.space
+    start = pr(domain)
+    snapshots = [domain]
+    counts: list[int] = []
+    # A holds Σ∖B for each block B of pr(A) exactly when it is adp(pr(A))
+    if not all(domain.contains(space.full_mask & ~b) for b in start.blocks):
+        snapshots.append(adp(start))
+        counts.append((1 << len(start)) - len(domain))
+    size = len(start)
+    for blocks in equivalences._splitter_passes(model, start.blocks, fs):
+        grown = len(blocks) > size
+        snapshots.append(adp(Partition.from_masks(space, blocks)) if grown else snapshots[-1])
+        counts.append((1 << len(blocks)) - (1 << size))
+        size = len(blocks)
+    return ShellResult(snapshots[-1], ShellTrace(tuple(snapshots), tuple(counts)))
+
+
+def _closure_shell(
+    domain: AbstractDomain, fs: Sequence[Operator], model: KripkeModel
+) -> ShellResult:
+    """The shell by :func:`~abspres.languages.close` (see
+    :func:`forward_complete_shell`)."""
     masks: set[Mask] = set(domain.masks)
     # every round's family is meet-closed and holds Σ, so no snapshot is re-checked
     snapshots = [AbstractDomain._of_moore(domain.space, frozenset(masks))]
@@ -131,14 +191,24 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
 def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
     """The most abstract strongly preserving domain A_L = M({⟦φ⟧ | φ ∈ L}).
 
-    By the paper's main corollary, A_L of the presets L1 and CTL is
+    For a language of the splitter class
+    (:func:`~abspres.languages.in_splitter_class`, L1 among them) S is the
+    set of unions of the blocks of P_L, and P_L is the partition by atom
+    membership refined by the splitter engine over the language's
+    operators.  By the paper's main corollary, A_L of the preset CTL is
     adp(bisimulation), of L2 adp(stuttering) and of L3 add(similarity), so
-    when ``lang`` is one of them on ``model`` (:func:`~abspres.languages.is_preset`)
-    with an atom, a refinement answers and the domain stays lazy.  Σ is
-    always a member, through the empty meet.
+    when ``lang`` is one of them on ``model``
+    (:func:`~abspres.languages.is_preset`) with an atom, a refinement
+    answers.  On both routes the domain stays lazy.  Σ is always a member,
+    through the empty meet.
     """
+    if in_splitter_class(lang):
+        blocks = [model.space.full_mask]
+        for _, s in lang.atoms:
+            blocks = equivalences._split(blocks, s.mask)
+        return adp(equivalences._stable_partition(model, blocks, lang.operators))
     if lang.atoms and is_preset(lang, model):
-        if lang.name in ("L1", "CTL"):
+        if lang.name == "CTL":
             return adp(equivalences.bisim_partition(model))
         if lang.name == "L2":
             return adp(equivalences.dbs_partition(model))
@@ -149,8 +219,8 @@ def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
 
 def coarsest_sp_partition(lang: LanguageSpec, model: KripkeModel) -> Partition:
     """P_L = pr(A_L): states grouped by logical equivalence.  On the
-    presets, pr(adp(P)) = P and pr(add(R)) is R's kernel; a language
-    without atoms has a one-block P_L."""
+    refinement routes, pr(adp(P)) = P and pr(add(R)) is R's kernel; a
+    language without atoms has a one-block P_L."""
     return pr(ad_of_language(lang, model))
 
 

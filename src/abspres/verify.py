@@ -365,8 +365,8 @@ def run_paper_suite() -> list[CheckResult]:
     p_exef = Partition.of(kpq.space, [["1", "2"], ["3", "4"], ["5"]])
     push(_check("bounded-reach s.p. partition", coarsest_sp_partition(exef, kpq), p_exef))
     l1 = preset_language("L1", kpq)
-    # the closure route: coarsest_sp_partition of L1 is pr(adp(bisim_partition)),
-    # which the bisimulation check below already compares with pbis
+    # the closure route: coarsest_sp_partition of L1 runs the splitter engine
+    # on EX, as bisim_partition does, which the check below compares with pbis
     push(_check("next-logic s.p. partition", pr(moore_close(semantic_closure(l1, kpq))), pbis))
 
     # A quotient under L1 is decided block by block; a failing one gets the

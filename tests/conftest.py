@@ -107,6 +107,31 @@ def brute_greatest_fixpoint(step, n: int) -> int:
     return join
 
 
+def brute_bisimulation(model: KripkeModel):
+    """The coarsest bisimulation, on state names: start from every pair with
+    equal labels and delete a pair while a move of one side has no related
+    move of the other, then group each state with the states it relates to."""
+    from abspres import Partition
+
+    names = model.space.names
+    succ = {s: model.space.names_of(model.succ[i]) for i, s in enumerate(names)}
+    label = {s: model.label_of_state(i) for i, s in enumerate(names)}
+    rel = {(s, t) for s in names for t in names if label[s] == label[t]}
+
+    def matched(s, t):
+        return all(any((u, v) in rel for v in succ[t]) for u in succ[s])
+
+    changed = True
+    while changed:
+        changed = False
+        for s, t in list(rel):
+            if not (matched(s, t) and matched(t, s)):
+                rel.discard((s, t))
+                changed = True
+    classes = {frozenset(t for t in names if (s, t) in rel) for s in names}
+    return Partition.of(model.space, classes)
+
+
 # --- random model generation -----------------------------------------------
 
 
@@ -136,6 +161,21 @@ def chain_abstract_structure(k3: KripkeModel):
     succ[i3] = 1 << i3
     model = KM(base.model.space, tuple(succ), base.model.label_items)
     return Quotient(k3, p, model)
+
+
+def random_model(rng: random.Random, n: int) -> KripkeModel:
+    """n states and one or two labels whose masks are ∅, Σ or random.  In
+    about 40 % of the models a successor set may be empty, one draw of
+    2^n, so few of them have a dead state."""
+    space = StateSpace(tuple(str(i + 1) for i in range(n)))
+    full = space.full_mask
+    lo = 0 if rng.random() < 0.4 else 1
+    succ = tuple(rng.randrange(lo, full + 1) for _ in range(n))
+    labels = tuple(
+        (name, rng.choice([0, full, rng.randrange(full + 1)]))
+        for name in "pq"[: rng.randint(1, 2)]
+    )
+    return KripkeModel(space, succ, labels)
 
 
 # --- fixtures ----------------------------------------------------------------

@@ -708,6 +708,28 @@ class TestBlockRoute:
         for model, lang, p in cases:
             assert paired_sp_check(model, quotient("ee", model, p), lang).verdict == "strong"
 
+    def test_class_quotients_of_sixteen_states_close_no_family(self, monkeypatch):
+        # the identity ∃∃ quotient is strong under L1 + post and L1 + AX.  P_L
+        # comes from the splitter engine, so neither the semantic closure
+        # (MAX_STAGE_TUPLES at 16 states) nor the paired closure runs
+        from abspres import abstraction, language_from_json, shells
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a closure over ℘(Σ) on the block route")
+
+        monkeypatch.setattr(abstraction, "paired_semantic_closure", boom)
+        monkeypatch.setattr(shells, "semantic_closure", boom)
+        for n in (12, 16):
+            rng = random.Random(n)
+            space = StateSpace(tuple(str(i) for i in range(n)))
+            succ = tuple(sum(1 << t for t in rng.sample(range(n), 2)) for _ in range(n))
+            labels = (("p", rng.randrange(1 << n)), ("q", rng.randrange(1 << n)))
+            model = KripkeModel(space, succ, labels)
+            q = quotient("ee", model, Partition.identity(space))
+            for extra in ("post", "AX"):
+                lang = language_from_json({"preset": "L1", "operators": [{"name": extra}]}, model)
+                assert paired_sp_check(model, q, lang).verdict == "strong"
+
     def test_other_checks_take_the_paired_route(self, kpq, monkeypatch):
         from abspres import LanguageSpec, abstraction, bisim_partition
 

@@ -698,11 +698,47 @@ class TestLargeModels:
         for lang in ("L1", "L2", "L3", "CTL"):
             code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", lang)
             assert code == 2 and "DEFAULT_MAX_FAMILY" in err, lang
-        # an extended preset still closes its semantic closure
-        lang_path = tmp_path / "l1_post.json"
-        lang_path.write_text(json.dumps({"preset": "L1", "operators": [{"name": "post"}]}))
+        # a mixed chain keeps L1 out of the splitter class, so its semantic
+        # closure is still built, up to the stage bound
+        lang_path = tmp_path / "l1_axex.json"
+        lang_path.write_text(json.dumps({
+            "preset": "L1", "operators": [{"name": "AXEX", "arity": 1, "expr": "AX EX #1"}],
+        }))
         code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", str(lang_path))
         assert code == 2 and "MAX_STAGE_TUPLES" in err
+
+    @pytest.mark.parametrize("extra", ["post", "AX"])
+    def test_class_languages_on_40_states(self, capsys, tmp_path, extra):
+        # L1 + post and L1 + AX are answered by the splitter engine: the
+        # partition at once, and the domain refused before its 2^b members
+        import time
+
+        from abspres import Partition
+        from abspres.languages import apply_operator, language_from_json
+
+        path = self.ring(tmp_path, 40)
+        lang_path = tmp_path / f"l1_{extra}.json"
+        lang_path.write_text(json.dumps({"preset": "L1", "operators": [{"name": extra}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sp-partition", "--model", path, "--lang", str(lang_path))
+        assert code == 0, err
+        assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", str(lang_path))
+        assert code == 2 and "DEFAULT_MAX_FAMILY" in err
+        assert time.perf_counter() - start < 0.5
+        # the printed blocks refine the labels, and every operator maps each
+        # block to a union of blocks
+        model = load_model(path)
+        lang = language_from_json(json.loads(lang_path.read_text()), model)
+        p = Partition.of(model.space, [line.strip("{}").split(",") for line in out.split()])
+        for _, atom in lang.atoms:
+            assert p.block_containing(atom.mask) == atom.mask
+        for op in lang.operators:
+            if op.arity == 1:
+                for b in p.blocks:
+                    image = apply_operator(op, model, (b,))
+                    assert p.block_containing(image) == image
 
     def test_preset_sp_domain_is_the_unions_of_its_blocks(self, capsys, tmp_path):
         path = self.ring(tmp_path, 16)

@@ -31,7 +31,7 @@ from abspres.lattice import StateSpace, moore_close
 from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
 from abspres.shells import semantic_closure
 
-from conftest import random_total_model
+from conftest import brute_bisimulation, random_model, random_total_model
 
 
 def merge_two_blocks(p: Partition, i: int, j: int) -> Partition:
@@ -68,6 +68,34 @@ class TestBisimulation:
             for i in range(len(p.blocks)):
                 for j in range(i + 1, len(p.blocks)):
                     assert not check_bisimulation(merge_two_blocks(p, i, j), model)
+
+
+class TestSplitterEngine:
+    def test_bisimulation_matches_the_brute_force_oracle(self):
+        # non-total models, label masks ∅ and Σ included
+        rng = random.Random(1414)
+        models = []
+        for i in range(300):
+            model = random_model(rng, 1 + i % 8)
+            if i % 2:  # make a random state stuck
+                succ = list(model.succ)
+                succ[rng.randrange(model.n)] = 0
+                model = KripkeModel(model.space, tuple(succ), model.label_items)
+            models.append(model)
+        assert sum(0 in m.succ for m in models) >= 150
+        masks = {mask for m in models for _, mask in m.label_items}
+        assert {0, 1, 255} <= masks
+        for model in models:
+            assert bisim_partition(model) == brute_bisimulation(model), model
+
+    def test_passes_end_with_one_that_splits_nothing(self, kpq):
+        ex = [builtin_operator("EX")]
+        passes = list(equivalences._splitter_passes(kpq, label_partition(kpq).blocks, ex))
+        assert [len(p) for p in passes] == [3, 4, 4]
+        assert passes[-1] == passes[-2]
+        # a stable input takes one pass
+        stable = bisim_partition(kpq).blocks
+        assert list(equivalences._splitter_passes(kpq, stable, ex)) == [list(stable)]
 
 
 class TestSplitPasses:
@@ -203,10 +231,14 @@ class TestSimulationEquivalence:
 
 class TestShellRoutes:
     def test_bisim_shell_equals_refinement(self, kpq, tl, k3):
+        # both routes run the splitter engine, so both meet the brute-force
+        # coarsest bisimulation
         rng = random.Random(13)
         models = [kpq, tl, k3] + [random_total_model(rng) for _ in range(30)]
         for model in models:
-            assert bisim_partition(model) == bisim_shell_partition(model)
+            want = brute_bisimulation(model)
+            assert bisim_partition(model) == want
+            assert bisim_shell_partition(model) == want
 
     def test_dbs_shell_equals_refinement(self, kpq, tl):
         rng = random.Random(17)

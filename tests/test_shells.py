@@ -21,11 +21,15 @@ from abspres import (
     pr,
     quotient,
 )
-from abspres import equivalences
+from abspres import equivalences, partitions, shells
 from abspres.languages import (
     LanguageSpec,
+    apply_operator,
     builtin_operator,
+    in_splitter_class,
     language_from_json,
+    language_from_ops,
+    operator_from_expr,
     preset_language,
 )
 from abspres.lattice import StateSet
@@ -38,7 +42,43 @@ from abspres.shells import (
 )
 from abspres.kripke import KripkeModel, label_partition
 
-from conftest import brute_moore_close, domain_as_frozensets, random_total_model
+from conftest import brute_moore_close, domain_as_frozensets, random_model, random_total_model
+
+
+def naive_shell(dom, fs, model):
+    """Oracle: X := M(X ∪ F(X)) recomputed from scratch over all tuples."""
+    from itertools import product as iproduct
+
+    masks = frozenset(dom.masks)
+    while True:
+        raw = set(masks)
+        for op in fs:
+            for args in iproduct(sorted(masks), repeat=op.arity):
+                raw.add(apply_operator(op, model, args))
+        closed = moore_close(SetFamily.of(model.space, raw)).masks
+        if closed == masks:
+            return masks
+        masks = closed
+
+
+def random_seed(rng, model, count=3):
+    """M of Σ and up to ``count`` random sets; rarely partitioning."""
+    masks = {model.space.full_mask}
+    masks.update(rng.randrange(1 << model.n) for _ in range(count))
+    return moore_close(SetFamily.of(model.space, masks))
+
+
+def splitter_op_sets():
+    """`not` with pre, AX, post, post~, EF[1,3], AX AX #1 and !#1 | #2."""
+    ops = {name: builtin_operator(name) for name in ("not", "and", "pre", "AX", "post", "post~")}
+    ops["EF[1,3]"] = builtin_operator("EF[1,3]")
+    ops["AXX"] = operator_from_expr("AXX", 1, "AX AX #1")
+    ops["imp"] = operator_from_expr("imp", 2, "!#1 | #2")
+    names = [
+        ["pre"], ["AX"], ["post"], ["post~"], ["EF[1,3]"], ["AXX"], ["imp", "pre"],
+        ["and", "imp", "AX", "post"],
+    ]
+    return [[ops["not"]] + [ops[n] for n in group] for group in names]
 
 
 class TestForwardCompleteShell:
@@ -103,31 +143,81 @@ class TestForwardCompleteShell:
             assert all(shell.masks <= c.masks for c in candidates)
 
     def test_capacity_guard(self, kpq, monkeypatch):
-        from abspres import shells
-
+        # {or, pre~} has no `not`, so its shell is closed set by set
         monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 4)
         seed = moore_close(label_partition(kpq).family)
         with pytest.raises(CapacityError, match="DEFAULT_MAX_FAMILY"):
+            forward_complete_shell(seed, [builtin_operator("or"), builtin_operator("pre~")], kpq)
+
+    def test_splitter_route_trace_invariants(self, kpq, tl):
+        # the seed, adp(pr(seed)) when the seed is not partitioning, then adp
+        # of each pass's partition, the last one repeated
+        rng = random.Random(31)
+        ops = [builtin_operator("not"), builtin_operator("pre")]
+        seeds = [(kpq, adp(label_partition(kpq))), (tl, adp(label_partition(tl)))]
+        for _ in range(30):
+            model = random_total_model(rng, max_states=6)
+            seeds.append((model, random_seed(rng, model)))
+        extra_steps = 0
+        for model, seed in seeds:
+            trace = forward_complete_shell(seed, ops, model).trace
+            sizes = [len(d) for d in trace.iterations]
+            assert trace.iterations[0] is seed
+            assert len(trace.new_counts) == len(sizes) - 1
+            assert trace.new_counts == tuple(b - a for a, b in zip(sizes, sizes[1:]))
+            assert all(a < b for a, b in zip(sizes, sizes[1:-1]))
+            assert trace.iterations[-1] == trace.iterations[-2]
+            assert trace.new_counts[-1] == 0
+            assert all(is_partitioning(d) for d in trace.iterations[1:])
+            partitioning = is_partitioning(seed)
+            if not partitioning:
+                assert trace.iterations[1] == adp(pr(seed))
+                extra_steps += 1
+            # each later snapshot is one pass of the engine
+            passes = list(equivalences._splitter_passes(model, pr(seed).blocks, ops))
+            assert len(trace.iterations) == 1 + (not partitioning) + len(passes)
+        assert extra_steps >= 10
+
+    def test_splitter_route_matches_naive_shell(self):
+        # `not` with additive, dual, composite and Boolean operators, from
+        # seeds that are mostly not partitioning; the naive iteration and the
+        # closure loop are the oracles
+        rng = random.Random(3)
+        not_partitioning = 0
+        for _ in range(120):
+            model = random_model(rng, rng.randint(1, 6))
+            seed = random_seed(rng, model, rng.randint(1, 3))
+            not_partitioning += not is_partitioning(seed)
+            for fs in splitter_op_sets():
+                got = forward_complete_shell(seed, fs, model).domain
+                want = naive_shell(seed, fs, model)
+                assert got.masks == want, ([op.name for op in fs], model)
+                assert shells._closure_shell(seed, fs, model).domain.masks == want
+        assert not_partitioning >= 60
+
+    def test_other_operator_sets_stay_on_the_closure_route(self, kpq, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("splitter engine on a set it does not serve")
+
+        monkeypatch.setattr(equivalences, "_splitter_passes", boom)
+        seed = moore_close(label_partition(kpq).family)
+        mixed = operator_from_expr("AXEX", 1, "AX EX #1")
+        for fs in (
+            [builtin_operator("not"), mixed],
+            [builtin_operator("or"), builtin_operator("pre~")],
+            [builtin_operator("not"), builtin_operator("EU")],
+        ):
+            got = forward_complete_shell(seed, fs, kpq).domain
+            assert got.masks == naive_shell(seed, fs, kpq)
+        l1 = preset_language("L1", kpq)
+        lang = LanguageSpec("L1+AXEX", l1.atoms, l1.operators + (mixed,))
+        assert ad_of_language(lang, kpq) == moore_close(semantic_closure(lang, kpq))
+        with pytest.raises(AssertionError, match="splitter engine"):
             forward_complete_shell(seed, [builtin_operator("not"), builtin_operator("pre")], kpq)
+        with pytest.raises(AssertionError, match="splitter engine"):
+            ad_of_language(l1, kpq)
 
     def test_worklist_matches_naive_iteration(self):
-        # oracle: X := M(X ∪ F(X)) recomputed from scratch over all tuples
-        from itertools import product as iproduct
-
-        from abspres.languages import apply_operator
-
-        def naive_shell(dom, fs, model):
-            masks = frozenset(dom.masks)
-            while True:
-                raw = set(masks)
-                for op in fs:
-                    for args in iproduct(sorted(masks), repeat=op.arity):
-                        raw.add(apply_operator(op, model, args))
-                closed = moore_close(SetFamily.of(model.space, raw)).masks
-                if closed == masks:
-                    return masks
-                masks = closed
-
         rng = random.Random(83)
         op_sets = [
             [builtin_operator("not"), builtin_operator("EU")],
@@ -318,7 +408,9 @@ class TestLanguageDomain:
         assert got == moore_close(label_partition(kpq).family)
 
     def test_consistency_with_shell_for_conjunction_closed(self, kpq, tl):
-        # AD_L = S_{Op_L}(M(atoms)) once ∧ is in the language
+        # AD_L = S_{Op_L}(M(atoms)) once ∧ is in the language.  L1 and its
+        # shell both take the splitter engine, so each is compared with the
+        # closure loop
         rng = random.Random(67)
         cases = [
             (kpq, preset_language("L1", kpq)),
@@ -332,8 +424,9 @@ class TestLanguageDomain:
             seed = moore_close(
                 SetFamily.of(model.space, [s.mask for _, s in lang.atoms])
             )
-            shell = forward_complete_shell(seed, list(lang.operators), model).domain
-            assert ad_of_language(lang, model) == shell
+            closed = shells._closure_shell(seed, list(lang.operators), model).domain
+            assert ad_of_language(lang, model) == closed
+            assert forward_complete_shell(seed, list(lang.operators), model).domain == closed
 
     def test_whole_space_always_member(self, kpq):
         lang = LanguageSpec("just-q", (("q", StateSet(kpq.space, kpq.label_mask("q"))),))
@@ -419,26 +512,12 @@ class TestCoarsestSpPartition:
             preset_language("L1", kpq), kpq
         ) == Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
 
-    @staticmethod
-    def random_model(rng, n):
-        """n states, a dead state in about 40 % of the models, and one or
-        two labels whose masks are ∅, Σ or random."""
-        space = StateSpace(tuple(str(i + 1) for i in range(n)))
-        full = space.full_mask
-        lo = 0 if rng.random() < 0.4 else 1
-        succ = tuple(rng.randrange(lo, full + 1) for _ in range(n))
-        labels = tuple(
-            (name, rng.choice([0, full, rng.randrange(full + 1)]))
-            for name in "pq"[: rng.randint(1, 2)]
-        )
-        return KripkeModel(space, succ, labels)
-
     def test_presets_agree_with_the_domain_route(self):
         # ad_of_language answers L1 and CTL by adp(bisimulation), L2 by
         # adp(stuttering) and L3 by add(similarity); each domain must equal
         # the closure route M(S) as an image, and its pr must be P_L
         rng = random.Random(1010)
-        models = [self.random_model(rng, 1 + i % 7) for i in range(140)]
+        models = [random_model(rng, 1 + i % 7) for i in range(140)]
         assert any(0 in m.succ for m in models) and any(0 not in m.succ for m in models)
         masks = {mask for m in models for _, mask in m.label_items}
         assert {0, 1, 127} <= masks
@@ -450,6 +529,35 @@ class TestCoarsestSpPartition:
                 want = moore_close(semantic_closure(lang, model))
                 assert ad_of_language(lang, model).masks == want.masks, (name, model)
                 assert coarsest_sp_partition(lang, model) == pr(want), (name, model)
+
+    def test_class_languages_agree_with_the_domain_route(self):
+        # every splitter-class language is answered by the engine from the
+        # atom partition; the domain must equal the closure route M(S)
+        rng = random.Random(1313)
+        models = [random_model(rng, 1 + i % 7) for i in range(140)]
+        assert any(0 in m.succ for m in models) and any(0 not in m.succ for m in models)
+        axx = operator_from_expr("AXX", 1, "AX AX #1")
+        imp = operator_from_expr("imp", 2, "!#1 | #2")
+        for model in models:
+            langs = [preset_language("L1", model)] + [
+                language_from_ops(model, ops)
+                for ops in (
+                    ["and", "not", "EX", "post"],
+                    ["and", "not", "AX"],
+                    ["or", "not", "EF[1,3]"],
+                    ["and", "or", "not", "pre~", "post~"],
+                )
+            ]
+            base = language_from_ops(model, ["and", "not"])
+            langs += [
+                LanguageSpec("AXX", base.atoms, base.operators + (axx,)),
+                LanguageSpec("imp", base.atoms, base.operators + (imp, builtin_operator("EX"))),
+            ]
+            for lang in langs:
+                assert in_splitter_class(lang), lang.name
+                want = moore_close(semantic_closure(lang, model))
+                assert ad_of_language(lang, model).masks == want.masks, (lang.name, model)
+                assert coarsest_sp_partition(lang, model) == pr(want), (lang.name, model)
 
     def test_presets_without_atoms_have_one_block(self):
         # no atoms, no formulas; bisimulation would still split the dead state
@@ -476,7 +584,7 @@ class TestCoarsestSpPartition:
         rng = random.Random(2020)
         differ = 0
         for i in range(60):
-            model = self.random_model(rng, 2 + i % 5)
+            model = random_model(rng, 2 + i % 5)
             lang = language_from_json(doc, model)
             assert lang.name == doc["preset"]
             closed = moore_close(semantic_closure(lang, model))
@@ -640,11 +748,11 @@ class TestRelationSearch:
 
 @pytest.mark.parametrize(
     "case",
-    ["semantic-closure", "shell", "search", "paired", "masks", "powerset", "moore-enumeration",
+    ["semantic-closure", "shell", "splitter-shell", "search", "paired", "masks", "powerset", "moore-enumeration",
      "adp", "add", "preorder-enumeration"],
 )
 def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
-    from abspres import Preorder, add, partitions, powerset_domain, shells
+    from abspres import Preorder, add, powerset_domain
     from abspres.abstraction import paired_sp_check
     from abspres.partitions import iter_preorders
 
@@ -656,10 +764,17 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         call = lambda: semantic_closure(l1, kpq)
         message = "semantic closure reached 5 sets, over DEFAULT_MAX_FAMILY = 3"
     elif case == "shell":
+        # {or, pre~} has no `not`, so its shell is closed set by set
         monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 4)
-        ops = [builtin_operator("not"), builtin_operator("pre")]
+        ops = [builtin_operator("or"), builtin_operator("pre~")]
         call = lambda: forward_complete_shell(seed, ops, kpq)
         message = "shell image reached 7 sets, over DEFAULT_MAX_FAMILY = 4"
+    elif case == "splitter-shell":
+        # the splitter route answers adp of four blocks, refused when listed
+        monkeypatch.setattr(partitions, "DEFAULT_MAX_FAMILY", 4)
+        ops = [builtin_operator("not"), builtin_operator("pre")]
+        call = lambda: forward_complete_shell(seed, ops, kpq).domain.masks
+        message = "adp image has 2^4 members, over DEFAULT_MAX_FAMILY = 4"
     elif case == "search":
         monkeypatch.setattr(shells, "MAX_SEARCH_CANDIDATES", 8)
         p = Partition.of(kpq.space, [["1", "2"], ["3", "4", "5"]])

@@ -29,16 +29,18 @@ closure, :func:`~abspres.languages.close`, with pairs of masks as its items.
 
 :func:`paired_sp_check` returns only an :class:`SpVerdict`: the verdict and
 a witness.  For a quotient and a language of the splitter class
-(:func:`~abspres.languages.in_splitter_class`) it needs no closure.  There
-S is the set of unions of P_L's blocks, so by the paper's characterisation
-(S representable, operators agreeing on S) the quotient by P is strong iff
-P refines P_L and each non-Boolean operator agrees with the concrete one
-on each block C of P_L (additive chains) or on Σ∖C (dual chains): both
-sides distribute over the unions, respectively intersections, that build S
-from these sets.  With ``not`` in the language weak-only cannot occur (an
-existential atom contains its concrete set, and ¬ is exact on block
-unions), so a failing test means "neither"; only then does an aborting
-paired closure run, for the full closure's witness.
+(:func:`~abspres.languages.in_splitter_class`) without ``EU`` it needs no
+closure.  There S is the set of unions of P_L's blocks, so by the paper's
+characterisation (S representable, operators agreeing on S) the quotient by
+P is strong iff P refines P_L and each non-Boolean operator agrees with the
+concrete one on each block C of P_L (additive chains) or on Σ∖C (dual
+chains): both sides distribute over the unions, respectively intersections,
+that build S from these sets.  With ``not`` in the language weak-only
+cannot occur (an existential atom contains its concrete set, and ¬ is exact
+on block unions), so a failing test means "neither"; only then does an
+aborting paired closure run, for the full closure's witness.  ``EU`` is not
+additive in its first argument, so L2 and other class languages with it
+keep the paired closure.
 
 The relation search of :mod:`abspres.shells` needs no paired closure either:
 S = {⟦φ⟧ | φ ∈ L} is the same for every candidate, so it closes S once and
@@ -309,7 +311,7 @@ class SpVerdict:
 
 def _strong_on_blocks(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
     """The block test of a quotient by ``p`` under a splitter-class language
-    (module docstring)."""
+    without ``EU`` (module docstring)."""
     blocks = coarsest_sp_partition(structure.lang, model).blocks
     if any(p.block_containing(c) != c for c in blocks):
         return False
@@ -336,16 +338,16 @@ def paired_sp_check(
 
     ``abstract`` is either an :class:`AbstractStructure` or a block-level
     :class:`Quotient` (then the induced structure with existential labeling
-    is checked).  A quotient under a splitter-class language is decided
-    block by block, and ``max_pairs`` bounds only the paired closure, which
-    then runs just for the witness of a "neither"; every other case reads
-    the verdict off the full paired closure.
+    is checked).  A quotient under a splitter-class language without
+    ``EU`` is decided block by block, and ``max_pairs`` bounds only the
+    paired closure, which then runs just for the witness of a "neither";
+    every other case reads the verdict off the full paired closure.
     """
     if isinstance(abstract, Quotient):
         if abstract.parent.space != model.space:
             raise SpaceMismatchError("quotient of a different model")
         structure = AbstractStructure.from_quotient(abstract, lang)
-        if in_splitter_class(lang):
+        if in_splitter_class(lang) and all(op._chain != "until" for op in lang.operators):
             if _strong_on_blocks(model, abstract.partition, structure):
                 return SpVerdict("strong", None)
             cut = paired_semantic_closure(

@@ -1,20 +1,23 @@
 """Bisimulation, divergence-blind stuttering and simulation.
 
 Each relation is computed by one polynomial route and judged by one
-checker, its literal per-pair definition.  Bisimulation is the coarsest
-partition of the label blocks that is stable for ``EX``, computed by the
-splitter engine :func:`_splitter_passes`; stuttering by naive splitter
-passes (:func:`_split_once`); similarity by a gfp over pairs.  Bisimulation
-is checked as a symmetric simulation: an equivalence is a bisimulation
-exactly when it is a simulation.
+checker, its literal per-pair (for stuttering, per-block) definition.
+Bisimulation and stuttering are the coarsest partitions of the label
+blocks that are stable for ``EX`` and for ``EU``, both computed by the
+splitter engine :func:`_splitter_passes`; similarity by a gfp over pairs.
+Bisimulation is checked as a symmetric simulation: an equivalence is a
+bisimulation exactly when it is a simulation.
 
-The splitter engine is Ranzato and Tapparo's GPT view of Paige-Tarjan:
-when every operator is Boolean or a unary additive map (or the dual of
-one), a family closed under ``not`` and the operators is the set of unions
-of the blocks of a partition Q, and it is closed under an additive f
-exactly when f(B) is a union of Q's blocks for every block B.  So the
-engine splits blocks by f(B) (by f(Σ∖B) for a dual f) until nothing
-splits.  Besides :func:`bisim_partition` it serves
+The splitter engine is Ranzato and Tapparo's GPT view of Paige-Tarjan: a
+family closed under ``not`` and the operators is the set of unions of the
+blocks of a partition Q.  When every operator is Boolean, a unary additive
+map (or the dual of one) or ``EU``, that family is closed under them
+exactly when a test on Q's blocks holds: f(B) is a union of blocks for
+every block B and additive f (f(Σ∖B) for a dual f), and EU(B1, B2) ∩ B1
+is ∅ or B1 for all blocks B1 ≠ B2 (the stuttering criterion).  So the
+engine splits blocks by these sets until nothing splits.  The same test
+is not exact for ``AU``, ``ER`` and ``AR``, which stay outside.  Besides
+the two refinements, the engine serves
 :func:`abspres.shells.forward_complete_shell` and
 :func:`abspres.shells.ad_of_language` for such operator sets.
 
@@ -25,15 +28,15 @@ coarsest ones by forward complete shells.  The shell routes are public here
 (``*_shell_partition``), the completeness route is
 :func:`abspres.abstraction.completeness_check` with
 :func:`abspres.languages.label_constants`, and the tests check that both
-agree with the refinements and the checkers.  The stuttering and
-simulation shells build families of up to 2^n sets, so they stay off the
-default path; the bisimulation shell runs the splitter engine.
+agree with the refinements and the checkers.  The simulation shell builds
+families of up to 2^n sets, so it stays off the default path; the
+bisimulation and stuttering shells run the splitter engine.
 
 The refinements also answer :func:`abspres.shells.ad_of_language` for the
-presets outside the engine's class: adp(bisimulation) for CTL,
-adp(stuttering) for L2 and add(similarity) for L3.  This module reaches the
-shells through the module object, ``shells.forward_complete_shell``, so
-that ``shells`` can import it at module level.
+presets outside the engine's class: adp(bisimulation) for CTL and
+add(similarity) for L3.  This module reaches the shells through the module
+object, ``shells.forward_complete_shell``, so that ``shells`` can import it
+at module level.
 """
 
 from __future__ import annotations
@@ -49,69 +52,61 @@ from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
 
-def _split_once(blocks: list[Mask], split_mask_fn) -> int:
-    """One refinement pass: each block is split by the first block of the
-    current list that cuts it; the part ``split_mask_fn`` selects stays in
-    place and the rest goes to the end.  Returns the number of splits.
-    A splitter made of blocks coarser than the coarsest stable partition only
-    separates states that partition separates, so the passes reach it
-    whatever the order of the splits."""
-    splits = 0
-    for i in range(len(blocks)):
-        b1 = blocks[i]
-        for b2 in blocks:
-            x = split_mask_fn(b1, b2)
-            if x and x != b1:
-                blocks[i] = x
-                blocks.append(b1 & ~x)
-                splits += 1
-                break
-    return splits
-
-
-def _split(blocks: Iterable[Mask], x: Mask) -> list[Mask]:
-    """Each block cut by ``x`` into its parts inside and outside ``x``;
-    a block that ``x`` does not cut stays whole."""
-    out = []
-    for c in blocks:
-        inside = c & x
-        if inside and inside != c:
-            out += (inside, c & ~inside)
-        else:
-            out.append(c)
-    return out
+def _split_once(blocks: list[Mask], cuts: Iterable[Mask]) -> int:
+    """Cut every block of ``blocks`` by each set of ``cuts``, in place: a
+    block that a cut meets without containing keeps its part inside the cut,
+    and its part outside goes to the end.  Returns the number of cuts made."""
+    count = 0
+    for x in cuts:
+        for i in range(len(blocks)):
+            c = blocks[i]
+            inside = c & x
+            if inside and inside != c:
+                blocks[i] = inside
+                blocks.append(c & ~x)
+                count += 1
+    return count
 
 
 def _splitter_passes(
     model: KripkeModel, blocks: Iterable[Mask], ops: Sequence[Operator]
 ) -> Iterator[list[Mask]]:
-    """Refine ``blocks`` until f(B) is a union of blocks for every block B
-    and every operator f of ``ops``; yields the blocks after each pass.
+    """Refine ``blocks`` until every operator of ``ops`` maps blocks (pairs of
+    blocks, for an until) to unions of blocks; yields the blocks after each
+    pass.
 
     A pass cuts every block by f(B) for each additive f (``op._chain ==
-    "additive"``) and by f(Σ∖B) for each dual one, over the blocks the last
-    pass made (all of them in the first pass): a block already used keeps
-    cutting nothing, since blocks only get finer.  Boolean operators are
-    skipped, and every other operator must be a chain.  The last pass makes
-    no block, so its yield repeats the one before (or the input).  The
-    result is the coarsest such refinement of the input, since each cut
-    separates states that every stable refinement of it separates.
+    "additive"``) and by f(Σ∖B) for each dual one, over the blocks B the
+    last pass made (all of them in the first pass), and by EU(B1, B2) for
+    each until operator and each pair of blocks B1 ≠ B2 of which one is
+    new: a splitter already used keeps cutting nothing, since blocks only
+    get finer.  Boolean operators are skipped, and every other operator
+    must be a chain or an until.  The last pass makes no block, so its yield
+    repeats the one before (or the input).  The result is the coarsest such
+    refinement of the input, since each cut separates states that every
+    stable refinement of it separates.
     """
     full = model.space.full_mask
     splitting = [op for op in ops if not op._boolean]
     blocks = list(blocks)
-    fresh = blocks
+    fresh = set(blocks)
     while True:
-        splitters = set()
+        cuts = set()
         for op in splitting:
-            dual = op._chain == "dual"
-            for b in fresh:
-                splitters.add(apply_operator(op, model, (full & ~b if dual else b,)))
+            if op._chain == "until":
+                cuts.update(
+                    apply_operator(op, model, (b1, b2))
+                    for b1 in blocks
+                    for b2 in blocks
+                    if b1 != b2 and (b1 in fresh or b2 in fresh)
+                )
+            else:
+                dual = op._chain == "dual"
+                cuts.update(apply_operator(op, model, (full & ~b if dual else b,)) for b in fresh)
         old = set(blocks)
-        for x in splitters:
-            blocks = _split(blocks, x)
-        fresh = [b for b in blocks if b not in old]
-        yield blocks
+        _split_once(blocks, cuts)
+        fresh = set(blocks) - old
+        yield list(blocks)
         if not fresh:
             return
 
@@ -126,6 +121,7 @@ def _stable_partition(
 
 
 _EX = (builtin_operator("EX"),)
+_EU = (builtin_operator("EU"),)
 
 
 def bisim_partition(model: KripkeModel) -> Partition:
@@ -145,15 +141,10 @@ def check_bisimulation(p: Partition, model: KripkeModel) -> bool:
 
 
 def dbs_partition(model: KripkeModel) -> Partition:
-    """Coarsest divergence-blind stuttering partition: start from the label
-    partition and split B1 by EU(B1, B2) ∩ B1 for B2 ≠ B1, in passes, until
-    no intersection is proper."""
-    blocks = list(label_partition(model).blocks)
-    while _split_once(
-        blocks, lambda b1, b2: b1 if b1 == b2 else until_mask(model, b1, b2) & b1
-    ):
-        pass
-    return Partition.from_masks(model.space, blocks)
+    """Coarsest divergence-blind stuttering partition: the label partition
+    refined by the splitter engine on ``EU`` until EU(B1, B2) ∩ B1 is ∅ or
+    B1 for all blocks B1 ≠ B2."""
+    return _stable_partition(model, label_partition(model).blocks, _EU)
 
 
 def check_dbs(p: Partition, model: KripkeModel) -> bool:
@@ -240,7 +231,9 @@ def bisim_shell_partition(model: KripkeModel) -> Partition:
 
 
 def dbs_shell_partition(model: KripkeModel) -> Partition:
-    """Stuttering through the shell route: pr(S_{∁,EU}(M(P_ℓ)))."""
+    """Stuttering through the shell route: pr(S_{∁,EU}(M(P_ℓ))).  The shell
+    of these operators runs the splitter engine, as :func:`dbs_partition`
+    does."""
     seed = moore_close(label_partition(model).family)
     ops = [builtin_operator("not"), builtin_operator("EU")]
     return pr(shells.forward_complete_shell(seed, ops, model).domain)

@@ -10,9 +10,9 @@ An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  It also
 records then whether its body is Boolean (only ``not``, ``and``, ``or`` and
 placeholders), which lets quotient structures apply it to block unions
-directly, and whether a unary body is a chain of additive built-ins (or of
-their duals) applied to ``#1``.  :func:`in_splitter_class` reads these two
-records off a language's operators.
+directly, and whether its body is a chain of additive built-ins (or of
+their duals) applied to ``#1``, or ``EU #1 #2``.  :func:`in_splitter_class`
+reads these two records off a language's operators.
 
 :func:`close` is the one saturation engine of the package: the forward
 complete shell (outside the splitter class, whose shells the splitter
@@ -66,7 +66,8 @@ class Operator:
     placeholders.  ``_chain`` is ``"additive"`` when the operator is unary
     and its body is a chain of additive built-ins (``EX``, ``pre``, ``post``,
     ``EF[lo,hi]``) applied to ``#1``, ``"dual"`` for a chain of their duals
-    (``AX``, ``pre~``, ``post~``), and None otherwise.
+    (``AX``, ``pre~``, ``post~``), ``"until"`` when the operator is binary
+    and its body is exactly ``EU #1 #2``, and None otherwise.
     """
 
     name: str
@@ -235,10 +236,13 @@ def _is_boolean(node: Node) -> bool:
 # unary built-ins that distribute over unions, and their duals ¬f¬
 _ADDITIVE = ("EX", "pre", "post")
 _DUAL = ("AX", "pre~", "post~")
+_UNTIL_BODY = App("EU", (Arg(1), Arg(2)))
 
 
 def _chain_kind(op: Operator) -> Optional[str]:
-    """``op._chain``: "additive", "dual" or None (see :class:`Operator`)."""
+    """``op._chain`` (see :class:`Operator`)."""
+    if op.arity == 2 and op.body == _UNTIL_BODY:
+        return "until"
     if op.arity != 1:
         return None
     kind = None
@@ -377,9 +381,9 @@ _JOIN_BODIES = (App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2))))
 
 
 def _splitter_ops(ops: Sequence[Operator]) -> bool:
-    """Is there an operator ``not #1``, and is every operator Boolean or a
-    unary additive or dual chain?  Then a Moore family is closed under
-    ``ops`` exactly when it is the set of unions of the blocks of a
+    """Is there an operator ``not #1``, and is every operator Boolean, a
+    chain or an until (``Operator._chain``)?  Then a Moore family is closed
+    under ``ops`` exactly when it is the set of unions of the blocks of a
     partition that the splitter engine leaves whole."""
     return any(op.body == _NOT_BODY for op in ops) and all(
         op._boolean or op._chain is not None for op in ops
@@ -389,13 +393,13 @@ def _splitter_ops(ops: Sequence[Operator]) -> bool:
 def in_splitter_class(lang: LanguageSpec) -> bool:
     """Is ``lang`` a closed language with an atom, an operator ``not #1``, an
     operator ``and #1 #2`` or ``or #1 #2``, and otherwise only Boolean
-    operators and unary additive or dual chains (``Operator._chain``)?
+    operators, chains and untils (``Operator._chain``)?  L1 and L2 are.
 
     Then S = {⟦φ⟧ | φ ∈ L} is a Boolean algebra of sets, the unions of the
-    blocks of P_L, and each non-Boolean operator is fixed on S by its values
-    on the blocks (additive) or on their complements (dual).  The test is
-    syntactic: a body that is equivalent to a chain but written otherwise
-    is not in the class.
+    blocks of P_L, which the splitter engine computes.  A chain is fixed on
+    S by its values on the blocks (additive) or on their complements (dual);
+    an until is not.  The test is syntactic: a body that is equivalent to a
+    chain or an until but written otherwise is not in the class.
     """
     return (
         bool(lang.atoms)
@@ -551,7 +555,7 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
         name = "file"
         if "atoms" not in doc:
             atom_items = list(_model_atoms(model))
-    atoms = doc.get("atoms") or {}
+    atoms = {} if doc.get("atoms") is None else doc["atoms"]
     if not isinstance(atoms, dict):
         raise ValidationError("'atoms' must map each atom to a list of state names or null")
     for atom, interp in atoms.items():
@@ -563,7 +567,7 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
             raise ValidationError(f"atom {atom!r} must be a list of state names or null")
         atom_items = [(n, s) for n, s in atom_items if n != atom]
         atom_items.append((atom, value))
-    entries = doc.get("operators") or []
+    entries = [] if doc.get("operators") is None else doc["operators"]
     if not isinstance(entries, list):
         raise ValidationError("'operators' must be a list of operator objects")
     for k, entry in enumerate(entries):

@@ -5,9 +5,9 @@ The shell of a domain A for a set F of transformers is the most abstract
 refinement of A that is forward complete for every f ∈ F: the least Moore
 family holding A's image that F maps into itself.  It has two routes.
 
-- When F has ``not #1`` and every other operator is Boolean or a unary
-  additive or dual chain (:func:`~abspres.languages.in_splitter_class`
-  names these chains), the shell is partitioning: it is adp(Q), where Q is
+- When F has ``not #1`` and every other operator is Boolean, a unary
+  additive or dual chain, or ``EU #1 #2`` (``Operator._chain`` records
+  these), the shell is partitioning: it is adp(Q), where Q is
   the coarsest refinement of pr(A) that the splitter engine of
   :mod:`~abspres.equivalences` leaves whole.  pr(A) is the start because
   the shell holds the Boolean algebra adp(pr(A)) that A generates, so A
@@ -21,12 +21,12 @@ family holding A's image that F maps into itself.  It has two routes.
 
 The semantic closure of a language runs the saturation engine without the
 re-closing.  The most abstract strongly preserving domain A_L of a language
-in the splitter class is adp of the atom partition refined by the same
-engine; A_L of the presets CTL, L2 and L3 is the domain of a behavioural
-relation, so :func:`ad_of_language` answers them by the polynomial
-refinements of :mod:`~abspres.equivalences`; every other language goes
-through its semantic closure.  The coarsest strongly preserving partition
-is pr of that domain, on every route.
+in the splitter class, L1 and L2 among them, is adp of the atom partition
+refined by the same engine; A_L of the presets CTL and L3 is the domain of
+a behavioural relation, so :func:`ad_of_language` answers them by the
+polynomial refinements of :mod:`~abspres.equivalences`; every other
+language goes through its semantic closure.  The coarsest strongly
+preserving partition is pr of that domain, on every route.
 
 The relation search runs the saturation engine once over the concrete
 atoms and checks each candidate block relation against the applications it
@@ -102,8 +102,8 @@ def forward_complete_shell(
 ) -> ShellResult:
     """Most abstract refinement of the domain forward complete for every f.
 
-    With ``not #1`` among ``fs`` and every other operator Boolean or an
-    additive or dual chain, the answer is adp of the splitter refinement of
+    With ``not #1`` among ``fs`` and every other operator Boolean, a chain
+    or an until, the answer is adp of the splitter refinement of
     pr(A), and only materializing its image is bounded by
     :data:`DEFAULT_MAX_FAMILY`.  Otherwise it runs
     :func:`~abspres.languages.close` from image(A): each round adds F(X) and
@@ -192,26 +192,22 @@ def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
     """The most abstract strongly preserving domain A_L = M({⟦φ⟧ | φ ∈ L}).
 
     For a language of the splitter class
-    (:func:`~abspres.languages.in_splitter_class`, L1 among them) S is the
-    set of unions of the blocks of P_L, and P_L is the partition by atom
-    membership refined by the splitter engine over the language's
+    (:func:`~abspres.languages.in_splitter_class`, L1 and L2 among them) S
+    is the set of unions of the blocks of P_L, and P_L is the partition by
+    atom membership refined by the splitter engine over the language's
     operators.  By the paper's main corollary, A_L of the preset CTL is
-    adp(bisimulation), of L2 adp(stuttering) and of L3 add(similarity), so
-    when ``lang`` is one of them on ``model``
-    (:func:`~abspres.languages.is_preset`) with an atom, a refinement
-    answers.  On both routes the domain stays lazy.  Σ is always a member,
-    through the empty meet.
+    adp(bisimulation) and of L3 add(similarity), so when ``lang`` is one of
+    them on ``model`` (:func:`~abspres.languages.is_preset`) with an atom, a
+    refinement answers.  On both routes the domain stays lazy.  Σ is always
+    a member, through the empty meet.
     """
     if in_splitter_class(lang):
         blocks = [model.space.full_mask]
-        for _, s in lang.atoms:
-            blocks = equivalences._split(blocks, s.mask)
+        equivalences._split_once(blocks, [s.mask for _, s in lang.atoms])
         return adp(equivalences._stable_partition(model, blocks, lang.operators))
     if lang.atoms and is_preset(lang, model):
         if lang.name == "CTL":
             return adp(equivalences.bisim_partition(model))
-        if lang.name == "L2":
-            return adp(equivalences.dbs_partition(model))
         if lang.name == "L3":
             return add(equivalences.equal_label_simulation(model))
     return moore_close(semantic_closure(lang, model))

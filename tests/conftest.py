@@ -132,6 +132,44 @@ def brute_bisimulation(model: KripkeModel):
     return Partition.of(model.space, classes)
 
 
+def brute_stuttering(model: KripkeModel):
+    """The coarsest divergence-blind stuttering equivalence, on state names:
+    start from every pair with equal labels and delete (s, t) while a move
+    s → s' of one side has no answer from the other, a path t = t0 → ... →
+    tk (k ≥ 0) with s related to t0, ..., t(k-1) and s' related to tk."""
+    from abspres import Partition
+
+    names = model.space.names
+    succ = {s: model.space.names_of(model.succ[i]) for i, s in enumerate(names)}
+    label = {s: model.label_of_state(i) for i, s in enumerate(names)}
+    rel = {(s, t) for s in names for t in names if label[s] == label[t]}
+
+    def answered(s, s2, t):
+        seen, todo = {t}, [t]
+        while todo:
+            u = todo.pop()
+            if (s2, u) in rel:
+                return True
+            if (s, u) in rel:
+                fresh = [v for v in succ[u] if v not in seen]
+                seen.update(fresh)
+                todo += fresh
+        return False
+
+    def matched(s, t):
+        return all(answered(s, s2, t) for s2 in succ[s])
+
+    changed = True
+    while changed:
+        changed = False
+        for s, t in list(rel):
+            if not (matched(s, t) and matched(t, s)):
+                rel.discard((s, t))
+                changed = True
+    classes = {frozenset(t for t in names if (s, t) in rel) for s in names}
+    return Partition.of(model.space, classes)
+
+
 # --- random model generation -----------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from itertools import product
 
 import pytest
 
@@ -537,6 +538,11 @@ class TestInputErrors:
             ({"operators": [{"name": "EX", "arity": True}]}, "'arity'"),
             ({"operators": [{"name": "EX", "arity": "1"}]}, "'arity'"),
             ({"operators": [{"name": "EX", "arity": -1}]}, "'arity'"),
+            # falsy values other than null are not an empty map or list
+            ({"atoms": []}, "'atoms'"),
+            ({"atoms": False}, "'atoms'"),
+            ({"operators": {}}, "'operators'"),
+            ({"operators": 0}, "'operators'"),
         ],
     )
     def test_malformed_language(self, capsys, tmp_path, doc, name):
@@ -707,18 +713,20 @@ class TestLargeModels:
         code, _, err = run(capsys, "sp-domain", "--model", path, "--lang", str(lang_path))
         assert code == 2 and "MAX_STAGE_TUPLES" in err
 
-    @pytest.mark.parametrize("extra", ["post", "AX"])
-    def test_class_languages_on_40_states(self, capsys, tmp_path, extra):
-        # L1 + post and L1 + AX are answered by the splitter engine: the
-        # partition at once, and the domain refused before its 2^b members
+    @pytest.mark.parametrize(
+        "preset, extra", [("L1", "post"), ("L1", "AX"), ("L2", "EX")], ids=["post", "AX", "L2+EX"]
+    )
+    def test_class_languages_on_40_states(self, capsys, tmp_path, preset, extra):
+        # L1 + post, L1 + AX and L2 + EX are answered by the splitter engine:
+        # the partition at once, and the domain refused before its 2^b members
         import time
 
         from abspres import Partition
         from abspres.languages import apply_operator, language_from_json
 
         path = self.ring(tmp_path, 40)
-        lang_path = tmp_path / f"l1_{extra}.json"
-        lang_path.write_text(json.dumps({"preset": "L1", "operators": [{"name": extra}]}))
+        lang_path = tmp_path / f"{preset}_{extra}.json"
+        lang_path.write_text(json.dumps({"preset": preset, "operators": [{"name": extra}]}))
         start = time.perf_counter()
         code, out, err = run(capsys, "sp-partition", "--model", path, "--lang", str(lang_path))
         assert code == 0, err
@@ -728,16 +736,16 @@ class TestLargeModels:
         assert code == 2 and "DEFAULT_MAX_FAMILY" in err
         assert time.perf_counter() - start < 0.5
         # the printed blocks refine the labels, and every operator maps each
-        # block to a union of blocks
+        # block, or pair of blocks, to a union of blocks
         model = load_model(path)
         lang = language_from_json(json.loads(lang_path.read_text()), model)
         p = Partition.of(model.space, [line.strip("{}").split(",") for line in out.split()])
         for _, atom in lang.atoms:
             assert p.block_containing(atom.mask) == atom.mask
         for op in lang.operators:
-            if op.arity == 1:
-                for b in p.blocks:
-                    image = apply_operator(op, model, (b,))
+            if not op._boolean:
+                for args in product(p.blocks, repeat=op.arity):
+                    image = apply_operator(op, model, args)
                     assert p.block_containing(image) == image
 
     def test_preset_sp_domain_is_the_unions_of_its_blocks(self, capsys, tmp_path):

@@ -31,7 +31,7 @@ from abspres.lattice import StateSpace, moore_close
 from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
 from abspres.shells import semantic_closure
 
-from conftest import brute_bisimulation, random_model, random_total_model
+from conftest import brute_bisimulation, brute_stuttering, random_model, random_total_model
 
 
 def merge_two_blocks(p: Partition, i: int, j: int) -> Partition:
@@ -70,23 +70,32 @@ class TestBisimulation:
                     assert not check_bisimulation(merge_two_blocks(p, i, j), model)
 
 
+def oracle_models(seed):
+    """300 models of 1-8 states, half of them with a stuck state, label masks
+    ∅ and Σ included."""
+    rng = random.Random(seed)
+    models = []
+    for i in range(300):
+        model = random_model(rng, 1 + i % 8)
+        if i % 2:  # make a random state stuck
+            succ = list(model.succ)
+            succ[rng.randrange(model.n)] = 0
+            model = KripkeModel(model.space, tuple(succ), model.label_items)
+        models.append(model)
+    assert sum(0 in m.succ for m in models) >= 150
+    masks = {mask for m in models for _, mask in m.label_items}
+    assert {0, 1, 255} <= masks
+    return models
+
+
 class TestSplitterEngine:
     def test_bisimulation_matches_the_brute_force_oracle(self):
-        # non-total models, label masks ∅ and Σ included
-        rng = random.Random(1414)
-        models = []
-        for i in range(300):
-            model = random_model(rng, 1 + i % 8)
-            if i % 2:  # make a random state stuck
-                succ = list(model.succ)
-                succ[rng.randrange(model.n)] = 0
-                model = KripkeModel(model.space, tuple(succ), model.label_items)
-            models.append(model)
-        assert sum(0 in m.succ for m in models) >= 150
-        masks = {mask for m in models for _, mask in m.label_items}
-        assert {0, 1, 255} <= masks
-        for model in models:
+        for model in oracle_models(1414):
             assert bisim_partition(model) == brute_bisimulation(model), model
+
+    def test_stuttering_matches_the_brute_force_oracle(self):
+        for model in oracle_models(1515):
+            assert dbs_partition(model) == brute_stuttering(model), model
 
     def test_passes_end_with_one_that_splits_nothing(self, kpq):
         ex = [builtin_operator("EX")]
@@ -101,7 +110,8 @@ class TestSplitterEngine:
 class TestSplitPasses:
     def test_one_pass_splits_every_unstable_block(self):
         # a1 -> c, a2 -> a2 and b1 -> c, b2 -> b2: both two-state blocks are
-        # cut by their own pre-image, so one pass splits both
+        # cut by their own pre-image, so one step over the blocks' pre-images
+        # splits both
         model = KripkeModel.of(
             ["a1", "a2", "b1", "b2", "c"],
             [("a1", "c"), ("a2", "a2"), ("b1", "c"), ("b2", "b2"), ("c", "c")],
@@ -109,13 +119,11 @@ class TestSplitPasses:
         )
         mask = model.space.mask_of
         blocks = [mask(["a1", "a2"]), mask(["b1", "b2"]), mask(["c"])]
+        cuts = [model.pre(b) for b in blocks]
 
-        def splitter(b1, b2):
-            return b1 & model.pre(b2)
-
-        assert equivalences._split_once(blocks, splitter) == 2
+        assert equivalences._split_once(blocks, cuts) == 2
         assert blocks == [mask(["a2"]), mask(["b2"]), mask(["c"]), mask(["a1"]), mask(["b1"])]
-        assert equivalences._split_once(blocks, splitter) == 0
+        assert equivalences._split_once(blocks, cuts) == 0
         assert bisim_partition(model) == Partition.identity(model.space)
 
 

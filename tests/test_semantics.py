@@ -307,6 +307,10 @@ class TestLanguageSpecs:
         assert lang.atom_mask("top") == kpq.space.full_mask
         assert lang.has_operator("EX") and not lang.has_operator("AX")
         assert lang.operator("EU").arity == 2
+        # null stands for no atoms or no operators
+        lang = language_from_json({"preset": "L1", "atoms": None, "operators": None}, kpq)
+        assert lang == preset_language("L1", kpq)
+        assert language_from_json({"atoms": None}, kpq).atoms == ()
 
     def test_custom_language_from_ops(self, kpqr):
         lang = language_from_ops(kpqr, ["and", "EX"], name="pq-next")

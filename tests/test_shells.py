@@ -69,14 +69,18 @@ def random_seed(rng, model, count=3):
 
 
 def splitter_op_sets():
-    """`not` with pre, AX, post, post~, EF[1,3], AX AX #1 and !#1 | #2."""
-    ops = {name: builtin_operator(name) for name in ("not", "and", "pre", "AX", "post", "post~")}
+    """`not` with pre, AX, post, post~, EF[1,3], AX AX #1, !#1 | #2 and EU."""
+    ops = {
+        name: builtin_operator(name)
+        for name in ("not", "and", "pre", "AX", "post", "post~", "EU", "EX")
+    }
     ops["EF[1,3]"] = builtin_operator("EF[1,3]")
     ops["AXX"] = operator_from_expr("AXX", 1, "AX AX #1")
     ops["imp"] = operator_from_expr("imp", 2, "!#1 | #2")
     names = [
         ["pre"], ["AX"], ["post"], ["post~"], ["EF[1,3]"], ["AXX"], ["imp", "pre"],
-        ["and", "imp", "AX", "post"],
+        ["and", "imp", "AX", "post"], ["EU"], ["EU", "EX"], ["EU", "post"],
+        ["and", "EU", "AX"],
     ]
     return [[ops["not"]] + [ops[n] for n in group] for group in names]
 
@@ -205,17 +209,21 @@ class TestForwardCompleteShell:
         for fs in (
             [builtin_operator("not"), mixed],
             [builtin_operator("or"), builtin_operator("pre~")],
-            [builtin_operator("not"), builtin_operator("EU")],
+            # the block test of EU does not carry over to AU or ER
+            [builtin_operator("not"), builtin_operator("AU")],
+            [builtin_operator("not"), builtin_operator("ER")],
         ):
             got = forward_complete_shell(seed, fs, kpq).domain
             assert got.masks == naive_shell(seed, fs, kpq)
         l1 = preset_language("L1", kpq)
         lang = LanguageSpec("L1+AXEX", l1.atoms, l1.operators + (mixed,))
         assert ad_of_language(lang, kpq) == moore_close(semantic_closure(lang, kpq))
-        with pytest.raises(AssertionError, match="splitter engine"):
-            forward_complete_shell(seed, [builtin_operator("not"), builtin_operator("pre")], kpq)
-        with pytest.raises(AssertionError, match="splitter engine"):
-            ad_of_language(l1, kpq)
+        for op in ("pre", "EU"):
+            with pytest.raises(AssertionError, match="splitter engine"):
+                forward_complete_shell(seed, [builtin_operator("not"), builtin_operator(op)], kpq)
+        for name in ("L1", "L2"):
+            with pytest.raises(AssertionError, match="splitter engine"):
+                ad_of_language(preset_language(name, kpq), kpq)
 
     def test_worklist_matches_naive_iteration(self):
         rng = random.Random(83)
@@ -552,6 +560,9 @@ class TestCoarsestSpPartition:
             langs += [
                 LanguageSpec("AXX", base.atoms, base.operators + (axx,)),
                 LanguageSpec("imp", base.atoms, base.operators + (imp, builtin_operator("EX"))),
+                preset_language("L2", model),
+                language_from_ops(model, ["and", "not", "EU", "EX"]),
+                language_from_ops(model, ["or", "not", "EU", "AX"]),
             ]
             for lang in langs:
                 assert in_splitter_class(lang), lang.name

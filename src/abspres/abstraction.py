@@ -28,19 +28,19 @@ the pairs.  The pairs are saturated by the same engine as the semantic
 closure, :func:`~abspres.languages.close`, with pairs of masks as its items.
 
 :func:`paired_sp_check` returns only an :class:`SpVerdict`: the verdict and
-a witness.  For a quotient and a language of the splitter class
-(:func:`~abspres.languages.in_splitter_class`) without ``EU`` it needs no
-closure.  There S is the set of unions of P_L's blocks, so by the paper's
-characterisation (S representable, operators agreeing on S) the quotient by
-P is strong iff P refines P_L and each non-Boolean operator agrees with the
+a witness.  A quotient under a language with ``not`` is never weak-only (an
+existential atom contains its concrete set, and ¬ is exact on block
+unions), so a paired closure that stops at the first violating pair, with
+the full closure's witness, decides it.  For a splitter-class language
+whose cuts (:func:`~abspres.languages._splitters`) hold no until, a block
+test shows "strong" first: S is the set of unions of P_L's blocks, so by
+the paper's characterisation (S representable, operators agreeing on S)
+the quotient by P is strong iff P refines P_L and each cut agrees with the
 concrete one on each block C of P_L (additive chains) or on Σ∖C (dual
-chains): both sides distribute over the unions, respectively intersections,
-that build S from these sets.  With ``not`` in the language weak-only
-cannot occur (an existential atom contains its concrete set, and ¬ is exact
-on block unions), so a failing test means "neither"; only then does an
-aborting paired closure run, for the full closure's witness.  ``EU`` is not
-additive in its first argument, so L2 and other class languages with it
-keep the paired closure.
+chains).  Both sides distribute over the unions, respectively
+intersections, that build S from these sets, and the fixpoints that do not
+cut are built from the next operator among the cuts.  ``EU`` is not
+additive in its first argument, so L2 has no block test.
 
 The relation search of :mod:`abspres.shells` needs no paired closure either:
 S = {⟦φ⟧ | φ ∈ L} is the same for every candidate, so it closes S once and
@@ -60,6 +60,8 @@ from .lattice import AbstractDomain, Mask, StateSet
 from .languages import (
     LanguageSpec,
     Operator,
+    _has_not,
+    _splitters,
     apply_operator,
     close,
     eval_formula,
@@ -248,8 +250,8 @@ def paired_semantic_closure(
     keeps the formula that first produced it, so the witness is the first
     violating pair in discovery order.  With ``abort_on_violation`` the
     closure stops at that pair, keeping the full closure's strong flag and
-    witness: :func:`paired_sp_check` runs it so for the witness of a failing
-    block test.
+    witness: :func:`paired_sp_check` runs it so for quotients under a
+    language with ``not``.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -310,15 +312,17 @@ class SpVerdict:
 
 
 def _strong_on_blocks(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
-    """The block test of a quotient by ``p`` under a splitter-class language
-    without ``EU`` (module docstring)."""
+    """Does the block test (module docstring) show the quotient by ``p``
+    strong?  False also for a language outside the splitter class or one
+    whose cuts hold an until, where the test does not apply."""
+    cuts = _splitters(structure.lang.operators)
+    if not in_splitter_class(structure.lang) or any(op._chain == "until" for op in cuts):
+        return False
     blocks = coarsest_sp_partition(structure.lang, model).blocks
     if any(p.block_containing(c) != c for c in blocks):
         return False
     full = model.space.full_mask
-    for op in structure.lang.operators:
-        if op._boolean:
-            continue
+    for op in cuts:
         for c in blocks:
             x = c if op._chain == "additive" else full & ~c
             if structure.apply(op, (x,)) != apply_operator(op, model, (x,)):
@@ -338,22 +342,22 @@ def paired_sp_check(
 
     ``abstract`` is either an :class:`AbstractStructure` or a block-level
     :class:`Quotient` (then the induced structure with existential labeling
-    is checked).  A quotient under a splitter-class language without
-    ``EU`` is decided block by block, and ``max_pairs`` bounds only the
-    paired closure, which then runs just for the witness of a "neither";
-    every other case reads the verdict off the full paired closure.
+    is checked).  A quotient under a language with ``not #1`` is decided by
+    the block test or an aborting paired closure (module docstring); every
+    other case reads the verdict off the full paired closure.  ``max_pairs``
+    bounds whichever closure runs.
     """
     if isinstance(abstract, Quotient):
         if abstract.parent.space != model.space:
             raise SpaceMismatchError("quotient of a different model")
         structure = AbstractStructure.from_quotient(abstract, lang)
-        if in_splitter_class(lang) and all(op._chain != "until" for op in lang.operators):
+        if _has_not(lang.operators):
             if _strong_on_blocks(model, abstract.partition, structure):
                 return SpVerdict("strong", None)
             cut = paired_semantic_closure(
                 model, structure, lang, abort_on_violation=True, max_pairs=max_pairs
             )
-            return SpVerdict("neither", cut.witness)
+            return SpVerdict("neither", cut.witness) if cut.aborted else SpVerdict("strong", None)
     else:
         structure = abstract
     closure = paired_semantic_closure(model, structure, lang, max_pairs=max_pairs)

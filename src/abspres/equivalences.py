@@ -4,22 +4,23 @@ Each relation is computed by one polynomial route and judged by one
 checker, its literal per-pair (for stuttering, per-block) definition.
 Bisimulation and stuttering are the coarsest partitions of the label
 blocks that are stable for ``EX`` and for ``EU``, both computed by the
-splitter engine :func:`_splitter_passes`; similarity by a gfp over pairs.
-Bisimulation is checked as a symmetric simulation: an equivalence is a
-bisimulation exactly when it is a simulation.
+splitter engine :func:`_splitter_passes`; similarity is the greatest
+fixpoint :func:`_similarity` over rows.  Bisimulation is checked as a
+symmetric simulation: an equivalence is a bisimulation exactly when it is
+a simulation.
 
 The splitter engine is Ranzato and Tapparo's GPT view of Paige-Tarjan: a
 family closed under ``not`` and the operators is the set of unions of the
-blocks of a partition Q.  When every operator is Boolean, a unary additive
-map (or the dual of one) or ``EU``, that family is closed under them
-exactly when a test on Q's blocks holds: f(B) is a union of blocks for
-every block B and additive f (f(Σ∖B) for a dual f), and EU(B1, B2) ∩ B1
-is ∅ or B1 for all blocks B1 ≠ B2 (the stuttering criterion).  So the
-engine splits blocks by these sets until nothing splits.  The same test
-is not exact for ``AU``, ``ER`` and ``AR``, which stay outside.  Besides
-the two refinements, the engine serves
-:func:`abspres.shells.forward_complete_shell` and
-:func:`abspres.shells.ad_of_language` for such operator sets.
+blocks of a partition Q.  For a unary additive map (or the dual of one) or
+``EU``, that family is closed under the map exactly when a test on Q's
+blocks holds: f(B) is a union of blocks for every block B and additive f
+(f(Σ∖B) for a dual f), and EU(B1, B2) ∩ B1 is ∅ or B1 for all blocks
+B1 ≠ B2 (the stuttering criterion).  So the engine splits blocks by these
+sets until nothing splits.  The same test is not exact for ``AU``, ``ER``
+and ``AR``, which never cut.  :func:`abspres.languages._splitters` picks
+the operators it cuts by for :func:`abspres.shells.forward_complete_shell`
+and :func:`abspres.shells.ad_of_language`, and ``ad_of_language`` answers
+the similarity class by :func:`_similarity`.
 
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
@@ -30,13 +31,9 @@ coarsest ones by forward complete shells.  The shell routes are public here
 :func:`abspres.languages.label_constants`, and the tests check that both
 agree with the refinements and the checkers.  The simulation shell builds
 families of up to 2^n sets, so it stays off the default path; the
-bisimulation and stuttering shells run the splitter engine.
-
-The refinements also answer :func:`abspres.shells.ad_of_language` for the
-presets outside the engine's class: adp(bisimulation) for CTL and
-add(similarity) for L3.  This module reaches the shells through the module
-object, ``shells.forward_complete_shell``, so that ``shells`` can import it
-at module level.
+bisimulation and stuttering shells run the splitter engine.  This module
+reaches the shells through the module object, ``shells.forward_complete_shell``,
+so that ``shells`` can import it at module level.
 """
 
 from __future__ import annotations
@@ -80,19 +77,18 @@ def _splitter_passes(
     last pass made (all of them in the first pass), and by EU(B1, B2) for
     each until operator and each pair of blocks B1 ≠ B2 of which one is
     new: a splitter already used keeps cutting nothing, since blocks only
-    get finer.  Boolean operators are skipped, and every other operator
-    must be a chain or an until.  The last pass makes no block, so its yield
-    repeats the one before (or the input).  The result is the coarsest such
-    refinement of the input, since each cut separates states that every
-    stable refinement of it separates.
+    get finer.  Every operator must be a chain or an until, as those that
+    :func:`~abspres.languages._splitters` picks are.  The last pass makes no
+    block, so its yield repeats the one before (or the input).  The result
+    is the coarsest such refinement of the input, since each cut separates
+    states that every stable refinement of it separates.
     """
     full = model.space.full_mask
-    splitting = [op for op in ops if not op._boolean]
     blocks = list(blocks)
     fresh = set(blocks)
     while True:
         cuts = set()
-        for op in splitting:
+        for op in ops:
             if op._chain == "until":
                 cuts.update(
                     apply_operator(op, model, (b1, b2))
@@ -161,23 +157,22 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
     )
 
 
-def _similarity_rows(model: KripkeModel, equal_labels: bool) -> tuple[Mask, ...]:
-    n = model.n
-    labels = [model.label_of_state(s) for s in range(n)]
-    # R₀: s R s' when ℓ(s') equals, or lies inside, ℓ(s)
-    rows = [
-        sum(1 << s2 for s2, b in enumerate(labels) if (b == a if equal_labels else b <= a))
-        for a in labels
-    ]
+def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
+    """The largest simulation that relates s to s' only when every atom of
+    ``atoms`` holding s' holds s: start from R(s) = ⋂ {Σ∖a | s ∉ a} and set
+    R(s) := R(s) ∩ pre(R(t)) for every move s → t until no row shrinks."""
+    rows = [model.space.full_mask] * model.n
+    for a in atoms:
+        rows = [row if (a >> s) & 1 else row & ~a for s, row in enumerate(rows)]
+    moves = sorted(model.relation_pairs())
     changed = True
     while changed:
         changed = False
-        for s in range(n):
-            for s2 in range(n):
-                if (rows[s] >> s2) & 1 and not _matched(model, s, s2, rows):
-                    rows[s] &= ~(1 << s2)
-                    changed = True
-    return tuple(rows)
+        for s, t in moves:
+            row = rows[s] & model.pre(rows[t])
+            changed |= row != rows[s]
+            rows[s] = row
+    return Preorder(model.space, tuple(rows))
 
 
 def _matched(model: KripkeModel, s: int, s2: int, rows: Sequence[Mask]) -> bool:
@@ -190,13 +185,10 @@ def _matched(model: KripkeModel, s: int, s2: int, rows: Sequence[Mask]) -> bool:
 
 
 def largest_simulation(model: KripkeModel) -> Preorder:
-    """The similarity preorder by gfp refinement over pairs.
-
-    Start from R₀ = {(s,s') | ℓ(s') ⊆ ℓ(s)} and drop (s,s') while some move
-    of s cannot be matched by s'.  Note the label condition compares by
-    inclusion, so a state with fewer labels may simulate one with more.
-    """
-    return Preorder(model.space, _similarity_rows(model, equal_labels=False))
+    """The similarity preorder from R₀ = {(s,s') | ℓ(s') ⊆ ℓ(s)}: labels
+    compare by inclusion, so a state with fewer labels may simulate one with
+    more."""
+    return _similarity(model, [mask for _, mask in model.label_items])
 
 
 def equal_label_simulation(model: KripkeModel) -> Preorder:
@@ -204,7 +196,8 @@ def equal_label_simulation(model: KripkeModel) -> Preorder:
     equivalence in the classical sense, the one matched by literal-seeded
     shells.  On partition-induced labelings it coincides with
     :func:`largest_simulation`."""
-    return Preorder(model.space, _similarity_rows(model, equal_labels=True))
+    labels = [mask for _, mask in model.label_items]
+    return _similarity(model, labels + [model.space.full_mask & ~m for m in labels])
 
 
 def check_simulation(r: Preorder, model: KripkeModel) -> bool:

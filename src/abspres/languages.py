@@ -11,8 +11,8 @@ constant's space is left for :func:`apply_operator` to check.  It also
 records then whether its body is Boolean (only ``not``, ``and``, ``or`` and
 placeholders), which lets quotient structures apply it to block unions
 directly, and whether its body is a chain of additive built-ins (or of
-their duals) applied to ``#1``, or ``EU #1 #2``.  :func:`in_splitter_class`
-reads these two records off a language's operators.
+their duals) applied to ``#1``, or ``EU #1 #2``.  The operators, never a
+language's name, pick its routes: :func:`_splitters` and the class tests.
 
 :func:`close` is the one saturation engine of the package: the forward
 complete shell (outside the splitter class, whose shells the splitter
@@ -377,36 +377,63 @@ class LanguageSpec:
 
 
 _NOT_BODY = App("not", (Arg(1),))
-_JOIN_BODIES = (App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2))))
+_JOINS = {App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2)))}
+_DUAL_NEXTS = {App("AX", (Arg(1),)), App("pre~", (Arg(1),))}
+_NEXTS = _DUAL_NEXTS | {App("EX", (Arg(1),)), App("pre", (Arg(1),))}
+# fixpoints of pre, ¬, ∩ and ∪, so a pre-stable partition maps them to block unions
+_FIXPOINTS = {App(n, (Arg(1), Arg(2))) for n in ("EU", "AU", "ER", "AR")}
 
 
-def _splitter_ops(ops: Sequence[Operator]) -> bool:
-    """Is there an operator ``not #1``, and is every operator Boolean, a
-    chain or an until (``Operator._chain``)?  Then a Moore family is closed
-    under ``ops`` exactly when it is the set of unions of the blocks of a
-    partition that the splitter engine leaves whole."""
-    return any(op.body == _NOT_BODY for op in ops) and all(
-        op._boolean or op._chain is not None for op in ops
-    )
+def _has_not(ops: Sequence[Operator]) -> bool:
+    return any(op.body == _NOT_BODY for op in ops)
+
+
+def _splitters(ops: Sequence[Operator]) -> Optional[list[Operator]]:
+    """The operators the splitter engine cuts by, when a Moore family is
+    closed under ``ops`` exactly when it is the unions of the blocks of a
+    partition that the engine leaves whole; else None.  That needs ``not
+    #1``.  Chains and untils (``Operator._chain``) cut, Boolean operators do
+    not, nor does a binary ``EU``, ``AU``, ``ER`` or ``AR`` of ``#1, #2`` when
+    some body is ``EX #1``, ``AX #1``, ``pre #1`` or ``pre~ #1``.  The test
+    is syntactic: an equivalent body written otherwise is not admitted."""
+    if not _has_not(ops):
+        return None
+    has_next = any(op.body in _NEXTS for op in ops if op._chain)
+    cuts = []
+    for op in ops:
+        if op._boolean or (has_next and op.arity == 2 and op.body in _FIXPOINTS):
+            continue
+        if op._chain is None:
+            return None
+        cuts.append(op)
+    return cuts
 
 
 def in_splitter_class(lang: LanguageSpec) -> bool:
-    """Is ``lang`` a closed language with an atom, an operator ``not #1``, an
-    operator ``and #1 #2`` or ``or #1 #2``, and otherwise only Boolean
-    operators, chains and untils (``Operator._chain``)?  L1 and L2 are.
-
-    Then S = {⟦φ⟧ | φ ∈ L} is a Boolean algebra of sets, the unions of the
-    blocks of P_L, which the splitter engine computes.  A chain is fixed on
-    S by its values on the blocks (additive) or on their complements (dual);
-    an until is not.  The test is syntactic: a body that is equivalent to a
-    chain or an until but written otherwise is not in the class.
-    """
+    """Is ``lang`` a closed language with an atom, an operator ``and #1 #2``
+    or ``or #1 #2``, and operators that :func:`_splitters` admits (L1, L2 and
+    CTL are)?  Then S = {⟦φ⟧ | φ ∈ L} is the unions of the blocks of P_L,
+    which the splitter engine computes from the atom partition."""
     return (
         bool(lang.atoms)
         and not lang.open_ops
-        and _splitter_ops(lang.operators)
-        and any(op.body in _JOIN_BODIES for op in lang.operators)
+        and _splitters(lang.operators) is not None
+        and any(op.body in _JOINS for op in lang.operators)
     )
+
+
+def in_similarity_class(lang: LanguageSpec) -> bool:
+    """Is ``lang`` a closed language with atoms closed under complement, the
+    operators ``and #1 #2`` and ``or #1 #2``, some ``AX #1`` or ``pre~ #1``,
+    and no other operator?  L3 is.  Then S = {⟦φ⟧ | φ ∈ L} is add of the
+    similarity of the atoms (:func:`~abspres.equivalences._similarity`).
+    """
+    bodies = {op.body for op in lang.operators}
+    if lang.open_ops or not lang.atoms or not _JOINS < bodies <= _JOINS | _DUAL_NEXTS:
+        return False
+    full = lang.atoms[0][1].space.full_mask
+    masks = {s.mask for _, s in lang.atoms}
+    return masks == {full & ~m for m in masks}
 
 
 def resolve_application(lang: LanguageSpec, phi: App) -> App | Atom:
@@ -469,46 +496,25 @@ def _ops(*names: str) -> tuple[Operator, ...]:
     return tuple(builtin_operator(n) for n in names)
 
 
-def _preset_parts(
-    name: str, model: KripkeModel
-) -> tuple[tuple[tuple[str, StateSet], ...], tuple[Operator, ...], bool]:
-    """(atoms, operators, open_ops) of a shipped preset on a model; builds no
-    :class:`LanguageSpec`, so it never checks the names for clashes."""
-    atoms = _model_atoms(model)
-    if name == "L1":
-        return atoms, _ops("and", "not", "EX"), False
-    if name == "L2":
-        return atoms, _ops("and", "not", "EU"), False
-    if name == "L3":
-        literals = atoms + tuple(("!" + label, ~s) for label, s in atoms)
-        return literals, _ops("and", "or", "AX"), False
-    if name == "CTL":
-        return atoms, _ops("and", "not", "AX", "EX", "AU", "EU", "AR", "ER"), False
-    if name == "semaforo":
-        return atoms, (operator_from_expr("AXX", 1, "AX AX #1"),), False
-    if name == "exef":
-        return atoms, _ops("and", "EF[0,2]"), False
-    if name == "full":
-        return atoms, (), True
-    raise ValidationError(f"unknown language preset {name!r}")
-
-
 def preset_language(name: str, model: KripkeModel) -> LanguageSpec:
     """Instantiate a shipped preset against a model (atoms from its labels)."""
-    return LanguageSpec(name, *_preset_parts(name, model))
-
-
-def is_preset(lang: LanguageSpec, model: KripkeModel) -> bool:
-    """Is ``lang`` exactly the preset of its name instantiated on ``model``?
-
-    The parts are compared, not only the name, so a preset that a language
-    file extends or overrides is not one.  Never raises, also on a model
-    whose labels clash with the preset's names, where
-    :func:`preset_language` fails.
-    """
-    if lang.name not in PRESET_NAMES:
-        return False
-    return (lang.atoms, lang.operators, lang.open_ops) == _preset_parts(lang.name, model)
+    atoms = _model_atoms(model)
+    if name == "L1":
+        return LanguageSpec(name, atoms, _ops("and", "not", "EX"))
+    if name == "L2":
+        return LanguageSpec(name, atoms, _ops("and", "not", "EU"))
+    if name == "L3":
+        literals = atoms + tuple(("!" + label, ~s) for label, s in atoms)
+        return LanguageSpec(name, literals, _ops("and", "or", "AX"))
+    if name == "CTL":
+        return LanguageSpec(name, atoms, _ops("and", "not", "AX", "EX", "AU", "EU", "AR", "ER"))
+    if name == "semaforo":
+        return LanguageSpec(name, atoms, (operator_from_expr("AXX", 1, "AX AX #1"),))
+    if name == "exef":
+        return LanguageSpec(name, atoms, _ops("and", "EF[0,2]"))
+    if name == "full":
+        return LanguageSpec(name, atoms, (), True)
+    raise ValidationError(f"unknown language preset {name!r}")
 
 
 def language_from_ops(

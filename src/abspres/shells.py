@@ -5,13 +5,14 @@ The shell of a domain A for a set F of transformers is the most abstract
 refinement of A that is forward complete for every f ∈ F: the least Moore
 family holding A's image that F maps into itself.  It has two routes.
 
-- When F has ``not #1`` and every other operator is Boolean, a unary
-  additive or dual chain, or ``EU #1 #2`` (``Operator._chain`` records
-  these), the shell is partitioning: it is adp(Q), where Q is
-  the coarsest refinement of pr(A) that the splitter engine of
-  :mod:`~abspres.equivalences` leaves whole.  pr(A) is the start because
-  the shell holds the Boolean algebra adp(pr(A)) that A generates, so A
-  need not be partitioning.  The answer is lazy, as adp is.
+- When :func:`~abspres.languages._splitters` admits F (``not #1``, Boolean
+  operators, unary additive or dual chains, ``EU #1 #2``, and the built-in
+  until and release operators beside a next operator), the shell is
+  partitioning: it is adp(Q), where Q is the coarsest refinement of pr(A)
+  that the splitter engine of :mod:`~abspres.equivalences` leaves whole.
+  pr(A) is the start because the shell holds the Boolean algebra
+  adp(pr(A)) that A generates, so A need not be partitioning.  The answer
+  is lazy, as adp is.
 - Every other F runs the package's saturation engine,
   :func:`~abspres.languages.close`: repeatedly add images of F on the
   family and re-close under intersection until nothing new appears.  The
@@ -20,12 +21,10 @@ family holding A's image that F maps into itself.  It has two routes.
   run this route as the oracle of the first.
 
 The semantic closure of a language runs the saturation engine without the
-re-closing.  The most abstract strongly preserving domain A_L of a language
-in the splitter class, L1 and L2 among them, is adp of the atom partition
-refined by the same engine; A_L of the presets CTL and L3 is the domain of
-a behavioural relation, so :func:`ad_of_language` answers them by the
-polynomial refinements of :mod:`~abspres.equivalences`; every other
-language goes through its semantic closure.  The coarsest strongly
+re-closing.  The most abstract strongly preserving domain A_L has three
+routes, picked by the operators: adp of the atom partition refined by the
+splitter engine (L1, L2 and CTL), add of a similarity preorder (L3), and
+the Moore closure of the semantic closure.  The coarsest strongly
 preserving partition is pr of that domain, on every route.
 
 The relation search runs the saturation engine once over the concrete
@@ -53,11 +52,11 @@ from .lattice import (
 from .languages import (
     LanguageSpec,
     Operator,
-    _splitter_ops,
+    _splitters,
     apply_operator,
     close,
+    in_similarity_class,
     in_splitter_class,
-    is_preset,
 )
 from .partitions import Partition, add, adp, pr
 
@@ -102,9 +101,9 @@ def forward_complete_shell(
 ) -> ShellResult:
     """Most abstract refinement of the domain forward complete for every f.
 
-    With ``not #1`` among ``fs`` and every other operator Boolean, a chain
-    or an until, the answer is adp of the splitter refinement of
-    pr(A), and only materializing its image is bounded by
+    When :func:`~abspres.languages._splitters` admits ``fs``, the answer is
+    adp of the splitter refinement of pr(A) by the operators it picks, and
+    only materializing its image is bounded by
     :data:`DEFAULT_MAX_FAMILY`.  Otherwise it runs
     :func:`~abspres.languages.close` from image(A): each round adds F(X) and
     re-closes under intersection, X := M(X ∪ F(X)), to fixpoint, with the
@@ -113,15 +112,16 @@ def forward_complete_shell(
     """
     if model.space != domain.space:
         raise SpaceMismatchError("model over a different space than the domain")
-    if _splitter_ops(fs):
-        return _splitter_shell(domain, fs, model)
+    cuts = _splitters(fs)
+    if cuts is not None:
+        return _splitter_shell(domain, cuts, model)
     return _closure_shell(domain, fs, model)
 
 
 def _splitter_shell(
-    domain: AbstractDomain, fs: Sequence[Operator], model: KripkeModel
+    domain: AbstractDomain, cuts: Sequence[Operator], model: KripkeModel
 ) -> ShellResult:
-    """The shell as adp of the splitter refinement of pr(A)."""
+    """The shell as adp of the splitter refinement of pr(A) by ``cuts``."""
     space = domain.space
     start = pr(domain)
     snapshots = [domain]
@@ -131,7 +131,7 @@ def _splitter_shell(
         snapshots.append(adp(start))
         counts.append((1 << len(start)) - len(domain))
     size = len(start)
-    for blocks in equivalences._splitter_passes(model, start.blocks, fs):
+    for blocks in equivalences._splitter_passes(model, start.blocks, cuts):
         grown = len(blocks) > size
         snapshots.append(adp(Partition.from_masks(space, blocks)) if grown else snapshots[-1])
         counts.append((1 << len(blocks)) - (1 << size))
@@ -191,25 +191,22 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
 def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
     """The most abstract strongly preserving domain A_L = M({⟦φ⟧ | φ ∈ L}).
 
-    For a language of the splitter class
-    (:func:`~abspres.languages.in_splitter_class`, L1 and L2 among them) S
-    is the set of unions of the blocks of P_L, and P_L is the partition by
-    atom membership refined by the splitter engine over the language's
-    operators.  By the paper's main corollary, A_L of the preset CTL is
-    adp(bisimulation) and of L3 add(similarity), so when ``lang`` is one of
-    them on ``model`` (:func:`~abspres.languages.is_preset`) with an atom, a
-    refinement answers.  On both routes the domain stays lazy.  Σ is always
-    a member, through the empty meet.
+    The operators pick the route.  For a language of the splitter class
+    (:func:`~abspres.languages.in_splitter_class`: L1, L2 and CTL among
+    them) S is the set of unions of the blocks of P_L, and P_L is the
+    partition by atom membership refined by the splitter engine.  For one of
+    the similarity class (:func:`~abspres.languages.in_similarity_class`:
+    L3 among them) S is add(R), R the similarity preorder of the atoms.  On
+    both routes the domain stays lazy.  Every other language goes through
+    its semantic closure.  Σ is always a member, through the empty meet.
     """
+    atoms = [s.mask for _, s in lang.atoms]
     if in_splitter_class(lang):
         blocks = [model.space.full_mask]
-        equivalences._split_once(blocks, [s.mask for _, s in lang.atoms])
-        return adp(equivalences._stable_partition(model, blocks, lang.operators))
-    if lang.atoms and is_preset(lang, model):
-        if lang.name == "CTL":
-            return adp(equivalences.bisim_partition(model))
-        if lang.name == "L3":
-            return add(equivalences.equal_label_simulation(model))
+        equivalences._split_once(blocks, atoms)
+        return adp(equivalences._stable_partition(model, blocks, _splitters(lang.operators)))
+    if in_similarity_class(lang):
+        return add(equivalences._similarity(model, atoms))
     return moore_close(semantic_closure(lang, model))
 
 

@@ -132,6 +132,29 @@ def brute_bisimulation(model: KripkeModel):
     return Partition.of(model.space, classes)
 
 
+def brute_simulation(model: KripkeModel, atoms):
+    """The largest simulation over ``atoms`` (masks), as rows of state-index
+    masks: start from every pair (s, t) such that each atom holding t holds
+    s, and delete (s, t) while a move s → u has no move t → v with (u, v)
+    related."""
+    n = model.n
+    succ = [[t for t in range(n) if (model.succ[s] >> t) & 1] for s in range(n)]
+    rel = {
+        (s, t)
+        for s in range(n)
+        for t in range(n)
+        if all((a >> s) & 1 for a in atoms if (a >> t) & 1)
+    }
+    changed = True
+    while changed:
+        changed = False
+        for s, t in list(rel):
+            if not all(any((u, v) in rel for v in succ[t]) for u in succ[s]):
+                rel.discard((s, t))
+                changed = True
+    return tuple(sum(1 << t for t in range(n) if (s, t) in rel) for s in range(n))
+
+
 def brute_stuttering(model: KripkeModel):
     """The coarsest divergence-blind stuttering equivalence, on state names:
     start from every pair with equal labels and delete (s, t) while a move

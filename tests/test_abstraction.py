@@ -649,18 +649,18 @@ class TestBlockRoute:
     def test_block_route_matches_the_paired_closure(self):
         # the verdict and witness of the block route against the full paired
         # closure of the same quotient structure, on total and non-total
-        # models, ∃∃ and ∀∃ quotients and four kinds of partition.  A strong
+        # models, ∃∃ and ∀∃ quotients and five kinds of partition.  A strong
         # closure holds one pair per set of S, at most 2^5 here, so a closure
         # stopped past 64 pairs is "neither" without being run to the end;
         # uncapped, a few closures of 256-512 pairs make this test take 30 s
-        from abspres import bisim_partition
+        from abspres import bisim_partition, coarsest_sp_partition
         from abspres.abstraction import paired_semantic_closure
         from abspres.kripke import label_partition
         from abspres.languages import in_splitter_class
 
         rng = random.Random(1213)
         verdicts = {"strong": 0, "neither": 0, "capped": 0}
-        until_verdicts = {"strong": 0, "neither": 0}
+        aborting_verdicts = {"strong": 0, "neither": 0}
         for k in range(50):
             model = random_model(rng, 5, 0.3 if k % 2 else 0.0)
             picks = [rng.randrange(3) for _ in range(model.n)]
@@ -668,21 +668,36 @@ class TestBlockRoute:
                 model.space,
                 {sum(1 << s for s in range(model.n) if picks[s] == j) for j in set(picks)},
             )
+            split = rng.randrange(1 << model.n)
             partitions = (
                 label_partition(model),
                 bisim_partition(model),
                 Partition.identity(model.space),
                 shuffled,
             )
-            # L2 and L1 + EU are in the class, but keep the paired closure,
-            # whose EU tuples are slow enough to test on every fifth model
-            untils = [
+            # CTL and L1 + EU + EX cut by AX and EX, so the block test decides
+            # them; L2 cuts by EU and {and, not, AU} has no cuts, so their
+            # route is the aborting closure.  The full closures of these four
+            # are slow enough to run on every fifth model
+            block_langs = splitter_class_languages(model)
+            if k % 5 == 1:
+                block_langs += [
+                    preset_language("CTL", model),
+                    language_from_ops(model, ["and", "not", "EU", "EX"]),
+                ]
+            aborting = [
                 preset_language("L2", model),
-                language_from_ops(model, ["and", "not", "EU", "EX"]),
+                language_from_ops(model, ["and", "not", "AU"]),
             ] if k % 5 == 0 else []
-            for lang in splitter_class_languages(model) + untils:
-                assert in_splitter_class(lang)
-                for p in partitions:
+            assert all(in_splitter_class(lang) for lang in block_langs)
+            halves = (split, model.space.full_mask & ~split)
+            for lang in block_langs + aborting:
+                # P_L cut in two by a random set: a refinement of P_L whose
+                # ∀∃ quotient may fail any one cut
+                refined = Partition.from_masks(model.space, {
+                    c & x for c in coarsest_sp_partition(lang, model).blocks for x in halves if c & x
+                })
+                for p in partitions + (refined,):
                     for kind in ("ee", "ae"):
                         q = quotient(kind, model, p)
                         structure = AbstractStructure.from_quotient(q, lang)
@@ -690,10 +705,6 @@ class TestBlockRoute:
                             full = paired_semantic_closure(model, structure, lang, max_pairs=64)
                         except CapacityError:
                             full = None
-                        if full is None and lang in untils:
-                            # the route is this closure, run to the end
-                            verdicts["capped"] += 1
-                            continue
                         got = paired_sp_check(model, q, lang)
                         if full is None:
                             assert got.verdict == "neither"
@@ -701,14 +712,23 @@ class TestBlockRoute:
                         else:
                             assert (got.verdict, got.witness) == (full.verdict, full.witness)
                             verdicts[got.verdict] += 1
-                            if lang in untils:
-                                until_verdicts[got.verdict] += 1
+                            if lang in aborting:
+                                aborting_verdicts[got.verdict] += 1
                         assert got.strong == (got.verdict == "strong")
                         if got.witness is not None:
                             concrete = eval_concrete(got.witness, model, lang)
                             assert structure.semantics(got.witness) != concrete
         assert verdicts["strong"] >= 300 and verdicts["neither"] >= 300
-        assert until_verdicts["strong"] >= 100 and until_verdicts["neither"] >= 20
+        assert aborting_verdicts["strong"] >= 100 and aborting_verdicts["neither"] >= 20
+
+    def test_block_test_checks_every_cut(self):
+        # under L1 + post, P_L is one block, and the ∀∃ quotient by
+        # {1,2,3,4}, {5} agrees with EX on it but not with post
+        model = KripkeModel(StateSpace(tuple("12345")), (29, 19, 13, 14, 14), (("p", 31),))
+        lang = language_from_ops(model, ["and", "not", "EX", "post"])
+        q = quotient("ae", model, Partition.of(model.space, [["1", "2", "3", "4"], ["5"]]))
+        got = paired_sp_check(model, q, lang)
+        assert (got.verdict, str(got.witness)) == ("neither", "post p")
 
     def test_strong_class_checks_run_no_paired_closure(self, tl, kpq, monkeypatch):
         from abspres import abstraction, bisim_partition, coarsest_sp_partition
@@ -764,17 +784,24 @@ class TestBlockRoute:
         monkeypatch.setattr(abstraction, "paired_semantic_closure", recording)
         l1 = preset_language("L1", kpq)
         mixed = operator_from_expr("AXEX", 1, "AX EX #1")
-        langs = [preset_language(name, kpq) for name in ("L2", "L3", "CTL", "semaforo", "exef")]
-        langs += [
-            language_from_ops(kpq, ["and", "or", "EX"]),
+        # without `not` a check may be weak-only, so it reads the full closure
+        full = [preset_language(name, kpq) for name in ("L3", "semaforo", "exef")]
+        full.append(language_from_ops(kpq, ["and", "or", "EX"]))
+        # with `not` and no block test, an aborting closure decides
+        aborting = [
+            preset_language("L2", kpq),
             LanguageSpec("L1+AXEX", l1.atoms, l1.operators + (mixed,)),
             LanguageSpec("no-atoms", (), l1.operators),
         ]
         p = bisim_partition(kpq)
         q = quotient("ee", kpq, p)
-        for lang in langs:
+        for lang in full + aborting:
             paired_sp_check(kpq, q, lang)
-            assert calls.pop() is False, lang.name
+            assert calls.pop() is (lang in aborting), lang.name
+        assert calls == []
+        # CTL's cuts are AX and EX, so its check is decided block by block
+        assert paired_sp_check(kpq, q, preset_language("CTL", kpq)).verdict == "strong"
+        assert calls == []
         for structure in (
             AbstractStructure.from_quotient(q, l1),
             AbstractStructure.best_approximation(adp(p), kpq, l1),

@@ -714,11 +714,14 @@ class TestLargeModels:
         assert code == 2 and "MAX_STAGE_TUPLES" in err
 
     @pytest.mark.parametrize(
-        "preset, extra", [("L1", "post"), ("L1", "AX"), ("L2", "EX")], ids=["post", "AX", "L2+EX"]
+        "preset, extra",
+        [("L1", "post"), ("L1", "AX"), ("L2", "EX"), ("CTL", "post")],
+        ids=["post", "AX", "L2+EX", "CTL+post"],
     )
     def test_class_languages_on_40_states(self, capsys, tmp_path, preset, extra):
-        # L1 + post, L1 + AX and L2 + EX are answered by the splitter engine:
-        # the partition at once, and the domain refused before its 2^b members
+        # L1 + post, L1 + AX, L2 + EX and CTL + post are answered by the
+        # splitter engine: the partition at once, and the domain refused
+        # before its 2^b members
         import time
 
         from abspres import Partition

@@ -31,7 +31,13 @@ from abspres.lattice import StateSpace, moore_close
 from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
 from abspres.shells import semantic_closure
 
-from conftest import brute_bisimulation, brute_stuttering, random_model, random_total_model
+from conftest import (
+    brute_bisimulation,
+    brute_simulation,
+    brute_stuttering,
+    random_model,
+    random_total_model,
+)
 
 
 def merge_two_blocks(p: Partition, i: int, j: int) -> Partition:
@@ -160,6 +166,17 @@ class TestStuttering:
 
 
 class TestSimulation:
+    def test_similarity_matches_the_brute_force_oracle(self):
+        # inclusion-labeled from the labels, equal-labeled from the labels
+        # and their complements
+        for model in oracle_models(1616):
+            labels = [mask for _, mask in model.label_items]
+            literals = labels + [model.space.full_mask & ~mask for mask in labels]
+            assert largest_simulation(model).rows == brute_simulation(model, labels), model
+            assert equivalences.equal_label_simulation(model).rows == brute_simulation(
+                model, literals
+            ), model
+
     def test_contains_identity(self, kpq, tl, k3):
         for model in (kpq, tl, k3):
             r = largest_simulation(model)

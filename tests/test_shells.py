@@ -24,8 +24,10 @@ from abspres import (
 from abspres import equivalences, partitions, shells
 from abspres.languages import (
     LanguageSpec,
+    _splitters,
     apply_operator,
     builtin_operator,
+    in_similarity_class,
     in_splitter_class,
     language_from_json,
     language_from_ops,
@@ -61,6 +63,10 @@ def naive_shell(dom, fs, model):
         masks = closed
 
 
+def _ops(*names):
+    return tuple(builtin_operator(n) for n in names)
+
+
 def random_seed(rng, model, count=3):
     """M of Σ and up to ``count`` random sets; rarely partitioning."""
     masks = {model.space.full_mask}
@@ -69,18 +75,22 @@ def random_seed(rng, model, count=3):
 
 
 def splitter_op_sets():
-    """`not` with pre, AX, post, post~, EF[1,3], AX AX #1, !#1 | #2 and EU."""
+    """`not` with pre, AX, post, post~, EF[1,3], AX AX #1, !#1 | #2 and EU,
+    and with AU, ER and AR beside a next operator."""
     ops = {
         name: builtin_operator(name)
-        for name in ("not", "and", "pre", "AX", "post", "post~", "EU", "EX")
+        for name in (
+            "not", "and", "or", "pre", "pre~", "AX", "post", "post~", "EU", "EX", "AU", "ER",
+            "AR", "EF[1,2]", "EF[1,3]",
+        )
     }
-    ops["EF[1,3]"] = builtin_operator("EF[1,3]")
     ops["AXX"] = operator_from_expr("AXX", 1, "AX AX #1")
     ops["imp"] = operator_from_expr("imp", 2, "!#1 | #2")
     names = [
         ["pre"], ["AX"], ["post"], ["post~"], ["EF[1,3]"], ["AXX"], ["imp", "pre"],
         ["and", "imp", "AX", "post"], ["EU"], ["EU", "EX"], ["EU", "post"],
-        ["and", "EU", "AX"],
+        ["and", "EU", "AX"], ["EX", "AU"], ["AX", "ER", "AR"], ["pre", "EU", "post"],
+        ["and", "pre~", "AU", "EF[1,2]"], ["or", "EX", "AR"],
     ]
     return [[ops["not"]] + [ops[n] for n in group] for group in names]
 
@@ -178,7 +188,7 @@ class TestForwardCompleteShell:
                 assert trace.iterations[1] == adp(pr(seed))
                 extra_steps += 1
             # each later snapshot is one pass of the engine
-            passes = list(equivalences._splitter_passes(model, pr(seed).blocks, ops))
+            passes = list(equivalences._splitter_passes(model, pr(seed).blocks, _splitters(ops)))
             assert len(trace.iterations) == 1 + (not partitioning) + len(passes)
         assert extra_steps >= 10
 
@@ -203,27 +213,50 @@ class TestForwardCompleteShell:
         def boom(*args, **kwargs):
             raise AssertionError("splitter engine on a set it does not serve")
 
+        def no_similarity(*args, **kwargs):
+            raise AssertionError("similarity on a language outside its class")
+
         monkeypatch.setattr(equivalences, "_splitter_passes", boom)
+        monkeypatch.setattr(equivalences, "_similarity", no_similarity)
         seed = moore_close(label_partition(kpq).family)
         mixed = operator_from_expr("AXEX", 1, "AX EX #1")
         for fs in (
             [builtin_operator("not"), mixed],
             [builtin_operator("or"), builtin_operator("pre~")],
-            # the block test of EU does not carry over to AU or ER
+            # the block test of EU does not carry over to AU or ER, and
+            # without a next operator neither is a fixpoint of pre-stable sets
             [builtin_operator("not"), builtin_operator("AU")],
             [builtin_operator("not"), builtin_operator("ER")],
         ):
             got = forward_complete_shell(seed, fs, kpq).domain
             assert got.masks == naive_shell(seed, fs, kpq)
+        closed_atoms = tuple(
+            (name, StateSet(kpq.space, mask))
+            for name, mask in (("a", 0b00011), ("!a", 0b11100), ("b", 0b01010), ("!b", 0b10101))
+        )
         l1 = preset_language("L1", kpq)
-        lang = LanguageSpec("L1+AXEX", l1.atoms, l1.operators + (mixed,))
-        assert ad_of_language(lang, kpq) == moore_close(semantic_closure(lang, kpq))
+        langs = [
+            # complement-closed atoms, but no AX or pre~
+            LanguageSpec("and-or", closed_atoms, _ops("and", "or")),
+            LanguageSpec("L1+AXEX", l1.atoms, l1.operators + (mixed,)),
+        ]
+        for lang in langs:
+            assert not in_splitter_class(lang) and not in_similarity_class(lang), lang.name
+            assert ad_of_language(lang, kpq) == moore_close(semantic_closure(lang, kpq))
+        # an arity-12 operator with the body pre #1 is no next operator
+        high = operator_from_expr("F", 12, "pre #1")
+        lang = LanguageSpec("L1+F", l1.atoms, l1.operators + (high,))
+        assert _splitters(lang.operators) is None
+        with pytest.raises(CapacityError, match="MAX_STAGE_TUPLES"):
+            ad_of_language(lang, kpq)
         for op in ("pre", "EU"):
             with pytest.raises(AssertionError, match="splitter engine"):
                 forward_complete_shell(seed, [builtin_operator("not"), builtin_operator(op)], kpq)
-        for name in ("L1", "L2"):
+        for name in ("L1", "L2", "CTL"):
             with pytest.raises(AssertionError, match="splitter engine"):
                 ad_of_language(preset_language(name, kpq), kpq)
+        with pytest.raises(AssertionError, match="similarity"):
+            ad_of_language(preset_language("L3", kpq), kpq)
 
     def test_worklist_matches_naive_iteration(self):
         rng = random.Random(83)
@@ -540,7 +573,8 @@ class TestCoarsestSpPartition:
 
     def test_class_languages_agree_with_the_domain_route(self):
         # every splitter-class language is answered by the engine from the
-        # atom partition; the domain must equal the closure route M(S)
+        # atom partition, every similarity-class one by add of its
+        # similarity; the domain must equal the closure route M(S)
         rng = random.Random(1313)
         models = [random_model(rng, 1 + i % 7) for i in range(140)]
         assert any(0 in m.succ for m in models) and any(0 not in m.succ for m in models)
@@ -563,9 +597,26 @@ class TestCoarsestSpPartition:
                 preset_language("L2", model),
                 language_from_ops(model, ["and", "not", "EU", "EX"]),
                 language_from_ops(model, ["or", "not", "EU", "AX"]),
+                language_from_ops(model, ["and", "not", "EX", "AU"]),
+                language_from_ops(model, ["or", "not", "AX", "ER", "AR"]),
             ]
-            for lang in langs:
-                assert in_splitter_class(lang), lang.name
+            if model.n <= 6:
+                ctl = preset_language("CTL", model)
+                langs += [ctl, LanguageSpec("CTL+post", ctl.atoms, ctl.operators + _ops("post"))]
+            splitter_class = len(langs)
+            # atoms closed under complement that are not the labels
+            masks = [rng.randrange(1 << model.n) for _ in range(rng.randint(1, 2))]
+            full = model.space.full_mask
+            atoms = tuple(
+                (f"{sign}a{i}", StateSet(model.space, mask if sign == "" else full & ~mask))
+                for i, mask in enumerate(masks)
+                for sign in ("", "!")
+            )
+            for dual in ("AX", "pre~"):
+                langs.append(LanguageSpec("sim", atoms, _ops("and", "or", dual)))
+            for i, lang in enumerate(langs):
+                assert in_splitter_class(lang) == (i < splitter_class), lang.name
+                assert in_similarity_class(lang) == (i >= splitter_class), lang.name
                 want = moore_close(semantic_closure(lang, model))
                 assert ad_of_language(lang, model).masks == want.masks, (lang.name, model)
                 assert coarsest_sp_partition(lang, model) == pr(want), (lang.name, model)
@@ -615,6 +666,8 @@ class TestCoarsestSpPartition:
         atoms = tuple((name, StateSet(space, mask)) for name, mask in model.label_items)
         ops = tuple(builtin_operator(n) for n in ("and", "or", "AX"))
         lang = LanguageSpec("L3", atoms, ops)
+        # p and !p are not complements, so the language is not in L3's class
+        assert not in_similarity_class(lang)
         want = moore_close(semantic_closure(lang, model))
         assert ad_of_language(lang, model) == want
         assert coarsest_sp_partition(lang, model) == pr(want)

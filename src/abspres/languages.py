@@ -10,9 +10,11 @@ An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  It also
 records then whether its body is Boolean (only ``not``, ``and``, ``or`` and
 placeholders), which lets quotient structures apply it to block unions
-directly, and whether its body is a chain of additive built-ins (or of
-their duals) applied to ``#1``, or ``EU #1 #2``.  The operators, never a
-language's name, pick its routes: :func:`_splitters` and the class tests.
+directly, whether its body is a chain of additive built-ins (or of their
+duals) applied to ``#1``, or ``EU #1 #2``, and whether it grows or shrinks
+with the transition relation, which bounds the relation search.  The
+operators, never a language's name, pick its routes: :func:`_splitters`
+and the class tests.
 
 :func:`close` is the one saturation engine of the package: the forward
 complete shell (outside the splitter class, whose shells the splitter
@@ -67,7 +69,9 @@ class Operator:
     and its body is a chain of additive built-ins (``EX``, ``pre``, ``post``,
     ``EF[lo,hi]``) applied to ``#1``, ``"dual"`` for a chain of their duals
     (``AX``, ``pre~``, ``post~``), ``"until"`` when the operator is binary
-    and its body is exactly ``EU #1 #2``, and None otherwise.
+    and its body is exactly ``EU #1 #2``, and None otherwise.  ``_polarity``
+    is the sign of the operator in the transition relation, its arguments
+    fixed (see :func:`_polarity_of`).
     """
 
     name: str
@@ -78,11 +82,13 @@ class Operator:
     )
     _boolean: bool = field(init=False, compare=False, repr=False)
     _chain: Optional[str] = field(init=False, compare=False, repr=False)
+    _polarity: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_resolved", _resolve_body(self, self.body))
         object.__setattr__(self, "_boolean", _is_boolean(self.body))
         object.__setattr__(self, "_chain", _chain_kind(self))
+        object.__setattr__(self, "_polarity", _polarity_of(self.body))
 
 
 def operator_from_expr(name: str, arity: int, expr: str) -> Operator:
@@ -236,6 +242,7 @@ def _is_boolean(node: Node) -> bool:
 # unary built-ins that distribute over unions, and their duals ¬f¬
 _ADDITIVE = ("EX", "pre", "post")
 _DUAL = ("AX", "pre~", "post~")
+_TWINS = dict(zip(_DUAL, _ADDITIVE))
 _UNTIL_BODY = App("EU", (Arg(1), Arg(2)))
 
 
@@ -259,6 +266,36 @@ def _chain_kind(op: Operator) -> Optional[str]:
         kind = step
         node = node.args[0]
     return kind if node == Arg(1) else None
+
+
+# built-ins that shrink as the transition relation grows; every other
+# non-Boolean built-in (EX, pre, post, EF[lo,hi], EU, ER) grows with it
+_ANTITONE = ("AX", "pre~", "post~", "AU", "AR")
+
+
+def _polarity_of(node: Node) -> Optional[int]:
+    """The sign of ``node`` as a function of the transition relation, its
+    placeholders fixed: 1 when it grows with the relation, -1 when it
+    shrinks, 0 when it does not read it and None when its parts disagree
+    (``AX EX #1``).  Every built-in is monotone in its arguments but
+    ``not``, which flips their sign.  The body must have resolved."""
+    if not isinstance(node, App):
+        return 0
+    if node.op in ("not", "and", "or"):
+        sign = 0
+    else:
+        sign = -1 if node.op in _ANTITONE else 1
+    flip = -1 if node.op == "not" else 1
+    for arg in node.args:
+        inner = _polarity_of(arg)
+        if inner is None:
+            return None
+        inner *= flip
+        if not sign:
+            sign = inner
+        elif inner and inner != sign:
+            return None
+    return sign
 
 
 def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Mask:
@@ -394,19 +431,35 @@ def _splitters(ops: Sequence[Operator]) -> Optional[list[Operator]]:
     partition that the engine leaves whole; else None.  That needs ``not
     #1``.  Chains and untils (``Operator._chain``) cut, Boolean operators do
     not, nor does a binary ``EU``, ``AU``, ``ER`` or ``AR`` of ``#1, #2`` when
-    some body is ``EX #1``, ``AX #1``, ``pre #1`` or ``pre~ #1``.  The test
-    is syntactic: an equivalent body written otherwise is not admitted."""
+    some body is ``EX #1``, ``AX #1``, ``pre #1`` or ``pre~ #1``.  Nor does a
+    dual chain whose additive twin (``AX`` to ``EX``, ``pre~`` to ``pre``,
+    ``post~`` to ``post``) is a cut: AX(Σ∖B) = Σ∖EX(B) makes the twin's cut.
+    The block test of :func:`~abspres.abstraction._strong_on_blocks` stays
+    exact without the twin, since with ``not`` the quotient's AX is ¬EX♯¬
+    as the concrete AX is ¬EX¬, so it agrees on block unions when EX does.
+    The test is syntactic: an equivalent body written otherwise is not
+    admitted."""
     if not _has_not(ops):
         return None
     has_next = any(op.body in _NEXTS for op in ops if op._chain)
+    additive = {op.body for op in ops if op._chain == "additive"}
     cuts = []
     for op in ops:
         if op._boolean or (has_next and op.arity == 2 and op.body in _FIXPOINTS):
             continue
         if op._chain is None:
             return None
+        if op._chain == "dual" and _additive_twin(op.body) in additive:
+            continue
         cuts.append(op)
     return cuts
+
+
+def _additive_twin(node: Node) -> Node:
+    """A dual chain with each built-in replaced by its additive twin."""
+    if isinstance(node, App):
+        return App(_TWINS[node.op], tuple(_additive_twin(a) for a in node.args))
+    return node
 
 
 def in_splitter_class(lang: LanguageSpec) -> bool:

@@ -28,14 +28,14 @@ the Moore closure of the semantic closure.  The coarsest strongly
 preserving partition is pr of that domain, on every route.
 
 The relation search runs the saturation engine once over the concrete
-atoms and checks each candidate block relation against the applications it
-recorded.
+atoms and walks the candidate block relations row by row, pruning each
+subtree whose bounds cannot meet an application it recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import equivalences
 from .errors import CapacityError, SpaceMismatchError, ValidationError
@@ -221,14 +221,50 @@ class _NotBlockUnion(Exception):
     """A set of S is not a union of blocks, so no relation is strong."""
 
 
+_Step = tuple[Operator, tuple[Mask, ...], Mask]
+
+
+def _recorded_steps(
+    p: Partition, lang: LanguageSpec, model: KripkeModel
+) -> Optional[list[_Step]]:
+    """The non-Boolean applications of one closure of S = {⟦φ⟧ | φ ∈ L} over
+    the atoms (one stage per operator, lowest arity first, as in the paired
+    closure), as (operator, argument blocks, value blocks) in block indices;
+    None when an atom or a set of S is not a union of blocks of ``p``, since
+    then no relation is strong."""
+    # abstract values are block unions: if an atom or a set of S is not
+    # one, no relation can work
+    atoms = list(dict.fromkeys(s.mask for _, s in lang.atoms))
+    if any(p.block_containing(m) != m for m in atoms):
+        return None
+    steps: list[_Step] = []
+
+    def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
+        value = apply_operator(op, model, args)
+        if p.block_containing(value) != value:
+            raise _NotBlockUnion
+        if not op._boolean:
+            steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
+        return value
+
+    stages = [[op] for op in sorted(lang.operators, key=lambda op: op.arity)]
+    try:
+        close(atoms, stages, apply, lambda fresh: fresh)
+    except _NotBlockUnion:
+        return None
+    return steps
+
+
 def sp_abstract_kripke_search(
     p: Partition,
     lang: LanguageSpec,
     model: KripkeModel,
     mode: str = "all",
 ) -> list[frozenset[tuple[int, int]]]:
-    """Enumerate every abstract transition relation on the blocks of ``p``
-    and return those whose abstract Kripke structure is strongly preserving.
+    """Every abstract transition relation on the blocks of ``p`` whose
+    abstract Kripke structure is strongly preserving, in the order of the
+    relations' bits (row i of block successors at bits i·b to i·b + b - 1);
+    ``mode="first"`` stops at the first.
 
     Abstract atoms follow the existential labeling (the block union of
     every block meeting the atom's denotation); operators are interpreted
@@ -236,12 +272,25 @@ def sp_abstract_kripke_search(
     bodies.  Relations are returned as index pairs over ``p.blocks``.
 
     A strong structure agrees with ⟦·⟧ on every formula, so one recorded
-    closure of S = {⟦φ⟧ | φ ∈ L} (one stage per operator, lowest arity
-    first, as in the paired closure) fixes it: a candidate is strong iff its
-    block model gives the recorded value on every recorded application.
-    Applications of Boolean operators are not recorded: on block unions
-    they agree with every block model (see
+    closure of S = {⟦φ⟧ | φ ∈ L} (:func:`_recorded_steps`) fixes it: a
+    relation is strong iff its block model gives the recorded value on every
+    recorded application.  Applications of Boolean operators are not
+    recorded: on block unions they agree with every block model (see
     :meth:`~abspres.abstraction.AbstractStructure.from_quotient`).
+
+    The relations are walked depth first, row by row: row b - 1 is fixed
+    first and row 0 last, each row's 2^b values in ascending order, so the
+    leaves come in bit order.  At a node the rows still open are set to ∅
+    for R_lo and to every block for R_hi.  A step whose operator grows with
+    the relation (``Operator._polarity`` 1) then prunes the subtree when
+    f(R_lo) ⊄ V or V ⊄ f(R_hi), V its recorded value; one that shrinks
+    (-1) swaps R_lo and R_hi.  Every completion R of the node has
+    R_lo ⊆ R ⊆ R_hi, so f(R) = V puts V between the two bounds, and no
+    strong relation is cut; when the two bounds both equal V, every
+    completion gives V, and the subtree no longer checks the step.  Steps
+    of mixed or no polarity are checked at the leaves only.
+    :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²) relations, before any
+    is tried.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -256,35 +305,53 @@ def sp_abstract_kripke_search(
             f"{b} blocks means 2^{b * b} candidate relations, "
             f"over MAX_SEARCH_CANDIDATES = {MAX_SEARCH_CANDIDATES}"
         )
-
-    # abstract values are block unions: if an atom or a set of S is not
-    # one, no relation can work
-    atoms = list(dict.fromkeys(s.mask for _, s in lang.atoms))
-    if any(p.block_containing(m) != m for m in atoms):
-        return []
-    steps: list[tuple[Operator, tuple[Mask, ...], Mask]] = []
-
-    def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
-        value = apply_operator(op, model, args)
-        if p.block_containing(value) != value:
-            raise _NotBlockUnion
-        if not op._boolean:
-            steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
-        return value
-
-    stages = [[op] for op in sorted(lang.operators, key=lambda op: op.arity)]
-    try:
-        close(atoms, stages, apply, lambda fresh: fresh)
-    except _NotBlockUnion:
+    steps = _recorded_steps(p, lang, model)
+    if steps is None:
         return []
 
     bspace = StateSpace(tuple(block_name(model, m) for m in blocks))
+    full = bspace.full_mask
+
+    def narrow(rows: tuple[Mask, ...], pending: list[_Step]) -> Optional[list[_Step]]:
+        """The steps of ``pending`` that the completions of ``rows``, the
+        rows from b - len(rows) on, may still fail, or None when each of
+        them fails one.  A bounded step whose two bounds meet at its
+        recorded value holds on every completion."""
+        open_rows = b - len(rows)
+        lo = KripkeModel(bspace, (0,) * open_rows + rows, ())
+        hi = KripkeModel(bspace, (full,) * open_rows + rows, ())
+        left = []
+        for step in pending:
+            op, args, value = step
+            if not op._polarity:
+                left.append(step)
+                continue
+            small, large = (lo, hi) if op._polarity > 0 else (hi, lo)
+            below = apply_operator(op, small, args)
+            if below & ~value:
+                return None
+            above = apply_operator(op, large, args)
+            if value & ~above:
+                return None
+            if below != above:
+                left.append(step)
+        return left
+
+    def walk(rows: tuple[Mask, ...], pending: list[_Step]) -> Iterator[KripkeModel]:
+        if len(rows) == b:
+            qmodel = KripkeModel(bspace, rows, ())
+            if all(apply_operator(op, qmodel, args) == value for op, args, value in pending):
+                yield qmodel
+            return
+        pending = narrow(rows, pending)
+        if pending is None:
+            return
+        for row in range(1 << b):
+            yield from walk((row,) + rows, pending)
+
     hits: list[frozenset[tuple[int, int]]] = []
-    for bits in range(1 << (b * b)):
-        succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
-        qmodel = KripkeModel(bspace, succ, ())
-        if all(apply_operator(op, qmodel, args) == value for op, args, value in steps):
-            hits.append(qmodel.relation_pairs())
-            if mode == "first":
-                break
+    for qmodel in walk((), steps):
+        hits.append(qmodel.relation_pairs())
+        if mode == "first":
+            break
     return hits

@@ -193,6 +193,30 @@ def brute_stuttering(model: KripkeModel):
     return Partition.of(model.space, classes)
 
 
+def exhaustive_relation_search(p, lang, model: KripkeModel, mode: str = "all") -> list:
+    """The relation search as one flat loop over all 2^(b²) relations in bit
+    order (row i at bits i·b to i·b + b - 1), each built as a block model and
+    checked against every step that the search records."""
+    from abspres.kripke import block_name
+    from abspres.languages import apply_operator
+    from abspres.shells import _recorded_steps
+
+    steps = _recorded_steps(p, lang, model)
+    if steps is None:
+        return []
+    b = len(p.blocks)
+    bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
+    hits = []
+    for bits in range(1 << (b * b)):
+        succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
+        qmodel = KripkeModel(bspace, succ, ())
+        if all(apply_operator(op, qmodel, args) == value for op, args, value in steps):
+            hits.append(qmodel.relation_pairs())
+            if mode == "first":
+                break
+    return hits
+
+
 # --- random model generation -----------------------------------------------
 
 

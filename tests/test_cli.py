@@ -360,6 +360,15 @@ class TestSearchAndQuotient:
         assert len(doc["result"]["relations"]) == 1
         assert len(doc["result"]["blocks"]) == 4
 
+    def test_search_on_five_blocks(self, capsys):
+        # 2^25 relations, walked row by row with bounds
+        code, out, err = run(
+            capsys, "--format", "json", "search-abstract-kripke", "--model", fx("k5.json"),
+            "--lang", "L1", "--partition", "1/2/3/4/5",
+        )
+        assert code == 0, err
+        assert len(json.loads(out)["result"]["relations"]) == 9
+
     def test_search_rejects_open_language(self, capsys):
         code, _, err = run(
             capsys,
@@ -750,6 +759,27 @@ class TestLargeModels:
                 for args in product(p.blocks, repeat=op.arity):
                     image = apply_operator(op, model, args)
                     assert p.block_containing(image) == image
+
+    def test_ctl_cuts_as_l1_does(self, tmp_path, monkeypatch):
+        # AX(Σ∖B) = Σ∖EX(B), so CTL's AX makes its twin EX's cut and the
+        # splitter engine applies EX alone, as for L1
+        from abspres import equivalences
+        from abspres.languages import apply_operator, preset_language
+        from abspres.shells import coarsest_sp_partition
+
+        model = load_model(self.ring(tmp_path, 40))
+        calls = []
+
+        def counting(op, m, args):
+            calls.append(op.name)
+            return apply_operator(op, m, args)
+
+        monkeypatch.setattr(equivalences, "apply_operator", counting)
+        l1 = coarsest_sp_partition(preset_language("L1", model), model)
+        l1_calls = calls[:]
+        calls.clear()
+        assert coarsest_sp_partition(preset_language("CTL", model), model) == l1
+        assert calls == l1_calls == ["EX"] * 58
 
     def test_preset_sp_domain_is_the_unions_of_its_blocks(self, capsys, tmp_path):
         path = self.ring(tmp_path, 16)

@@ -27,6 +27,7 @@ from abspres.languages import (
     _splitters,
     apply_operator,
     builtin_operator,
+    const_operator,
     in_similarity_class,
     in_splitter_class,
     language_from_json,
@@ -44,7 +45,13 @@ from abspres.shells import (
 )
 from abspres.kripke import KripkeModel, label_partition
 
-from conftest import brute_moore_close, domain_as_frozensets, random_model, random_total_model
+from conftest import (
+    brute_moore_close,
+    domain_as_frozensets,
+    exhaustive_relation_search,
+    random_model,
+    random_total_model,
+)
 
 
 def naive_shell(dom, fs, model):
@@ -763,6 +770,108 @@ class TestRelationSearch:
                 hits += len(found)
         assert block_calls == []
         assert searches >= 30 and hits >= 30
+
+    def test_operator_records_its_polarity(self, kpq):
+        # the sign in the transition relation, the arguments fixed
+        for name in ("EX", "pre", "post", "EF[0,2]", "EU", "ER"):
+            assert builtin_operator(name)._polarity == 1, name
+        for name in ("AX", "pre~", "post~", "AU", "AR"):
+            assert builtin_operator(name)._polarity == -1, name
+        for name in ("not", "and", "or"):
+            assert builtin_operator(name)._polarity == 0, name
+        cases = {
+            "AX AX #1": -1,
+            "!AX #1": 1,
+            "!EX #1": -1,
+            "EX !#1": 1,
+            "post EF[1,3] pre #1": 1,
+            "!#1 | #1 & #1": 0,
+            "AX EX #1": None,
+            "EX #1 & AX #1": None,
+            "EX AX EX #1": None,
+        }
+        for expr, want in cases.items():
+            assert operator_from_expr("f", 1, expr)._polarity == want, expr
+        assert operator_from_expr("f", 2, "EU(#1, !EX #2)")._polarity is None
+        assert operator_from_expr("f", 2, "AU(!#1, AX #2)")._polarity == -1
+        assert const_operator("c", StateSet(kpq.space, 0b101))._polarity == 0
+
+    def test_row_walk_matches_the_exhaustive_walk(self):
+        # oracle: every one of the 2^(b²) relations checked in bit order, in
+        # both modes.  Monotone (L1, L2, exef, post, EX !#1), antitone (L3,
+        # semaforo, post~, !EX #1), both (CTL's EX and AX, EU and AU) and
+        # mixed steps (AX EX #1, EX #1 & AX #1), models with dead states and
+        # every block row, empty ones too
+        from abspres.equivalences import bisim_partition
+        from abspres.fixtures import five_state_pqr, traffic_light
+
+        extras = {
+            "post": "post #1",
+            "post~": "post~ #1",
+            "EXnot": "EX !#1",
+            "notEX": "!EX #1",
+            "AXEX": "AX EX #1",
+            "EXandAX": "EX #1 & AX #1",
+        }
+
+        def languages(model):
+            presets = ("L1", "L2", "L3", "CTL", "exef", "semaforo")
+            l1 = preset_language("L1", model)
+            return [preset_language(n, model) for n in presets] + [
+                LanguageSpec(
+                    f"L1+{name}", l1.atoms, l1.operators + (operator_from_expr(name, 1, expr),)
+                )
+                for name, expr in extras.items()
+            ]
+
+        searches = found = stuck = 0
+
+        def agree(p, model, langs):
+            nonlocal searches, found, stuck
+            for lang in langs:
+                want = exhaustive_relation_search(p, lang, model)
+                assert sp_abstract_kripke_search(p, lang, model) == want, lang.name
+                first = sp_abstract_kripke_search(p, lang, model, mode="first")
+                assert first == exhaustive_relation_search(p, lang, model, "first") == want[:1]
+                searches += 1
+                found += bool(want)
+                # hits in which a block has no successor
+                stuck += sum(len({i for i, _ in rel}) < len(p.blocks) for rel in want)
+
+        rng = random.Random(16)
+        for _ in range(16):
+            model = random_model(rng, rng.randint(2, 6))
+            picks = [rng.randrange(3) for _ in range(model.n)]
+            shuffled = Partition.from_masks(
+                model.space,
+                {sum(1 << s for s in range(model.n) if picks[s] == k) for k in set(picks)},
+            )
+            for p in (label_partition(model), bisim_partition(model), shuffled):
+                if len(p.blocks) <= 3:
+                    agree(p, model, languages(model))
+        tl, kpqr = traffic_light(), five_state_pqr()
+        agree(bisim_partition(tl), tl, [preset_language(n, tl) for n in ("L1", "semaforo")])
+        agree(bisim_partition(kpqr), kpqr, [preset_language("exef", kpqr)])
+        assert searches >= 500 and found >= 400 and stuck >= 1500
+
+    def test_row_bounds_prune_the_walk(self, kpqr, monkeypatch):
+        # the bisimulation blocks of five_state_pqr under L1: 2^16 relations,
+        # one of them strong, found with few block models built
+        from abspres.equivalences import bisim_partition
+
+        built = []
+        real = shells.KripkeModel
+
+        def counting(*args):
+            built.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(shells, "KripkeModel", counting)
+        p = bisim_partition(kpqr)
+        assert len(p.blocks) == 4
+        hits = sp_abstract_kripke_search(p, preset_language("L1", kpqr), kpqr)
+        assert hits == [quotient("ee", kpqr, p).model.relation_pairs()]
+        assert len(built) <= 1000
 
     def test_search_agrees_with_quotient_route(self):
         # oracle: a paired closure of the quotient structure for every

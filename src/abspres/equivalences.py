@@ -22,6 +22,18 @@ the operators it cuts by for :func:`abspres.shells.forward_complete_shell`
 and :func:`abspres.shells.ad_of_language`, and ``ad_of_language`` answers
 the similarity class by :func:`_similarity`.
 
+Both refinements work by the edges.  The engine cuts by EU(B1, B2) only
+where a move goes from B1 into B2, since any other pair gives B2, which
+cuts nothing; each such cut is a backward search through B1 over a
+predecessor list built once per call.  The similarity is a worklist over
+the same list: when a row shrinks, its pre-image is computed once and cuts
+the rows of its predecessors.  Pass by pass, both give exactly the answers
+of the all-pairs and move-sweep loops they replace, which the tests keep
+as oracles.  The predecessor list stays local to these two routes:
+``KripkeModel.pre`` scans the successor rows, which costs less on the many
+small block models the relation search builds than a list built per
+model.
+
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
 {EU}, simulation ↔ {atoms} ∪ {pre~} on the preorder domain) and the
@@ -65,6 +77,69 @@ def _split_once(blocks: list[Mask], cuts: Iterable[Mask]) -> int:
     return count
 
 
+def _members(mask: Mask) -> Iterator[int]:
+    """The state indices in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _predecessors(model: KripkeModel) -> list[Mask]:
+    """``pred[t]``: the mask of the states with a move into t."""
+    pred = [0] * model.n
+    for s, row in enumerate(model.succ):
+        for t in _members(row):
+            pred[t] |= 1 << s
+    return pred
+
+
+def _pre(pred: Sequence[Mask], y: Mask) -> Mask:
+    """pre(Y) from a predecessor list: one OR per member of Y."""
+    acc = 0
+    while y:
+        low = y & -y
+        acc |= pred[low.bit_length() - 1]
+        y ^= low
+    return acc
+
+
+def _until_cut(pred: Sequence[Mask], b1: Mask, b2: Mask, pre_b2: Mask) -> Mask:
+    """EU(B1, B2) for disjoint B1 and B2, given pre(B2): B2 and the members
+    of B1 with a path inside B1 into B2, by a backward search through B1
+    that reads the in-edges of each state it reaches once."""
+    frontier = pre_b2 & b1
+    reach = b2 | frontier
+    while frontier:
+        frontier = _pre(pred, frontier) & b1 & ~reach
+        reach |= frontier
+    return reach
+
+
+def _until_cuts(
+    edges: Sequence[tuple[int, int]],
+    pred: Sequence[Mask],
+    pre_of: dict[Mask, Mask],
+    blocks: Sequence[Mask],
+    fresh: set[Mask],
+) -> Iterator[Mask]:
+    """EU(B1, B2) for each pair of blocks B1 ≠ B2, one of them in ``fresh``,
+    with a move from B1 into B2 (an edge of ``edges``, as (source, target)
+    state indices); ``pre_of`` caches pre(B) by block."""
+    owner = [0] * len(pred)
+    for k, b in enumerate(blocks):
+        for s in _members(b):
+            owner[s] = k
+    pairs = {(owner[s], owner[t]) for s, t in edges}
+    for k1, k2 in pairs:
+        b1, b2 = blocks[k1], blocks[k2]
+        if k1 != k2 and (b1 in fresh or b2 in fresh):
+            pre_b2 = pre_of.get(b2)
+            if pre_b2 is None:
+                pre_b2 = pre_of[b2] = _pre(pred, b2)
+            yield _until_cut(pred, b1, b2, pre_b2)
+
+
 def _splitter_passes(
     model: KripkeModel, blocks: Iterable[Mask], ops: Sequence[Operator]
 ) -> Iterator[list[Mask]]:
@@ -82,20 +157,31 @@ def _splitter_passes(
     block, so its yield repeats the one before (or the input).  The result
     is the coarsest such refinement of the input, since each cut separates
     states that every stable refinement of it separates.
+
+    Until cuts are made by the edges.  EU(B1, B2) lies in B1 ∪ B2 and holds
+    B2, and a member of B1 joins it only by a path inside B1 whose last move
+    enters B2; so a pair with no move from B1 into B2 gives B2, a block,
+    which cuts nothing, and only the pairs of blocks an edge joins are cut
+    by.  Each of those is a backward search from B2 through B1 over one
+    predecessor list built per call (:func:`_until_cut`), so a pass costs
+    the edges and the in-edges its searches reach, not b² fixpoints of an
+    O(n) ``pre``.  Dropping cuts that cut nothing leaves each pass's blocks
+    as they were.
     """
     full = model.space.full_mask
     blocks = list(blocks)
     fresh = set(blocks)
+    pred: list[Mask] = []
+    edges: list[tuple[int, int]] = []
+    pre_of: dict[Mask, Mask] = {}
+    if any(op._chain == "until" for op in ops):
+        pred = _predecessors(model)
+        edges = [(s, t) for t, row in enumerate(pred) for s in _members(row)]
     while True:
         cuts = set()
         for op in ops:
             if op._chain == "until":
-                cuts.update(
-                    apply_operator(op, model, (b1, b2))
-                    for b1 in blocks
-                    for b2 in blocks
-                    if b1 != b2 and (b1 in fresh or b2 in fresh)
-                )
+                cuts.update(_until_cuts(edges, pred, pre_of, blocks, fresh))
             else:
                 dual = op._chain == "dual"
                 cuts.update(apply_operator(op, model, (full & ~b if dual else b,)) for b in fresh)
@@ -146,32 +232,55 @@ def dbs_partition(model: KripkeModel) -> Partition:
 def check_dbs(p: Partition, model: KripkeModel) -> bool:
     """Is P a divergence-blind stuttering equivalence?  Label condition plus
     the block criterion: for B1 ≠ B2 the set EU(B1,B2) ∩ B1 is empty or all
-    of B1 (members reach B2 inside B1 together, or none does)."""
+    of B1 (members reach B2 inside B1 together, or none does).
+
+    Only the pairs with a move from B1 into B2 are tested: for any other
+    pair EU(B1, B2) ∩ B1 = ∅, since a member of B1 in EU(B1, B2) has a path
+    inside B1 into B2, and its last move goes from B1 into B2.  ``EU`` is
+    :func:`~abspres.languages.until_mask`, the fixpoint of its definition,
+    not the engine's search."""
     if p.space != model.space:
         raise SpaceMismatchError("partition over a different space than the model")
-    return p.refines(label_partition(model)) and all(
-        (until_mask(model, b1, b2) & b1) in (0, b1)
-        for b1 in p.blocks
-        for b2 in p.blocks
-        if b1 != b2
-    )
+    if not p.refines(label_partition(model)):
+        return False
+    for b1 in p.blocks:
+        entered = model.post(b1)
+        for b2 in p.blocks:
+            if b2 != b1 and b2 & entered and (until_mask(model, b1, b2) & b1) not in (0, b1):
+                return False
+    return True
 
 
 def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
     """The largest simulation that relates s to s' only when every atom of
-    ``atoms`` holding s' holds s: start from R(s) = ⋂ {Σ∖a | s ∉ a} and set
-    R(s) := R(s) ∩ pre(R(t)) for every move s → t until no row shrinks."""
+    ``atoms`` holding s' holds s: start from R(s) = ⋂ {Σ∖a | s ∉ a} and
+    keep R(s) ⊆ pre(R(t)) for every move s → t.
+
+    A worklist holds the states whose row shrank since their predecessors'
+    rows were last cut by it (all of them at first).  Taking t from it
+    computes pre(R(t)) once, from a predecessor list, and intersects it into
+    R(s) for each predecessor s of t, queueing s when R(s) shrinks.  Every
+    cut removes only pairs that the greatest fixpoint lacks, and when the
+    worklist is empty every move's constraint holds, so the rows are that
+    fixpoint: the same rows as sweeping every move until none shrinks, at
+    the cost of the in-edges of the shrunken rows."""
     rows = [model.space.full_mask] * model.n
     for a in atoms:
         rows = [row if (a >> s) & 1 else row & ~a for s, row in enumerate(rows)]
-    moves = sorted(model.relation_pairs())
-    changed = True
-    while changed:
-        changed = False
-        for s, t in moves:
-            row = rows[s] & model.pre(rows[t])
-            changed |= row != rows[s]
-            rows[s] = row
+    pred = _predecessors(model)
+    work = [t for t in range(model.n) if pred[t]]
+    queued = [bool(m) for m in pred]
+    while work:
+        t = work.pop()
+        queued[t] = False
+        image = _pre(pred, rows[t])
+        for s in _members(pred[t]):
+            row = rows[s] & image
+            if row != rows[s]:
+                rows[s] = row
+                if pred[s] and not queued[s]:
+                    queued[s] = True
+                    work.append(s)
     return Preorder(model.space, tuple(rows))
 
 

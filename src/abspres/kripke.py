@@ -37,22 +37,27 @@ class KripkeModel:
     label_items: tuple[tuple[str, Mask], ...]
 
     def __post_init__(self):
-        if self.space.n == 0:
+        # one OR-fold over the rows and one over the labels; the offender is
+        # looked up only to name it
+        n = self.space.n
+        if n == 0:
             raise ValidationError("a Kripke model needs a nonempty state space")
-        if len(self.succ) != self.space.n:
+        if len(self.succ) != n:
             raise ValidationError("successor table width does not match the space")
-        full = self.space.full_mask
-        for i, m in enumerate(self.succ):
-            if m & ~full:
-                raise ValidationError(
-                    f"successors of {self.space.names[i]!r} fall outside the space"
-                )
-        names = [name for name, _ in self.label_items]
-        if len(set(names)) != len(names):
+        outside = -1 << n  # the bits above the space: ~full_mask
+        if reduce(or_, self.succ) & outside:
+            i = next(i for i, m in enumerate(self.succ) if m & outside)
+            raise ValidationError(
+                f"successors of {self.space.names[i]!r} fall outside the space"
+            )
+        if not self.label_items:
+            return
+        names = {name for name, _ in self.label_items}
+        if len(names) != len(self.label_items):
             raise ValidationError("duplicate label names")
-        for name, m in self.label_items:
-            if m & ~full:
-                raise ValidationError(f"label {name!r} falls outside the space")
+        if reduce(or_, (m for _, m in self.label_items)) & outside:
+            name = next(name for name, m in self.label_items if m & outside)
+            raise ValidationError(f"label {name!r} falls outside the space")
 
     @staticmethod
     def of(

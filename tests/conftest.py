@@ -217,6 +217,67 @@ def exhaustive_relation_search(p, lang, model: KripkeModel, mode: str = "all") -
     return hits
 
 
+def all_pairs_splitter_passes(model: KripkeModel, blocks, ops):
+    """The splitter engine with an until cut for every pair of blocks B1 ≠ B2
+    of which one is new, each by the ``EU`` fixpoint of ``apply_operator``
+    with an O(n) ``pre`` at each step; yields the blocks after each pass."""
+    from abspres.equivalences import _split_once
+    from abspres.languages import apply_operator
+
+    full = model.space.full_mask
+    blocks = list(blocks)
+    fresh = set(blocks)
+    while True:
+        cuts = set()
+        for op in ops:
+            if op._chain == "until":
+                cuts.update(
+                    apply_operator(op, model, (b1, b2))
+                    for b1 in blocks
+                    for b2 in blocks
+                    if b1 != b2 and (b1 in fresh or b2 in fresh)
+                )
+            else:
+                dual = op._chain == "dual"
+                cuts.update(apply_operator(op, model, (full & ~b if dual else b,)) for b in fresh)
+        old = set(blocks)
+        _split_once(blocks, cuts)
+        fresh = set(blocks) - old
+        yield list(blocks)
+        if not fresh:
+            return
+
+
+def all_pairs_check_dbs(p, model: KripkeModel) -> bool:
+    """The stuttering checker over every pair of blocks B1 ≠ B2."""
+    from abspres.kripke import label_partition
+    from abspres.languages import until_mask
+
+    return p.refines(label_partition(model)) and all(
+        (until_mask(model, b1, b2) & b1) in (0, b1)
+        for b1 in p.blocks
+        for b2 in p.blocks
+        if b1 != b2
+    )
+
+
+def sweep_similarity(model: KripkeModel, atoms) -> tuple:
+    """The similarity rows by sweeping every move s → t in each round, with
+    R(s) := R(s) ∩ pre(R(t)), until no row shrinks; R₀(s) = ⋂ {Σ∖a | s ∉ a}."""
+    rows = [model.space.full_mask] * model.n
+    for a in atoms:
+        rows = [row if (a >> s) & 1 else row & ~a for s, row in enumerate(rows)]
+    moves = sorted(model.relation_pairs())
+    changed = True
+    while changed:
+        changed = False
+        for s, t in moves:
+            row = rows[s] & model.pre(rows[t])
+            changed |= row != rows[s]
+            rows[s] = row
+    return tuple(rows)
+
+
 # --- random model generation -----------------------------------------------
 
 

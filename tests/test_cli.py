@@ -760,6 +760,26 @@ class TestLargeModels:
                     image = apply_operator(op, model, args)
                     assert p.block_containing(image) == image
 
+    def test_stuttering_on_400_states(self, capsys, tmp_path):
+        # the engine cuts by EU only across edges and the checker tests only
+        # those pairs, so each command takes well under a second; over all
+        # pairs of the 399 blocks the two took about 40 s
+        import time
+
+        path = self.ring(tmp_path, 400)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--format", "json", "equiv", "--model", path, "--kind", "dbs")
+        assert code == 0, err
+        assert time.perf_counter() - start < 5
+        result = json.loads(out)["result"]
+        assert result["consistent"] is True and len(result["partition"]) == 399
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--format", "json", "sp-partition", "--model", path,
+                             "--lang", "L2")
+        assert code == 0, err
+        assert time.perf_counter() - start < 5
+        assert json.loads(out)["result"] == result["partition"]
+
     def test_ctl_cuts_as_l1_does(self, tmp_path, monkeypatch):
         # AX(Σ∖B) = Σ∖EX(B), so CTL's AX makes its twin EX's cut and the
         # splitter engine applies EX alone, as for L1

@@ -24,6 +24,7 @@ from abspres.abstraction import completeness_check
 from abspres.equivalences import (
     bisim_shell_partition,
     dbs_shell_partition,
+    equal_label_simulation,
     simeq_shell_partition,
 )
 from abspres.languages import builtin_operator, label_constants, preset_language
@@ -32,11 +33,14 @@ from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
 from abspres.shells import semantic_closure
 
 from conftest import (
+    all_pairs_check_dbs,
+    all_pairs_splitter_passes,
     brute_bisimulation,
     brute_simulation,
     brute_stuttering,
     random_model,
     random_total_model,
+    sweep_similarity,
 )
 
 
@@ -131,6 +135,125 @@ class TestSplitPasses:
         assert blocks == [mask(["a2"]), mask(["b2"]), mask(["c"]), mask(["a1"]), mask(["b1"])]
         assert equivalences._split_once(blocks, cuts) == 0
         assert bisim_partition(model) == Partition.identity(model.space)
+
+
+def lifted_model(rng, n, stuck=False):
+    """n states over k ≤ 12 classes, class of state i = i mod k: each class
+    has 1-2 successor classes, each state 1-2 successors in each of them,
+    and the labels are unions of classes, so the coarsest bisimulation has
+    at most k blocks; then up to three states get one more random successor
+    each, which splits their classes.  With ``stuck``, one class has no successors and one more
+    state loses its own."""
+    k = rng.randint(3, 12)
+    targets = [rng.sample(range(k), rng.randint(1, 2)) for _ in range(k)]
+    if stuck:
+        targets[rng.randrange(k)] = []
+    members = [list(range(c, n, k)) for c in range(k)]
+    succ = [
+        sum(1 << t for d in targets[i % k] for t in rng.sample(members[d], min(2, len(members[d]))))
+        for i in range(n)
+    ]
+    for i in rng.sample(range(n), rng.randint(0, 3)):
+        succ[i] |= 1 << rng.randrange(n)
+    if stuck:
+        succ[rng.randrange(n)] = 0
+    classes = [rng.random() < 0.5 for _ in range(k)], [rng.random() < 0.3 for _ in range(k)]
+    labels = tuple(
+        (name, sum(1 << i for i in range(n) if holds[i % k]))
+        for name, holds in zip("pq", classes)
+    )
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return KripkeModel(space, tuple(succ), labels)
+
+
+def sparse_model(rng, n, stuck=False):
+    """n states with 1-3 random successors each, and with ``stuck`` 1-3 of
+    them with none; labels p and q are random masks, so the refinements
+    come out close to the identity."""
+    succ = [sum(1 << t for t in rng.sample(range(n), rng.randint(1, 3))) for _ in range(n)]
+    if stuck:
+        for i in rng.sample(range(n), rng.randint(1, 3)):
+            succ[i] = 0
+    labels = (("p", rng.randrange(1 << n)), ("q", rng.randrange(1 << n)))
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return KripkeModel(space, tuple(succ), labels)
+
+
+def ring_model(n, chords=0, seed=0):
+    """An n-cycle with p on state 0 only, plus ``chords`` random moves."""
+    rng = random.Random(seed)
+    succ = [1 << (i + 1) % n for i in range(n)]
+    for _ in range(chords):
+        succ[rng.randrange(n)] |= 1 << rng.randrange(n)
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    return KripkeModel(space, tuple(succ), (("p", 1),))
+
+
+class TestEdgeRefinements:
+    """The engine cuts by EU only where an edge joins the two blocks, and the
+    similarity runs a worklist over predecessors; both against today's
+    all-pairs and move-sweep routes, kept in conftest as oracles."""
+
+    @staticmethod
+    def models():
+        rng = random.Random(1717)
+        lifted = [lifted_model(rng, 30 + 15 * i, stuck=i % 3 == 0) for i in range(9)]
+        sparse = [sparse_model(rng, 30 + 15 * i, stuck=i % 2 == 0) for i in range(4)]
+        return lifted + sparse + [ring_model(100), ring_model(90, chords=6, seed=17)]
+
+    def test_refinements_match_the_all_pairs_and_sweep_routes(self):
+        ex, eu = [builtin_operator("EX")], [builtin_operator("EU")]
+        models = self.models()
+        assert sum(not m.is_total() for m in models) >= 5
+        assert max(m.n for m in models) == 150
+        for model in models:
+            labels = label_partition(model).blocks
+            for ops, compute in ((eu, dbs_partition), (ex, bisim_partition), (ex + eu, None)):
+                if compute is None and model.n > 80:
+                    continue  # the oracle's pairs make this the slow one
+                passes = [set(p) for p in equivalences._splitter_passes(model, labels, ops)]
+                want = [set(p) for p in all_pairs_splitter_passes(model, labels, ops)]
+                assert passes == want, (model, ops)
+                if compute is not None:
+                    assert compute(model) == Partition.from_masks(model.space, want[-1])
+            atoms = [mask for _, mask in model.label_items]
+            full = model.space.full_mask
+            assert largest_simulation(model).rows == sweep_similarity(model, atoms)
+            assert equal_label_simulation(model).rows == sweep_similarity(
+                model, atoms + [full & ~a for a in atoms]
+            )
+
+    def test_checker_skips_only_pairs_without_an_edge(self):
+        rng = random.Random(1818)
+        accepted = rejected = 0
+        for i in range(24):
+            model = lifted_model(rng, rng.randint(6, 30), stuck=i % 2 == 0)
+            p = dbs_partition(model)
+            candidates = [p, label_partition(model), bisim_partition(model)]
+            if len(p) > 1:
+                candidates.append(merge_two_blocks(p, *rng.sample(range(len(p)), 2)))
+            for q in candidates:
+                verdict = check_dbs(q, model)
+                assert verdict == all_pairs_check_dbs(q, model), (model, q)
+                accepted += verdict
+                rejected += not verdict
+        assert accepted >= 40 and rejected >= 30
+
+    def test_until_cuts_are_made_only_across_edges(self, monkeypatch):
+        cut = equivalences._until_cut
+        seen = []
+
+        for model in self.models():
+
+            def checked(pred, b1, b2, pre_b2, model=model):
+                assert model.post(b1) & b2, "an until pair with no edge from B1 into B2"
+                assert not b1 & b2 and pre_b2 == model.pre(b2)
+                seen.append((b1, b2))
+                return cut(pred, b1, b2, pre_b2)
+
+            monkeypatch.setattr(equivalences, "_until_cut", checked)
+            dbs_partition(model)
+        assert len(seen) >= 500
 
 
 class TestStuttering:

@@ -7,6 +7,7 @@ import pytest
 from abspres import (
     KripkeModel,
     Partition,
+    StateSpace,
     ValidationError,
     label_partition,
     model_from_json,
@@ -34,6 +35,36 @@ class TestValidation:
     def test_unknown_label_state(self):
         with pytest.raises(ValidationError):
             KripkeModel.of(["a"], [("a", "a")], {"p": ["zz"]})
+
+    # each construction check names what it found, the first offender
+    # included, although the checks fold all rows and labels at once
+    def test_successors_outside_the_space(self, kpq):
+        succ = list(kpq.succ)
+        succ[2] |= 1 << kpq.n
+        succ[4] |= 1 << kpq.n + 3
+        with pytest.raises(ValidationError, match="successors of '3' fall outside the space"):
+            KripkeModel(kpq.space, tuple(succ), kpq.label_items)
+        with pytest.raises(ValidationError, match="successors of '1' fall outside"):
+            KripkeModel(kpq.space, (-1,) + kpq.succ[1:], kpq.label_items)
+
+    def test_label_outside_the_space(self, kpq):
+        items = kpq.label_items + (("r", 1), ("s", 1 << kpq.n), ("t", 1 << kpq.n))
+        with pytest.raises(ValidationError, match="label 's' falls outside the space"):
+            KripkeModel(kpq.space, kpq.succ, items)
+
+    def test_duplicate_label_names(self, kpq):
+        items = kpq.label_items + (("r", 1), ("r", 2))
+        with pytest.raises(ValidationError, match="duplicate label names"):
+            KripkeModel(kpq.space, kpq.succ, items)
+        # the duplicate is reported before a label outside the space
+        with pytest.raises(ValidationError, match="duplicate label names"):
+            KripkeModel(kpq.space, kpq.succ, items + (("r", 1 << kpq.n),))
+
+    def test_space_and_width(self, kpq):
+        with pytest.raises(ValidationError, match="nonempty state space"):
+            KripkeModel(StateSpace(()), (), ())
+        with pytest.raises(ValidationError, match="width does not match"):
+            KripkeModel(kpq.space, kpq.succ[:-1], kpq.label_items)
 
 
 class TestTransformers:

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .formulas import App, Atom, Formula
 from .kripke import KripkeModel, Quotient
-from .lattice import AbstractDomain, Mask, StateSet
+from .lattice import AbstractDomain, Mask, StateSet, domain_leq
 from .languages import (
     LanguageSpec,
     Operator,
@@ -70,7 +70,7 @@ from .languages import (
     lfp,
 )
 from .partitions import Partition, adp
-from .shells import coarsest_sp_partition, semantic_closure
+from .shells import ad_of_language, coarsest_sp_partition
 
 DEFAULT_MAX_TUPLES = 1 << 20
 DEFAULT_MAX_PAIRS = 1 << 16
@@ -443,11 +443,14 @@ def completeness_check(
 
 
 def is_sp_domain(domain: AbstractDomain, lang: LanguageSpec, model: KripkeModel) -> bool:
-    """True iff the domain is strongly preserving for the language: it must
-    contain every member of the most abstract strongly preserving domain
-    M(S), S = {⟦φ⟧ | φ ∈ L}.  The domain is a Moore family, so containing S
-    is enough; neither M(S) nor the domain's member list is built."""
-    return all(domain.contains(c) for c in semantic_closure(lang, model).masks)
+    """True iff the domain is strongly preserving for the language, by the
+    paper's definition: it refines A_L = M({⟦φ⟧ | φ ∈ L}), the most abstract
+    strongly preserving domain.  :func:`~abspres.lattice.domain_leq` tests
+    only A_L's generators: one membership test per block of P_L for a
+    splitter-class language, one per class of the similarity for a
+    similarity-class one.  Neither builds S; other languages build A_L as
+    the Moore closure of S."""
+    return domain_leq(domain, ad_of_language(lang, model))
 
 
 @dataclass(frozen=True)

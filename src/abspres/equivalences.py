@@ -281,7 +281,7 @@ def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
                 if pred[s] and not queued[s]:
                     queued[s] = True
                     work.append(s)
-    return Preorder(model.space, tuple(rows))
+    return Preorder._of_preorder(model.space, tuple(rows))
 
 
 def _matched(model: KripkeModel, s: int, s2: int, rows: Sequence[Mask]) -> bool:

@@ -17,14 +17,14 @@ materialized family, :data:`MAX_ENUMERATION_STATES` for the enumeration.
 The Moore property is checked once, where an image enters from outside the
 library (``AbstractDomain(space, image=...)``); the families the library
 builds itself (Moore closures, meets, joins, ℘(Σ), {Σ}, the enumeration,
-partition and preorder images, shell rounds) are Moore by construction and
-are not checked again.
+shell rounds, and the meets of a lazy domain's generators) are Moore by
+construction and are not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 
@@ -236,57 +236,58 @@ def _is_moore(space: StateSpace, masks: frozenset[Mask]) -> bool:
 class AbstractDomain:
     """A Moore family of closed sets over one space; houses μ, α and γ.
 
-    An ``image`` is checked to be a Moore family (it holds Σ and is closed
-    under intersection) when the domain is built: it is data from outside
-    the library.  The library's own constructors build families that are
-    Moore by construction and skip that check: eager ones through
-    :meth:`_of_moore`, lazy ones through ``image_fn`` together with a direct
-    closure function (partition- and preorder-derived domains answer closure
-    queries without materializing their 2^k unions, at any size).  The image
-    function bounds its own family, so ``masks`` raises before it builds one
-    over :data:`DEFAULT_MAX_FAMILY`.  Equality, hashing and iteration force
-    materialization.
+    A domain is stored as generators, masks whose meets are its image, and
+    has one closure rule, μ(X) = ∩{g | X ⊆ g}.  An ``image`` given to the
+    constructor is its own generator list, and is checked to be a Moore
+    family (it holds Σ and is closed under intersection): it is data from
+    outside the library.  The library's own constructors skip that check:
+    :meth:`_of_moore` takes an image that is Moore by construction, and
+    :meth:`_of_generators` a lazy domain (adp and add pass their
+    meet-irreducibles), which answers closure and membership at any size.
+    Its image is built on demand, every meet of its k generators by
+    doubling, and refused before anything is built when 2^k is over
+    :data:`DEFAULT_MAX_FAMILY`.  Equality, hashing and iteration force the
+    image.
     """
 
-    __slots__ = ("space", "_masks", "_image_fn", "_closure_fn", "_hash")
+    __slots__ = ("space", "_gens", "_masks", "_hash")
 
-    def __init__(
-        self,
-        space: StateSpace,
-        image: Optional[Iterable[SetLike]] = None,
-        *,
-        image_fn: Optional[Callable[[], frozenset[Mask]]] = None,
-        closure_fn: Optional[Callable[[Mask], Mask]] = None,
-    ):
-        if (image is None) == (image_fn is None):
-            raise ValidationError("exactly one of image/image_fn is required")
-        self.space = space
-        self._image_fn = image_fn
-        self._closure_fn = closure_fn
-        self._hash: Optional[int] = None
-        if image is not None:
-            masks = frozenset(_mask_of(space, s) for s in image)
-            if not _is_moore(space, masks):
-                raise ValidationError(
-                    "image is not a Moore family (must contain the whole space "
-                    "and be closed under intersection)"
-                )
-            self._masks: Optional[frozenset[Mask]] = masks
-        else:
-            self._masks = None
+    def __init__(self, space: StateSpace, image: Iterable[SetLike]):
+        masks = frozenset(_mask_of(space, s) for s in image)
+        if not _is_moore(space, masks):
+            raise ValidationError(
+                "image is not a Moore family (must contain the whole space "
+                "and be closed under intersection)"
+            )
+        self.space, self._gens, self._masks, self._hash = space, masks, masks, None
 
     @classmethod
     def _of_moore(cls, space: StateSpace, masks: frozenset[Mask]) -> "AbstractDomain":
         """The domain of an image that is a Moore family by construction."""
         domain = cls.__new__(cls)
-        domain.space, domain._masks = space, masks
-        domain._image_fn = domain._closure_fn = domain._hash = None
+        domain.space, domain._gens, domain._masks, domain._hash = space, masks, masks, None
+        return domain
+
+    @classmethod
+    def _of_generators(cls, space: StateSpace, gens: tuple[Mask, ...]) -> "AbstractDomain":
+        """The lazy domain M(gens); ``gens`` holds distinct masks."""
+        domain = cls.__new__(cls)
+        domain.space, domain._gens, domain._masks, domain._hash = space, gens, None, None
         return domain
 
     @property
     def masks(self) -> frozenset[Mask]:
         if self._masks is None:
-            self._masks = self._image_fn()
+            k = len(self._gens)
+            if 1 << k > DEFAULT_MAX_FAMILY:
+                raise CapacityError(
+                    f"image of {k} generators has up to 2^{k} members, "
+                    f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
+                )
+            image = {self.space.full_mask}
+            for g in self._gens:
+                image |= {m & g for m in image}
+            self._masks = frozenset(image)
         return self._masks
 
     @property
@@ -312,12 +313,10 @@ class AbstractDomain:
     def closure_mask(self, s: SetLike) -> Mask:
         """μ(S): the least image member containing S."""
         mask = _mask_of(self.space, s)
-        if self._closure_fn is not None:
-            return self._closure_fn(mask)
         acc = self.space.full_mask
-        for m in self.masks:
-            if mask & ~m == 0:
-                acc &= m
+        for g in self._gens:
+            if mask & ~g == 0:
+                acc &= g
         return acc
 
     def closure(self, s: StateSet) -> StateSet:
@@ -333,9 +332,9 @@ class AbstractDomain:
 
     def contains(self, s: SetLike) -> bool:
         mask = _mask_of(self.space, s)
-        if self._closure_fn is not None:
-            return self._closure_fn(mask) == mask
-        return mask in self.masks
+        if self._masks is None:
+            return self.closure_mask(mask) == mask
+        return mask in self._masks
 
 
 def moore_close(family: SetFamily) -> AbstractDomain:
@@ -354,10 +353,14 @@ def closure_of(domain: AbstractDomain, s: StateSet) -> StateSet:
 
 
 def domain_leq(a1: AbstractDomain, a2: AbstractDomain) -> bool:
-    """A1 ⊑ A2 (A1 at least as precise): image(A2) ⊆ image(A1)."""
+    """A1 ⊑ A2 (A1 at least as precise): image(A2) ⊆ image(A1).
+
+    A Moore family contains another exactly when it contains the other's
+    generators, so only those of A2 are tested and a lazy A2 is never
+    listed."""
     if a1.space != a2.space:
         raise SpaceMismatchError("domains over different spaces")
-    return a2.masks <= a1.masks
+    return all(a1.contains(g) for g in a2._gens)
 
 
 def domain_meet(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:

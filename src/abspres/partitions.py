@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .lattice import (
     AbstractDomain,
-    DEFAULT_MAX_FAMILY,
     MAX_ENUMERATION_STATES,
     Mask,
     SetFamily,
@@ -148,8 +147,11 @@ def _transitive_closure(rows: Iterable[Mask]) -> tuple[Mask, ...]:
 class Preorder:
     """A reflexive and transitive relation as a dense row-mask matrix.
 
-    ``rows[s]`` holds the mask {t | s R t}.  Transitivity is validated by
-    comparing against Warshall's closure.
+    ``rows[s]`` holds the mask {t | s R t}.  Rows given to the constructor
+    are validated: reflexivity bit by bit, transitivity against Warshall's
+    closure.  The library's own preorders (similarities, partitions,
+    ``preord_of``) are preorders by construction and are built through
+    :meth:`_of_preorder`, which skips both checks.
     """
 
     space: StateSpace
@@ -167,6 +169,14 @@ class Preorder:
         if _transitive_closure(self.rows) != self.rows:
             raise ValidationError("relation is not transitive")
 
+    @classmethod
+    def _of_preorder(cls, space: StateSpace, rows: tuple[Mask, ...]) -> "Preorder":
+        """The relation of rows that are reflexive and transitive by construction."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "space", space)
+        object.__setattr__(r, "rows", rows)
+        return r
+
     @staticmethod
     def from_pairs(space: StateSpace, pairs: Iterable[tuple[str, str]]) -> "Preorder":
         rows = [1 << i for i in range(space.n)]
@@ -176,11 +186,11 @@ class Preorder:
 
     @staticmethod
     def identity(space: StateSpace) -> "Preorder":
-        return Preorder(space, tuple(1 << i for i in range(space.n)))
+        return Preorder._of_preorder(space, tuple(1 << i for i in range(space.n)))
 
     @staticmethod
     def total(space: StateSpace) -> "Preorder":
-        return Preorder(space, tuple(space.full_mask for _ in range(space.n)))
+        return Preorder._of_preorder(space, tuple(space.full_mask for _ in range(space.n)))
 
     @staticmethod
     def from_partition(p: Partition) -> "Preorder":
@@ -189,7 +199,7 @@ class Preorder:
             for i in range(p.space.n):
                 if (b >> i) & 1:
                     rows[i] = b
-        return Preorder(p.space, tuple(rows))
+        return Preorder._of_preorder(p.space, tuple(rows))
 
     def holds(self, s: str, t: str) -> bool:
         return (self.rows[self.space.index(s)] >> self.space.index(t)) & 1 == 1
@@ -202,14 +212,6 @@ class Preorder:
             for t in range(self.space.n)
             if (self.rows[s] >> t) & 1
         )
-
-    def pre_mask(self, mask: Mask) -> Mask:
-        """pre_R(S) = {y | ∃x ∈ S. y R x}; the closure of add(R)."""
-        acc = 0
-        for y in range(self.space.n):
-            if self.rows[y] & mask:
-                acc |= 1 << y
-        return acc
 
     def kernel(self) -> Partition:
         """Partition induced by the symmetric kernel x R y ∧ y R x."""
@@ -228,30 +230,15 @@ class Preorder:
         return f"Preorder({items})"
 
 
-def _unions(masks: Sequence[Mask], what: str) -> frozenset[Mask]:
-    """Every union of some of the masks, ∅ included; refused before it is
-    built when 2^len(masks) is over :data:`DEFAULT_MAX_FAMILY`."""
-    if 1 << len(masks) > DEFAULT_MAX_FAMILY:
-        raise CapacityError(
-            f"{what} 2^{len(masks)} members, over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
-        )
-    unions = {0}
-    for m in masks:
-        unions |= {u | m for u in unions}
-    return frozenset(unions)
-
-
 def adp(p: Partition) -> AbstractDomain:
     """Partitioning domain of P: image = all unions of blocks (2^|P| sets).
 
-    The closure maps S to the union of blocks meeting S, at any size; the
-    image is materialized only on demand, and is Moore by construction.
+    Its meet-irreducibles are the complements Σ∖B of the blocks, so it is
+    the lazy domain they generate: the closure maps S to the union of blocks
+    meeting S, at any size, and the image is built only on demand.
     """
-    return AbstractDomain(
-        p.space,
-        image_fn=lambda: _unions(p.blocks, "adp image has"),
-        closure_fn=p.block_containing,
-    )
+    full = p.space.full_mask
+    return AbstractDomain._of_generators(p.space, tuple(full & ~b for b in p.blocks))
 
 
 def pr(a: AbstractDomain) -> Partition:
@@ -275,18 +262,15 @@ def is_partitioning(a: AbstractDomain) -> bool:
 
 
 def add(r: Preorder) -> AbstractDomain:
-    """Disjunctive domain of a preorder: unions of {pre_R({x}) | x ∈ Σ} plus ∅.
+    """Disjunctive domain of a preorder: unions of {pre_R({x}) | x ∈ Σ}, ∅
+    included.
 
-    The closure of add(R) is pre_R itself, at any size; the image is
-    materialized only on demand, and is Moore by construction.
+    Its meet-irreducibles are the complements Σ∖R(s) of the rows, so it is
+    the lazy domain they generate: the closure is pre_R(S) = {y | ∃x ∈ S.
+    y R x}, at any size, and the image is built only on demand.
     """
-    space = r.space
-    generators = sorted({r.pre_mask(1 << x) for x in range(space.n)})
-    return AbstractDomain(
-        space,
-        image_fn=lambda: _unions(generators, "add image has up to") | {space.full_mask},
-        closure_fn=r.pre_mask,
-    )
+    full = r.space.full_mask
+    return AbstractDomain._of_generators(r.space, tuple({full & ~row for row in r.rows}))
 
 
 def preord_of(a: AbstractDomain) -> Preorder:
@@ -300,7 +284,7 @@ def preord_of(a: AbstractDomain) -> Preorder:
             if closures[x] & ~closures[y] == 0:
                 row |= 1 << y
         rows.append(row)
-    return Preorder(a.space, tuple(rows))
+    return Preorder._of_preorder(a.space, tuple(rows))
 
 
 def is_disjunctive(a: AbstractDomain) -> bool:
@@ -366,4 +350,4 @@ def iter_preorders(space: StateSpace) -> Iterator[Preorder]:
             if (bits >> k) & 1:
                 rows[s] |= 1 << t
         if _transitive_closure(rows) == tuple(rows):
-            yield Preorder(space, tuple(rows))
+            yield Preorder._of_preorder(space, tuple(rows))

@@ -278,6 +278,14 @@ def sweep_similarity(model: KripkeModel, atoms) -> tuple:
     return tuple(rows)
 
 
+def semantic_closure_is_sp_domain(domain, lang, model: KripkeModel) -> bool:
+    """Strong preservation as containment of S = {⟦φ⟧ | φ ∈ L}, closed over
+    ℘(Σ): the domain is a Moore family, so holding S is holding M(S)."""
+    from abspres.shells import semantic_closure
+
+    return all(domain.contains(c) for c in semantic_closure(lang, model).masks)
+
+
 # --- random model generation -----------------------------------------------
 
 

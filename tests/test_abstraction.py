@@ -198,19 +198,26 @@ class TestSpDomain:
         assert not all(bad.closure_mask(m) == m for m in closure.masks)
 
     def test_partition_domain_members_are_never_listed(self, kpq, monkeypatch):
-        # an adp domain answers membership through its closure, so the check
-        # never forms its 2^b unions of blocks
-        from abspres import partitions
+        # adp, add and the class routes' A_L answer membership through their
+        # closure, and domain_leq tests only A_L's generators, so the check
+        # never builds an image of meets
+        from abspres import AbstractDomain, Preorder, add
+        from abspres.equivalences import largest_simulation
 
-        def boom(masks):
-            raise AssertionError("is_sp_domain listed the domain's members")
-
-        monkeypatch.setattr(partitions, "_unions", boom)
-        lang = preset_language("L1", kpq)
+        langs = {name: preset_language(name, kpq) for name in ("L1", "L3", "CTL")}
         fine = Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
         coarse = Partition.of(kpq.space, [["1", "2"], ["3", "4"], ["5"]])
-        assert is_sp_domain(adp(fine), lang, kpq)
-        assert not is_sp_domain(adp(coarse), lang, kpq)
+        sp = [adp(fine), add(largest_simulation(kpq)), add(Preorder.identity(kpq.space))]
+        sp += [ad_of_language(lang, kpq) for lang in langs.values()]
+        not_sp = [adp(coarse), add(Preorder.total(kpq.space))]
+
+        def boom(self):
+            raise AssertionError("is_sp_domain listed a domain's members")
+
+        monkeypatch.setattr(AbstractDomain, "masks", property(boom))
+        for lang in langs.values():
+            assert all(is_sp_domain(dom, lang, kpq) for dom in sp), lang.name
+            assert not any(is_sp_domain(dom, lang, kpq) for dom in not_sp), lang.name
 
     def test_agrees_with_the_language_domain(self):
         # oracle: the definition, AD_L ⊆ A, with AD_L = M(S) built in full
@@ -237,6 +244,44 @@ class TestSpDomain:
                     verdicts.append(is_sp_domain(dom, lang, model))
                     assert verdicts[-1] == (want <= dom.masks)
         assert 50 <= sum(verdicts) <= len(verdicts) - 50
+
+    def test_matches_the_semantic_closure_route(self):
+        # differential: A ⊑ A_L through A_L's generators against containment
+        # of S closed over ℘(Σ), on seeded models of at most 6 states
+        from abspres.equivalences import largest_simulation
+        from abspres.kripke import label_partition
+        from abspres.lattice import SetFamily, moore_close
+        from abspres.partitions import add
+        from abspres.shells import coarsest_sp_partition
+        from conftest import random_total_model, semantic_closure_is_sp_domain
+
+        rng = random.Random(181)
+        verdicts = []
+        for _ in range(40):
+            model = random_total_model(rng, max_states=6)
+            space = model.space
+            for name in ("L1", "L2", "L3", "CTL", "exef", "semaforo"):
+                lang = preset_language(name, model)
+                blocks = list(coarsest_sp_partition(lang, model).blocks)
+                domains = [
+                    ad_of_language(lang, model),
+                    adp(Partition.from_masks(space, blocks)),
+                    adp(Partition.identity(space)),
+                    adp(label_partition(model)),
+                    add(largest_simulation(model)),
+                ]
+                if len(blocks) > 1:
+                    merged = [blocks[0] | blocks[1]] + blocks[2:]
+                    domains.append(adp(Partition.from_masks(space, merged)))
+                for _ in range(2):
+                    masks = {rng.randrange(1 << model.n) for _ in range(rng.randint(1, 4))}
+                    domains.append(moore_close(SetFamily.of(space, masks)))
+                for dom in domains:
+                    verdicts.append(is_sp_domain(dom, lang, model))
+                    assert verdicts[-1] == semantic_closure_is_sp_domain(dom, lang, model), (
+                        name, model, dom,
+                    )
+        assert 500 <= sum(verdicts) <= len(verdicts) - 500
 
 
 from conftest import chain_abstract_structure

@@ -780,6 +780,32 @@ class TestLargeModels:
         assert time.perf_counter() - start < 5
         assert json.loads(out)["result"] == result["partition"]
 
+    def test_sp_check_on_class_languages(self, capsys, tmp_path):
+        # A ⊑ A_L is tested on A_L's generators, one per block of P_L or
+        # class of the similarity, so no closure of S over ℘(Σ) is built:
+        # that closure took 10 s and more at 12 states and stopped at
+        # MAX_STAGE_TUPLES from 40 on
+        import time
+
+        from abspres import Partition
+        from abspres.kripke import label_partition
+
+        for n in (40, 200):
+            path = self.ring(tmp_path, n)
+            labels = label_partition(load_model(path))
+            for lang in ("L1", "L3", "CTL"):
+                code, out, err = run(capsys, "sp-partition", "--model", path, "--lang", lang)
+                assert code == 0, err
+                # the labels do not refine P_L, so adp(labels) is not strong
+                p_l = Partition.of(labels.space, [line.strip("{}").split(",") for line in out.split()])
+                assert not labels.refines(p_l)
+                for domain, want in (("computed", (0, "true")), ("adp:labels", (1, "false"))):
+                    start = time.perf_counter()
+                    code, out, err = run(capsys, "check", "--model", path, "--lang", lang,
+                                         "--property", "sp", "--domain", domain)
+                    assert (code, out.strip()) == want, (n, lang, domain, err)
+                    assert time.perf_counter() - start < 5, (n, lang, domain)
+
     def test_ctl_cuts_as_l1_does(self, tmp_path, monkeypatch):
         # AX(Σ∖B) = Σ∖EX(B), so CTL's AX makes its twin EX's cut and the
         # splitter engine applies EX alone, as for L1

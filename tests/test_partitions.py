@@ -132,6 +132,39 @@ class TestAddPreord:
     def test_powerset_preorder_is_identity(self):
         assert preord_of(powerset_domain(SPACE4)) == Preorder.identity(SPACE4)
 
+    def test_given_relations_are_still_checked(self):
+        # rows from outside the library run Warshall's closure: the
+        # constructor, from_pairs (the CLI's --relation) and the enumeration
+        space = StateSpace.of("a", "b", "c")
+        with pytest.raises(ValidationError, match="not transitive"):
+            Preorder(space, (0b011, 0b110, 0b100))
+        with pytest.raises(ValidationError, match="not transitive"):
+            Preorder.from_pairs(space, [("a", "b"), ("b", "c")])
+        assert Preorder.from_pairs(space, [("a", "b"), ("b", "c"), ("a", "c")]).holds("a", "c")
+        assert len(list(iter_preorders(space))) == 29
+
+    def test_library_preorders_skip_the_transitivity_check(self, monkeypatch):
+        # similarity, partition and domain preorders are preorders by
+        # construction, so none of them runs Warshall's closure
+        import random
+
+        from abspres import partitions
+        from abspres.equivalences import check_bisimulation, largest_simulation
+        from conftest import random_model
+
+        calls = []
+        closure = partitions._transitive_closure
+        monkeypatch.setattr(
+            partitions, "_transitive_closure", lambda rows: calls.append(1) or closure(rows)
+        )
+        model = random_model(random.Random(200), 200)
+        sim = largest_simulation(model)
+        check_bisimulation(sim.kernel(), model)
+        preord_of(add(sim))
+        assert calls == []
+        Preorder(model.space, sim.rows)
+        assert calls == [1]
+
     def test_invalid_relations_rejected(self):
         space = StateSpace.of("a", "b", "c")
         with pytest.raises(ValidationError):
@@ -206,6 +239,26 @@ class TestGaloisInsertion:
                 left = p.refines(pr(dom))
                 right = domain_leq(adp(p), dom)
                 assert left == right
+
+    def test_domain_leq_matches_image_inclusion(self):
+        # differential: domain_leq tests a2's generators only; the oracle
+        # lists both images, on fresh copies so the lazy domains stay lazy
+        space = StateSpace.of("1", "2", "3")
+
+        def domains():
+            out = list(enumerate_moore_families(3))
+            out += [adp(p) for p in iter_partitions(space)]
+            out += [add(r) for r in iter_preorders(space)]
+            return out
+
+        lazy, listed = domains(), domains()
+        leq = 0
+        for d1, l1 in zip(lazy, listed):
+            for d2, l2 in zip(lazy, listed):
+                want = l2.masks <= l1.masks
+                assert domain_leq(d1, d2) == want, (l1, l2)
+                leq += want
+        assert 500 <= leq <= len(lazy) ** 2 - 500
 
     def test_partition_order(self):
         fine = Partition.of(SPACE4, [["1"], ["2"], ["3"], ["4"]])

@@ -21,7 +21,7 @@ from abspres import (
     pr,
     quotient,
 )
-from abspres import equivalences, partitions, shells
+from abspres import equivalences, lattice, shells
 from abspres.languages import (
     LanguageSpec,
     _splitters,
@@ -944,10 +944,10 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         message = "shell image reached 7 sets, over DEFAULT_MAX_FAMILY = 4"
     elif case == "splitter-shell":
         # the splitter route answers adp of four blocks, refused when listed
-        monkeypatch.setattr(partitions, "DEFAULT_MAX_FAMILY", 4)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         ops = [builtin_operator("not"), builtin_operator("pre")]
         call = lambda: forward_complete_shell(seed, ops, kpq).domain.masks
-        message = "adp image has 2^4 members, over DEFAULT_MAX_FAMILY = 4"
+        message = "image of 4 generators has up to 2^4 members, over DEFAULT_MAX_FAMILY = 4"
     elif case == "search":
         monkeypatch.setattr(shells, "MAX_SEARCH_CANDIDATES", 8)
         p = Partition.of(kpq.space, [["1", "2"], ["3", "4", "5"]])
@@ -959,10 +959,10 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         call = lambda: paired_sp_check(kpq, q, preset_language("L3", kpq), max_pairs=4)
         message = "paired closure exceeded max_pairs = 4 (now 6 pairs)"
     elif case == "masks":
-        monkeypatch.setattr(partitions, "DEFAULT_MAX_FAMILY", 4)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4", "5"]])
         call = lambda: adp(p).masks
-        message = "adp image has 2^3 members, over DEFAULT_MAX_FAMILY = 4"
+        message = "image of 3 generators has up to 2^3 members, over DEFAULT_MAX_FAMILY = 4"
     elif case == "powerset":
         call = lambda: powerset_domain(StateSpace(big.names[:21]))
         message = "℘(Σ) would have 2^21 members, over DEFAULT_MAX_FAMILY = 1048576"
@@ -971,11 +971,11 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         message = "enumeration supports 0 ≤ n ≤ MAX_ENUMERATION_STATES = 4, got 5"
     elif case == "adp":
         call = lambda: adp(Partition.identity(big)).masks
-        message = "adp image has 2^24 members, over DEFAULT_MAX_FAMILY = 1048576"
+        message = "image of 24 generators has up to 2^24 members, over DEFAULT_MAX_FAMILY = 1048576"
     elif case == "add":
-        monkeypatch.setattr(partitions, "DEFAULT_MAX_FAMILY", 4)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         call = lambda: add(Preorder.identity(kpq.space)).masks
-        message = "add image has up to 2^5 members, over DEFAULT_MAX_FAMILY = 4"
+        message = "image of 5 generators has up to 2^5 members, over DEFAULT_MAX_FAMILY = 4"
     else:
         call = lambda: list(iter_preorders(kpq.space))
         message = "preorder enumeration supports n ≤ MAX_ENUMERATION_STATES = 4, got 5"

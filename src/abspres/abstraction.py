@@ -449,7 +449,8 @@ def is_sp_domain(domain: AbstractDomain, lang: LanguageSpec, model: KripkeModel)
     only A_L's generators: one membership test per block of P_L for a
     splitter-class language, one per class of the similarity for a
     similarity-class one.  Neither builds S; other languages build A_L as
-    the Moore closure of S."""
+    the Moore closure of S, whose generators are S, so one membership test
+    per member of S."""
     return domain_leq(domain, ad_of_language(lang, model))
 
 

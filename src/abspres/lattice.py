@@ -24,7 +24,7 @@ construction and are not checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 
@@ -241,9 +241,11 @@ class AbstractDomain:
     constructor is its own generator list, and is checked to be a Moore
     family (it holds Σ and is closed under intersection): it is data from
     outside the library.  The library's own constructors skip that check:
-    :meth:`_of_moore` takes an image that is Moore by construction, and
-    :meth:`_of_generators` a lazy domain (adp and add pass their
-    meet-irreducibles), which answers closure and membership at any size.
+    :meth:`_of_moore` takes an image that is Moore by construction, with
+    the generators it was closed from when there are any (:func:`moore_close`
+    keeps its input), and :meth:`_of_generators` a lazy domain (adp and add
+    pass their meet-irreducibles), which answers closure and membership at
+    any size.
     Its image is built on demand, every meet of its k generators by
     doubling, and refused before anything is built when 2^k is over
     :data:`DEFAULT_MAX_FAMILY`.  Equality, hashing and iteration force the
@@ -262,10 +264,18 @@ class AbstractDomain:
         self.space, self._gens, self._masks, self._hash = space, masks, masks, None
 
     @classmethod
-    def _of_moore(cls, space: StateSpace, masks: frozenset[Mask]) -> "AbstractDomain":
-        """The domain of an image that is a Moore family by construction."""
+    def _of_moore(
+        cls,
+        space: StateSpace,
+        masks: frozenset[Mask],
+        gens: Optional[Sequence[Mask]] = None,
+    ) -> "AbstractDomain":
+        """The domain of an image that is a Moore family by construction;
+        ``gens``, distinct masks whose meets are that image, defaults to the
+        image itself."""
         domain = cls.__new__(cls)
-        domain.space, domain._gens, domain._masks, domain._hash = space, masks, masks, None
+        domain.space, domain._masks, domain._hash = space, masks, None
+        domain._gens = masks if gens is None else gens
         return domain
 
     @classmethod
@@ -340,11 +350,13 @@ class AbstractDomain:
 def moore_close(family: SetFamily) -> AbstractDomain:
     """Least Moore family containing the input: M(X) = {∧S | S ⊆ X}.
 
-    Always contains Σ (the empty meet) and is idempotent.
+    Always contains Σ (the empty meet) and is idempotent.  The input's masks
+    stay the generators, so closure and :func:`domain_leq` scan them, not
+    the image.
     """
     closed = {family.space.full_mask}
     meet_close(closed, family.masks)
-    return AbstractDomain._of_moore(family.space, frozenset(closed))
+    return AbstractDomain._of_moore(family.space, frozenset(closed), family.masks)
 
 
 def closure_of(domain: AbstractDomain, s: StateSet) -> StateSet:

@@ -29,23 +29,25 @@ preserving partition is pr of that domain, on every route.
 
 The relation search runs the saturation engine once over the concrete
 atoms and walks the candidate block relations row by row, pruning each
-subtree whose bounds cannot meet an application it recorded.
+subtree whose bounds cannot meet an application it recorded, and decides
+the relations of each subtree near the leaves together, one bit per
+relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import equivalences
 from .errors import CapacityError, SpaceMismatchError, ValidationError
-from .kripke import KripkeModel, block_name
+from .kripke import KripkeModel
 from .lattice import (
     AbstractDomain,
     DEFAULT_MAX_FAMILY,
     Mask,
     SetFamily,
-    StateSpace,
     meet_close,
     moore_close,
 )
@@ -255,6 +257,131 @@ def _recorded_steps(
     return steps
 
 
+#: The walk hands the first node whose open rows span at most 2^this many
+#: relations to one :class:`_BlockBatch`, which decides them all at once.
+_BATCH_BITS = 12
+
+
+class _BlockBatch:
+    """The block models of a set of relations over b blocks, evaluated
+    together.
+
+    Each relation is a completion x < ``width``.  A packed mask holds one
+    slice of ``width`` bits per block: bit x of slice j (bit j·width + x of
+    the int) says whether block j is in the set under completion x.  ¬, ∧,
+    ∨, equality and hashing are then plain int operations on every
+    completion at once, so the operator bodies of
+    :func:`~abspres.languages.apply_operator` run on a batch unchanged, as
+    on a :class:`~abspres.kripke.KripkeModel` (why the answer is each
+    completion's: :func:`sp_abstract_kripke_search`).  Only the
+    transformers read the relation: bit x of slice j of ``rows[i]`` is the
+    edge i → j under completion x, so pre(Y) has slice i = ⋁_j E_ij ∧ Y_j,
+    and the duals are ¬pre¬ and ¬post¬.
+    """
+
+    __slots__ = ("space", "full_mask", "_rows", "_ones", "_folds", "_copies", "_table")
+
+    def __init__(self, width: int, rows: Sequence[Mask]):
+        b = len(rows)
+        self.space = self  # operator bodies read model.space.full_mask
+        self.full_mask = (1 << (b * width)) - 1
+        self._rows = tuple(zip(rows, range(0, b * width, width)))
+        self._ones = (1 << width) - 1
+        # halving shifts that OR every slice into slice 0, and doubling
+        # shifts that copy slice 0 into every slice
+        self._folds: list[int] = []
+        k = b
+        while k > 1:
+            k = (k + 1) // 2
+            self._folds.append(k * width)
+        self._copies = [width << s for s in range((b - 1).bit_length())]
+        # a batch of at most 10 bits, such as the node bounds, looks meets up
+        self._table = _meets_table(b, width) if b * width <= 10 else None
+
+    def meets(self, y: Mask) -> Mask:
+        """The completions under which the packed mask ``y`` is nonempty."""
+        if self._table:
+            return self._table[y]
+        for shift in self._folds:
+            y |= y >> shift
+        return y & self._ones
+
+    def pre(self, y: Mask) -> Mask:
+        acc = 0
+        folds, ones, table = self._folds, self._ones, self._table
+        for row, at in self._rows:
+            t = row & y
+            if t:  # slice i is meets(row i ∧ y), inlined
+                if table:
+                    t = table[t]
+                else:
+                    for shift in folds:
+                        t |= t >> shift
+                    t &= ones
+                acc |= t << at
+        return acc
+
+    def post(self, y: Mask) -> Mask:
+        acc = 0
+        for row, at in self._rows:
+            t = (y >> at) & self._ones
+            if t:
+                for shift in self._copies:
+                    t |= t << shift
+                acc |= row & t
+        return acc
+
+    def cpre(self, y: Mask) -> Mask:
+        full = self.full_mask
+        return full & ~self.pre(full & ~y)
+
+    def cpost(self, y: Mask) -> Mask:
+        full = self.full_mask
+        return full & ~self.post(full & ~y)
+
+
+@lru_cache(maxsize=None)
+def _meets_table(b: int, width: int) -> tuple[Mask, ...]:
+    """:meth:`_BlockBatch.meets` of every packed mask of b slices of
+    ``width`` bits, indexed by the mask: the batches of the node bounds
+    look it up instead of folding."""
+    out = []
+    for t in range(1 << (b * width)):
+        acc = 0
+        for j in range(b):
+            acc |= t >> (j * width)
+        out.append(acc & ((1 << width) - 1))
+    return tuple(out)
+
+
+def _bits(mask: Mask) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lifts(b: int, width: int, ones: Optional[Mask] = None) -> list[Mask]:
+    """Every block mask over b blocks as the packed mask that holds it under
+    each of ``width`` completions (under those of ``ones`` when given),
+    indexed by the block mask."""
+    if ones is None:
+        ones = (1 << width) - 1
+    table = [0] * (1 << b)
+    for m in range(1, 1 << b):
+        j = (m & -m).bit_length() - 1
+        table[m] = table[m & (m - 1)] | (ones << (j * width))
+    return table
+
+
+def _bit_pattern(m: int, width: int) -> Mask:
+    """The ``width``-bit mask whose bit x is bit m of x."""
+    half = 1 << m
+    period = half << 1
+    return (((1 << half) - 1) << half) * (((1 << width) - 1) // ((1 << period) - 1))
+
+
 def sp_abstract_kripke_search(
     p: Partition,
     lang: LanguageSpec,
@@ -279,16 +406,32 @@ def sp_abstract_kripke_search(
     :meth:`~abspres.abstraction.AbstractStructure.from_quotient`).
 
     The relations are walked depth first, row by row: row b - 1 is fixed
-    first and row 0 last, each row's 2^b values in ascending order, so the
-    leaves come in bit order.  At a node the rows still open are set to ∅
-    for R_lo and to every block for R_hi.  A step whose operator grows with
-    the relation (``Operator._polarity`` 1) then prunes the subtree when
-    f(R_lo) ⊄ V or V ⊄ f(R_hi), V its recorded value; one that shrinks
-    (-1) swaps R_lo and R_hi.  Every completion R of the node has
-    R_lo ⊆ R ⊆ R_hi, so f(R) = V puts V between the two bounds, and no
-    strong relation is cut; when the two bounds both equal V, every
-    completion gives V, and the subtree no longer checks the step.  Steps
-    of mixed or no polarity are checked at the leaves only.
+    first and row 0 last, each row's 2^b values in ascending order.  At a
+    node the rows still open are set to ∅ for R_lo and to every block for
+    R_hi.  A step whose operator grows with the relation
+    (``Operator._polarity`` 1) then prunes the subtree when f(R_lo) ⊄ V or
+    V ⊄ f(R_hi), V its recorded value; one that shrinks (-1) swaps R_lo and
+    R_hi.  Every completion R of the node has R_lo ⊆ R ⊆ R_hi, so f(R) = V
+    puts V between the two bounds, and no strong relation is cut; when the
+    two bounds both equal V, every completion gives V, and the subtree no
+    longer checks the step.  Steps of mixed or no polarity are left to the
+    batch.
+
+    At the first node whose open rows span at most 2^12 relations (the root
+    for b ≤ 3, the nodes below row 3 for b = 4, below rows 4 to 2 for
+    b = 5), one :class:`_BlockBatch` holds every completion of the node,
+    completion x standing for the relation whose open rows are x's bits.
+    Each step left runs once on it, through the same operator bodies as on
+    one block model, and this is exact: ¬, ∧ and ∨ act on each bit alone,
+    pre and post read only the edges of one completion, a fixpoint
+    iterates all completions together until all have converged (a
+    converged one stays put), and when the joint sequence pre^i(S) of
+    ``EF[lo,hi]`` repeats, so does each completion's, at the same indices.
+    So the value's bits under x are what x's block model gives.  A step
+    keeps the completions whose slices all equal its value's, and the
+    batch stops once none is left.  The survivors are read off in
+    ascending order, which is the relations' bit order, and each one's
+    pairs come from a table of every row's pairs.
     :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²) relations, before any
     is tried.
     """
@@ -298,8 +441,7 @@ def sp_abstract_kripke_search(
         raise ValidationError(f"unknown search mode {mode!r}")
     if p.space != model.space:
         raise SpaceMismatchError("partition over a different space than the model")
-    blocks = p.blocks
-    b = len(blocks)
+    b = len(p.blocks)
     if (1 << (b * b)) > MAX_SEARCH_CANDIDATES:
         raise CapacityError(
             f"{b} blocks means 2^{b * b} candidate relations, "
@@ -309,49 +451,89 @@ def sp_abstract_kripke_search(
     if steps is None:
         return []
 
-    bspace = StateSpace(tuple(block_name(model, m) for m in blocks))
-    full = bspace.full_mask
+    full = (1 << b) - 1
+    batched = min(b, _BATCH_BITS // b)  # the rows a batch leaves open
+    width = 1 << (batched * b)
+    lifted, bound = _lifts(b, width), _lifts(b, 2)
+    # in a batch of width 2, bit 0 of each slice is completion 0 and bit 1
+    # completion 1
+    low = sum(1 << (2 * j) for j in range(b))
+    high = low << 1
+    # open row i of a batch steps into block j under completion x iff bit
+    # i·b + j of x is set
+    patterns = [
+        sum(_bit_pattern(i * b + j, width) << (j * width) for j in range(b))
+        for i in range(batched)
+    ]
+    pairs = [[tuple((i, j) for j in range(b) if (r >> j) & 1) for r in range(1 << b)] for i in range(b)]
 
     def narrow(rows: tuple[Mask, ...], pending: list[_Step]) -> Optional[list[_Step]]:
         """The steps of ``pending`` that the completions of ``rows``, the
         rows from b - len(rows) on, may still fail, or None when each of
-        them fails one.  A bounded step whose two bounds meet at its
-        recorded value holds on every completion."""
-        open_rows = b - len(rows)
-        lo = KripkeModel(bspace, (0,) * open_rows + rows, ())
-        hi = KripkeModel(bspace, (full,) * open_rows + rows, ())
+        them fails one.  Both bounds run in one batch: completion 0 is R_lo
+        and completion 1 is R_hi.  A bounded step whose two bounds meet at
+        its recorded value holds on every completion."""
+        bounds = _BlockBatch(2, [high] * (b - len(rows)) + [bound[r] for r in rows])
         left = []
         for step in pending:
             op, args, value = step
             if not op._polarity:
                 left.append(step)
                 continue
-            small, large = (lo, hi) if op._polarity > 0 else (hi, lo)
-            below = apply_operator(op, small, args)
-            if below & ~value:
+            got = apply_operator(op, bounds, tuple([bound[a] for a in args]))
+            v = bound[value]
+            small, large = (low, high) if op._polarity > 0 else (high, low)
+            if got & ~v & small or v & ~got & large:
                 return None
-            above = apply_operator(op, large, args)
-            if value & ~above:
-                return None
-            if below != above:
+            if (got ^ (got >> 1)) & low:
                 left.append(step)
         return left
 
-    def walk(rows: tuple[Mask, ...], pending: list[_Step]) -> Iterator[KripkeModel]:
-        if len(rows) == b:
-            qmodel = KripkeModel(bspace, rows, ())
-            if all(apply_operator(op, qmodel, args) == value for op, args, value in pending):
-                yield qmodel
-            return
+    def decide(rows: tuple[Mask, ...], pending: list[_Step]) -> Iterator[frozenset[tuple[int, int]]]:
+        """The strong completions of ``rows`` (rows ``batched`` on), in bit
+        order.  Once at most 1/16 of a batch's completions are left, and
+        fewer of them than steps, the steps after run on a batch of those
+        alone, in the same order: gathering them costs less than a step on
+        the wide batch."""
+        members: Sequence[int] = range(width)  # completion k of the batch is x = members[k]
+        batch, lift = _BlockBatch(width, patterns + [lifted[r] for r in rows]), lifted
+        alive = batch._ones
+        for done, (op, args, value) in enumerate(pending, 1):
+            got = apply_operator(op, batch, tuple([lift[a] for a in args]))
+            alive &= ~batch.meets(got ^ lift[value])
+            if not alive:
+                return
+            count = alive.bit_count()
+            if count * 16 <= len(members) and count < len(pending) - done:
+                members = [members[k] for k in _bits(alive)]
+                lift, unit = _lifts(b, count), _lifts(b, count, 1)
+                open_rows = [
+                    sum(unit[(x >> (i * b)) & full] << k for k, x in enumerate(members))
+                    for i in range(batched)
+                ]
+                batch = _BlockBatch(count, open_rows + [lift[r] for r in rows])
+                alive = batch._ones
+        fixed = tuple(pair for i, r in enumerate(rows) for pair in pairs[batched + i][r])
+        for k in _bits(alive):
+            x, rel = members[k], fixed
+            for row_pairs in pairs[:batched]:
+                rel += row_pairs[x & full]
+                x >>= b
+            yield frozenset(rel)
+
+    def walk(rows: tuple[Mask, ...], pending: list[_Step]) -> Iterator[frozenset[tuple[int, int]]]:
         pending = narrow(rows, pending)
         if pending is None:
+            return
+        if len(rows) == b - batched:
+            yield from decide(rows, pending)
             return
         for row in range(1 << b):
             yield from walk((row,) + rows, pending)
 
     hits: list[frozenset[tuple[int, int]]] = []
-    for qmodel in walk((), steps):
-        hits.append(qmodel.relation_pairs())
+    for rel in walk((), steps):
+        hits.append(rel)
         if mode == "first":
             break
     return hits

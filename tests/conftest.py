@@ -217,6 +217,63 @@ def exhaustive_relation_search(p, lang, model: KripkeModel, mode: str = "all") -
     return hits
 
 
+def row_walk_relation_search(p, lang, model: KripkeModel, mode: str = "all") -> list:
+    """The relation search as a walk over one block model per node bound and
+    per leaf: rows fixed from b - 1 down to 0, each node's open rows set to
+    ∅ and to every block for the two bounds of each step of one polarity
+    (dropped once they meet at the recorded value, the subtree cut when they
+    cannot reach it), and every leaf checked against the steps left.  Hits
+    are listed in bit order."""
+    from abspres.kripke import block_name
+    from abspres.languages import apply_operator
+    from abspres.shells import _recorded_steps
+
+    steps = _recorded_steps(p, lang, model)
+    if steps is None:
+        return []
+    b = len(p.blocks)
+    bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
+    full = bspace.full_mask
+
+    def narrow(rows, pending):
+        open_rows = b - len(rows)
+        lo = KripkeModel(bspace, (0,) * open_rows + rows, ())
+        hi = KripkeModel(bspace, (full,) * open_rows + rows, ())
+        left = []
+        for step in pending:
+            op, args, value = step
+            if not op._polarity:
+                left.append(step)
+                continue
+            small, large = (lo, hi) if op._polarity > 0 else (hi, lo)
+            below = apply_operator(op, small, args)
+            above = apply_operator(op, large, args)
+            if below & ~value or value & ~above:
+                return None
+            if below != above:
+                left.append(step)
+        return left
+
+    def walk(rows, pending):
+        if len(rows) == b:
+            qmodel = KripkeModel(bspace, rows, ())
+            if all(apply_operator(op, qmodel, args) == value for op, args, value in pending):
+                yield qmodel.relation_pairs()
+            return
+        pending = narrow(rows, pending)
+        if pending is None:
+            return
+        for row in range(1 << b):
+            yield from walk((row,) + rows, pending)
+
+    hits = []
+    for rel in walk((), steps):
+        hits.append(rel)
+        if mode == "first":
+            break
+    return hits
+
+
 def all_pairs_splitter_passes(model: KripkeModel, blocks, ops):
     """The splitter engine with an until cut for every pair of blocks B1 ≠ B2
     of which one is new, each by the ``EU`` fixpoint of ``apply_operator``

@@ -283,6 +283,39 @@ class TestSpDomain:
                     )
         assert 500 <= sum(verdicts) <= len(verdicts) - 500
 
+    def test_closure_route_tests_each_member_of_s_once(self, kpq, tl, monkeypatch):
+        # A_L = moore_close(S) keeps S as its generators, so the check makes
+        # one membership test per member of S, never one per meet of them
+        from abspres import AbstractDomain, LanguageSpec
+        from abspres.lattice import moore_close
+        from abspres.shells import semantic_closure
+
+        l1 = preset_language("L1", kpq)
+        axex = LanguageSpec(
+            "L1+AXEX", l1.atoms, l1.operators + (operator_from_expr("AXEX", 1, "AX EX #1"),)
+        )
+        cases = [(axex, kpq), (preset_language("semaforo", kpq), kpq)]
+        cases.append((preset_language("semaforo", tl), tl))
+        calls = []
+        real = AbstractDomain.contains
+
+        def counting(self, s):
+            calls.append(s)
+            return real(self, s)
+
+        grown = 0
+        for lang, model in cases:
+            closure = semantic_closure(lang, model)
+            grown += len(moore_close(closure)) > len(closure)
+            dom = powerset_domain(model.space)
+            monkeypatch.setattr(AbstractDomain, "contains", counting)
+            calls.clear()
+            assert is_sp_domain(dom, lang, model)
+            monkeypatch.setattr(AbstractDomain, "contains", real)
+            assert sorted(calls) == sorted(closure.masks), lang.name
+        # S is meet-closed for L1 + AX EX #1, not for semaforo
+        assert grown >= 1
+
 
 from conftest import chain_abstract_structure
 

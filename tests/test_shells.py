@@ -801,7 +801,9 @@ class TestRelationSearch:
         # both modes.  Monotone (L1, L2, exef, post, EX !#1), antitone (L3,
         # semaforo, post~, !EX #1), both (CTL's EX and AX, EU and AU) and
         # mixed steps (AX EX #1, EX #1 & AX #1), models with dead states and
-        # every block row, empty ones too
+        # every block row, empty ones too.  The batch runs every fixpoint,
+        # bounded reach with cycles of each length and the dual transformers
+        # over L1 and L3: AU, ER, AR, EF[1,3], EF[2,5], pre~ and post~ AX.
         from abspres.equivalences import bisim_partition
         from abspres.fixtures import five_state_pqr, traffic_light
 
@@ -813,16 +815,35 @@ class TestRelationSearch:
             "AXEX": "AX EX #1",
             "EXandAX": "EX #1 & AX #1",
         }
+        batched = {
+            "AU": "AU(#1, #2)",
+            "ER": "ER(#1, #2)",
+            "AR": "AR(#1, #2)",
+            "EF13": "EF[1,3] #1",
+            "EF25": "EF[2,5] #1",
+            "cpre": "pre~ #1",
+            "cpostAX": "post~ AX #1",
+        }
+
+        def extended(base, bodies):
+            return [
+                LanguageSpec(
+                    f"{base.name}+{name}",
+                    base.atoms,
+                    base.operators + (operator_from_expr(name, expr.count("#"), expr),),
+                )
+                for name, expr in bodies.items()
+            ]
 
         def languages(model):
             presets = ("L1", "L2", "L3", "CTL", "exef", "semaforo")
-            l1 = preset_language("L1", model)
-            return [preset_language(n, model) for n in presets] + [
-                LanguageSpec(
-                    f"L1+{name}", l1.atoms, l1.operators + (operator_from_expr(name, 1, expr),)
-                )
-                for name, expr in extras.items()
-            ]
+            l1, l3 = preset_language("L1", model), preset_language("L3", model)
+            return (
+                [preset_language(n, model) for n in presets]
+                + extended(l1, extras)
+                + extended(l1, batched)
+                + extended(l3, batched)
+            )
 
         searches = found = stuck = 0
 
@@ -853,6 +874,74 @@ class TestRelationSearch:
         agree(bisim_partition(tl), tl, [preset_language(n, tl) for n in ("L1", "semaforo")])
         agree(bisim_partition(kpqr), kpqr, [preset_language("exef", kpqr)])
         assert searches >= 500 and found >= 400 and stuck >= 1500
+
+    def test_batches_match_the_row_walk(self):
+        # oracle: the walk with one block model per node bound and per leaf,
+        # in both modes, hit lists compared in order.  Four blocks batch the
+        # rows below row 3 and five blocks the rows below rows 4 to 2, where
+        # the 2^(b²) oracle is out of reach
+        from abspres.fixtures import five_state_pq, five_state_pqr
+        from conftest import row_walk_relation_search
+
+        searches = found = 0
+
+        def agree(p, model, names):
+            nonlocal searches, found
+            for name in names:
+                lang = preset_language(name, model)
+                want = row_walk_relation_search(p, lang, model)
+                assert sp_abstract_kripke_search(p, lang, model) == want, name
+                first = sp_abstract_kripke_search(p, lang, model, mode="first")
+                assert first == row_walk_relation_search(p, lang, model, "first") == want[:1]
+                searches += 1
+                found += len(want)
+
+        for model in (five_state_pq(), five_state_pqr()):
+            agree(Partition.identity(model.space), model, ("L1", "L3", "semaforo", "CTL"))
+        # label classes split at random into four blocks, so the atoms are
+        # block unions and the search runs
+        rng = random.Random(23)
+        while searches < 8 + 18:
+            model = random_total_model(rng, max_states=8)
+            blocks = list(label_partition(model).blocks)
+            if model.n < 4 or len(blocks) > 4:
+                continue
+            while len(blocks) < 4:
+                block = rng.choice([m for m in blocks if m & (m - 1)])
+                members = [s for s in range(model.n) if (block >> s) & 1]
+                part = sum(1 << s for s in rng.sample(members, rng.randint(1, len(members) - 1)))
+                blocks.remove(block)
+                blocks += [part, block & ~part]
+            agree(Partition.from_masks(model.space, blocks), model, ("L1", "L3", "CTL"))
+        assert found >= 7000
+
+    def test_batched_search_builds_no_block_model(self, kpqr, monkeypatch):
+        # the batch decides each subtree on packed masks: no KripkeModel per
+        # candidate or per leaf.  Three blocks are one batch at the root; the
+        # bisimulation blocks of five_state_pqr under exef (four blocks, 384
+        # strong relations) batch below row 3, under one node
+        from abspres.equivalences import bisim_partition
+
+        built = []
+        real = KripkeModel.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        rng = random.Random(5)
+        cases = []
+        while len(cases) < 6:
+            model = random_total_model(rng, max_states=5)
+            p = label_partition(model)
+            if len(p.blocks) == 3:
+                cases += [(p, preset_language(n, model), model) for n in ("L1", "exef")]
+        monkeypatch.setattr(KripkeModel, "__post_init__", counting)
+        hits = sum(len(sp_abstract_kripke_search(*case)) for case in cases)
+        assert built == [] and hits >= 10
+        p = bisim_partition(kpqr)
+        assert len(sp_abstract_kripke_search(p, preset_language("exef", kpqr), kpqr)) == 384
+        assert len(built) <= 2
 
     def test_row_bounds_prune_the_walk(self, kpqr, monkeypatch):
         # the bisimulation blocks of five_state_pqr under L1: 2^16 relations,

@@ -28,19 +28,13 @@ the pairs.  The pairs are saturated by the same engine as the semantic
 closure, :func:`~abspres.languages.close`, with pairs of masks as its items.
 
 :func:`paired_sp_check` returns only an :class:`SpVerdict`: the verdict and
-a witness.  A quotient under a language with ``not`` is never weak-only (an
-existential atom contains its concrete set, and ¬ is exact on block
-unions), so a paired closure that stops at the first violating pair, with
-the full closure's witness, decides it.  For a splitter-class language
-whose cuts (:func:`~abspres.languages._splitters`) hold no until, a block
-test shows "strong" first: S is the set of unions of P_L's blocks, so by
-the paper's characterisation (S representable, operators agreeing on S)
-the quotient by P is strong iff P refines P_L and each cut agrees with the
-concrete one on each block C of P_L (additive chains) or on Σ∖C (dual
-chains).  Both sides distribute over the unions, respectively
-intersections, that build S from these sets, and the fixpoints that do not
-cut are built from the next operator among the cuts.  ``EU`` is not
-additive in its first argument, so L2 has no block test.
+a witness.  Under a splitter- or similarity-class language, a quotient by
+P is strong iff adp(P) ⊑ A_L and each checked operator agrees with the
+concrete one on each generator g of A_L (dual chains) or on Σ∖g (additive
+chains): :func:`_strong_on_generators`.  Under a language with ``not`` a
+quotient is never weak-only (an existential atom contains its concrete set,
+and ¬ is exact on block unions), so otherwise a paired closure that stops
+at the first violating pair, with the full closure's witness, decides it.
 
 The relation search of :mod:`abspres.shells` needs no paired closure either:
 S = {⟦φ⟧ | φ ∈ L} is the same for every candidate, so it closes S once and
@@ -66,11 +60,12 @@ from .languages import (
     close,
     eval_formula,
     gfp,
+    in_similarity_class,
     in_splitter_class,
     lfp,
 )
 from .partitions import Partition, adp
-from .shells import ad_of_language, coarsest_sp_partition
+from .shells import ad_of_language
 
 DEFAULT_MAX_TUPLES = 1 << 20
 DEFAULT_MAX_PAIRS = 1 << 16
@@ -311,20 +306,37 @@ class SpVerdict:
         return self.verdict == "strong"
 
 
-def _strong_on_blocks(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
-    """Does the block test (module docstring) show the quotient by ``p``
-    strong?  False also for a language outside the splitter class or one
-    whose cuts hold an until, where the test does not apply."""
-    cuts = _splitters(structure.lang.operators)
-    if not in_splitter_class(structure.lang) or any(op._chain == "until" for op in cuts):
+def _strong_on_generators(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
+    """Does the generator test (module docstring) show the quotient by
+    ``p`` strong?  It checks the cuts of a splitter-class language with no
+    until among them (``EU`` is not additive in its first argument), or the
+    ``AX``/``pre~`` operators of a similarity-class one; else False.
+
+    The test is exact.  S ⊆ adp(P) iff adp(P) ⊑ A_L = M(S), and A_L's
+    generators G lie in S, so agreement on G is needed.  It suffices: on
+    the similarity route S = add(R) is the meets of G = {Σ∖R(s)}, Σ the
+    empty one, and concrete AX and the quotient's union∘cpre∘inner both
+    preserve ∩ on block unions (inner, cpre and union each do) and map Σ to
+    Σ.  On the splitter route G is the Σ∖C for the blocks C of P_L and S
+    their unions; both sides of an additive (dual) chain distribute over the
+    unions of the C (the meets of the Σ∖C), and the fixpoints that do not
+    cut are built from the next operator among the cuts."""
+    lang = structure.lang
+    if in_splitter_class(lang):
+        cuts = _splitters(lang.operators)
+        if any(op._chain == "until" for op in cuts):
+            return False
+    elif in_similarity_class(lang):
+        cuts = [op for op in lang.operators if op._chain]
+    else:
         return False
-    blocks = coarsest_sp_partition(structure.lang, model).blocks
-    if any(p.block_containing(c) != c for c in blocks):
+    a_l = ad_of_language(lang, model)
+    if not domain_leq(adp(p), a_l):
         return False
     full = model.space.full_mask
     for op in cuts:
-        for c in blocks:
-            x = c if op._chain == "additive" else full & ~c
+        for g in a_l._gens:
+            x = g if op._chain == "dual" else full & ~g
             if structure.apply(op, (x,)) != apply_operator(op, model, (x,)):
                 return False
     return True
@@ -342,18 +354,18 @@ def paired_sp_check(
 
     ``abstract`` is either an :class:`AbstractStructure` or a block-level
     :class:`Quotient` (then the induced structure with existential labeling
-    is checked).  A quotient under a language with ``not #1`` is decided by
-    the block test or an aborting paired closure (module docstring); every
-    other case reads the verdict off the full paired closure.  ``max_pairs``
-    bounds whichever closure runs.
+    is checked).  A quotient passes the generator test (module docstring)
+    or, under a language with ``not #1``, goes to an aborting paired
+    closure; every other case reads the verdict off the full paired
+    closure.  ``max_pairs`` bounds whichever closure runs.
     """
     if isinstance(abstract, Quotient):
         if abstract.parent.space != model.space:
             raise SpaceMismatchError("quotient of a different model")
         structure = AbstractStructure.from_quotient(abstract, lang)
+        if _strong_on_generators(model, abstract.partition, structure):
+            return SpVerdict("strong", None)
         if _has_not(lang.operators):
-            if _strong_on_blocks(model, abstract.partition, structure):
-                return SpVerdict("strong", None)
             cut = paired_semantic_closure(
                 model, structure, lang, abort_on_violation=True, max_pairs=max_pairs
             )

@@ -78,7 +78,7 @@ def _split_once(blocks: list[Mask], cuts: Iterable[Mask]) -> int:
 
 
 def _members(mask: Mask) -> Iterator[int]:
-    """The state indices in ``mask``, lowest first."""
+    """The indices of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -434,7 +434,7 @@ def _splitters(ops: Sequence[Operator]) -> Optional[list[Operator]]:
     some body is ``EX #1``, ``AX #1``, ``pre #1`` or ``pre~ #1``.  Nor does a
     dual chain whose additive twin (``AX`` to ``EX``, ``pre~`` to ``pre``,
     ``post~`` to ``post``) is a cut: AX(Σ∖B) = Σ∖EX(B) makes the twin's cut.
-    The block test of :func:`~abspres.abstraction._strong_on_blocks` stays
+    The test of :func:`~abspres.abstraction._strong_on_generators` stays
     exact without the twin, since with ``not`` the quotient's AX is ¬EX♯¬
     as the concrete AX is ¬EX¬, so it agrees on block unions when EX does.
     The test is syntactic: an equivalent body written otherwise is not

@@ -206,19 +206,15 @@ class SetFamily:
 
 
 def meet_close(closed: set[Mask], fresh: Iterable[Mask]) -> set[Mask]:
-    """Add ``fresh`` to the meet-closed set ``closed`` and re-close it under
-    intersection, in place; returns the masks added."""
-    added = {m for m in fresh if m not in closed}
-    closed |= added
-    pending = list(added)
-    while pending:
-        m = pending.pop()
-        for other in list(closed):
-            meet = m & other
-            if meet not in closed:
-                closed.add(meet)
-                added.add(meet)
-                pending.append(meet)
+    """Add the meets of ``fresh`` to the Moore family ``closed``, in place;
+    returns the masks added.  Each new g adds {m ∩ g | m ∈ closed}, which
+    keeps ``closed`` meet-closed, as (m ∩ g) ∩ m' = (m ∩ m') ∩ g."""
+    added: set[Mask] = set()
+    for g in fresh:
+        if g not in closed:
+            meets = {m & g for m in closed} - closed
+            closed |= meets
+            added |= meets
     return added
 
 
@@ -246,8 +242,8 @@ class AbstractDomain:
     keeps its input), and :meth:`_of_generators` a lazy domain (adp and add
     pass their meet-irreducibles), which answers closure and membership at
     any size.
-    Its image is built on demand, every meet of its k generators by
-    doubling, and refused before anything is built when 2^k is over
+    Its image is built on demand, by :func:`meet_close` from {Σ}, and
+    refused before anything is built when 2^k is over
     :data:`DEFAULT_MAX_FAMILY`.  Equality, hashing and iteration force the
     image.
     """
@@ -295,8 +291,7 @@ class AbstractDomain:
                     f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
                 )
             image = {self.space.full_mask}
-            for g in self._gens:
-                image |= {m & g for m in image}
+            meet_close(image, self._gens)
             self._masks = frozenset(image)
         return self._masks
 

@@ -48,6 +48,7 @@ from .lattice import (
     DEFAULT_MAX_FAMILY,
     Mask,
     SetFamily,
+    domain_leq,
     meet_close,
     moore_close,
 )
@@ -128,8 +129,8 @@ def _splitter_shell(
     start = pr(domain)
     snapshots = [domain]
     counts: list[int] = []
-    # A holds Σ∖B for each block B of pr(A) exactly when it is adp(pr(A))
-    if not all(domain.contains(space.full_mask & ~b) for b in start.blocks):
+    # A refines adp(pr(A)) exactly when it is adp(pr(A))
+    if not domain_leq(domain, adp(start)):
         snapshots.append(adp(start))
         counts.append((1 << len(start)) - len(domain))
     size = len(start)
@@ -354,14 +355,6 @@ def _meets_table(b: int, width: int) -> tuple[Mask, ...]:
     return tuple(out)
 
 
-def _bits(mask: Mask) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _lifts(b: int, width: int, ones: Optional[Mask] = None) -> list[Mask]:
     """Every block mask over b blocks as the packed mask that holds it under
     each of ``width`` completions (under those of ``ones`` when given),
@@ -505,7 +498,7 @@ def sp_abstract_kripke_search(
                 return
             count = alive.bit_count()
             if count * 16 <= len(members) and count < len(pending) - done:
-                members = [members[k] for k in _bits(alive)]
+                members = [members[k] for k in equivalences._members(alive)]
                 lift, unit = _lifts(b, count), _lifts(b, count, 1)
                 open_rows = [
                     sum(unit[(x >> (i * b)) & full] << k for k, x in enumerate(members))
@@ -514,7 +507,7 @@ def sp_abstract_kripke_search(
                 batch = _BlockBatch(count, open_rows + [lift[r] for r in rows])
                 alive = batch._ones
         fixed = tuple(pair for i, r in enumerate(rows) for pair in pairs[batched + i][r])
-        for k in _bits(alive):
+        for k in equivalences._members(alive):
             x, rel = members[k], fixed
             for row_pairs in pairs[:batched]:
                 rel += row_pairs[x & full]

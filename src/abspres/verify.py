@@ -369,8 +369,8 @@ def run_paper_suite() -> list[CheckResult]:
     # on EX, as bisim_partition does, which the check below compares with pbis
     push(_check("next-logic s.p. partition", pr(moore_close(semantic_closure(l1, kpq))), pbis))
 
-    # A quotient under L1 is decided block by block; a failing one gets the
-    # paired closure's witness, whose two semantics differ.
+    # A quotient under L1 is shown strong on the generators of A_L; a failing
+    # one gets the paired closure's witness, whose two semantics differ.
     l1_tl = preset_language("L1", tl)
     label_q = quotient("ee", tl, label_partition(tl))
     failing = paired_sp_check(tl, label_q, l1_tl)

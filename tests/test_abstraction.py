@@ -9,6 +9,7 @@ from abspres import (
     AbstractStructure,
     CapacityError,
     KripkeModel,
+    LanguageSpec,
     Partition,
     ValidationError,
     adp,
@@ -394,18 +395,20 @@ class TestPairedSpCheck:
             paired_sp_check(kpq, q, preset_language("full", kpq))
 
     def test_pair_capacity(self, kpq):
-        # L3 has no `not`, so its quotient check runs the paired closure
-        lang = preset_language("L3", kpq)
+        # exef is in neither class and has no `not`, so its quotient check
+        # runs the full paired closure
+        lang = preset_language("exef", kpq)
         q = quotient("ee", kpq, Partition.identity(kpq.space))
         with pytest.raises(CapacityError):
             paired_sp_check(kpq, q, lang, max_pairs=4)
 
     def test_pair_capacity_does_not_bound_the_block_route(self, kpq):
-        # a strong L1 check of a quotient runs no paired closure, so
+        # a strong L1 or L3 check of a quotient runs no paired closure, so
         # max_pairs does not apply to it
-        lang = preset_language("L1", kpq)
         q = quotient("ee", kpq, Partition.identity(kpq.space))
-        assert paired_sp_check(kpq, q, lang, max_pairs=4).verdict == "strong"
+        for name in ("L1", "L3"):
+            lang = preset_language(name, kpq)
+            assert paired_sp_check(kpq, q, lang, max_pairs=4).verdict == "strong"
 
     def test_abort_agrees_with_full_closure(self):
         # stopping at the first violation keeps the full closure's verdict
@@ -701,6 +704,15 @@ def splitter_class_languages(model):
     ]
 
 
+def similarity_class_languages(model):
+    """L3, and/or/pre~ and and/or/pre~/AX, over the labels and their negations."""
+    l3 = preset_language("L3", model)
+    return [l3] + [
+        LanguageSpec(f"L3-{len(ops)}", l3.atoms, tuple(builtin_operator(op) for op in ops))
+        for ops in (["and", "or", "pre~"], ["and", "or", "pre~", "AX"])
+    ]
+
+
 class TestBlockRoute:
     def test_operator_records_its_chain(self):
         cases = {
@@ -799,6 +811,82 @@ class TestBlockRoute:
         assert verdicts["strong"] >= 300 and verdicts["neither"] >= 300
         assert aborting_verdicts["strong"] >= 100 and aborting_verdicts["neither"] >= 20
 
+    def test_similarity_route_matches_the_paired_closure(self):
+        # the verdict and witness of the generator test, and of the full
+        # closure it falls back to, against the full paired closure, on
+        # dense, sparse and non-total models, ∃∃ and ∀∃ quotients and six
+        # kinds of partition.  A strong closure holds one pair per set of S,
+        # at most 2^5 here, so both routes stop alike past 64 pairs
+        from abspres import bisim_partition, coarsest_sp_partition, simeq_partition
+        from abspres.abstraction import paired_semantic_closure
+        from abspres.kripke import label_partition
+        from abspres.languages import in_similarity_class
+
+        def check(route, *args):
+            try:
+                got = route(*args, max_pairs=64)
+            except CapacityError as exc:
+                return str(exc)
+            return got.verdict, got.witness
+
+        rng = random.Random(2027)
+        verdicts = {"strong": 0, "neither": 0, "weak-only": 0, "capped": 0}
+        for k in range(24):
+            model = random_model(rng, 5, (0.0, 0.3, 0.6)[k % 3])
+            picks = [rng.randrange(3) for _ in range(model.n)]
+            shuffled = Partition.from_masks(
+                model.space,
+                {sum(1 << s for s in range(model.n) if picks[s] == j) for j in set(picks)},
+            )
+            for lang in similarity_class_languages(model):
+                assert in_similarity_class(lang)
+                partitions = (
+                    label_partition(model),
+                    bisim_partition(model),
+                    Partition.identity(model.space),
+                    simeq_partition(model),
+                    coarsest_sp_partition(lang, model),
+                    shuffled,
+                )
+                for p in partitions:
+                    for kind in ("ee", "ae"):
+                        q = quotient(kind, model, p)
+                        structure = AbstractStructure.from_quotient(q, lang)
+                        want = check(paired_semantic_closure, model, structure, lang)
+                        got = check(paired_sp_check, model, q, lang)
+                        assert got == want, (k, lang.name, p, kind)
+                        if isinstance(got, str):
+                            verdicts["capped"] += 1
+                            continue
+                        verdicts[got[0]] += 1
+                        if got[1] is not None:
+                            concrete = eval_concrete(got[1], model, lang)
+                            assert structure.semantics(got[1]) != concrete
+        assert verdicts["strong"] >= 300
+        assert verdicts["neither"] + verdicts["weak-only"] >= 100
+
+    def test_similarity_quotients_close_no_family(self, monkeypatch):
+        # the ∃∃ quotient by simulation equivalence is strong under L3 and
+        # under and/or/pre~ (Grumberg and Long), and the generator test shows
+        # it from the similarity alone: neither the paired closure nor the
+        # semantic closure runs
+        from abspres import abstraction, shells, simeq_partition
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a closure over ℘(Σ) on the generator route")
+
+        monkeypatch.setattr(abstraction, "paired_semantic_closure", boom)
+        monkeypatch.setattr(shells, "semantic_closure", boom)
+        for n in (12, 16, 40):
+            rng = random.Random(n)
+            space = StateSpace(tuple(str(i) for i in range(n)))
+            succ = tuple(sum(1 << t for t in rng.sample(range(n), 2)) for _ in range(n))
+            labels = (("p", rng.randrange(1 << n)), ("q", rng.randrange(1 << n)))
+            model = KripkeModel(space, succ, labels)
+            q = quotient("ee", model, simeq_partition(model))
+            for lang in similarity_class_languages(model)[:2]:
+                assert paired_sp_check(model, q, lang).verdict == "strong", (n, lang.name)
+
     def test_block_test_checks_every_cut(self):
         # under L1 + post, P_L is one block, and the ∀∃ quotient by
         # {1,2,3,4}, {5} agrees with EX on it but not with post
@@ -863,7 +951,7 @@ class TestBlockRoute:
         l1 = preset_language("L1", kpq)
         mixed = operator_from_expr("AXEX", 1, "AX EX #1")
         # without `not` a check may be weak-only, so it reads the full closure
-        full = [preset_language(name, kpq) for name in ("L3", "semaforo", "exef")]
+        full = [preset_language(name, kpq) for name in ("semaforo", "exef")]
         full.append(language_from_ops(kpq, ["and", "or", "EX"]))
         # with `not` and no block test, an aborting closure decides
         aborting = [
@@ -877,8 +965,10 @@ class TestBlockRoute:
             paired_sp_check(kpq, q, lang)
             assert calls.pop() is (lang in aborting), lang.name
         assert calls == []
-        # CTL's cuts are AX and EX, so its check is decided block by block
-        assert paired_sp_check(kpq, q, preset_language("CTL", kpq)).verdict == "strong"
+        # CTL's cuts are AX and EX, and L3's operator is AX, so both checks
+        # are decided on the generators of A_L
+        for name in ("CTL", "L3"):
+            assert paired_sp_check(kpq, q, preset_language(name, kpq)).verdict == "strong"
         assert calls == []
         for structure in (
             AbstractStructure.from_quotient(q, l1),

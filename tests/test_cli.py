@@ -806,6 +806,23 @@ class TestLargeModels:
                     assert (code, out.strip()) == want, (n, lang, domain, err)
                     assert time.perf_counter() - start < 5, (n, lang, domain)
 
+    def test_strong_l3_quotient_check(self, tmp_path):
+        # the ∃∃ quotient by simulation equivalence is strong under L3, and
+        # the test on A_L's generators shows it in well under a second; the
+        # full paired closure it replaces took 6.2 s on the 10-state ring
+        # and stopped at MAX_STAGE_TUPLES on the 40-state one
+        import time
+
+        from abspres import paired_sp_check, preset_language, quotient, simeq_partition
+
+        for n in (40, 200):
+            model = load_model(self.ring(tmp_path, n))
+            lang = preset_language("L3", model)
+            start = time.perf_counter()
+            verdict = paired_sp_check(model, quotient("ee", model, simeq_partition(model)), lang)
+            assert verdict.verdict == "strong", n
+            assert time.perf_counter() - start < 1, n
+
     def test_ctl_cuts_as_l1_does(self, tmp_path, monkeypatch):
         # AX(Σ∖B) = Σ∖EX(B), so CTL's AX makes its twin EX's cut and the
         # splitter engine applies EX alone, as for L1

@@ -1043,9 +1043,10 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         call = lambda: sp_abstract_kripke_search(p, l1, kpq)
         message = "2 blocks means 2^4 candidate relations, over MAX_SEARCH_CANDIDATES = 8"
     elif case == "paired":
-        # L3 has no `not`, so its quotient check runs the paired closure
+        # exef is in neither class and has no `not`, so its quotient check
+        # runs the full paired closure
         q = quotient("ee", kpq, Partition.identity(kpq.space))
-        call = lambda: paired_sp_check(kpq, q, preset_language("L3", kpq), max_pairs=4)
+        call = lambda: paired_sp_check(kpq, q, preset_language("exef", kpq), max_pairs=4)
         message = "paired closure exceeded max_pairs = 4 (now 6 pairs)"
     elif case == "masks":
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)

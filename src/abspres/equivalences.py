@@ -24,15 +24,13 @@ the similarity class by :func:`_similarity`.
 
 Both refinements work by the edges.  The engine cuts by EU(B1, B2) only
 where a move goes from B1 into B2, since any other pair gives B2, which
-cuts nothing; each such cut is a backward search through B1 over a
-predecessor list built once per call.  The similarity is a worklist over
-the same list: when a row shrinks, its pre-image is computed once and cuts
-the rows of its predecessors.  Pass by pass, both give exactly the answers
-of the all-pairs and move-sweep loops they replace, which the tests keep
-as oracles.  The predecessor list stays local to these two routes:
-``KripkeModel.pre`` scans the successor rows, which costs less on the many
-small block models the relation search builds than a list built per
-model.
+cuts nothing; each such cut is a backward search through B1 over the
+model's predecessor rows.  The similarity is a worklist over the same
+rows: when a row shrinks, its pre-image is computed once and cuts the rows
+of its predecessors.  Pass by pass, both give exactly the answers of the
+all-pairs and move-sweep loops they replace, which the tests keep as
+oracles.  The checkers walk the members of rows, so they too cost the
+edges and the pairs they test, not a scan of every state per pair.
 
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
@@ -56,7 +54,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import shells
 from .errors import SpaceMismatchError, ValidationError
 from .kripke import KripkeModel, label_partition
-from .lattice import Mask, SetFamily, moore_close
+from .lattice import Mask, SetFamily, _members, moore_close
 from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
@@ -77,48 +75,21 @@ def _split_once(blocks: list[Mask], cuts: Iterable[Mask]) -> int:
     return count
 
 
-def _members(mask: Mask) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _predecessors(model: KripkeModel) -> list[Mask]:
-    """``pred[t]``: the mask of the states with a move into t."""
-    pred = [0] * model.n
-    for s, row in enumerate(model.succ):
-        for t in _members(row):
-            pred[t] |= 1 << s
-    return pred
-
-
-def _pre(pred: Sequence[Mask], y: Mask) -> Mask:
-    """pre(Y) from a predecessor list: one OR per member of Y."""
-    acc = 0
-    while y:
-        low = y & -y
-        acc |= pred[low.bit_length() - 1]
-        y ^= low
-    return acc
-
-
-def _until_cut(pred: Sequence[Mask], b1: Mask, b2: Mask, pre_b2: Mask) -> Mask:
+def _until_cut(model: KripkeModel, b1: Mask, b2: Mask, pre_b2: Mask) -> Mask:
     """EU(B1, B2) for disjoint B1 and B2, given pre(B2): B2 and the members
     of B1 with a path inside B1 into B2, by a backward search through B1
     that reads the in-edges of each state it reaches once."""
     frontier = pre_b2 & b1
     reach = b2 | frontier
     while frontier:
-        frontier = _pre(pred, frontier) & b1 & ~reach
+        frontier = model.pre(frontier) & b1 & ~reach
         reach |= frontier
     return reach
 
 
 def _until_cuts(
+    model: KripkeModel,
     edges: Sequence[tuple[int, int]],
-    pred: Sequence[Mask],
     pre_of: dict[Mask, Mask],
     blocks: Sequence[Mask],
     fresh: set[Mask],
@@ -126,7 +97,7 @@ def _until_cuts(
     """EU(B1, B2) for each pair of blocks B1 ≠ B2, one of them in ``fresh``,
     with a move from B1 into B2 (an edge of ``edges``, as (source, target)
     state indices); ``pre_of`` caches pre(B) by block."""
-    owner = [0] * len(pred)
+    owner = [0] * model.n
     for k, b in enumerate(blocks):
         for s in _members(b):
             owner[s] = k
@@ -136,8 +107,8 @@ def _until_cuts(
         if k1 != k2 and (b1 in fresh or b2 in fresh):
             pre_b2 = pre_of.get(b2)
             if pre_b2 is None:
-                pre_b2 = pre_of[b2] = _pre(pred, b2)
-            yield _until_cut(pred, b1, b2, pre_b2)
+                pre_b2 = pre_of[b2] = model.pre(b2)
+            yield _until_cut(model, b1, b2, pre_b2)
 
 
 def _splitter_passes(
@@ -162,8 +133,8 @@ def _splitter_passes(
     B2, and a member of B1 joins it only by a path inside B1 whose last move
     enters B2; so a pair with no move from B1 into B2 gives B2, a block,
     which cuts nothing, and only the pairs of blocks an edge joins are cut
-    by.  Each of those is a backward search from B2 through B1 over one
-    predecessor list built per call (:func:`_until_cut`), so a pass costs
+    by.  Each of those is a backward search from B2 through B1 over the
+    model's predecessor rows (:func:`_until_cut`), so a pass costs
     the edges and the in-edges its searches reach, not b² fixpoints of an
     O(n) ``pre``.  Dropping cuts that cut nothing leaves each pass's blocks
     as they were.
@@ -171,17 +142,15 @@ def _splitter_passes(
     full = model.space.full_mask
     blocks = list(blocks)
     fresh = set(blocks)
-    pred: list[Mask] = []
     edges: list[tuple[int, int]] = []
     pre_of: dict[Mask, Mask] = {}
     if any(op._chain == "until" for op in ops):
-        pred = _predecessors(model)
-        edges = [(s, t) for t, row in enumerate(pred) for s in _members(row)]
+        edges = [(s, t) for t, row in enumerate(model.pred) for s in _members(row)]
     while True:
         cuts = set()
         for op in ops:
             if op._chain == "until":
-                cuts.update(_until_cuts(edges, pred, pre_of, blocks, fresh))
+                cuts.update(_until_cuts(model, edges, pre_of, blocks, fresh))
             else:
                 dual = op._chain == "dual"
                 cuts.update(apply_operator(op, model, (full & ~b if dual else b,)) for b in fresh)
@@ -258,8 +227,8 @@ def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
 
     A worklist holds the states whose row shrank since their predecessors'
     rows were last cut by it (all of them at first).  Taking t from it
-    computes pre(R(t)) once, from a predecessor list, and intersects it into
-    R(s) for each predecessor s of t, queueing s when R(s) shrinks.  Every
+    computes pre(R(t)) once and intersects it into R(s) for each
+    predecessor s of t (``model.pred``), queueing s when R(s) shrinks.  Every
     cut removes only pairs that the greatest fixpoint lacks, and when the
     worklist is empty every move's constraint holds, so the rows are that
     fixpoint: the same rows as sweeping every move until none shrinks, at
@@ -267,13 +236,13 @@ def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
     rows = [model.space.full_mask] * model.n
     for a in atoms:
         rows = [row if (a >> s) & 1 else row & ~a for s, row in enumerate(rows)]
-    pred = _predecessors(model)
+    pred = model.pred
     work = [t for t in range(model.n) if pred[t]]
     queued = [bool(m) for m in pred]
     while work:
         t = work.pop()
         queued[t] = False
-        image = _pre(pred, rows[t])
+        image = model.pre(rows[t])
         for s in _members(pred[t]):
             row = rows[s] & image
             if row != rows[s]:
@@ -287,10 +256,7 @@ def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
 def _matched(model: KripkeModel, s: int, s2: int, rows: Sequence[Mask]) -> bool:
     """Is every move s → t matched by a move s2 → t' with t R t' (R as rows)?"""
     succ2 = model.succ[s2]
-    for t in range(model.n):
-        if (model.succ[s] >> t) & 1 and not succ2 & rows[t]:
-            return False
-    return True
+    return all(succ2 & rows[t] for t in _members(model.succ[s]))
 
 
 def largest_simulation(model: KripkeModel) -> Preorder:
@@ -318,8 +284,7 @@ def check_simulation(r: Preorder, model: KripkeModel) -> bool:
     return all(
         labels[s2] <= labels[s] and _matched(model, s, s2, r.rows)
         for s in range(model.n)
-        for s2 in range(model.n)
-        if (r.rows[s] >> s2) & 1
+        for s2 in _members(r.rows[s])
     )
 
 

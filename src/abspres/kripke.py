@@ -1,24 +1,31 @@
 """Kripke structures, predecessor/successor transformers and block quotients.
 
-Transition relations are stored as per-state successor masks, which makes
-the four transformers one-liners:
+A transition relation is stored as per-state rows twice: ``succ[s]`` is the
+mask of the successors of s, and ``pred[t]``, its transpose built once with
+the model, the mask of the predecessors of t.  pre and post are then one
+row-OR over the members of Y, and their duals are their complements:
 
-    pre(Y)   = {s | succ(s) ∩ Y ≠ ∅}        post(Y)  = ∪_{s∈Y} succ(s)
-    pre~(Y)  = {s | succ(s) ⊆ Y}            post~(Y) = ∁ post ∁ (Y)
+    pre(Y)   = {s | succ(s) ∩ Y ≠ ∅} = ∪_{t∈Y} pred(t)
+    post(Y)  = ∪_{s∈Y} succ(s)
+    pre~(Y)  = {s | succ(s) ⊆ Y}     = ∁ pre ∁ (Y)
+    post~(Y) = {t | pred(t) ⊆ Y}     = ∁ post ∁ (Y)
 
-pre and post are additive, their duals co-additive.
+Each costs one OR per member of its argument, not a scan of all n rows.
+pre and post are additive, their duals co-additive.  The duals are exact on
+non-total models too: a stuck state has succ = ∅ ⊆ Y, so it is in pre~(Y)
+for every Y, and it lies in no pre(∁Y).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import SpaceMismatchError, ValidationError
-from .lattice import Mask, StateSet, StateSpace
+from .lattice import Mask, StateSet, StateSpace, _members
 from .partitions import Partition
 
 
@@ -27,14 +34,17 @@ class KripkeModel:
     """A transition system with a state labeling.
 
     ``succ[i]`` is the successor mask of state i; ``label_items`` maps each
-    atomic proposition to the mask of states carrying it.  Totality is not
-    enforced at construction (∀∃ quotients may produce stuck blocks); use
-    :func:`validate_model` where totality matters.
+    atomic proposition to the mask of states carrying it.  ``pred[i]``, the
+    predecessor mask of state i, is derived from ``succ`` at construction,
+    in one pass over the edges, and takes no part in equality or hashing.
+    Totality is not enforced at construction (∀∃ quotients may produce stuck
+    blocks); use :func:`validate_model` where totality matters.
     """
 
     space: StateSpace
     succ: tuple[Mask, ...]
     label_items: tuple[tuple[str, Mask], ...]
+    pred: tuple[Mask, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # one OR-fold over the rows and one over the labels; the offender is
@@ -50,14 +60,18 @@ class KripkeModel:
             raise ValidationError(
                 f"successors of {self.space.names[i]!r} fall outside the space"
             )
-        if not self.label_items:
-            return
-        names = {name for name, _ in self.label_items}
-        if len(names) != len(self.label_items):
-            raise ValidationError("duplicate label names")
-        if reduce(or_, (m for _, m in self.label_items)) & outside:
-            name = next(name for name, m in self.label_items if m & outside)
-            raise ValidationError(f"label {name!r} falls outside the space")
+        if self.label_items:
+            names = {name for name, _ in self.label_items}
+            if len(names) != len(self.label_items):
+                raise ValidationError("duplicate label names")
+            if reduce(or_, (m for _, m in self.label_items)) & outside:
+                name = next(name for name, m in self.label_items if m & outside)
+                raise ValidationError(f"label {name!r} falls outside the space")
+        pred = [0] * n
+        for s, row in enumerate(self.succ):
+            for t in _members(row):
+                pred[t] |= 1 << s
+        object.__setattr__(self, "pred", tuple(pred))
 
     @staticmethod
     def of(
@@ -100,36 +114,33 @@ class KripkeModel:
 
     def relation_pairs(self) -> frozenset[tuple[int, int]]:
         """The transition relation as (source, target) state-index pairs."""
-        return frozenset(
-            (i, j) for i in range(self.n) for j in range(self.n) if (self.succ[i] >> j) & 1
-        )
+        return frozenset((i, j) for i, row in enumerate(self.succ) for j in _members(row))
 
     # Transformers over masks.
 
     def pre(self, y: Mask) -> Mask:
-        acc = 0
-        for i in range(self.n):
-            if self.succ[i] & y:
-                acc |= 1 << i
-        return acc
+        return _join_rows(self.pred, y)
 
     def post(self, y: Mask) -> Mask:
-        acc = 0
-        for i in range(self.n):
-            if (y >> i) & 1:
-                acc |= self.succ[i]
-        return acc
+        return _join_rows(self.succ, y)
 
     def cpre(self, y: Mask) -> Mask:
-        acc = 0
-        for i in range(self.n):
-            if self.succ[i] & ~y == 0:
-                acc |= 1 << i
-        return acc
+        full = self.space.full_mask
+        return full & ~_join_rows(self.pred, full & ~y)
 
     def cpost(self, y: Mask) -> Mask:
         full = self.space.full_mask
-        return full & ~self.post(full & ~y)
+        return full & ~_join_rows(self.succ, full & ~y)
+
+
+def _join_rows(rows: tuple[Mask, ...], y: Mask) -> Mask:
+    """The union of ``rows[i]`` over the members i of ``y``."""
+    acc = 0
+    while y:
+        low = y & -y
+        acc |= rows[low.bit_length() - 1]
+        y ^= low
+    return acc
 
 
 def validate_model(model: KripkeModel) -> None:
@@ -202,7 +213,7 @@ def quotient(kind: str, model: KripkeModel, p: Partition) -> Quotient:
     combine = or_ if kind == "ee" else and_
     bsucc = []
     for blk in p.blocks:
-        rows = (p.meeting(model.succ[s]) for s in range(model.n) if (blk >> s) & 1)
+        rows = (p.meeting(model.succ[s]) for s in _members(blk))
         bsucc.append(reduce(combine, rows))
     bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
     items = tuple((label, p.meeting(mask)) for label, mask in model.label_items)

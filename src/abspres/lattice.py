@@ -37,6 +37,14 @@ DEFAULT_MAX_FAMILY = 1 << 20
 MAX_ENUMERATION_STATES = 4
 
 
+def _members(mask: Mask) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """A named finite universe Σ with a fixed index order.

@@ -25,6 +25,7 @@ from .lattice import (
     SetFamily,
     StateSet,
     StateSpace,
+    _members,
 )
 
 
@@ -196,9 +197,8 @@ class Preorder:
     def from_partition(p: Partition) -> "Preorder":
         rows = [0] * p.space.n
         for b in p.blocks:
-            for i in range(p.space.n):
-                if (b >> i) & 1:
-                    rows[i] = b
+            for i in _members(b):
+                rows[i] = b
         return Preorder._of_preorder(p.space, tuple(rows))
 
     def holds(self, s: str, t: str) -> bool:

@@ -48,6 +48,7 @@ from .lattice import (
     DEFAULT_MAX_FAMILY,
     Mask,
     SetFamily,
+    _members,
     domain_leq,
     meet_close,
     moore_close,
@@ -498,7 +499,7 @@ def sp_abstract_kripke_search(
                 return
             count = alive.bit_count()
             if count * 16 <= len(members) and count < len(pending) - done:
-                members = [members[k] for k in equivalences._members(alive)]
+                members = [members[k] for k in _members(alive)]
                 lift, unit = _lifts(b, count), _lifts(b, count, 1)
                 open_rows = [
                     sum(unit[(x >> (i * b)) & full] << k for k, x in enumerate(members))
@@ -507,7 +508,7 @@ def sp_abstract_kripke_search(
                 batch = _BlockBatch(count, open_rows + [lift[r] for r in rows])
                 alive = batch._ones
         fixed = tuple(pair for i, r in enumerate(rows) for pair in pairs[batched + i][r])
-        for k in equivalences._members(alive):
+        for k in _members(alive):
             x, rel = members[k], fixed
             for row_pairs in pairs[:batched]:
                 rel += row_pairs[x & full]

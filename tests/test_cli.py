@@ -780,6 +780,16 @@ class TestLargeModels:
         assert time.perf_counter() - start < 5
         assert json.loads(out)["result"] == result["partition"]
 
+    def test_equivalences_on_1000_states(self, capsys, tmp_path):
+        # the transformers OR the rows of their argument's members and the
+        # checkers walk the members of rows, so no kind loops over every
+        # state inside a per-pair loop: all four take about 2 s together
+        path = self.ring(tmp_path, 1000)
+        for kind in ("bisim", "dbs", "sim", "simeq"):
+            code, out, err = run(capsys, "--format", "json", "equiv", "--model", path, "--kind", kind)
+            assert code == 0, err
+            assert json.loads(out)["result"]["consistent"] is True, kind
+
     def test_sp_check_on_class_languages(self, capsys, tmp_path):
         # A ⊑ A_L is tested on A_L's generators, one per block of P_L or
         # class of the similarity, so no closure of S over ℘(Σ) is built:

@@ -245,11 +245,12 @@ class TestEdgeRefinements:
 
         for model in self.models():
 
-            def checked(pred, b1, b2, pre_b2, model=model):
+            def checked(m, b1, b2, pre_b2, model=model):
+                assert m is model
                 assert model.post(b1) & b2, "an until pair with no edge from B1 into B2"
                 assert not b1 & b2 and pre_b2 == model.pre(b2)
                 seen.append((b1, b2))
-                return cut(pred, b1, b2, pre_b2)
+                return cut(m, b1, b2, pre_b2)
 
             monkeypatch.setattr(equivalences, "_until_cut", checked)
             dbs_partition(model)

@@ -17,7 +17,7 @@ from abspres import (
     validate_model,
 )
 
-from conftest import random_total_model
+from conftest import random_model, random_total_model
 
 
 class TestValidation:
@@ -93,6 +93,36 @@ class TestTransformers:
             for y in range(1 << n):
                 assert model.cpre(y) == full & ~model.pre(full & ~y)
                 assert model.cpost(y) == full & ~model.post(full & ~y)
+
+    def test_rows_and_transformers_match_their_definitions(self, kpq):
+        # pre~ and post~ are computed as ∁ pre ∁ and ∁ post ∁, so all four
+        # are judged by the set-builder definitions of the module docstring,
+        # read straight off succ, on models with dead states and on a ∀∃
+        # quotient with a stuck block
+        rng = random.Random(31)
+        models = [random_model(rng, rng.randint(1, 5)) for _ in range(80)]
+        p = Partition.of(kpq.space, [["1", "2", "3", "4"], ["5"]])
+        models.append(quotient("ae", kpq, p).model)
+        assert sum(not m.is_total() for m in models) >= 5 and not models[-1].is_total()
+        for model in models:
+            n, succ = model.n, model.succ
+
+            def mask(holds):
+                return sum(1 << i for i in range(n) if holds(i))
+
+            def moves(s, t):
+                return (succ[s] >> t) & 1
+
+            assert model.pred == tuple(mask(lambda s: moves(s, t)) for t in range(n))
+            for y in range(1 << n):
+                assert model.pre(y) == mask(lambda s: succ[s] & y)
+                assert model.post(y) == mask(
+                    lambda t: any((y >> s) & 1 and moves(s, t) for s in range(n))
+                )
+                assert model.cpre(y) == mask(lambda s: succ[s] & ~y == 0)
+                assert model.cpost(y) == mask(
+                    lambda t: all((y >> s) & 1 for s in range(n) if moves(s, t))
+                )
 
     def test_unknown_kind(self, k3):
         with pytest.raises(ValidationError):

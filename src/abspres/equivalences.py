@@ -25,12 +25,15 @@ the similarity class by :func:`_similarity`.
 Both refinements work by the edges.  The engine cuts by EU(B1, B2) only
 where a move goes from B1 into B2, since any other pair gives B2, which
 cuts nothing; each such cut is a backward search through B1 over the
-model's predecessor rows.  The similarity is a worklist over the same
-rows: when a row shrinks, its pre-image is computed once and cuts the rows
-of its predecessors.  Pass by pass, both give exactly the answers of the
-all-pairs and move-sweep loops they replace, which the tests keep as
-oracles.  The checkers walk the members of rows, so they too cost the
-edges and the pairs they test, not a scan of every state per pair.
+model's predecessor rows (:func:`abspres.languages.until_mask`).  The
+similarity is a worklist over the same rows: when a row shrinks, its
+pre-image is computed once and cuts the rows of its predecessors.  Pass by
+pass, both give exactly the answers of the all-pairs and move-sweep loops
+they replace, which the tests keep as oracles.  The checkers walk the
+members of rows and test the engine's pairs of blocks, so they too cost the
+edges and the pairs they test.  The library has one ``EU``; its judges are
+``eu_path_oracle``, ``brute_stuttering`` and ``all_pairs_check_dbs`` in
+``tests/conftest.py``.
 
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
@@ -54,7 +57,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import shells
 from .errors import SpaceMismatchError, ValidationError
 from .kripke import KripkeModel, label_partition
-from .lattice import Mask, SetFamily, _members, moore_close
+from .lattice import Mask, SetFamily, _members, _owners, moore_close
 from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
@@ -75,40 +78,12 @@ def _split_once(blocks: list[Mask], cuts: Iterable[Mask]) -> int:
     return count
 
 
-def _until_cut(model: KripkeModel, b1: Mask, b2: Mask, pre_b2: Mask) -> Mask:
-    """EU(B1, B2) for disjoint B1 and B2, given pre(B2): B2 and the members
-    of B1 with a path inside B1 into B2, by a backward search through B1
-    that reads the in-edges of each state it reaches once."""
-    frontier = pre_b2 & b1
-    reach = b2 | frontier
-    while frontier:
-        frontier = model.pre(frontier) & b1 & ~reach
-        reach |= frontier
-    return reach
-
-
-def _until_cuts(
-    model: KripkeModel,
-    edges: Sequence[tuple[int, int]],
-    pre_of: dict[Mask, Mask],
-    blocks: Sequence[Mask],
-    fresh: set[Mask],
-) -> Iterator[Mask]:
-    """EU(B1, B2) for each pair of blocks B1 ≠ B2, one of them in ``fresh``,
-    with a move from B1 into B2 (an edge of ``edges``, as (source, target)
-    state indices); ``pre_of`` caches pre(B) by block."""
-    owner = [0] * model.n
-    for k, b in enumerate(blocks):
-        for s in _members(b):
-            owner[s] = k
-    pairs = {(owner[s], owner[t]) for s, t in edges}
-    for k1, k2 in pairs:
-        b1, b2 = blocks[k1], blocks[k2]
-        if k1 != k2 and (b1 in fresh or b2 in fresh):
-            pre_b2 = pre_of.get(b2)
-            if pre_b2 is None:
-                pre_b2 = pre_of[b2] = model.pre(b2)
-            yield _until_cut(model, b1, b2, pre_b2)
+def _joined_pairs(model: KripkeModel, blocks: Sequence[Mask]) -> set[tuple[Mask, Mask]]:
+    """The pairs (B1, B2) of distinct blocks of ``blocks``, a partition of
+    the states, with a move from B1 into B2: the blocks that each block's
+    post reaches outside it, read off the state → block index."""
+    owner = _owners(model.n, blocks)
+    return {(b, blocks[owner[t]]) for b in blocks for t in _members(model.post(b) & ~b)}
 
 
 def _splitter_passes(
@@ -133,24 +108,25 @@ def _splitter_passes(
     B2, and a member of B1 joins it only by a path inside B1 whose last move
     enters B2; so a pair with no move from B1 into B2 gives B2, a block,
     which cuts nothing, and only the pairs of blocks an edge joins are cut
-    by.  Each of those is a backward search from B2 through B1 over the
-    model's predecessor rows (:func:`_until_cut`), so a pass costs
-    the edges and the in-edges its searches reach, not b² fixpoints of an
-    O(n) ``pre``.  Dropping cuts that cut nothing leaves each pass's blocks
-    as they were.
+    by (:func:`_joined_pairs`).  Each of those is
+    :func:`~abspres.languages.until_mask`, a backward search from B2
+    through B1 over the model's predecessor rows, so a pass costs the
+    edges and the in-edges its searches reach, not b² fixpoints of an O(n)
+    ``pre``.  Dropping cuts that cut nothing leaves each pass's blocks as
+    they were.
     """
     full = model.space.full_mask
     blocks = list(blocks)
     fresh = set(blocks)
-    edges: list[tuple[int, int]] = []
-    pre_of: dict[Mask, Mask] = {}
-    if any(op._chain == "until" for op in ops):
-        edges = [(s, t) for t, row in enumerate(model.pred) for s in _members(row)]
     while True:
         cuts = set()
         for op in ops:
             if op._chain == "until":
-                cuts.update(_until_cuts(model, edges, pre_of, blocks, fresh))
+                cuts.update(
+                    until_mask(model, b1, b2)
+                    for b1, b2 in _joined_pairs(model, blocks)
+                    if b1 in fresh or b2 in fresh
+                )
             else:
                 dual = op._chain == "dual"
                 cuts.update(apply_operator(op, model, (full & ~b if dual else b,)) for b in fresh)
@@ -206,18 +182,16 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
     Only the pairs with a move from B1 into B2 are tested: for any other
     pair EU(B1, B2) ∩ B1 = ∅, since a member of B1 in EU(B1, B2) has a path
     inside B1 into B2, and its last move goes from B1 into B2.  ``EU`` is
-    :func:`~abspres.languages.until_mask`, the fixpoint of its definition,
-    not the engine's search."""
+    :func:`~abspres.languages.until_mask`, as in the engine; the tests judge
+    this checker by ``brute_stuttering`` and ``all_pairs_check_dbs``, and
+    ``until_mask`` by ``eu_path_oracle`` (``tests/conftest.py``)."""
     if p.space != model.space:
         raise SpaceMismatchError("partition over a different space than the model")
     if not p.refines(label_partition(model)):
         return False
-    for b1 in p.blocks:
-        entered = model.post(b1)
-        for b2 in p.blocks:
-            if b2 != b1 and b2 & entered and (until_mask(model, b1, b2) & b1) not in (0, b1):
-                return False
-    return True
+    return all(
+        (until_mask(model, b1, b2) & b1) in (0, b1) for b1, b2 in _joined_pairs(model, p.blocks)
+    )
 
 
 def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:

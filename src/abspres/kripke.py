@@ -25,7 +25,7 @@ from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import SpaceMismatchError, ValidationError
-from .lattice import Mask, StateSet, StateSpace, _members
+from .lattice import Mask, StateSet, StateSpace, _members, _owners, _transpose
 from .partitions import Partition
 
 
@@ -67,11 +67,7 @@ class KripkeModel:
             if reduce(or_, (m for _, m in self.label_items)) & outside:
                 name = next(name for name, m in self.label_items if m & outside)
                 raise ValidationError(f"label {name!r} falls outside the space")
-        pred = [0] * n
-        for s, row in enumerate(self.succ):
-            for t in _members(row):
-                pred[t] |= 1 << s
-        object.__setattr__(self, "pred", tuple(pred))
+        object.__setattr__(self, "pred", _transpose(self.succ))
 
     @staticmethod
     def of(
@@ -209,15 +205,19 @@ def quotient(kind: str, model: KripkeModel, p: Partition) -> Quotient:
         raise ValidationError(f"unknown quotient kind {kind!r} (want 'ee' or 'ae')")
     if p.space != model.space:
         raise SpaceMismatchError("partition over a different space than the model")
+    owner = _owners(model.n, p.blocks)
+
+    def meeting(mask: Mask) -> Mask:  # the indices of the blocks that meet mask
+        return reduce(or_, (1 << owner[s] for s in _members(mask)), 0)
+
     # a block's row joins (∃∃) or intersects (∀∃) its members' successor blocks
     combine = or_ if kind == "ee" else and_
-    bsucc = []
-    for blk in p.blocks:
-        rows = (p.meeting(model.succ[s]) for s in _members(blk))
-        bsucc.append(reduce(combine, rows))
+    bsucc = tuple(
+        reduce(combine, (meeting(model.succ[s]) for s in _members(blk))) for blk in p.blocks
+    )
     bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
-    items = tuple((label, p.meeting(mask)) for label, mask in model.label_items)
-    return Quotient(model, p, KripkeModel(bspace, tuple(bsucc), items))
+    items = tuple((label, meeting(mask)) for label, mask in model.label_items)
+    return Quotient(model, p, KripkeModel(bspace, bsucc, items))
 
 
 def model_to_json(model: KripkeModel) -> dict:

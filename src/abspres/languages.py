@@ -4,7 +4,8 @@ A language is a set of named atoms with fixed interpretations plus a set of
 named operators, each defined by a transformer expression over the built-ins
 (complement, meet, join, the four pre/post transformers, the until/release
 fixpoints and bounded reachability).  Fixpoints are computed by
-Knaster-Tarski iteration, which terminates on these finite lattices.
+Knaster-Tarski iteration (EU's by its frontier), which terminates on these
+finite lattices.
 
 An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  It also
@@ -125,8 +126,18 @@ def gfp(step: Callable[[Mask], Mask], top: Mask) -> Mask:
 
 
 def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    """EU(S1, S2) over masks; handy for the stuttering block criterion."""
-    return lfp(lambda z: s2 | (s1 & model.pre(z)), 0)
+    """EU(S1, S2) over masks: the least fixpoint of z ↦ S2 ∪ (S1 ∩ pre(z)),
+    by a backward search from S2 through S1.  pre is additive, so the Kleene
+    step from z_k adds S1 ∩ pre(F) ∖ z_k, F the states the step before
+    added: each state's in-edges are read once, and a step that adds nothing
+    ends at the fixpoint.  The packed masks of a
+    :class:`~abspres.shells._BlockBatch` take the same steps slice by slice,
+    since the batch's pre is additive too."""
+    reach = frontier = s2
+    while frontier:
+        frontier = model.pre(frontier) & s1 & ~reach
+        reach |= frontier
+    return reach
 
 
 def _au(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:

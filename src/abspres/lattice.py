@@ -45,6 +45,27 @@ def _members(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
+def _owners(n: int, blocks: Sequence[Mask]) -> list[int]:
+    """The index in ``blocks`` of the block holding each of the n states,
+    for disjoint blocks that cover them."""
+    owner = [0] * n
+    for k, b in enumerate(blocks):
+        for s in _members(b):
+            owner[s] = k
+    return owner
+
+
+def _transpose(rows: Sequence[Mask]) -> tuple[Mask, ...]:
+    """The columns of a square matrix of row masks: bit s of column t is
+    bit t of row s."""
+    cols = [0] * len(rows)
+    for s, row in enumerate(rows):
+        bit = 1 << s
+        for t in _members(row):
+            cols[t] |= bit
+    return tuple(cols)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """A named finite universe Σ with a fixed index order.
@@ -88,7 +109,7 @@ class StateSpace:
         return mask
 
     def names_of(self, mask: Mask) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in range(self.n) if (mask >> i) & 1)
+        return tuple(self.names[i] for i in _members(mask & self.full_mask))
 
     def set_of(self, names: Iterable[str]) -> "StateSet":
         return StateSet(self, self.mask_of(names))

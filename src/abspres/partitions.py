@@ -26,6 +26,8 @@ from .lattice import (
     StateSet,
     StateSpace,
     _members,
+    _owners,
+    _transpose,
 )
 
 
@@ -99,14 +101,6 @@ class Partition:
 
     # Block-index masks: bit i stands for ``blocks[i]``, the state order of
     # the block-level models built from this partition.
-
-    def meeting(self, mask: Mask) -> Mask:
-        """Indices of the blocks that meet ``mask``."""
-        bm = 0
-        for i, b in enumerate(self.blocks):
-            if b & mask:
-                bm |= 1 << i
-        return bm
 
     def inner(self, mask: Mask) -> Mask:
         """Indices of the blocks contained in ``mask``."""
@@ -195,11 +189,8 @@ class Preorder:
 
     @staticmethod
     def from_partition(p: Partition) -> "Preorder":
-        rows = [0] * p.space.n
-        for b in p.blocks:
-            for i in _members(b):
-                rows[i] = b
-        return Preorder._of_preorder(p.space, tuple(rows))
+        rows = tuple(p.blocks[k] for k in _owners(p.space.n, p.blocks))
+        return Preorder._of_preorder(p.space, rows)
 
     def holds(self, s: str, t: str) -> bool:
         return (self.rows[self.space.index(s)] >> self.space.index(t)) & 1 == 1
@@ -207,22 +198,13 @@ class Preorder:
     def pairs(self) -> frozenset[tuple[str, str]]:
         names = self.space.names
         return frozenset(
-            (names[s], names[t])
-            for s in range(self.space.n)
-            for t in range(self.space.n)
-            if (self.rows[s] >> t) & 1
+            (names[s], names[t]) for s, row in enumerate(self.rows) for t in _members(row)
         )
 
     def kernel(self) -> Partition:
-        """Partition induced by the symmetric kernel x R y ∧ y R x."""
-        n = self.space.n
-        cols = [0] * n
-        for s in range(n):
-            row = self.rows[s]
-            for t in range(n):
-                if (row >> t) & 1:
-                    cols[t] |= 1 << s
-        classes = {self.rows[s] & cols[s] for s in range(n)}
+        """Partition induced by the symmetric kernel x R y ∧ y R x: row s of
+        R meets column s, the row of R's converse."""
+        classes = {row & col for row, col in zip(self.rows, _transpose(self.rows))}
         return Partition.from_masks(self.space, classes)
 
     def __repr__(self) -> str:

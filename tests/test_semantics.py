@@ -18,8 +18,16 @@ from abspres import (
     preset_language,
 )
 from abspres.formulas import MAX_DEPTH, App, Arg, Atom, Const, max_placeholder
-from abspres.languages import Operator, apply_operator, builtin_operator, operator_from_expr
+from abspres.languages import (
+    Operator,
+    apply_operator,
+    builtin_operator,
+    lfp,
+    operator_from_expr,
+    until_mask,
+)
 from abspres.lattice import StateSet
+from abspres.shells import _BlockBatch
 
 from conftest import (
     brute_greatest_fixpoint,
@@ -252,15 +260,55 @@ class TestFixpointOracles:
     def test_until_against_path_enumeration(self, kpq, tl, k3):
         rng = random.Random(11)
         models = [kpq, tl, k3] + [random_total_model(rng, max_states=5) for _ in range(10)]
+        # models with stuck states, drawn apart so the draws of rng stay as they were
+        stuck_rng = random.Random(12)
+        for _ in range(10):
+            model = random_total_model(stuck_rng, max_states=6)
+            succ = list(model.succ)
+            for s in stuck_rng.sample(range(model.n), stuck_rng.randint(1, model.n)):
+                succ[s] = 0
+            models.append(KripkeModel(model.space, tuple(succ), model.label_items))
         op = builtin_operator("EU")
+        overlapping = 0
         for model in models:
             n = model.n
             for _ in range(8):
                 s1 = rng.randrange(1 << n)
                 s2 = rng.randrange(1 << n)
+                overlapping += bool(s1 & s2)
                 assert apply_operator(op, model, (s1, s2)) == eu_path_oracle(
                     model, s1, s2
                 )
+        assert sum(not m.is_total() for m in models) == 10
+        assert overlapping >= 40
+
+    def test_until_search_is_the_kleene_iteration(self):
+        # the frontier search against the fixpoint of EU's definition, on
+        # models with stuck states and S1, S2 that overlap, and slice by
+        # slice on the packed masks of a relation-search batch
+        rng = random.Random(23)
+
+        def kleene(model, s1, s2):
+            return lfp(lambda z: s2 | (s1 & model.pre(z)), 0)
+
+        for i in range(60):
+            n = 1 + i % 30
+            full = (1 << n) - 1
+            succ = [rng.randrange(full + 1) & rng.randrange(full + 1) for _ in range(n)]
+            for s in rng.sample(range(n), rng.randint(0, n // 3)):
+                succ[s] = 0
+            model = KripkeModel(StateSpace(tuple(map(str, range(n)))), tuple(succ), ())
+            for _ in range(10):
+                s1, s2 = rng.randrange(full + 1), rng.randrange(full + 1)
+                for args in ((s1, s2), (s1, s1 & s2), (s1 | s2, s2), (full, s2), (s1, 0)):
+                    assert until_mask(model, *args) == kleene(model, *args), (model, args)
+        for b, width in ((2, 3), (3, 16), (5, 64)):
+            top = 1 << (b * width)
+            batch = _BlockBatch(width, [rng.randrange(top) for _ in range(b)])
+            for _ in range(40):
+                s1, s2 = rng.randrange(top), rng.randrange(top)
+                for args in ((s1, s2), (s1, s1 & s2), (s1 | s2, s2)):
+                    assert until_mask(batch, *args) == kleene(batch, *args)
 
 
 class TestLanguageSpecs:

@@ -25,7 +25,7 @@ from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import SpaceMismatchError, ValidationError
-from .lattice import Mask, StateSet, StateSpace, _members, _owners, _transpose
+from .lattice import Mask, StateSet, StateSpace, _classes, _members, _owners, _transpose
 from .partitions import Partition
 
 
@@ -165,12 +165,9 @@ def transformer(kind: str, model: KripkeModel, s: StateSet) -> StateSet:
 
 
 def label_partition(model: KripkeModel) -> Partition:
-    """Partition of Σ by equal label sets (the initial refinement partition)."""
-    classes: dict[frozenset[str], Mask] = {}
-    for i in range(model.n):
-        key = model.label_of_state(i)
-        classes[key] = classes.get(key, 0) | (1 << i)
-    return Partition.from_masks(model.space, classes.values())
+    """Partition of Σ by equal label sets (the initial refinement partition):
+    the classes of the label masks."""
+    return Partition.from_masks(model.space, _classes(model.n, (m for _, m in model.label_items)))
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,22 @@ def _owners(n: int, blocks: Sequence[Mask]) -> list[int]:
     return owner
 
 
+def _classes(n: int, masks: Iterable[Mask]) -> list[Mask]:
+    """The classes of the n states that no mask of ``masks`` separates.  A
+    mask and its complement separate the same states, so each is read by its
+    smaller side: a state's key lists the masks whose side holds it, and
+    equal keys mean the same masks hold both.  Cost: n plus the sides."""
+    full = (1 << n) - 1
+    keys: list[list[int]] = [[] for _ in range(n)]
+    for i, m in enumerate(masks):
+        for s in _members(m if 2 * m.bit_count() <= n else full & ~m):
+            keys[s].append(i)
+    classes: dict[tuple[int, ...], Mask] = {}
+    for s, key in enumerate(map(tuple, keys)):
+        classes[key] = classes.get(key, 0) | 1 << s
+    return list(classes.values())
+
+
 def _transpose(rows: Sequence[Mask]) -> tuple[Mask, ...]:
     """The columns of a square matrix of row masks: bit s of column t is
     bit t of row s."""

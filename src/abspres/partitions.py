@@ -14,7 +14,6 @@ assertable inclusion is image(A) ⊆ image(shell(A)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
@@ -25,9 +24,11 @@ from .lattice import (
     SetFamily,
     StateSet,
     StateSpace,
+    _classes,
     _members,
     _owners,
     _transpose,
+    domain_leq,
 )
 
 
@@ -50,7 +51,8 @@ class Partition:
             union |= b
         if union != self.space.full_mask:
             raise ValidationError("partition blocks must cover the space")
-        ordered = tuple(sorted(self.blocks, key=self.space.lex_key))
+        # disjoint blocks in lex_key order are in descending order of their lowest members
+        ordered = tuple(sorted(self.blocks, key=lambda b: (b & -b).bit_length(), reverse=True))
         if ordered != self.blocks:
             object.__setattr__(self, "blocks", ordered)
 
@@ -202,10 +204,10 @@ class Preorder:
         )
 
     def kernel(self) -> Partition:
-        """Partition induced by the symmetric kernel x R y ∧ y R x: row s of
-        R meets column s, the row of R's converse."""
-        classes = {row & col for row, col in zip(self.rows, _transpose(self.rows))}
-        return Partition.from_masks(self.space, classes)
+        """Partition induced by the symmetric kernel x R y ∧ y R x: the
+        classes of the rows, as the rows holding t form column t, and in a
+        preorder two columns are equal iff their states relate both ways."""
+        return Partition.from_masks(self.space, _classes(self.space.n, self.rows))
 
     def __repr__(self) -> str:
         items = ", ".join(f"{s}≤{t}" for s, t in sorted(self.pairs()))
@@ -224,23 +226,18 @@ def adp(p: Partition) -> AbstractDomain:
 
 
 def pr(a: AbstractDomain) -> Partition:
-    """Partition of the equivalence s ≡_A s' ⇔ μ({s}) = μ({s'})."""
-    classes: dict[Mask, Mask] = {}
-    for i in range(a.space.n):
-        mu = a.closure_mask(1 << i)
-        classes[mu] = classes.get(mu, 0) | (1 << i)
-    return Partition.from_masks(a.space, classes.values())
+    """Partition of the equivalence s ≡_A s' ⇔ μ({s}) = μ({s'}): the
+    classes of A's generators.  μ({s}) = ∩{g | s ∈ g}, so states in the same
+    generators have one closure; and if μ({s}) = μ({s'}), a generator
+    holding s holds μ({s}) ∋ s', and one holding s' holds s alike."""
+    return Partition.from_masks(a.space, _classes(a.space.n, a._gens))
 
 
 def is_partitioning(a: AbstractDomain) -> bool:
-    """True iff the image is closed under complement.
-
-    Equivalent to adp(pr(A)) = A and to γ being additive with the singleton
-    closures forming a partition; the equivalences are exercised by tests.
-    """
-    full = a.space.full_mask
-    masks = a.masks
-    return all((full & ~m) in masks for m in masks)
+    """True iff the image is closed under complement, i.e. A = ℙ(A).  As
+    image(A) ⊆ image(ℙ(A)) always holds, that is A ⊑ ℙ(A), which
+    :func:`domain_leq` tests on ℙ(A)'s generators, listing no image."""
+    return domain_leq(a, adp(pr(a)))
 
 
 def add(r: Preorder) -> AbstractDomain:
@@ -256,30 +253,18 @@ def add(r: Preorder) -> AbstractDomain:
 
 
 def preord_of(a: AbstractDomain) -> Preorder:
-    """(x, y) ∈ result iff μ({x}) ⊆ μ({y})."""
-    n = a.space.n
-    closures = [a.closure_mask(1 << i) for i in range(n)]
-    rows = []
-    for x in range(n):
-        row = 0
-        for y in range(n):
-            if closures[x] & ~closures[y] == 0:
-                row |= 1 << y
-        rows.append(row)
-    return Preorder._of_preorder(a.space, tuple(rows))
+    """(x, y) ∈ result iff μ({x}) ⊆ μ({y}), i.e. x ∈ μ({y}): column y is
+    the singleton closure μ({y}), so the rows are their transpose."""
+    closures = [a.closure_mask(1 << y) for y in range(a.space.n)]
+    return Preorder._of_preorder(a.space, _transpose(closures))
 
 
 def is_disjunctive(a: AbstractDomain) -> bool:
-    """True iff the image is closed under arbitrary unions.
-
-    Pairwise closure handles the finite nonempty unions; the empty union
-    demands ∅ ∈ image (an additive γ must send the least abstract value
-    to ∅), which is what makes {Σ} non-disjunctive.
-    """
-    masks = a.masks
-    if 0 not in masks:
-        return False
-    return all(x | y in masks for x, y in combinations(masks, 2))
+    """True iff the image is closed under arbitrary unions, ∅ included (it
+    makes {Σ} non-disjunctive), i.e. A = 𝔻(A).  As image(A) ⊆ image(𝔻(A))
+    always holds, that is A ⊑ 𝔻(A), which :func:`domain_leq` tests on
+    𝔻(A)'s generators, listing no image."""
+    return domain_leq(a, add(preord_of(a)))
 
 
 def structural_shell(kind: str, a: AbstractDomain) -> AbstractDomain:

@@ -48,6 +48,7 @@ from .lattice import (
     DEFAULT_MAX_FAMILY,
     Mask,
     SetFamily,
+    _classes,
     _members,
     domain_leq,
     meet_close,
@@ -206,8 +207,7 @@ def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
     """
     atoms = [s.mask for _, s in lang.atoms]
     if in_splitter_class(lang):
-        blocks = [model.space.full_mask]
-        equivalences._split_once(blocks, atoms)
+        blocks = _classes(model.n, atoms)
         return adp(equivalences._stable_partition(model, blocks, _splitters(lang.operators)))
     if in_similarity_class(lang):
         return add(equivalences._similarity(model, atoms))

@@ -343,6 +343,63 @@ def semantic_closure_is_sp_domain(domain, lang, model: KripkeModel) -> bool:
     return all(domain.contains(c) for c in semantic_closure(lang, model).masks)
 
 
+# --- partitions and preorders by their definitions ------------------------
+
+
+def closure_pr(domain):
+    """pr by one closure per state: states with equal singleton closures."""
+    from abspres import Partition
+
+    classes = {}
+    for i in range(domain.space.n):
+        mu = domain.closure_mask(1 << i)
+        classes[mu] = classes.get(mu, 0) | (1 << i)
+    return Partition.from_masks(domain.space, classes.values())
+
+
+def row_column_kernel(r):
+    """A preorder's kernel by meeting each row with its column."""
+    from abspres import Partition
+
+    n = r.space.n
+    cols = [sum(1 << s for s in range(n) if (r.rows[s] >> t) & 1) for t in range(n)]
+    return Partition.from_masks(r.space, {row & col for row, col in zip(r.rows, cols)})
+
+
+def label_set_partition(model: KripkeModel):
+    """States grouped by the set of their labels' names."""
+    from abspres import Partition
+
+    classes = {}
+    for i in range(model.n):
+        key = model.label_of_state(i)
+        classes[key] = classes.get(key, 0) | (1 << i)
+    return Partition.from_masks(model.space, classes.values())
+
+
+def double_loop_preord_rows(domain) -> tuple:
+    """preord_of's rows by comparing every pair of singleton closures:
+    bit y of row x iff μ({x}) ⊆ μ({y})."""
+    n = domain.space.n
+    closures = [domain.closure_mask(1 << i) for i in range(n)]
+    return tuple(
+        sum(1 << y for y in range(n) if closures[x] & ~closures[y] == 0) for x in range(n)
+    )
+
+
+def complement_closed(domain) -> bool:
+    """Partitioning as an image closed under complement (lists the image)."""
+    full = domain.space.full_mask
+    return all((full & ~m) in domain.masks for m in domain.masks)
+
+
+def union_closed(domain) -> bool:
+    """Disjunctive as ∅ in the image and closure under pairwise unions
+    (lists the image)."""
+    masks = domain.masks
+    return 0 in masks and all(x | y in masks for x, y in combinations(masks, 2))
+
+
 # --- random model generation -----------------------------------------------
 
 

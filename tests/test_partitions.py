@@ -1,16 +1,21 @@
 """Partitions/preorders as domain abstractions: adp, pr, add, preord_of,
 the structural shells and the Galois-insertion laws."""
 
+import random
+
 import pytest
 
 from abspres import (
     AbstractDomain,
+    KripkeModel,
     Partition,
     Preorder,
+    SetFamily,
     StateSpace,
     ValidationError,
     add,
     adp,
+    bisim_partition,
     domain_leq,
     enumerate_moore_families,
     family_of_names,
@@ -18,12 +23,28 @@ from abspres import (
     is_partitioning,
     iter_partitions,
     iter_preorders,
+    label_partition,
+    largest_simulation,
+    moore_close,
     powerset_domain,
     pr,
     preord_of,
     structural_shell,
     top_domain,
 )
+from abspres.equivalences import equal_label_simulation
+from abspres.kripke import load_model
+from conftest import (
+    closure_pr,
+    complement_closed,
+    double_loop_preord_rows,
+    label_set_partition,
+    random_model,
+    row_column_kernel,
+    union_closed,
+)
+from test_cli import TestLargeModels as _LargeModels
+from test_equivalences import lifted_model
 from test_lattice import MU, SPACE4
 
 P123 = Partition.of(SPACE4, [["1", "2"], ["3"], ["4"]])
@@ -307,3 +328,81 @@ class TestPartitionValidation:
     def test_repeated_block_rejected(self):
         with pytest.raises(ValidationError, match=r"partition block \{1,2\} is repeated"):
             Partition.of(SPACE4, [["1", "2"], ["1", "2"], ["3"], ["4"]])
+
+
+class TestReadOffGenerators:
+    """pr, the kernel, the label partition, preord_of and the shape tests
+    read off generators and rows, against their definitions."""
+
+    @staticmethod
+    def agree(domain) -> tuple[bool, bool]:
+        # the shape tests run first, so a lazy domain is still lazy; the
+        # image oracles list at most 2^12 sets
+        verdicts = is_partitioning(domain), is_disjunctive(domain)
+        assert pr(domain) == closure_pr(domain)
+        r = preord_of(domain)
+        assert r.rows == double_loop_preord_rows(domain)
+        assert r.kernel() == row_column_kernel(r)
+        if len(domain._gens) <= 12:
+            assert verdicts == (complement_closed(domain), union_closed(domain))
+        return verdicts
+
+    def test_every_moore_family_up_to_four_states(self):
+        seen = set()
+        for n in range(5):
+            for dom in enumerate_moore_families(n):
+                seen.add(self.agree(dom))
+                if n:
+                    # the image's sets as labels
+                    labels = tuple((str(i), m) for i, m in enumerate(sorted(dom.masks)))
+                    model = KripkeModel(dom.space, (0,) * n, labels)
+                    assert label_partition(model) == label_set_partition(model)
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_seeded_domains_and_models(self, tmp_path):
+        seen = set()
+        for seed in range(4):
+            rng = random.Random(seed)
+            n = rng.randint(30, 150)
+            models = (
+                random_model(rng, n),
+                lifted_model(rng, n, stuck=seed % 2 == 1),
+                load_model(_LargeModels.ring(tmp_path, n, seed=seed)),
+            )
+            for model in models:
+                assert label_partition(model) == label_set_partition(model)
+                sim = largest_simulation(model)
+                assert sim.kernel() == row_column_kernel(sim)
+                sets = [rng.randrange(1 << n) for _ in range(rng.randint(1, 12))]
+                for dom in (
+                    adp(bisim_partition(model)),
+                    adp(label_partition(model)),
+                    add(sim),
+                    add(equal_label_simulation(model)),
+                    moore_close(SetFamily.of(model.space, sets)),
+                ):
+                    verdicts = self.agree(dom)
+                    if len(dom._gens) <= 12:
+                        seen.add(verdicts)
+        assert seen == {(True, True), (False, True), (False, False)}
+
+
+class TestPartitionOrder:
+    def test_blocks_in_lex_order(self):
+        # blocks are sorted by their lowest members, descending, which for
+        # disjoint blocks is the order of StateSpace.lex_key
+        for n in range(1, 7):
+            space = StateSpace(tuple(str(i + 1) for i in range(n)))
+            for p in iter_partitions(space):
+                assert p.blocks == tuple(sorted(p.blocks, key=space.lex_key))
+        rng = random.Random(7)
+        for n in (100, 1000, 10_000):
+            space = StateSpace(tuple(f"s{i}" for i in range(n)))
+            for k in (1, 2, rng.randint(3, 50), n // 3, n):
+                blocks = [0] * k
+                for s in range(n):
+                    blocks[rng.randrange(k)] |= 1 << s
+                blocks = [b for b in blocks if b]
+                rng.shuffle(blocks)
+                p = Partition.from_masks(space, blocks)
+                assert p.blocks == tuple(sorted(blocks, key=space.lex_key)), (n, k)

@@ -241,9 +241,10 @@ def paired_semantic_closure(
 ) -> PairedClosure:
     """Compute the least pair set; track the first strongness violation.
 
-    The pairs are saturated by :func:`~abspres.languages.close`; each pair
-    keeps the formula that first produced it, so the witness is the first
-    violating pair in discovery order.  With ``abort_on_violation`` the
+    The pairs are saturated by :func:`~abspres.languages.close`, each tuple
+    once.  A pair keeps the formula that first produced it, so the witness is
+    the first violating pair by round, operator (lowest arity first, ties in
+    ``lang.operators`` order) and tuple.  With ``abort_on_violation`` the
     closure stops at that pair, keeping the full closure's strong flag and
     witness: :func:`paired_sp_check` runs it so for quotients under a
     language with ``not``.
@@ -282,11 +283,8 @@ def paired_semantic_closure(
             formulas[pair] = App(op.name, tuple(formulas[x] for x in args))
         return fresh
 
-    # one stage per operator, lowest arity first: later operators of a round
-    # already see the pairs earlier ones added, which fixes the witness found
-    stages = [[op] for op in sorted(lang.operators, key=lambda op: op.arity)]
     try:
-        close(formulas, stages, apply, admit)
+        close(formulas, lang.operators, apply, admit)
     except _Violation:
         return result(True)
     return result(False)

@@ -21,7 +21,7 @@ and the class tests.
 complete shell (outside the splitter class, whose shells the splitter
 engine of :mod:`~abspres.equivalences` computes), the semantic closure of a
 language and the paired semantic closure all run it with their own item
-type and admission step.
+type and admission step; it applies each operator to each tuple once.
 
 Shipped presets: L1 (atoms, ∧, ¬, EX), L2 (atoms, ∧, ¬, EU), L3 (atoms and
 negated atoms, ∧, ∨, AX), CTL, the traffic-light language ``semaforo``
@@ -52,8 +52,8 @@ from .kripke import KripkeModel
 from .lattice import Mask, StateSet
 
 PRESET_NAMES = ("L1", "L2", "L3", "CTL", "semaforo", "exef", "full")
-# tuples one operator may try in one stage of close: L1 at n=10 tries 2^20
-# `and` tuples a stage, and an arity-12 operator over 5 sets would try 5^12
+# tuples one operator may try in one round of close: L1 at n=10 tries 2^20
+# `and` tuples a round, and an arity-12 operator over 5 sets would try 5^12
 MAX_STAGE_TUPLES = 1 << 24
 
 T = TypeVar("T")
@@ -335,43 +335,41 @@ def _touching(known: Sequence[T], lo: int, hi: int, k: int) -> Iterator[tuple[T,
 
 def close(
     seeds: Iterable[T],
-    stages: Sequence[Sequence[Operator]],
+    ops: Sequence[Operator],
     apply: Callable[[Operator, tuple[T, ...]], T],
     admit: Callable[[dict[T, tuple[Operator, tuple[T, ...]]]], Iterable[T]],
 ) -> None:
-    """Saturate ``seeds`` under the operators of ``stages``, round by round.
+    """Saturate ``seeds`` under ``ops``, round by round.
 
-    A round runs the stages in order.  A stage applies each of its
-    operators to every tuple over the items known when the stage starts
-    that has a member admitted in the previous round, the index window
-    ``known[lo:hi]`` (0-ary operators run in the first round only).  Results
-    not yet known are collected as they appear, each with the (operator,
-    arguments) that first produced it, and at the end of the stage ``admit``
-    receives them and returns the items to add.  The loop stops after a
-    round that adds nothing.  An operator of arity 2 or more whose
-    |known|^arity tuples exceed :data:`MAX_STAGE_TUPLES` raises
-    :class:`CapacityError` before its stage tries any of them.
+    A round applies each operator, lowest arity first, to every tuple over
+    the known items with a member admitted in the previous round, the window
+    ``known[lo:hi]`` (0-ary operators: the first round only), so each tuple
+    runs once.  New results are kept with the (operator, arguments) that
+    first produced them, and at the round's end ``admit`` returns the ones to
+    add.  The loop stops after a round that adds nothing.  An operator of
+    arity 2 or more whose |known|^arity tuples exceed
+    :data:`MAX_STAGE_TUPLES` raises :class:`CapacityError` first.
     """
+    ops = sorted(ops, key=lambda op: op.arity)
     known = list(seeds)
     seen = set(known)
     lo, hi = 0, len(known)
     while lo < hi:
-        for ops in stages:
-            fresh: dict[T, tuple[Operator, tuple[T, ...]]] = {}
-            for op in ops:
-                count = len(known) ** op.arity
-                if op.arity >= 2 and count > MAX_STAGE_TUPLES:
-                    raise CapacityError(
-                        f"operator {op.name!r} of arity {op.arity} needs {count} tuples "
-                        f"in one stage, over the bound {MAX_STAGE_TUPLES} (MAX_STAGE_TUPLES)"
-                    )
-                for args in _touching(known, lo, hi, op.arity):
-                    r = apply(op, args)
-                    if r not in seen and r not in fresh:
-                        fresh[r] = (op, args)
-            added = list(admit(fresh))
-            known.extend(added)
-            seen.update(added)
+        fresh: dict[T, tuple[Operator, tuple[T, ...]]] = {}
+        for op in ops:
+            count = len(known) ** op.arity
+            if op.arity >= 2 and count > MAX_STAGE_TUPLES:
+                raise CapacityError(
+                    f"operator {op.name!r} of arity {op.arity} needs {count} tuples "
+                    f"in one round, over the bound {MAX_STAGE_TUPLES} (MAX_STAGE_TUPLES)"
+                )
+            for args in _touching(known, lo, hi, op.arity):
+                r = apply(op, args)
+                if r not in seen and r not in fresh:
+                    fresh[r] = (op, args)
+        added = list(admit(fresh))
+        known.extend(added)
+        seen.update(added)
         lo, hi = hi, len(known)
 
 

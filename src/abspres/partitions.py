@@ -27,7 +27,6 @@ from .lattice import (
     _classes,
     _members,
     _owners,
-    _transpose,
     domain_leq,
 )
 
@@ -253,10 +252,15 @@ def add(r: Preorder) -> AbstractDomain:
 
 
 def preord_of(a: AbstractDomain) -> Preorder:
-    """(x, y) ∈ result iff μ({x}) ⊆ μ({y}), i.e. x ∈ μ({y}): column y is
-    the singleton closure μ({y}), so the rows are their transpose."""
-    closures = [a.closure_mask(1 << y) for y in range(a.space.n)]
-    return Preorder._of_preorder(a.space, _transpose(closures))
+    """(x, y) ∈ result iff μ({x}) ⊆ μ({y}), i.e. x ∈ μ({y}): each generator
+    holding y holds x.  So R(x) = ∩{Σ∖g | x ∉ g}, Σ when every g holds x, at
+    the cost of the complements' sizes."""
+    full = a.space.full_mask
+    rows = [full] * a.space.n
+    for g in a._gens:
+        for x in _members(full & ~g):
+            rows[x] &= ~g
+    return Preorder._of_preorder(a.space, tuple(rows))
 
 
 def is_disjunctive(a: AbstractDomain) -> bool:

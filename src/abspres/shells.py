@@ -167,7 +167,7 @@ def _closure_shell(
         counts.append(len(added))
         return added
 
-    close(masks, [fs], lambda op, args: apply_operator(op, model, args), admit)
+    close(masks, fs, lambda op, args: apply_operator(op, model, args), admit)
     trace = ShellTrace(tuple(snapshots), tuple(counts))
     return ShellResult(snapshots[-1], trace)
 
@@ -189,7 +189,7 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
             )
         return fresh
 
-    close(masks, [lang.operators], lambda op, args: apply_operator(op, model, args), admit)
+    close(masks, lang.operators, lambda op, args: apply_operator(op, model, args), admit)
     return SetFamily.of(model.space, masks)
 
 
@@ -232,10 +232,10 @@ def _recorded_steps(
     p: Partition, lang: LanguageSpec, model: KripkeModel
 ) -> Optional[list[_Step]]:
     """The non-Boolean applications of one closure of S = {⟦φ⟧ | φ ∈ L} over
-    the atoms (one stage per operator, lowest arity first, as in the paired
-    closure), as (operator, argument blocks, value blocks) in block indices;
-    None when an atom or a set of S is not a union of blocks of ``p``, since
-    then no relation is strong."""
+    the atoms, each tuple once, in the paired closure's discovery order, as
+    (operator, argument blocks, value blocks) in block indices; None when an
+    atom or a set of S is not a union of blocks of ``p``, since then no
+    relation is strong."""
     # abstract values are block unions: if an atom or a set of S is not
     # one, no relation can work
     atoms = list(dict.fromkeys(s.mask for _, s in lang.atoms))
@@ -251,9 +251,8 @@ def _recorded_steps(
             steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
         return value
 
-    stages = [[op] for op in sorted(lang.operators, key=lambda op: op.arity)]
     try:
-        close(atoms, stages, apply, lambda fresh: fresh)
+        close(atoms, lang.operators, apply, lambda fresh: fresh)
     except _NotBlockUnion:
         return None
     return steps

@@ -427,6 +427,54 @@ class TestCloseEngine:
         semantic_closure(preset_language("L1", model), model)
         assert 0 < built <= applied
 
+    @staticmethod
+    def _counting(monkeypatch, module, concrete):
+        """Wrap ``module.apply_operator``; the list returned collects its
+        applications on the model ``concrete`` as (operator, arguments)."""
+        real, calls = module.apply_operator, []
+
+        def counting_apply(op, model, args):
+            if model is concrete:
+                calls.append((op.name, tuple(args)))
+            return real(op, model, args)
+
+        monkeypatch.setattr(module, "apply_operator", counting_apply)
+        return calls
+
+    @pytest.mark.parametrize("name", ["L1", "L3", "CTL", "exef"])
+    def test_recorded_closure_applies_each_tuple_once(self, name, monkeypatch):
+        # identity blocks: every set of S is a block union, so the closure
+        # runs to its end, and the argument masks name the tuple
+        rng = random.Random(24)
+        for _ in range(12):
+            model = random_model(rng, rng.randint(2, 5))
+            lang = preset_language(name, model)
+            size = len(semantic_closure(lang, model))
+            calls = self._counting(monkeypatch, shells, model)
+            assert shells._recorded_steps(Partition.identity(model.space), lang, model) is not None
+            assert len(set(calls)) == len(calls)
+            assert len(calls) == sum(size**op.arity for op in lang.operators)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", ["L1", "L3", "CTL", "exef"])
+    def test_paired_closure_applies_each_tuple_once(self, name, monkeypatch):
+        from abspres import abstraction
+        from abspres.abstraction import AbstractStructure, paired_semantic_closure
+
+        # the quotient is built on an equal copy of the model, so the
+        # counter sees the concrete side of each application alone; every
+        # tuple over the pairs must run, so the total shows none ran twice
+        rng = random.Random(24)
+        for _ in range(12):
+            model = random_model(rng, rng.randint(2, 4))
+            twin = KripkeModel(model.space, model.succ, model.label_items)
+            lang = preset_language(name, model)
+            structure = AbstractStructure.from_quotient(quotient("ee", twin, label_partition(model)), lang)
+            calls = self._counting(monkeypatch, abstraction, model)
+            closure = paired_semantic_closure(model, structure, lang)
+            assert len(calls) == sum(len(closure.pairs) ** op.arity for op in lang.operators)
+            monkeypatch.undo()
+
 
 class TestLanguageDomain:
     def test_traffic_light(self, tl):
@@ -1047,7 +1095,7 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         # runs the full paired closure
         q = quotient("ee", kpq, Partition.identity(kpq.space))
         call = lambda: paired_sp_check(kpq, q, preset_language("exef", kpq), max_pairs=4)
-        message = "paired closure exceeded max_pairs = 4 (now 6 pairs)"
+        message = "paired closure exceeded max_pairs = 4 (now 5 pairs)"
     elif case == "masks":
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4", "5"]])

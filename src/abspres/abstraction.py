@@ -67,7 +67,9 @@ from .languages import (
 from .partitions import Partition, adp
 from .shells import ad_of_language
 
+#: Bound on the argument tuples of one operator in :func:`completeness_check`.
 DEFAULT_MAX_TUPLES = 1 << 20
+#: Bound on the pairs of one :func:`paired_semantic_closure`.
 DEFAULT_MAX_PAIRS = 1 << 16
 
 
@@ -237,7 +239,6 @@ def paired_semantic_closure(
     lang: LanguageSpec,
     *,
     abort_on_violation: bool = False,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> PairedClosure:
     """Compute the least pair set; track the first strongness violation.
 
@@ -247,7 +248,8 @@ def paired_semantic_closure(
     ``lang.operators`` order) and tuple.  With ``abort_on_violation`` the
     closure stops at that pair, keeping the full closure's strong flag and
     witness: :func:`paired_sp_check` runs it so for quotients under a
-    language with ``not``.
+    language with ``not``.  More than :data:`DEFAULT_MAX_PAIRS` pairs raise
+    :class:`CapacityError`.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -258,8 +260,10 @@ def paired_semantic_closure(
 
     def check_size(extra: int) -> None:
         size = len(formulas) + extra
-        if size > max_pairs:
-            raise CapacityError(f"paired closure exceeded max_pairs = {max_pairs} (now {size} pairs)")
+        if size > DEFAULT_MAX_PAIRS:
+            raise CapacityError(
+                f"paired closure exceeded DEFAULT_MAX_PAIRS = {DEFAULT_MAX_PAIRS} (now {size} pairs)"
+            )
 
     for name, s in lang.atoms:
         pair = (s.mask, structure.atom_value(name))
@@ -344,8 +348,6 @@ def paired_sp_check(
     model: KripkeModel,
     abstract: "AbstractStructure | Quotient",
     lang: LanguageSpec,
-    *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> SpVerdict:
     """Exact strong/weak preservation verdict for an abstract model, with the
     full paired closure's witness.
@@ -355,7 +357,7 @@ def paired_sp_check(
     is checked).  A quotient passes the generator test (module docstring)
     or, under a language with ``not #1``, goes to an aborting paired
     closure; every other case reads the verdict off the full paired
-    closure.  ``max_pairs`` bounds whichever closure runs.
+    closure.  :data:`DEFAULT_MAX_PAIRS` bounds whichever closure runs.
     """
     if isinstance(abstract, Quotient):
         if abstract.parent.space != model.space:
@@ -364,13 +366,11 @@ def paired_sp_check(
         if _strong_on_generators(model, abstract.partition, structure):
             return SpVerdict("strong", None)
         if _has_not(lang.operators):
-            cut = paired_semantic_closure(
-                model, structure, lang, abort_on_violation=True, max_pairs=max_pairs
-            )
+            cut = paired_semantic_closure(model, structure, lang, abort_on_violation=True)
             return SpVerdict("neither", cut.witness) if cut.aborted else SpVerdict("strong", None)
     else:
         structure = abstract
-    closure = paired_semantic_closure(model, structure, lang, max_pairs=max_pairs)
+    closure = paired_semantic_closure(model, structure, lang)
     return SpVerdict(closure.verdict, closure.witness)
 
 
@@ -404,16 +404,14 @@ def completeness_check(
     domain: AbstractDomain,
     fs: Sequence[Operator],
     model: KripkeModel,
-    *,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> CompletenessReport:
     """Check forward (f∘μ⃗ = μ∘f∘μ⃗) or backward (μ∘f = μ∘f∘μ⃗) completeness.
 
     Forward ranges over tuples of image members in canonical order, backward
     over tuples of all subsets (it never materializes the domain); both
     report the first counterexample.  The check is exhaustive: an operator
-    whose tuples exceed ``max_tuples`` raises :class:`CapacityError` before
-    any of them is tried.
+    whose tuples exceed :data:`DEFAULT_MAX_TUPLES` raises
+    :class:`CapacityError` before any of them is tried.
     """
     if direction not in ("forward", "backward"):
         raise ValidationError(f"unknown direction {direction!r}")
@@ -429,10 +427,10 @@ def completeness_check(
     checked = 0
     for f in fs:
         count = size**f.arity
-        if count > max_tuples:
+        if count > DEFAULT_MAX_TUPLES:
             raise CapacityError(
                 f"{direction} check for {f.name!r} needs {count} tuples, "
-                f"over max_tuples = {max_tuples}"
+                f"over DEFAULT_MAX_TUPLES = {DEFAULT_MAX_TUPLES}"
             )
         for args in product(members, repeat=f.arity):
             checked += 1

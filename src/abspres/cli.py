@@ -162,9 +162,7 @@ def cmd_abs_eval(args) -> int:
 def cmd_shell(args) -> int:
     model = _resolve_model(args.model)
     lang = load_language(args.lang, model)
-    if args.seed == "labels":
-        seed = moore_close(label_partition(model).family)
-    elif args.seed == "atoms":
+    if args.seed == "atoms":
         seed = moore_close(SetFamily.of(model.space, [s.mask for _, s in lang.atoms]))
     else:
         seed = _parse_domain(model, args.seed, lang)

@@ -13,11 +13,12 @@ iff image(A2) ⊆ image(A1).
 
 A state space may have any number of states.  The bound sits with each
 route that builds a family over ℘(Σ): :data:`DEFAULT_MAX_FAMILY` for a
-materialized family, :data:`MAX_ENUMERATION_STATES` for the enumeration.
+materialized family, a listed ℘(Σ) included, :data:`MAX_ENUMERATION_STATES` for
+the enumerations.  Each is read where it is checked, so setting it raises it.
 The Moore property is checked once, where an image enters from outside the
 library (``AbstractDomain(space, image=...)``); the families the library
-builds itself (Moore closures, meets, joins, ℘(Σ), {Σ}, the enumeration,
-shell rounds, and the meets of a lazy domain's generators) are Moore by
+builds itself (Moore closures, meets, joins, {Σ}, the enumeration, shell
+rounds, and the meets of a lazy domain's generators) are Moore by
 construction and are not checked again.
 """
 
@@ -33,8 +34,16 @@ Mask = int
 #: Default bound on the number of sets a single family may materialize.
 DEFAULT_MAX_FAMILY = 1 << 20
 
-#: Largest n accepted by enumerate_moore_families (count explodes beyond).
+#: Largest n of the Moore-family and preorder enumerations (count explodes beyond).
 MAX_ENUMERATION_STATES = 4
+
+
+def _check_family(what: str, size: int) -> None:
+    """Refuse a family of ``size`` sets over :data:`DEFAULT_MAX_FAMILY`."""
+    if size > DEFAULT_MAX_FAMILY:
+        raise CapacityError(
+            f"{what} reached {size} sets, over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
+        )
 
 
 def _members(mask: Mask) -> Iterator[int]:
@@ -284,9 +293,9 @@ class AbstractDomain:
     outside the library.  The library's own constructors skip that check:
     :meth:`_of_moore` takes an image that is Moore by construction, with
     the generators it was closed from when there are any (:func:`moore_close`
-    keeps its input), and :meth:`_of_generators` a lazy domain (adp and add
-    pass their meet-irreducibles), which answers closure and membership at
-    any size.
+    keeps its input), and :meth:`_of_generators` a lazy domain (adp, add and
+    powerset_domain pass their meet-irreducibles), which answers closure and
+    membership at any size.
     Its image is built on demand, by :func:`meet_close` from {Σ}, and
     refused before anything is built when 2^k is over
     :data:`DEFAULT_MAX_FAMILY`.  Equality, hashing and iteration force the
@@ -432,12 +441,12 @@ def domain_join(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
 
 
 def powerset_domain(space: StateSpace) -> AbstractDomain:
-    """The identical abstraction ℘(Σ): every subset is closed."""
-    if 1 << space.n > DEFAULT_MAX_FAMILY:
-        raise CapacityError(
-            f"℘(Σ) would have 2^{space.n} members, over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
-        )
-    return AbstractDomain._of_moore(space, frozenset(range(1 << space.n)))
+    """The identical abstraction ℘(Σ): every subset is closed.
+
+    It is the lazy domain of its co-atoms Σ∖{s}, so closure is the identity
+    at any size and only listing its 2^n members is bounded."""
+    full = space.full_mask
+    return AbstractDomain._of_generators(space, tuple(full & ~(1 << s) for s in range(space.n)))
 
 
 def top_domain(space: StateSpace) -> AbstractDomain:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import lattice
 from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .lattice import (
     AbstractDomain,
-    MAX_ENUMERATION_STATES,
     Mask,
     SetFamily,
     StateSet,
@@ -308,10 +308,10 @@ def iter_partitions(space: StateSpace) -> Iterator[Partition]:
 def iter_preorders(space: StateSpace) -> Iterator[Preorder]:
     """All preorders over a small space, by filtering reflexive relations."""
     n = space.n
-    if n > MAX_ENUMERATION_STATES:
+    if n > lattice.MAX_ENUMERATION_STATES:
         raise CapacityError(
             f"preorder enumeration supports n ≤ MAX_ENUMERATION_STATES = "
-            f"{MAX_ENUMERATION_STATES}, got {n}"
+            f"{lattice.MAX_ENUMERATION_STATES}, got {n}"
         )
     off_diagonal = [(s, t) for s in range(n) for t in range(n) if s != t]
     base = tuple(1 << i for i in range(n))

@@ -45,9 +45,9 @@ from .errors import CapacityError, SpaceMismatchError, ValidationError
 from .kripke import KripkeModel
 from .lattice import (
     AbstractDomain,
-    DEFAULT_MAX_FAMILY,
     Mask,
     SetFamily,
+    _check_family,
     _classes,
     _members,
     domain_leq,
@@ -109,11 +109,11 @@ def forward_complete_shell(
     When :func:`~abspres.languages._splitters` admits ``fs``, the answer is
     adp of the splitter refinement of pr(A) by the operators it picks, and
     only materializing its image is bounded by
-    :data:`DEFAULT_MAX_FAMILY`.  Otherwise it runs
+    :data:`~abspres.lattice.DEFAULT_MAX_FAMILY`.  Otherwise it runs
     :func:`~abspres.languages.close` from image(A): each round adds F(X) and
     re-closes under intersection, X := M(X ∪ F(X)), to fixpoint, with the
-    image bounded by :data:`DEFAULT_MAX_FAMILY`.  See :class:`ShellTrace`
-    for the snapshots of each route.
+    image bounded by the same constant.  See :class:`ShellTrace` for the
+    snapshots of each route.
     """
     if model.space != domain.space:
         raise SpaceMismatchError("model over a different space than the domain")
@@ -156,11 +156,7 @@ def _closure_shell(
 
     def admit(fresh: Iterable[Mask]) -> set[Mask]:
         added = meet_close(masks, fresh)
-        if len(masks) > DEFAULT_MAX_FAMILY:
-            raise CapacityError(
-                f"shell image reached {len(masks)} sets, "
-                f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
-            )
+        _check_family("shell image", len(masks))
         snapshots.append(
             AbstractDomain._of_moore(domain.space, frozenset(masks)) if added else snapshots[-1]
         )
@@ -182,11 +178,7 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
 
     def admit(fresh: Iterable[Mask]) -> Iterable[Mask]:
         masks.update(fresh)
-        if len(masks) > DEFAULT_MAX_FAMILY:
-            raise CapacityError(
-                f"semantic closure reached {len(masks)} sets, "
-                f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
-            )
+        _check_family("semantic closure", len(masks))
         return fresh
 
     close(masks, lang.operators, lambda op, args: apply_operator(op, model, args), admit)

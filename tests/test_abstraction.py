@@ -26,6 +26,7 @@ from abspres import (
     preset_language,
     quotient,
 )
+from abspres import abstraction
 from abspres.languages import builtin_operator, const_operator, operator_from_expr
 from abspres.lattice import StateSet, StateSpace
 from abspres.shells import ad_of_language
@@ -153,22 +154,25 @@ class TestCompleteness:
 
         assert completeness_check("backward", top_domain(kpq.space), [pre], kpq).holds
 
-    def test_backward_sampling_mode(self, kpq):
-        # no sampling: past max_tuples the backward check raises before any tuple
+    def test_backward_sampling_mode(self, kpq, monkeypatch):
+        # no sampling: past DEFAULT_MAX_TUPLES the backward check raises
+        # before any tuple
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_TUPLES", 100)
         dom = powerset_domain(kpq.space)
-        with pytest.raises(CapacityError, match=r"'EU' needs 1024 tuples, over max_tuples = 100"):
-            completeness_check("backward", dom, [builtin_operator("EU")], kpq, max_tuples=100)
+        with pytest.raises(
+            CapacityError, match=r"'EU' needs 1024 tuples, over DEFAULT_MAX_TUPLES = 100"
+        ):
+            completeness_check("backward", dom, [builtin_operator("EU")], kpq)
 
     def test_unknown_direction(self, kpq):
         with pytest.raises(ValidationError):
             completeness_check("sideways", powerset_domain(kpq.space), [], kpq)
 
-    def test_forward_tuple_capacity(self, kpq):
+    def test_forward_tuple_capacity(self, kpq, monkeypatch):
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_TUPLES", 100)
         dom = powerset_domain(kpq.space)
-        with pytest.raises(CapacityError):
-            completeness_check(
-                "forward", dom, [builtin_operator("EU")], kpq, max_tuples=100
-            )
+        with pytest.raises(CapacityError, match="DEFAULT_MAX_TUPLES = 100"):
+            completeness_check("forward", dom, [builtin_operator("EU")], kpq)
 
 
 class TestSpDomain:
@@ -394,21 +398,23 @@ class TestPairedSpCheck:
         with pytest.raises(ValidationError):
             paired_sp_check(kpq, q, preset_language("full", kpq))
 
-    def test_pair_capacity(self, kpq):
+    def test_pair_capacity(self, kpq, monkeypatch):
         # exef is in neither class and has no `not`, so its quotient check
         # runs the full paired closure
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 4)
         lang = preset_language("exef", kpq)
         q = quotient("ee", kpq, Partition.identity(kpq.space))
-        with pytest.raises(CapacityError):
-            paired_sp_check(kpq, q, lang, max_pairs=4)
+        with pytest.raises(CapacityError, match="DEFAULT_MAX_PAIRS = 4"):
+            paired_sp_check(kpq, q, lang)
 
-    def test_pair_capacity_does_not_bound_the_block_route(self, kpq):
+    def test_pair_capacity_does_not_bound_the_block_route(self, kpq, monkeypatch):
         # a strong L1 or L3 check of a quotient runs no paired closure, so
-        # max_pairs does not apply to it
+        # DEFAULT_MAX_PAIRS does not apply to it
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 4)
         q = quotient("ee", kpq, Partition.identity(kpq.space))
         for name in ("L1", "L3"):
             lang = preset_language(name, kpq)
-            assert paired_sp_check(kpq, q, lang, max_pairs=4).verdict == "strong"
+            assert paired_sp_check(kpq, q, lang).verdict == "strong"
 
     def test_abort_agrees_with_full_closure(self):
         # stopping at the first violation keeps the full closure's verdict
@@ -588,7 +594,7 @@ def block_model_structure(q, lang):
 
 
 class TestBooleanMaskRoute:
-    def test_paired_check_matches_the_block_model_route(self):
+    def test_paired_check_matches_the_block_model_route(self, monkeypatch):
         from abspres import bisim_partition, language_from_json
         from abspres.abstraction import paired_semantic_closure
         from abspres.kripke import label_partition
@@ -598,9 +604,11 @@ class TestBooleanMaskRoute:
         # a closure past 64 pairs is stopped on both routes, which must then
         # fail alike: uncapped, the few L1/L2 closures of 512-1024 pairs at
         # six states make this test take about 90 s
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 64)
+
         def check(structure, lang):
             try:
-                return paired_semantic_closure(model, structure, lang, max_pairs=64)
+                return paired_semantic_closure(model, structure, lang)
             except CapacityError as exc:
                 return str(exc)
 
@@ -630,7 +638,7 @@ class TestBooleanMaskRoute:
                         assert got.formulas == want.formulas
                         assert (got.verdict, got.witness) == (want.verdict, want.witness)
                         if in_splitter_class(lang):
-                            verdict = paired_sp_check(model, q, lang, max_pairs=64)
+                            verdict = paired_sp_check(model, q, lang)
                             assert (verdict.verdict, verdict.witness) == (
                                 want.verdict, want.witness
                             )
@@ -736,7 +744,7 @@ class TestBlockRoute:
             assert operator_from_expr("f", 2, expr)._chain is None, expr
         assert operator_from_expr("f", 3, "EU(#1, #2)")._chain is None
 
-    def test_block_route_matches_the_paired_closure(self):
+    def test_block_route_matches_the_paired_closure(self, monkeypatch):
         # the verdict and witness of the block route against the full paired
         # closure of the same quotient structure, on total and non-total
         # models, ∃∃ and ∀∃ quotients and five kinds of partition.  A strong
@@ -792,7 +800,10 @@ class TestBlockRoute:
                         q = quotient(kind, model, p)
                         structure = AbstractStructure.from_quotient(q, lang)
                         try:
-                            full = paired_semantic_closure(model, structure, lang, max_pairs=64)
+                            # only the full closure is capped, not the block route
+                            with monkeypatch.context() as patch:
+                                patch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 64)
+                                full = paired_semantic_closure(model, structure, lang)
                         except CapacityError:
                             full = None
                         got = paired_sp_check(model, q, lang)
@@ -811,7 +822,7 @@ class TestBlockRoute:
         assert verdicts["strong"] >= 300 and verdicts["neither"] >= 300
         assert aborting_verdicts["strong"] >= 100 and aborting_verdicts["neither"] >= 20
 
-    def test_similarity_route_matches_the_paired_closure(self):
+    def test_similarity_route_matches_the_paired_closure(self, monkeypatch):
         # the verdict and witness of the generator test, and of the full
         # closure it falls back to, against the full paired closure, on
         # dense, sparse and non-total models, ∃∃ and ∀∃ quotients and six
@@ -822,9 +833,11 @@ class TestBlockRoute:
         from abspres.kripke import label_partition
         from abspres.languages import in_similarity_class
 
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 64)
+
         def check(route, *args):
             try:
-                got = route(*args, max_pairs=64)
+                got = route(*args)
             except CapacityError as exc:
                 return str(exc)
             return got.verdict, got.witness

@@ -947,14 +947,14 @@ class TestLargeModels:
         assert set(got) == unions
 
     def test_backward_completeness_is_never_sampled(self, capsys, tmp_path):
-        # 2^11 subsets, so 2^22 argument tuples for 'and': over max_tuples,
+        # 2^11 subsets, so 2^22 argument tuples for 'and': over DEFAULT_MAX_TUPLES,
         # refused before any tuple is tried instead of sampled
         path = self.ring(tmp_path, 11, chords=False)
         identity = "/".join(f"s{i}" for i in range(11))
         code, _, err = run(capsys, "check", "--model", path, "--property", "bwd-complete",
                            "--domain", f"adp:{identity}", "--ops", "and")
         assert code == 2
-        assert "backward check for 'and' needs 4194304 tuples, over max_tuples = 1048576" in err
+        assert "backward check for 'and' needs 4194304 tuples, over DEFAULT_MAX_TUPLES = 1048576" in err
 
 
 class TestReadme:
@@ -986,6 +986,29 @@ class TestReadme:
             code, _, err = run(capsys, *argv)
             assert code in (0, 1), (line, err)
             assert "internal error" not in err, line
+
+    def test_capacity_bounds_are_bound_once(self):
+        # each bound the Capacity section names is an int set in its own
+        # module and copied into no other, so setting it there raises it
+        import importlib
+        import pkgutil
+        import re
+
+        import abspres
+
+        with open(self.PATH, encoding="utf-8") as handle:
+            section = handle.read().split("## Capacity", 1)[1].split("\n## ", 1)[0]
+        bounds = set(re.findall(r"`abspres\.(\w+)\.([A-Z_]+)`", section))
+        assert len(bounds) >= 6
+        modules = {
+            info.name: importlib.import_module(f"abspres.{info.name}")
+            for info in pkgutil.iter_modules(abspres.__path__)
+            if info.name != "__main__"
+        }
+        for home, name in bounds:
+            assert isinstance(vars(modules[home])[name], int), (home, name)
+            copies = [m for m, mod in modules.items() if m != home and name in vars(mod)]
+            assert not copies and name not in vars(abspres), (name, copies)
 
     def test_library_example(self, capsys):
         (example,) = self.fenced("python")

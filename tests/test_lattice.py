@@ -309,8 +309,11 @@ class TestLargeSpaces:
         assert space.n == 1000
         assert all(space.index(name) == i for i, name in enumerate(names))
         assert space.names_of(space.mask_of(["s999", "s3"])) == ("s3", "s999")
+        # ℘(Σ) answers at any size and is refused only when listed
+        whole = powerset_domain(space)
+        assert whole.closure_mask(space.mask_of(["s999", "s3"])) == space.mask_of(["s999", "s3"])
         with pytest.raises(CapacityError, match="DEFAULT_MAX_FAMILY"):
-            powerset_domain(StateSpace(names[:21]))
+            whole.masks
 
     def test_index_errors(self):
         from abspres import ValidationError

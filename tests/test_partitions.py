@@ -311,6 +311,22 @@ class TestCapacity:
             with pytest.raises(CapacityError, match=f"2\\^{n} members, over DEFAULT_MAX_FAMILY"):
                 dom.masks
 
+    def test_powerset_answers_at_forty_states(self):
+        # ℘(Σ) is the lazy domain of its co-atoms: closure, pr and preord_of
+        # are identities, it is adp of the identity partition, and only
+        # listing its 2^40 members is refused
+        from abspres import CapacityError
+
+        space = StateSpace(tuple(f"s{i}" for i in range(40)))
+        whole, fine = powerset_domain(space), adp(Partition.identity(space))
+        for some in (0, 0b1011 << 36, 0b1101, space.full_mask):
+            assert whole.closure_mask(some) == some
+        assert pr(whole) == Partition.identity(space)
+        assert preord_of(whole) == Preorder.identity(space)
+        assert domain_leq(whole, fine) and domain_leq(fine, whole)
+        with pytest.raises(CapacityError, match="2\\^40 members, over DEFAULT_MAX_FAMILY"):
+            whole.masks
+
 
 class TestPartitionValidation:
     def test_overlap_rejected(self):

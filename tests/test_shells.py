@@ -165,7 +165,7 @@ class TestForwardCompleteShell:
 
     def test_capacity_guard(self, kpq, monkeypatch):
         # {or, pre~} has no `not`, so its shell is closed set by set
-        monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 4)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         seed = moore_close(label_partition(kpq).family)
         with pytest.raises(CapacityError, match="DEFAULT_MAX_FAMILY"):
             forward_complete_shell(seed, [builtin_operator("or"), builtin_operator("pre~")], kpq)
@@ -1062,7 +1062,7 @@ class TestRelationSearch:
      "adp", "add", "preorder-enumeration"],
 )
 def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
-    from abspres import Preorder, add, powerset_domain
+    from abspres import Preorder, abstraction, add, powerset_domain
     from abspres.abstraction import paired_sp_check
     from abspres.partitions import iter_preorders
 
@@ -1070,12 +1070,12 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
     l1 = preset_language("L1", kpq)
     seed = moore_close(label_partition(kpq).family)
     if case == "semantic-closure":
-        monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 3)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 3)
         call = lambda: semantic_closure(l1, kpq)
         message = "semantic closure reached 5 sets, over DEFAULT_MAX_FAMILY = 3"
     elif case == "shell":
         # {or, pre~} has no `not`, so its shell is closed set by set
-        monkeypatch.setattr(shells, "DEFAULT_MAX_FAMILY", 4)
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         ops = [builtin_operator("or"), builtin_operator("pre~")]
         call = lambda: forward_complete_shell(seed, ops, kpq)
         message = "shell image reached 7 sets, over DEFAULT_MAX_FAMILY = 4"
@@ -1093,17 +1093,19 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
     elif case == "paired":
         # exef is in neither class and has no `not`, so its quotient check
         # runs the full paired closure
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 4)
         q = quotient("ee", kpq, Partition.identity(kpq.space))
-        call = lambda: paired_sp_check(kpq, q, preset_language("exef", kpq), max_pairs=4)
-        message = "paired closure exceeded max_pairs = 4 (now 5 pairs)"
+        call = lambda: paired_sp_check(kpq, q, preset_language("exef", kpq))
+        message = "paired closure exceeded DEFAULT_MAX_PAIRS = 4 (now 5 pairs)"
     elif case == "masks":
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         p = Partition.of(kpq.space, [["1", "2"], ["3"], ["4", "5"]])
         call = lambda: adp(p).masks
         message = "image of 3 generators has up to 2^3 members, over DEFAULT_MAX_FAMILY = 4"
     elif case == "powerset":
-        call = lambda: powerset_domain(StateSpace(big.names[:21]))
-        message = "℘(Σ) would have 2^21 members, over DEFAULT_MAX_FAMILY = 1048576"
+        # ℘(Σ) is the lazy domain of its 21 co-atoms, refused when listed
+        call = lambda: powerset_domain(StateSpace(big.names[:21])).masks
+        message = "image of 21 generators has up to 2^21 members, over DEFAULT_MAX_FAMILY = 1048576"
     elif case == "moore-enumeration":
         call = lambda: list(enumerate_moore_families(5))
         message = "enumeration supports 0 ≤ n ≤ MAX_ENUMERATION_STATES = 4, got 5"
@@ -1120,3 +1122,43 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
     with pytest.raises(CapacityError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "case", ["semantic-closure", "shell", "preorder-enumeration", "paired", "completeness"]
+)
+def test_each_bound_is_set_through_its_own_module(case, kpq, monkeypatch):
+    # a bound is one module constant read where it is checked: a call that
+    # answers at the default is refused once the constant is set below it
+    from abspres import abstraction
+    from abspres.abstraction import paired_sp_check
+    from abspres.partitions import iter_preorders
+
+    identity = Partition.identity(kpq.space)
+    seed = moore_close(label_partition(kpq).family)
+    ops = [builtin_operator("or"), builtin_operator("pre~")]
+    module, name, value, call = {
+        "semantic-closure": (
+            lattice, "DEFAULT_MAX_FAMILY", 3,
+            lambda: semantic_closure(preset_language("L1", kpq), kpq),
+        ),
+        "shell": (
+            lattice, "DEFAULT_MAX_FAMILY", 4, lambda: forward_complete_shell(seed, ops, kpq)
+        ),
+        "preorder-enumeration": (
+            lattice, "MAX_ENUMERATION_STATES", 2,
+            lambda: list(iter_preorders(StateSpace.of("1", "2", "3"))),
+        ),
+        "paired": (
+            abstraction, "DEFAULT_MAX_PAIRS", 4,
+            lambda: paired_sp_check(kpq, quotient("ee", kpq, identity), preset_language("exef", kpq)),
+        ),
+        "completeness": (
+            abstraction, "DEFAULT_MAX_TUPLES", 10,
+            lambda: completeness_check("backward", adp(identity), [builtin_operator("EU")], kpq),
+        ),
+    }[case]
+    call()
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(CapacityError, match=f"{name} = {value}\\b"):
+        call()

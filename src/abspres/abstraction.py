@@ -47,13 +47,14 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import CapacityError, SpaceMismatchError, ValidationError
+from .errors import CapacityError, ValidationError
 from .formulas import App, Atom, Formula
 from .kripke import KripkeModel, Quotient
-from .lattice import AbstractDomain, Mask, StateSet, domain_leq
+from .lattice import AbstractDomain, Mask, StateSet, _check_space, domain_leq
 from .languages import (
     LanguageSpec,
     Operator,
+    _check_language,
     _has_not,
     _splitters,
     apply_operator,
@@ -80,10 +81,10 @@ def bca_apply(
     model: KripkeModel,
 ) -> StateSet:
     """Best correct approximation μ(f(γ(args))) on closed arguments."""
+    _check_space(domain, model, "domain and model")
     masks = []
     for s in args:
-        if s.space != domain.space:
-            raise SpaceMismatchError("argument over a different space")
+        _check_space(s, domain, "argument and domain")
         if not domain.contains(s.mask):
             raise ValidationError(f"{s!r} is not a closed set of the domain")
         masks.append(s.mask)
@@ -128,6 +129,8 @@ class AbstractStructure:
     def best_approximation(
         domain: AbstractDomain, model: KripkeModel, lang: LanguageSpec
     ) -> "AbstractStructure":
+        _check_space(domain, model, "domain and model")
+        _check_language(lang, model)
         atoms = {
             name: domain.closure_mask(s.mask) for name, s in lang.atoms
         }
@@ -150,6 +153,7 @@ class AbstractStructure:
         of Σ and the block-index masks (Σ maps to the full mask), so ¬, ∧
         and ∨ give the same block union applied to the arguments themselves.
         """
+        _check_language(lang, q.parent)
         p = q.partition
         atoms = {name: p.block_containing(s.mask) for name, s in lang.atoms}
 
@@ -253,6 +257,8 @@ def paired_semantic_closure(
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
+    _check_space(structure.domain, model, "structure and model")
+    _check_language(lang, model)
     formulas: dict[tuple[Mask, Mask], Formula] = {}
 
     def result(aborted: bool) -> PairedClosure:
@@ -317,8 +323,8 @@ def _strong_on_generators(model: KripkeModel, p: Partition, structure: AbstractS
     The test is exact.  S ⊆ adp(P) iff adp(P) ⊑ A_L = M(S), and A_L's
     generators G lie in S, so agreement on G is needed.  It suffices: on
     the similarity route S = add(R) is the meets of G = {Σ∖R(s)}, Σ the
-    empty one, and concrete AX and the quotient's union∘cpre∘inner both
-    preserve ∩ on block unions (inner, cpre and union each do) and map Σ to
+    empty one, and concrete AX and the quotient's union∘pre~∘inner both
+    preserve ∩ on block unions (inner, pre~ and union each do) and map Σ to
     Σ.  On the splitter route G is the Σ∖C for the blocks C of P_L and S
     their unions; both sides of an additive (dual) chain distribute over the
     unions of the C (the meets of the Σ∖C), and the fixpoints that do not
@@ -360,8 +366,7 @@ def paired_sp_check(
     closure.  :data:`DEFAULT_MAX_PAIRS` bounds whichever closure runs.
     """
     if isinstance(abstract, Quotient):
-        if abstract.parent.space != model.space:
-            raise SpaceMismatchError("quotient of a different model")
+        _check_space(abstract.parent, model, "quotient and model")
         structure = AbstractStructure.from_quotient(abstract, lang)
         if _strong_on_generators(model, abstract.partition, structure):
             return SpVerdict("strong", None)
@@ -415,6 +420,7 @@ def completeness_check(
     """
     if direction not in ("forward", "backward"):
         raise ValidationError(f"unknown direction {direction!r}")
+    _check_space(domain, model, "domain and model")
     space = domain.space
     mu = domain.closure_mask
     forward = direction == "forward"

@@ -136,6 +136,13 @@ def _ops_from_names(names: str) -> list:
     return [builtin_operator(tok.strip()) for tok in tokens if tok.strip()]
 
 
+def _closed_ops(lang: LanguageSpec, command: str) -> list:
+    """The operators of ``lang``; an open language (``full``) lists none."""
+    if lang.open_ops:
+        raise AbspresError(f"{command} needs a closed language, not {lang.name!r}")
+    return list(lang.operators)
+
+
 def cmd_eval(args) -> int:
     model = _resolve_model(args.model)
     lang = load_language(args.lang, model)
@@ -166,7 +173,7 @@ def cmd_shell(args) -> int:
         seed = moore_close(SetFamily.of(model.space, [s.mask for _, s in lang.atoms]))
     else:
         seed = _parse_domain(model, args.seed, lang)
-    result = forward_complete_shell(seed, list(lang.operators), model)
+    result = forward_complete_shell(seed, _closed_ops(lang, "shell"), model)
     fam = result.domain.image
     payload = {"command": "shell", "result": _family_lists(fam)}
     if args.trace:
@@ -241,11 +248,11 @@ def cmd_check(args) -> int:
         verdict = is_partitioning(domain) if prop == "partitioning" else is_disjunctive(domain)
     elif prop in ("fwd-complete", "bwd-complete"):
         domain = _parse_domain(model, need(args.domain, "--domain"), lang)
-        ops = _ops_from_names(args.ops) if args.ops else list(lang.operators if lang else [])
+        ops = _ops_from_names(args.ops) if args.ops else _closed_ops(lang, "check") if lang else []
         if args.with_atoms:
             ops = label_constants(model) + ops
         direction = "forward" if prop == "fwd-complete" else "backward"
-        report = completeness_check(direction, domain, ops, model)
+        report = completeness_check(direction, domain, need(ops or None, "--ops"), model)
         verdict = report.holds
         if report.counterexample is not None:
             ce = report.counterexample

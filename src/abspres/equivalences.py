@@ -55,9 +55,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import shells
-from .errors import SpaceMismatchError, ValidationError
+from .errors import ValidationError
 from .kripke import KripkeModel, label_partition
-from .lattice import Mask, SetFamily, _members, _owners, moore_close
+from .lattice import Mask, SetFamily, _check_space, _members, _owners, moore_close
 from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
@@ -162,8 +162,7 @@ def check_bisimulation(p: Partition, model: KripkeModel) -> bool:
     """Is P a bisimulation?  It is one exactly when, as an equivalence, it
     is a simulation: the label inclusion both ways makes labels equal in a
     block, and every move of a member is matched by every other member."""
-    if p.space != model.space:
-        raise SpaceMismatchError("partition over a different space than the model")
+    _check_space(p, model, "partition and model")
     return check_simulation(Preorder.from_partition(p), model)
 
 
@@ -185,8 +184,7 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
     :func:`~abspres.languages.until_mask`, as in the engine; the tests judge
     this checker by ``brute_stuttering`` and ``all_pairs_check_dbs``, and
     ``until_mask`` by ``eu_path_oracle`` (``tests/conftest.py``)."""
-    if p.space != model.space:
-        raise SpaceMismatchError("partition over a different space than the model")
+    _check_space(p, model, "partition and model")
     if not p.refines(label_partition(model)):
         return False
     return all(
@@ -252,8 +250,7 @@ def equal_label_simulation(model: KripkeModel) -> Preorder:
 def check_simulation(r: Preorder, model: KripkeModel) -> bool:
     """Is R a simulation?  s R s' needs ℓ(s') ⊆ ℓ(s), and every move s → t
     matched by a move s' → t' with t R t'."""
-    if r.space != model.space:
-        raise SpaceMismatchError("preorder over a different space than the model")
+    _check_space(r, model, "preorder and model")
     labels = [model.label_of_state(s) for s in range(model.n)]
     return all(
         labels[s2] <= labels[s] and _matched(model, s, s2, r.rows)

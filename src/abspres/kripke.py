@@ -10,10 +10,12 @@ row-OR over the members of Y, and their duals are their complements:
     pre~(Y)  = {s | succ(s) ⊆ Y}     = ∁ pre ∁ (Y)
     post~(Y) = {t | pred(t) ⊆ Y}     = ∁ post ∁ (Y)
 
-Each costs one OR per member of its argument, not a scan of all n rows.
-pre and post are additive, their duals co-additive.  The duals are exact on
-non-total models too: a stuck state has succ = ∅ ⊆ Y, so it is in pre~(Y)
-for every Y, and it lies in no pre(∁Y).
+pre and post cost one OR per member of their argument, their duals one per
+member of its complement, not a scan of all n rows.  pre and post are
+additive, their duals co-additive.  The duals are exact on non-total models
+too: a stuck state has succ = ∅ ⊆ Y, so it is in pre~(Y) for every Y, and
+it lies in no pre(∁Y).  The library builds its duals from pre and post
+(:mod:`~abspres.languages`); ``cpre`` and ``cpost`` remain for callers.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Mapping
 
-from .errors import SpaceMismatchError, ValidationError
-from .lattice import Mask, StateSet, StateSpace, _classes, _members, _owners, _transpose
+from .errors import ValidationError
+from .lattice import Mask, StateSet, StateSpace, _check_space, _classes, _members, _owners, _transpose
 from .partitions import Partition
 
 
@@ -151,8 +153,7 @@ def validate_model(model: KripkeModel) -> None:
 
 def transformer(kind: str, model: KripkeModel, s: StateSet) -> StateSet:
     """Apply one of pre / post / pre~ / post~ to a set over the model's space."""
-    if s.space != model.space:
-        raise SpaceMismatchError("set over a different space than the model")
+    _check_space(s, model, "set and model")
     fn = {
         "pre": model.pre,
         "post": model.post,
@@ -200,8 +201,7 @@ def quotient(kind: str, model: KripkeModel, p: Partition) -> Quotient:
     """
     if kind not in ("ee", "ae"):
         raise ValidationError(f"unknown quotient kind {kind!r} (want 'ee' or 'ae')")
-    if p.space != model.space:
-        raise SpaceMismatchError("partition over a different space than the model")
+    _check_space(p, model, "partition and model")
     owner = _owners(model.n, p.blocks)
 
     def meeting(mask: Mask) -> Mask:  # the indices of the blocks that meet mask

@@ -3,17 +3,17 @@
 A language is a set of named atoms with fixed interpretations plus a set of
 named operators, each defined by a transformer expression over the built-ins
 (complement, meet, join, the four pre/post transformers, the until/release
-fixpoints and bounded reachability).  Fixpoints are computed by
-Knaster-Tarski iteration (EU's by its frontier), which terminates on these
-finite lattices.
+fixpoints and bounded reachability), each one row of ``_BUILTIN_TABLE``.
+``EU`` is a backward search (:func:`until_mask`) and ``AU`` a Knaster-Tarski
+iteration; ``AR`` uses EU's search and ``ER`` AU's iteration (:func:`_dual`).
 
 An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  It also
-records then whether its body is Boolean (only ``not``, ``and``, ``or`` and
-placeholders), which lets quotient structures apply it to block unions
-directly, whether its body is a chain of additive built-ins (or of their
-duals) applied to ``#1``, or ``EU #1 #2``, and whether it grows or shrinks
-with the transition relation, which bounds the relation search.  The
+reads off the rows then whether its body is Boolean (only ``not``, ``and``,
+``or`` and placeholders), which lets quotient structures apply it to block
+unions directly, whether its body is a chain of additive built-ins (or of
+their duals) applied to ``#1``, or ``EU #1 #2``, and whether it grows or
+shrinks with the transition relation, which bounds the relation search.  The
 operators, never a language's name, pick its routes: :func:`_splitters`
 and the class tests.
 
@@ -32,7 +32,9 @@ EF[0,2]).  The ``full`` preset resolves every built-in.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -49,7 +51,7 @@ from .formulas import (
     parse_transformer,
 )
 from .kripke import KripkeModel
-from .lattice import Mask, StateSet
+from .lattice import Mask, StateSet, _check_space
 
 PRESET_NAMES = ("L1", "L2", "L3", "CTL", "semaforo", "exef", "full")
 # tuples one operator may try in one round of close: L1 at n=10 tries 2^20
@@ -64,15 +66,14 @@ class Operator:
     """A named n-ary transformer: a body over built-ins and #k placeholders.
 
     The body is resolved once, at construction, into a function of (model,
-    argument masks); a bad body raises then, naming the operator.
-    ``_boolean`` holds when the body uses only ``not``, ``and``, ``or`` and
-    placeholders.  ``_chain`` is ``"additive"`` when the operator is unary
-    and its body is a chain of additive built-ins (``EX``, ``pre``, ``post``,
-    ``EF[lo,hi]``) applied to ``#1``, ``"dual"`` for a chain of their duals
-    (``AX``, ``pre~``, ``post~``), ``"until"`` when the operator is binary
-    and its body is exactly ``EU #1 #2``, and None otherwise.  ``_polarity``
-    is the sign of the operator in the transition relation, its arguments
-    fixed (see :func:`_polarity_of`).
+    argument masks); a bad body raises then, naming the operator.  The
+    tags read the shapes of its built-ins: ``_boolean`` holds when the body
+    has only ``"boolean"`` ones and placeholders.  ``_chain`` is
+    ``"additive"`` when the operator is unary and its body is a chain of
+    ``"additive"`` built-ins applied to ``#1``, ``"dual"`` for a chain of
+    ``"dual"`` ones, ``"until"`` when the operator is binary and its body
+    is exactly ``EU #1 #2``, and None otherwise.  ``_polarity`` is the sign
+    of the operator in the transition relation (see :func:`_polarity_of`).
     """
 
     name: str
@@ -130,9 +131,9 @@ def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
     by a backward search from S2 through S1.  pre is additive, so the Kleene
     step from z_k adds S1 ∩ pre(F) ∖ z_k, F the states the step before
     added: each state's in-edges are read once, and a step that adds nothing
-    ends at the fixpoint.  The packed masks of a
-    :class:`~abspres.shells._BlockBatch` take the same steps slice by slice,
-    since the batch's pre is additive too."""
+    ends at the fixpoint.  ``AR`` runs it as ¬EU(¬a, ¬b), and the packed
+    masks of a :class:`~abspres.shells._BlockBatch` take the same steps slice
+    by slice, since the batch's pre is additive too."""
     reach = frontier = s2
     while frontier:
         frontier = model.pre(frontier) & s1 & ~reach
@@ -140,16 +141,25 @@ def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
     return reach
 
 
+def _dual(model: KripkeModel, f: Callable[..., Mask], a: Mask, *rest: Mask) -> Mask:
+    """¬f¬ at the arguments, for f a function of masks: every dual built-in
+    is made here from the model's ``pre`` and ``post``, so a model needs
+    only those and ``space.full_mask``.  AX = pre~ = ¬pre¬, post~ = ¬post¬,
+    and by De Morgan ER(a, b) = ¬AU(¬a, ¬b) and AR(a, b) = ¬EU(¬a, ¬b):
+    complement reverses ⊆, so it maps the fixpoints of a monotone g onto
+    those of ¬g¬, the least onto the greatest, ¬μg = ν(¬g¬).  AU(¬a, ¬b) is
+    μg for g(z) = ¬b ∪ (¬a ∩ ¬pre¬z), and ¬g(¬w) = b ∩ (a ∪ pre w) is ER's
+    step; EU(¬a, ¬b) is μh for h(z) = ¬b ∪ (¬a ∩ pre z), and ¬h(¬w) =
+    b ∩ (a ∪ ¬pre¬w) is AR's.  Stuck states need no case: ¬pre¬z holds each
+    stuck state for every z (succ = ∅ ⊆ z), so this holds on every model."""
+    full = model.space.full_mask
+    if not rest:  # a unary dual, the hot case, builds no argument list
+        return full & ~f(full & ~a)
+    return full & ~f(full & ~a, *[full & ~b for b in rest])
+
+
 def _au(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    return lfp(lambda z: s2 | (s1 & model.cpre(z)), 0)
-
-
-def _er(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    return gfp(lambda z: s2 & (s1 | model.pre(z)), model.space.full_mask)
-
-
-def _ar(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    return gfp(lambda z: s2 & (s1 | model.cpre(z)), model.space.full_mask)
+    return lfp(lambda z: s2 | (s1 & _dual(model, model.pre, z)), 0)
 
 
 def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
@@ -180,33 +190,40 @@ def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
     return acc
 
 
-# Transformers are called through the model, so a rebound KripkeModel method is seen.
-_BUILTIN_TABLE: dict[str, tuple[int, Callable[..., Mask]]] = {
-    "not": (1, lambda model, a: model.space.full_mask & ~a),
-    "and": (2, lambda model, a, b: a & b),
-    "or": (2, lambda model, a, b: a | b),
-    "EX": (1, lambda model, a: model.pre(a)),
-    "AX": (1, lambda model, a: model.cpre(a)),
-    "pre": (1, lambda model, a: model.pre(a)),
-    "post": (1, lambda model, a: model.post(a)),
-    "pre~": (1, lambda model, a: model.cpre(a)),
-    "post~": (1, lambda model, a: model.cpost(a)),
-    "EU": (2, until_mask),
-    "AU": (2, _au),
-    "ER": (2, _er),
-    "AR": (2, _ar),
+# A row: arity, semantics of (model, argument masks), shape ("boolean",
+# "additive" for unary and union-preserving, "dual" for ¬f¬ of one, or
+# "fixpoint") and sign (1 or -1 as it grows or shrinks with the transition
+# relation, 0 if it does not read it).  pre and post are looked up on the
+# model at each call, so a rebound KripkeModel method is seen.
+_Builtin = namedtuple("_Builtin", "arity semantics shape sign")
+_BUILTIN_TABLE: dict[str, _Builtin] = {
+    "not": _Builtin(1, lambda model, a: model.space.full_mask & ~a, "boolean", 0),
+    "and": _Builtin(2, lambda model, a, b: a & b, "boolean", 0),
+    "or": _Builtin(2, lambda model, a, b: a | b, "boolean", 0),
+    "EX": _Builtin(1, lambda model, a: model.pre(a), "additive", 1),
+    "AX": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1),
+    "pre": _Builtin(1, lambda model, a: model.pre(a), "additive", 1),
+    "post": _Builtin(1, lambda model, a: model.post(a), "additive", 1),
+    "pre~": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1),
+    "post~": _Builtin(1, lambda model, a: _dual(model, model.post, a), "dual", -1),
+    "EU": _Builtin(2, until_mask, "fixpoint", 1),
+    "AU": _Builtin(2, _au, "fixpoint", -1),
+    "ER": _Builtin(2, lambda model, a, b: _dual(model, partial(_au, model), a, b), "fixpoint", 1),
+    "AR": _Builtin(2, lambda model, a, b: _dual(model, partial(until_mask, model), a, b), "fixpoint", -1),
 }
+# the additive twin of each unary dual: AX = ¬EX¬, pre~ = ¬pre¬, post~ = ¬post¬
+_TWINS = {"AX": "EX", "pre~": "pre", "post~": "post"}
 
 
-def _builtin(name: str) -> Optional[tuple[int, Callable[..., Mask]]]:
-    """(arity, semantics) of the built-in ``name``, or None if there is none."""
+def _builtin(name: str) -> Optional[_Builtin]:
+    """The row of the built-in ``name``, or None if there is none."""
     m = EF_PATTERN.match(name)
     if m is None:
         return _BUILTIN_TABLE.get(name)
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise ValidationError(f"empty bound range [{lo},{hi}]")
-    return 1, lambda model, a: _ef_bounded(model, lo, hi, a)
+    return _Builtin(1, lambda model, a: _ef_bounded(model, lo, hi, a), "additive", 1)
 
 
 def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[Mask]], Mask]:
@@ -221,8 +238,7 @@ def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[M
         value = node.value
 
         def const(model: KripkeModel, args: Sequence[Mask]) -> Mask:
-            if value.space != model.space:
-                raise ValidationError("constant set over a different space")
+            _check_space(value, model, "constant and model")
             return value.mask
 
         return const
@@ -231,7 +247,7 @@ def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[M
     entry = _builtin(node.op)
     if entry is None:
         raise ResolutionError(f"{where} unknown built-in operator {node.op!r}")
-    arity, fn = entry
+    arity, fn, _, _ = entry
     if arity != len(node.args):
         raise ValidationError(f"{where} {node.op} expects {arity} arguments, got {len(node.args)}")
     parts = [_resolve_body(op, a) for a in node.args]
@@ -245,15 +261,11 @@ def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[M
 def _is_boolean(node: Node) -> bool:
     if isinstance(node, Arg):
         return True
-    return isinstance(node, App) and node.op in ("not", "and", "or") and all(
+    return isinstance(node, App) and _builtin(node.op).shape == "boolean" and all(
         _is_boolean(a) for a in node.args
     )
 
 
-# unary built-ins that distribute over unions, and their duals ¬f¬
-_ADDITIVE = ("EX", "pre", "post")
-_DUAL = ("AX", "pre~", "post~")
-_TWINS = dict(zip(_DUAL, _ADDITIVE))
 _UNTIL_BODY = App("EU", (Arg(1), Arg(2)))
 
 
@@ -266,11 +278,8 @@ def _chain_kind(op: Operator) -> Optional[str]:
     kind = None
     node = op.body
     while isinstance(node, App) and len(node.args) == 1:
-        if node.op in _DUAL:
-            step = "dual"
-        elif node.op in _ADDITIVE or EF_PATTERN.match(node.op):
-            step = "additive"
-        else:
+        step = _builtin(node.op).shape
+        if step not in ("additive", "dual"):
             return None
         if kind not in (None, step):
             return None  # a mixed chain such as AX EX #1
@@ -279,23 +288,16 @@ def _chain_kind(op: Operator) -> Optional[str]:
     return kind if node == Arg(1) else None
 
 
-# built-ins that shrink as the transition relation grows; every other
-# non-Boolean built-in (EX, pre, post, EF[lo,hi], EU, ER) grows with it
-_ANTITONE = ("AX", "pre~", "post~", "AU", "AR")
-
-
 def _polarity_of(node: Node) -> Optional[int]:
     """The sign of ``node`` as a function of the transition relation, its
     placeholders fixed: 1 when it grows with the relation, -1 when it
     shrinks, 0 when it does not read it and None when its parts disagree
-    (``AX EX #1``).  Every built-in is monotone in its arguments but
-    ``not``, which flips their sign.  The body must have resolved."""
+    (``AX EX #1``).  A built-in's own sign is its row's; every built-in is
+    monotone in its arguments but ``not``, which flips their sign.  The body
+    must have resolved."""
     if not isinstance(node, App):
         return 0
-    if node.op in ("not", "and", "or"):
-        sign = 0
-    else:
-        sign = -1 if node.op in _ANTITONE else 1
+    sign = _builtin(node.op).sign
     flip = -1 if node.op == "not" else 1
     for arg in node.args:
         inner = _polarity_of(arg)
@@ -377,7 +379,7 @@ def builtin_operator(name: str) -> Operator:
     entry = _builtin(name)
     if entry is None:
         raise ResolutionError(f"unknown built-in operator {name!r}")
-    arity, _ = entry
+    arity = entry.arity
     return Operator(name, arity, App(name, tuple(Arg(i + 1) for i in range(arity))))
 
 
@@ -386,7 +388,8 @@ class LanguageSpec:
     """Atoms with interpretations plus named operators, bound to one space.
 
     ``open_ops`` lets resolution fall through to any built-in (the ``full``
-    preset); closed languages reject operators they do not list.
+    preset); closed languages reject operators they do not list.  All
+    atoms lie over one space.
     """
 
     name: str
@@ -398,6 +401,8 @@ class LanguageSpec:
         names = [n for n, _ in self.atoms] + [op.name for op in self.operators]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate atom/operator names in language")
+        for _, s in self.atoms:
+            _check_space(s, self.atoms[0][1], "language atoms")
 
     def atom_mask(self, name: str) -> Mask:
         for n, s in self.atoms:
@@ -422,12 +427,17 @@ class LanguageSpec:
         return self.open_ops and _builtin(name) is not None
 
 
+def _check_language(lang: LanguageSpec, model: KripkeModel) -> None:
+    if lang.atoms:  # they share one space
+        _check_space(lang.atoms[0][1], model, "language and model")
+
+
 _NOT_BODY = App("not", (Arg(1),))
 _JOINS = {App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2)))}
 _DUAL_NEXTS = {App("AX", (Arg(1),)), App("pre~", (Arg(1),))}
 _NEXTS = _DUAL_NEXTS | {App("EX", (Arg(1),)), App("pre", (Arg(1),))}
 # fixpoints of pre, ¬, ∩ and ∪, so a pre-stable partition maps them to block unions
-_FIXPOINTS = {App(n, (Arg(1), Arg(2))) for n in ("EU", "AU", "ER", "AR")}
+_FIXPOINTS = {App(n, (Arg(1), Arg(2))) for n, r in _BUILTIN_TABLE.items() if r.shape == "fixpoint"}
 
 
 def _has_not(ops: Sequence[Operator]) -> bool:
@@ -533,6 +543,7 @@ def eval_formula(
 
 def eval_concrete(phi: Formula, model: KripkeModel, lang: LanguageSpec) -> StateSet:
     """⟦φ⟧: the set of states satisfying φ under the language's interpretation."""
+    _check_language(lang, model)
     mask = eval_formula(
         phi,
         lang,

@@ -46,6 +46,13 @@ def _check_family(what: str, size: int) -> None:
         )
 
 
+def _check_space(a, b, what: str) -> None:
+    """Refuse two values with a ``space`` (sets, partitions, preorders,
+    domains, models) over different spaces: the one check of them all."""
+    if a.space != b.space:
+        raise SpaceMismatchError(f"{what} over different spaces")
+
+
 def _members(mask: Mask) -> Iterator[int]:
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -170,25 +177,19 @@ class StateSet:
         if self.mask < 0 or self.mask > self.space.full_mask:
             raise ValidationError(f"mask {self.mask:#x} is not over {self.space.names}")
 
-    def _check(self, other: "StateSet") -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError(
-                f"sets over different spaces: {self.space.names} vs {other.space.names}"
-            )
-
     def __and__(self, other: "StateSet") -> "StateSet":
-        self._check(other)
+        _check_space(self, other, "sets")
         return StateSet(self.space, self.mask & other.mask)
 
     def __or__(self, other: "StateSet") -> "StateSet":
-        self._check(other)
+        _check_space(self, other, "sets")
         return StateSet(self.space, self.mask | other.mask)
 
     def __invert__(self) -> "StateSet":
         return StateSet(self.space, self.space.full_mask & ~self.mask)
 
     def __le__(self, other: "StateSet") -> bool:
-        self._check(other)
+        _check_space(self, other, "sets")
         return self.mask & ~other.mask == 0
 
     def __contains__(self, name: str) -> bool:
@@ -419,15 +420,13 @@ def domain_leq(a1: AbstractDomain, a2: AbstractDomain) -> bool:
     A Moore family contains another exactly when it contains the other's
     generators, so only those of A2 are tested and a lazy A2 is never
     listed."""
-    if a1.space != a2.space:
-        raise SpaceMismatchError("domains over different spaces")
+    _check_space(a1, a2, "domains")
     return all(a1.contains(g) for g in a2._gens)
 
 
 def domain_meet(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
     """Greatest lower bound in precision (reduced product): M(img₁ ∪ img₂)."""
-    if a1.space != a2.space:
-        raise SpaceMismatchError("domains over different spaces")
+    _check_space(a1, a2, "domains")
     closed = set(a1.masks)
     meet_close(closed, a2.masks)
     return AbstractDomain._of_moore(a1.space, frozenset(closed))
@@ -435,8 +434,7 @@ def domain_meet(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
 
 def domain_join(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
     """Least upper bound in precision: img₁ ∩ img₂ (meet-closed automatically)."""
-    if a1.space != a2.space:
-        raise SpaceMismatchError("domains over different spaces")
+    _check_space(a1, a2, "domains")
     return AbstractDomain._of_moore(a1.space, a1.masks & a2.masks)
 
 

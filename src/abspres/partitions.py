@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import lattice
-from .errors import CapacityError, SpaceMismatchError, ValidationError
+from .errors import CapacityError, ValidationError
 from .lattice import (
     AbstractDomain,
     Mask,
     SetFamily,
     StateSet,
     StateSpace,
+    _check_space,
     _classes,
     _members,
     _owners,
@@ -121,8 +122,7 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """P ≼ Q: every block of P fits inside a block of Q."""
-        if self.space != other.space:
-            raise SpaceMismatchError("partitions over different spaces")
+        _check_space(self, other, "partitions")
         for b in self.blocks:
             if not any(b & ~c == 0 for c in other.blocks):
                 return False

@@ -41,13 +41,14 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import equivalences
-from .errors import CapacityError, SpaceMismatchError, ValidationError
+from .errors import CapacityError, ValidationError
 from .kripke import KripkeModel
 from .lattice import (
     AbstractDomain,
     Mask,
     SetFamily,
     _check_family,
+    _check_space,
     _classes,
     _members,
     domain_leq,
@@ -57,6 +58,7 @@ from .lattice import (
 from .languages import (
     LanguageSpec,
     Operator,
+    _check_language,
     _splitters,
     apply_operator,
     close,
@@ -115,8 +117,7 @@ def forward_complete_shell(
     image bounded by the same constant.  See :class:`ShellTrace` for the
     snapshots of each route.
     """
-    if model.space != domain.space:
-        raise SpaceMismatchError("model over a different space than the domain")
+    _check_space(domain, model, "domain and model")
     cuts = _splitters(fs)
     if cuts is not None:
         return _splitter_shell(domain, cuts, model)
@@ -174,6 +175,7 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
     closure here)."""
     if lang.open_ops:
         raise ValidationError("semantic closure needs a closed language")
+    _check_language(lang, model)
     masks: set[Mask] = {s.mask for _, s in lang.atoms}
 
     def admit(fresh: Iterable[Mask]) -> Iterable[Mask]:
@@ -197,6 +199,7 @@ def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
     both routes the domain stays lazy.  Every other language goes through
     its semantic closure.  Σ is always a member, through the empty meet.
     """
+    _check_language(lang, model)
     atoms = [s.mask for _, s in lang.atoms]
     if in_splitter_class(lang):
         blocks = _classes(model.n, atoms)
@@ -268,8 +271,9 @@ class _BlockBatch:
     on a :class:`~abspres.kripke.KripkeModel` (why the answer is each
     completion's: :func:`sp_abstract_kripke_search`).  Only the
     transformers read the relation: bit x of slice j of ``rows[i]`` is the
-    edge i → j under completion x, so pre(Y) has slice i = ⋁_j E_ij ∧ Y_j,
-    and the duals are ¬pre¬ and ¬post¬.
+    edge i → j under completion x, so pre(Y) has slice i = ⋁_j E_ij ∧ Y_j.
+    Its only transformers are ``pre`` and ``post``: the built-in table of
+    :mod:`~abspres.languages` makes the duals ¬pre¬ and ¬post¬ from them.
     """
 
     __slots__ = ("space", "full_mask", "_rows", "_ones", "_folds", "_copies", "_table")
@@ -323,14 +327,6 @@ class _BlockBatch:
                     t |= t << shift
                 acc |= row & t
         return acc
-
-    def cpre(self, y: Mask) -> Mask:
-        full = self.full_mask
-        return full & ~self.pre(full & ~y)
-
-    def cpost(self, y: Mask) -> Mask:
-        full = self.full_mask
-        return full & ~self.post(full & ~y)
 
 
 @lru_cache(maxsize=None)
@@ -424,8 +420,8 @@ def sp_abstract_kripke_search(
         raise ValidationError("strong-preservation checks need a closed language")
     if mode not in ("all", "first"):
         raise ValidationError(f"unknown search mode {mode!r}")
-    if p.space != model.space:
-        raise SpaceMismatchError("partition over a different space than the model")
+    _check_space(p, model, "partition and model")
+    _check_language(lang, model)
     b = len(p.blocks)
     if (1 << (b * b)) > MAX_SEARCH_CANDIDATES:
         raise CapacityError(

@@ -11,6 +11,7 @@ from abspres import (
     KripkeModel,
     LanguageSpec,
     Partition,
+    SpaceMismatchError,
     ValidationError,
     adp,
     bca_apply,
@@ -723,6 +724,26 @@ def similarity_class_languages(model):
 
 class TestBlockRoute:
     def test_operator_records_its_chain(self):
+        # each built-in's (_boolean, _chain, _polarity), read off its row
+        rows = {
+            "not": (True, None, 0),
+            "and": (True, None, 0),
+            "or": (True, None, 0),
+            "EX": (False, "additive", 1),
+            "pre": (False, "additive", 1),
+            "post": (False, "additive", 1),
+            "EF[1,3]": (False, "additive", 1),
+            "AX": (False, "dual", -1),
+            "pre~": (False, "dual", -1),
+            "post~": (False, "dual", -1),
+            "EU": (False, "until", 1),
+            "AU": (False, None, -1),
+            "ER": (False, None, 1),
+            "AR": (False, None, -1),
+        }
+        for name, want in rows.items():
+            op = builtin_operator(name)
+            assert (op._boolean, op._chain, op._polarity) == want, name
         cases = {
             "EX #1": "additive",
             "post EF[1,3] pre #1": "additive",
@@ -1130,3 +1151,59 @@ class TestGfpTransfer:
         dom = adp(Partition.of(space, [(1 << 20) - 1, space.full_mask ^ ((1 << 20) - 1)]))
         with pytest.raises(ValidationError, match="not descending"):
             gfp_transfer_check(dom, builtin_operator("not"), model)
+
+
+def _ring():
+    """The 5-cycle a → b → c → d → e → a, p = {a, b} and q = {e}."""
+    return KripkeModel.of(
+        "abcde", [(s, t) for s, t in zip("abcde", "bcdea")], {"p": ["a", "b"], "q": ["e"]}
+    )
+
+
+def _mismatches():
+    """Each entry point, called with a value over five_state_pq's space and
+    the ring, or the ring's values and five_state_pq's language."""
+    from abspres import bisim_partition, coarsest_sp_partition, sp_abstract_kripke_search
+    from abspres.fixtures import five_state_pq
+    from abspres.shells import semantic_closure
+
+    kpq, ring = five_state_pq(), _ring()
+    dom = adp(bisim_partition(kpq))
+    l1, ring_l1 = preset_language("L1", kpq), preset_language("L1", ring)
+    ring_id = Partition.identity(ring.space)
+    ex = builtin_operator("EX")
+    return {
+        "paired_sp_check": lambda: paired_sp_check(
+            ring, AbstractStructure.best_approximation(dom, kpq, l1), ring_l1
+        ),
+        "eval_abstract": lambda: eval_abstract(parse_formula("EX p"), dom, ring, ring_l1),
+        "completeness_check": lambda: completeness_check("forward", dom, [ex], ring),
+        "bca_apply": lambda: bca_apply(dom, ex, [kpq.space.full], ring),
+        "gfp_transfer_check": lambda: gfp_transfer_check(dom, ex, ring),
+        "eval_concrete": lambda: eval_concrete(parse_formula("EX p"), ring, l1),
+        "coarsest_sp_partition": lambda: coarsest_sp_partition(l1, ring),
+        "is_sp_domain": lambda: is_sp_domain(adp(ring_id), l1, ring),
+        "semantic_closure": lambda: semantic_closure(preset_language("exef", kpq), ring),
+        "sp_abstract_kripke_search": lambda: sp_abstract_kripke_search(ring_id, l1, ring),
+        "from_quotient": lambda: AbstractStructure.from_quotient(
+            quotient("ee", ring, ring_id), l1
+        ),
+        "LanguageSpec": lambda: LanguageSpec("mixed", l1.atoms + (("top", ring.space.full),)),
+    }
+
+
+class TestSpaceMismatch:
+    """A value over another space than the model's is refused, never read
+    as a set over the model's space."""
+
+    @pytest.mark.parametrize("entry", sorted(_mismatches()))
+    def test_each_entry_point_refuses_another_space(self, entry):
+        with pytest.raises(SpaceMismatchError):
+            _mismatches()[entry]()
+
+    def test_matching_spaces_still_run(self):
+        ring = _ring()
+        lang = preset_language("L1", ring)
+        assert eval_concrete(parse_formula("EX p"), ring, lang).names == ("a", "e")
+        assert is_sp_domain(adp(Partition.identity(ring.space)), lang, ring)
+        assert LanguageSpec("two", lang.atoms + tuple((f"!{n}", ~s) for n, s in lang.atoms))

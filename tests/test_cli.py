@@ -326,6 +326,50 @@ class TestChecks:
         )
         assert code == 0 and out.strip() == "true"
 
+    @staticmethod
+    def cycle(tmp_path):
+        """The 3-cycle 1 → 2 → 3 → 1 with p = {1}, which no partition but
+        the identity makes complete for EX."""
+        path = tmp_path / "cycle.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "states": ["1", "2", "3"],
+                    "transitions": [["1", "2"], ["2", "3"], ["3", "1"]],
+                    "labels": {"p": ["1"]},
+                }
+            )
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("prop", ["fwd-complete", "bwd-complete"])
+    def test_completeness_needs_a_closed_language(self, capsys, tmp_path, prop):
+        # the open language lists no operator, so the check had none and held
+        check = ["check", "--model", self.cycle(tmp_path), "--property", prop, "--domain", "labels"]
+        code, _, err = run(capsys, *check, "--lang", "full")
+        assert code == 2 and "closed language" in err
+        # the operators of a closed language are checked
+        code, out, _ = run(capsys, *check, "--lang", "L1")
+        assert code == 1 and "counterexample" in out
+        # --ops names the operators, whatever the language
+        code, out, _ = run(capsys, *check, "--lang", "full", "--ops", "EX")
+        assert code == 1 and "EX" in out
+
+    def test_completeness_needs_an_operator(self, capsys, tmp_path):
+        check = ["check", "--model", self.cycle(tmp_path), "--property", "fwd-complete"]
+        code, _, err = run(capsys, *check, "--domain", "labels")
+        assert code == 2 and "--ops" in err
+        # the label constants alone are operators
+        code, out, _ = run(capsys, *check, "--domain", "labels", "--with-atoms")
+        assert code == 0 and out.strip() == "true"
+
+    def test_shell_needs_a_closed_language(self, capsys, tmp_path):
+        model = self.cycle(tmp_path)
+        code, _, err = run(capsys, "shell", "--model", model, "--lang", "full", "--seed", "labels")
+        assert code == 2 and "closed language" in err
+        code, out, _ = run(capsys, "shell", "--model", model, "--lang", "L1", "--seed", "labels")
+        assert code == 0 and len(out.split()) == 8  # ℘(Σ) of the cycle
+
 
 class TestSearchAndQuotient:
     def test_search_reports_emptiness(self, capsys):
@@ -1009,6 +1053,33 @@ class TestReadme:
             assert isinstance(vars(modules[home])[name], int), (home, name)
             copies = [m for m, mod in modules.items() if m != home and name in vars(mod)]
             assert not copies and name not in vars(abspres), (name, copies)
+
+    def test_duals_are_built_in_one_place(self):
+        # the built-in table makes every dual from pre and post, so no
+        # module but kripke defines or calls cpre/cpost (kripke keeps them
+        # for callers); and the parser's keywords are the table's names
+        import ast
+        import pkgutil
+
+        import abspres
+        from abspres.formulas import BINARY_KEYWORDS, UNARY_KEYWORDS
+        from abspres.languages import _BUILTIN_TABLE
+
+        src = os.path.dirname(abspres.__file__)
+        for info in pkgutil.iter_modules([src]):
+            if info.name == "kripke":
+                continue
+            with open(os.path.join(src, f"{info.name}.py"), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            uses = [
+                node.lineno
+                for node in ast.walk(tree)
+                if getattr(node, "name", None) in ("cpre", "cpost")
+                or getattr(node, "attr", None) in ("cpre", "cpost")
+                or getattr(node, "id", None) in ("cpre", "cpost")
+            ]
+            assert not uses, (info.name, uses)
+        assert set(_BUILTIN_TABLE) == {"not", "and", "or", *UNARY_KEYWORDS, *BINARY_KEYWORDS}
 
     def test_library_example(self, capsys):
         (example,) = self.fenced("python")

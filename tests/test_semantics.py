@@ -33,6 +33,7 @@ from conftest import (
     brute_greatest_fixpoint,
     brute_least_fixpoint,
     eu_path_oracle,
+    random_model,
     random_total_model,
 )
 
@@ -309,6 +310,32 @@ class TestFixpointOracles:
                 s1, s2 = rng.randrange(top), rng.randrange(top)
                 for args in ((s1, s2), (s1, s1 & s2), (s1 | s2, s2)):
                     assert until_mask(batch, *args) == kleene(batch, *args)
+
+    def test_builtins_read_only_full_mask_pre_and_post(self):
+        # every built-in, the duals and fixpoints included, on an object
+        # that has nothing but space.full_mask, pre and post, delegating to
+        # a KripkeModel: the values are the model's, dead states included
+        from types import SimpleNamespace
+
+        from abspres.formulas import BINARY_KEYWORDS, UNARY_KEYWORDS
+
+        names = ("not", "and", "or") + UNARY_KEYWORDS + BINARY_KEYWORDS + ("EF[1,3]",)
+        ops = [builtin_operator(name) for name in names]
+        rng = random.Random(41)
+        dead = 0
+        for i in range(60):
+            model = random_model(rng, 1 + i % 6)
+            dead += not model.is_total()
+            full = model.space.full_mask
+            thin = SimpleNamespace(
+                space=SimpleNamespace(full_mask=full), pre=model.pre, post=model.post
+            )
+            for _ in range(4):
+                args = (rng.randrange(full + 1), rng.randrange(full + 1))
+                for op in ops:
+                    got = apply_operator(op, thin, args[: op.arity])
+                    assert got == apply_operator(op, model, args[: op.arity]), (op.name, model)
+        assert len(ops) == 14 and dead >= 5
 
 
 class TestLanguageSpecs:

@@ -28,13 +28,14 @@ the pairs.  The pairs are saturated by the same engine as the semantic
 closure, :func:`~abspres.languages.close`, with pairs of masks as its items.
 
 :func:`paired_sp_check` returns only an :class:`SpVerdict`: the verdict and
-a witness.  Under a splitter- or similarity-class language, a quotient by
-P is strong iff adp(P) ⊑ A_L and each checked operator agrees with the
-concrete one on each generator g of A_L (dual chains) or on Σ∖g (additive
-chains): :func:`_strong_on_generators`.  Under a language with ``not`` a
-quotient is never weak-only (an existential atom contains its concrete set,
-and ¬ is exact on block unions), so otherwise a paired closure that stops
-at the first violating pair, with the full closure's witness, decides it.
+a witness.  Under a language that :func:`~abspres.languages._route` sends
+to the splitter or the similarity engine, a quotient by P is strong iff
+adp(P) ⊑ A_L and each checked operator agrees with the concrete one on each
+generator g of A_L (dual chains) or on Σ∖g (additive chains):
+:func:`_strong_on_generators`.  Under a language with ``not`` a quotient
+is never weak-only (an existential atom contains its concrete set, and ¬ is
+exact on block unions), so otherwise a paired closure that stops at the
+first violating pair, with the full closure's witness, decides it.
 
 The relation search of :mod:`abspres.shells` needs no paired closure either:
 S = {⟦φ⟧ | φ ∈ L} is the same for every candidate, so it closes S once and
@@ -56,13 +57,11 @@ from .languages import (
     Operator,
     _check_language,
     _has_not,
-    _splitters,
+    _route,
     apply_operator,
     close,
     eval_formula,
     gfp,
-    in_similarity_class,
-    in_splitter_class,
     lfp,
 )
 from .partitions import Partition, adp
@@ -316,9 +315,10 @@ class SpVerdict:
 
 def _strong_on_generators(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
     """Does the generator test (module docstring) show the quotient by
-    ``p`` strong?  It checks the cuts of a splitter-class language with no
-    until among them (``EU`` is not additive in its first argument), or the
-    ``AX``/``pre~`` operators of a similarity-class one; else False.
+    ``p`` strong?  It checks the operators :func:`~abspres.languages._route`
+    returns, the cuts of the splitter route or the ``AX``/``pre~`` operators
+    of the similarity route, unless an until is among them (``EU`` is not
+    additive in its first argument); with no route it is False.
 
     The test is exact.  S ⊆ adp(P) iff adp(P) ⊑ A_L = M(S), and A_L's
     generators G lie in S, so agreement on G is needed.  It suffices: on
@@ -330,13 +330,8 @@ def _strong_on_generators(model: KripkeModel, p: Partition, structure: AbstractS
     unions of the C (the meets of the Σ∖C), and the fixpoints that do not
     cut are built from the next operator among the cuts."""
     lang = structure.lang
-    if in_splitter_class(lang):
-        cuts = _splitters(lang.operators)
-        if any(op._chain == "until" for op in cuts):
-            return False
-    elif in_similarity_class(lang):
-        cuts = [op for op in lang.operators if op._chain]
-    else:
+    engine, cuts = _route(lang)
+    if engine is None or any(op._chain == "until" for op in cuts):
         return False
     a_l = ad_of_language(lang, model)
     if not domain_leq(adp(p), a_l):

@@ -15,7 +15,8 @@ unions directly, whether its body is a chain of additive built-ins (or of
 their duals) applied to ``#1``, or ``EU #1 #2``, and whether it grows or
 shrinks with the transition relation, which bounds the relation search.  The
 operators, never a language's name, pick its routes: :func:`_splitters`
-and the class tests.
+for a set of operators, and :func:`_route`, the one place that decides a
+language's engine.
 
 :func:`close` is the one saturation engine of the package: the forward
 complete shell (outside the splitter class, whose shells the splitter
@@ -453,8 +454,8 @@ def _splitters(ops: Sequence[Operator]) -> Optional[list[Operator]]:
     some body is ``EX #1``, ``AX #1``, ``pre #1`` or ``pre~ #1``.  Nor does a
     dual chain whose additive twin (``AX`` to ``EX``, ``pre~`` to ``pre``,
     ``post~`` to ``post``) is a cut: AX(Σ∖B) = Σ∖EX(B) makes the twin's cut.
-    The test of :func:`~abspres.abstraction._strong_on_generators` stays
-    exact without the twin, since with ``not`` the quotient's AX is ¬EX♯¬
+    The generator test on :func:`_route`'s cuts stays exact without the
+    twin, since with ``not`` the quotient's AX is ¬EX♯¬
     as the concrete AX is ¬EX¬, so it agrees on block unions when EX does.
     The test is syntactic: an equivalent body written otherwise is not
     admitted."""
@@ -481,31 +482,28 @@ def _additive_twin(node: Node) -> Node:
     return node
 
 
-def in_splitter_class(lang: LanguageSpec) -> bool:
-    """Is ``lang`` a closed language with an atom, an operator ``and #1 #2``
-    or ``or #1 #2``, and operators that :func:`_splitters` admits (L1, L2 and
-    CTL are)?  Then S = {⟦φ⟧ | φ ∈ L} is the unions of the blocks of P_L,
-    which the splitter engine computes from the atom partition."""
-    return (
-        bool(lang.atoms)
-        and not lang.open_ops
-        and _splitters(lang.operators) is not None
-        and any(op.body in _JOINS for op in lang.operators)
-    )
-
-
-def in_similarity_class(lang: LanguageSpec) -> bool:
-    """Is ``lang`` a closed language with atoms closed under complement, the
-    operators ``and #1 #2`` and ``or #1 #2``, some ``AX #1`` or ``pre~ #1``,
-    and no other operator?  L3 is.  Then S = {⟦φ⟧ | φ ∈ L} is add of the
-    similarity of the atoms (:func:`~abspres.equivalences._similarity`).
-    """
+def _route(lang: LanguageSpec) -> tuple[Optional[str], list[Operator]]:
+    """The engine that answers S = {⟦φ⟧ | φ ∈ L} for a closed ``lang`` with
+    an atom and an operator ``and #1 #2`` or ``or #1 #2``, and the operators
+    it cuts by; every test is syntactic.  ``("splitter", cuts)`` when
+    :func:`_splitters` admits the operators (L1, L2 and CTL): S is the unions
+    of the blocks of P_L, which the splitter engine computes from the atom
+    partition.  ``("similarity", the AX #1 and pre~ #1 operators)`` when the
+    atoms are closed under complement and the operators are both joins and
+    at least one of those (L3): S is add of the similarity of the atoms
+    (:func:`~abspres.equivalences._similarity`).  Else ``(None, [])``, and
+    :func:`close` builds S."""
     bodies = {op.body for op in lang.operators}
-    if lang.open_ops or not lang.atoms or not _JOINS < bodies <= _JOINS | _DUAL_NEXTS:
-        return False
+    if lang.open_ops or not lang.atoms or not bodies & _JOINS:
+        return None, []
+    cuts = _splitters(lang.operators)
+    if cuts is not None:
+        return "splitter", cuts
     full = lang.atoms[0][1].space.full_mask
     masks = {s.mask for _, s in lang.atoms}
-    return masks == {full & ~m for m in masks}
+    if _JOINS < bodies <= _JOINS | _DUAL_NEXTS and masks == {full & ~m for m in masks}:
+        return "similarity", [op for op in lang.operators if op.body in _DUAL_NEXTS]
+    return None, []
 
 
 def resolve_application(lang: LanguageSpec, phi: App) -> App | Atom:

@@ -13,9 +13,10 @@ iff image(A2) ⊆ image(A1).
 
 A state space may have any number of states.  The bound sits with each
 route that builds a family over ℘(Σ): :data:`DEFAULT_MAX_FAMILY` for a
-materialized family, a listed ℘(Σ) included, :data:`MAX_ENUMERATION_STATES` for
-the enumerations.  Each is read where it is checked, so setting it raises it.
-The Moore property is checked once, where an image enters from outside the
+materialized family, a listed ℘(Σ), a Moore closure and a meet included
+(:func:`meet_close` checks it per generator), and
+:data:`MAX_ENUMERATION_STATES` for the enumerations.  Each is read where it
+is checked, so setting it raises it.  The Moore property is checked once, where an image enters from outside the
 library (``AbstractDomain(space, image=...)``); the families the library
 builds itself (Moore closures, meets, joins, {Σ}, the enumeration, shell
 rounds, and the meets of a lazy domain's generators) are Moore by
@@ -260,16 +261,18 @@ class SetFamily:
         return frozenset(self.masks)
 
 
-def meet_close(closed: set[Mask], fresh: Iterable[Mask]) -> set[Mask]:
+def meet_close(closed: set[Mask], fresh: Iterable[Mask], what: str) -> set[Mask]:
     """Add the meets of ``fresh`` to the Moore family ``closed``, in place;
     returns the masks added.  Each new g adds {m ∩ g | m ∈ closed}, which
-    keeps ``closed`` meet-closed, as (m ∩ g) ∩ m' = (m ∩ m') ∩ g."""
+    keeps ``closed`` meet-closed, as (m ∩ g) ∩ m' = (m ∩ m') ∩ g.  The first
+    g whose meets pass :data:`DEFAULT_MAX_FAMILY` raises, naming ``what``."""
     added: set[Mask] = set()
     for g in fresh:
         if g not in closed:
             meets = {m & g for m in closed} - closed
             closed |= meets
             added |= meets
+            _check_family(what, len(closed))
     return added
 
 
@@ -346,7 +349,7 @@ class AbstractDomain:
                     f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
                 )
             image = {self.space.full_mask}
-            meet_close(image, self._gens)
+            meet_close(image, self._gens, "image")
             self._masks = frozenset(image)
         return self._masks
 
@@ -405,7 +408,7 @@ def moore_close(family: SetFamily) -> AbstractDomain:
     the image.
     """
     closed = {family.space.full_mask}
-    meet_close(closed, family.masks)
+    meet_close(closed, family.masks, "Moore closure")
     return AbstractDomain._of_moore(family.space, frozenset(closed), family.masks)
 
 
@@ -428,7 +431,7 @@ def domain_meet(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
     """Greatest lower bound in precision (reduced product): M(img₁ ∪ img₂)."""
     _check_space(a1, a2, "domains")
     closed = set(a1.masks)
-    meet_close(closed, a2.masks)
+    meet_close(closed, a2.masks, "domain meet")
     return AbstractDomain._of_moore(a1.space, frozenset(closed))
 
 

@@ -22,10 +22,11 @@ family holding A's image that F maps into itself.  It has two routes.
 
 The semantic closure of a language runs the saturation engine without the
 re-closing.  The most abstract strongly preserving domain A_L has three
-routes, picked by the operators: adp of the atom partition refined by the
-splitter engine (L1, L2 and CTL), add of a similarity preorder (L3), and
-the Moore closure of the semantic closure.  The coarsest strongly
-preserving partition is pr of that domain, on every route.
+routes, picked by the operators in :func:`~abspres.languages._route`: adp
+of the atom partition refined by the splitter engine (L1, L2 and CTL), add
+of a similarity preorder (L3), and the Moore closure of the semantic
+closure.  The coarsest strongly preserving partition is pr of that domain,
+on every route.
 
 The relation search runs the saturation engine once over the concrete
 atoms and walks the candidate block relations row by row, pruning each
@@ -59,11 +60,10 @@ from .languages import (
     LanguageSpec,
     Operator,
     _check_language,
+    _route,
     _splitters,
     apply_operator,
     close,
-    in_similarity_class,
-    in_splitter_class,
 )
 from .partitions import Partition, add, adp, pr
 
@@ -79,13 +79,18 @@ class ShellTrace:
     one snapshot.  On the splitter route the next snapshot is adp(pr(seed))
     when the seed is not partitioning, and then each pass of the splitter
     engine adds adp of its partition.  On both routes image sizes strictly
-    increase until the last step, the final snapshot repeats the fixpoint
-    (the last two entries are equal), ``new_counts`` holds the number of
-    sets each step adds, and the last new-set count is 0.
+    increase until the last step, and the final snapshot repeats the
+    fixpoint (the last two entries are equal).
     """
 
     iterations: tuple[AbstractDomain, ...]
-    new_counts: tuple[int, ...]
+
+    @property
+    def new_counts(self) -> tuple[int, ...]:
+        """The number of sets each step adds, the last one 0, read off the
+        snapshots' sizes: reading it lists every snapshot's image."""
+        sizes = [len(d) for d in self.iterations]
+        return tuple(b - a for a, b in zip(sizes, sizes[1:]))
 
     def to_json(self) -> list[list[str]]:
         out = []
@@ -131,18 +136,15 @@ def _splitter_shell(
     space = domain.space
     start = pr(domain)
     snapshots = [domain]
-    counts: list[int] = []
     # A refines adp(pr(A)) exactly when it is adp(pr(A))
     if not domain_leq(domain, adp(start)):
         snapshots.append(adp(start))
-        counts.append((1 << len(start)) - len(domain))
     size = len(start)
     for blocks in equivalences._splitter_passes(model, start.blocks, cuts):
         grown = len(blocks) > size
         snapshots.append(adp(Partition.from_masks(space, blocks)) if grown else snapshots[-1])
-        counts.append((1 << len(blocks)) - (1 << size))
         size = len(blocks)
-    return ShellResult(snapshots[-1], ShellTrace(tuple(snapshots), tuple(counts)))
+    return ShellResult(snapshots[-1], ShellTrace(tuple(snapshots)))
 
 
 def _closure_shell(
@@ -153,20 +155,16 @@ def _closure_shell(
     masks: set[Mask] = set(domain.masks)
     # every round's family is meet-closed and holds Σ, so no snapshot is re-checked
     snapshots = [AbstractDomain._of_moore(domain.space, frozenset(masks))]
-    counts: list[int] = []
 
     def admit(fresh: Iterable[Mask]) -> set[Mask]:
-        added = meet_close(masks, fresh)
-        _check_family("shell image", len(masks))
+        added = meet_close(masks, fresh, "shell image")
         snapshots.append(
             AbstractDomain._of_moore(domain.space, frozenset(masks)) if added else snapshots[-1]
         )
-        counts.append(len(added))
         return added
 
     close(masks, fs, lambda op, args: apply_operator(op, model, args), admit)
-    trace = ShellTrace(tuple(snapshots), tuple(counts))
-    return ShellResult(snapshots[-1], trace)
+    return ShellResult(snapshots[-1], ShellTrace(tuple(snapshots)))
 
 
 def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
@@ -190,21 +188,21 @@ def semantic_closure(lang: LanguageSpec, model: KripkeModel) -> SetFamily:
 def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
     """The most abstract strongly preserving domain A_L = M({⟦φ⟧ | φ ∈ L}).
 
-    The operators pick the route.  For a language of the splitter class
-    (:func:`~abspres.languages.in_splitter_class`: L1, L2 and CTL among
-    them) S is the set of unions of the blocks of P_L, and P_L is the
-    partition by atom membership refined by the splitter engine.  For one of
-    the similarity class (:func:`~abspres.languages.in_similarity_class`:
-    L3 among them) S is add(R), R the similarity preorder of the atoms.  On
-    both routes the domain stays lazy.  Every other language goes through
-    its semantic closure.  Σ is always a member, through the empty meet.
+    The operators pick the route, through :func:`~abspres.languages._route`.
+    On the splitter route (L1, L2 and CTL among others) S is the set of
+    unions of the blocks of P_L, and P_L is the partition by atom membership
+    refined by the splitter engine by the route's cuts.  On the similarity
+    route (L3 among others) S is add(R), R the similarity preorder of the
+    atoms.  On both routes the domain stays lazy.  Every other language goes
+    through its semantic closure.  Σ is always a member, through the empty
+    meet.
     """
     _check_language(lang, model)
     atoms = [s.mask for _, s in lang.atoms]
-    if in_splitter_class(lang):
-        blocks = _classes(model.n, atoms)
-        return adp(equivalences._stable_partition(model, blocks, _splitters(lang.operators)))
-    if in_similarity_class(lang):
+    engine, cuts = _route(lang)
+    if engine == "splitter":
+        return adp(equivalences._stable_partition(model, _classes(model.n, atoms), cuts))
+    if engine == "similarity":
         return add(equivalences._similarity(model, atoms))
     return moore_close(semantic_closure(lang, model))
 

@@ -343,6 +343,65 @@ def semantic_closure_is_sp_domain(domain, lang, model: KripkeModel) -> bool:
     return all(domain.contains(c) for c in semantic_closure(lang, model).masks)
 
 
+# --- the two language-class tests that languages._route replaced -----------
+
+
+def in_splitter_class(lang) -> bool:
+    """Is ``lang`` a closed language with an atom, an operator ``and #1 #2``
+    or ``or #1 #2``, and operators that ``_splitters`` admits (L1, L2 and
+    CTL are)?  Then S = {⟦φ⟧ | φ ∈ L} is the unions of the blocks of P_L,
+    which the splitter engine computes from the atom partition."""
+    from abspres.languages import _JOINS, _splitters
+
+    return (
+        bool(lang.atoms)
+        and not lang.open_ops
+        and _splitters(lang.operators) is not None
+        and any(op.body in _JOINS for op in lang.operators)
+    )
+
+
+def in_similarity_class(lang) -> bool:
+    """Is ``lang`` a closed language with atoms closed under complement, the
+    operators ``and #1 #2`` and ``or #1 #2``, some ``AX #1`` or ``pre~ #1``,
+    and no other operator?  L3 is.  Then S = {⟦φ⟧ | φ ∈ L} is add of the
+    similarity of the atoms."""
+    from abspres.languages import _DUAL_NEXTS, _JOINS
+
+    bodies = {op.body for op in lang.operators}
+    if lang.open_ops or not lang.atoms or not _JOINS < bodies <= _JOINS | _DUAL_NEXTS:
+        return False
+    full = lang.atoms[0][1].space.full_mask
+    masks = {s.mask for _, s in lang.atoms}
+    return masks == {full & ~m for m in masks}
+
+
+def splitter_class_languages(model: KripkeModel) -> list:
+    """L1, L1 + post, L1 + AX, or/not/EF[0,2] and and/or/not/pre~/post~."""
+    from abspres import language_from_ops, preset_language
+
+    return [preset_language("L1", model)] + [
+        language_from_ops(model, ops)
+        for ops in (
+            ["and", "not", "EX", "post"],
+            ["and", "not", "EX", "AX"],
+            ["or", "not", "EF[0,2]"],
+            ["and", "or", "not", "pre~", "post~"],
+        )
+    ]
+
+
+def similarity_class_languages(model: KripkeModel) -> list:
+    """L3, and/or/pre~ and and/or/pre~/AX, over the labels and their negations."""
+    from abspres import LanguageSpec, builtin_operator, preset_language
+
+    l3 = preset_language("L3", model)
+    return [l3] + [
+        LanguageSpec(f"L3-{len(ops)}", l3.atoms, tuple(builtin_operator(op) for op in ops))
+        for ops in (["and", "or", "pre~"], ["and", "or", "pre~", "AX"])
+    ]
+
+
 # --- partitions and preorders by their definitions ------------------------
 
 

@@ -32,6 +32,8 @@ from abspres.languages import builtin_operator, const_operator, operator_from_ex
 from abspres.lattice import StateSet, StateSpace
 from abspres.shells import ad_of_language
 
+from conftest import similarity_class_languages, splitter_class_languages
+
 
 class TestBestApproximation:
     def test_axx_table_on_traffic_light(self, tl):
@@ -599,7 +601,7 @@ class TestBooleanMaskRoute:
         from abspres import bisim_partition, language_from_json
         from abspres.abstraction import paired_semantic_closure
         from abspres.kripke import label_partition
-        from abspres.languages import in_splitter_class
+        from conftest import in_splitter_class
         from conftest import random_total_model
 
         # a closure past 64 pairs is stopped on both routes, which must then
@@ -700,28 +702,6 @@ def random_model(rng, max_states, stuck):
     return KripkeModel(space, succ, labels)
 
 
-def splitter_class_languages(model):
-    """L1, L1 + post, L1 + AX, or/not/EF[0,2] and and/or/not/pre~/post~."""
-    return [preset_language("L1", model)] + [
-        language_from_ops(model, ops)
-        for ops in (
-            ["and", "not", "EX", "post"],
-            ["and", "not", "EX", "AX"],
-            ["or", "not", "EF[0,2]"],
-            ["and", "or", "not", "pre~", "post~"],
-        )
-    ]
-
-
-def similarity_class_languages(model):
-    """L3, and/or/pre~ and and/or/pre~/AX, over the labels and their negations."""
-    l3 = preset_language("L3", model)
-    return [l3] + [
-        LanguageSpec(f"L3-{len(ops)}", l3.atoms, tuple(builtin_operator(op) for op in ops))
-        for ops in (["and", "or", "pre~"], ["and", "or", "pre~", "AX"])
-    ]
-
-
 class TestBlockRoute:
     def test_operator_records_its_chain(self):
         # each built-in's (_boolean, _chain, _polarity), read off its row
@@ -775,7 +755,7 @@ class TestBlockRoute:
         from abspres import bisim_partition, coarsest_sp_partition
         from abspres.abstraction import paired_semantic_closure
         from abspres.kripke import label_partition
-        from abspres.languages import in_splitter_class
+        from conftest import in_splitter_class
 
         rng = random.Random(1213)
         verdicts = {"strong": 0, "neither": 0, "capped": 0}
@@ -852,7 +832,7 @@ class TestBlockRoute:
         from abspres import bisim_partition, coarsest_sp_partition, simeq_partition
         from abspres.abstraction import paired_semantic_closure
         from abspres.kripke import label_partition
-        from abspres.languages import in_similarity_class
+        from conftest import in_similarity_class
 
         monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 64)
 

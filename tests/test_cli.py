@@ -1001,6 +1001,55 @@ class TestLargeModels:
         assert "backward check for 'and' needs 4194304 tuples, over DEFAULT_MAX_TUPLES = 1048576" in err
 
 
+class TestCapacityRefusals:
+    """A --domain family file is Moore-closed under DEFAULT_MAX_FAMILY: the
+    closure stops at the first set whose meets take it over the bound."""
+
+    @staticmethod
+    def co_atoms(tmp_path, n):
+        """An n-state ring and a family file of its n co-atoms, whose Moore
+        closure is all 2^n subsets."""
+        names = [f"s{i}" for i in range(n)]
+        model = tmp_path / f"ring{n}.json"
+        model.write_text(json.dumps({
+            "states": names,
+            "transitions": [[names[i], names[(i + 1) % n]] for i in range(n)],
+            "labels": {"p": [names[0]]},
+        }))
+        family = tmp_path / f"co-atoms{n}.json"
+        family.write_text(json.dumps({"sets": [[t for t in names if t != s] for s in names]}))
+        return str(model), str(family)
+
+    def test_family_file_under_a_patched_bound(self, capsys, tmp_path, monkeypatch):
+        from abspres import lattice
+
+        model, family = self.co_atoms(tmp_path, 4)
+        argv = ("check", "--property", "partitioning", "--model", model, "--domain", family)
+        assert run(capsys, *argv)[:2] == (0, "true\n")
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 8)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "Moore closure reached 16 sets, over DEFAULT_MAX_FAMILY = 8" in err
+
+    def test_co_atoms_of_22_states(self, tmp_path):
+        # 2^22 sets at about 560 MB before the closure was bounded; now
+        # refused at 2^21, in a subprocess so its memory goes with it
+        import subprocess
+        import sys
+
+        import abspres
+
+        model, family = self.co_atoms(tmp_path, 22)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(abspres.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "abspres", "check", "--property", "partitioning",
+             "--model", model, "--domain", family],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "Moore closure reached 2097152 sets, over DEFAULT_MAX_FAMILY = 1048576" in proc.stderr
+
+
 class TestReadme:
     """The README's command lines and library example run as documented."""
 

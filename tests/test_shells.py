@@ -1,6 +1,7 @@
 """Forward complete shells, language domains and the block-relation search."""
 
 import random
+import re
 
 import pytest
 
@@ -23,13 +24,13 @@ from abspres import (
 )
 from abspres import equivalences, lattice, shells
 from abspres.languages import (
+    PRESET_NAMES,
     LanguageSpec,
+    _route,
     _splitters,
     apply_operator,
     builtin_operator,
     const_operator,
-    in_similarity_class,
-    in_splitter_class,
     language_from_json,
     language_from_ops,
     operator_from_expr,
@@ -49,8 +50,12 @@ from conftest import (
     brute_moore_close,
     domain_as_frozensets,
     exhaustive_relation_search,
+    in_similarity_class,
+    in_splitter_class,
     random_model,
     random_total_model,
+    similarity_class_languages,
+    splitter_class_languages,
 )
 
 
@@ -100,6 +105,48 @@ def splitter_op_sets():
         ["and", "pre~", "AU", "EF[1,2]"], ["or", "EX", "AR"],
     ]
     return [[ops["not"]] + [ops[n] for n in group] for group in names]
+
+
+def class_languages(rng, model):
+    """The splitter-class languages of the class tests, then two
+    similarity-class ones over random atoms closed under complement, and
+    the number of splitter-class ones (CTL only up to six states)."""
+    axx = operator_from_expr("AXX", 1, "AX AX #1")
+    imp = operator_from_expr("imp", 2, "!#1 | #2")
+    langs = [preset_language("L1", model)] + [
+        language_from_ops(model, ops)
+        for ops in (
+            ["and", "not", "EX", "post"],
+            ["and", "not", "AX"],
+            ["or", "not", "EF[1,3]"],
+            ["and", "or", "not", "pre~", "post~"],
+        )
+    ]
+    base = language_from_ops(model, ["and", "not"])
+    langs += [
+        LanguageSpec("AXX", base.atoms, base.operators + (axx,)),
+        LanguageSpec("imp", base.atoms, base.operators + (imp, builtin_operator("EX"))),
+        preset_language("L2", model),
+        language_from_ops(model, ["and", "not", "EU", "EX"]),
+        language_from_ops(model, ["or", "not", "EU", "AX"]),
+        language_from_ops(model, ["and", "not", "EX", "AU"]),
+        language_from_ops(model, ["or", "not", "AX", "ER", "AR"]),
+    ]
+    if model.n <= 6:
+        ctl = preset_language("CTL", model)
+        langs += [ctl, LanguageSpec("CTL+post", ctl.atoms, ctl.operators + _ops("post"))]
+    splitter_class = len(langs)
+    # atoms closed under complement that are not the labels
+    masks = [rng.randrange(1 << model.n) for _ in range(rng.randint(1, 2))]
+    full = model.space.full_mask
+    atoms = tuple(
+        (f"{sign}a{i}", StateSet(model.space, mask if sign == "" else full & ~mask))
+        for i, mask in enumerate(masks)
+        for sign in ("", "!")
+    )
+    for dual in ("AX", "pre~"):
+        langs.append(LanguageSpec("sim", atoms, _ops("and", "or", dual)))
+    return langs, splitter_class
 
 
 class TestForwardCompleteShell:
@@ -633,42 +680,8 @@ class TestCoarsestSpPartition:
         rng = random.Random(1313)
         models = [random_model(rng, 1 + i % 7) for i in range(140)]
         assert any(0 in m.succ for m in models) and any(0 not in m.succ for m in models)
-        axx = operator_from_expr("AXX", 1, "AX AX #1")
-        imp = operator_from_expr("imp", 2, "!#1 | #2")
         for model in models:
-            langs = [preset_language("L1", model)] + [
-                language_from_ops(model, ops)
-                for ops in (
-                    ["and", "not", "EX", "post"],
-                    ["and", "not", "AX"],
-                    ["or", "not", "EF[1,3]"],
-                    ["and", "or", "not", "pre~", "post~"],
-                )
-            ]
-            base = language_from_ops(model, ["and", "not"])
-            langs += [
-                LanguageSpec("AXX", base.atoms, base.operators + (axx,)),
-                LanguageSpec("imp", base.atoms, base.operators + (imp, builtin_operator("EX"))),
-                preset_language("L2", model),
-                language_from_ops(model, ["and", "not", "EU", "EX"]),
-                language_from_ops(model, ["or", "not", "EU", "AX"]),
-                language_from_ops(model, ["and", "not", "EX", "AU"]),
-                language_from_ops(model, ["or", "not", "AX", "ER", "AR"]),
-            ]
-            if model.n <= 6:
-                ctl = preset_language("CTL", model)
-                langs += [ctl, LanguageSpec("CTL+post", ctl.atoms, ctl.operators + _ops("post"))]
-            splitter_class = len(langs)
-            # atoms closed under complement that are not the labels
-            masks = [rng.randrange(1 << model.n) for _ in range(rng.randint(1, 2))]
-            full = model.space.full_mask
-            atoms = tuple(
-                (f"{sign}a{i}", StateSet(model.space, mask if sign == "" else full & ~mask))
-                for i, mask in enumerate(masks)
-                for sign in ("", "!")
-            )
-            for dual in ("AX", "pre~"):
-                langs.append(LanguageSpec("sim", atoms, _ops("and", "or", dual)))
+            langs, splitter_class = class_languages(rng, model)
             for i, lang in enumerate(langs):
                 assert in_splitter_class(lang) == (i < splitter_class), lang.name
                 assert in_similarity_class(lang) == (i >= splitter_class), lang.name
@@ -1074,11 +1087,12 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         call = lambda: semantic_closure(l1, kpq)
         message = "semantic closure reached 5 sets, over DEFAULT_MAX_FAMILY = 3"
     elif case == "shell":
-        # {or, pre~} has no `not`, so its shell is closed set by set
+        # {or, pre~} has no `not`, so its shell is closed set by set; the
+        # first new set whose meets take the image over 4 is refused
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         ops = [builtin_operator("or"), builtin_operator("pre~")]
         call = lambda: forward_complete_shell(seed, ops, kpq)
-        message = "shell image reached 7 sets, over DEFAULT_MAX_FAMILY = 4"
+        message = "shell image reached 5 sets, over DEFAULT_MAX_FAMILY = 4"
     elif case == "splitter-shell":
         # the splitter route answers adp of four blocks, refused when listed
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
@@ -1162,3 +1176,206 @@ def test_each_bound_is_set_through_its_own_module(case, kpq, monkeypatch):
     monkeypatch.setattr(module, name, value)
     with pytest.raises(CapacityError, match=f"{name} = {value}\\b"):
         call()
+
+
+class TestRoute:
+    """`languages._route` against the two class tests it replaced (oracles
+    in conftest) and against `_splitters`."""
+
+    @staticmethod
+    def check(lang):
+        engine, cuts = _route(lang)
+        splitter, similarity = in_splitter_class(lang), in_similarity_class(lang)
+        assert not (splitter and similarity), lang.name
+        if splitter:
+            assert engine == "splitter", lang.name
+            assert cuts == _splitters(lang.operators), lang.name
+        elif similarity:
+            assert engine == "similarity", lang.name
+            assert cuts == [op for op in lang.operators if op._chain], lang.name
+        else:
+            assert (engine, cuts) == (None, []), lang.name
+        return engine
+
+    def test_presets(self, kpq, tl, kpqr):
+        rng = random.Random(61)
+        no_labels = KripkeModel(StateSpace(("a", "b")), (0b10, 0b01), ())
+        models = [kpq, tl, kpqr, no_labels] + [random_model(rng, 1 + i % 6) for i in range(30)]
+        want = {"L1": "splitter", "L2": "splitter", "CTL": "splitter", "L3": "similarity"}
+        for model in models:
+            for name in PRESET_NAMES:
+                engine = self.check(preset_language(name, model))
+                assert engine == (want.get(name) if model.label_items else None), name
+
+    def test_languages_of_the_class_tests(self, kpq):
+        rng = random.Random(67)
+        engines = {"splitter": 0, "similarity": 0, None: 0}
+        high = operator_from_expr("F", 12, "pre #1")
+        mixed = operator_from_expr("AXEX", 1, "AX EX #1")
+        for i in range(40):
+            model = kpq if i == 0 else random_model(rng, 1 + i % 7)
+            langs, splitter_class = class_languages(rng, model)
+            assert [self.check(lang) for lang in langs] == (
+                ["splitter"] * splitter_class + ["similarity"] * (len(langs) - splitter_class)
+            )
+            l1 = preset_language("L1", model)
+            full = model.space.full_mask
+            m = rng.randrange(full + 1)
+            closed_atoms = tuple(
+                (name, StateSet(model.space, mask)) for name, mask in (("a", m), ("!a", full & ~m))
+            )
+            clash = tuple((name, StateSet(model.space, mask)) for name, mask in (("p", m), ("!p", m)))
+            file_doc = {"operators": [{"name": "imp", "expr": "!#1 | #2"}, {"name": "EX"}]}
+            langs = (
+                splitter_class_languages(model)
+                + similarity_class_languages(model)
+                + [preset_language(n, model) for n in ("L2", "CTL", "exef", "semaforo")]
+                + [
+                    language_from_ops(model, ["and", "not", "EU", "EX"]),
+                    language_from_ops(model, ["and", "not", "AU"]),
+                    language_from_json(file_doc, model),
+                    LanguageSpec("and-or", closed_atoms, _ops("and", "or")),
+                    LanguageSpec("L1+AXEX", l1.atoms, l1.operators + (mixed,)),
+                    LanguageSpec("L1+F", l1.atoms, l1.operators + (high,)),
+                    LanguageSpec("clash", clash, _ops("and", "or", "AX")),
+                ]
+                + [
+                    language_from_json(doc, model)
+                    for doc in (
+                        {"preset": "L1", "operators": [{"name": "post"}]},
+                        {"preset": "L2", "operators": [{"name": "EX"}]},
+                        {"preset": "L1", "atoms": {"p": ["1"]}},
+                    )
+                ]
+            )
+            for lang in langs:
+                engines[self.check(lang)] += 1
+        assert min(engines.values()) >= 100, engines
+
+    def test_seeded_custom_languages(self):
+        # random sets of built-ins, composite and mixed chains, atoms that
+        # are and are not closed under complement, no atoms, and open
+        # languages; one third draws from L3's alphabet, one third has `not`
+        # and a join
+        rng = random.Random(71)
+        composites = [
+            operator_from_expr("AXEX", 1, "AX EX #1"),
+            operator_from_expr("AXX", 1, "AX AX #1"),
+            operator_from_expr("EXX", 1, "EX EX #1"),
+            operator_from_expr("imp", 2, "!#1 | #2"),
+            operator_from_expr("AX2", 1, "pre~ #1"),
+        ]
+        names = ["not", "and", "or", "EX", "AX", "pre", "pre~", "post", "post~",
+                 "EU", "AU", "ER", "AR", "EF[0,2]", "EF[1,3]"]
+        engines = {"splitter": 0, "similarity": 0, None: 0}
+        open_langs = 0
+        for k in range(600):
+            model = random_model(rng, 1 + k % 6)
+            full = model.space.full_mask
+            if k % 3 == 0:
+                ops = _ops(*rng.sample(["and", "or", "AX", "pre~"], rng.randint(2, 4)))
+            elif k % 3 == 1:
+                picks = ["not", rng.choice(["and", "or"])] + rng.sample(names, rng.randint(0, 3))
+                ops = _ops(*dict.fromkeys(picks))
+            else:
+                ops = _ops(*rng.sample(names, rng.randint(1, 5)))
+            if rng.random() < 0.3:
+                ops += tuple(rng.sample(composites, rng.randint(1, 2)))
+            kind = 1 if k % 3 == 0 and rng.random() < 0.8 else rng.randrange(4)
+            masks = [rng.randrange(full + 1) for _ in range(rng.randint(1, 3))]
+            if kind == 0:
+                atoms = tuple((n, StateSet(model.space, m)) for n, m in model.label_items)
+            elif kind == 1:
+                atoms = tuple(
+                    (f"{sign}a{i}", StateSet(model.space, m if sign == "" else full & ~m))
+                    for i, m in enumerate(masks)
+                    for sign in ("", "!")
+                )
+            elif kind == 2:
+                atoms = tuple((f"a{i}", StateSet(model.space, m)) for i, m in enumerate(masks))
+            else:
+                atoms = ()
+            is_open = rng.random() < 0.05
+            open_langs += is_open
+            engines[self.check(LanguageSpec("custom", atoms, ops, is_open))] += 1
+        assert open_langs >= 10
+        assert engines["splitter"] >= 50 and engines["similarity"] >= 50, engines
+        assert engines[None] >= 200, engines
+
+    def test_splitters_runs_once_per_partition_and_twice_per_quotient_check(self, kpq, monkeypatch):
+        # one _route per coarsest_sp_partition, and one each in the generator
+        # test and the ad_of_language it calls per quotient check
+        from abspres import abstraction, bisim_partition, languages
+        from abspres.abstraction import paired_sp_check
+
+        calls, real = [], languages._splitters
+
+        def counting(ops):
+            calls.append(ops)
+            return real(ops)
+
+        monkeypatch.setattr(languages, "_splitters", counting)
+        monkeypatch.setattr(shells, "_splitters", counting)
+        for name in ("L1", "L2", "CTL"):
+            calls.clear()
+            coarsest_sp_partition(preset_language(name, kpq), kpq)
+            assert len(calls) == 1, name
+        for name in ("L1", "CTL"):
+            lang = preset_language(name, kpq)
+            for p in (bisim_partition(kpq), label_partition(kpq)):
+                for kind in ("ee", "ae"):
+                    calls.clear()
+                    paired_sp_check(kpq, quotient(kind, kpq, p), lang)
+                    assert len(calls) == 2, (name, kind)
+        # only languages decides a language's engine
+        assert not hasattr(abstraction, "_splitters")
+        assert not hasattr(languages, "in_splitter_class")
+        assert not hasattr(languages, "in_similarity_class")
+
+
+class TestCapacityRefusals:
+    """Moore closures and meets are bounded by DEFAULT_MAX_FAMILY as they
+    grow, and the splitter-route shell of a lazy seed lists no image."""
+
+    def test_moore_closures_and_meets_refuse_past_the_bound(self, monkeypatch):
+        space = StateSpace(tuple("abcd"))
+        full = space.full_mask
+        coatoms = [full & ~(1 << s) for s in range(4)]
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 8)
+        # three co-atoms meet to the 8 sets that miss none of the fourth state
+        assert len(moore_close(SetFamily.of(space, coatoms[:3]))) == 8
+        with pytest.raises(CapacityError) as info:
+            moore_close(SetFamily.of(space, coatoms))
+        assert str(info.value) == "Moore closure reached 16 sets, over DEFAULT_MAX_FAMILY = 8"
+        low = moore_close(SetFamily.of(space, coatoms[:2]))
+        high = moore_close(SetFamily.of(space, coatoms[2:]))
+        with pytest.raises(CapacityError) as info:
+            lattice.domain_meet(low, high)
+        # refused after the first set whose meets pass the bound, which
+        # depends on the order of high's image
+        got = re.fullmatch(r"domain meet reached (\d+) sets, over DEFAULT_MAX_FAMILY = 8", str(info.value))
+        assert got and 8 < int(got.group(1)) <= 16
+
+    def test_splitter_shell_of_a_lazy_seed(self):
+        # add of a chain preorder on 40 states has 2^40 members; its shell
+        # for {not, EX} is adp of 40 singletons, found without listing either
+        from abspres import Preorder, add
+
+        rng = random.Random(40)
+        n = 40
+        space = StateSpace(tuple(str(i) for i in range(n)))
+        succ = tuple((1 << rng.randrange(n)) | (1 << rng.randrange(n)) for _ in range(n))
+        model = KripkeModel(space, succ, (("p", rng.randrange(1 << n)),))
+        chain = Preorder(space, tuple(((1 << n) - 1) & ~((1 << s) - 1) for s in range(n)))
+        seed = add(chain)
+        result = forward_complete_shell(seed, _ops("not", "EX"), model)
+        assert pr(result.domain) == Partition.identity(space)
+        assert len(result.domain._gens) == n
+        # the seed, adp(pr(seed)), and the engine's one pass, which splits
+        # nothing; snapshots are compared by identity, as == lists images
+        first, second, third = result.trace.iterations
+        assert first is seed and third is second is result.domain
+        # the counts are read off the snapshots' sizes, so reading them lists
+        # each snapshot's image
+        with pytest.raises(CapacityError, match="image of 40 generators"):
+            result.trace.new_counts

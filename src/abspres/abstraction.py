@@ -251,8 +251,8 @@ def paired_semantic_closure(
     ``lang.operators`` order) and tuple.  With ``abort_on_violation`` the
     closure stops at that pair, keeping the full closure's strong flag and
     witness: :func:`paired_sp_check` runs it so for quotients under a
-    language with ``not``.  More than :data:`DEFAULT_MAX_PAIRS` pairs raise
-    :class:`CapacityError`.
+    language with ``not``.  The pair that takes the count past
+    :data:`DEFAULT_MAX_PAIRS` raises :class:`CapacityError` as it is made.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -278,16 +278,23 @@ def paired_semantic_closure(
             if abort_on_violation and pair[0] != pair[1]:
                 return result(True)
 
+    # the round's new pairs, counted as they are made
+    made: set[tuple[Mask, Mask]] = set()
+
     def apply(op: Operator, args: tuple[tuple[Mask, Mask], ...]) -> tuple[Mask, Mask]:
         c = apply_operator(op, model, [x[0] for x in args])
         a = structure.apply(op, tuple([x[1] for x in args]))
+        pair = (c, a)
         if abort_on_violation and c != a:
-            formulas[(c, a)] = App(op.name, tuple(formulas[x] for x in args))
+            formulas[pair] = App(op.name, tuple(formulas[x] for x in args))
             raise _Violation
-        return (c, a)
+        if pair not in formulas and pair not in made:
+            made.add(pair)
+            check_size(len(made))
+        return pair
 
     def admit(fresh: dict) -> Iterable[tuple[Mask, Mask]]:
-        check_size(len(fresh))
+        made.clear()
         for pair, (op, args) in fresh.items():
             formulas[pair] = App(op.name, tuple(formulas[x] for x in args))
         return fresh

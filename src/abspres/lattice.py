@@ -2,30 +2,34 @@
 
 The concrete domain is ℘(Σ) for a finite state space Σ.  Subsets of Σ are
 characteristic bit vectors packed into Python ints (bit i = state with
-index i).  An abstract domain is represented by its Moore family of closed
-sets: the image of an upper closure operator μ, meet-closed and containing
-Σ.  With this representation γ is the identity on closed sets and
-α(S) = μ(S) is the least closed superset, so every Galois-insertion law is
-decidable by plain set arithmetic.
+index i).  An abstract domain is its Moore family of closed sets: the image
+of an upper closure operator μ, meet-closed and containing Σ.  Any set of
+generators fixes that family as their meets, so a domain is stored as
+generators and its image is listed only when asked for.  γ is the identity
+on closed sets and α(S) = μ(S) is the least closed superset, the meet of
+the generators holding S, so every Galois-insertion law is decidable by
+plain set arithmetic.
 
 Domains are compared in the precision order: A1 ⊑ A2 ("A1 is more precise")
 iff image(A2) ⊆ image(A1).
 
 A state space may have any number of states.  The bound sits with each
 route that builds a family over ℘(Σ): :data:`DEFAULT_MAX_FAMILY` for a
-materialized family, a listed ℘(Σ), a Moore closure and a meet included
-(:func:`meet_close` checks it per generator), and
+listed family (:func:`meet_close` checks it per generator, and a domain's
+image of 2^k members is refused before it is built), and
 :data:`MAX_ENUMERATION_STATES` for the enumerations.  Each is read where it
-is checked, so setting it raises it.  The Moore property is checked once, where an image enters from outside the
-library (``AbstractDomain(space, image=...)``); the families the library
-builds itself (Moore closures, meets, joins, {Σ}, the enumeration, shell
-rounds, and the meets of a lazy domain's generators) are Moore by
-construction and are not checked again.
+is checked, so setting it raises it.  The Moore property is checked once,
+where an image enters from outside the library
+(``AbstractDomain(space, image=...)``); the families the library builds
+itself (joins, the enumeration, shell rounds, and the meets of a domain's
+generators) are Moore by construction and are not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
@@ -291,19 +295,18 @@ class AbstractDomain:
     """A Moore family of closed sets over one space; houses μ, α and γ.
 
     A domain is stored as generators, masks whose meets are its image, and
-    has one closure rule, μ(X) = ∩{g | X ⊆ g}.  An ``image`` given to the
-    constructor is its own generator list, and is checked to be a Moore
-    family (it holds Σ and is closed under intersection): it is data from
-    outside the library.  The library's own constructors skip that check:
-    :meth:`_of_moore` takes an image that is Moore by construction, with
-    the generators it was closed from when there are any (:func:`moore_close`
-    keeps its input), and :meth:`_of_generators` a lazy domain (adp, add and
-    powerset_domain pass their meet-irreducibles), which answers closure and
-    membership at any size.
-    Its image is built on demand, by :func:`meet_close` from {Σ}, and
-    refused before anything is built when 2^k is over
-    :data:`DEFAULT_MAX_FAMILY`.  Equality, hashing and iteration force the
-    image.
+    has one closure rule, μ(X) = ∩{g | X ⊆ g}, so closure, membership and
+    :func:`domain_leq` scan the generators and answer at any size.  An
+    ``image`` given to the constructor is its own generator list, and is
+    checked to be a Moore family (it holds Σ and is closed under
+    intersection): it is data from outside the library.  The library's own
+    domains come from :meth:`_of_generators`, which skips that check.
+    Their image is listed on demand by :func:`meet_close` from {Σ}, which
+    refuses past :data:`DEFAULT_MAX_FAMILY`; when the complements of the
+    generators other than Σ are pairwise disjoint (adp, ℘(Σ), add of an
+    equivalence) the image has exactly 2^k members, and a 2^k over the bound
+    is refused before anything is built.  Equality, hashing and iteration
+    list the image.
     """
 
     __slots__ = ("space", "_gens", "_masks", "_hash")
@@ -318,37 +321,29 @@ class AbstractDomain:
         self.space, self._gens, self._masks, self._hash = space, masks, masks, None
 
     @classmethod
-    def _of_moore(
-        cls,
-        space: StateSpace,
-        masks: frozenset[Mask],
-        gens: Optional[Sequence[Mask]] = None,
+    def _of_generators(
+        cls, space: StateSpace, gens: Sequence[Mask], image: Optional[frozenset[Mask]] = None
     ) -> "AbstractDomain":
-        """The domain of an image that is a Moore family by construction;
-        ``gens``, distinct masks whose meets are that image, defaults to the
-        image itself."""
+        """The domain M(gens); ``gens`` holds distinct masks, and ``image``,
+        when the caller already holds it, is M(gens)."""
         domain = cls.__new__(cls)
-        domain.space, domain._masks, domain._hash = space, masks, None
-        domain._gens = masks if gens is None else gens
-        return domain
-
-    @classmethod
-    def _of_generators(cls, space: StateSpace, gens: tuple[Mask, ...]) -> "AbstractDomain":
-        """The lazy domain M(gens); ``gens`` holds distinct masks."""
-        domain = cls.__new__(cls)
-        domain.space, domain._gens, domain._masks, domain._hash = space, gens, None, None
+        domain.space, domain._gens, domain._masks, domain._hash = space, gens, image, None
         return domain
 
     @property
     def masks(self) -> frozenset[Mask]:
         if self._masks is None:
-            k = len(self._gens)
-            if 1 << k > DEFAULT_MAX_FAMILY:
+            full = self.space.full_mask
+            sides = [full & ~g for g in self._gens if g != full]
+            k = len(sides)
+            # pairwise disjoint sides meet in 2^k distinct ways
+            disjoint = sum(map(int.bit_count, sides)) == reduce(or_, sides, 0).bit_count()
+            if disjoint and 1 << k > DEFAULT_MAX_FAMILY:
                 raise CapacityError(
                     f"image of {k} generators has up to 2^{k} members, "
                     f"over DEFAULT_MAX_FAMILY = {DEFAULT_MAX_FAMILY}"
                 )
-            image = {self.space.full_mask}
+            image = {full}
             meet_close(image, self._gens, "image")
             self._masks = frozenset(image)
         return self._masks
@@ -403,13 +398,11 @@ class AbstractDomain:
 def moore_close(family: SetFamily) -> AbstractDomain:
     """Least Moore family containing the input: M(X) = {∧S | S ⊆ X}.
 
-    Always contains Σ (the empty meet) and is idempotent.  The input's masks
-    stay the generators, so closure and :func:`domain_leq` scan them, not
-    the image.
+    Always contains Σ (the empty meet) and is idempotent.  It is the lazy
+    domain of the input's masks: closure and :func:`domain_leq` scan them,
+    and the image is listed only when asked for.
     """
-    closed = {family.space.full_mask}
-    meet_close(closed, family.masks, "Moore closure")
-    return AbstractDomain._of_moore(family.space, frozenset(closed), family.masks)
+    return AbstractDomain._of_generators(family.space, family.masks)
 
 
 def closure_of(domain: AbstractDomain, s: StateSet) -> StateSet:
@@ -428,17 +421,18 @@ def domain_leq(a1: AbstractDomain, a2: AbstractDomain) -> bool:
 
 
 def domain_meet(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
-    """Greatest lower bound in precision (reduced product): M(img₁ ∪ img₂)."""
+    """Greatest lower bound in precision (reduced product): M(img₁ ∪ img₂),
+    the lazy domain of both domains' generators, as each image is the meets
+    of its own."""
     _check_space(a1, a2, "domains")
-    closed = set(a1.masks)
-    meet_close(closed, a2.masks, "domain meet")
-    return AbstractDomain._of_moore(a1.space, frozenset(closed))
+    return AbstractDomain._of_generators(a1.space, tuple(dict.fromkeys((*a1._gens, *a2._gens))))
 
 
 def domain_join(a1: AbstractDomain, a2: AbstractDomain) -> AbstractDomain:
     """Least upper bound in precision: img₁ ∩ img₂ (meet-closed automatically)."""
     _check_space(a1, a2, "domains")
-    return AbstractDomain._of_moore(a1.space, a1.masks & a2.masks)
+    image = a1.masks & a2.masks
+    return AbstractDomain._of_generators(a1.space, image, image)
 
 
 def powerset_domain(space: StateSpace) -> AbstractDomain:
@@ -451,8 +445,9 @@ def powerset_domain(space: StateSpace) -> AbstractDomain:
 
 
 def top_domain(space: StateSpace) -> AbstractDomain:
-    """The most abstract domain {Σ} (λx.⊤)."""
-    return AbstractDomain._of_moore(space, frozenset({space.full_mask}))
+    """The most abstract domain {Σ} (λx.⊤): no generators, Σ being the empty
+    meet."""
+    return AbstractDomain._of_generators(space, ())
 
 
 def enumerate_moore_families(n: int) -> Iterator[AbstractDomain]:
@@ -474,16 +469,8 @@ def enumerate_moore_families(n: int) -> Iterator[AbstractDomain]:
         if not (candidate >> full) & 1:
             continue
         members = [m for m in range(subsets) if (candidate >> m) & 1]
-        ok = True
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if not (candidate >> (a & b)) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield AbstractDomain._of_moore(space, frozenset(members))
+        if all((candidate >> (a & b)) & 1 for i, a in enumerate(members) for b in members[i + 1 :]):
+            yield AbstractDomain._of_generators(space, members, frozenset(members))
 
 
 def family_of_names(space: StateSpace, compact: Sequence[str]) -> SetFamily:

@@ -153,14 +153,16 @@ def _closure_shell(
     """The shell by :func:`~abspres.languages.close` (see
     :func:`forward_complete_shell`)."""
     masks: set[Mask] = set(domain.masks)
-    # every round's family is meet-closed and holds Σ, so no snapshot is re-checked
-    snapshots = [AbstractDomain._of_moore(domain.space, frozenset(masks))]
+    snapshots = [domain]
 
     def admit(fresh: Iterable[Mask]) -> set[Mask]:
         added = meet_close(masks, fresh, "shell image")
-        snapshots.append(
-            AbstractDomain._of_moore(domain.space, frozenset(masks)) if added else snapshots[-1]
-        )
+        if added:
+            # every round's family is meet-closed and holds Σ: its own generators
+            image = frozenset(masks)
+            snapshots.append(AbstractDomain._of_generators(domain.space, image, image))
+        else:
+            snapshots.append(snapshots[-1])
         return added
 
     close(masks, fs, lambda op, args: apply_operator(op, model, args), admit)

@@ -1002,8 +1002,9 @@ class TestLargeModels:
 
 
 class TestCapacityRefusals:
-    """A --domain family file is Moore-closed under DEFAULT_MAX_FAMILY: the
-    closure stops at the first set whose meets take it over the bound."""
+    """A --domain family file is the lazy Moore closure of its sets: checks
+    that read generators answer at any size, and listing its image is
+    refused only when the image passes DEFAULT_MAX_FAMILY."""
 
     @staticmethod
     def co_atoms(tmp_path, n):
@@ -1020,34 +1021,75 @@ class TestCapacityRefusals:
         family.write_text(json.dumps({"sets": [[t for t in names if t != s] for s in names]}))
         return str(model), str(family)
 
+    @staticmethod
+    def subprocess_run(*argv):
+        """Run the CLI in a subprocess, so its memory goes with it; returns
+        the process and its wall time."""
+        import subprocess
+        import sys
+        import time
+
+        import abspres
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(abspres.__file__)))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "abspres", *argv],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        return proc, time.perf_counter() - start
+
     def test_family_file_under_a_patched_bound(self, capsys, tmp_path, monkeypatch):
         from abspres import lattice
 
         model, family = self.co_atoms(tmp_path, 4)
-        argv = ("check", "--property", "partitioning", "--model", model, "--domain", family)
-        assert run(capsys, *argv)[:2] == (0, "true\n")
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 8)
+        # the shape checks read generators, so the 16-member image is never listed
+        for prop in ("partitioning", "disjunctive"):
+            argv = ("check", "--property", prop, "--model", model, "--domain", family)
+            assert run(capsys, *argv)[:2] == (0, "true\n"), prop
+        # the completeness check lists the image: four disjoint co-atom
+        # complements meet in 2^4 ways, refused before anything is built
+        argv = ("check", "--property", "fwd-complete", "--ops", "pre", "--model", model, "--domain", family)
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert "Moore closure reached 16 sets, over DEFAULT_MAX_FAMILY = 8" in err
+        assert "image of 4 generators has up to 2^4 members, over DEFAULT_MAX_FAMILY = 8" in err
+        # at a bound of 16 the image is listed, and ℘(Σ) is complete
+        monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 16)
+        assert run(capsys, *argv)[:2] == (0, "true\n")
 
     def test_co_atoms_of_22_states(self, tmp_path):
-        # 2^22 sets at about 560 MB before the closure was bounded; now
-        # refused at 2^21, in a subprocess so its memory goes with it
-        import subprocess
-        import sys
-
-        import abspres
-
+        # the Moore closure of 22 co-atoms is 2^22 sets: listed at about
+        # 560 MB before the closure was bounded, then refused at 2^21 sets
+        # after about a second; now never built for the shape checks
         model, family = self.co_atoms(tmp_path, 22)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(abspres.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "abspres", "check", "--property", "partitioning",
-             "--model", model, "--domain", family],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        for prop in ("partitioning", "disjunctive"):
+            proc, seconds = self.subprocess_run(
+                "check", "--property", prop, "--model", model, "--domain", family)
+            assert (proc.returncode, proc.stdout) == (0, "true\n"), (prop, proc.stderr)
+            assert seconds < 1, prop
+        proc, seconds = self.subprocess_run(
+            "check", "--property", "fwd-complete", "--ops", "pre", "--model", model, "--domain", family)
         assert proc.returncode == 2
-        assert "Moore closure reached 2097152 sets, over DEFAULT_MAX_FAMILY = 1048576" in proc.stderr
+        assert ("image of 22 generators has up to 2^22 members, "
+                "over DEFAULT_MAX_FAMILY = 1048576") in proc.stderr
+        assert seconds < 1
+
+    def test_sp_domain_of_a_25_state_chain(self, capsys, tmp_path):
+        # L3 on a chain where state i steps to every j < i: A_L is add of the
+        # similarity, 25 generators whose complements overlap and whose image
+        # has 50 sets, not 2^25
+        n = 25
+        names = [str(i) for i in range(n)]
+        path = tmp_path / "chain25.json"
+        path.write_text(json.dumps({
+            "states": names,
+            "transitions": [["0", "0"]] + [[names[i], names[j]] for i in range(n) for j in range(i)],
+            "labels": {"p": ["0"]},
+        }))
+        code, out, err = run(capsys, "--format", "json", "sp-domain", "--lang", "L3", "--model", str(path))
+        assert code == 0, err
+        assert len(json.loads(out)["result"]) == 50
 
 
 class TestReadme:

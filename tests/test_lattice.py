@@ -302,6 +302,152 @@ class TestMooreCheckedWhereItEnters:
                 AbstractDomain(SPACE4, image=family_of_names(SPACE4, compact).masks)
 
 
+class TestLazyMooreFamilies:
+    """moore_close, domain_meet and top_domain are the lazy domains of their
+    generators: they answer as the brute-force image does, build no image
+    until it is listed, and listing refuses exactly past the bound."""
+
+    @staticmethod
+    def random_masks(rng, n):
+        """Up to six masks over n states; in about a third of the draws the
+        complements of disjoint non-empty sets, Σ among them at times."""
+        full = (1 << n) - 1
+        if rng.randrange(3):
+            return [rng.randrange(1 << n) for _ in range(rng.randrange(7))]
+        owner = [rng.randrange(n + 1) for _ in range(n)]
+        sides = {sum(1 << s for s in range(n) if owner[s] == k) for k in range(n)} - {0}
+        return [full & ~side for side in sides] + [full] * rng.randrange(2)
+
+    @staticmethod
+    def brute(space, masks):
+        """The Moore closure of ``masks`` as a set of masks, by the oracle."""
+        universe = frozenset(space.names)
+        return {space.mask_of(s) for s in brute_moore_close(
+            universe, [frozenset(space.names_of(m)) for m in masks])}
+
+    @staticmethod
+    def brute_pr(space, masks):
+        """States grouped by membership: s and t share a block when every
+        mask holds both or neither."""
+        from abspres import Partition
+
+        n = space.n
+        return Partition.from_masks(space, {
+            sum(1 << t for t in range(n) if all(m >> s & 1 == m >> t & 1 for m in masks))
+            for s in range(n)
+        })
+
+    def test_lazy_domains_answer_as_the_brute_image(self):
+        from abspres import pr
+
+        rng = random.Random(2804)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            space = StateSpace(tuple(str(i) for i in range(n)))
+            full = space.full_mask
+            raw1, raw2 = self.random_masks(rng, n), self.random_masks(rng, n)
+            want1, want2 = self.brute(space, raw1), self.brute(space, raw2)
+            want_meet = self.brute(space, raw1 + raw2)
+            d1 = moore_close(SetFamily.of(space, raw1))
+            d2 = moore_close(SetFamily.of(space, raw2))
+            cases = [
+                (d1, want1),
+                (domain_meet(d1, d2), want_meet),
+                (domain_meet(d2, moore_close(SetFamily.of(space, raw1))), want_meet),
+                (domain_meet(d1, top_domain(space)), want1),
+            ]
+            for dom, want in cases:
+                eager = AbstractDomain(space, image=want)
+                for x in range(1 << n):
+                    assert dom.closure_mask(x) == min(
+                        (m for m in want if x & ~m == 0), key=int.bit_count)
+                    assert dom.contains(x) == (x in want)
+                assert pr(dom) == self.brute_pr(space, want)
+                assert domain_leq(dom, d1) == (want1 <= want)
+                assert domain_leq(d2, dom) == (want <= want2)
+                assert domain_leq(dom, eager) and domain_leq(eager, dom)
+                # nothing above listed the image
+                assert dom._masks is None
+                assert dom == eager and hash(dom) == hash(eager)
+                assert set(dom.masks) == want and full in want
+                checked += 1
+        assert checked == 1200
+
+    def test_listing_refuses_exactly_past_the_bound(self, monkeypatch):
+        from abspres import lattice
+
+        rng = random.Random(2805)
+        seen = {"2^k": 0, "reached": 0, "listed": 0}
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            space = StateSpace(tuple(str(i) for i in range(n)))
+            full = space.full_mask
+            raw = self.random_masks(rng, n)
+            want = self.brute(space, raw)
+            # the bound lies at the image's size or one or two either side
+            bound = max(1, len(want) + rng.randint(-2, 2))
+            monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", bound)
+            sides = [full & ~g for g in set(raw) if g != full]
+            disjoint = all(a & b == 0 for i, a in enumerate(sides) for b in sides[i + 1:])
+            dom = moore_close(SetFamily.of(space, raw))
+            try:
+                assert set(dom.masks) == want
+            except CapacityError as error:
+                assert len(want) > bound
+                k = len(sides)
+                if disjoint:
+                    assert len(want) == 1 << k
+                    assert str(error) == (f"image of {k} generators has up to 2^{k} members, "
+                                          f"over DEFAULT_MAX_FAMILY = {bound}")
+                    seen["2^k"] += 1
+                else:
+                    assert str(error).startswith("image reached ")
+                    assert f"over DEFAULT_MAX_FAMILY = {bound}" in str(error)
+                    seen["reached"] += 1
+            else:
+                assert len(want) <= bound
+                seen["listed"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_building_lists_no_image(self, kpq, monkeypatch):
+        from abspres import (
+            coarsest_sp_partition,
+            is_disjunctive,
+            is_partitioning,
+            is_sp_domain,
+            lattice,
+            pr,
+            preset_language,
+            semantic_closure,
+        )
+        from abspres.languages import _route
+
+        calls = []
+        listing = lattice.meet_close
+
+        def counted(*args):
+            calls.append(args[-1])
+            return listing(*args)
+
+        monkeypatch.setattr(lattice, "meet_close", counted)
+        space = kpq.space
+        coatoms = SetFamily.of(space, [space.full_mask & ~(1 << s) for s in range(space.n)])
+        dom = moore_close(coatoms)
+        meet = domain_meet(dom, moore_close(SetFamily.of(space, [0b00011, 0b11100])))
+        top = top_domain(space)
+        exef = preset_language("exef", kpq)
+        assert _route(exef)[0] is None
+        # the closure route: pr of the lazy Moore closure of S
+        p = coarsest_sp_partition(exef, kpq)
+        assert is_partitioning(dom) and is_disjunctive(dom) and is_sp_domain(dom, exef, kpq)
+        assert pr(meet) == pr(dom) and domain_leq(meet, top) and not domain_leq(top, meet)
+        assert calls == []
+        assert p == self.brute_pr(space, semantic_closure(exef, kpq).masks)
+        assert len(dom.masks) == 32
+        assert calls == ["image"]
+
+
 class TestLargeSpaces:
     def test_no_state_cap(self):
         names = tuple(f"s{i}" for i in range(1000))

@@ -1,7 +1,6 @@
 """Forward complete shells, language domains and the block-relation search."""
 
 import random
-import re
 
 import pytest
 
@@ -1334,8 +1333,10 @@ class TestRoute:
 
 
 class TestCapacityRefusals:
-    """Moore closures and meets are bounded by DEFAULT_MAX_FAMILY as they
-    grow, and the splitter-route shell of a lazy seed lists no image."""
+    """Moore closures and meets are lazy and answer at any size; listing an
+    image is refused exactly when it passes DEFAULT_MAX_FAMILY; the paired
+    closure is refused at the pair that passes DEFAULT_MAX_PAIRS; and the
+    splitter-route shell of a lazy seed lists no image."""
 
     def test_moore_closures_and_meets_refuse_past_the_bound(self, monkeypatch):
         space = StateSpace(tuple("abcd"))
@@ -1344,21 +1345,42 @@ class TestCapacityRefusals:
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 8)
         # three co-atoms meet to the 8 sets that miss none of the fourth state
         assert len(moore_close(SetFamily.of(space, coatoms[:3]))) == 8
-        with pytest.raises(CapacityError) as info:
-            moore_close(SetFamily.of(space, coatoms))
-        assert str(info.value) == "Moore closure reached 16 sets, over DEFAULT_MAX_FAMILY = 8"
         low = moore_close(SetFamily.of(space, coatoms[:2]))
         high = moore_close(SetFamily.of(space, coatoms[2:]))
-        with pytest.raises(CapacityError) as info:
-            lattice.domain_meet(low, high)
-        # refused after the first set whose meets pass the bound, which
-        # depends on the order of high's image
-        got = re.fullmatch(r"domain meet reached (\d+) sets, over DEFAULT_MAX_FAMILY = 8", str(info.value))
-        assert got and 8 < int(got.group(1)) <= 16
+        # all four are ℘(Σ): building answers, listing its 16 members refuses
+        for dom in (moore_close(SetFamily.of(space, coatoms)), lattice.domain_meet(low, high)):
+            assert dom.closure_mask(0b0101) == 0b0101 and dom.contains(0)
+            assert pr(dom) == Partition.identity(space)
+            assert domain_leq(dom, low) and domain_leq(dom, high)
+            with pytest.raises(CapacityError) as info:
+                dom.masks
+            assert str(info.value) == "image of 4 generators has up to 2^4 members, over DEFAULT_MAX_FAMILY = 8"
+
+    def test_paired_closure_refuses_at_the_bound(self, monkeypatch):
+        # the L3 ∃∃ label quotient of an 8-state model needs more than 300
+        # pairs; each bound is refused at the pair that passes it, where a
+        # check after each round overshot it by up to 82 %
+        from abspres import abstraction
+        from abspres.abstraction import paired_sp_check
+
+        n = 8
+        rng = random.Random(n)
+        space = StateSpace(tuple(str(i) for i in range(n)))
+        succ = tuple(sum(1 << t for t in rng.sample(range(n), 2)) for _ in range(n))
+        model = KripkeModel(space, succ, (("p", rng.randrange(1 << n)), ("q", rng.randrange(1 << n))))
+        q = quotient("ee", model, label_partition(model))
+        for bound in (50, 100, 300):
+            monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", bound)
+            with pytest.raises(CapacityError) as info:
+                paired_sp_check(model, q, preset_language("L3", model))
+            assert str(info.value) == (
+                f"paired closure exceeded DEFAULT_MAX_PAIRS = {bound} (now {bound + 1} pairs)"
+            )
 
     def test_splitter_shell_of_a_lazy_seed(self):
-        # add of a chain preorder on 40 states has 2^40 members; its shell
-        # for {not, EX} is adp of 40 singletons, found without listing either
+        # add of a chain preorder on 40 states has the 40 nested sets below
+        # each state and Σ, 41 members; its shell for {not, EX} is adp of 40
+        # singletons, found without listing either
         from abspres import Preorder, add
 
         rng = random.Random(40)
@@ -1376,6 +1398,7 @@ class TestCapacityRefusals:
         first, second, third = result.trace.iterations
         assert first is seed and third is second is result.domain
         # the counts are read off the snapshots' sizes, so reading them lists
-        # each snapshot's image
+        # each snapshot's image: the seed's 41, then adp(pr(seed))'s 2^40
+        assert len(seed.masks) == 41
         with pytest.raises(CapacityError, match="image of 40 generators"):
             result.trace.new_counts

@@ -22,18 +22,32 @@ the operators it cuts by for :func:`abspres.shells.forward_complete_shell`
 and :func:`abspres.shells.ad_of_language`, and ``ad_of_language`` answers
 the similarity class by :func:`_similarity`.
 
-Both refinements work by the edges.  The engine cuts by EU(B1, B2) only
-where a move goes from B1 into B2, since any other pair gives B2, which
-cuts nothing; each such cut is a backward search through B1 over the
-model's predecessor rows (:func:`abspres.languages.until_mask`).  The
-similarity is a worklist over the same rows: when a row shrinks, its
-pre-image is computed once and cuts the rows of its predecessors.  Pass by
-pass, both give exactly the answers of the all-pairs and move-sweep loops
-they replace, which the tests keep as oracles.  The checkers walk the
-members of rows and test the engine's pairs of blocks, so they too cost the
-edges and the pairs they test.  The library has one ``EU``; its judges are
-``eu_path_oracle``, ``brute_stuttering`` and ``all_pairs_check_dbs`` in
-``tests/conftest.py``.
+The engine works by change and by the edges.  It keeps one state → block
+index across passes and walks each cut block by block, so a cut costs the
+blocks it meets; the smaller part of a split gets the new index, so each
+state is re-pointed O(log n) times (at most half the states of a block
+leave with it).  A pass cuts by what the last pass changed, the fresh
+blocks.  For ``EU`` it makes one cut per target block B2, a fresh block or
+one that a fresh block moves into: X(B2), the states with a path inside
+their own block into B2, found by one backward search from pre(B2) ∖ B2
+over each state's predecessors in its own block.  Three facts make these
+cuts the pairs' cuts: X(B2) ∩ B1 = EU(B1, B2) ∩ B1 for every block B1 ≠ B2,
+as such a path ends with a move from B1 into B2; a pair cut by EU(B1, B2)
+splits only B1, so one X(B2) splits as all pairs (B1, B2) do; and the
+pairs with neither block fresh, which a target entered from a fresh block
+adds, cut nothing, since both blocks came through the last pass whole and
+such a pair is stable by induction on the passes (the proofs are in
+:func:`_splitter_passes`).  The
+similarity is a worklist over the model's predecessor rows: when a row
+shrinks, its pre-image is computed once and cuts the rows of its
+predecessors.  Pass by pass, both give exactly the answers of the
+all-pairs and move-sweep loops they replace, which the tests keep as
+oracles.  The checkers walk the members of rows and test the pairs of
+blocks an edge joins, so they too cost the edges and the pairs they test.
+The checker's ``EU`` is :func:`abspres.languages.until_mask`; its judges
+are ``eu_path_oracle``, ``brute_stuttering`` and ``all_pairs_check_dbs`` in
+``tests/conftest.py``, and the tests hold each entries cut to
+``until_mask`` block by block.
 
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
@@ -56,24 +70,45 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import shells
 from .errors import ValidationError
-from .kripke import KripkeModel, label_partition
+from .kripke import KripkeModel, _join_rows, label_partition
 from .lattice import Mask, SetFamily, _check_space, _members, _owners, moore_close
 from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
 
-def _split_once(blocks: list[Mask], cuts: Iterable[Mask]) -> int:
-    """Cut every block of ``blocks`` by each set of ``cuts``, in place: a
-    block that a cut meets without containing keeps its part inside the cut,
-    and its part outside goes to the end.  Returns the number of cuts made."""
+def _split_once(
+    blocks: list[Mask], owner: list[int], cuts: Iterable[Mask], changed: set[int]
+) -> int:
+    """Cut ``blocks``, a partition of the states with its state → block index
+    ``owner``, by each set of ``cuts``, in place; returns the number of
+    splits, which is the number of blocks gained.
+
+    A cut is walked block by block: its lowest state left names a block,
+    which is dropped from the rest of the cut and split when the cut does
+    not hold it, so a cut costs the blocks it meets, not all of them.  The
+    smaller part of a split gets the new index and only its states are
+    re-pointed (Hopcroft), and both indices go into ``changed``."""
     count = 0
     for x in cuts:
-        for i in range(len(blocks)):
-            c = blocks[i]
-            inside = c & x
-            if inside and inside != c:
-                blocks[i] = inside
-                blocks.append(c & ~x)
+        rest = x
+        while rest:
+            k = owner[(rest & -rest).bit_length() - 1]
+            b = blocks[k]
+            inside = b & x
+            rest ^= inside  # the states of x in b, all still in rest
+            if inside != b:
+                outside = b ^ inside
+                if inside.bit_count() > outside.bit_count():
+                    inside, outside = outside, inside
+                blocks[k] = outside
+                new = len(blocks)
+                blocks.append(inside)
+                while inside:
+                    low = inside & -inside
+                    owner[low.bit_length() - 1] = new
+                    inside ^= low
+                changed.add(k)
+                changed.add(new)
                 count += 1
     return count
 
@@ -86,6 +121,32 @@ def _joined_pairs(model: KripkeModel, blocks: Sequence[Mask]) -> set[tuple[Mask,
     return {(b, blocks[owner[t]]) for b in blocks for t in _members(model.post(b) & ~b)}
 
 
+def _entries(
+    model: KripkeModel, blocks: Sequence[Mask], owner: Sequence[int], fresh: Iterable[int]
+) -> dict[int, Mask]:
+    """The until cuts of a pass, by target: X(B2) = B2 ∪ ⋃_{B1 ≠ B2}
+    (EU(B1, B2) ∩ B1) for the index of each block B2 that is fresh or that
+    a fresh block moves into, each by one backward search from pre(B2) ∖ B2
+    over the predecessors each state has in its own block."""
+    targets = set(fresh)
+    for k in fresh:
+        rest = model.post(blocks[k]) & ~blocks[k]
+        while rest:
+            j = owner[(rest & -rest).bit_length() - 1]
+            targets.add(j)
+            rest &= ~blocks[j]
+    inner = [row & blocks[k] for row, k in zip(model.pred, owner)]
+    cuts = {}
+    for j in targets:
+        b2 = blocks[j]
+        reach = frontier = model.pre(b2) & ~b2
+        while frontier:
+            frontier = _join_rows(inner, frontier) & ~reach
+            reach |= frontier
+        cuts[j] = b2 | reach
+    return cuts
+
+
 def _splitter_passes(
     model: KripkeModel, blocks: Iterable[Mask], ops: Sequence[Operator]
 ) -> Iterator[list[Mask]]:
@@ -95,47 +156,72 @@ def _splitter_passes(
 
     A pass cuts every block by f(B) for each additive f (``op._chain ==
     "additive"``) and by f(Σ∖B) for each dual one, over the blocks B the
-    last pass made (all of them in the first pass), and by EU(B1, B2) for
-    each until operator and each pair of blocks B1 ≠ B2 of which one is
-    new: a splitter already used keeps cutting nothing, since blocks only
-    get finer.  Every operator must be a chain or an until, as those that
-    :func:`~abspres.languages._splitters` picks are.  The last pass makes no
-    block, so its yield repeats the one before (or the input).  The result
-    is the coarsest such refinement of the input, since each cut separates
-    states that every stable refinement of it separates.
+    last pass changed (all of them in the first pass), and by EU(B1, B2)
+    for each until operator and each pair of blocks B1 ≠ B2 of which one
+    is fresh: a splitter already used keeps cutting nothing, since blocks
+    only get finer.  Every operator must be a chain or an until, as those
+    that :func:`~abspres.languages._splitters` picks are.  The last pass
+    makes no block, so its yield repeats the one before (or the input).  The
+    result is the coarsest such refinement of the input, since each cut
+    separates states that every stable refinement of it separates.
 
-    Until cuts are made by the edges.  EU(B1, B2) lies in B1 ∪ B2 and holds
-    B2, and a member of B1 joins it only by a path inside B1 whose last move
-    enters B2; so a pair with no move from B1 into B2 gives B2, a block,
-    which cuts nothing, and only the pairs of blocks an edge joins are cut
-    by (:func:`_joined_pairs`).  Each of those is
-    :func:`~abspres.languages.until_mask`, a backward search from B2
-    through B1 over the model's predecessor rows, so a pass costs the
-    edges and the in-edges its searches reach, not b² fixpoints of an O(n)
-    ``pre``.  Dropping cuts that cut nothing leaves each pass's blocks as
-    they were.
+    One state → block index is built per call and kept across passes;
+    :func:`_split_once` updates it and names the indices it changed, which
+    are the next pass's fresh blocks.  Each split re-points the states of
+    its smaller part, whose size is at most half the block they leave, so a
+    state is re-pointed at most log₂ n times over the whole refinement.
+
+    Until cuts are made by entries (:func:`_entries`), one cut X(B2) per
+    target block B2, and they give each pass's blocks as the pairs do:
+
+    - X(B2) ∩ B1 = EU(B1, B2) ∩ B1 for every block B1 ≠ B2.  EU(B1, B2) is
+      B2 with the states of B1 that reach B2 by a path inside B1, and the
+      last move of such a path goes from B1 into B2.  The search starts at
+      pre(B2) ∖ B2, the sources of those last moves, and steps back only
+      along moves inside one block, so the states of B1 it reaches are
+      exactly those paths' states.
+    - One cut X(B2) splits as all the pair cuts EU(B1, B2) do.  A pass's
+      result is the common refinement of its starting blocks by its cuts,
+      whatever their order; EU(B1, B2) lies in B1 ∪ B2 and holds B2, so it
+      can split only B1, into EU(B1, B2) ∩ B1 and the rest, and X(B2) holds
+      B2 and meets each B1 in that same set.  A pair with no move from B1
+      into B2 has EU(B1, B2) ∩ B1 = ∅, so the targets are the fresh blocks
+      and the blocks a fresh block moves into.
+    - The extra pairs cut nothing.  Through X(B2), a target entered from a
+      fresh block also cuts by the pairs (B1, B2) in which neither block is
+      fresh.  At the start of every pass such a pair is stable, EU(B1, B2)
+      ∩ B1 being ∅ or B1, by induction on the passes: before the first
+      every block is fresh; and a pair neither of whose blocks is fresh at
+      the start of pass p + 1 was a pair of blocks at the start of pass p
+      that pass p left whole.  If one of them was fresh then, pass p cut by
+      the pair and B1 stayed whole, and otherwise the pair was stable at
+      its start; EU(B1, B2) depends only on B1, B2 and the model.
+
+    A search costs pre(B2) and the inner moves it reaches, and the inner
+    predecessor rows are built once per pass, only when an until is among
+    ``ops``.
     """
     full = model.space.full_mask
     blocks = list(blocks)
-    fresh = set(blocks)
+    owner = _owners(model.n, blocks)
+    fresh: Iterable[int] = range(len(blocks))
+    chains = [(op, op._chain == "dual") for op in ops if op._chain != "until"]
+    until = any(op._chain == "until" for op in ops)
     while True:
         cuts = set()
-        for op in ops:
-            if op._chain == "until":
-                cuts.update(
-                    until_mask(model, b1, b2)
-                    for b1, b2 in _joined_pairs(model, blocks)
-                    if b1 in fresh or b2 in fresh
-                )
-            else:
-                dual = op._chain == "dual"
-                cuts.update(apply_operator(op, model, (full & ~b if dual else b,)) for b in fresh)
-        old = set(blocks)
-        _split_once(blocks, cuts)
-        fresh = set(blocks) - old
+        for op, dual in chains:
+            cuts.update(
+                apply_operator(op, model, (full & ~blocks[k] if dual else blocks[k],))
+                for k in fresh
+            )
+        if until:
+            cuts.update(_entries(model, blocks, owner, fresh).values())
+        changed: set[int] = set()
+        _split_once(blocks, owner, cuts, changed)
         yield list(blocks)
-        if not fresh:
+        if not changed:
             return
+        fresh = changed
 
 
 def _stable_partition(
@@ -181,9 +267,10 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
     Only the pairs with a move from B1 into B2 are tested: for any other
     pair EU(B1, B2) ∩ B1 = ∅, since a member of B1 in EU(B1, B2) has a path
     inside B1 into B2, and its last move goes from B1 into B2.  ``EU`` is
-    :func:`~abspres.languages.until_mask`, as in the engine; the tests judge
-    this checker by ``brute_stuttering`` and ``all_pairs_check_dbs``, and
-    ``until_mask`` by ``eu_path_oracle`` (``tests/conftest.py``)."""
+    :func:`~abspres.languages.until_mask`, not the engine's entries search;
+    the tests judge this checker by ``brute_stuttering`` and
+    ``all_pairs_check_dbs``, and ``until_mask`` by ``eu_path_oracle``
+    (``tests/conftest.py``)."""
     _check_space(p, model, "partition and model")
     if not p.refines(label_partition(model)):
         return False

@@ -274,11 +274,27 @@ def row_walk_relation_search(p, lang, model: KripkeModel, mode: str = "all") -> 
     return hits
 
 
+def split_every_block(blocks: list, cuts) -> int:
+    """Cut every block of ``blocks`` by each set of ``cuts``, in place: a
+    block that a cut meets without containing keeps its part inside the cut,
+    and its part outside goes to the end.  Returns the number of cuts made."""
+    count = 0
+    for x in cuts:
+        for i in range(len(blocks)):
+            c = blocks[i]
+            inside = c & x
+            if inside and inside != c:
+                blocks[i] = inside
+                blocks.append(c & ~x)
+                count += 1
+    return count
+
+
 def all_pairs_splitter_passes(model: KripkeModel, blocks, ops):
     """The splitter engine with an until cut for every pair of blocks B1 ≠ B2
     of which one is new, each by the ``EU`` fixpoint of ``apply_operator``
-    with an O(n) ``pre`` at each step; yields the blocks after each pass."""
-    from abspres.equivalences import _split_once
+    with an O(n) ``pre`` at each step, and each cut tried on every block
+    (:func:`split_every_block`); yields the blocks after each pass."""
     from abspres.languages import apply_operator
 
     full = model.space.full_mask
@@ -298,7 +314,7 @@ def all_pairs_splitter_passes(model: KripkeModel, blocks, ops):
                 dual = op._chain == "dual"
                 cuts.update(apply_operator(op, model, (full & ~b if dual else b,)) for b in fresh)
         old = set(blocks)
-        _split_once(blocks, cuts)
+        split_every_block(blocks, cuts)
         fresh = set(blocks) - old
         yield list(blocks)
         if not fresh:

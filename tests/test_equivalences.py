@@ -28,7 +28,7 @@ from abspres.equivalences import (
     simeq_shell_partition,
 )
 from abspres.languages import builtin_operator, label_constants, preset_language
-from abspres.lattice import StateSpace, moore_close
+from abspres.lattice import StateSpace, _members, _owners, moore_close
 from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
 from abspres.shells import semantic_closure
 
@@ -129,11 +129,18 @@ class TestSplitPasses:
         )
         mask = model.space.mask_of
         blocks = [mask(["a1", "a2"]), mask(["b1", "b2"]), mask(["c"])]
+        owner = _owners(model.n, blocks)
         cuts = [model.pre(b) for b in blocks]
 
-        assert equivalences._split_once(blocks, cuts) == 2
-        assert blocks == [mask(["a2"]), mask(["b2"]), mask(["c"]), mask(["a1"]), mask(["b1"])]
-        assert equivalences._split_once(blocks, cuts) == 0
+        changed = set()
+        assert equivalences._split_once(blocks, owner, cuts, changed) == 2
+        assert set(blocks) == {mask([s]) for s in ("a1", "a2", "b1", "b2", "c")}
+        assert owner == _owners(model.n, blocks)
+        # both parts of both split blocks changed, c did not
+        assert {blocks[k] for k in changed} == set(blocks) - {mask(["c"])}
+        changed = set()
+        assert equivalences._split_once(blocks, owner, cuts, changed) == 0
+        assert not changed
         assert bisim_partition(model) == Partition.identity(model.space)
 
 
@@ -223,6 +230,23 @@ class TestEdgeRefinements:
                 model, atoms + [full & ~a for a in atoms]
             )
 
+    def test_stuttering_passes_on_small_sparse_models(self):
+        # one label and 1-3 successors on 8-14 states leave blocks of several
+        # states, where a fresh block's move into an older block can cut it;
+        # an engine that searched only into fresh blocks missed such cuts
+        rng = random.Random(2929)
+        eu = [builtin_operator("EU")]
+        split = 0
+        for i in range(600):
+            model = sparse_model(rng, rng.randint(8, 14), stuck=i % 2 == 0)
+            model = KripkeModel(model.space, model.succ, model.label_items[:1])
+            labels = label_partition(model).blocks
+            passes = [set(p) for p in equivalences._splitter_passes(model, labels, eu)]
+            want = [set(p) for p in all_pairs_splitter_passes(model, labels, eu)]
+            assert passes == want, model
+            split += len(want) > 2
+        assert split >= 200, split
+
     def test_checker_skips_only_pairs_without_an_edge(self):
         rng = random.Random(1818)
         accepted = rejected = 0
@@ -240,21 +264,52 @@ class TestEdgeRefinements:
         assert accepted >= 40 and rejected >= 30
 
     def test_until_cuts_are_made_only_across_edges(self, monkeypatch):
+        # each pass cuts by one X(B2) per target block B2, a fresh block or
+        # one that a fresh block moves into, and X(B2) meets every other
+        # block B1 in EU(B1, B2) ∩ B1; the state → block index kept across
+        # passes names each state's block after every pass
+        entries, split_once = equivalences._entries, equivalences._split_once
         until = equivalences.until_mask
-        seen = []
+        targets = checks = entered = 0
+        models = self.models()
+        assert sum(not m.is_total() for m in models) >= 5
 
-        for model in self.models():
+        for model in models:
 
-            def checked(m, b1, b2, model=model):
-                assert m is model
-                assert model.post(b1) & b2, "an until pair with no edge from B1 into B2"
-                assert not b1 & b2
-                seen.append((b1, b2))
-                return until(m, b1, b2)
+            def checked_entries(m, blocks, owner, fresh, model=model):
+                nonlocal targets, checks, entered
+                fresh = set(fresh)
+                cuts = entries(m, blocks, owner, fresh)
+                moved_into = {
+                    j for k in fresh for j, b in enumerate(blocks)
+                    if j != k and model.post(blocks[k]) & b
+                }
+                assert set(cuts) == fresh | moved_into
+                entered += len(moved_into - fresh)
+                for j, x in cuts.items():
+                    b2 = blocks[j]
+                    assert x & b2 == b2
+                    for b1 in blocks:
+                        if b1 != b2:
+                            assert x & b1 == until(model, b1, b2) & b1, (model, b1, b2)
+                            checks += 1
+                    targets += 1
+                return cuts
 
-            monkeypatch.setattr(equivalences, "until_mask", checked)
+            def checked_split(blocks, owner, cuts, changed, model=model):
+                old = set(blocks)
+                count = split_once(blocks, owner, cuts, changed)
+                assert count == len(blocks) - len(old)
+                assert {blocks[k] for k in changed} == set(blocks) - old
+                assert sum(b.bit_count() for b in blocks) == model.n
+                for k, b in enumerate(blocks):
+                    assert b and all(owner[s] == k for s in _members(b))
+                return count
+
+            monkeypatch.setattr(equivalences, "_entries", checked_entries)
+            monkeypatch.setattr(equivalences, "_split_once", checked_split)
             dbs_partition(model)
-        assert len(seen) >= 500
+        assert targets >= 400 and checks >= 500 and entered >= 90, (targets, checks, entered)
 
 
 class TestStuttering:

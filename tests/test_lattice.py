@@ -410,6 +410,34 @@ class TestLazyMooreFamilies:
                 seen["listed"] += 1
         assert min(seen.values()) >= 50, seen
 
+    def test_meet_close_refuses_at_the_bound_plus_one(self, monkeypatch):
+        # a g's meets are counted as they are built: the refusal names
+        # bound + 1 sets, and the family passed in never holds more than the
+        # bound, where building all of a g's meets first reached up to twice it
+        from abspres import lattice
+
+        space = StateSpace(tuple(str(i) for i in range(8)))
+        full = space.full_mask
+        coatoms = [full & ~(1 << s) for s in range(8)]
+        rng = random.Random(2906)
+        cases = [(coatoms, bound) for bound in (50, 100, 200)]
+        for _ in range(200):
+            raw = self.random_masks(rng, 8)
+            want = self.brute(space, raw)
+            if len(want) > 2:
+                cases.append((raw, rng.randint(1, len(want) - 1)))
+        refused = 0
+        for raw, bound in cases:
+            monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", bound)
+            closed = {full}
+            with pytest.raises(CapacityError) as error:
+                lattice.meet_close(closed, raw, "image")
+            assert str(error.value) == (f"image reached {bound + 1} sets, "
+                                        f"over DEFAULT_MAX_FAMILY = {bound}")
+            assert len(closed) <= bound and closed <= self.brute(space, raw)
+            refused += 1
+        assert refused >= 150
+
     def test_building_lists_no_image(self, kpq, monkeypatch):
         from abspres import (
             coarsest_sp_partition,

@@ -122,12 +122,16 @@ def _joined_pairs(model: KripkeModel, blocks: Sequence[Mask]) -> set[tuple[Mask,
 
 
 def _entries(
-    model: KripkeModel, blocks: Sequence[Mask], owner: Sequence[int], fresh: Iterable[int]
+    model: KripkeModel,
+    blocks: Sequence[Mask],
+    owner: Sequence[int],
+    inner: Sequence[Mask],
+    fresh: Iterable[int],
 ) -> dict[int, Mask]:
     """The until cuts of a pass, by target: X(B2) = B2 ∪ ⋃_{B1 ≠ B2}
     (EU(B1, B2) ∩ B1) for the index of each block B2 that is fresh or that
     a fresh block moves into, each by one backward search from pre(B2) ∖ B2
-    over the predecessors each state has in its own block."""
+    over ``inner``, the predecessors each state has in its own block."""
     targets = set(fresh)
     for k in fresh:
         rest = model.post(blocks[k]) & ~blocks[k]
@@ -135,7 +139,6 @@ def _entries(
             j = owner[(rest & -rest).bit_length() - 1]
             targets.add(j)
             rest &= ~blocks[j]
-    inner = [row & blocks[k] for row, k in zip(model.pred, owner)]
     cuts = {}
     for j in targets:
         b2 = blocks[j]
@@ -197,9 +200,13 @@ def _splitter_passes(
       the pair and B1 stayed whole, and otherwise the pair was stable at
       its start; EU(B1, B2) depends only on B1, B2 and the model.
 
-    A search costs pre(B2) and the inner moves it reaches, and the inner
-    predecessor rows are built once per pass, only when an until is among
-    ``ops``.
+    A search costs pre(B2) and the inner moves it reaches.  The inner
+    predecessor rows, pred[t] ∩ blocks[owner[t]], are built once per call,
+    only when an until is among ``ops``, and kept by change: a row differs
+    after a pass only for a state that moved, which now lies in a block of a
+    new index, or for a successor of one, whose block lost a predecessor.
+    A state moves at most log₂ n times, so the rows are recomputed O((n +
+    m) log n) times over the whole refinement, m the number of moves.
     """
     full = model.space.full_mask
     blocks = list(blocks)
@@ -207,6 +214,9 @@ def _splitter_passes(
     fresh: Iterable[int] = range(len(blocks))
     chains = [(op, op._chain == "dual") for op in ops if op._chain != "until"]
     until = any(op._chain == "until" for op in ops)
+    if until:
+        pred = model.pred
+        inner = [row & blocks[k] for row, k in zip(pred, owner)]
     while True:
         cuts = set()
         for op, dual in chains:
@@ -215,9 +225,20 @@ def _splitter_passes(
                 for k in fresh
             )
         if until:
-            cuts.update(_entries(model, blocks, owner, fresh).values())
+            cuts.update(_entries(model, blocks, owner, inner, fresh).values())
         changed: set[int] = set()
+        before = len(blocks)
         _split_once(blocks, owner, cuts, changed)
+        if until:
+            moved = 0
+            for b in blocks[before:]:
+                moved |= b
+            rest = moved | model.post(moved)
+            while rest:
+                low = rest & -rest
+                t = low.bit_length() - 1
+                inner[t] = pred[t] & blocks[owner[t]]
+                rest ^= low
         yield list(blocks)
         if not changed:
             return

@@ -270,25 +270,21 @@ class SetFamily:
 def meet_close(closed: set[Mask], fresh: Iterable[Mask], what: str) -> set[Mask]:
     """Add the meets of ``fresh`` to the Moore family ``closed``, in place;
     returns the masks added.  Each new g adds {m ∩ g | m ∈ closed}, which
-    keeps ``closed`` meet-closed, as (m ∩ g) ∩ m' = (m ∩ m') ∩ g.  The first
-    g whose meets pass :data:`DEFAULT_MAX_FAMILY` raises, naming ``what``,
-    at the meet that makes bound + 1 sets: a g at most doubles ``closed``, so
-    its meets are built one by one only when the double could pass the
-    bound, and ``closed`` itself never passes it."""
+    keeps ``closed`` meet-closed, as (m ∩ g) ∩ m' = (m ∩ m') ∩ g.  The meets
+    are built one by one, so the first g whose meets pass
+    :data:`DEFAULT_MAX_FAMILY` raises, naming ``what``, at the meet that
+    makes bound + 1 sets, and ``closed`` itself never passes the bound."""
     added: set[Mask] = set()
     for g in fresh:
         if g not in closed:
             room = DEFAULT_MAX_FAMILY - len(closed)
-            if len(closed) <= room:
-                meets = {m & g for m in closed} - closed
-            else:
-                meets = set()
-                for m in closed:
-                    meet = m & g
-                    if meet not in closed:
-                        meets.add(meet)
-                        if len(meets) > room:
-                            _check_family(what, len(closed) + len(meets))
+            meets = set()
+            for m in closed:
+                meet = m & g
+                if meet not in closed:
+                    meets.add(meet)
+                    if len(meets) > room:
+                        _check_family(what, len(closed) + len(meets))
             closed |= meets
             added |= meets
     return added

@@ -267,7 +267,8 @@ class TestEdgeRefinements:
         # each pass cuts by one X(B2) per target block B2, a fresh block or
         # one that a fresh block moves into, and X(B2) meets every other
         # block B1 in EU(B1, B2) ∩ B1; the state → block index kept across
-        # passes names each state's block after every pass
+        # passes names each state's block after every pass, and the inner
+        # predecessor rows kept across passes are each state's own block's
         entries, split_once = equivalences._entries, equivalences._split_once
         until = equivalences.until_mask
         targets = checks = entered = 0
@@ -276,10 +277,11 @@ class TestEdgeRefinements:
 
         for model in models:
 
-            def checked_entries(m, blocks, owner, fresh, model=model):
+            def checked_entries(m, blocks, owner, inner, fresh, model=model):
                 nonlocal targets, checks, entered
                 fresh = set(fresh)
-                cuts = entries(m, blocks, owner, fresh)
+                assert inner == [row & blocks[k] for row, k in zip(model.pred, owner)]
+                cuts = entries(m, blocks, owner, inner, fresh)
                 moved_into = {
                     j for k in fresh for j, b in enumerate(blocks)
                     if j != k and model.post(blocks[k]) & b

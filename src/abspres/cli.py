@@ -98,10 +98,12 @@ def _parse_domain(model: KripkeModel, text: str, lang: Optional[LanguageSpec]) -
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise AbspresError(f"family file {text}: {exc}") from None
-    if not isinstance(doc, dict) or "sets" not in doc:
-        raise AbspresError(f"family file {text} must contain a 'sets' list")
-    fam = SetFamily.from_names(model.space, doc["sets"])
-    return moore_close(fam)
+    sets = doc.get("sets") if isinstance(doc, dict) else None
+    if not isinstance(sets, list) or not all(
+        isinstance(g, list) and all(isinstance(s, str) for s in g) for g in sets
+    ):
+        raise AbspresError(f"family file {text}: 'sets' must be a list of lists of state names")
+    return moore_close(SetFamily.from_names(model.space, sets))
 
 
 def _parse_relation(model: KripkeModel, text: str) -> Preorder:

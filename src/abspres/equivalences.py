@@ -1,7 +1,7 @@
 """Bisimulation, divergence-blind stuttering and simulation.
 
 Each relation is computed by one polynomial route and judged by one
-checker, its literal per-pair (for stuttering, per-block) definition.
+checker, its definition read by rows, not pairs (for stuttering, by blocks).
 Bisimulation and stuttering are the coarsest partitions of the label
 blocks that are stable for ``EX`` and for ``EU``, both computed by the
 splitter engine :func:`_splitter_passes`; similarity is the greatest
@@ -42,12 +42,12 @@ similarity is a worklist over the model's predecessor rows: when a row
 shrinks, its pre-image is computed once and cuts the rows of its
 predecessors.  Pass by pass, both give exactly the answers of the
 all-pairs and move-sweep loops they replace, which the tests keep as
-oracles.  The checkers walk the members of rows and test the pairs of
-blocks an edge joins, so they too cost the edges and the pairs they test.
-The checker's ``EU`` is :func:`abspres.languages.until_mask`; its judges
-are ``eu_path_oracle``, ``brute_stuttering`` and ``all_pairs_check_dbs`` in
-``tests/conftest.py``, and the tests hold each entries cut to
-``until_mask`` block by block.
+oracles.  The checkers read rows, not pairs: simulation by R(s) ⊆
+pre(R(t)) for each move s → t, stuttering by the pairs of blocks an
+edge joins.  The stuttering checker's ``EU`` is
+:func:`abspres.languages.until_mask`; its judges are ``eu_path_oracle``,
+``brute_stuttering`` and ``all_pairs_check_dbs`` in ``tests/conftest.py``,
+and the tests hold each entries cut to ``until_mask`` block by block.
 
 The paper characterizes the same relations by forward completeness of the
 induced domain (bisimulation ↔ {atoms} ∪ {pre}, stuttering ↔ {atoms} ∪
@@ -66,12 +66,13 @@ so that ``shells`` can import it at module level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import shells
 from .errors import ValidationError
-from .kripke import KripkeModel, _join_rows, label_partition
-from .lattice import Mask, SetFamily, _check_space, _members, _owners, moore_close
+from .kripke import KripkeModel, label_partition
+from .lattice import Mask, SetFamily, _check_space, _join_rows, _members, _owners, moore_close
 from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
@@ -333,12 +334,6 @@ def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
     return Preorder._of_preorder(model.space, tuple(rows))
 
 
-def _matched(model: KripkeModel, s: int, s2: int, rows: Sequence[Mask]) -> bool:
-    """Is every move s → t matched by a move s2 → t' with t R t' (R as rows)?"""
-    succ2 = model.succ[s2]
-    return all(succ2 & rows[t] for t in _members(model.succ[s]))
-
-
 def largest_simulation(model: KripkeModel) -> Preorder:
     """The similarity preorder from R₀ = {(s,s') | ℓ(s') ⊆ ℓ(s)}: labels
     compare by inclusion, so a state with fewer labels may simulate one with
@@ -357,14 +352,20 @@ def equal_label_simulation(model: KripkeModel) -> Preorder:
 
 def check_simulation(r: Preorder, model: KripkeModel) -> bool:
     """Is R a simulation?  s R s' needs ℓ(s') ⊆ ℓ(s), and every move s → t
-    matched by a move s' → t' with t R t'."""
+    matched by a move s' → t' with t R t'.  By rows, not pairs: R(Σ∖a) ∩ a
+    = ∅ for each label a, and R(pred(t)) ⊆ pre(R(t)) for each state t; as
+    t R t, pred(t) lies in pre(R(t)), so only the rest is tested, and pre is
+    taken once per distinct row."""
     _check_space(r, model, "preorder and model")
-    labels = [model.label_of_state(s) for s in range(model.n)]
-    return all(
-        labels[s2] <= labels[s] and _matched(model, s, s2, r.rows)
-        for s in range(model.n)
-        for s2 in _members(r.rows[s])
-    )
+    rows, full = r.rows, model.space.full_mask
+    if any(_join_rows(rows, full & ~a) & a for _, a in model.label_items):
+        return False
+    image = cache(model.pre)
+    for pred, row in zip(model.pred, rows):
+        rest = _join_rows(rows, pred) & ~pred
+        if rest and rest & ~image(row):
+            return False
+    return True
 
 
 def bisim_shell_partition(model: KripkeModel) -> Partition:

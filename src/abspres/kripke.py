@@ -27,7 +27,9 @@ from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .lattice import Mask, StateSet, StateSpace, _check_space, _classes, _members, _owners, _transpose
+from .lattice import (
+    Mask, StateSet, StateSpace, _check_space, _classes, _join_rows, _members, _owners, _transpose,
+)
 from .partitions import Partition
 
 
@@ -129,16 +131,6 @@ class KripkeModel:
     def cpost(self, y: Mask) -> Mask:
         full = self.space.full_mask
         return full & ~_join_rows(self.succ, full & ~y)
-
-
-def _join_rows(rows: tuple[Mask, ...], y: Mask) -> Mask:
-    """The union of ``rows[i]`` over the members i of ``y``."""
-    acc = 0
-    while y:
-        low = y & -y
-        acc |= rows[low.bit_length() - 1]
-        y ^= low
-    return acc
 
 
 def validate_model(model: KripkeModel) -> None:

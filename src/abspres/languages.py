@@ -651,6 +651,8 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ValidationError(f"operator entry {k} needs a string 'name'")
         op_name, expr = entry["name"], entry.get("expr")
+        if expr is not None and not isinstance(expr, str):
+            raise ValidationError(f"operator {op_name!r} needs a string 'expr', got {expr!r}")
         # a built-in's body takes exactly its arity's placeholders
         body = builtin_operator(op_name).body if expr is None else parse_transformer(expr)
         arity = entry.get("arity", max_placeholder(body))

@@ -66,6 +66,16 @@ def _members(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
+def _join_rows(rows: Sequence[Mask], y: Mask) -> Mask:
+    """The union of ``rows[i]`` over the members i of ``y``."""
+    acc = 0
+    while y:
+        low = y & -y
+        acc |= rows[low.bit_length() - 1]
+        y ^= low
+    return acc
+
+
 def _owners(n: int, blocks: Sequence[Mask]) -> list[int]:
     """The index in ``blocks`` of the block holding each of the n states,
     for disjoint blocks that cover them."""

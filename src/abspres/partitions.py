@@ -14,7 +14,8 @@ assertable inclusion is image(A) ⊆ image(shell(A)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 from . import lattice
 from .errors import CapacityError, ValidationError
@@ -26,6 +27,7 @@ from .lattice import (
     StateSpace,
     _check_space,
     _classes,
+    _join_rows,
     _members,
     _owners,
     domain_leq,
@@ -121,22 +123,16 @@ class Partition:
         return acc
 
     def refines(self, other: "Partition") -> bool:
-        """P ≼ Q: every block of P fits inside a block of Q."""
+        """P ≼ Q: each block of P lies in the block of Q holding its lowest state."""
         _check_space(self, other, "partitions")
-        for b in self.blocks:
-            if not any(b & ~c == 0 for c in other.blocks):
-                return False
-        return True
+        owner = _owners(other.space.n, other.blocks)
+        return all(b & ~other.blocks[owner[(b & -b).bit_length() - 1]] == 0 for b in self.blocks)
 
 
-def _transitive_closure(rows: Iterable[Mask]) -> tuple[Mask, ...]:
-    """Warshall's closure of a relation given as row masks."""
-    closure = list(rows)
-    for k in range(len(closure)):
-        for s in range(len(closure)):
-            if (closure[s] >> k) & 1:
-                closure[s] |= closure[k]
-    return tuple(closure)
+def _is_transitive(rows: Sequence[Mask]) -> bool:
+    """Is the reflexive relation of ``rows`` transitive: R(R(s)) ⊆ R(s) for
+    each row?  Each distinct row is joined once."""
+    return all(_join_rows(rows, row) & ~row == 0 for row in set(rows))
 
 
 @dataclass(frozen=True)
@@ -144,25 +140,25 @@ class Preorder:
     """A reflexive and transitive relation as a dense row-mask matrix.
 
     ``rows[s]`` holds the mask {t | s R t}.  Rows given to the constructor
-    are validated: reflexivity bit by bit, transitivity against Warshall's
-    closure.  The library's own preorders (similarities, partitions,
-    ``preord_of``) are preorders by construction and are built through
-    :meth:`_of_preorder`, which skips both checks.
+    are validated by rows, not pairs: each within the space and holding s,
+    then R(R(s)) ⊆ R(s) (:func:`_is_transitive`).  The library's own
+    preorders (similarities, partitions, ``preord_of``) are preorders by
+    construction and are built through :meth:`_of_preorder`, unchecked.
     """
 
     space: StateSpace
     rows: tuple[Mask, ...]
 
     def __post_init__(self):
-        n = self.space.n
-        if len(self.rows) != n:
+        names = self.space.names
+        if len(self.rows) != len(names):
             raise ValidationError("relation matrix width does not match the space")
-        for s in range(n):
-            if not (self.rows[s] >> s) & 1:
-                raise ValidationError(
-                    f"relation is not reflexive at state {self.space.names[s]!r}"
-                )
-        if _transitive_closure(self.rows) != self.rows:
+        for s, row in enumerate(self.rows):
+            if row & ~self.space.full_mask:
+                raise ValidationError(f"row of {names[s]!r} names a state outside the space")
+            if not (row >> s) & 1:
+                raise ValidationError(f"relation is not reflexive at state {names[s]!r}")
+        if not _is_transitive(self.rows):
             raise ValidationError("relation is not transitive")
 
     @classmethod
@@ -306,19 +302,14 @@ def iter_partitions(space: StateSpace) -> Iterator[Partition]:
 
 
 def iter_preorders(space: StateSpace) -> Iterator[Preorder]:
-    """All preorders over a small space, by filtering reflexive relations."""
+    """All preorders over a small space: the transitive reflexive relations."""
     n = space.n
     if n > lattice.MAX_ENUMERATION_STATES:
         raise CapacityError(
             f"preorder enumeration supports n ≤ MAX_ENUMERATION_STATES = "
             f"{lattice.MAX_ENUMERATION_STATES}, got {n}"
         )
-    off_diagonal = [(s, t) for s in range(n) for t in range(n) if s != t]
-    base = tuple(1 << i for i in range(n))
-    for bits in range(1 << len(off_diagonal)):
-        rows = list(base)
-        for k, (s, t) in enumerate(off_diagonal):
-            if (bits >> k) & 1:
-                rows[s] |= 1 << t
-        if _transitive_closure(rows) == tuple(rows):
-            yield Preorder._of_preorder(space, tuple(rows))
+    reflexive = ([row for row in range(1 << n) if (row >> s) & 1] for s in range(n))
+    for rows in product(*reflexive):
+        if _is_transitive(rows):
+            yield Preorder._of_preorder(space, rows)

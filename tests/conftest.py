@@ -334,6 +334,23 @@ def all_pairs_check_dbs(p, model: KripkeModel) -> bool:
     )
 
 
+def pairwise_check_simulation(r, model: KripkeModel) -> bool:
+    """The simulation checker over every related pair (s, s'): ℓ(s') ⊆ ℓ(s),
+    and every move s → t matched by a move s' → t' with t R t'."""
+    from abspres.lattice import _members
+
+    labels = [model.label_of_state(s) for s in range(model.n)]
+
+    def matched(s, s2):
+        return all(model.succ[s2] & r.rows[t] for t in _members(model.succ[s]))
+
+    return all(
+        labels[s2] <= labels[s] and matched(s, s2)
+        for s in range(model.n)
+        for s2 in _members(r.rows[s])
+    )
+
+
 def sweep_similarity(model: KripkeModel, atoms) -> tuple:
     """The similarity rows by sweeping every move s → t in each round, with
     R(s) := R(s) ∩ pre(R(t)), until no row shrinks; R₀(s) = ⋂ {Σ∖a | s ∉ a}."""
@@ -439,6 +456,21 @@ def row_column_kernel(r):
     n = r.space.n
     cols = [sum(1 << s for s in range(n) if (r.rows[s] >> t) & 1) for t in range(n)]
     return Partition.from_masks(r.space, {row & col for row, col in zip(r.rows, cols)})
+
+
+def warshall_closure(rows) -> tuple:
+    """Warshall's transitive closure of a relation given as row masks."""
+    closure = list(rows)
+    for k in range(len(closure)):
+        for s in range(len(closure)):
+            if (closure[s] >> k) & 1:
+                closure[s] |= closure[k]
+    return tuple(closure)
+
+
+def block_pair_refines(p, q) -> bool:
+    """P ≼ Q by testing each block of P against every block of Q."""
+    return all(any(b & ~c == 0 for c in q.blocks) for b in p.blocks)
 
 
 def label_set_partition(model: KripkeModel):

@@ -38,9 +38,11 @@ from conftest import (
     brute_bisimulation,
     brute_simulation,
     brute_stuttering,
+    pairwise_check_simulation,
     random_model,
     random_total_model,
     sweep_similarity,
+    warshall_closure,
 )
 
 
@@ -391,12 +393,41 @@ class TestSimulation:
             for s, t in rng.sample(missing, min(6, len(missing))):
                 rows = list(r.rows)
                 rows[s] |= 1 << t
-                for k in range(n):
-                    for i in range(n):
-                        if (rows[i] >> k) & 1:
-                            rows[i] |= rows[k]
-                bigger = Preorder(model.space, tuple(rows))
+                bigger = Preorder(model.space, warshall_closure(rows))
                 assert not check_simulation(bigger, model)
+
+    def test_checker_matches_the_pair_loop(self):
+        # similarities, partitions, merged blocks and single added pairs on
+        # seeded models: the row checker gives the per-pair loop's verdicts
+        rng = random.Random(31)
+        verdicts = {True: 0, False: 0}
+        for i in range(120):
+            model = random_model(rng, 2 + i % 7)
+            space = model.space
+            bisim = bisim_partition(model)
+            blocks = [bisim, label_partition(model), Partition.identity(space)]
+            if len(bisim) > 1:
+                j, k = rng.sample(range(len(bisim)), 2)
+                blocks.append(merge_two_blocks(bisim, j, k))
+            for p in blocks:
+                want = pairwise_check_simulation(Preorder.from_partition(p), model)
+                assert check_bisimulation(p, model) == want, (model, p)
+                verdicts[want] += 1
+            relations = [Preorder.total(space)]
+            for sim in (largest_simulation(model), equal_label_simulation(model)):
+                relations.append(sim)
+                missing = [
+                    (s, t) for s in range(model.n) for t in _members(space.full_mask & ~sim.rows[s])
+                ]
+                for s, t in rng.sample(missing, min(2, len(missing))):
+                    rows = list(sim.rows)
+                    rows[s] |= 1 << t
+                    relations.append(Preorder(space, warshall_closure(rows)))
+            for r in relations:
+                want = pairwise_check_simulation(r, model)
+                assert check_simulation(r, model) == want, (model, r)
+                verdicts[want] += 1
+        assert min(verdicts.values()) >= 200, verdicts
 
 
 class TestSimulationEquivalence:

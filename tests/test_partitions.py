@@ -32,9 +32,11 @@ from abspres import (
     structural_shell,
     top_domain,
 )
+from abspres import partitions
 from abspres.equivalences import equal_label_simulation
 from abspres.kripke import load_model
 from conftest import (
+    block_pair_refines,
     closure_pr,
     complement_closed,
     double_loop_preord_rows,
@@ -42,6 +44,7 @@ from conftest import (
     random_model,
     row_column_kernel,
     union_closed,
+    warshall_closure,
 )
 from test_cli import TestLargeModels as _LargeModels
 from test_equivalences import lifted_model
@@ -154,8 +157,8 @@ class TestAddPreord:
         assert preord_of(powerset_domain(SPACE4)) == Preorder.identity(SPACE4)
 
     def test_given_relations_are_still_checked(self):
-        # rows from outside the library run Warshall's closure: the
-        # constructor, from_pairs (the CLI's --relation) and the enumeration
+        # rows from outside the library run the row test: the constructor,
+        # from_pairs (the CLI's --relation) and the enumeration
         space = StateSpace.of("a", "b", "c")
         with pytest.raises(ValidationError, match="not transitive"):
             Preorder(space, (0b011, 0b110, 0b100))
@@ -166,18 +169,15 @@ class TestAddPreord:
 
     def test_library_preorders_skip_the_transitivity_check(self, monkeypatch):
         # similarity, partition and domain preorders are preorders by
-        # construction, so none of them runs Warshall's closure
+        # construction, so none of them runs the transitivity test
         import random
 
-        from abspres import partitions
         from abspres.equivalences import check_bisimulation, largest_simulation
         from conftest import random_model
 
         calls = []
-        closure = partitions._transitive_closure
-        monkeypatch.setattr(
-            partitions, "_transitive_closure", lambda rows: calls.append(1) or closure(rows)
-        )
+        test = partitions._is_transitive
+        monkeypatch.setattr(partitions, "_is_transitive", lambda rows: calls.append(1) or test(rows))
         model = random_model(random.Random(200), 200)
         sim = largest_simulation(model)
         check_bisimulation(sim.kernel(), model)
@@ -192,6 +192,52 @@ class TestAddPreord:
             Preorder(space, (0b010, 0b010, 0b100))  # a relates only to b
         with pytest.raises(ValidationError):
             Preorder(space, (0b011, 0b110, 0b100))  # a<=b, b<=c, not a<=c
+
+    def test_rows_outside_the_space_rejected(self):
+        # checked before the row test, which would index past the rows
+        space = StateSpace.of("a", "b")
+        with pytest.raises(ValidationError, match="row of 'a' names a state outside"):
+            Preorder(space, (0b101, 0b010))
+        with pytest.raises(ValidationError, match="row of 'b' names a state outside"):
+            Preorder(space, (0b001, -1))
+
+
+class TestRowsAgainstPairs:
+    """The row tests against the pair loops they replace, kept in
+    ``tests/conftest.py`` as oracles."""
+
+    def test_transitivity_matches_warshall(self):
+        # every reflexive relation over at most 4 states, by its off-diagonal bits
+        for n in range(5):
+            space = StateSpace(tuple(str(i + 1) for i in range(n)))
+            off_diagonal = [(s, t) for s in range(n) for t in range(n) if s != t]
+            preorders = []
+            for bits in range(1 << len(off_diagonal)):
+                rows = [1 << s for s in range(n)]
+                for k, (s, t) in enumerate(off_diagonal):
+                    if (bits >> k) & 1:
+                        rows[s] |= 1 << t
+                rows = tuple(rows)
+                transitive = warshall_closure(rows) == rows
+                assert partitions._is_transitive(rows) == transitive, rows
+                if transitive:
+                    preorders.append(Preorder(space, rows))
+                else:
+                    with pytest.raises(ValidationError, match="not transitive"):
+                        Preorder(space, rows)
+            assert sorted(r.rows for r in iter_preorders(space)) == sorted(r.rows for r in preorders)
+            assert len(preorders) == (1, 1, 4, 29, 355)[n]
+
+    def test_refines_matches_the_block_pairs(self):
+        verdicts = set()
+        for n in (4, 5):
+            space = StateSpace(tuple(str(i + 1) for i in range(n)))
+            every = list(iter_partitions(space))
+            for p in every:
+                for q in every:
+                    verdicts.add(p.refines(q))
+                    assert p.refines(q) == block_pair_refines(p, q), (p, q)
+        assert verdicts == {True, False}
 
 
 class TestDisjunctive:

@@ -282,19 +282,19 @@ def cmd_search(args) -> int:
     p = _parse_partition(model, args.partition, lang)
     hits = sp_abstract_kripke_search(p, lang, model, mode=args.mode)
     names = [block_name(model, b) for b in p.blocks]
-    rendered = [
-        sorted([names[i], names[j]] for i, j in hit) for hit in hits
-    ]
-    payload = {
-        "command": "search-abstract-kripke",
-        "result": {"blocks": names, "relations": rendered},
-    }
-    if hits:
-        text = "\n".join(
-            "; ".join(f"{a} -> {b}" for a, b in hit) for hit in rendered
-        )
-    else:
-        text = "no strongly preserving abstract relation exists"
+    # a hit lists its pairs by (source name, target name): rank the b² pairs
+    # once, and render each hit from its pairs' ranks
+    named = sorted((names[i], names[j], i, j) for i in range(len(names)) for j in range(len(names)))
+    rank = {(i, j): r for r, (_, _, i, j) in enumerate(named)}
+    ranked = [sorted([rank[pair] for pair in hit]) for hit in hits]
+    payload: dict = {"command": "search-abstract-kripke"}
+    text = "no strongly preserving abstract relation exists"
+    if args.format == "json":
+        pairs = [[a, b] for a, b, _, _ in named]
+        payload["result"] = {"blocks": names, "relations": [[pairs[r] for r in hit] for hit in ranked]}
+    elif hits:
+        arrows = [f"{a} -> {b}" for a, b, _, _ in named]
+        text = "\n".join(["; ".join([arrows[r] for r in hit]) for hit in ranked])
     _emit(args, payload, text)
     return 0 if hits else PROPERTY_FALSE
 

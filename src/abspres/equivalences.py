@@ -308,22 +308,31 @@ def _similarity(model: KripkeModel, atoms: Iterable[Mask]) -> Preorder:
 
     A worklist holds the states whose row shrank since their predecessors'
     rows were last cut by it (all of them at first).  Taking t from it
-    computes pre(R(t)) once and intersects it into R(s) for each
-    predecessor s of t (``model.pred``), queueing s when R(s) shrinks.  Every
-    cut removes only pairs that the greatest fixpoint lacks, and when the
-    worklist is empty every move's constraint holds, so the rows are that
-    fixpoint: the same rows as sweeping every move until none shrinks, at
-    the cost of the in-edges of the shrunken rows."""
+    intersects pre(R(t)) into R(s) for each predecessor s of t
+    (``model.pred``), queueing s when R(s) shrinks.  pre is computed once
+    per row value, so states with equal rows share it; the table of images
+    is emptied whenever it holds n, so the values that no row holds any
+    more cannot pile up.  Every cut removes only pairs that the greatest
+    fixpoint lacks, and when the worklist is empty every move's constraint
+    holds, so the rows are that fixpoint: the same rows as sweeping every
+    move until none shrinks, at the cost of the in-edges of the shrunken
+    rows."""
     rows = [model.space.full_mask] * model.n
     for a in atoms:
         rows = [row if (a >> s) & 1 else row & ~a for s, row in enumerate(rows)]
     pred = model.pred
     work = [t for t in range(model.n) if pred[t]]
     queued = [bool(m) for m in pred]
+    images: dict[Mask, Mask] = {}  # pre of each row value met, at most n of them
     while work:
         t = work.pop()
         queued[t] = False
-        image = model.pre(rows[t])
+        row_t = rows[t]
+        image = images.get(row_t)
+        if image is None:
+            if len(images) >= model.n:  # so stale rows cannot pile up
+                images.clear()
+            image = images[row_t] = model.pre(row_t)
         for s in _members(pred[t]):
             row = rows[s] & image
             if row != rows[s]:

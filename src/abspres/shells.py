@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import equivalences
 from .errors import CapacityError, ValidationError
@@ -363,6 +363,25 @@ def _bit_pattern(m: int, width: int) -> Mask:
     return (((1 << half) - 1) << half) * (((1 << width) - 1) // ((1 << period) - 1))
 
 
+#: The pair table of a search covers the lowest ⌊this / b⌋ open rows of
+#: its batches (all of them for b ≤ 3): at most 2^this frozensets, built
+#: once per process.  A 2^12-entry table for the three open rows of four
+#: blocks raised the relation-search benchmark's peak memory by about 3 MB,
+#: and building it cost most of the throughput that the table gains there.
+_TABLE_BITS = 9
+
+
+@lru_cache(maxsize=None)
+def _pair_table(b: int, bits: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    """The pairs (i, j) of every encoding x < 2^``bits`` of open rows over
+    b blocks, bit i·b + j standing for (i, j), indexed by x: each entry is
+    the one with x's lowest bit cleared plus that bit's pair."""
+    table = [frozenset()]
+    for x in range(1, 1 << bits):
+        table.append(table[x & (x - 1)] | {divmod((x & -x).bit_length() - 1, b)})
+    return tuple(table)
+
+
 def sp_abstract_kripke_search(
     p: Partition,
     lang: LanguageSpec,
@@ -411,8 +430,12 @@ def sp_abstract_kripke_search(
     So the value's bits under x are what x's block model gives.  A step
     keeps the completions whose slices all equal its value's, and the
     batch stops once none is left.  The survivors are read off in
-    ascending order, which is the relations' bit order, and each one's
-    pairs come from a table of every row's pairs.
+    ascending order, which is the relations' bit order.  Each one's lowest
+    open rows (all of them for b ≤ 3) are one entry of a per-process table
+    of frozensets (:func:`_pair_table`), and its other rows one frozenset
+    per distinct value in the batch, so a hit costs a lookup or one union,
+    not a step per row.  Hits are shared immutable frozensets: one object
+    may stand for the same relation in several answers.
     :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²) relations, before any
     is tried.
     """
@@ -446,7 +469,13 @@ def sp_abstract_kripke_search(
         sum(_bit_pattern(i * b + j, width) << (j * width) for j in range(b))
         for i in range(batched)
     ]
+    # a hit's lowest open rows come from the pair table, its other rows
+    # from the pairs of each row value
+    low_bits = min(batched, _TABLE_BITS // b) * b
+    table, low_mask = _pair_table(b, low_bits), (1 << low_bits) - 1
     pairs = [[tuple((i, j) for j in range(b) if (r >> j) & 1) for r in range(1 << b)] for i in range(b)]
+    first = mode == "first"
+    hits: list[frozenset[tuple[int, int]]] = []
 
     def narrow(rows: tuple[Mask, ...], pending: list[_Step]) -> Optional[list[_Step]]:
         """The steps of ``pending`` that the completions of ``rows``, the
@@ -470,12 +499,12 @@ def sp_abstract_kripke_search(
                 left.append(step)
         return left
 
-    def decide(rows: tuple[Mask, ...], pending: list[_Step]) -> Iterator[frozenset[tuple[int, int]]]:
-        """The strong completions of ``rows`` (rows ``batched`` on), in bit
-        order.  Once at most 1/16 of a batch's completions are left, and
-        fewer of them than steps, the steps after run on a batch of those
-        alone, in the same order: gathering them costs less than a step on
-        the wide batch."""
+    def decide(rows: tuple[Mask, ...], pending: list[_Step]) -> None:
+        """Add the strong completions of ``rows`` (rows ``batched`` on) to
+        ``hits``, in bit order.  Once at most 1/16 of a batch's completions
+        are left, and fewer of them than steps, the steps after run on a
+        batch of those alone, in the same order: gathering them costs less
+        than a step on the wide batch."""
         members: Sequence[int] = range(width)  # completion k of the batch is x = members[k]
         batch, lift = _BlockBatch(width, patterns + [lifted[r] for r in rows]), lifted
         alive = batch._ones
@@ -494,27 +523,35 @@ def sp_abstract_kripke_search(
                 ]
                 batch = _BlockBatch(count, open_rows + [lift[r] for r in rows])
                 alive = batch._ones
+        if first:
+            alive &= -alive
+        if not rows:  # b ≤ 3: the table holds every open row, and none is fixed
+            hits.extend([table[members[k]] for k in _members(alive)])
+            return
         fixed = tuple(pair for i, r in enumerate(rows) for pair in pairs[batched + i][r])
+        rest: dict[int, frozenset[tuple[int, int]]] = {}  # by the open rows above the table
         for k in _members(alive):
-            x, rel = members[k], fixed
-            for row_pairs in pairs[:batched]:
-                rel += row_pairs[x & full]
-                x >>= b
-            yield frozenset(rel)
+            x = members[k]
+            above = x >> low_bits
+            if above not in rest:
+                rel, y = fixed, above
+                for row_pairs in pairs[low_bits // b : batched]:
+                    rel += row_pairs[y & full]
+                    y >>= b
+                rest[above] = frozenset(rel)
+            hits.append(table[x & low_mask] | rest[above])
 
-    def walk(rows: tuple[Mask, ...], pending: list[_Step]) -> Iterator[frozenset[tuple[int, int]]]:
+    def walk(rows: tuple[Mask, ...], pending: list[_Step]) -> None:
         pending = narrow(rows, pending)
         if pending is None:
             return
         if len(rows) == b - batched:
-            yield from decide(rows, pending)
+            decide(rows, pending)
             return
         for row in range(1 << b):
-            yield from walk((row,) + rows, pending)
+            walk((row,) + rows, pending)
+            if first and hits:
+                return
 
-    hits: list[frozenset[tuple[int, int]]] = []
-    for rel in walk((), steps):
-        hits.append(rel)
-        if mode == "first":
-            break
+    walk((), steps)
     return hits

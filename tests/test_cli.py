@@ -413,6 +413,39 @@ class TestSearchAndQuotient:
         assert code == 0, err
         assert len(json.loads(out)["result"]["relations"]) == 9
 
+    def test_search_output_matches_per_pair_rendering(self, capsys, tmp_path):
+        # oracle: each hit's pairs named and sorted one by one.  exef keeps
+        # 1792 of the 2^16 relations on four blocks of k5; the renamed copy
+        # lists its blocks against name order
+        from abspres.kripke import block_name
+        from abspres.languages import load_language
+        from abspres.partitions import Partition
+        from abspres.shells import sp_abstract_kripke_search
+
+        doc = json.loads(open(fx("k5.json")).read())
+        rename = dict(zip(doc["states"], "edcba"))
+        doc["states"] = [rename[s] for s in doc["states"]]
+        doc["transitions"] = [[rename[s], rename[t]] for s, t in doc["transitions"]]
+        doc["labels"] = {k: [rename[s] for s in v] for k, v in doc["labels"].items()}
+        renamed = tmp_path / "k5_renamed.json"
+        renamed.write_text(json.dumps(doc))
+        for path, blocks in ((fx("k5.json"), "1,2/3/4/5"), (str(renamed), "e,d/c/b/a")):
+            model = load_model(path)
+            lang = load_language("exef", model)
+            p = Partition.of(model.space, [b.split(",") for b in blocks.split("/")])
+            names = [block_name(model, m) for m in p.blocks]
+            rendered = [sorted([names[i], names[j]] for i, j in hit) for hit in sp_abstract_kripke_search(p, lang, model)]
+            assert len(rendered) == 1792
+            payload = {
+                "command": "search-abstract-kripke",
+                "result": {"blocks": names, "relations": rendered},
+            }
+            text = "\n".join("; ".join(f"{a} -> {b}" for a, b in hit) for hit in rendered)
+            argv = ("search-abstract-kripke", "--model", path, "--lang", "exef", "--partition", blocks)
+            assert run(capsys, *argv) == (0, text + "\n", "")
+            want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert run(capsys, "--format", "json", *argv) == (0, want, "")
+
     def test_search_rejects_open_language(self, capsys):
         code, _, err = run(
             capsys,

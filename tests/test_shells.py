@@ -740,6 +740,22 @@ class TestCoarsestSpPartition:
         assert coarsest_sp_partition(lang, model) == pr(want)
 
 
+def split_to_four_blocks(rng, model):
+    """The label classes of ``model`` split at random into four blocks, so
+    the atoms are block unions and the relation search runs; None when the
+    model has fewer than four states or more than four classes."""
+    blocks = list(label_partition(model).blocks)
+    if model.n < 4 or len(blocks) > 4:
+        return None
+    while len(blocks) < 4:
+        block = rng.choice([m for m in blocks if m & (m - 1)])
+        members = [s for s in range(model.n) if (block >> s) & 1]
+        part = sum(1 << s for s in rng.sample(members, rng.randint(1, len(members) - 1)))
+        blocks.remove(block)
+        blocks += [part, block & ~part]
+    return Partition.from_masks(model.space, blocks)
+
+
 class TestRelationSearch:
     def test_traffic_light_has_no_strong_relation(self, tl):
         lang = preset_language("semaforo", tl)
@@ -963,17 +979,83 @@ class TestRelationSearch:
         rng = random.Random(23)
         while searches < 8 + 18:
             model = random_total_model(rng, max_states=8)
-            blocks = list(label_partition(model).blocks)
-            if model.n < 4 or len(blocks) > 4:
-                continue
-            while len(blocks) < 4:
-                block = rng.choice([m for m in blocks if m & (m - 1)])
-                members = [s for s in range(model.n) if (block >> s) & 1]
-                part = sum(1 << s for s in rng.sample(members, rng.randint(1, len(members) - 1)))
-                blocks.remove(block)
-                blocks += [part, block & ~part]
-            agree(Partition.from_masks(model.space, blocks), model, ("L1", "L3", "CTL"))
+            p = split_to_four_blocks(rng, model)
+            if p is not None:
+                agree(p, model, ("L1", "L3", "CTL"))
         assert found >= 7000
+
+    def test_pair_table_entries(self):
+        # entry x of the table a search reads holds pair (i, j) iff bit
+        # i·b + j of x is set, for every x and every b the search allows;
+        # one table per process, whose entries each search shares
+        for b in range(1, 6):
+            bits = min(b, shells._BATCH_BITS // b, shells._TABLE_BITS // b) * b
+            table = shells._pair_table(b, bits)
+            assert len(table) == 1 << bits <= 1 << shells._TABLE_BITS
+            for x, entry in enumerate(table):
+                assert entry == frozenset(divmod(k, b) for k in range(bits) if (x >> k) & 1), (b, x)
+            assert shells._pair_table(b, bits) is table
+
+    def test_dense_exef_hit_lists_match_the_oracles(self):
+        # exef keeps most relations of these models: three blocks against
+        # every relation checked in bit order, four blocks (batched below
+        # row 3, the table covering rows 0 and 1) against the row walk, hit
+        # lists compared in order in both modes
+        from abspres.equivalences import bisim_partition
+        from abspres.fixtures import five_state_pqr
+        from conftest import row_walk_relation_search
+
+        def agree(p, model, oracle):
+            lang = preset_language("exef", model)
+            want = oracle(p, lang, model)
+            assert sp_abstract_kripke_search(p, lang, model) == want
+            first = sp_abstract_kripke_search(p, lang, model, mode="first")
+            assert first == oracle(p, lang, model, "first") == want[:1]
+            return len(want)
+
+        rng = random.Random(3)
+        found = searches = 0
+        while searches < 6:
+            model = random_total_model(rng, max_states=6)
+            p = label_partition(model)
+            if len(p.blocks) == 3:
+                found += agree(p, model, exhaustive_relation_search)
+                searches += 1
+        assert found >= 1000
+        kpqr = five_state_pqr()
+        assert agree(bisim_partition(kpqr), kpqr, row_walk_relation_search) == 384
+        rng = random.Random(29)
+        found = searches = 0
+        while searches < 6:
+            model = random_total_model(rng, max_states=7)
+            p = split_to_four_blocks(rng, model)
+            if p is not None:
+                found += agree(p, model, row_walk_relation_search)
+                searches += 1
+        assert found >= 1000
+
+    def test_first_mode_stops_after_a_later_node(self, kpqr, monkeypatch):
+        # four blocks under exef: the first strong relation has row 3 = {2},
+        # so the walk decides more than one node before it, and none after
+        from abspres.equivalences import bisim_partition
+        from conftest import row_walk_relation_search
+
+        wide = []
+        real = shells._BlockBatch
+
+        def counting(width, rows):
+            if width == 1 << 12:
+                wide.append(width)
+            return real(width, rows)
+
+        monkeypatch.setattr(shells, "_BlockBatch", counting)
+        p, lang = bisim_partition(kpqr), preset_language("exef", kpqr)
+        want = row_walk_relation_search(p, lang, kpqr, "first")
+        assert want and {j for i, j in want[0] if i == 3} == {2}
+        assert sp_abstract_kripke_search(p, lang, kpqr, mode="first") == want
+        first_nodes, wide[:] = len(wide), []
+        sp_abstract_kripke_search(p, lang, kpqr)
+        assert 1 < first_nodes < len(wide)
 
     def test_batched_search_builds_no_block_model(self, kpqr, monkeypatch):
         # the batch decides each subtree on packed masks: no KripkeModel per

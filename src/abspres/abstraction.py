@@ -32,10 +32,23 @@ a witness.  Under a language that :func:`~abspres.languages._route` sends
 to the splitter or the similarity engine, a quotient by P is strong iff
 adp(P) ⊑ A_L and each checked operator agrees with the concrete one on each
 generator g of A_L (dual chains) or on Σ∖g (additive chains):
-:func:`_strong_on_generators`.  Under a language with ``not`` a quotient
-is never weak-only (an existential atom contains its concrete set, and ¬ is
-exact on block unions), so otherwise a paired closure that stops at the
-first violating pair, with the full closure's witness, decides it.
+:func:`_strong_on_generators`.  It first tries P's own blocks, and builds
+no A_L when they decide: if each atom is a union of blocks and each checked
+operator agrees with the concrete one on each block B of P (additive
+chains) or on Σ∖B (dual chains), the quotient is strong.  By induction on
+φ, ⟦φ⟧ and γ⟦φ⟧♯ are then the same block union: atoms by the first check,
+the Boolean operators are exact on block unions, and on block unions both
+sides of an additive chain distribute over the union of the blocks (both
+sides of a dual one preserve the meet of the Σ∖B, Σ included), so agreement
+on the blocks is agreement everywhere.  The block test is not necessary:
+on the 3-cycle 1 → 2 → 3 → 1 with one label on every state, the ∃∃
+quotient by {1}, {2,3} is strong under L1, yet EX{1} = {3} is no block
+union.  So when it fails, the generator test decides.
+
+Under a language with ``not`` a quotient is never weak-only (an existential
+atom contains its concrete set, and ¬ is exact on block unions), so
+otherwise a paired closure that stops at the first violating pair, with the
+full closure's witness, decides it.
 
 The relation search of :mod:`abspres.shells` needs no paired closure either:
 S = {⟦φ⟧ | φ ∈ L} is the same for every candidate, so it closes S once and
@@ -320,16 +333,49 @@ class SpVerdict:
         return self.verdict == "strong"
 
 
-def _strong_on_generators(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
-    """Does the generator test (module docstring) show the quotient by
-    ``p`` strong?  It checks the operators :func:`~abspres.languages._route`
-    returns, the cuts of the splitter route or the ``AX``/``pre~`` operators
-    of the similarity route, unless an until is among them (``EU`` is not
-    additive in its first argument); with no route it is False.
+def _agrees_on(
+    model: KripkeModel, structure: AbstractStructure, cuts: Sequence[Operator], sets: Iterable[Mask]
+) -> bool:
+    """Does each cut agree with the concrete operator on each X of ``sets``
+    (additive chains) or on Σ∖X (dual chains)?"""
+    full = model.space.full_mask
+    sets = tuple(sets)
+    for op in cuts:
+        dual = op._chain == "dual"
+        for x in sets:
+            if dual:
+                x = full & ~x
+            if structure.apply(op, (x,)) != apply_operator(op, model, (x,)):
+                return False
+    return True
 
-    The test is exact.  S ⊆ adp(P) iff adp(P) ⊑ A_L = M(S), and A_L's
-    generators G lie in S, so agreement on G is needed.  It suffices: on
-    the similarity route S = add(R) is the meets of G = {Σ∖R(s)}, Σ the
+
+def _strong_on_generators(model: KripkeModel, p: Partition, structure: AbstractStructure) -> bool:
+    """Does the block test or the generator test (module docstring) show
+    the quotient by ``p`` strong?  Both check the operators
+    :func:`~abspres.languages._route` returns, the cuts of the splitter
+    route or the ``AX``/``pre~`` operators of the similarity route, unless
+    an until is among them (``EU`` is not additive in its first argument);
+    with no route it is False.
+
+    The block test comes first: each atom's existential value is its
+    concrete set, and each cut agrees with the concrete operator on every
+    block B of P (additive chains) or on Σ∖B (dual chains).  It is
+    sufficient, by induction on φ: ⟦φ⟧ = γ⟦φ⟧♯ and both are block unions.
+    Atoms are so by the first check.  ``and``, ``or`` and ``not`` are exact
+    on block unions on both sides.  An additive chain distributes over the
+    union of blocks on both sides (the quotient's union∘f♯∘inner does, as
+    inner, f♯ and union each do, and both map ∅ to ∅), so agreement on the
+    blocks is agreement on every block union; a dual chain preserves meets
+    on block unions on both sides and maps Σ to Σ, and every block union is
+    a meet of the Σ∖B, so agreement on those suffices.  The fixpoints that
+    do not cut are built from the next operator among the cuts, ¬, ∩ and ∪,
+    so their iterates agree too.  It is not necessary (the 3-cycle of the
+    module docstring), so when it fails, the generator test decides.
+
+    The generator test is exact.  S ⊆ adp(P) iff adp(P) ⊑ A_L = M(S), and
+    A_L's generators G lie in S, so agreement on G is needed.  It suffices:
+    on the similarity route S = add(R) is the meets of G = {Σ∖R(s)}, Σ the
     empty one, and concrete AX and the quotient's union∘pre~∘inner both
     preserve ∩ on block unions (inner, pre~ and union each do) and map Σ to
     Σ.  On the splitter route G is the Σ∖C for the blocks C of P_L and S
@@ -340,16 +386,15 @@ def _strong_on_generators(model: KripkeModel, p: Partition, structure: AbstractS
     engine, cuts = _route(lang)
     if engine is None or any(op._chain == "until" for op in cuts):
         return False
+    if all(structure.atom_values[name] == s.mask for name, s in lang.atoms) and _agrees_on(
+        model, structure, cuts, p.blocks
+    ):
+        return True
     a_l = ad_of_language(lang, model)
     if not domain_leq(adp(p), a_l):
         return False
     full = model.space.full_mask
-    for op in cuts:
-        for g in a_l._gens:
-            x = g if op._chain == "dual" else full & ~g
-            if structure.apply(op, (x,)) != apply_operator(op, model, (x,)):
-                return False
-    return True
+    return _agrees_on(model, structure, cuts, (full & ~g for g in a_l._gens))
 
 
 def paired_sp_check(
@@ -362,8 +407,8 @@ def paired_sp_check(
 
     ``abstract`` is either an :class:`AbstractStructure` or a block-level
     :class:`Quotient` (then the induced structure with existential labeling
-    is checked).  A quotient passes the generator test (module docstring)
-    or, under a language with ``not #1``, goes to an aborting paired
+    is checked).  A quotient passes the block or the generator test (module
+    docstring) or, under a language with ``not #1``, goes to an aborting paired
     closure; every other case reads the verdict off the full paired
     closure.  :data:`DEFAULT_MAX_PAIRS` bounds whichever closure runs.
     """

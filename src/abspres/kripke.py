@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .lattice import (
-    Mask, StateSet, StateSpace, _check_space, _classes, _join_rows, _members, _owners, _transpose,
+    Mask, StateSet, StateSpace, _check_space, _classes, _join_rows, _members, _transpose,
 )
 from .partitions import Partition
 
@@ -189,21 +189,20 @@ def quotient(kind: str, model: KripkeModel, p: Partition) -> Quotient:
     ∃∃: B1 → B2 iff some member of B1 steps into B2.
     ∀∃: B1 → B2 iff every member of B1 steps into B2.
     The abstract labeling is existential: a block carries every label one of
-    its members carries.
+    its members carries.  An ∃∃ row and a label are the blocks that meet one
+    mask, post(B) or the label's, read off the partition's state → block
+    index one whole block at a time; a ∀∃ row meets its members' rows.
     """
     if kind not in ("ee", "ae"):
         raise ValidationError(f"unknown quotient kind {kind!r} (want 'ee' or 'ae')")
     _check_space(p, model, "partition and model")
-    owner = _owners(model.n, p.blocks)
-
-    def meeting(mask: Mask) -> Mask:  # the indices of the blocks that meet mask
-        return reduce(or_, (1 << owner[s] for s in _members(mask)), 0)
-
-    # a block's row joins (∃∃) or intersects (∀∃) its members' successor blocks
-    combine = or_ if kind == "ee" else and_
-    bsucc = tuple(
-        reduce(combine, (meeting(model.succ[s]) for s in _members(blk))) for blk in p.blocks
-    )
+    meeting = p._meeting
+    if kind == "ee":
+        bsucc = tuple(meeting(model.post(blk)) for blk in p.blocks)
+    else:
+        bsucc = tuple(
+            reduce(and_, (meeting(model.succ[s]) for s in _members(blk))) for blk in p.blocks
+        )
     bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
     items = tuple((label, meeting(mask)) for label, mask in model.label_items)
     return Quotient(model, p, KripkeModel(bspace, bsucc, items))

@@ -14,6 +14,7 @@ assertable inclusion is image(A) ⊆ image(shell(A)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -106,27 +107,57 @@ class Partition:
     # Block-index masks: bit i stands for ``blocks[i]``, the state order of
     # the block-level models built from this partition.
 
-    def inner(self, mask: Mask) -> Mask:
-        """Indices of the blocks contained in ``mask``."""
+    @cached_property
+    def _owner(self) -> list[int]:
+        """The index of the block holding each state, built on first use; a
+        cached attribute, not a field, so equality and hashing ignore it."""
+        return _owners(self.space.n, self.blocks)
+
+    def _meeting(self, mask: Mask) -> Mask:
+        """Indices of the blocks that meet ``mask`` (a mask within the
+        space), one step per block met: each step drops a whole block."""
+        owner, blocks = self._owner, self.blocks
         bm = 0
-        for i, b in enumerate(self.blocks):
-            if b & ~mask == 0:
-                bm |= 1 << i
+        while mask:
+            k = owner[(mask & -mask).bit_length() - 1]
+            bm |= 1 << k
+            mask &= ~blocks[k]
+        return bm
+
+    def inner(self, mask: Mask) -> Mask:
+        """Indices of the blocks contained in ``mask``, read off its smaller
+        side: the blocks of its members that it holds whole, or, when it
+        holds more than half the states, every block but those that meet
+        its complement."""
+        owner, blocks = self._owner, self.blocks
+        n = len(owner)
+        mask &= (1 << n) - 1
+        if 2 * mask.bit_count() > n:
+            return ((1 << len(blocks)) - 1) ^ self._meeting(mask ^ ((1 << n) - 1))
+        bm = 0
+        while mask:
+            k = owner[(mask & -mask).bit_length() - 1]
+            if blocks[k] & ~mask == 0:
+                bm |= 1 << k
+            mask &= ~blocks[k]
         return bm
 
     def union(self, bm: Mask) -> Mask:
-        """Union of the blocks whose indices are set in ``bm``."""
-        acc = 0
-        for i, b in enumerate(self.blocks):
-            if (bm >> i) & 1:
-                acc |= b
-        return acc
+        """Union of the blocks whose indices are set in ``bm``, joined from
+        its smaller side: the blocks it sets, or, when it sets more than
+        half, the complement of the blocks it leaves out.  Bits past the
+        last block are ignored."""
+        every = (1 << len(self.blocks)) - 1
+        bm &= every
+        if 2 * bm.bit_count() > len(self.blocks):
+            return self.space.full_mask & ~_join_rows(self.blocks, every & ~bm)
+        return _join_rows(self.blocks, bm)
 
     def refines(self, other: "Partition") -> bool:
         """P ≼ Q: each block of P lies in the block of Q holding its lowest state."""
         _check_space(self, other, "partitions")
-        owner = _owners(other.space.n, other.blocks)
-        return all(b & ~other.blocks[owner[(b & -b).bit_length() - 1]] == 0 for b in self.blocks)
+        owner, blocks = other._owner, other.blocks
+        return all(b & ~blocks[owner[(b & -b).bit_length() - 1]] == 0 for b in self.blocks)
 
 
 def _is_transitive(rows: Sequence[Mask]) -> bool:

@@ -507,6 +507,48 @@ def union_closed(domain) -> bool:
     return 0 in masks and all(x | y in masks for x, y in combinations(masks, 2))
 
 
+# --- block-index masks by the block loops they replace -----------------------
+
+
+def per_state_quotient(kind: str, model: KripkeModel, p) -> KripkeModel:
+    """The ∃∃ or ∀∃ block model of ``quotient`` by one block lookup per
+    state: a block's row joins (∃∃) or intersects (∀∃) the blocks that its
+    members' successors meet, and a label holds the blocks its states meet."""
+    from functools import reduce
+    from operator import and_, or_
+
+    from abspres.kripke import block_name
+    from abspres.lattice import _members, _owners
+
+    owner = _owners(model.n, p.blocks)
+
+    def meeting(mask):
+        return reduce(or_, (1 << owner[s] for s in _members(mask)), 0)
+
+    combine = or_ if kind == "ee" else and_
+    bsucc = tuple(
+        reduce(combine, (meeting(model.succ[s]) for s in _members(blk))) for blk in p.blocks
+    )
+    bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
+    items = tuple((label, meeting(mask)) for label, mask in model.label_items)
+    return KripkeModel(bspace, bsucc, items)
+
+
+def block_loop_inner(p, mask) -> int:
+    """``Partition.inner`` by testing every block against the mask."""
+    return sum(1 << i for i, b in enumerate(p.blocks) if b & ~mask == 0)
+
+
+def block_loop_union(p, bm) -> int:
+    """``Partition.union`` by testing every block's bit: bits past the last
+    block name no block."""
+    acc = 0
+    for i, b in enumerate(p.blocks):
+        if (bm >> i) & 1:
+            acc |= b
+    return acc
+
+
 # --- random model generation -----------------------------------------------
 
 

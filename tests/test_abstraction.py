@@ -28,6 +28,7 @@ from abspres import (
     quotient,
 )
 from abspres import abstraction
+from abspres.formulas import Atom
 from abspres.languages import builtin_operator, const_operator, operator_from_expr
 from abspres.lattice import StateSet, StateSpace
 from abspres.shells import ad_of_language
@@ -878,6 +879,114 @@ class TestBlockRoute:
                             assert structure.semantics(got[1]) != concrete
         assert verdicts["strong"] >= 300
         assert verdicts["neither"] + verdicts["weak-only"] >= 100
+
+    def test_block_test_and_its_fallback_match_the_paired_closure(self, monkeypatch):
+        # _strong_on_generators against the full paired closure, on seeded
+        # models of at most 6 states with stuck states, under the splitter-
+        # and similarity-class languages, ∃∃ and ∀∃ quotients and six kinds
+        # of partition.  A case is decided by P's own blocks when no A_L is
+        # built, else by A_L's generators.  A strong closure holds one pair
+        # per set of S, at most 2^6 here, so a closure stopped past 64 pairs
+        # is not strong
+        from abspres import bisim_partition, coarsest_sp_partition
+        from abspres.abstraction import _strong_on_generators, paired_semantic_closure
+        from abspres.kripke import label_partition
+
+        built = []
+        monkeypatch.setattr(
+            abstraction, "ad_of_language", lambda lang, m: built.append(lang) or ad_of_language(lang, m)
+        )
+        monkeypatch.setattr(abstraction, "DEFAULT_MAX_PAIRS", 64)
+        rng = random.Random(3232)
+        tiers = {(tier, strong): 0 for tier in ("blocks", "generators") for strong in (True, False)}
+        for k in range(24):
+            model = random_model(rng, 6, (0.0, 0.3)[k % 2])
+            picks = [rng.randrange(3) for _ in range(model.n)]
+            shuffled = Partition.from_masks(
+                model.space,
+                {sum(1 << s for s in range(model.n) if picks[s] == j) for j in set(picks)},
+            )
+            split = rng.randrange(1 << model.n)
+            halves = (split, model.space.full_mask & ~split)
+            for lang in splitter_class_languages(model) + similarity_class_languages(model):
+                p_l = coarsest_sp_partition(lang, model)
+                cut = Partition.from_masks(
+                    model.space, {c & x for c in p_l.blocks for x in halves if c & x}
+                )
+                partitions = (
+                    label_partition(model),
+                    bisim_partition(model),
+                    Partition.identity(model.space),
+                    p_l,
+                    cut,
+                    shuffled,
+                )
+                for p in partitions:
+                    for kind in ("ee", "ae"):
+                        structure = AbstractStructure.from_quotient(quotient(kind, model, p), lang)
+                        try:
+                            strong = paired_semantic_closure(model, structure, lang).strong
+                        except CapacityError:
+                            strong = False
+                        built.clear()
+                        assert _strong_on_generators(model, p, structure) == strong, (k, lang.name, p, kind)
+                        tiers["generators" if built else "blocks", strong] += 1
+        # the block test decides only strong cases; each tier decides some
+        assert tiers["blocks", False] == 0
+        assert tiers["blocks", True] >= 1000, tiers
+        assert tiers["generators", True] >= 30, tiers
+        assert tiers["generators", False] >= 300, tiers
+
+    def test_block_test_needs_its_fallback(self):
+        # the 3-cycle 1 → 2 → 3 → 1 with p on every state: under L1, P_L is
+        # one block and the ∃∃ quotient by {1}, {2,3} is strong, but EX{1} =
+        # {3} is no block union, so only A_L's generators show it
+        from abspres.abstraction import _agrees_on, _strong_on_generators
+        from abspres.languages import _route
+
+        space = StateSpace(tuple("123"))
+        cycle = KripkeModel(space, (0b010, 0b100, 0b001), (("p", 0b111),))
+        lang = preset_language("L1", cycle)
+        p = Partition.of(space, [["1"], ["2", "3"]])
+        structure = AbstractStructure.from_quotient(quotient("ee", cycle, p), lang)
+        assert not _agrees_on(cycle, structure, _route(lang)[1], p.blocks)
+        assert _strong_on_generators(cycle, p, structure)
+        assert paired_sp_check(cycle, quotient("ee", cycle, p), lang).verdict == "strong"
+
+    def test_block_test_needs_its_atom_check(self, tl):
+        # the one-block quotient of a total model agrees with EX and AX on Σ
+        # and ∅, but an atom that holds some states and not others is
+        # interpreted by Σ, so the quotient is not strong
+        from abspres.abstraction import _agrees_on, _strong_on_generators
+        from abspres.languages import _route
+
+        p = Partition.trivial(tl.space)
+        for name in ("L1", "CTL"):
+            lang = preset_language(name, tl)
+            structure = AbstractStructure.from_quotient(quotient("ee", tl, p), lang)
+            assert _agrees_on(tl, structure, _route(lang)[1], p.blocks)
+            assert not _strong_on_generators(tl, p, structure)
+            report = paired_sp_check(tl, quotient("ee", tl, p), lang)
+            assert report.verdict == "neither" and isinstance(report.witness, Atom)
+
+    def test_bisimulation_quotients_are_decided_on_their_blocks(self, monkeypatch):
+        # the blocks of the bisimulation are unions of label classes and
+        # pre-stable, so its ∃∃ and ∀∃ quotients agree with EX on them and no
+        # A_L is built under L1 or CTL
+        from abspres import bisim_partition
+
+        def boom(*args):
+            raise AssertionError("A_L built for a bisimulation quotient")
+
+        monkeypatch.setattr(abstraction, "ad_of_language", boom)
+        rng = random.Random(3333)
+        for k in range(40):
+            model = random_model(rng, 6, (0.0, 0.3)[k % 2])
+            p = bisim_partition(model)
+            for name in ("L1", "CTL"):
+                for kind in ("ee", "ae"):
+                    q = quotient(kind, model, p)
+                    assert paired_sp_check(model, q, preset_language(name, model)).strong
 
     def test_similarity_quotients_close_no_family(self, monkeypatch):
         # the ∃∃ quotient by simulation equivalence is strong under L3 and

@@ -17,7 +17,7 @@ from abspres import (
     validate_model,
 )
 
-from conftest import random_model, random_total_model
+from conftest import per_state_quotient, random_model, random_total_model
 
 
 class TestValidation:
@@ -213,6 +213,37 @@ class TestQuotient:
     def test_unknown_kind(self, kpq):
         with pytest.raises(ValidationError):
             quotient("exists-forall", kpq, Partition.identity(kpq.space))
+
+    def test_block_models_match_the_per_state_oracle(self):
+        # ∃∃ rows by block post and ∀∃ rows by member, against one block
+        # lookup per state: rows, labels and names, on seeded models with
+        # stuck states, over every partition up to 4 states and random ones
+        # past that
+        from abspres import iter_partitions
+
+        rng = random.Random(3131)
+        seen = {"stuck": 0, "partial": 0}
+        for _ in range(60):
+            model = random_model(rng, rng.randint(1, 7))
+            if model.n <= 4:
+                partitions = list(iter_partitions(model.space))
+            else:
+                partitions = []
+                for _ in range(6):
+                    picks = [rng.randrange(model.n) for _ in range(model.n)]
+                    partitions.append(Partition.from_masks(model.space, {
+                        sum(1 << s for s in range(model.n) if picks[s] == j) for j in set(picks)
+                    }))
+            seen["stuck"] += not model.is_total()
+            for p in partitions:
+                for kind in ("ee", "ae"):
+                    q = quotient(kind, model, p)
+                    want = per_state_quotient(kind, model, p)
+                    assert q.model == want, (kind, p)
+                    assert q.model.space.names == want.space.names
+                    assert (q.parent, q.partition) == (model, p)
+                    seen["partial"] += not q.total
+        assert seen["stuck"] >= 5 and seen["partial"] >= 50, seen
 
 
 class TestModelIO:

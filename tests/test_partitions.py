@@ -36,6 +36,8 @@ from abspres import partitions
 from abspres.equivalences import equal_label_simulation
 from abspres.kripke import load_model
 from conftest import (
+    block_loop_inner,
+    block_loop_union,
     block_pair_refines,
     closure_pr,
     complement_closed,
@@ -238,6 +240,40 @@ class TestRowsAgainstPairs:
                     verdicts.add(p.refines(q))
                     assert p.refines(q) == block_pair_refines(p, q), (p, q)
         assert verdicts == {True, False}
+
+
+class TestBlockIndexMasks:
+    """``inner`` and ``union`` read through the state → block index against
+    the block loops they replace, kept in ``tests/conftest.py`` as oracles."""
+
+    def test_inner_and_union_match_the_block_loops(self):
+        # every mask over every partition of at most 6 states, so both sides
+        # of inner's half-way switch are met; union's arguments run past the
+        # block count by two bits, which name no block
+        sides = set()
+        for n in range(1, 7):
+            space = StateSpace(tuple(str(i + 1) for i in range(n)))
+            for p in iter_partitions(space):
+                for mask in range(1 << n):
+                    sides.add(2 * mask.bit_count() > n)
+                    assert p.inner(mask) == block_loop_inner(p, mask), (p, mask)
+                for bm in range(1 << (len(p) + 2)):
+                    assert p.union(bm) == block_loop_union(p, bm), (p, bm)
+        assert sides == {True, False}
+
+    def test_the_index_is_no_field(self):
+        # the index is built on first use and kept, yet two partitions with
+        # the same blocks stay equal and hash alike
+        space = StateSpace(tuple("abcd"))
+        p = Partition.of(space, [["a", "c"], ["b"], ["d"]])
+        q = Partition.of(space, [["d"], ["b"], ["c", "a"]])
+        assert "_owner" not in vars(p)
+        # canonical order puts {d} first and {a,c} last
+        assert p.inner(space.mask_of("abc")) == 0b110
+        assert p._owner == [2, 1, 2, 0] and "_owner" in vars(p)
+        assert p._owner is p._owner
+        assert p == q and hash(p) == hash(q)
+        assert p.refines(q) and q.refines(p) and "_owner" in vars(q)
 
 
 class TestDisjunctive:

@@ -1383,9 +1383,13 @@ class TestRoute:
         assert engines["splitter"] >= 50 and engines["similarity"] >= 50, engines
         assert engines[None] >= 200, engines
 
-    def test_splitters_runs_once_per_partition_and_twice_per_quotient_check(self, kpq, monkeypatch):
-        # one _route per coarsest_sp_partition, and one each in the generator
-        # test and the ad_of_language it calls per quotient check
+    def test_splitters_runs_once_per_partition_and_once_per_block_decided_quotient_check(
+        self, kpq, monkeypatch
+    ):
+        # one _route per coarsest_sp_partition; per quotient check, one in
+        # the quotient test, and one more in the ad_of_language of its
+        # fallback when P's own blocks do not decide it: the bisimulation
+        # quotients are decided on their blocks, the label quotients are not
         from abspres import abstraction, bisim_partition, languages
         from abspres.abstraction import paired_sp_check
 
@@ -1403,11 +1407,11 @@ class TestRoute:
             assert len(calls) == 1, name
         for name in ("L1", "CTL"):
             lang = preset_language(name, kpq)
-            for p in (bisim_partition(kpq), label_partition(kpq)):
+            for p, want in ((bisim_partition(kpq), 1), (label_partition(kpq), 2)):
                 for kind in ("ee", "ae"):
                     calls.clear()
                     paired_sp_check(kpq, quotient(kind, kpq, p), lang)
-                    assert len(calls) == 2, (name, kind)
+                    assert len(calls) == want, (name, kind, p)
         # only languages decides a language's engine
         assert not hasattr(abstraction, "_splitters")
         assert not hasattr(languages, "in_splitter_class")

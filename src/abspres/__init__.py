@@ -19,11 +19,9 @@ from .lattice import (
     SetFamily,
     StateSet,
     StateSpace,
-    closure_of,
     domain_join,
     domain_leq,
     domain_meet,
-    enumerate_moore_families,
     family_of_names,
     moore_close,
     powerset_domain,
@@ -36,8 +34,6 @@ from .partitions import (
     adp,
     is_disjunctive,
     is_partitioning,
-    iter_partitions,
-    iter_preorders,
     pr,
     preord_of,
     structural_shell,

@@ -114,7 +114,7 @@ def _parse_relation(model: KripkeModel, text: str) -> Preorder:
             continue
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 2:
-            raise AbspresError(f"bad relation pair {chunk!r} (want 's,t')")
+            raise AbspresError(f"--relation pair {chunk!r} is not of the form 's,t'")
         pairs.append((parts[0], parts[1]))
     return Preorder.from_pairs(model.space, pairs)
 

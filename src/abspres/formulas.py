@@ -100,9 +100,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            # name the character no token starts with, not the blanks before it
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()

@@ -238,9 +238,11 @@ def model_from_json(doc: object) -> KripkeModel:
         if not isinstance(members, list) or not all(isinstance(s, str) for s in members):
             raise ValidationError(f"label {name!r} must be a list of state names")
     pairs = []
-    for entry in transitions:
+    for k, entry in enumerate(transitions):
         if not (isinstance(entry, list) and len(entry) == 2):
-            raise ValidationError(f"bad transition entry {entry!r}")
+            raise ValidationError(
+                f"'transitions' entry {k} must be a [source, target] pair, got {entry!r}"
+            )
         pairs.append((entry[0], entry[1]))
     return KripkeModel.of(states, pairs, labels)
 

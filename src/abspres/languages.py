@@ -620,6 +620,10 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
         raise ValidationError("language file must contain a JSON object")
     preset = doc.get("preset")
     if preset is not None:
+        if preset not in PRESET_NAMES:
+            raise ValidationError(
+                f"'preset' must be one of {', '.join(PRESET_NAMES)} or null, got {preset!r}"
+            )
         base = preset_language(preset, model)
         atom_items = list(base.atoms)
         operators = list(base.operators)
@@ -637,6 +641,8 @@ def language_from_json(doc: object, model: KripkeModel) -> LanguageSpec:
         raise ValidationError("'atoms' must map each atom to a list of state names or null")
     for atom, interp in atoms.items():
         if interp is None:
+            if atom not in model.labels:
+                raise ValidationError(f"atom {atom!r} is null, but the model has no label {atom!r}")
             value = StateSet(model.space, model.label_mask(atom))
         elif isinstance(interp, list) and all(isinstance(s, str) for s in interp):
             value = model.space.set_of(interp)

@@ -13,15 +13,13 @@ plain set arithmetic.
 Domains are compared in the precision order: A1 ⊑ A2 ("A1 is more precise")
 iff image(A2) ⊆ image(A1).
 
-A state space may have any number of states.  The bound sits with each
-route that builds a family over ℘(Σ): :data:`DEFAULT_MAX_FAMILY` for a
-listed family (:func:`meet_close` checks it per generator, and a domain's
-image of 2^k members is refused before it is built), and
-:data:`MAX_ENUMERATION_STATES` for the enumerations.  Each is read where it
-is checked, so setting it raises it.  The Moore property is checked once,
-where an image enters from outside the library
-(``AbstractDomain(space, image=...)``); the families the library builds
-itself (joins, the enumeration, shell rounds, and the meets of a domain's
+A state space may have any number of states.  A listed family over ℘(Σ)
+is bounded by :data:`DEFAULT_MAX_FAMILY` (:func:`meet_close` checks it per
+generator, and a domain's image of 2^k members is refused before it is
+built).  It is read where it is checked, so setting it raises it.  The
+Moore property is checked once, where an image enters from outside the
+library (``AbstractDomain(space, image=...)``); the families the library
+builds itself (joins, shell rounds, and the meets of a domain's
 generators) are Moore by construction and are not checked again.
 """
 
@@ -38,9 +36,6 @@ Mask = int
 
 #: Default bound on the number of sets a single family may materialize.
 DEFAULT_MAX_FAMILY = 1 << 20
-
-#: Largest n of the Moore-family and preorder enumerations (count explodes beyond).
-MAX_ENUMERATION_STATES = 4
 
 
 def _check_family(what: str, size: int) -> None:
@@ -121,17 +116,21 @@ class StateSpace:
 
     Indices are stable for the lifetime of the space; all sets, families,
     partitions and models are relative to one space.  An empty space is
-    permitted (it only occurs when enumerating families over Σ = ∅).
+    permitted, though a Kripke model refuses one, so it arises only where a
+    caller builds Σ = ∅ itself.
     """
 
     names: tuple[str, ...]
     _index: dict[str, int] = field(init=False, compare=False, repr=False)
+    #: Σ as a mask, (1 << n) - 1, set once: every set operation reads it.
+    full_mask: Mask = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         index = {name: i for i, name in enumerate(self.names)}
         if len(index) != len(self.names):
             raise ValidationError(f"duplicate state names in {self.names!r}")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "full_mask", (1 << len(index)) - 1)
 
     @staticmethod
     def of(*names: str) -> "StateSpace":
@@ -140,10 +139,6 @@ class StateSpace:
     @property
     def n(self) -> int:
         return len(self.names)
-
-    @property
-    def full_mask(self) -> Mask:
-        return (1 << self.n) - 1
 
     def index(self, name: str) -> int:
         try:
@@ -425,11 +420,6 @@ def moore_close(family: SetFamily) -> AbstractDomain:
     return AbstractDomain._of_generators(family.space, family.masks)
 
 
-def closure_of(domain: AbstractDomain, s: StateSet) -> StateSet:
-    """μ(S) = intersection of all image members containing S."""
-    return domain.closure(s)
-
-
 def domain_leq(a1: AbstractDomain, a2: AbstractDomain) -> bool:
     """A1 ⊑ A2 (A1 at least as precise): image(A2) ⊆ image(A1).
 
@@ -468,29 +458,6 @@ def top_domain(space: StateSpace) -> AbstractDomain:
     """The most abstract domain {Σ} (λx.⊤): no generators, Σ being the empty
     meet."""
     return AbstractDomain._of_generators(space, ())
-
-
-def enumerate_moore_families(n: int) -> Iterator[AbstractDomain]:
-    """Yield every Moore family over an n-state space exactly once.
-
-    Candidates are all subsets of ℘(Σ) containing Σ, filtered for
-    meet-closure.  n is capped because the count explodes (n = 4 already
-    gives 2480 families out of 65536 candidates).
-    """
-    if n < 0 or n > MAX_ENUMERATION_STATES:
-        raise CapacityError(
-            f"enumeration supports 0 ≤ n ≤ MAX_ENUMERATION_STATES = {MAX_ENUMERATION_STATES}, "
-            f"got {n}"
-        )
-    space = StateSpace(tuple(str(i + 1) for i in range(n)))
-    full = space.full_mask
-    subsets = 1 << n
-    for candidate in range(1 << subsets):
-        if not (candidate >> full) & 1:
-            continue
-        members = [m for m in range(subsets) if (candidate >> m) & 1]
-        if all((candidate >> (a & b)) & 1 for i, a in enumerate(members) for b in members[i + 1 :]):
-            yield AbstractDomain._of_generators(space, members, frozenset(members))
 
 
 def family_of_names(space: StateSpace, compact: Sequence[str]) -> SetFamily:

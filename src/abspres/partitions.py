@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from . import lattice
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .lattice import (
     AbstractDomain,
     Mask,
@@ -309,38 +307,3 @@ def structural_shell(kind: str, a: AbstractDomain) -> AbstractDomain:
     if kind == "disjunctive":
         return add(preord_of(a))
     raise ValidationError(f"unknown shell kind {kind!r}")
-
-
-def iter_partitions(space: StateSpace) -> Iterator[Partition]:
-    """All partitions of the space (Bell-number many); canonical block order."""
-
-    def assign(i: int, blocks: list[list[int]]):
-        if i == space.n:
-            yield [sum(1 << s for s in b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(i)
-            yield from assign(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from assign(i + 1, blocks)
-        blocks.pop()
-
-    if space.n == 0:
-        return
-    for masks in assign(0, []):
-        yield Partition.from_masks(space, masks)
-
-
-def iter_preorders(space: StateSpace) -> Iterator[Preorder]:
-    """All preorders over a small space: the transitive reflexive relations."""
-    n = space.n
-    if n > lattice.MAX_ENUMERATION_STATES:
-        raise CapacityError(
-            f"preorder enumeration supports n ≤ MAX_ENUMERATION_STATES = "
-            f"{lattice.MAX_ENUMERATION_STATES}, got {n}"
-        )
-    reflexive = ([row for row in range(1 << n) if (row >> s) & 1] for s in range(n))
-    for rows in product(*reflexive):
-        if _is_transitive(rows):
-            yield Preorder._of_preorder(space, rows)

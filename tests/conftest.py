@@ -8,11 +8,11 @@ independent.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from abspres import KripkeModel, StateSpace
+from abspres import AbstractDomain, KripkeModel, Partition, Preorder, StateSpace
 from abspres.fixtures import (
     five_state_nondisjunctive_domain,
     five_state_pq,
@@ -52,6 +52,48 @@ def brute_moore_families(universe: frozenset) -> list[frozenset]:
         if all(a & b in fam for a in fam for b in fam):
             families.append(fam)
     return families
+
+
+def moore_families(n: int) -> list:
+    """Every Moore family over the space of states "1" to "n", in the order
+    of :func:`brute_moore_families`, each entering through the checked
+    constructor: 1, 2, 7, 61 and 2480 domains for n = 0 to 4."""
+    space = StateSpace(tuple(str(i + 1) for i in range(n)))
+    return [
+        AbstractDomain(space, image=[space.mask_of(s) for s in family])
+        for family in brute_moore_families(frozenset(space.names))
+    ]
+
+
+def iter_partitions(space: StateSpace):
+    """All partitions of the space (Bell-number many); canonical block order."""
+
+    def assign(i: int, blocks: list[list[int]]):
+        if i == space.n:
+            yield [sum(1 << s for s in b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(i)
+            yield from assign(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from assign(i + 1, blocks)
+        blocks.pop()
+
+    if space.n == 0:
+        return
+    for masks in assign(0, []):
+        yield Partition.from_masks(space, masks)
+
+
+def iter_preorders(space: StateSpace):
+    """All preorders over a small space: the reflexive relations, as row
+    masks, that Warshall's closure leaves as they are."""
+    n = space.n
+    reflexive = ([row for row in range(1 << n) if (row >> s) & 1] for s in range(n))
+    for rows in product(*reflexive):
+        if warshall_closure(rows) == rows:
+            yield Preorder(space, rows)
 
 
 def domain_as_frozensets(domain) -> frozenset:
@@ -111,8 +153,6 @@ def brute_bisimulation(model: KripkeModel):
     """The coarsest bisimulation, on state names: start from every pair with
     equal labels and delete a pair while a move of one side has no related
     move of the other, then group each state with the states it relates to."""
-    from abspres import Partition
-
     names = model.space.names
     succ = {s: model.space.names_of(model.succ[i]) for i, s in enumerate(names)}
     label = {s: model.label_of_state(i) for i, s in enumerate(names)}
@@ -160,8 +200,6 @@ def brute_stuttering(model: KripkeModel):
     start from every pair with equal labels and delete (s, t) while a move
     s → s' of one side has no answer from the other, a path t = t0 → ... →
     tk (k ≥ 0) with s related to t0, ..., t(k-1) and s' related to tk."""
-    from abspres import Partition
-
     names = model.space.names
     succ = {s: model.space.names_of(model.succ[i]) for i, s in enumerate(names)}
     label = {s: model.label_of_state(i) for i, s in enumerate(names)}
@@ -440,8 +478,6 @@ def similarity_class_languages(model: KripkeModel) -> list:
 
 def closure_pr(domain):
     """pr by one closure per state: states with equal singleton closures."""
-    from abspres import Partition
-
     classes = {}
     for i in range(domain.space.n):
         mu = domain.closure_mask(1 << i)
@@ -451,8 +487,6 @@ def closure_pr(domain):
 
 def row_column_kernel(r):
     """A preorder's kernel by meeting each row with its column."""
-    from abspres import Partition
-
     n = r.space.n
     cols = [sum(1 << s for s in range(n) if (r.rows[s] >> t) & 1) for t in range(n)]
     return Partition.from_masks(r.space, {row & col for row, col in zip(r.rows, cols)})
@@ -475,8 +509,6 @@ def block_pair_refines(p, q) -> bool:
 
 def label_set_partition(model: KripkeModel):
     """States grouped by the set of their labels' names."""
-    from abspres import Partition
-
     classes = {}
     for i in range(model.n):
         key = model.label_of_state(i)
@@ -566,7 +598,7 @@ def random_total_model(rng: random.Random, max_states: int = 6, max_atoms: int =
 
 def chain_abstract_structure(k3: KripkeModel):
     """The two-block abstract model [12] -> [3] -> [3] (no [12] self-loop)."""
-    from abspres import Partition, quotient
+    from abspres import quotient
     from abspres.kripke import KripkeModel as KM, Quotient
 
     p = Partition.of(k3.space, [["1", "2"], ["3"]])

@@ -15,13 +15,11 @@ from abspres import (
     bisim_partition,
     dbs_partition,
     domain_leq,
-    enumerate_moore_families,
     eval_abstract,
     family_of_names,
     gfp_transfer_check,
     is_disjunctive,
     is_partitioning,
-    iter_partitions,
     label_partition,
     language_from_ops,
     moore_close,
@@ -59,7 +57,13 @@ from abspres.shells import (
     sp_abstract_kripke_search,
 )
 
-from conftest import brute_bisimulation, chain_abstract_structure, random_total_model
+from conftest import (
+    brute_bisimulation,
+    chain_abstract_structure,
+    iter_partitions,
+    moore_families,
+    random_total_model,
+)
 
 
 @contextmanager
@@ -219,7 +223,7 @@ def test_criterion_7_oracle_equivalences_on_random_models():
 
 def test_criterion_8_three_state_structural_enumeration():
     with criterion(8, "61 families: partitioning/disjunctive laws, adjunction, maximality"):
-        domains = list(enumerate_moore_families(3))
+        domains = list(moore_families(3))
         assert len(domains) == 61
         space = domains[0].space
         partitions = list(iter_partitions(space))

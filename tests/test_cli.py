@@ -73,6 +73,8 @@ class TestEval:
             capsys, "eval", "--model", fx("k5.json"), "--formula", "EF[0,2"
         )
         assert code == 2 and "position" in err
+        code, _, err = run(capsys, "eval", "--model", fx("k5.json"), "--formula", "p $ q")
+        assert code == 2 and err == "error: unexpected character '$' (at position 2)\n"
 
     @pytest.mark.parametrize(
         "formula, message",
@@ -571,6 +573,11 @@ class TestEquivAndVerify:
             capsys, "check", "--model", fx("k5.json"), "--property", "partitioning"
         )
         assert code == 2 and "--domain" in err
+        code, _, err = run(
+            capsys, "check", "--model", fx("k5.json"), "--property", "partitioning",
+            "--domain", "computed",
+        )
+        assert code == 2 and err == "error: --domain computed needs --lang\n"
 
 
 class TestInputErrors:
@@ -588,6 +595,11 @@ class TestInputErrors:
             ({"labels": ["p"]}, "'labels'"),
             ({"labels": {"p": "12"}}, "label 'p'"),
             ({"transitions": {"1": "2"}}, "'transitions'"),
+            ({"states": "12"}, "'states' must be a list of names"),
+            (
+                {"transitions": [["1", "2"], ["a"]]},
+                "'transitions' entry 1 must be a [source, target] pair, got ['a']",
+            ),
         ],
     )
     def test_malformed_model(self, capsys, tmp_path, fields, name):
@@ -631,6 +643,8 @@ class TestInputErrors:
             ({"operators": 0}, "'operators'"),
             ({"operators": [{"name": "F", "expr": 5}]}, "operator 'F' needs a string 'expr'"),
             ({"operators": [{"name": "F", "expr": ["EX #1"]}]}, "operator 'F' needs a string 'expr'"),
+            ({"preset": "L9"}, "'preset' must be one of L1, L2, L3, CTL, semaforo, exef, full or null, got 'L9'"),
+            ({"atoms": {"zz": None}}, "atom 'zz' is null, but the model has no label 'zz'"),
         ],
     )
     def test_malformed_language(self, capsys, tmp_path, doc, name):
@@ -649,6 +663,36 @@ class TestInputErrors:
                              "partitioning", "--domain", path)
         assert (code, out) == (2, "")
         assert "'sets' must be a list of lists of state names" in err
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("model", "[1, 2]", "model file must contain a JSON object"),
+            ("model", '{"states": ', "model file {path}: Expecting value"),
+            ("language", "[1, 2]", "language file must contain a JSON object"),
+            ("language", '{"preset": ', "language file {path}: Expecting value"),
+            ("family", '{"sets": ', "family file {path}: Expecting value"),
+        ],
+        ids=["model-array", "model-cut", "language-array", "language-cut", "family-cut"],
+    )
+    def test_file_that_is_no_json_object(self, capsys, tmp_path, kind, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = {
+            "model": ["sp-partition", "--model", str(path), "--lang", "L1"],
+            "language": ["sp-partition", "--model", fx("k5.json"), "--lang", str(path)],
+            "family": ["check", "--model", fx("k5.json"), "--property", "partitioning",
+                       "--domain", str(path)],
+        }[kind]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message.format(path=path))
+
+    def test_malformed_relation_pair(self, capsys):
+        code, out, err = run(capsys, "check", "--model", fx("k5.json"), "--property", "sim",
+                             "--relation", "1,2;a,b,c")
+        assert (code, out) == (2, "")
+        assert err == "error: --relation pair 'a,b,c' is not of the form 's,t'\n"
 
     def test_bad_operator_body_rejected_at_load(self, capsys, tmp_path):
         # the formula uses no operator; the body is still checked
@@ -1229,6 +1273,34 @@ class TestCapacityRefusals:
         code, out, err = run(capsys, "--format", "json", "sp-domain", "--lang", "L3", "--model", str(path))
         assert code == 0, err
         assert len(json.loads(out)["result"]) == 50
+
+
+class TestBenchmarkNames:
+    """The benchmark's tracer wraps library names it finds by name, so a
+    deleted or renamed one must fail here, not only under ``bench/``."""
+
+    PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py")
+
+    def test_instrumented_names_resolve(self):
+        import ast
+        import importlib
+
+        if not os.path.exists(self.PATH):
+            pytest.skip("no bench/ beside the tests")
+        with open(self.PATH, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        (node,) = [
+            n for n in tree.body
+            if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["INSTRUMENTED"]
+        ]
+        instrumented = ast.literal_eval(node.value)
+        assert instrumented
+        for layer, name, _ in instrumented:
+            module = importlib.import_module(f"abspres.{layer}")
+            if name.startswith("KripkeModel."):
+                assert name.split(".", 1)[1] in vars(module.KripkeModel), name
+            else:
+                assert callable(getattr(module, name, None)), (layer, name)
 
 
 class TestReadme:

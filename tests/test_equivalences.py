@@ -29,7 +29,7 @@ from abspres.equivalences import (
 )
 from abspres.languages import builtin_operator, label_constants, preset_language
 from abspres.lattice import StateSpace, _members, _owners, moore_close
-from abspres.partitions import add, adp, iter_partitions, iter_preorders, pr
+from abspres.partitions import add, adp, pr
 from abspres.shells import semantic_closure
 
 from conftest import (
@@ -38,6 +38,8 @@ from conftest import (
     brute_bisimulation,
     brute_simulation,
     brute_stuttering,
+    iter_partitions,
+    iter_preorders,
     pairwise_check_simulation,
     random_model,
     random_total_model,

@@ -17,7 +17,7 @@ from abspres import (
     validate_model,
 )
 
-from conftest import per_state_quotient, random_model, random_total_model
+from conftest import iter_partitions, per_state_quotient, random_model, random_total_model
 
 
 class TestValidation:
@@ -219,8 +219,6 @@ class TestQuotient:
         # lookup per state: rows, labels and names, on seeded models with
         # stuck states, over every partition up to 4 states and random ones
         # past that
-        from abspres import iter_partitions
-
         rng = random.Random(3131)
         seen = {"stuck": 0, "partial": 0}
         for _ in range(60):

@@ -10,18 +10,16 @@ from abspres import (
     SetFamily,
     SpaceMismatchError,
     StateSpace,
-    closure_of,
     domain_join,
     domain_leq,
     domain_meet,
-    enumerate_moore_families,
     family_of_names,
     moore_close,
     powerset_domain,
     top_domain,
 )
 
-from conftest import brute_moore_close, brute_moore_families, domain_as_frozensets
+from conftest import brute_moore_close, domain_as_frozensets, iter_partitions, moore_families
 
 SPACE4 = StateSpace.of("1", "2", "3", "4")
 
@@ -83,18 +81,18 @@ class TestMooreClose:
         with pytest.raises(SpaceMismatchError):
             domain_leq(MU[1], top_domain(other))
         with pytest.raises(SpaceMismatchError):
-            closure_of(MU[1], other.set_of(["x"]))
+            MU[1].closure(other.set_of(["x"]))
 
 
 class TestClosureQueries:
     def test_singleton_closures_in_mu5(self):
-        assert closure_of(MU[5], SPACE4.set_of(["3"])) == SPACE4.set_of(["1", "2", "3"])
+        assert MU[5].closure(SPACE4.set_of(["3"])) == SPACE4.set_of(["1", "2", "3"])
         # smallest member containing 4 is {1,2,4}
-        assert closure_of(MU[5], SPACE4.set_of(["4"])) == SPACE4.set_of(["1", "2", "4"])
+        assert MU[5].closure(SPACE4.set_of(["4"])) == SPACE4.set_of(["1", "2", "4"])
 
     def test_top_is_closed(self):
         for dom in MU.values():
-            assert closure_of(dom, SPACE4.full) == SPACE4.full
+            assert dom.closure(SPACE4.full) == SPACE4.full
 
     def test_closure_laws(self):
         for dom in MU.values():
@@ -146,7 +144,7 @@ class TestDomainOrder:
         assert domain_as_frozensets(got) == want
 
     def test_lattice_laws_on_enumeration(self):
-        doms = list(enumerate_moore_families(2))
+        doms = list(moore_families(2))
         assert len(doms) == 7
         for a in doms:
             for b in doms:
@@ -163,7 +161,7 @@ class TestDomainOrder:
                     )
 
     def test_lattice_laws_sampled_at_three_states(self):
-        doms = list(enumerate_moore_families(3))
+        doms = list(moore_families(3))
         rng = random.Random(31)
         for _ in range(300):
             a, b, c = (rng.choice(doms) for _ in range(3))
@@ -176,27 +174,20 @@ class TestDomainOrder:
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(list(enumerate_moore_families(0))) == 1
-        assert len(list(enumerate_moore_families(1))) == 2
-        assert len(list(enumerate_moore_families(2))) == 7
-        assert len(list(enumerate_moore_families(3))) == 61
-
-    def test_matches_set_based_oracle(self):
-        for n in range(3):
-            universe = frozenset(str(i + 1) for i in range(n))
-            want = {frozenset(f) for f in brute_moore_families(universe)}
-            got = {domain_as_frozensets(d) for d in enumerate_moore_families(n)}
-            assert got == want
+        assert len(list(moore_families(0))) == 1
+        assert len(list(moore_families(1))) == 2
+        assert len(list(moore_families(2))) == 7
+        assert len(list(moore_families(3))) == 61
 
     def test_no_duplicates_at_three(self):
-        fams = [d.masks for d in enumerate_moore_families(3)]
+        fams = [d.masks for d in moore_families(3)]
         assert len(fams) == len(set(fams))
 
     def test_four_state_stream_is_structurally_sound(self):
         # no frozen count at n = 4; spot-validate the stream instead
         seen = set()
         count = 0
-        for dom in enumerate_moore_families(4):
+        for dom in moore_families(4):
             count += 1
             assert dom.masks not in seen
             seen.add(dom.masks)
@@ -205,10 +196,6 @@ class TestEnumeration:
                 assert 0b1111 in masks
                 assert all(a & b in masks for a in masks for b in masks)
         assert count > 61
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            list(enumerate_moore_families(5))
 
 
 class TestRepresentation:
@@ -226,6 +213,13 @@ class TestRepresentation:
     def test_non_moore_image_rejected(self):
         with pytest.raises(Exception):
             AbstractDomain(SPACE4, image=family_of_names(SPACE4, ["12", "13"]).masks)
+
+    def test_full_mask_is_set_once_outside_equality_and_repr(self):
+        a, b = StateSpace.of("1", "2", "3"), StateSpace(("1", "2", "3"))
+        assert a == b and hash(a) == hash(b)
+        assert a.full_mask == 0b111 and StateSpace(()).full_mask == 0
+        assert "full_mask" in vars(a)
+        assert repr(a) == "StateSpace(names=('1', '2', '3'))"
 
     def test_stateset_operators(self):
         s = SPACE4.set_of(["1", "2"])
@@ -257,7 +251,6 @@ class TestMooreCheckedWhereItEnters:
         from abspres import Preorder, add, adp, forward_complete_shell
         from abspres.kripke import label_partition
         from abspres.languages import builtin_operator
-        from abspres.partitions import iter_partitions
         from conftest import random_total_model
 
         rng = random.Random(707)
@@ -286,9 +279,6 @@ class TestMooreCheckedWhereItEnters:
                 assert _brute_is_moore(adp(p).masks, full)
             for r in (Preorder.identity(space), Preorder.total(space)):
                 assert _brute_is_moore(add(r).masks, full)
-        families = list(enumerate_moore_families(3))
-        assert len(families) == 61
-        assert all(_brute_is_moore(d.masks, 0b111) for d in families)
 
     def test_outside_images_are_still_checked(self, no_moore_check):
         with pytest.raises(AssertionError, match="checked again"):

@@ -17,12 +17,9 @@ from abspres import (
     adp,
     bisim_partition,
     domain_leq,
-    enumerate_moore_families,
     family_of_names,
     is_disjunctive,
     is_partitioning,
-    iter_partitions,
-    iter_preorders,
     label_partition,
     largest_simulation,
     moore_close,
@@ -42,7 +39,10 @@ from conftest import (
     closure_pr,
     complement_closed,
     double_loop_preord_rows,
+    iter_partitions,
+    iter_preorders,
     label_set_partition,
+    moore_families,
     random_model,
     row_column_kernel,
     union_closed,
@@ -110,7 +110,7 @@ class TestPartitioning:
     def test_three_way_equivalence_over_enumeration(self):
         # complement-closed  <=>  union-closed with singleton-closure partition
         # <=>  fixed by adp∘pr
-        for dom in enumerate_moore_families(3):
+        for dom in moore_families(3):
             space = dom.space
             closed_under_complement = is_partitioning(dom)
             union_closed = 0 in dom.masks and all(
@@ -285,7 +285,7 @@ class TestDisjunctive:
             assert is_disjunctive(adp(p))
 
     def test_characterization_over_enumeration(self):
-        for dom in enumerate_moore_families(3):
+        for dom in moore_families(3):
             assert is_disjunctive(dom) == (add(preord_of(dom)) == dom)
 
 
@@ -314,7 +314,7 @@ class TestStructuralShell:
         # both shells add sets: image(A) ⊆ image(shell(A)); the reverse
         # inclusion fails somewhere
         strict_p = strict_d = 0
-        for dom in enumerate_moore_families(3):
+        for dom in moore_families(3):
             for kind in ("partitioning", "disjunctive"):
                 shell = structural_shell(kind, dom)
                 assert dom.masks <= shell.masks
@@ -337,7 +337,7 @@ class TestGaloisInsertion:
     def test_adjunction_over_enumeration(self):
         space = StateSpace.of("1", "2", "3")
         partitions = list(iter_partitions(space))
-        for dom in enumerate_moore_families(3):
+        for dom in moore_families(3):
             for p in partitions:
                 left = p.refines(pr(dom))
                 right = domain_leq(adp(p), dom)
@@ -349,7 +349,7 @@ class TestGaloisInsertion:
         space = StateSpace.of("1", "2", "3")
 
         def domains():
-            out = list(enumerate_moore_families(3))
+            out = list(moore_families(3))
             out += [adp(p) for p in iter_partitions(space)]
             out += [add(r) for r in iter_preorders(space)]
             return out
@@ -448,7 +448,7 @@ class TestReadOffGenerators:
     def test_every_moore_family_up_to_four_states(self):
         seen = set()
         for n in range(5):
-            for dom in enumerate_moore_families(n):
+            for dom in moore_families(n):
                 seen.add(self.agree(dom))
                 if n:
                     # the image's sets as labels

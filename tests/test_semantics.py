@@ -77,6 +77,27 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("EF[2,0] p")
 
+    @pytest.mark.parametrize(
+        "parse, text, message, position",
+        [
+            (parse_formula, "p $ q", "unexpected character '$'", 2),
+            (parse_formula, "p   \t$", "unexpected character '$'", 5),
+            (parse_transformer, "pre #1 ?", "unexpected character '?'", 7),
+            (parse_transformer, "pre #0", "placeholder indices are 1-based", 4),
+            (parse_formula, "p & )", "unexpected token ')'", 4),
+        ],
+        ids=["character", "after-blanks", "transformer", "placeholder-zero", "token"],
+    )
+    def test_syntax_error_names_the_character_at_its_position(self, parse, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_trailing_blanks_parse(self):
+        assert parse_formula("EX p  \t\n") == parse_formula("EX p")
+        assert parse_transformer(" pre #1 ") == App("pre", (Arg(1),))
+
     def test_placeholders_rejected_in_formulas(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("EX #1")

@@ -14,7 +14,6 @@ from abspres import (
     adp,
     completeness_check,
     domain_leq,
-    enumerate_moore_families,
     family_of_names,
     is_partitioning,
     moore_close,
@@ -51,6 +50,7 @@ from conftest import (
     exhaustive_relation_search,
     in_similarity_class,
     in_splitter_class,
+    moore_families,
     random_model,
     random_total_model,
     similarity_class_languages,
@@ -198,7 +198,7 @@ class TestForwardCompleteShell:
         space = StateSpace.of("1", "2", "3")
         model = KripkeModel(space, (0b010, 0b100, 0b100), (("p", 0b011),))
         pre = builtin_operator("pre")
-        domains = list(enumerate_moore_families(3))
+        domains = list(moore_families(3))
         complete = [
             d for d in domains if completeness_check("forward", d, [pre], model).holds
         ]
@@ -1152,13 +1152,11 @@ class TestRelationSearch:
 
 @pytest.mark.parametrize(
     "case",
-    ["semantic-closure", "shell", "splitter-shell", "search", "paired", "masks", "powerset", "moore-enumeration",
-     "adp", "add", "preorder-enumeration"],
+    ["semantic-closure", "shell", "splitter-shell", "search", "paired", "masks", "powerset", "adp", "add"],
 )
 def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
     from abspres import Preorder, abstraction, add, powerset_domain
     from abspres.abstraction import paired_sp_check
-    from abspres.partitions import iter_preorders
 
     big = StateSpace(tuple(str(i) for i in range(24)))
     l1 = preset_language("L1", kpq)
@@ -1201,33 +1199,26 @@ def test_capacity_error_names_bound_value_and_size(case, kpq, monkeypatch):
         # ℘(Σ) is the lazy domain of its 21 co-atoms, refused when listed
         call = lambda: powerset_domain(StateSpace(big.names[:21])).masks
         message = "image of 21 generators has up to 2^21 members, over DEFAULT_MAX_FAMILY = 1048576"
-    elif case == "moore-enumeration":
-        call = lambda: list(enumerate_moore_families(5))
-        message = "enumeration supports 0 ≤ n ≤ MAX_ENUMERATION_STATES = 4, got 5"
     elif case == "adp":
         call = lambda: adp(Partition.identity(big)).masks
         message = "image of 24 generators has up to 2^24 members, over DEFAULT_MAX_FAMILY = 1048576"
-    elif case == "add":
+    else:
         monkeypatch.setattr(lattice, "DEFAULT_MAX_FAMILY", 4)
         call = lambda: add(Preorder.identity(kpq.space)).masks
         message = "image of 5 generators has up to 2^5 members, over DEFAULT_MAX_FAMILY = 4"
-    else:
-        call = lambda: list(iter_preorders(kpq.space))
-        message = "preorder enumeration supports n ≤ MAX_ENUMERATION_STATES = 4, got 5"
     with pytest.raises(CapacityError) as info:
         call()
     assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
-    "case", ["semantic-closure", "shell", "preorder-enumeration", "paired", "completeness"]
+    "case", ["semantic-closure", "shell", "paired", "completeness"]
 )
 def test_each_bound_is_set_through_its_own_module(case, kpq, monkeypatch):
     # a bound is one module constant read where it is checked: a call that
     # answers at the default is refused once the constant is set below it
     from abspres import abstraction
     from abspres.abstraction import paired_sp_check
-    from abspres.partitions import iter_preorders
 
     identity = Partition.identity(kpq.space)
     seed = moore_close(label_partition(kpq).family)
@@ -1239,10 +1230,6 @@ def test_each_bound_is_set_through_its_own_module(case, kpq, monkeypatch):
         ),
         "shell": (
             lattice, "DEFAULT_MAX_FAMILY", 4, lambda: forward_complete_shell(seed, ops, kpq)
-        ),
-        "preorder-enumeration": (
-            lattice, "MAX_ENUMERATION_STATES", 2,
-            lambda: list(iter_preorders(StateSpace.of("1", "2", "3"))),
         ),
         "paired": (
             abstraction, "DEFAULT_MAX_PAIRS", 4,

@@ -168,13 +168,17 @@ def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
 
     The sets pre^i(S) are eventually periodic: once one repeats, the rest of
     [lo, hi] is read off the cycle, so the cost is bounded by the number of
-    distinct sets, not by ``hi``.
+    distinct sets, not by ``hi``.  It computes pre^i(S) for i ≤ hi only:
+    at most ``hi`` calls of ``pre``, and exactly ``hi`` when no set
+    repeats.
     """
     seq: list[Mask] = []
     index: dict[Mask, int] = {}
     acc = 0
     cur = s
     for i in range(hi + 1):
+        if i:
+            cur = model.pre(cur)
         if cur in index:
             # pre^r(S) = seq[j + (r - j) % period] for every r ≥ j
             j = index[cur]
@@ -187,7 +191,6 @@ def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
         seq.append(cur)
         if i >= lo:
             acc |= cur
-        cur = model.pre(cur)
     return acc
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -59,6 +60,25 @@ def _members(mask: Mask) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+#: Maps the digits b"0" and b"1" to the bytes 0 and 1, so that a mask's
+#: binary digits read lowest first are the selectors of :func:`_select`.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _select(items: Sequence, mask: Mask) -> Iterator:
+    """The items at the set bits of ``mask``, lowest first: item i for
+    each member i of ``mask``, as :func:`_members` lists them, picked in C.
+
+    ``mask`` must be ≥ 0 and have no set bit at or above ``len(items)``:
+    ``compress`` stops at the end of ``items`` and drops such bits without
+    a word, and a negative mask's ``-`` sign reads as a set bit.  It pays
+    on wide, dense masks (the relation search's batches of up to 2^12
+    completions); on a few bits of a small model :func:`_members` is
+    faster.
+    """
+    return compress(items, format(mask, "b")[::-1].encode().translate(_DIGIT_BITS))
 
 
 def _join_rows(rows: Sequence[Mask], y: Mask) -> Mask:

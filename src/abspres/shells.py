@@ -51,7 +51,7 @@ from .lattice import (
     _check_family,
     _check_space,
     _classes,
-    _members,
+    _select,
     domain_leq,
     meet_close,
     moore_close,
@@ -382,6 +382,28 @@ def _pair_table(b: int, bits: int) -> tuple[frozenset[tuple[int, int]], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _search_tables(b: int) -> tuple:
+    """What every search over b blocks reads, built once per process:
+    ``batched``, the rows a batch leaves open; ``width``, its number of
+    completions; the lifted block masks of a batch (:func:`_lifts`) and of
+    the two-completion batch of the node bounds; ``patterns``, the packed
+    rows of the open rows (open row i steps into block j under completion x
+    iff bit i·b + j of x is set); and ``pairs``, where ``pairs[i][r]``
+    lists the pairs (i, j) of row value r."""
+    batched = min(b, _BATCH_BITS // b)
+    width = 1 << (batched * b)
+    patterns = tuple(
+        sum(_bit_pattern(i * b + j, width) << (j * width) for j in range(b))
+        for i in range(batched)
+    )
+    pairs = tuple(
+        tuple(tuple((i, j) for j in range(b) if (r >> j) & 1) for r in range(1 << b))
+        for i in range(b)
+    )
+    return batched, width, tuple(_lifts(b, width)), tuple(_lifts(b, 2)), patterns, pairs
+
+
 def sp_abstract_kripke_search(
     p: Partition,
     lang: LanguageSpec,
@@ -430,14 +452,20 @@ def sp_abstract_kripke_search(
     So the value's bits under x are what x's block model gives.  A step
     keeps the completions whose slices all equal its value's, and the
     batch stops once none is left.  The survivors are read off in
-    ascending order, which is the relations' bit order.  Each one's lowest
-    open rows (all of them for b ≤ 3) are one entry of a per-process table
-    of frozensets (:func:`_pair_table`), and its other rows one frozenset
-    per distinct value in the batch, so a hit costs a lookup or one union,
-    not a step per row.  Hits are shared immutable frozensets: one object
-    may stand for the same relation in several answers.
-    :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²) relations, before any
-    is tried.
+    ascending order, which is the relations' bit order, by
+    :func:`~abspres.lattice._select` in C rather than bit by bit.  Each
+    one's lowest open rows (all of them for b ≤ 3) are one entry of a
+    per-process table of frozensets (:func:`_pair_table`), and its other
+    rows one frozenset per distinct value in the batch, so a hit costs a
+    lookup or one union, not a step per row.  When a batch of b ≥ 4 never
+    narrowed, the completions that share their rows above the table are
+    one contiguous chunk of the survivors' mask, so each chunk builds the
+    frozenset of those rows once and unites it with the table entries the
+    chunk picks.  The batch's masks and row pairs are built once per
+    process too (:func:`_search_tables`).  Hits are shared immutable
+    frozensets: one object may stand for the same relation in several
+    answers.  :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²) relations,
+    before any is tried.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -456,24 +484,15 @@ def sp_abstract_kripke_search(
         return []
 
     full = (1 << b) - 1
-    batched = min(b, _BATCH_BITS // b)  # the rows a batch leaves open
-    width = 1 << (batched * b)
-    lifted, bound = _lifts(b, width), _lifts(b, 2)
+    batched, width, lifted, bound, patterns, pairs = _search_tables(b)
     # in a batch of width 2, bit 0 of each slice is completion 0 and bit 1
     # completion 1
     low = sum(1 << (2 * j) for j in range(b))
     high = low << 1
-    # open row i of a batch steps into block j under completion x iff bit
-    # i·b + j of x is set
-    patterns = [
-        sum(_bit_pattern(i * b + j, width) << (j * width) for j in range(b))
-        for i in range(batched)
-    ]
     # a hit's lowest open rows come from the pair table, its other rows
     # from the pairs of each row value
     low_bits = min(batched, _TABLE_BITS // b) * b
     table, low_mask = _pair_table(b, low_bits), (1 << low_bits) - 1
-    pairs = [[tuple((i, j) for j in range(b) if (r >> j) & 1) for r in range(1 << b)] for i in range(b)]
     first = mode == "first"
     hits: list[frozenset[tuple[int, int]]] = []
 
@@ -506,7 +525,7 @@ def sp_abstract_kripke_search(
         batch of those alone, in the same order: gathering them costs less
         than a step on the wide batch."""
         members: Sequence[int] = range(width)  # completion k of the batch is x = members[k]
-        batch, lift = _BlockBatch(width, patterns + [lifted[r] for r in rows]), lifted
+        batch, lift = _BlockBatch(width, [*patterns, *[lifted[r] for r in rows]]), lifted
         alive = batch._ones
         for done, (op, args, value) in enumerate(pending, 1):
             got = apply_operator(op, batch, tuple([lift[a] for a in args]))
@@ -515,7 +534,7 @@ def sp_abstract_kripke_search(
                 return
             count = alive.bit_count()
             if count * 16 <= len(members) and count < len(pending) - done:
-                members = [members[k] for k in _members(alive)]
+                members = list(_select(members, alive))
                 lift, unit = _lifts(b, count), _lifts(b, count, 1)
                 open_rows = [
                     sum(unit[(x >> (i * b)) & full] << k for k, x in enumerate(members))
@@ -525,20 +544,40 @@ def sp_abstract_kripke_search(
                 alive = batch._ones
         if first:
             alive &= -alive
+        # a narrowed batch keeps at most 1/16 of the completions
+        narrowed = len(members) < width
         if not rows:  # b ≤ 3: the table holds every open row, and none is fixed
-            hits.extend([table[members[k]] for k in _members(alive)])
+            if narrowed:
+                hits.extend([table[x] for x in _select(members, alive)])
+            else:
+                hits.extend(_select(table, alive))
             return
         fixed = tuple(pair for i, r in enumerate(rows) for pair in pairs[batched + i][r])
+
+        def upper(above: int) -> frozenset[tuple[int, int]]:
+            """The fixed rows and the open rows above the table, ``above``
+            encoding the latter."""
+            rel = fixed
+            for row_pairs in pairs[low_bits // b : batched]:
+                rel += row_pairs[above & full]
+                above >>= b
+            return frozenset(rel)
+
+        if not narrowed:
+            # the completions that share x >> low_bits are one chunk of
+            # alive, as wide as the table
+            chunk_mask = (1 << len(table)) - 1
+            for above in range(width >> low_bits):
+                chunk = alive & chunk_mask
+                alive >>= len(table)
+                if chunk:
+                    hits.extend(map(upper(above).union, _select(table, chunk)))
+            return
         rest: dict[int, frozenset[tuple[int, int]]] = {}  # by the open rows above the table
-        for k in _members(alive):
-            x = members[k]
+        for x in _select(members, alive):
             above = x >> low_bits
             if above not in rest:
-                rel, y = fixed, above
-                for row_pairs in pairs[low_bits // b : batched]:
-                    rel += row_pairs[y & full]
-                    y >>= b
-                rest[above] = frozenset(rel)
+                rest[above] = upper(above)
             hits.append(table[x & low_mask] | rest[above])
 
     def walk(rows: tuple[Mask, ...], pending: list[_Step]) -> None:

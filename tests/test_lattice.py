@@ -230,6 +230,37 @@ class TestRepresentation:
         assert "1" in s and "3" not in s
 
 
+class TestSelect:
+    def test_matches_members(self):
+        # oracle: the bit walk of _members.  Mask 0, one bit at the top, and
+        # sparse and dense masks of widths up to 4096 bits, over items of
+        # exactly the mask's width and over longer ones
+        from abspres.lattice import _members, _select
+
+        rng = random.Random(7)
+        masks = [(0, 0), (0, 1), (1, 1)]
+        for width in (1, 2, 7, 8, 9, 63, 64, 65, 512, 4096):
+            masks.append((1 << (width - 1), width))
+            masks.append(((1 << width) - 1, width))
+            for density in (0.01, 0.1, 0.5, 0.9):
+                masks.append((sum(1 << k for k in range(width) if rng.random() < density), width))
+        for mask, width in masks:
+            for items in (list(range(100, 100 + width)), tuple(f"x{k}" for k in range(width + 3))):
+                want = [items[k] for k in _members(mask)]
+                assert list(_select(items, mask)) == want, (mask, width)
+            assert list(_select(range(width), mask)) == list(_members(mask))
+
+    def test_contract_is_a_nonnegative_mask_within_the_items(self):
+        # bits at or past len(items) are dropped without a word, and a
+        # negative mask's sign reads as a bit: why callers must keep a mask
+        # ≥ 0 below 2^len(items)
+        from abspres.lattice import _select
+
+        assert list(_select("abc", 0b11010)) == ["b"]
+        assert list(_select("abc", 1 << 3)) == []
+        assert list(_select("abc", -1)) == ["a", "b"]
+
+
 def _brute_is_moore(masks, full):
     return full in masks and all(a & b in masks for a in masks for b in masks)
 

@@ -237,6 +237,32 @@ class TestConcreteEvaluation:
         assert got.names == ("1", "2", "3", "4", "5")
 
 
+    def test_bounded_reach_stops_at_hi(self, monkeypatch):
+        # a path 0 → 1 → … → 7, 7 a dead state: pre^i({7}) = {7 - i} never
+        # repeats for i ≤ 7, so EF[lo,hi] calls pre once for each of
+        # pre^1 … pre^hi, and never for pre^(hi+1)
+        n = 8
+        path = KripkeModel(
+            StateSpace(tuple(str(i) for i in range(n))),
+            tuple(1 << (i + 1) for i in range(n - 1)) + (0,),
+            (),
+        )
+        calls = []
+        pre = KripkeModel.pre
+
+        def counted(model, y):
+            calls.append(y)
+            return pre(model, y)
+
+        monkeypatch.setattr(KripkeModel, "pre", counted)
+        for hi in range(n):
+            for lo in range(hi + 1):
+                calls.clear()
+                got = apply_operator(builtin_operator(f"EF[{lo},{hi}]"), path, (1 << (n - 1),))
+                assert got == ((1 << (hi - lo + 1)) - 1) << (n - 1 - hi), (lo, hi)
+                assert len(calls) == hi, (lo, hi)
+
+
 class TestFixpointOracles:
     def test_until_release_against_subset_scan(self):
         rng = random.Random(97)

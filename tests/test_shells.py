@@ -756,6 +756,38 @@ def split_to_four_blocks(rng, model):
     return Partition.from_masks(model.space, blocks)
 
 
+class _HitBranches:
+    """Counts the hit branches that the searches over four or more blocks
+    take once their batches are decided, told apart by the calls of
+    ``_select`` and ``_lifts``: a batch that never narrowed picks its hits
+    from chunks of the pair table (a tuple), and one that narrowed picks
+    them from its survivors (a list), a call that, unlike gathering the
+    survivors, is not followed at once by the lifts of a narrower batch."""
+
+    def __init__(self, monkeypatch):
+        self.events: list[str] = []
+        self.chunked = self.narrowed = 0
+        select, lifts = shells._select, shells._lifts
+
+        def logged_select(items, mask):
+            self.events.append(type(items).__name__)
+            return select(items, mask)
+
+        def logged_lifts(*args):
+            self.events.append("lifts")
+            return lifts(*args)
+
+        monkeypatch.setattr(shells, "_select", logged_select)
+        monkeypatch.setattr(shells, "_lifts", logged_lifts)
+
+    def tally(self, p) -> None:
+        """Count the branches of the searches on ``p`` since the last call."""
+        events, self.events = self.events + ["end"], []
+        if len(p.blocks) >= 4:
+            self.chunked += events.count("tuple")
+            self.narrowed += sum(e == "list" and nxt != "lifts" for e, nxt in zip(events, events[1:]))
+
+
 class TestRelationSearch:
     def test_traffic_light_has_no_strong_relation(self, tl):
         lang = preset_language("semaforo", tl)
@@ -951,15 +983,16 @@ class TestRelationSearch:
         agree(bisim_partition(kpqr), kpqr, [preset_language("exef", kpqr)])
         assert searches >= 500 and found >= 400 and stuck >= 1500
 
-    def test_batches_match_the_row_walk(self):
+    def test_batches_match_the_row_walk(self, monkeypatch):
         # oracle: the walk with one block model per node bound and per leaf,
         # in both modes, hit lists compared in order.  Four blocks batch the
         # rows below row 3 and five blocks the rows below rows 4 to 2, where
-        # the 2^(b²) oracle is out of reach
+        # the 2^(b²) oracle is out of reach; both hit branches are taken
         from abspres.fixtures import five_state_pq, five_state_pqr
         from conftest import row_walk_relation_search
 
         searches = found = 0
+        branches = _HitBranches(monkeypatch)
 
         def agree(p, model, names):
             nonlocal searches, found
@@ -969,6 +1002,7 @@ class TestRelationSearch:
                 assert sp_abstract_kripke_search(p, lang, model) == want, name
                 first = sp_abstract_kripke_search(p, lang, model, mode="first")
                 assert first == row_walk_relation_search(p, lang, model, "first") == want[:1]
+                branches.tally(p)
                 searches += 1
                 found += len(want)
 
@@ -983,11 +1017,13 @@ class TestRelationSearch:
             if p is not None:
                 agree(p, model, ("L1", "L3", "CTL"))
         assert found >= 7000
+        assert branches.chunked >= 1000 and branches.narrowed >= 50
 
     def test_pair_table_entries(self):
         # entry x of the table a search reads holds pair (i, j) iff bit
         # i·b + j of x is set, for every x and every b the search allows;
-        # one table per process, whose entries each search shares
+        # one table per process, whose entries each search shares, and so
+        # are the search's other tables
         for b in range(1, 6):
             bits = min(b, shells._BATCH_BITS // b, shells._TABLE_BITS // b) * b
             table = shells._pair_table(b, bits)
@@ -995,8 +1031,9 @@ class TestRelationSearch:
             for x, entry in enumerate(table):
                 assert entry == frozenset(divmod(k, b) for k in range(bits) if (x >> k) & 1), (b, x)
             assert shells._pair_table(b, bits) is table
+            assert shells._search_tables(b) is shells._search_tables(b)
 
-    def test_dense_exef_hit_lists_match_the_oracles(self):
+    def test_dense_exef_hit_lists_match_the_oracles(self, monkeypatch):
         # exef keeps most relations of these models: three blocks against
         # every relation checked in bit order, four blocks (batched below
         # row 3, the table covering rows 0 and 1) against the row walk, hit
@@ -1005,12 +1042,15 @@ class TestRelationSearch:
         from abspres.fixtures import five_state_pqr
         from conftest import row_walk_relation_search
 
+        branches = _HitBranches(monkeypatch)
+
         def agree(p, model, oracle):
             lang = preset_language("exef", model)
             want = oracle(p, lang, model)
             assert sp_abstract_kripke_search(p, lang, model) == want
             first = sp_abstract_kripke_search(p, lang, model, mode="first")
             assert first == oracle(p, lang, model, "first") == want[:1]
+            branches.tally(p)
             return len(want)
 
         rng = random.Random(3)
@@ -1033,6 +1073,8 @@ class TestRelationSearch:
                 found += agree(p, model, row_walk_relation_search)
                 searches += 1
         assert found >= 1000
+        # dense hits leave no batch narrow enough to gather
+        assert branches.chunked >= 1000
 
     def test_first_mode_stops_after_a_later_node(self, kpqr, monkeypatch):
         # four blocks under exef: the first strong relation has row 3 = {2},

@@ -372,25 +372,18 @@ _TABLE_BITS = 9
 
 
 @lru_cache(maxsize=None)
-def _pair_table(b: int, bits: int) -> tuple[frozenset[tuple[int, int]], ...]:
-    """The pairs (i, j) of every encoding x < 2^``bits`` of open rows over
-    b blocks, bit i·b + j standing for (i, j), indexed by x: each entry is
-    the one with x's lowest bit cleared plus that bit's pair."""
-    table = [frozenset()]
-    for x in range(1, 1 << bits):
-        table.append(table[x & (x - 1)] | {divmod((x & -x).bit_length() - 1, b)})
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def _search_tables(b: int) -> tuple:
     """What every search over b blocks reads, built once per process:
     ``batched``, the rows a batch leaves open; ``width``, its number of
     completions; the lifted block masks of a batch (:func:`_lifts`) and of
     the two-completion batch of the node bounds; ``patterns``, the packed
     rows of the open rows (open row i steps into block j under completion x
-    iff bit i·b + j of x is set); and ``pairs``, where ``pairs[i][r]``
-    lists the pairs (i, j) of row value r."""
+    iff bit i·b + j of x is set); ``pairs``, where ``pairs[i][r]`` lists
+    the pairs (i, j) of row value r; ``low_bits``, the bits of the lowest
+    open rows that the pair table covers, and their mask; and the pair
+    table, indexed by x < 2^``low_bits``, whose entry x holds pair (i, j)
+    iff bit i·b + j of x is set: the entry with x's lowest bit cleared plus
+    that bit's pair."""
     batched = min(b, _BATCH_BITS // b)
     width = 1 << (batched * b)
     patterns = tuple(
@@ -401,7 +394,14 @@ def _search_tables(b: int) -> tuple:
         tuple(tuple((i, j) for j in range(b) if (r >> j) & 1) for r in range(1 << b))
         for i in range(b)
     )
-    return batched, width, tuple(_lifts(b, width)), tuple(_lifts(b, 2)), patterns, pairs
+    low_bits = min(batched, _TABLE_BITS // b) * b
+    table = [frozenset()]
+    for x in range(1, 1 << low_bits):
+        table.append(table[x & (x - 1)] | {divmod((x & -x).bit_length() - 1, b)})
+    return (
+        batched, width, tuple(_lifts(b, width)), tuple(_lifts(b, 2)), patterns, pairs,
+        low_bits, (1 << low_bits) - 1, tuple(table),
+    )
 
 
 def sp_abstract_kripke_search(
@@ -455,17 +455,13 @@ def sp_abstract_kripke_search(
     ascending order, which is the relations' bit order, by
     :func:`~abspres.lattice._select` in C rather than bit by bit.  Each
     one's lowest open rows (all of them for b ≤ 3) are one entry of a
-    per-process table of frozensets (:func:`_pair_table`), and its other
-    rows one frozenset per distinct value in the batch, so a hit costs a
-    lookup or one union, not a step per row.  When a batch of b ≥ 4 never
-    narrowed, the completions that share their rows above the table are
-    one contiguous chunk of the survivors' mask, so each chunk builds the
-    frozenset of those rows once and unites it with the table entries the
-    chunk picks.  The batch's masks and row pairs are built once per
-    process too (:func:`_search_tables`).  Hits are shared immutable
-    frozensets: one object may stand for the same relation in several
-    answers.  :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²) relations,
-    before any is tried.
+    per-process table of frozensets, and its other rows one frozenset per
+    distinct value in the batch, so a hit costs a lookup or one union, not
+    a step per row.  The table, the batch's masks and the row pairs are
+    built once per process (:func:`_search_tables`).  Hits are shared
+    immutable frozensets: one object may stand for the same relation in
+    several answers.  :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²)
+    relations, before any is tried.
     """
     if lang.open_ops:
         raise ValidationError("strong-preservation checks need a closed language")
@@ -484,15 +480,13 @@ def sp_abstract_kripke_search(
         return []
 
     full = (1 << b) - 1
-    batched, width, lifted, bound, patterns, pairs = _search_tables(b)
+    # a hit's lowest open rows come from the pair table, its other rows
+    # from the pairs of each row value
+    batched, width, lifted, bound, patterns, pairs, low_bits, low_mask, table = _search_tables(b)
     # in a batch of width 2, bit 0 of each slice is completion 0 and bit 1
     # completion 1
     low = sum(1 << (2 * j) for j in range(b))
     high = low << 1
-    # a hit's lowest open rows come from the pair table, its other rows
-    # from the pairs of each row value
-    low_bits = min(batched, _TABLE_BITS // b) * b
-    table, low_mask = _pair_table(b, low_bits), (1 << low_bits) - 1
     first = mode == "first"
     hits: list[frozenset[tuple[int, int]]] = []
 
@@ -544,40 +538,19 @@ def sp_abstract_kripke_search(
                 alive = batch._ones
         if first:
             alive &= -alive
-        # a narrowed batch keeps at most 1/16 of the completions
-        narrowed = len(members) < width
         if not rows:  # b ≤ 3: the table holds every open row, and none is fixed
-            if narrowed:
-                hits.extend([table[x] for x in _select(members, alive)])
-            else:
-                hits.extend(_select(table, alive))
+            hits.extend(map(table.__getitem__, _select(members, alive)))
             return
         fixed = tuple(pair for i, r in enumerate(rows) for pair in pairs[batched + i][r])
-
-        def upper(above: int) -> frozenset[tuple[int, int]]:
-            """The fixed rows and the open rows above the table, ``above``
-            encoding the latter."""
-            rel = fixed
-            for row_pairs in pairs[low_bits // b : batched]:
-                rel += row_pairs[above & full]
-                above >>= b
-            return frozenset(rel)
-
-        if not narrowed:
-            # the completions that share x >> low_bits are one chunk of
-            # alive, as wide as the table
-            chunk_mask = (1 << len(table)) - 1
-            for above in range(width >> low_bits):
-                chunk = alive & chunk_mask
-                alive >>= len(table)
-                if chunk:
-                    hits.extend(map(upper(above).union, _select(table, chunk)))
-            return
         rest: dict[int, frozenset[tuple[int, int]]] = {}  # by the open rows above the table
         for x in _select(members, alive):
             above = x >> low_bits
             if above not in rest:
-                rest[above] = upper(above)
+                rel, y = fixed, above
+                for row_pairs in pairs[low_bits // b : batched]:
+                    rel += row_pairs[y & full]
+                    y >>= b
+                rest[above] = frozenset(rel)
             hits.append(table[x & low_mask] | rest[above])
 
     def walk(rows: tuple[Mask, ...], pending: list[_Step]) -> None:

@@ -757,16 +757,16 @@ def split_to_four_blocks(rng, model):
 
 
 class _HitBranches:
-    """Counts the hit branches that the searches over four or more blocks
-    take once their batches are decided, told apart by the calls of
-    ``_select`` and ``_lifts``: a batch that never narrowed picks its hits
-    from chunks of the pair table (a tuple), and one that narrowed picks
-    them from its survivors (a list), a call that, unlike gathering the
-    survivors, is not followed at once by the lifts of a narrower batch."""
+    """Counts the batches of the searches over four or more blocks that
+    are decided wide or narrowed, told apart by the calls of ``_select``
+    and ``_lifts``: a wide batch picks its hits from a ``range`` of
+    completions and a narrowed one from a list of its survivors, a call
+    that, unlike gathering the survivors, is not followed at once by the
+    lifts of a narrower batch."""
 
     def __init__(self, monkeypatch):
         self.events: list[str] = []
-        self.chunked = self.narrowed = 0
+        self.wide = self.narrowed = 0
         select, lifts = shells._select, shells._lifts
 
         def logged_select(items, mask):
@@ -781,11 +781,12 @@ class _HitBranches:
         monkeypatch.setattr(shells, "_lifts", logged_lifts)
 
     def tally(self, p) -> None:
-        """Count the branches of the searches on ``p`` since the last call."""
+        """Count the decided batches of the searches on ``p`` since the last call."""
         events, self.events = self.events + ["end"], []
         if len(p.blocks) >= 4:
-            self.chunked += events.count("tuple")
-            self.narrowed += sum(e == "list" and nxt != "lifts" for e, nxt in zip(events, events[1:]))
+            picks = [e for e, nxt in zip(events, events[1:]) if nxt != "lifts"]
+            self.wide += picks.count("range")
+            self.narrowed += picks.count("list")
 
 
 class TestRelationSearch:
@@ -987,7 +988,8 @@ class TestRelationSearch:
         # oracle: the walk with one block model per node bound and per leaf,
         # in both modes, hit lists compared in order.  Four blocks batch the
         # rows below row 3 and five blocks the rows below rows 4 to 2, where
-        # the 2^(b²) oracle is out of reach; both hit branches are taken
+        # the 2^(b²) oracle is out of reach; wide and narrowed batches both
+        # give hits
         from abspres.fixtures import five_state_pq, five_state_pqr
         from conftest import row_walk_relation_search
 
@@ -1017,7 +1019,7 @@ class TestRelationSearch:
             if p is not None:
                 agree(p, model, ("L1", "L3", "CTL"))
         assert found >= 7000
-        assert branches.chunked >= 1000 and branches.narrowed >= 50
+        assert branches.wide >= 1000 and branches.narrowed >= 50
 
     def test_pair_table_entries(self):
         # entry x of the table a search reads holds pair (i, j) iff bit
@@ -1026,11 +1028,11 @@ class TestRelationSearch:
         # are the search's other tables
         for b in range(1, 6):
             bits = min(b, shells._BATCH_BITS // b, shells._TABLE_BITS // b) * b
-            table = shells._pair_table(b, bits)
+            *_, low_bits, low_mask, table = shells._search_tables(b)
+            assert (low_bits, low_mask) == (bits, (1 << bits) - 1)
             assert len(table) == 1 << bits <= 1 << shells._TABLE_BITS
             for x, entry in enumerate(table):
                 assert entry == frozenset(divmod(k, b) for k in range(bits) if (x >> k) & 1), (b, x)
-            assert shells._pair_table(b, bits) is table
             assert shells._search_tables(b) is shells._search_tables(b)
 
     def test_dense_exef_hit_lists_match_the_oracles(self, monkeypatch):
@@ -1074,7 +1076,7 @@ class TestRelationSearch:
                 searches += 1
         assert found >= 1000
         # dense hits leave no batch narrow enough to gather
-        assert branches.chunked >= 1000
+        assert branches.wide >= 100 and branches.narrowed == 0
 
     def test_first_mode_stops_after_a_later_node(self, kpqr, monkeypatch):
         # four blocks under exef: the first strong relation has row 3 = {2},

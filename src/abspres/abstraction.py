@@ -183,7 +183,7 @@ class AbstractStructure:
         atom_values: dict[str, Mask],
         tables: dict[str, dict[tuple[Mask, ...], Mask]],
     ) -> "AbstractStructure":
-        """An explicitly tabulated interpretation (used to enumerate I♯)."""
+        """The structure that reads each operator's values off ``tables``."""
         for name, table in tables.items():
             for args, out in table.items():
                 if not domain.contains(out):

@@ -114,14 +114,6 @@ def _split_once(
     return count
 
 
-def _joined_pairs(model: KripkeModel, blocks: Sequence[Mask]) -> set[tuple[Mask, Mask]]:
-    """The pairs (B1, B2) of distinct blocks of ``blocks``, a partition of
-    the states, with a move from B1 into B2: the blocks that each block's
-    post reaches outside it, read off the state → block index."""
-    owner = _owners(model.n, blocks)
-    return {(b, blocks[owner[t]]) for b in blocks for t in _members(model.post(b) & ~b)}
-
-
 def _entries(
     model: KripkeModel,
     blocks: Sequence[Mask],
@@ -288,7 +280,9 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
 
     Only the pairs with a move from B1 into B2 are tested: for any other
     pair EU(B1, B2) ∩ B1 = ∅, since a member of B1 in EU(B1, B2) has a path
-    inside B1 into B2, and its last move goes from B1 into B2.  ``EU`` is
+    inside B1 into B2, and its last move goes from B1 into B2.  Those B2
+    meet post(B1) ∖ B1, read off the partition's own state → block index
+    as the rows of the ∃∃ :func:`~abspres.kripke.quotient` are.  ``EU`` is
     :func:`~abspres.languages.until_mask`, not the engine's entries search;
     the tests judge this checker by ``brute_stuttering`` and
     ``all_pairs_check_dbs``, and ``until_mask`` by ``eu_path_oracle``
@@ -296,8 +290,11 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
     _check_space(p, model, "partition and model")
     if not p.refines(label_partition(model)):
         return False
+    blocks = p.blocks
     return all(
-        (until_mask(model, b1, b2) & b1) in (0, b1) for b1, b2 in _joined_pairs(model, p.blocks)
+        (until_mask(model, b1, blocks[k]) & b1) in (0, b1)
+        for b1 in blocks
+        for k in _members(p._meeting(model.post(b1) & ~b1))
     )
 
 

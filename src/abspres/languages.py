@@ -5,7 +5,8 @@ named operators, each defined by a transformer expression over the built-ins
 (complement, meet, join, the four pre/post transformers, the until/release
 fixpoints and bounded reachability), each one row of ``_BUILTIN_TABLE``.
 ``EU`` is a backward search (:func:`until_mask`) and ``AU`` a Knaster-Tarski
-iteration; ``AR`` uses EU's search and ``ER`` AU's iteration (:func:`_dual`).
+iteration; ``AR`` and ``EF[lo,hi]`` use EU's search and ``ER`` AU's
+iteration (:func:`_dual`, :func:`_ef_bounded`).
 
 An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  It also
@@ -127,18 +128,23 @@ def gfp(step: Callable[[Mask], Mask], top: Mask) -> Mask:
         z = nxt
 
 
-def until_mask(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
+def until_mask(model: KripkeModel, s1: Mask, s2: Mask, steps: Optional[int] = None) -> Mask:
     """EU(S1, S2) over masks: the least fixpoint of z ↦ S2 ∪ (S1 ∩ pre(z)),
     by a backward search from S2 through S1.  pre is additive, so the Kleene
     step from z_k adds S1 ∩ pre(F) ∖ z_k, F the states the step before
     added: each state's in-edges are read once, and a step that adds nothing
-    ends at the fixpoint.  ``AR`` runs it as ¬EU(¬a, ¬b), and the packed
+    ends at the fixpoint; ``steps`` stops it after that many steps, at
+    z_steps from z_0 = S2.  ``AR`` runs it as ¬EU(¬a, ¬b), and the packed
     masks of a :class:`~abspres.shells._BlockBatch` take the same steps slice
-    by slice, since the batch's pre is additive too."""
+    by slice, since the batch's pre is additive too: a slice whose frontier
+    is empty stays put, and the joint frontier is empty only when every
+    slice's is."""
     reach = frontier = s2
-    while frontier:
+    while frontier and steps != 0:
         frontier = model.pre(frontier) & s1 & ~reach
         reach |= frontier
+        if steps is not None:
+            steps -= 1
     return reach
 
 
@@ -164,34 +170,28 @@ def _au(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
 
 
 def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
-    """EF_[lo,hi](S) = ∪_{i in [lo,hi]} pre^i(S).
-
-    The sets pre^i(S) are eventually periodic: once one repeats, the rest of
-    [lo, hi] is read off the cycle, so the cost is bounded by the number of
-    distinct sets, not by ``hi``.  It computes pre^i(S) for i ≤ hi only:
-    at most ``hi`` calls of ``pre``, and exactly ``hi`` when no set
-    repeats.
-    """
-    seq: list[Mask] = []
-    index: dict[Mask, int] = {}
-    acc = 0
-    cur = s
-    for i in range(hi + 1):
-        if i:
-            cur = model.pre(cur)
-        if cur in index:
-            # pre^r(S) = seq[j + (r - j) % period] for every r ≥ j
-            j = index[cur]
-            period = i - j
-            first = max(i, lo)
-            for r in range(first, min(hi, first + period - 1) + 1):
-                acc |= seq[j + (r - j) % period]
-            break
-        index[cur] = i
-        seq.append(cur)
-        if i >= lo:
-            acc |= cur
-    return acc
+    """EF_[lo,hi](S) = ⋃_{i in [lo,hi]} pre^i(S), which is until_mask(Σ,
+    pre^lo(S)) cut after hi - lo steps: pre is additive, so the union is
+    ⋃_{j ≤ hi-lo} pre^j(T) for T = pre^lo(S), and with S1 = Σ the Kleene
+    step z_k = T ∪ pre(z_(k-1)) gives z_k = ⋃_{j ≤ k} pre^j(T) by induction.
+    The steps to pre^lo(S) index the sets they meet: once pre^i(S) =
+    pre^j(S) for j < i, the sequence repeats with period i - j, and whole
+    periods are skipped, so the cost is bounded by the number of distinct
+    sets, not by ``lo``.  On a :class:`~abspres.shells._BlockBatch` a joint
+    repeat is each completion's, at the same indices.  Without a repeat it
+    calls ``pre`` at most ``hi`` times."""
+    span = hi - lo
+    if lo:
+        seen: dict[Mask, int] = {}
+        while lo and s not in seen:
+            seen[s] = lo
+            s = model.pre(s)
+            lo -= 1
+        if lo:  # s was met seen[s] - lo steps ago
+            lo %= seen[s] - lo
+        for _ in range(lo):
+            s = model.pre(s)
+    return until_mask(model, model.space.full_mask, s, span)
 
 
 # A row: arity, semantics of (model, argument masks), shape ("boolean",

@@ -215,7 +215,7 @@ class Preorder:
 
     @staticmethod
     def from_partition(p: Partition) -> "Preorder":
-        rows = tuple(p.blocks[k] for k in _owners(p.space.n, p.blocks))
+        rows = tuple(p.blocks[k] for k in p._owner)
         return Preorder._of_preorder(p.space, rows)
 
     def holds(self, s: str, t: str) -> bool:

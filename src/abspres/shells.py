@@ -445,10 +445,11 @@ def sp_abstract_kripke_search(
     completion x standing for the relation whose open rows are x's bits.
     Each step left runs once on it, through the same operator bodies as on
     one block model, and this is exact: ¬, ∧ and ∨ act on each bit alone,
-    pre and post read only the edges of one completion, a fixpoint
-    iterates all completions together until all have converged (a
-    converged one stays put), and when the joint sequence pre^i(S) of
-    ``EF[lo,hi]`` repeats, so does each completion's, at the same indices.
+    pre and post read only the edges of one completion, a fixpoint or a
+    bounded search iterates all completions together until all converge
+    or the bound is met (a converged one stays put), and when the joint
+    prefix pre^i(S), i ≤ lo, of ``EF[lo,hi]`` repeats, so does each
+    completion's, at the same indices.
     So the value's bits under x are what x's block model gives.  A step
     keeps the completions whose slices all equal its value's, and the
     batch stops once none is left.  The survivors are read off in

@@ -262,6 +262,29 @@ class TestConcreteEvaluation:
                 assert got == ((1 << (hi - lo + 1)) - 1) << (n - 1 - hi), (lo, hi)
                 assert len(calls) == hi, (lo, hi)
 
+    def test_bounded_reach_stops_once_nothing_is_added(self, monkeypatch):
+        # an 8-cycle with S = every state but 0: pre(S) = every state but
+        # 7, so S ∪ pre(S) = Σ after one step and the next step adds
+        # nothing, while the sets pre^i(S) first repeat after 8 steps
+        n = 8
+        cycle = KripkeModel(
+            StateSpace(tuple(str(i) for i in range(n))),
+            tuple(1 << ((i + 1) % n) for i in range(n)),
+            (),
+        )
+        calls = []
+        pre = KripkeModel.pre
+
+        def counted(model, y):
+            calls.append(y)
+            return pre(model, y)
+
+        monkeypatch.setattr(KripkeModel, "pre", counted)
+        s = cycle.space.full_mask & ~1
+        got = apply_operator(builtin_operator(f"EF[0,{n - 1}]"), cycle, (s,))
+        assert got == cycle.space.full_mask
+        assert len(calls) == 2
+
 
 class TestFixpointOracles:
     def test_until_release_against_subset_scan(self):
@@ -357,6 +380,22 @@ class TestFixpointOracles:
                 s1, s2 = rng.randrange(top), rng.randrange(top)
                 for args in ((s1, s2), (s1, s1 & s2), (s1 | s2, s2)):
                     assert until_mask(batch, *args) == kleene(batch, *args)
+
+    def test_bounded_until_is_the_cut_kleene_iteration(self):
+        # k steps of the search are k steps of z ↦ S2 ∪ (S1 ∩ pre z) from
+        # z = S2, for every k up to past the fixpoint, and with no bound the
+        # search is EU by paths
+        rng = random.Random(37)
+        for _ in range(40):
+            model = random_total_model(rng, max_states=6)
+            n = model.n
+            for _ in range(6):
+                s1, s2 = rng.randrange(1 << n), rng.randrange(1 << n)
+                z = s2
+                for k in range(n + 2):
+                    assert until_mask(model, s1, s2, k) == z, (model, s1, s2, k)
+                    z = s2 | (s1 & model.pre(z))
+                assert until_mask(model, s1, s2) == eu_path_oracle(model, s1, s2)
 
     def test_builtins_read_only_full_mask_pre_and_post(self):
         # every built-in, the duals and fixpoints included, on an object

@@ -56,8 +56,10 @@ from .kripke import KripkeModel
 from .lattice import Mask, StateSet, _check_space
 
 PRESET_NAMES = ("L1", "L2", "L3", "CTL", "semaforo", "exef", "full")
-# tuples one operator may try in one round of close: L1 at n=10 tries 2^20
-# `and` tuples a round, and an arity-12 operator over 5 sets would try 5^12
+# tuples one operator may try in one round of close: a closure that reaches
+# all 2^10 sets, as the semantic closure of L1 at n=10 does, tries 2^20 `and`
+# tuples a round (A_L and P_L of L1 come from the splitter engine and close
+# nothing), and an arity-12 operator over 5 sets would try 5^12
 MAX_STAGE_TUPLES = 1 << 24
 
 T = TypeVar("T")

@@ -96,11 +96,7 @@ class Partition:
 
     def block_containing(self, mask: Mask) -> Mask:
         """Union of blocks meeting ``mask`` (the adp closure)."""
-        acc = 0
-        for b in self.blocks:
-            if b & mask:
-                acc |= b
-        return acc
+        return _join_rows(self.blocks, self._meeting(mask & self.space.full_mask))
 
     # Block-index masks: bit i stands for ``blocks[i]``, the state order of
     # the block-level models built from this partition.

@@ -279,21 +279,11 @@ class _BlockBatch:
     __slots__ = ("space", "full_mask", "_rows", "_ones", "_folds", "_copies", "_table")
 
     def __init__(self, width: int, rows: Sequence[Mask]):
-        b = len(rows)
         self.space = self  # operator bodies read model.space.full_mask
-        self.full_mask = (1 << (b * width)) - 1
-        self._rows = tuple(zip(rows, range(0, b * width, width)))
-        self._ones = (1 << width) - 1
-        # halving shifts that OR every slice into slice 0, and doubling
-        # shifts that copy slice 0 into every slice
-        self._folds: list[int] = []
-        k = b
-        while k > 1:
-            k = (k + 1) // 2
-            self._folds.append(k * width)
-        self._copies = [width << s for s in range((b - 1).bit_length())]
-        # a batch of at most 10 bits, such as the node bounds, looks meets up
-        self._table = _meets_table(b, width) if b * width <= 10 else None
+        self.full_mask, offsets, self._ones, self._folds, self._copies, self._table = _shape(
+            len(rows), width
+        )
+        self._rows = tuple(zip(rows, offsets))
 
     def meets(self, y: Mask) -> Mask:
         """The completions under which the packed mask ``y`` is nonempty."""
@@ -330,17 +320,30 @@ class _BlockBatch:
 
 
 @lru_cache(maxsize=None)
-def _meets_table(b: int, width: int) -> tuple[Mask, ...]:
-    """:meth:`_BlockBatch.meets` of every packed mask of b slices of
-    ``width`` bits, indexed by the mask: the batches of the node bounds
-    look it up instead of folding."""
-    out = []
-    for t in range(1 << (b * width)):
-        acc = 0
-        for j in range(b):
-            acc |= t >> (j * width)
-        out.append(acc & ((1 << width) - 1))
-    return tuple(out)
+def _shape(b: int, width: int) -> tuple:
+    """What a :class:`_BlockBatch` of b slices of ``width`` bits reads
+    besides its rows, built once per process for each (b, width): the full
+    mask; the offsets of the slices; the slice mask; halving shifts that OR
+    every slice into slice 0 and doubling shifts that copy slice 0 into
+    every slice; and, for at most 10 bits, such as the node bounds, the
+    table of :meth:`_BlockBatch.meets` of every packed mask, made by those
+    folds, that the batch looks meets up in, else None."""
+    folds = []
+    k = b
+    while k > 1:
+        k = (k + 1) // 2
+        folds.append(k * width)
+    ones = (1 << width) - 1
+    table = None
+    if b * width <= 10:
+        table = []
+        for t in range(1 << (b * width)):
+            for shift in folds:
+                t |= t >> shift
+            table.append(t & ones)
+        table = tuple(table)
+    copies = tuple(width << s for s in range((b - 1).bit_length()))
+    return (1 << (b * width)) - 1, range(0, b * width, width), ones, tuple(folds), copies, table
 
 
 def _lifts(b: int, width: int, ones: Optional[Mask] = None) -> list[Mask]:

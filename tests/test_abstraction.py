@@ -466,6 +466,33 @@ class TestStructureValues:
         with pytest.raises(ValidationError, match=r"'AXX' maps .* non-closed"):
             AbstractStructure.from_tables(dom, lang, atoms, {"AXX": table})
 
+    def test_from_tables_rejects_a_non_closed_atom_and_a_missing_entry(self, tl):
+        lang = preset_language("semaforo", tl)
+        dom = ad_of_language(lang, tl)
+        stray = tl.space.mask_of(["R"])
+        atoms = {name: dom.closure_mask(s.mask) for name, s in lang.atoms}
+        with pytest.raises(ValidationError, match="atom 'go' is interpreted by a non-closed set"):
+            AbstractStructure.from_tables(dom, lang, {**atoms, "go": stray}, {})
+        go = atoms["go"]
+        structure = AbstractStructure.from_tables(dom, lang, atoms, {"AXX": {(go,): go}})
+        axx = lang.operator("AXX")
+        assert structure.apply(axx, (go,)) == go
+        with pytest.raises(ValidationError, match=r"table for 'AXX' lacks entry \(0,\)"):
+            structure.apply(axx, (0,))
+
+    def test_atom_value_names_the_atom_it_refuses(self, tl):
+        from abspres import ResolutionError
+
+        lang = preset_language("semaforo", tl)
+        dom = ad_of_language(lang, tl)
+        stop = dom.closure_mask(lang.atom_mask("stop"))
+        structure = AbstractStructure.from_tables(dom, lang, {"stop": stop}, {})
+        assert structure.atom_value("stop") == stop
+        with pytest.raises(ValidationError, match="does not interpret atom 'go'"):
+            structure.atom_value("go")
+        with pytest.raises(ResolutionError, match="unknown atom 'amber'"):
+            structure.atom_value("amber")
+
     def test_applications_in_a_full_closure_return_closed_sets(self):
         # the invariant that lets AbstractStructure.apply skip a re-check:
         # best approximations return closures, quotient structures block unions

@@ -158,6 +158,14 @@ class TestSpCommands:
         )
         assert code == 0 and out.strip() == "{1,2,3,4,5}"
 
+    def test_shell_seeds_on_the_atoms_by_default(self, capsys):
+        # the shell of the atoms for L1's operators is L1's s.p. domain
+        model = fx("k5.json")
+        code, out, _ = run(capsys, "shell", "--model", model, "--lang", "L1")
+        assert code == 0
+        assert (0, out) == run(capsys, "sp-domain", "--model", model, "--lang", "L1")[:2]
+        assert len(out.split()) == 16
+
     def test_shell_command_with_trace(self, capsys):
         code, out, _ = run(
             capsys,
@@ -326,6 +334,10 @@ class TestChecks:
             "--relation",
             "1,1;2,2;3,3;4,4;5,5;1,2",
         )
+        assert code == 0 and out.strip() == "true"
+
+    def test_sim_property_checks_the_computed_relation_by_default(self, capsys):
+        code, out, _ = run(capsys, "check", "--model", fx("k5.json"), "--property", "sim")
         assert code == 0 and out.strip() == "true"
 
     @staticmethod
@@ -578,6 +590,8 @@ class TestEquivAndVerify:
             "--domain", "computed",
         )
         assert code == 2 and err == "error: --domain computed needs --lang\n"
+        code, _, err = run(capsys, "check", "--model", fx("k5.json"), "--property", "sp")
+        assert code == 2 and err == "error: check --property sp needs --lang\n"
 
 
 class TestInputErrors:
@@ -899,7 +913,10 @@ class TestLargeModels:
     def test_stuttering_on_400_states(self, capsys, tmp_path):
         # the engine cuts by EU only across edges and the checker tests only
         # those pairs, so each command takes well under a second; over all
-        # pairs of the 399 blocks the two took about 40 s
+        # pairs of the 399 blocks the two took about 40 s.  The engine's worst
+        # case, the 1000-state line 0 → 1 → … → 999 → 999 with p on the even
+        # states, splits one state off per pass and searches the whole rest
+        # each time, and takes about 0.4 s
         import time
 
         path = self.ring(tmp_path, 400)
@@ -915,11 +932,25 @@ class TestLargeModels:
         assert code == 0, err
         assert time.perf_counter() - start < 5
         assert json.loads(out)["result"] == result["partition"]
+        names = [f"s{i}" for i in range(1000)]
+        line = tmp_path / "line1000.json"
+        line.write_text(json.dumps({
+            "states": names,
+            "transitions": [[s, t] for s, t in zip(names, names[1:] + names[-1:])],
+            "labels": {"p": names[::2]},
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--format", "json", "equiv", "--model", str(line),
+                             "--kind", "dbs")
+        assert code == 0, err
+        assert time.perf_counter() - start < 5
+        result = json.loads(out)["result"]
+        assert result["consistent"] is True and len(result["partition"]) == 1000
 
     def test_equivalences_on_1000_states(self, capsys, tmp_path):
         # the transformers OR the rows of their argument's members and the
         # checkers walk the members of rows, so no kind loops over every
-        # state inside a per-pair loop: all four take about 2 s together
+        # state inside a per-pair loop: all four take about 0.4 s together
         path = self.ring(tmp_path, 1000)
         for kind in ("bisim", "dbs", "sim", "simeq"):
             code, out, err = run(capsys, "--format", "json", "equiv", "--model", path, "--kind", kind)
@@ -966,9 +997,9 @@ class TestLargeModels:
         # the splitter engine keeps its state → block index across passes,
         # walks each cut block by block and cuts stuttering by one entries
         # search per target block: bisimulation and stuttering on the 10^4
-        # family take about 0.3 s and 0.7 s, and took 46 s and 145 s with
+        # family take about 0.2 s and 0.5 s, and took 46 s and 145 s with
         # each cut tried on every block and one search per pair of joined
-        # blocks; L1 and L2 on the 4000-state ring take 0.1 s and 0.2 s in
+        # blocks; L1 and L2 on the 4000-state ring take 0.05 s and 0.1 s in
         # process, and took 3.2 s and 11 s
         import random
         import time

@@ -9,6 +9,7 @@ from abspres import (
     KripkeModel,
     Partition,
     Preorder,
+    ValidationError,
     bisim_partition,
     check_bisimulation,
     check_dbs,
@@ -271,8 +272,7 @@ class TestEdgeRefinements:
         # each pass cuts by one X(B2) per target block B2, a fresh block or
         # one that a fresh block moves into, and X(B2) meets every other
         # block B1 in EU(B1, B2) ∩ B1; the state → block index kept across
-        # passes names each state's block after every pass, and the inner
-        # predecessor rows kept across passes are each state's own block's
+        # passes names each state's block after every pass
         entries, split_once = equivalences._entries, equivalences._split_once
         until = equivalences.until_mask
         targets = checks = entered = 0
@@ -281,11 +281,10 @@ class TestEdgeRefinements:
 
         for model in models:
 
-            def checked_entries(m, blocks, owner, inner, fresh, model=model):
+            def checked_entries(m, blocks, owner, fresh, model=model):
                 nonlocal targets, checks, entered
                 fresh = set(fresh)
-                assert inner == [row & blocks[k] for row, k in zip(model.pred, owner)]
-                cuts = entries(m, blocks, owner, inner, fresh)
+                cuts = entries(m, blocks, owner, fresh)
                 moved_into = {
                     j for k in fresh for j, b in enumerate(blocks)
                     if j != k and model.post(blocks[k]) & b
@@ -537,6 +536,10 @@ class TestReports:
                 else:
                     assert report.partition is not None
 
+
+    def test_unknown_kind_is_refused(self, kpq):
+        with pytest.raises(ValidationError, match="unknown equivalence kind 'trace'"):
+            equivalence_report("trace", kpq)
 
 class TestCompletenessCharacterizations:
     """The checkers decide the definitions; the paper proves the same

@@ -318,7 +318,8 @@ class TestMooreCheckedWhereItEnters:
     def test_non_moore_outside_images_are_rejected(self):
         from abspres import ValidationError
 
-        for compact in (["12", "13"], ["12"], []):
+        # {12, 13, 1234} holds Σ, so only the meet test refuses it
+        for compact in (["12", "13"], ["12"], [], ["12", "13", "1234"]):
             with pytest.raises(ValidationError, match="not a Moore family"):
                 AbstractDomain(SPACE4, image=family_of_names(SPACE4, compact).masks)
 

@@ -174,6 +174,13 @@ class TestConcreteEvaluation:
         with pytest.raises(ResolutionError):
             eval_concrete(parse_formula("EX p"), kpq, lang)  # exef has no EX
 
+    def test_wrong_argument_count_is_refused(self, kpq):
+        p = kpq.label_mask("p")
+        with pytest.raises(ValidationError, match="EU expects 2 arguments, got 1"):
+            apply_operator(builtin_operator("EU"), kpq, (p,))
+        with pytest.raises(ValidationError, match="not expects 1 arguments, got 2"):
+            apply_operator(builtin_operator("not"), kpq, (p, p))
+
     def test_full_language_resolves_builtins(self, kpq):
         lang = preset_language("full", kpq)
         got = eval_concrete(parse_formula("AU(p, q)"), kpq, lang)

@@ -402,6 +402,10 @@ class TestSemanticClosure:
             kpq.space, ["", "5", "34", "345", "1234", "12345"]
         ).mask_set()
 
+    def test_open_language_is_refused(self, kpq):
+        with pytest.raises(ValidationError, match="semantic closure needs a closed language"):
+            semantic_closure(preset_language("full", kpq), kpq)
+
     def test_matches_naive_saturation(self):
         # oracle: apply every operator to every tuple of the whole set,
         # again and again, until nothing new appears
@@ -794,6 +798,12 @@ class TestRelationSearch:
         lang = preset_language("semaforo", tl)
         p = coarsest_sp_partition(lang, tl)
         assert sp_abstract_kripke_search(p, lang, tl) == []
+
+    def test_unknown_mode_is_refused(self, kpq):
+        lang = preset_language("L1", kpq)
+        p = coarsest_sp_partition(lang, kpq)
+        with pytest.raises(ValidationError, match="unknown search mode 'nope'"):
+            sp_abstract_kripke_search(p, lang, kpq, mode="nope")
 
     def test_bounded_reach_has_no_strong_relation(self, kpq):
         lang = preset_language("exef", kpq)

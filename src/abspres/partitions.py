@@ -27,6 +27,7 @@ from .lattice import (
     _check_space,
     _classes,
     _join_rows,
+    _mask_of,
     _members,
     _owners,
     domain_leq,
@@ -59,15 +60,13 @@ class Partition:
 
     @staticmethod
     def of(space: StateSpace, blocks: Iterable[Iterable[str] | StateSet | Mask]) -> "Partition":
-        masks = []
-        for b in blocks:
-            if isinstance(b, StateSet):
-                masks.append(b.mask)
-            elif isinstance(b, int):
-                masks.append(b)
-            else:
-                masks.append(space.mask_of(b))
-        return Partition(space, tuple(masks))
+        return Partition(
+            space,
+            tuple(
+                _mask_of(space, b) if isinstance(b, (StateSet, int)) else space.mask_of(b)
+                for b in blocks
+            ),
+        )
 
     @staticmethod
     def from_masks(space: StateSpace, masks: Iterable[Mask]) -> "Partition":

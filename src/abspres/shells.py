@@ -230,9 +230,13 @@ def _recorded_steps(
     the atoms, each tuple once, in the paired closure's discovery order, as
     (operator, argument blocks, value blocks) in block indices; None when an
     atom or a set of S is not a union of blocks of ``p``, since then no
-    relation is strong."""
-    # abstract values are block unions: if an atom or a set of S is not
-    # one, no relation can work
+    relation is strong (abstract values are block unions).
+
+    Only the atoms and the values of non-Boolean applications are tested.
+    A Boolean body is ``not``, ``and`` and ``or`` over its placeholders, and
+    the complement, meet and join of block unions are block unions.  So, by
+    induction over the closure's discovery order, every value it reaches is
+    a block union, or the closure stops at the first that is not."""
     atoms = list(dict.fromkeys(s.mask for _, s in lang.atoms))
     if any(p.block_containing(m) != m for m in atoms):
         return None
@@ -240,9 +244,9 @@ def _recorded_steps(
 
     def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
         value = apply_operator(op, model, args)
-        if p.block_containing(value) != value:
-            raise _NotBlockUnion
         if not op._boolean:
+            if p.block_containing(value) != value:
+                raise _NotBlockUnion
             steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
         return value
 
@@ -276,36 +280,28 @@ class _BlockBatch:
     :mod:`~abspres.languages` makes the duals ¬pre¬ and ¬post¬ from them.
     """
 
-    __slots__ = ("space", "full_mask", "_rows", "_ones", "_folds", "_copies", "_table")
+    __slots__ = ("space", "full_mask", "_rows", "_ones", "_folds", "_copies")
 
     def __init__(self, width: int, rows: Sequence[Mask]):
         self.space = self  # operator bodies read model.space.full_mask
-        self.full_mask, offsets, self._ones, self._folds, self._copies, self._table = _shape(
-            len(rows), width
-        )
+        self.full_mask, offsets, self._ones, self._folds, self._copies = _shape(len(rows), width)
         self._rows = tuple(zip(rows, offsets))
 
     def meets(self, y: Mask) -> Mask:
         """The completions under which the packed mask ``y`` is nonempty."""
-        if self._table:
-            return self._table[y]
         for shift in self._folds:
             y |= y >> shift
         return y & self._ones
 
     def pre(self, y: Mask) -> Mask:
         acc = 0
-        folds, ones, table = self._folds, self._ones, self._table
+        folds, ones = self._folds, self._ones
         for row, at in self._rows:
             t = row & y
             if t:  # slice i is meets(row i ∧ y), inlined
-                if table:
-                    t = table[t]
-                else:
-                    for shift in folds:
-                        t |= t >> shift
-                    t &= ones
-                acc |= t << at
+                for shift in folds:
+                    t |= t >> shift
+                acc |= (t & ones) << at
         return acc
 
     def post(self, y: Mask) -> Mask:
@@ -324,34 +320,22 @@ def _shape(b: int, width: int) -> tuple:
     """What a :class:`_BlockBatch` of b slices of ``width`` bits reads
     besides its rows, built once per process for each (b, width): the full
     mask; the offsets of the slices; the slice mask; halving shifts that OR
-    every slice into slice 0 and doubling shifts that copy slice 0 into
-    every slice; and, for at most 10 bits, such as the node bounds, the
-    table of :meth:`_BlockBatch.meets` of every packed mask, made by those
-    folds, that the batch looks meets up in, else None."""
+    every slice into slice 0; and doubling shifts that copy slice 0 into
+    every slice."""
     folds = []
     k = b
     while k > 1:
         k = (k + 1) // 2
         folds.append(k * width)
     ones = (1 << width) - 1
-    table = None
-    if b * width <= 10:
-        table = []
-        for t in range(1 << (b * width)):
-            for shift in folds:
-                t |= t >> shift
-            table.append(t & ones)
-        table = tuple(table)
     copies = tuple(width << s for s in range((b - 1).bit_length()))
-    return (1 << (b * width)) - 1, range(0, b * width, width), ones, tuple(folds), copies, table
+    return (1 << (b * width)) - 1, range(0, b * width, width), ones, tuple(folds), copies
 
 
-def _lifts(b: int, width: int, ones: Optional[Mask] = None) -> list[Mask]:
+def _lifts(b: int, width: int) -> list[Mask]:
     """Every block mask over b blocks as the packed mask that holds it under
-    each of ``width`` completions (under those of ``ones`` when given),
-    indexed by the block mask."""
-    if ones is None:
-        ones = (1 << width) - 1
+    each of ``width`` completions, indexed by the block mask."""
+    ones = (1 << width) - 1
     table = [0] * (1 << b)
     for m in range(1, 1 << b):
         j = (m & -m).bit_length() - 1
@@ -455,13 +439,14 @@ def sp_abstract_kripke_search(
     completion's, at the same indices.
     So the value's bits under x are what x's block model gives.  A step
     keeps the completions whose slices all equal its value's, and the
-    batch stops once none is left.  The survivors are read off in
-    ascending order, which is the relations' bit order, by
-    :func:`~abspres.lattice._select` in C rather than bit by bit.  Each
-    one's lowest open rows (all of them for b ≤ 3) are one entry of a
+    batch stops once none is left; the node builds no other batch.  The
+    survivors are read off the alive mask in ascending order, which is the
+    relations' bit order, by :func:`~abspres.lattice._select` in C rather
+    than bit by bit.  Each one's lowest open rows are one entry of a
     per-process table of frozensets, and its other rows one frozenset per
     distinct value in the batch, so a hit costs a lookup or one union, not
-    a step per row.  The table, the batch's masks and the row pairs are
+    a step per row; for b ≤ 3 the table has one entry per completion, and
+    a hit is its entry.  The table, the batch's masks and the row pairs are
     built once per process (:func:`_search_tables`).  Hits are shared
     immutable frozensets: one object may stand for the same relation in
     several answers.  :data:`MAX_SEARCH_CANDIDATES` bounds the 2^(b²)
@@ -518,36 +503,24 @@ def sp_abstract_kripke_search(
 
     def decide(rows: tuple[Mask, ...], pending: list[_Step]) -> None:
         """Add the strong completions of ``rows`` (rows ``batched`` on) to
-        ``hits``, in bit order.  Once at most 1/16 of a batch's completions
-        are left, and fewer of them than steps, the steps after run on a
-        batch of those alone, in the same order: gathering them costs less
-        than a step on the wide batch."""
-        members: Sequence[int] = range(width)  # completion k of the batch is x = members[k]
-        batch, lift = _BlockBatch(width, [*patterns, *[lifted[r] for r in rows]]), lifted
+        ``hits``, in bit order: one batch of all ``width`` completions runs
+        every step of ``pending``, and completion x is alive while each
+        step's value under x is its recorded value."""
+        batch = _BlockBatch(width, [*patterns, *[lifted[r] for r in rows]])
         alive = batch._ones
-        for done, (op, args, value) in enumerate(pending, 1):
-            got = apply_operator(op, batch, tuple([lift[a] for a in args]))
-            alive &= ~batch.meets(got ^ lift[value])
+        for op, args, value in pending:
+            got = apply_operator(op, batch, tuple([lifted[a] for a in args]))
+            alive &= ~batch.meets(got ^ lifted[value])
             if not alive:
                 return
-            count = alive.bit_count()
-            if count * 16 <= len(members) and count < len(pending) - done:
-                members = list(_select(members, alive))
-                lift, unit = _lifts(b, count), _lifts(b, count, 1)
-                open_rows = [
-                    sum(unit[(x >> (i * b)) & full] << k for k, x in enumerate(members))
-                    for i in range(batched)
-                ]
-                batch = _BlockBatch(count, open_rows + [lift[r] for r in rows])
-                alive = batch._ones
         if first:
             alive &= -alive
-        if not rows:  # b ≤ 3: the table holds every open row, and none is fixed
-            hits.extend(map(table.__getitem__, _select(members, alive)))
+        if not rows:  # b ≤ 3: the table has one entry per completion, and no row is fixed
+            hits.extend(_select(table, alive))
             return
         fixed = tuple(pair for i, r in enumerate(rows) for pair in pairs[batched + i][r])
         rest: dict[int, frozenset[tuple[int, int]]] = {}  # by the open rows above the table
-        for x in _select(members, alive):
+        for x in _select(range(width), alive):
             above = x >> low_bits
             if above not in rest:
                 rel, y = fixed, above

@@ -1305,6 +1305,7 @@ def _mismatches():
             quotient("ee", ring, ring_id), l1
         ),
         "LanguageSpec": lambda: LanguageSpec("mixed", l1.atoms + (("top", ring.space.full),)),
+        "Partition.of": lambda: Partition.of(ring.space, list(Partition.identity(kpq.space))),
     }
 
 

@@ -9,8 +9,8 @@ iteration; ``AR`` and ``EF[lo,hi]`` use EU's search and ``ER`` AU's
 iteration (:func:`_dual`, :func:`_ef_bounded`).
 
 An :class:`Operator` resolves its body once, when it is built; only a
-constant's space is left for :func:`apply_operator` to check.  It also
-reads off the rows then whether its body is Boolean (only ``not``, ``and``,
+constant's space is left for :func:`apply_operator` to check.  The same
+walk reads off the rows whether its body is Boolean (only ``not``, ``and``,
 ``or`` and placeholders), which lets quotient structures apply it to block
 unions directly, whether its body is a chain of additive built-ins (or of
 their duals) applied to ``#1``, or ``EU #1 #2``, and whether it grows or
@@ -69,15 +69,15 @@ T = TypeVar("T")
 class Operator:
     """A named n-ary transformer: a body over built-ins and #k placeholders.
 
-    The body is resolved once, at construction, into a function of (model,
-    argument masks); a bad body raises then, naming the operator.  The
-    tags read the shapes of its built-ins: ``_boolean`` holds when the body
-    has only ``"boolean"`` ones and placeholders.  ``_chain`` is
-    ``"additive"`` when the operator is unary and its body is a chain of
-    ``"additive"`` built-ins applied to ``#1``, ``"dual"`` for a chain of
-    ``"dual"`` ones, ``"until"`` when the operator is binary and its body
-    is exactly ``EU #1 #2``, and None otherwise.  ``_polarity`` is the sign
-    of the operator in the transition relation (see :func:`_polarity_of`).
+    The body is resolved once, at construction, by one walk
+    (:func:`_resolve_body`) into a function of (model, argument masks) and
+    three facts; a bad body raises then, naming the operator.
+    ``_boolean`` holds when the body has only ``"boolean"`` built-ins and
+    placeholders.  ``_chain`` is ``"additive"`` when the operator is unary
+    and its body is a chain of ``"additive"`` built-ins applied to ``#1``,
+    ``"dual"`` for a chain of ``"dual"`` ones, ``"until"`` when the operator
+    is binary and its body is exactly ``EU #1 #2``, and None otherwise.
+    ``_polarity`` is the sign of the operator in the transition relation.
     """
 
     name: str
@@ -91,10 +91,15 @@ class Operator:
     _polarity: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_resolved", _resolve_body(self, self.body))
-        object.__setattr__(self, "_boolean", _is_boolean(self.body))
-        object.__setattr__(self, "_chain", _chain_kind(self))
-        object.__setattr__(self, "_polarity", _polarity_of(self.body))
+        resolved, boolean, chain, polarity = _resolve_body(self, self.body)
+        if self.arity == 2 and self.body == _UNTIL_BODY:
+            chain = "until"
+        elif self.arity != 1:
+            chain = None
+        object.__setattr__(self, "_resolved", resolved)
+        object.__setattr__(self, "_boolean", boolean)
+        object.__setattr__(self, "_chain", chain or None)
+        object.__setattr__(self, "_polarity", polarity)
 
 
 def operator_from_expr(name: str, arity: int, expr: str) -> Operator:
@@ -232,14 +237,26 @@ def _builtin(name: str) -> Optional[_Builtin]:
     return _Builtin(1, lambda model, a: _ef_bounded(model, lo, hi, a), "additive", 1)
 
 
-def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[Mask]], Mask]:
-    """``node`` of the body of ``op`` as a function of (model, argument masks)."""
+def _resolve_body(
+    op: Operator, node: Node
+) -> tuple[Callable[[KripkeModel, Sequence[Mask]], Mask], bool, Optional[str], Optional[int]]:
+    """``node`` of the body of ``op`` as a function of (model, argument
+    masks), with three facts read off the built-ins' rows in the same walk:
+
+    - whether it is Boolean: only ``"boolean"`` built-ins and placeholders;
+    - its chain: ``""`` for ``#1``, ``"additive"`` (``"dual"``) for a chain
+      of ``"additive"`` (``"dual"``) built-ins down to ``#1``, else None;
+    - its sign as a function of the transition relation, its placeholders
+      fixed: 1 when it grows with the relation, -1 when it shrinks, 0 when
+      it does not read it and None when its parts disagree (``AX EX #1``).
+      A built-in's own sign is its row's; every built-in is monotone in its
+      arguments but ``not``, which flips their sign."""
     where = f"operator {op.name!r}:"
     if isinstance(node, Arg):
         if node.index > op.arity:
             raise ValidationError(f"{where} uses #{node.index} but has arity {op.arity}")
         i = node.index - 1
-        return lambda model, args: args[i]
+        return (lambda model, args: args[i]), True, "" if i == 0 else None, 0
     if isinstance(node, Const):
         value = node.value
 
@@ -247,74 +264,30 @@ def _resolve_body(op: Operator, node: Node) -> Callable[[KripkeModel, Sequence[M
             _check_space(value, model, "constant and model")
             return value.mask
 
-        return const
+        return const, False, None, 0
     if isinstance(node, Atom):
         raise ResolutionError(f"{where} atom {node.name!r} cannot appear in an operator body")
     entry = _builtin(node.op)
     if entry is None:
         raise ResolutionError(f"{where} unknown built-in operator {node.op!r}")
-    arity, fn, _, _ = entry
+    arity, fn, shape, sign = entry
     if arity != len(node.args):
         raise ValidationError(f"{where} {node.op} expects {arity} arguments, got {len(node.args)}")
-    parts = [_resolve_body(op, a) for a in node.args]
+    parts, booleans, chains, signs = zip(*[_resolve_body(op, a) for a in node.args])
+    boolean = shape == "boolean" and all(booleans)
+    chain = shape if shape in ("additive", "dual") and chains[0] in ("", shape) else None
+    flip = -1 if node.op == "not" else 1
+    # the nonzero signs of the built-in and its flipped arguments must agree
+    nonzero = {sign, *[None if s is None else flip * s for s in signs]} - {0}
+    polarity = nonzero.pop() if len(nonzero) == 1 else None if nonzero else 0
     if arity == 1:
         (p,) = parts
-        return lambda model, args: fn(model, p(model, args))
+        return (lambda model, args: fn(model, p(model, args))), boolean, chain, polarity
     p, q = parts
-    return lambda model, args: fn(model, p(model, args), q(model, args))
-
-
-def _is_boolean(node: Node) -> bool:
-    if isinstance(node, Arg):
-        return True
-    return isinstance(node, App) and _builtin(node.op).shape == "boolean" and all(
-        _is_boolean(a) for a in node.args
-    )
+    return (lambda model, args: fn(model, p(model, args), q(model, args))), boolean, chain, polarity
 
 
 _UNTIL_BODY = App("EU", (Arg(1), Arg(2)))
-
-
-def _chain_kind(op: Operator) -> Optional[str]:
-    """``op._chain`` (see :class:`Operator`)."""
-    if op.arity == 2 and op.body == _UNTIL_BODY:
-        return "until"
-    if op.arity != 1:
-        return None
-    kind = None
-    node = op.body
-    while isinstance(node, App) and len(node.args) == 1:
-        step = _builtin(node.op).shape
-        if step not in ("additive", "dual"):
-            return None
-        if kind not in (None, step):
-            return None  # a mixed chain such as AX EX #1
-        kind = step
-        node = node.args[0]
-    return kind if node == Arg(1) else None
-
-
-def _polarity_of(node: Node) -> Optional[int]:
-    """The sign of ``node`` as a function of the transition relation, its
-    placeholders fixed: 1 when it grows with the relation, -1 when it
-    shrinks, 0 when it does not read it and None when its parts disagree
-    (``AX EX #1``).  A built-in's own sign is its row's; every built-in is
-    monotone in its arguments but ``not``, which flips their sign.  The body
-    must have resolved."""
-    if not isinstance(node, App):
-        return 0
-    sign = _builtin(node.op).sign
-    flip = -1 if node.op == "not" else 1
-    for arg in node.args:
-        inner = _polarity_of(arg)
-        if inner is None:
-            return None
-        inner *= flip
-        if not sign:
-            sign = inner
-        elif inner and inner != sign:
-            return None
-    return sign
 
 
 def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Mask:
@@ -325,11 +298,8 @@ def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Ma
 
 def _touching(known: Sequence[T], lo: int, hi: int, k: int) -> Iterator[tuple[T, ...]]:
     """The k-tuples over ``known`` with a member in the window ``known[lo:hi]``,
-    in ``product(known, repeat=k)`` order; for k = 0, the empty tuple while
-    ``lo`` is 0 (the first round)."""
+    in ``product(known, repeat=k)`` order; none for k = 0."""
     if k == 0:
-        if lo == 0:
-            yield ()
         return
     # after a window item any (k-1)-tuple, after another one that touches it
     tails = list(_touching(known, lo, hi, k - 1)) if k > 1 else []
@@ -351,8 +321,9 @@ def close(
 
     A round applies each operator, lowest arity first, to every tuple over
     the known items with a member admitted in the previous round, the window
-    ``known[lo:hi]`` (0-ary operators: the first round only), so each tuple
-    runs once.  New results are kept with the (operator, arguments) that
+    ``known[lo:hi]``, so each tuple runs once.  The first round always runs,
+    with no seeds too, and applies each 0-ary operator once; no later round
+    applies one.  New results are kept with the (operator, arguments) that
     first produced them, and at the round's end ``admit`` returns the ones to
     add.  The loop stops after a round that adds nothing.  An operator of
     arity 2 or more whose |known|^arity tuples exceed
@@ -362,7 +333,8 @@ def close(
     known = list(seeds)
     seen = set(known)
     lo, hi = 0, len(known)
-    while lo < hi:
+    first = True
+    while first or lo < hi:
         fresh: dict[T, tuple[Operator, tuple[T, ...]]] = {}
         for op in ops:
             count = len(known) ** op.arity
@@ -371,14 +343,15 @@ def close(
                     f"operator {op.name!r} of arity {op.arity} needs {count} tuples "
                     f"in one round, over the bound {MAX_STAGE_TUPLES} (MAX_STAGE_TUPLES)"
                 )
-            for args in _touching(known, lo, hi, op.arity):
+            tuples = _touching(known, lo, hi, op.arity) if op.arity else ((),) if first else ()
+            for args in tuples:
                 r = apply(op, args)
                 if r not in seen and r not in fresh:
                     fresh[r] = (op, args)
         added = list(admit(fresh))
         known.extend(added)
         seen.update(added)
-        lo, hi = hi, len(known)
+        lo, hi, first = hi, len(known), False
 
 
 def builtin_operator(name: str) -> Operator:

@@ -226,17 +226,22 @@ _Step = tuple[Operator, tuple[Mask, ...], Mask]
 def _recorded_steps(
     p: Partition, lang: LanguageSpec, model: KripkeModel
 ) -> Optional[list[_Step]]:
-    """The non-Boolean applications of one closure of S = {⟦φ⟧ | φ ∈ L} over
-    the atoms, each tuple once, in the paired closure's discovery order, as
-    (operator, argument blocks, value blocks) in block indices; None when an
-    atom or a set of S is not a union of blocks of ``p``, since then no
-    relation is strong (abstract values are block unions).
+    """The applications of one closure of S = {⟦φ⟧ | φ ∈ L} over the atoms
+    that read the transition relation, each tuple once, in the paired
+    closure's discovery order, as (operator, argument blocks, value blocks)
+    in block indices; None when an atom or a set of S is not a union of
+    blocks of ``p``, since then no relation is strong (abstract values are
+    block unions).
 
     Only the atoms and the values of non-Boolean applications are tested.
     A Boolean body is ``not``, ``and`` and ``or`` over its placeholders, and
     the complement, meet and join of block unions are block unions.  So, by
     induction over the closure's discovery order, every value it reaches is
-    a block union, or the closure stops at the first that is not."""
+    a block union, or the closure stops at the first that is not.  A
+    non-Boolean operator that reads no transition (``_polarity`` 0), such as
+    a constant, is tested but records no step: every block model reads it
+    as :meth:`~abspres.abstraction.AbstractStructure.from_quotient` does, by
+    the least block union holding its value, which is the value itself."""
     atoms = list(dict.fromkeys(s.mask for _, s in lang.atoms))
     if any(p.block_containing(m) != m for m in atoms):
         return None
@@ -247,7 +252,8 @@ def _recorded_steps(
         if not op._boolean:
             if p.block_containing(value) != value:
                 raise _NotBlockUnion
-            steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
+            if op._polarity != 0:
+                steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
         return value
 
     try:
@@ -410,8 +416,9 @@ def sp_abstract_kripke_search(
     A strong structure agrees with ⟦·⟧ on every formula, so one recorded
     closure of S = {⟦φ⟧ | φ ∈ L} (:func:`_recorded_steps`) fixes it: a
     relation is strong iff its block model gives the recorded value on every
-    recorded application.  Applications of Boolean operators are not
-    recorded: on block unions they agree with every block model (see
+    recorded application.  Applications of Boolean operators and of
+    operators that read no transition are not recorded: on block unions
+    they agree with every block model (see
     :meth:`~abspres.abstraction.AbstractStructure.from_quotient`).
 
     The relations are walked depth first, row by row: row b - 1 is fixed
@@ -423,7 +430,7 @@ def sp_abstract_kripke_search(
     R_hi.  Every completion R of the node has R_lo ⊆ R ⊆ R_hi, so f(R) = V
     puts V between the two bounds, and no strong relation is cut; when the
     two bounds both equal V, every completion gives V, and the subtree no
-    longer checks the step.  Steps of mixed or no polarity are left to the
+    longer checks the step.  Steps of mixed polarity are left to the
     batch.
 
     At the first node whose open rows span at most 2^12 relations (the root

@@ -473,6 +473,140 @@ def similarity_class_languages(model: KripkeModel) -> list:
     ]
 
 
+# --- an operator's facts by the separate walks that its resolver replaced --
+
+
+def walk_resolution_error(name: str, arity: int, node):
+    """The (type, message) that resolving ``node`` of operator ``name`` of
+    ``arity`` raises, checked node by node before its arguments, or None."""
+    from abspres.errors import ResolutionError, ValidationError
+    from abspres.formulas import Arg, Atom, Const
+    from abspres.languages import _builtin
+
+    where = f"operator {name!r}:"
+    if isinstance(node, Arg):
+        if node.index > arity:
+            return ValidationError, f"{where} uses #{node.index} but has arity {arity}"
+        return None
+    if isinstance(node, Const):
+        return None
+    if isinstance(node, Atom):
+        return ResolutionError, f"{where} atom {node.name!r} cannot appear in an operator body"
+    try:
+        entry = _builtin(node.op)
+    except ValidationError as exc:
+        return ValidationError, str(exc)
+    if entry is None:
+        return ResolutionError, f"{where} unknown built-in operator {node.op!r}"
+    if entry.arity != len(node.args):
+        return ValidationError, f"{where} {node.op} expects {entry.arity} arguments, got {len(node.args)}"
+    for a in node.args:
+        err = walk_resolution_error(name, arity, a)
+        if err is not None:
+            return err
+    return None
+
+
+def walk_is_boolean(node) -> bool:
+    from abspres.formulas import App, Arg
+    from abspres.languages import _builtin
+
+    if isinstance(node, Arg):
+        return True
+    return isinstance(node, App) and _builtin(node.op).shape == "boolean" and all(
+        walk_is_boolean(a) for a in node.args
+    )
+
+
+def walk_chain_kind(arity: int, body):
+    """``Operator._chain`` by walking the body top down."""
+    from abspres.formulas import App, Arg
+    from abspres.languages import _builtin
+
+    if arity == 2 and body == App("EU", (Arg(1), Arg(2))):
+        return "until"
+    if arity != 1:
+        return None
+    kind = None
+    node = body
+    while isinstance(node, App) and len(node.args) == 1:
+        step = _builtin(node.op).shape
+        if step not in ("additive", "dual"):
+            return None
+        if kind not in (None, step):
+            return None  # a mixed chain such as AX EX #1
+        kind = step
+        node = node.args[0]
+    return kind if node == Arg(1) else None
+
+
+def walk_polarity(node):
+    """``Operator._polarity``: each argument's sign, flipped under ``not``,
+    joins the built-in's own; None once two nonzero signs disagree."""
+    from abspres.formulas import App
+    from abspres.languages import _builtin
+
+    if not isinstance(node, App):
+        return 0
+    sign = _builtin(node.op).sign
+    flip = -1 if node.op == "not" else 1
+    for arg in node.args:
+        inner = walk_polarity(arg)
+        if inner is None:
+            return None
+        inner *= flip
+        if not sign:
+            sign = inner
+        elif inner and inner != sign:
+            return None
+    return sign
+
+
+def walk_apply(node, model: KripkeModel, args) -> int:
+    """The body's value by evaluating it node by node on the model."""
+    from abspres.formulas import App, Arg, Const
+    from abspres.languages import _builtin
+
+    if isinstance(node, Arg):
+        return args[node.index - 1]
+    if isinstance(node, Const):
+        return node.value.mask
+    assert isinstance(node, App)
+    return _builtin(node.op).semantics(model, *[walk_apply(a, model, args) for a in node.args])
+
+
+def random_body(rng: random.Random, space: StateSpace, depth: int):
+    """A random operator body over every built-in (``EF[lo,hi]`` with lo > hi
+    now and then), constants, placeholders up to #4, and now and then an
+    atom, an unknown name or a wrong argument count."""
+    from abspres.formulas import App, Arg, Atom, Const
+    from abspres.languages import _BUILTIN_TABLE
+    from abspres.lattice import StateSet
+
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        leaf = rng.random()
+        if leaf < 0.75:
+            return Arg(rng.choice([1, 1, 1, 1, 2, 2, 3, 4]))
+        if leaf < 0.97:
+            return Const(StateSet(space, rng.randrange(space.full_mask + 1)))
+        return Atom("p")
+    if roll < 0.6:  # a unary step, so that chains, pure or mixed, are common
+        names = [n for n, row in _BUILTIN_TABLE.items() if row.arity == 1] + ["EF"]
+    else:
+        names = list(_BUILTIN_TABLE) + ["not", "EF"]
+    name = rng.choice(names)
+    if name == "EF":
+        lo = rng.randrange(4)
+        name = f"EF[{lo},{lo + rng.randrange(-1, 4)}]"
+    elif rng.random() < 0.01:
+        name = "nope"
+    arity = 1 if name.startswith("EF") or name == "nope" else _BUILTIN_TABLE[name].arity
+    if rng.random() < 0.02:
+        arity = rng.choice([0, 1, 2, 3])
+    return App(name, tuple(random_body(rng, space, depth - 1) for _ in range(arity)))
+
+
 # --- partitions and preorders by their definitions ------------------------
 
 

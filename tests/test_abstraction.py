@@ -773,6 +773,43 @@ class TestBlockRoute:
             assert operator_from_expr("f", 2, expr)._chain is None, expr
         assert operator_from_expr("f", 3, "EU(#1, #2)")._chain is None
 
+    def test_resolving_walk_matches_the_separate_walks(self, kpq):
+        # oracle: the resolution checks, the Boolean, chain and polarity
+        # walks, and a node-by-node evaluation, each a walk of its own
+        from abspres.errors import AbspresError
+        from abspres.formulas import App, Arg
+        from abspres.languages import Operator, apply_operator
+        from conftest import (
+            random_body, walk_apply, walk_chain_kind, walk_is_boolean, walk_polarity,
+            walk_resolution_error,
+        )
+
+        rng = random.Random(38)
+        seen = {"built": 0, "refused": 0, "until": 0, "additive": 0, "dual": 0, None: 0}
+        for k in range(6000):
+            arity = rng.choice([0, 1, 1, 1, 2, 2, 3])
+            body = random_body(rng, kpq.space, rng.randint(0, 4))
+            if k % 50 == 0:  # EU #1 #2 itself, at every arity
+                body = App("EU", (Arg(1), Arg(2)))
+            want = walk_resolution_error("f", arity, body)
+            try:
+                op = Operator("f", arity, body)
+            except AbspresError as exc:
+                assert want == (type(exc), str(exc)), body
+                seen["refused"] += 1
+                continue
+            assert want is None, body
+            got = (op._boolean, op._chain, op._polarity)
+            assert got == (
+                walk_is_boolean(body), walk_chain_kind(arity, body), walk_polarity(body)
+            ), body
+            args = [rng.randrange(kpq.space.full_mask + 1) for _ in range(arity)]
+            assert apply_operator(op, kpq, args) == walk_apply(body, kpq, args), body
+            seen["built"] += 1
+            seen[op._chain] += 1
+        assert seen["built"] >= 2000 and seen["refused"] >= 500
+        assert min(seen[kind] for kind in ("until", "additive", "dual")) >= 20
+
     def test_block_route_matches_the_paired_closure(self, monkeypatch):
         # the verdict and witness of the block route against the full paired
         # closure of the same quotient structure, on total and non-total

@@ -1334,6 +1334,41 @@ class TestBenchmarkNames:
                 assert callable(getattr(module, name, None)), (layer, name)
 
 
+    def test_result_counts_read_real_results(self, kpq):
+        # the tracer reads fields of some results (RESULT_COUNTS): each entry
+        # is applied to a real result of the library function it names
+        import importlib
+        import types
+
+        from abspres import AbstractStructure, builtin_operator, preset_language, top_domain
+        from abspres.equivalences import bisim_partition
+
+        if not os.path.exists(self.PATH):
+            pytest.skip("no bench/ beside the tests")
+        tracing = types.ModuleType("tracing")
+        with open(self.PATH, encoding="utf-8") as handle:
+            exec(compile(handle.read(), self.PATH, "exec"), vars(tracing))
+        layers = {name: layer for layer, name, _ in tracing.INSTRUMENTED}
+        l1 = preset_language("L1", kpq)
+        ex = [builtin_operator("EX")]
+        top = top_domain(kpq.space)
+        calls = {
+            "semantic_closure": (l1, kpq),
+            "forward_complete_shell": (top, ex, kpq),
+            "sp_abstract_kripke_search": (bisim_partition(kpq), l1, kpq),
+            "paired_semantic_closure": (kpq, AbstractStructure.best_approximation(top, kpq, l1), l1),
+            "completeness_check": ("forward", top, ex, kpq),
+            "_split_once": ([kpq.space.full_mask], [0] * kpq.n, [kpq.label_mask("p")], set()),
+        }
+        assert tracing.RESULT_COUNTS and set(tracing.RESULT_COUNTS) <= set(calls)
+        for name, count in tracing.RESULT_COUNTS.items():
+            fn = getattr(importlib.import_module(f"abspres.{layers[name]}"), name)
+            counts = count(fn(*calls[name]))
+            assert counts, name
+            for key, value in counts.items():
+                assert type(value) is int, (name, key, value)
+
+
 class TestReadme:
     """The README's command lines and library example run as documented."""
 

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from abspres import (
+    AbstractDomain,
     FormulaSyntaxError,
     KripkeModel,
+    Preorder,
     ResolutionError,
     StateSpace,
     ValidationError,
@@ -486,3 +488,40 @@ class TestLanguageSpecs:
         assert got == kpqr.space.set_of(["3", "5"])
         got = eval_concrete(parse_formula("EX (p & q)"), kpqr, lang)
         assert got == kpqr.space.set_of(["1", "2"])
+
+
+# case: (error, words of its message, the refused call on the five-state model)
+REFUSALS = {
+    "lfp-not-ascending": (ValidationError, "lfp iteration is not ascending", lambda m: lfp(lambda z: z ^ 1, 0)),
+    "unknown-builtin": (ResolutionError, "unknown built-in operator 'nope'", lambda m: builtin_operator("nope")),
+    "placeholder-formula": (
+        ResolutionError,
+        "placeholders are not state formulae",
+        lambda m: eval_concrete(parse_transformer("#1"), m, preset_language("L1", m)),
+    ),
+    "unknown-preset": (ValidationError, "unknown language preset 'nope'", lambda m: preset_language("nope", m)),
+    "negative-mask": (ValidationError, "mask -0x1 is not over", lambda m: StateSet(m.space, -1)),
+    "mask-past-space": (ValidationError, "mask 0x20 is not over", lambda m: StateSet(m.space, 1 << 5)),
+    "gamma-of-non-member": (
+        ValidationError,
+        "{1} is not a member of the domain image",
+        lambda m: AbstractDomain(m.space, image=[m.space.full_mask, 0b11]).gamma(StateSet(m.space, 1)),
+    ),
+    "preorder-rows": (
+        ValidationError,
+        "relation matrix width does not match the space",
+        lambda m: Preorder(m.space, (m.space.full_mask,) * 4),
+    ),
+    "unknown-label": (ValidationError, "unknown label 'nope'", lambda m: m.label_mask("nope")),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_what_is_refused(case, kpq):
+    # library calls that refuse their input raise a typed error whose
+    # message names what is refused
+    error, message, call = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call(kpq)
+    assert type(info.value) is error
+    assert message in str(info.value)

@@ -444,14 +444,13 @@ class TestCloseEngine:
 
         items = ["a", "b", "c", "d", "e"]
         # empty windows, whole-list windows, and items past hi
+        # (k = 0: the empty tuple has no member, and close applies 0-ary
+        # operators itself)
         for lo, hi in [(0, 0), (2, 2), (5, 5), (0, 5), (0, 2), (1, 3), (3, 5), (4, 5)]:
-            if k == 0:
-                want = [()] if lo == 0 else []
-            else:
-                want = [
-                    t for t in iproduct(items, repeat=k)
-                    if any(lo <= items.index(x) < hi for x in t)
-                ]
+            want = [
+                t for t in iproduct(items, repeat=k)
+                if any(lo <= items.index(x) < hi for x in t)
+            ]
             assert list(_touching(items, lo, hi, k)) == want, (lo, hi)
 
     def test_builds_no_tuple_it_does_not_apply(self, monkeypatch):
@@ -761,14 +760,12 @@ def split_to_four_blocks(rng, model):
 
 
 class _HitBranches:
-    """Counts the batches of the searches over four or more blocks by the
-    completions ``_select`` picks their hits from: a batch decided wide
-    picks them from a ``range`` of every completion, and a narrowed one
-    would pick them from a list of its survivors."""
+    """Counts the batches of the searches over four or more blocks that
+    ``_select`` picks hits from a ``range`` of every completion."""
 
     def __init__(self, monkeypatch):
         self.picks: list[str] = []
-        self.wide = self.narrowed = 0
+        self.wide = 0
         select = shells._select
 
         def logged_select(items, mask):
@@ -782,7 +779,6 @@ class _HitBranches:
         picks, self.picks = self.picks, []
         if len(p.blocks) >= 4:
             self.wide += picks.count("range")
-            self.narrowed += picks.count("list")
 
 
 class TestRelationSearch:
@@ -1112,8 +1108,7 @@ class TestRelationSearch:
                 found += agree(p, model, row_walk_relation_search)
                 searches += 1
         assert found >= 1000
-        # dense hits leave no batch narrow enough to gather
-        assert branches.wide >= 100 and branches.narrowed == 0
+        assert branches.wide >= 100
 
     def test_first_mode_stops_after_a_later_node(self, kpqr, monkeypatch):
         # four blocks under exef: the first strong relation has row 3 = {2},
@@ -1229,6 +1224,140 @@ class TestRelationSearch:
                         checked += 1
                         strong += want
         assert strong >= 400 and checked - strong >= 9000
+
+
+def constants_language(model):
+    """The paper's {atoms} ∪ {pre} view of L1: no atoms, each label a 0-ary
+    operator beside ``and``, ``not`` and ``EX``."""
+    from abspres.languages import label_constants
+
+    return LanguageSpec("k", (), tuple(label_constants(model)) + _ops("and", "not", "EX"))
+
+
+def with_constant(lang, value):
+    """``lang`` with one more operator, the constant ``c`` valued at ``value``."""
+    return LanguageSpec(lang.name, lang.atoms, lang.operators + (const_operator("c", value),))
+
+
+class TestConstants:
+    """0-ary operators run once, in the first round of the closure, and a
+    quotient reads them as it reads atoms: by their existential value."""
+
+    def test_close_applies_each_constant_once(self, kpq):
+        from abspres.languages import close
+
+        ops = (
+            const_operator("c", kpq.space.set_of(["1"])),
+            const_operator("d", kpq.space.set_of(["1"])),
+        ) + _ops("not", "EX")
+        for seeds in ([], [kpq.space.full_mask]):
+            calls, known = [], set(seeds)
+
+            def apply(op, args):
+                calls.append((op.name, args))
+                return apply_operator(op, kpq, args)
+
+            def admit(fresh):
+                known.update(fresh)
+                return fresh
+
+            close(seeds, ops, apply, admit)
+            assert calls.count(("c", ())) == calls.count(("d", ())) == 1
+            assert calls[:2] == [("c", ()), ("d", ())]
+            assert {0b1, kpq.space.full_mask & ~0b1} <= known
+
+    def test_constants_language_is_bisimulation(self, kpq):
+        from abspres import is_sp_domain, top_domain
+        from abspres.equivalences import bisim_partition
+
+        lang = constants_language(kpq)
+        assert semantic_closure(lang, kpq) == semantic_closure(preset_language("L1", kpq), kpq)
+        assert coarsest_sp_partition(lang, kpq) == bisim_partition(kpq)
+        assert coarsest_sp_partition(lang, kpq) == Partition.of(kpq.space, [["1", "2"], ["3"], ["4"], ["5"]])
+        assert not is_sp_domain(top_domain(kpq.space), lang, kpq)
+
+    def test_constants_give_l1s_hits(self, kpq):
+        from abspres.equivalences import bisim_partition
+
+        lang, l1 = constants_language(kpq), preset_language("L1", kpq)
+        counts = []
+        for p in (bisim_partition(kpq), label_partition(kpq), Partition.identity(kpq.space)):
+            hits = sp_abstract_kripke_search(p, lang, kpq)
+            assert hits == sp_abstract_kripke_search(p, l1, kpq)
+            counts.append(len(hits))
+        assert counts == [1, 0, 9]
+
+    def test_label_quotient_is_neither_under_constants(self, kpq):
+        from abspres import AbstractStructure, eval_concrete
+        from abspres.abstraction import paired_sp_check
+
+        lang = constants_language(kpq)
+        q = quotient("ee", kpq, label_partition(kpq))
+        verdict = paired_sp_check(kpq, q, lang)
+        assert verdict.verdict == "neither"
+        concrete = eval_concrete(verdict.witness, kpq, lang)
+        assert AbstractStructure.from_quotient(q, lang).semantics(verdict.witness) != concrete
+
+    def test_l1_with_a_constant(self, kpq):
+        from abspres.abstraction import paired_sp_check
+        from abspres.equivalences import bisim_partition
+
+        l1 = preset_language("L1", kpq)
+        partitions = (bisim_partition(kpq), label_partition(kpq), Partition.identity(kpq.space))
+        five = with_constant(l1, kpq.space.set_of(["5"]))
+        for p in partitions:
+            assert sp_abstract_kripke_search(p, five, kpq) == sp_abstract_kripke_search(p, l1, kpq)
+        bisim = quotient("ee", kpq, bisim_partition(kpq))
+        assert paired_sp_check(kpq, bisim, five).strong
+        # {1} is no union of the bisimulation's blocks
+        one = with_constant(l1, kpq.space.set_of(["1"]))
+        assert sp_abstract_kripke_search(bisim_partition(kpq), one, kpq) == []
+        verdict = paired_sp_check(kpq, bisim, one)
+        assert verdict.verdict == "neither" and str(verdict.witness) == "c()"
+
+    def test_search_agrees_with_quotient_verdicts(self):
+        # oracle: paired_sp_check of the quotient by every relation on at
+        # most 3 blocks, under the constants language and under L1 and exef
+        # each with a random constant
+        from abspres.abstraction import paired_sp_check
+        from abspres.equivalences import bisim_partition
+        from abspres.kripke import Quotient, block_name
+
+        rng = random.Random(38)
+        checked = strong = models = 0
+        while models < 40:
+            model = random_total_model(rng, max_states=5)
+            value = StateSet(model.space, rng.randrange(model.space.full_mask + 1))
+            langs = [
+                constants_language(model),
+                with_constant(preset_language("L1", model), value),
+                with_constant(preset_language("exef", model), value),
+            ]
+            picks = [rng.randrange(3) for _ in range(model.n)]
+            shuffled = Partition.from_masks(
+                model.space,
+                {sum(1 << s for s in range(model.n) if picks[s] == k) for k in set(picks)},
+            )
+            partitions = [
+                p for p in {label_partition(model), bisim_partition(model), shuffled}
+                if len(p.blocks) <= 3
+            ]
+            if not partitions:
+                continue
+            models += 1
+            for p in partitions:
+                b = len(p.blocks)
+                bspace = StateSpace(tuple(block_name(model, m) for m in p.blocks))
+                for lang in langs:
+                    hits = set(sp_abstract_kripke_search(p, lang, model))
+                    for bits in range(1 << (b * b)):
+                        succ = tuple(((bits >> (i * b)) & ((1 << b) - 1)) for i in range(b))
+                        q = Quotient(model, p, KripkeModel(bspace, succ, ()))
+                        want = paired_sp_check(model, q, lang).strong
+                        assert (q.model.relation_pairs() in hits) == want
+                        checked += 1
+                        strong += want
+        assert checked >= 30000 and strong >= 1000
 
 
 @pytest.mark.parametrize(

@@ -59,14 +59,13 @@ checks each candidate against that record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, ValidationError
 from .formulas import App, Atom, Formula
 from .kripke import KripkeModel, Quotient
-from .lattice import AbstractDomain, Mask, StateSet, _check_space, domain_leq
+from .lattice import AbstractDomain, Mask, StateSet, _check_space, _set_field, _Value, domain_leq
 from .languages import (
     LanguageSpec,
     Operator,
@@ -117,8 +116,7 @@ def eval_abstract(
     return AbstractStructure.best_approximation(domain, model, lang).semantics(phi)
 
 
-@dataclass(frozen=True, eq=False)
-class AbstractStructure:
+class AbstractStructure(_Value):
     """An abstract semantic structure (A, I♯) over closed sets.
 
     Atom interpretations are closed sets; ``apply`` interprets an operator
@@ -126,18 +124,33 @@ class AbstractStructure:
     one of :meth:`best_approximation` (values are closures),
     :meth:`from_quotient` (values are block unions) or :meth:`from_tables`
     (every table value is checked when the structure is built), so
-    ``apply`` never re-checks its result.
+    ``apply`` never re-checks its result.  Two structures are equal only
+    when they are the same object.
     """
 
+    _fields = ("domain", "lang", "atom_values", "apply")
     domain: AbstractDomain
     lang: LanguageSpec
     atom_values: dict[str, Mask]
     apply: Callable[[Operator, tuple[Mask, ...]], Mask]
 
-    def __post_init__(self):
-        for name, mask in self.atom_values.items():
-            if not self.domain.contains(mask):
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        domain: AbstractDomain,
+        lang: LanguageSpec,
+        atom_values: dict[str, Mask],
+        apply: Callable[[Operator, tuple[Mask, ...]], Mask],
+    ):
+        for name, mask in atom_values.items():
+            if not domain.contains(mask):
                 raise ValidationError(f"atom {name!r} is interpreted by a non-closed set")
+        _set_field(self, "domain", domain)
+        _set_field(self, "lang", lang)
+        _set_field(self, "atom_values", atom_values)
+        _set_field(self, "apply", apply)
 
     @staticmethod
     def best_approximation(
@@ -220,17 +233,24 @@ class AbstractStructure:
         return StateSet(self.domain.space, mask)
 
 
-@dataclass(frozen=True)
-class PairedClosure:
+class PairedClosure(_Value):
     """The pairs (⟦φ⟧, γ⟦φ⟧♯) in discovery order, each with the formula φ
     that first produced it; ``aborted`` when the closure stopped at the
     first violating pair.  The verdict is read off the pairs: strong when
     every pair agrees, weak when every abstract side lies inside its
     concrete side, and the witness is the first pair that disagrees."""
 
+    _fields = ("pairs", "formulas", "aborted")
     pairs: tuple[tuple[Mask, Mask], ...]
     formulas: tuple[Formula, ...]
     aborted: bool
+
+    def __init__(
+        self, pairs: tuple[tuple[Mask, Mask], ...], formulas: tuple[Formula, ...], aborted: bool
+    ):
+        _set_field(self, "pairs", pairs)
+        _set_field(self, "formulas", formulas)
+        _set_field(self, "aborted", aborted)
 
     @property
     def strong(self) -> bool:
@@ -327,14 +347,18 @@ def paired_semantic_closure(
     return result(False)
 
 
-@dataclass(frozen=True)
-class SpVerdict:
+class SpVerdict(_Value):
     """A strong-preservation verdict, one of "strong", "weak-only" and
     "neither", and unless strong a witness: a formula whose concrete and
     abstract semantics differ."""
 
+    _fields = ("verdict", "witness")
     verdict: str
     witness: Optional[Formula]
+
+    def __init__(self, verdict: str, witness: Optional[Formula]):
+        _set_field(self, "verdict", verdict)
+        _set_field(self, "witness", witness)
 
     @property
     def strong(self) -> bool:
@@ -434,26 +458,44 @@ def paired_sp_check(
     return SpVerdict(closure.verdict, closure.witness)
 
 
-@dataclass(frozen=True)
-class CompletenessCounterexample:
+class CompletenessCounterexample(_Value):
     """First tuple violating the defining equation.
 
     Forward: lhs = f(args) on closed args, rhs = μ(f(args)).
     Backward: lhs = μ(f(args)) on raw args, rhs = μ(f(μ(args))).
     """
 
+    _fields = ("op", "args", "lhs", "rhs")
     op: str
     args: tuple[StateSet, ...]
     lhs: StateSet
     rhs: StateSet
 
+    def __init__(self, op: str, args: tuple[StateSet, ...], lhs: StateSet, rhs: StateSet):
+        _set_field(self, "op", op)
+        _set_field(self, "args", args)
+        _set_field(self, "lhs", lhs)
+        _set_field(self, "rhs", rhs)
 
-@dataclass(frozen=True)
-class CompletenessReport:
+
+class CompletenessReport(_Value):
+    _fields = ("direction", "holds", "counterexample", "checked")
     direction: str
     holds: bool
     counterexample: Optional[CompletenessCounterexample]
     checked: int
+
+    def __init__(
+        self,
+        direction: str,
+        holds: bool,
+        counterexample: Optional[CompletenessCounterexample],
+        checked: int,
+    ):
+        _set_field(self, "direction", direction)
+        _set_field(self, "holds", holds)
+        _set_field(self, "counterexample", counterexample)
+        _set_field(self, "checked", checked)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -523,15 +565,29 @@ def is_sp_domain(domain: AbstractDomain, lang: LanguageSpec, model: KripkeModel)
     return domain_leq(domain, ad_of_language(lang, model))
 
 
-@dataclass(frozen=True)
-class GfpTransferReport:
+class GfpTransferReport(_Value):
     """Outcome of the fixpoint-transfer check α(gfp f) = gfp(f^A)."""
 
+    _fields = ("applicable", "gfp_holds", "lfp_checked", "lfp_holds", "detail")
     applicable: bool  # forward completeness hypothesis holds
     gfp_holds: Optional[bool]
     lfp_checked: bool  # γ(⊥_A) = ⊥ held, so the lfp direction was checked too
     lfp_holds: Optional[bool]
     detail: str
+
+    def __init__(
+        self,
+        applicable: bool,
+        gfp_holds: Optional[bool],
+        lfp_checked: bool,
+        lfp_holds: Optional[bool],
+        detail: str,
+    ):
+        _set_field(self, "applicable", applicable)
+        _set_field(self, "gfp_holds", gfp_holds)
+        _set_field(self, "lfp_checked", lfp_checked)
+        _set_field(self, "lfp_holds", lfp_holds)
+        _set_field(self, "detail", detail)
 
     @property
     def holds(self) -> bool:

@@ -66,14 +66,15 @@ so that ``shells`` can import it at module level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import shells
 from .errors import ValidationError
 from .kripke import KripkeModel, label_partition
-from .lattice import Mask, SetFamily, _check_space, _join_rows, _members, _owners, moore_close
+from .lattice import (
+    Mask, SetFamily, _check_space, _join_rows, _members, _owners, _set_field, _Value, moore_close,
+)
 from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
 
@@ -400,14 +401,26 @@ def simeq_partition(model: KripkeModel) -> Partition:
     return equal_label_simulation(model).kernel()
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Value):
     """One behavioural-equivalence computation with its checker verdict."""
 
+    _fields = ("kind", "partition", "preorder", "consistent")
     kind: str
     partition: Optional[Partition]
     preorder: Optional[Preorder]
     consistent: bool
+
+    def __init__(
+        self,
+        kind: str,
+        partition: Optional[Partition],
+        preorder: Optional[Preorder],
+        consistent: bool,
+    ):
+        _set_field(self, "kind", kind)
+        _set_field(self, "partition", partition)
+        _set_field(self, "preorder", preorder)
+        _set_field(self, "consistent", consistent)
 
 
 def equivalence_report(kind: str, model: KripkeModel) -> EquivalenceReport:

@@ -7,8 +7,11 @@ Grammar (precedence ! > & > |, unary temporal operators bind like !):
           | "EX" phi | "AX" phi
           | ("EU" | "AU" | "ER" | "AR") "(" phi "," phi ")"
           | "EF" "[" int "," int "]" phi
-          | ident "(" phi {"," phi} ")"
+          | ident "(" [phi {"," phi}] ")"
           | "(" phi ")"
+
+``ident "(" ")"`` applies a 0-ary operator (a constant), as its repr writes
+it; the application counts as one operator of depth.
 
 Transformer-expression bodies (operator definitions, completeness inputs)
 reuse the same grammar extended with "#k" argument placeholders and the
@@ -18,45 +21,57 @@ reuse the same grammar extended with "#k" argument placeholders and the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import FormulaSyntaxError
-from .lattice import StateSet
+from .lattice import StateSet, _set_field, _Value
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Value):
+    _fields = ("name",)
     name: str
+
+    def __init__(self, name: str):
+        _set_field(self, "name", name)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Arg:
+class Arg(_Value):
     """Placeholder #k (1-based) inside an operator definition."""
 
+    _fields = ("index",)
     index: int
+
+    def __init__(self, index: int):
+        _set_field(self, "index", index)
 
     def __repr__(self) -> str:
         return f"#{self.index}"
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Value):
     """A fixed set; used for atom interpretations in completeness checks."""
 
+    _fields = ("value",)
     value: StateSet
+
+    def __init__(self, value: StateSet):
+        _set_field(self, "value", value)
 
     def __repr__(self) -> str:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class App:
+class App(_Value):
+    _fields = ("op", "args")
     op: str
     args: tuple["Node", ...]
+
+    def __init__(self, op: str, args: tuple["Node", ...]):
+        _set_field(self, "op", op)
+        _set_field(self, "args", args)
 
     def __repr__(self) -> str:
         if self.op == "not":
@@ -150,7 +165,7 @@ class _Parser:
         return item
 
     def app(self, op: str, items, pos: int):
-        depth = 1 + max(d for _, d in items)
+        depth = 1 + max((d for _, d in items), default=0)
         if depth > MAX_DEPTH:
             raise FormulaSyntaxError(f"formula deeper than {MAX_DEPTH} operators", pos)
         return App(op, tuple(node for node, _ in items)), depth
@@ -224,6 +239,9 @@ class _Parser:
                 return self.app(val, (left, right), pos)
             if self.peek()[1] == "(":
                 self.take()
+                if self.peek()[1] == ")":
+                    self.take()
+                    return self.app(val, (), pos)
                 args = [self.nested(self.or_level, pos)]
                 while self.peek()[1] == ",":
                     self.take()

@@ -21,36 +21,46 @@ it lies in no pre(∁Y).  The library builds its duals from pre and post
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .lattice import (
-    Mask, StateSet, StateSpace, _check_space, _classes, _join_rows, _members, _transpose,
+    Mask, StateSet, StateSpace, _check_space, _classes, _join_rows, _members, _set_field,
+    _transpose, _Value,
 )
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(_Value):
     """A transition system with a state labeling.
 
     ``succ[i]`` is the successor mask of state i; ``label_items`` maps each
     atomic proposition to the mask of states carrying it.  ``pred[i]``, the
     predecessor mask of state i, is derived from ``succ`` at construction,
-    in one pass over the edges, and takes no part in equality or hashing.
-    Totality is not enforced at construction (∀∃ quotients may produce stuck
-    blocks); use :func:`validate_model` where totality matters.
+    in one pass over the edges, and takes no part in equality, hashing or
+    the repr.  Totality is not enforced at construction (∀∃ quotients may
+    produce stuck blocks); use :func:`validate_model` where totality matters.
     """
 
+    _fields = ("space", "succ", "label_items")
     space: StateSpace
     succ: tuple[Mask, ...]
     label_items: tuple[tuple[str, Mask], ...]
-    pred: tuple[Mask, ...] = field(init=False, compare=False, repr=False)
+    pred: tuple[Mask, ...]
+
+    def __init__(
+        self, space: StateSpace, succ: tuple[Mask, ...], label_items: tuple[tuple[str, Mask], ...]
+    ):
+        _set_field(self, "space", space)
+        _set_field(self, "succ", succ)
+        _set_field(self, "label_items", label_items)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the fields and derive ``pred``: the one step of every model
+        build, so a count of its calls counts the builds."""
         # one OR-fold over the rows and one over the labels; the offender is
         # looked up only to name it
         n = self.space.n
@@ -71,7 +81,7 @@ class KripkeModel:
             if reduce(or_, (m for _, m in self.label_items)) & outside:
                 name = next(name for name, m in self.label_items if m & outside)
                 raise ValidationError(f"label {name!r} falls outside the space")
-        object.__setattr__(self, "pred", _transpose(self.succ))
+        _set_field(self, "pred", _transpose(self.succ))
 
     @staticmethod
     def of(
@@ -163,16 +173,21 @@ def label_partition(model: KripkeModel) -> Partition:
     return Partition.from_masks(model.space, _classes(model.n, (m for _, m in model.label_items)))
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(_Value):
     """A block-level Kripke model over the blocks of a partition of
     ``parent``: state i of ``model`` is ``partition.blocks[i]``.  ∀∃
     quotients may leave a block stuck, so ``total`` is read off the model.
     """
 
+    _fields = ("parent", "partition", "model")
     parent: KripkeModel
     partition: Partition
     model: KripkeModel
+
+    def __init__(self, parent: KripkeModel, partition: Partition, model: KripkeModel):
+        _set_field(self, "parent", parent)
+        _set_field(self, "partition", partition)
+        _set_field(self, "model", model)
 
     @property
     def total(self) -> bool:

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -53,7 +52,7 @@ from .formulas import (
     parse_transformer,
 )
 from .kripke import KripkeModel
-from .lattice import Mask, StateSet, _check_space
+from .lattice import Mask, StateSet, _check_space, _set_field, _Value
 
 PRESET_NAMES = ("L1", "L2", "L3", "CTL", "semaforo", "exef", "full")
 # tuples one operator may try in one round of close: a closure that reaches
@@ -65,8 +64,7 @@ MAX_STAGE_TUPLES = 1 << 24
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(_Value):
     """A named n-ary transformer: a body over built-ins and #k placeholders.
 
     The body is resolved once, at construction, by one walk
@@ -78,28 +76,31 @@ class Operator:
     ``"dual"`` for a chain of ``"dual"`` ones, ``"until"`` when the operator
     is binary and its body is exactly ``EU #1 #2``, and None otherwise.
     ``_polarity`` is the sign of the operator in the transition relation.
+    Only ``name``, ``arity`` and ``body`` are compared.
     """
 
+    _fields = ("name", "arity", "body")
     name: str
     arity: int
     body: Node
-    _resolved: Callable[[KripkeModel, Sequence[Mask]], Mask] = field(
-        init=False, compare=False, repr=False
-    )
-    _boolean: bool = field(init=False, compare=False, repr=False)
-    _chain: Optional[str] = field(init=False, compare=False, repr=False)
-    _polarity: Optional[int] = field(init=False, compare=False, repr=False)
+    _resolved: Callable[[KripkeModel, Sequence[Mask]], Mask]
+    _boolean: bool
+    _chain: Optional[str]
+    _polarity: Optional[int]
 
-    def __post_init__(self):
-        resolved, boolean, chain, polarity = _resolve_body(self, self.body)
-        if self.arity == 2 and self.body == _UNTIL_BODY:
+    def __init__(self, name: str, arity: int, body: Node):
+        _set_field(self, "name", name)
+        _set_field(self, "arity", arity)
+        _set_field(self, "body", body)
+        resolved, boolean, chain, polarity = _resolve_body(self, body)
+        if arity == 2 and body == _UNTIL_BODY:
             chain = "until"
-        elif self.arity != 1:
+        elif arity != 1:
             chain = None
-        object.__setattr__(self, "_resolved", resolved)
-        object.__setattr__(self, "_boolean", boolean)
-        object.__setattr__(self, "_chain", chain or None)
-        object.__setattr__(self, "_polarity", polarity)
+        _set_field(self, "_resolved", resolved)
+        _set_field(self, "_boolean", boolean)
+        _set_field(self, "_chain", chain or None)
+        _set_field(self, "_polarity", polarity)
 
 
 def operator_from_expr(name: str, arity: int, expr: str) -> Operator:
@@ -354,16 +355,36 @@ def close(
         lo, hi, first = hi, len(known), False
 
 
+def _builtin_body(name: str, arity: int) -> App:
+    """The body of the built-in ``name`` applied to its placeholders."""
+    return App(name, tuple(Arg(i + 1) for i in range(arity)))
+
+
+#: One operator per row of ``_BUILTIN_TABLE``, built at import and shared.
+_BUILTIN_OPERATORS = {
+    name: Operator(name, row.arity, _builtin_body(name, row.arity))
+    for name, row in _BUILTIN_TABLE.items()
+}
+
+
 def builtin_operator(name: str) -> Operator:
+    """The built-in ``name`` as an operator of its arity over ``#1``, ...
+
+    A name of the fixed table (``EX``, ``and``, ``EU``, ...) gives one shared
+    operator, built once at import: operators are immutable values, so
+    every language holds the same object.  ``EF[lo,hi]`` is user text with
+    any bounds, so it is resolved on each call and nothing is kept.
+    """
+    op = _BUILTIN_OPERATORS.get(name)
+    if op is not None:
+        return op
     entry = _builtin(name)
     if entry is None:
         raise ResolutionError(f"unknown built-in operator {name!r}")
-    arity = entry.arity
-    return Operator(name, arity, App(name, tuple(Arg(i + 1) for i in range(arity))))
+    return Operator(name, entry.arity, _builtin_body(name, entry.arity))
 
 
-@dataclass(frozen=True)
-class LanguageSpec:
+class LanguageSpec(_Value):
     """Atoms with interpretations plus named operators, bound to one space.
 
     ``open_ops`` lets resolution fall through to any built-in (the ``full``
@@ -371,17 +392,28 @@ class LanguageSpec:
     atoms lie over one space.
     """
 
+    _fields = ("name", "atoms", "operators", "open_ops")
     name: str
     atoms: tuple[tuple[str, StateSet], ...]
-    operators: tuple[Operator, ...] = ()
-    open_ops: bool = False
+    operators: tuple[Operator, ...]
+    open_ops: bool
 
-    def __post_init__(self):
-        names = [n for n, _ in self.atoms] + [op.name for op in self.operators]
+    def __init__(
+        self,
+        name: str,
+        atoms: tuple[tuple[str, StateSet], ...],
+        operators: tuple[Operator, ...] = (),
+        open_ops: bool = False,
+    ):
+        names = [n for n, _ in atoms] + [op.name for op in operators]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate atom/operator names in language")
-        for _, s in self.atoms:
-            _check_space(s, self.atoms[0][1], "language atoms")
+        for _, s in atoms:
+            _check_space(s, atoms[0][1], "language atoms")
+        _set_field(self, "name", name)
+        _set_field(self, "atoms", atoms)
+        _set_field(self, "operators", operators)
+        _set_field(self, "open_ops", open_ops)
 
     def atom_mask(self, name: str) -> Mask:
         for n, s in self.atoms:
@@ -545,25 +577,33 @@ def _ops(*names: str) -> tuple[Operator, ...]:
     return tuple(builtin_operator(n) for n in names)
 
 
-def preset_language(name: str, model: KripkeModel) -> LanguageSpec:
-    """Instantiate a shipped preset against a model (atoms from its labels)."""
-    atoms = _model_atoms(model)
-    if name == "L1":
-        return LanguageSpec(name, atoms, _ops("and", "not", "EX"))
-    if name == "L2":
-        return LanguageSpec(name, atoms, _ops("and", "not", "EU"))
-    if name == "L3":
-        literals = atoms + tuple(("!" + label, ~s) for label, s in atoms)
-        return LanguageSpec(name, literals, _ops("and", "or", "AX"))
-    if name == "CTL":
-        return LanguageSpec(name, atoms, _ops("and", "not", "AX", "EX", "AU", "EU", "AR", "ER"))
+@lru_cache(maxsize=None)
+def _preset_operators(name: str) -> tuple[Operator, ...]:
+    """The operators of the preset ``name``, built on its first use and
+    then shared; called with the names of :data:`PRESET_NAMES` only."""
     if name == "semaforo":
-        return LanguageSpec(name, atoms, (operator_from_expr("AXX", 1, "AX AX #1"),))
-    if name == "exef":
-        return LanguageSpec(name, atoms, _ops("and", "EF[0,2]"))
-    if name == "full":
-        return LanguageSpec(name, atoms, (), True)
-    raise ValidationError(f"unknown language preset {name!r}")
+        return (operator_from_expr("AXX", 1, "AX AX #1"),)
+    return _ops(*{
+        "L1": ("and", "not", "EX"),
+        "L2": ("and", "not", "EU"),
+        "L3": ("and", "or", "AX"),
+        "CTL": ("and", "not", "AX", "EX", "AU", "EU", "AR", "ER"),
+        "exef": ("and", "EF[0,2]"),
+        "full": (),
+    }[name])
+
+
+def preset_language(name: str, model: KripkeModel) -> LanguageSpec:
+    """Instantiate a shipped preset against a model: its atoms are the
+    model's labels (and for L3 their negations), built per call, and its
+    operators one tuple per preset, built once per process and shared by
+    every model's language."""
+    if name not in PRESET_NAMES:
+        raise ValidationError(f"unknown language preset {name!r}")
+    atoms = _model_atoms(model)
+    if name == "L3":
+        atoms += tuple(("!" + label, ~s) for label, s in atoms)
+    return LanguageSpec(name, atoms, _preset_operators(name), name == "full")
 
 
 def language_from_ops(

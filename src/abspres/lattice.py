@@ -25,10 +25,9 @@ generators) are Moore by construction and are not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import attrgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapacityError, SpaceMismatchError, ValidationError
@@ -130,27 +129,76 @@ def _transpose(rows: Sequence[Mask]) -> tuple[Mask, ...]:
     return tuple(cols)
 
 
-@dataclass(frozen=True)
-class StateSpace:
+#: Sets an attribute of a :class:`_Value` in its constructor, past its
+#: refusing ``__setattr__``.
+_set_field = object.__setattr__
+
+
+class _Value:
+    """Base of the library's immutable values, with the behaviour of a
+    frozen dataclass and no code generated at import.
+
+    A subclass names its compared fields, in order, in ``_fields`` and sets
+    every attribute once, in its own ``__init__``, through
+    :data:`_set_field`; its checks run there, before or after the fields are
+    set.  Assigning or deleting an attribute afterwards raises
+    :class:`AttributeError`.  Two values are equal when they are of the same
+    class and their compared fields are equal, the hash is ``hash`` of the
+    tuple of those fields, and the repr is ``Class(field=value, ...)`` over
+    them.  Attributes outside ``_fields`` (a derived index, a resolved
+    function) take no part in any of the three.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name gives the bare value; the key is a tuple
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class StateSpace(_Value):
     """A named finite universe Σ with a fixed index order.
 
     Indices are stable for the lifetime of the space; all sets, families,
     partitions and models are relative to one space.  An empty space is
     permitted, though a Kripke model refuses one, so it arises only where a
-    caller builds Σ = ∅ itself.
+    caller builds Σ = ∅ itself.  Only ``names`` is compared.
     """
 
+    _fields = ("names",)
     names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, compare=False, repr=False)
+    _index: dict[str, int]
     #: Σ as a mask, (1 << n) - 1, set once: every set operation reads it.
-    full_mask: Mask = field(init=False, compare=False, repr=False)
+    full_mask: Mask
 
-    def __post_init__(self):
-        index = {name: i for i, name in enumerate(self.names)}
-        if len(index) != len(self.names):
-            raise ValidationError(f"duplicate state names in {self.names!r}")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "full_mask", (1 << len(index)) - 1)
+    def __init__(self, names: tuple[str, ...]):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise ValidationError(f"duplicate state names in {names!r}")
+        _set_field(self, "names", names)
+        _set_field(self, "_index", index)
+        _set_field(self, "full_mask", (1 << len(index)) - 1)
 
     @staticmethod
     def of(*names: str) -> "StateSpace":
@@ -198,16 +246,18 @@ class StateSpace:
         return "{" + ",".join(self.names_of(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class StateSet:
+class StateSet(_Value):
     """A subset of Σ as a characteristic vector over a fixed space."""
 
+    _fields = ("space", "mask")
     space: StateSpace
     mask: Mask
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask > self.space.full_mask:
-            raise ValidationError(f"mask {self.mask:#x} is not over {self.space.names}")
+    def __init__(self, space: StateSpace, mask: Mask):
+        if mask < 0 or mask > space.full_mask:
+            raise ValidationError(f"mask {mask:#x} is not over {space.names}")
+        _set_field(self, "space", space)
+        _set_field(self, "mask", mask)
 
     def __and__(self, other: "StateSet") -> "StateSet":
         _check_space(self, other, "sets")
@@ -252,21 +302,21 @@ def _mask_of(space: StateSpace, s: SetLike) -> Mask:
     return s
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Value):
     """A duplicate-free collection of subsets of one space, canonically ordered.
 
     The canonical order is lexicographic on characteristic vectors, so
     equality of families is equality of representations.
     """
 
+    _fields = ("space", "masks")
     space: StateSpace
     masks: tuple[Mask, ...]
 
-    def __post_init__(self):
-        ordered = tuple(sorted(set(self.masks), key=self.space.lex_key))
-        if ordered != self.masks:
-            object.__setattr__(self, "masks", ordered)
+    def __init__(self, space: StateSpace, masks: tuple[Mask, ...]):
+        ordered = tuple(sorted(set(masks), key=space.lex_key))
+        _set_field(self, "space", space)
+        _set_field(self, "masks", masks if ordered == masks else ordered)
 
     @staticmethod
     def of(space: StateSpace, sets: Iterable[SetLike]) -> "SetFamily":

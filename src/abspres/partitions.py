@@ -13,7 +13,6 @@ assertable inclusion is image(A) ⊆ image(shell(A)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -30,33 +29,35 @@ from .lattice import (
     _mask_of,
     _members,
     _owners,
+    _set_field,
+    _Value,
     domain_leq,
 )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """Nonempty, pairwise disjoint blocks covering Σ, in canonical order."""
 
+    _fields = ("space", "blocks")
     space: StateSpace
     blocks: tuple[Mask, ...]
 
-    def __post_init__(self):
+    def __init__(self, space: StateSpace, blocks: tuple[Mask, ...]):
         union = 0
-        for k, b in enumerate(self.blocks):
+        for k, b in enumerate(blocks):
             if b == 0:
                 raise ValidationError("partition blocks must be nonempty")
             if b & union:
-                if b in self.blocks[:k]:
-                    raise ValidationError(f"partition block {self.space.format_mask(b)} is repeated")
+                if b in blocks[:k]:
+                    raise ValidationError(f"partition block {space.format_mask(b)} is repeated")
                 raise ValidationError("partition blocks must be disjoint")
             union |= b
-        if union != self.space.full_mask:
+        if union != space.full_mask:
             raise ValidationError("partition blocks must cover the space")
         # disjoint blocks in lex_key order are in descending order of their lowest members
-        ordered = tuple(sorted(self.blocks, key=lambda b: (b & -b).bit_length(), reverse=True))
-        if ordered != self.blocks:
-            object.__setattr__(self, "blocks", ordered)
+        ordered = tuple(sorted(blocks, key=lambda b: (b & -b).bit_length(), reverse=True))
+        _set_field(self, "space", space)
+        _set_field(self, "blocks", blocks if ordered == blocks else ordered)
 
     @staticmethod
     def of(space: StateSpace, blocks: Iterable[Iterable[str] | StateSet | Mask]) -> "Partition":
@@ -159,8 +160,7 @@ def _is_transitive(rows: Sequence[Mask]) -> bool:
     return all(_join_rows(rows, row) & ~row == 0 for row in set(rows))
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(_Value):
     """A reflexive and transitive relation as a dense row-mask matrix.
 
     ``rows[s]`` holds the mask {t | s R t}.  Rows given to the constructor
@@ -170,27 +170,30 @@ class Preorder:
     construction and are built through :meth:`_of_preorder`, unchecked.
     """
 
+    _fields = ("space", "rows")
     space: StateSpace
     rows: tuple[Mask, ...]
 
-    def __post_init__(self):
-        names = self.space.names
-        if len(self.rows) != len(names):
+    def __init__(self, space: StateSpace, rows: tuple[Mask, ...]):
+        names = space.names
+        if len(rows) != len(names):
             raise ValidationError("relation matrix width does not match the space")
-        for s, row in enumerate(self.rows):
-            if row & ~self.space.full_mask:
+        for s, row in enumerate(rows):
+            if row & ~space.full_mask:
                 raise ValidationError(f"row of {names[s]!r} names a state outside the space")
             if not (row >> s) & 1:
                 raise ValidationError(f"relation is not reflexive at state {names[s]!r}")
-        if not _is_transitive(self.rows):
+        if not _is_transitive(rows):
             raise ValidationError("relation is not transitive")
+        _set_field(self, "space", space)
+        _set_field(self, "rows", rows)
 
     @classmethod
     def _of_preorder(cls, space: StateSpace, rows: tuple[Mask, ...]) -> "Preorder":
         """The relation of rows that are reflexive and transitive by construction."""
         r = object.__new__(cls)
-        object.__setattr__(r, "space", space)
-        object.__setattr__(r, "rows", rows)
+        _set_field(r, "space", space)
+        _set_field(r, "rows", rows)
         return r
 
     @staticmethod

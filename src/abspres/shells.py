@@ -37,7 +37,6 @@ relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -52,6 +51,8 @@ from .lattice import (
     _check_space,
     _classes,
     _select,
+    _set_field,
+    _Value,
     domain_leq,
     meet_close,
     moore_close,
@@ -71,8 +72,7 @@ from .partitions import Partition, add, adp, pr
 MAX_SEARCH_CANDIDATES = 1 << 25
 
 
-@dataclass(frozen=True)
-class ShellTrace:
+class ShellTrace(_Value):
     """Iteration snapshots of a shell computation.
 
     The first snapshot is the seed.  On the saturation route each round adds
@@ -83,7 +83,11 @@ class ShellTrace:
     fixpoint (the last two entries are equal).
     """
 
+    _fields = ("iterations",)
     iterations: tuple[AbstractDomain, ...]
+
+    def __init__(self, iterations: tuple[AbstractDomain, ...]):
+        _set_field(self, "iterations", iterations)
 
     @property
     def new_counts(self) -> tuple[int, ...]:
@@ -100,10 +104,14 @@ class ShellTrace:
         return out
 
 
-@dataclass(frozen=True)
-class ShellResult:
+class ShellResult(_Value):
+    _fields = ("domain", "trace")
     domain: AbstractDomain
     trace: ShellTrace
+
+    def __init__(self, domain: AbstractDomain, trace: ShellTrace):
+        _set_field(self, "domain", domain)
+        _set_field(self, "trace", trace)
 
 
 def forward_complete_shell(

@@ -7,8 +7,6 @@ deterministic and idempotent; each entry prints one PASS/FAIL line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abstraction import (
     AbstractStructure,
     bca_apply,
@@ -33,7 +31,9 @@ from .languages import (
     language_from_ops,
     preset_language,
 )
-from .lattice import AbstractDomain, SetFamily, StateSpace, family_of_names, moore_close
+from .lattice import (
+    AbstractDomain, SetFamily, StateSpace, _set_field, _Value, family_of_names, moore_close,
+)
 from .partitions import Partition, adp, is_disjunctive, is_partitioning, pr
 from .shells import (
     ad_of_language,
@@ -45,11 +45,16 @@ from .shells import (
 from .equivalences import bisim_partition, check_bisimulation
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
+    _fields = ("name", "ok", "detail")
     name: str
     ok: bool
     detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        _set_field(self, "name", name)
+        _set_field(self, "ok", ok)
+        _set_field(self, "detail", detail)
 
 
 def _check(name: str, got: object, want: object) -> CheckResult:

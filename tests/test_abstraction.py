@@ -496,8 +496,6 @@ class TestStructureValues:
     def test_applications_in_a_full_closure_return_closed_sets(self):
         # the invariant that lets AbstractStructure.apply skip a re-check:
         # best approximations return closures, quotient structures block unions
-        from dataclasses import replace
-
         from abspres.abstraction import paired_semantic_closure
         from abspres.kripke import label_partition
         from conftest import random_total_model
@@ -522,7 +520,10 @@ class TestStructureValues:
                         applications += 1
                         return out
 
-                    paired_semantic_closure(model, replace(structure, apply=checked), lang)
+                    rebuilt = AbstractStructure(
+                        structure.domain, structure.lang, structure.atom_values, checked
+                    )
+                    paired_semantic_closure(model, rebuilt, lang)
         assert applications >= 5000
 
 

@@ -1298,6 +1298,24 @@ class TestConstants:
         concrete = eval_concrete(verdict.witness, kpq, lang)
         assert AbstractStructure.from_quotient(q, lang).semantics(verdict.witness) != concrete
 
+    def test_witness_with_a_constant_parses_back(self, kpq):
+        from abspres import eval_concrete, parse_formula
+        from abspres.abstraction import paired_sp_check
+        from abspres.formulas import MAX_DEPTH, App
+        from abspres.errors import FormulaSyntaxError
+
+        lang = constants_language(kpq)
+        witness = paired_sp_check(kpq, quotient("ee", kpq, label_partition(kpq)), lang).witness
+        assert repr(witness) == "EX (p())"
+        parsed = parse_formula(repr(witness))
+        assert parsed == witness
+        assert eval_concrete(parsed, kpq, lang) == eval_concrete(witness, kpq, lang)
+        assert parse_formula("p()") == App("p", ())
+        # a 0-ary application is one operator deep
+        parse_formula("EX " * (MAX_DEPTH - 1) + "p()")
+        with pytest.raises(FormulaSyntaxError, match="deeper than"):
+            parse_formula("EX " * MAX_DEPTH + "p()")
+
     def test_l1_with_a_constant(self, kpq):
         from abspres.abstraction import paired_sp_check
         from abspres.equivalences import bisim_partition

@@ -16,9 +16,9 @@ The closed sets of adp(P) are the unions of blocks, a Boolean subalgebra of
 approximation of each is the concrete operator itself.  A quotient
 structure therefore applies an operator with a Boolean body (``not``,
 ``and``, ``or`` and placeholders) straight to its block-union arguments,
-and one that reads no transition, such as a constant, by the least block
-union holding its value; only the other operators go through the
-block-level model.
+and a constant (a 0-ary operator, whatever its body reads) or one that
+reads no transition by the least block union holding its value; only the
+other operators go through the block-level model.
 
 Strong preservation of a structure is decided exactly (no formula-depth
 bound) through the *paired semantic closure*: the least set of pairs
@@ -179,10 +179,10 @@ class AbstractStructure(_Value):
         ``union`` are a Boolean-algebra isomorphism between the block unions
         of Σ and the block-index masks (Σ maps to the full mask), so ¬, ∧
         and ∨ give the same block union applied to the arguments themselves.
-        An operator that reads no transition (``_polarity`` 0), a constant
-        among them, skips it too: it is read by its best approximation on
-        adp(P), the least block union holding its value on the parent, as
-        an atom gets its existential value.
+        A 0-ary operator, a constant of the language even when its body
+        reads the relation, skips it too, as does one that reads no
+        transition (``_polarity`` 0): each is read by its best approximation
+        on adp(P), the least block union holding its value on the parent.
         """
         _check_language(lang, q.parent)
         p = q.partition
@@ -191,7 +191,7 @@ class AbstractStructure(_Value):
         def apply(op: Operator, args: tuple[Mask, ...]) -> Mask:
             if op._boolean:
                 return apply_operator(op, q.parent, args)
-            if op._polarity == 0:
+            if op._polarity == 0 or not op.arity:
                 return p.block_containing(apply_operator(op, q.parent, args))
             return p.union(apply_operator(op, q.model, tuple(p.inner(a) for a in args)))
 

@@ -10,12 +10,12 @@ iteration (:func:`_dual`, :func:`_ef_bounded`).
 
 An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  The same
-walk reads off the rows whether its body is Boolean (only ``not``, ``and``,
-``or`` and placeholders), which lets quotient structures apply it to block
-unions directly, whether its body is a chain of additive built-ins (or of
-their duals) applied to ``#1``, or ``EU #1 #2``, and whether it grows or
-shrinks with the transition relation, which bounds the relation search.  The
-operators, never a language's name, pick its routes: :func:`_splitters`
+walk reads off the rows whether its body is Boolean, which lets quotient
+structures apply it to block unions directly, which built-in it is, whether
+it is a chain of additive built-ins (or of their duals) applied to ``#1``
+and the side of each link, and whether it grows or shrinks with the
+transition relation, which bounds the relation search.  These facts, never
+a language's name or a body's spelling, pick its routes: :func:`_splitters`
 for a set of operators, and :func:`_route`, the one place that decides a
 language's engine.
 
@@ -69,14 +69,13 @@ class Operator(_Value):
 
     The body is resolved once, at construction, by one walk
     (:func:`_resolve_body`) into a function of (model, argument masks) and
-    three facts; a bad body raises then, naming the operator.
-    ``_boolean`` holds when the body has only ``"boolean"`` built-ins and
-    placeholders.  ``_chain`` is ``"additive"`` when the operator is unary
-    and its body is a chain of ``"additive"`` built-ins applied to ``#1``,
-    ``"dual"`` for a chain of ``"dual"`` ones, ``"until"`` when the operator
-    is binary and its body is exactly ``EU #1 #2``, and None otherwise.
-    ``_polarity`` is the sign of the operator in the transition relation.
-    Only ``name``, ``arity`` and ``body`` are compared.
+    the facts that route a language, ``_boolean``, ``_call``, ``_chain``,
+    ``_sides`` and ``_polarity``; a bad body raises then, naming the
+    operator, and nothing later reads the body.  ``_chain`` and ``_sides``
+    are None for a body that is no additive or dual chain and for an
+    operator that is not unary, but ``_chain`` is ``"until"`` for a binary
+    operator that is ``EU``.  Only ``name``, ``arity`` and ``body`` are
+    compared.
     """
 
     _fields = ("name", "arity", "body")
@@ -85,21 +84,25 @@ class Operator(_Value):
     body: Node
     _resolved: Callable[[KripkeModel, Sequence[Mask]], Mask]
     _boolean: bool
+    _call: Optional[str]
     _chain: Optional[str]
+    _sides: Optional[tuple[Optional[str], ...]]
     _polarity: Optional[int]
 
     def __init__(self, name: str, arity: int, body: Node):
         _set_field(self, "name", name)
         _set_field(self, "arity", arity)
         _set_field(self, "body", body)
-        resolved, boolean, chain, polarity = _resolve_body(self, body)
-        if arity == 2 and body == _UNTIL_BODY:
+        resolved, boolean, call, chain, sides, polarity = _resolve_body(self, body)
+        if arity == 2 and call == "EU":
             chain = "until"
-        elif arity != 1:
-            chain = None
+        elif arity != 1 or not chain:
+            chain = sides = None
         _set_field(self, "_resolved", resolved)
         _set_field(self, "_boolean", boolean)
-        _set_field(self, "_chain", chain or None)
+        _set_field(self, "_call", call)
+        _set_field(self, "_chain", chain)
+        _set_field(self, "_sides", sides)
         _set_field(self, "_polarity", polarity)
 
 
@@ -204,27 +207,26 @@ def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
 
 # A row: arity, semantics of (model, argument masks), shape ("boolean",
 # "additive" for unary and union-preserving, "dual" for ¬f¬ of one, or
-# "fixpoint") and sign (1 or -1 as it grows or shrinks with the transition
-# relation, 0 if it does not read it).  pre and post are looked up on the
-# model at each call, so a rebound KripkeModel method is seen.
-_Builtin = namedtuple("_Builtin", "arity semantics shape sign")
+# "fixpoint"), sign (1 or -1 as it grows or shrinks with the transition
+# relation, 0 if it does not read it) and side (the transformer that a next
+# operator or its dual applies, else None, EF[lo,hi] too).  pre and post are
+# looked up on the model at each call, so a rebound KripkeModel method is seen.
+_Builtin = namedtuple("_Builtin", "arity semantics shape sign side", defaults=(None,))
 _BUILTIN_TABLE: dict[str, _Builtin] = {
     "not": _Builtin(1, lambda model, a: model.space.full_mask & ~a, "boolean", 0),
     "and": _Builtin(2, lambda model, a, b: a & b, "boolean", 0),
     "or": _Builtin(2, lambda model, a, b: a | b, "boolean", 0),
-    "EX": _Builtin(1, lambda model, a: model.pre(a), "additive", 1),
-    "AX": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1),
-    "pre": _Builtin(1, lambda model, a: model.pre(a), "additive", 1),
-    "post": _Builtin(1, lambda model, a: model.post(a), "additive", 1),
-    "pre~": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1),
-    "post~": _Builtin(1, lambda model, a: _dual(model, model.post, a), "dual", -1),
+    "EX": _Builtin(1, lambda model, a: model.pre(a), "additive", 1, "pre"),
+    "AX": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1, "pre"),
+    "pre": _Builtin(1, lambda model, a: model.pre(a), "additive", 1, "pre"),
+    "post": _Builtin(1, lambda model, a: model.post(a), "additive", 1, "post"),
+    "pre~": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1, "pre"),
+    "post~": _Builtin(1, lambda model, a: _dual(model, model.post, a), "dual", -1, "post"),
     "EU": _Builtin(2, until_mask, "fixpoint", 1),
     "AU": _Builtin(2, _au, "fixpoint", -1),
     "ER": _Builtin(2, lambda model, a, b: _dual(model, partial(_au, model), a, b), "fixpoint", 1),
     "AR": _Builtin(2, lambda model, a, b: _dual(model, partial(until_mask, model), a, b), "fixpoint", -1),
 }
-# the additive twin of each unary dual: AX = ¬EX¬, pre~ = ¬pre¬, post~ = ¬post¬
-_TWINS = {"AX": "EX", "pre~": "pre", "post~": "post"}
 
 
 def _builtin(name: str) -> Optional[_Builtin]:
@@ -238,15 +240,18 @@ def _builtin(name: str) -> Optional[_Builtin]:
     return _Builtin(1, lambda model, a: _ef_bounded(model, lo, hi, a), "additive", 1)
 
 
-def _resolve_body(
-    op: Operator, node: Node
-) -> tuple[Callable[[KripkeModel, Sequence[Mask]], Mask], bool, Optional[str], Optional[int]]:
+def _resolve_body(op: Operator, node: Node) -> tuple[
+    Callable[[KripkeModel, Sequence[Mask]], Mask],
+    bool, Optional[str], Optional[str], Optional[tuple[Optional[str], ...]], Optional[int],
+]:
     """``node`` of the body of ``op`` as a function of (model, argument
-    masks), with three facts read off the built-ins' rows in the same walk:
+    masks), with five facts read off the built-ins' rows in the same walk:
 
     - whether it is Boolean: only ``"boolean"`` built-ins and placeholders;
+    - its call: the built-in it is when it is one over #1, ..., #k in order;
     - its chain: ``""`` for ``#1``, ``"additive"`` (``"dual"``) for a chain
-      of ``"additive"`` (``"dual"``) built-ins down to ``#1``, else None;
+      of ``"additive"`` (``"dual"``) built-ins down to ``#1``, else None,
+      and its sides: each link's row's ``side``, from the outside in;
     - its sign as a function of the transition relation, its placeholders
       fixed: 1 when it grows with the relation, -1 when it shrinks, 0 when
       it does not read it and None when its parts disagree (``AX EX #1``).
@@ -257,7 +262,8 @@ def _resolve_body(
         if node.index > op.arity:
             raise ValidationError(f"{where} uses #{node.index} but has arity {op.arity}")
         i = node.index - 1
-        return (lambda model, args: args[i]), True, "" if i == 0 else None, 0
+        chain, sides = ("", ()) if i == 0 else (None, None)
+        return (lambda model, args: args[i]), True, None, chain, sides, 0
     if isinstance(node, Const):
         value = node.value
 
@@ -265,30 +271,29 @@ def _resolve_body(
             _check_space(value, model, "constant and model")
             return value.mask
 
-        return const, False, None, 0
+        return const, False, None, None, None, 0
     if isinstance(node, Atom):
         raise ResolutionError(f"{where} atom {node.name!r} cannot appear in an operator body")
     entry = _builtin(node.op)
     if entry is None:
         raise ResolutionError(f"{where} unknown built-in operator {node.op!r}")
-    arity, fn, shape, sign = entry
+    arity, fn, shape, sign, side = entry
     if arity != len(node.args):
         raise ValidationError(f"{where} {node.op} expects {arity} arguments, got {len(node.args)}")
-    parts, booleans, chains, signs = zip(*[_resolve_body(op, a) for a in node.args])
+    parts, booleans, _, chains, sides, signs = zip(*[_resolve_body(op, a) for a in node.args])
     boolean = shape == "boolean" and all(booleans)
+    call = node.op if all(a == Arg(k) for k, a in enumerate(node.args, 1)) else None
     chain = shape if shape in ("additive", "dual") and chains[0] in ("", shape) else None
     flip = -1 if node.op == "not" else 1
     # the nonzero signs of the built-in and its flipped arguments must agree
     nonzero = {sign, *[None if s is None else flip * s for s in signs]} - {0}
     polarity = nonzero.pop() if len(nonzero) == 1 else None if nonzero else 0
+    facts = boolean, call, chain, (side, *sides[0]) if chain else None, polarity
     if arity == 1:
         (p,) = parts
-        return (lambda model, args: fn(model, p(model, args))), boolean, chain, polarity
+        return (lambda model, args: fn(model, p(model, args))), *facts
     p, q = parts
-    return (lambda model, args: fn(model, p(model, args), q(model, args))), boolean, chain, polarity
-
-
-_UNTIL_BODY = App("EU", (Arg(1), Arg(2)))
+    return (lambda model, args: fn(model, p(model, args), q(model, args))), *facts
 
 
 def apply_operator(op: Operator, model: KripkeModel, args: Sequence[Mask]) -> Mask:
@@ -443,76 +448,65 @@ def _check_language(lang: LanguageSpec, model: KripkeModel) -> None:
         _check_space(lang.atoms[0][1], model, "language and model")
 
 
-_NOT_BODY = App("not", (Arg(1),))
-_JOINS = {App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2)))}
-_DUAL_NEXTS = {App("AX", (Arg(1),)), App("pre~", (Arg(1),))}
-_NEXTS = _DUAL_NEXTS | {App("EX", (Arg(1),)), App("pre", (Arg(1),))}
-# fixpoints of pre, ¬, ∩ and ∪, so a pre-stable partition maps them to block unions
-_FIXPOINTS = {App(n, (Arg(1), Arg(2))) for n, r in _BUILTIN_TABLE.items() if r.shape == "fixpoint"}
-
-
 def _has_not(ops: Sequence[Operator]) -> bool:
-    return any(op.body == _NOT_BODY for op in ops)
+    return any(op._call == "not" for op in ops)
 
 
 def _splitters(ops: Sequence[Operator]) -> Optional[list[Operator]]:
     """The operators the splitter engine cuts by, when a Moore family is
     closed under ``ops`` exactly when it is the unions of the blocks of a
-    partition that the engine leaves whole; else None.  That needs ``not
-    #1``.  Chains and untils (``Operator._chain``) cut, Boolean operators do
-    not, nor does a binary ``EU``, ``AU``, ``ER`` or ``AR`` of ``#1, #2`` when
-    some body is ``EX #1``, ``AX #1``, ``pre #1`` or ``pre~ #1``.  Nor does a
-    dual chain whose additive twin (``AX`` to ``EX``, ``pre~`` to ``pre``,
-    ``post~`` to ``post``) is a cut: AX(Σ∖B) = Σ∖EX(B) makes the twin's cut.
-    The generator test on :func:`_route`'s cuts stays exact without the
-    twin, since with ``not`` the quotient's AX is ¬EX♯¬
-    as the concrete AX is ¬EX¬, so it agrees on block unions when EX does.
-    The test is syntactic: an equivalent body written otherwise is not
-    admitted."""
+    partition that the engine leaves whole; else None.  It reads only the
+    facts of :class:`Operator` and the table's rows, and needs ``not``.
+    Chains and untils (``_chain``) cut, Boolean operators do not, nor does a
+    binary ``"fixpoint"`` built-in beside a next operator, a chain of one
+    link of side ``"pre"`` (``EX``, ``AX``, ``pre`` or ``pre~``).  Nor does
+    a dual chain with the sides of an additive one, its twin by row (``AX``
+    or ``pre~`` to ``EX`` or ``pre``): AX(Σ∖B) = Σ∖EX(B), and a set and its
+    complement cut blocks alike.  The generator test on :func:`_route`'s
+    cuts stays exact without the twin, since with ``not`` the quotient's AX
+    is ¬EX♯¬ as the concrete AX is ¬EX¬, so it agrees on block unions when
+    EX does.  A body counts as written: ``! EX ! #1`` is no chain."""
     if not _has_not(ops):
         return None
-    has_next = any(op.body in _NEXTS for op in ops if op._chain)
-    additive = {op.body for op in ops if op._chain == "additive"}
+    has_next = any(op._sides == ("pre",) for op in ops)
+    additive = {op._sides for op in ops if op._chain == "additive"}
     cuts = []
     for op in ops:
-        if op._boolean or (has_next and op.arity == 2 and op.body in _FIXPOINTS):
+        row = _BUILTIN_TABLE.get(op._call)
+        if op._boolean or (has_next and op.arity == 2 and row and row.shape == "fixpoint"):
             continue
         if op._chain is None:
             return None
-        if op._chain == "dual" and _additive_twin(op.body) in additive:
+        if op._chain == "dual" and op._sides in additive:
             continue
         cuts.append(op)
     return cuts
 
 
-def _additive_twin(node: Node) -> Node:
-    """A dual chain with each built-in replaced by its additive twin."""
-    if isinstance(node, App):
-        return App(_TWINS[node.op], tuple(_additive_twin(a) for a in node.args))
-    return node
-
-
 def _route(lang: LanguageSpec) -> tuple[Optional[str], list[Operator]]:
     """The engine that answers S = {⟦φ⟧ | φ ∈ L} for a closed ``lang`` with
-    an atom and an operator ``and #1 #2`` or ``or #1 #2``, and the operators
-    it cuts by; every test is syntactic.  ``("splitter", cuts)`` when
-    :func:`_splitters` admits the operators (L1, L2 and CTL): S is the unions
-    of the blocks of P_L, which the splitter engine computes from the atom
-    partition.  ``("similarity", the AX #1 and pre~ #1 operators)`` when the
-    atoms are closed under complement and the operators are both joins and
-    at least one of those (L3): S is add of the similarity of the atoms
-    (:func:`~abspres.equivalences._similarity`).  Else ``(None, [])``, and
-    :func:`close` builds S."""
-    bodies = {op.body for op in lang.operators}
-    if lang.open_ops or not lang.atoms or not bodies & _JOINS:
+    an atom and an operator that is ``and`` or ``or``, and the operators it
+    cuts by; like :func:`_splitters` it reads only the operators' facts.
+    ``("splitter", cuts)`` when :func:`_splitters` admits the operators
+    (L1, L2 and CTL): S is the unions of the blocks of P_L, which the
+    splitter engine computes from the atom partition.  ``("similarity",
+    nexts)`` when the atoms are closed under complement and the operators
+    are ``and``, ``or`` and the nexts, at least one dual chain of one link
+    of side ``"pre"`` (L3, with ``AX`` or ``pre~``): S is add of the
+    similarity of the atoms (:func:`~abspres.equivalences._similarity`).
+    Else ``(None, [])``, and :func:`close` builds S."""
+    joins = [op._call for op in lang.operators if op._call in ("and", "or")]
+    if lang.open_ops or not lang.atoms or not joins:
         return None, []
     cuts = _splitters(lang.operators)
     if cuts is not None:
         return "splitter", cuts
+    nexts = [op for op in lang.operators if op._chain == "dual" and op._sides == ("pre",)]
     full = lang.atoms[0][1].space.full_mask
     masks = {s.mask for _, s in lang.atoms}
-    if _JOINS < bodies <= _JOINS | _DUAL_NEXTS and masks == {full & ~m for m in masks}:
-        return "similarity", [op for op in lang.operators if op.body in _DUAL_NEXTS]
+    only = len(set(joins)) == 2 and len(joins) + len(nexts) == len(lang.operators)
+    if nexts and only and masks == {full & ~m for m in masks}:
+        return "similarity", nexts
     return None, []
 
 

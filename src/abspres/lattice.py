@@ -295,10 +295,13 @@ SetLike = Union[StateSet, Mask]
 
 
 def _mask_of(space: StateSpace, s: SetLike) -> Mask:
+    """The mask of ``s``, refused as :class:`StateSet` refuses it if not over ``space``."""
     if isinstance(s, StateSet):
         if s.space != space:
             raise SpaceMismatchError("set over a different space")
         return s.mask
+    if s < 0 or s > space.full_mask:
+        raise ValidationError(f"mask {s:#x} is not over {space.names}")
     return s
 
 

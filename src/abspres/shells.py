@@ -246,9 +246,9 @@ def _recorded_steps(
     the complement, meet and join of block unions are block unions.  So, by
     induction over the closure's discovery order, every value it reaches is
     a block union, or the closure stops at the first that is not.  A
-    non-Boolean operator that reads no transition (``_polarity`` 0), such as
-    a constant, is tested but records no step: every block model reads it
-    as :meth:`~abspres.abstraction.AbstractStructure.from_quotient` does, by
+    constant (any 0-ary operator) or an operator that reads no transition
+    is tested but records no step: every block model reads it as
+    :meth:`~abspres.abstraction.AbstractStructure.from_quotient` does, by
     the least block union holding its value, which is the value itself."""
     atoms = list(dict.fromkeys(s.mask for _, s in lang.atoms))
     if any(p.block_containing(m) != m for m in atoms):
@@ -260,7 +260,7 @@ def _recorded_steps(
         if not op._boolean:
             if p.block_containing(value) != value:
                 raise _NotBlockUnion
-            if op._polarity != 0:
+            if op.arity and op._polarity != 0:
                 steps.append((op, tuple([p.inner(a) for a in args]), p.inner(value)))
         return value
 
@@ -424,9 +424,9 @@ def sp_abstract_kripke_search(
     A strong structure agrees with ⟦·⟧ on every formula, so one recorded
     closure of S = {⟦φ⟧ | φ ∈ L} (:func:`_recorded_steps`) fixes it: a
     relation is strong iff its block model gives the recorded value on every
-    recorded application.  Applications of Boolean operators and of
-    operators that read no transition are not recorded: on block unions
-    they agree with every block model (see
+    recorded application.  Applications of Boolean operators, of constants
+    and of operators that read no transition are not recorded: on block
+    unions they agree with every block model (see
     :meth:`~abspres.abstraction.AbstractStructure.from_quotient`).
 
     The relations are walked depth first, row by row: row b - 1 is fixed

@@ -414,7 +414,79 @@ def semantic_closure_is_sp_domain(domain, lang, model: KripkeModel) -> bool:
     return all(domain.contains(c) for c in semantic_closure(lang, model).masks)
 
 
-# --- the two language-class tests that languages._route replaced -----------
+# --- the routes by spelled bodies that languages._route replaced ----------
+
+
+def spelled_splitters(ops):
+    """``_splitters`` by comparing bodies with spelled ones: ``not #1``, the
+    next operators ``EX``, ``AX``, ``pre`` and ``pre~`` of #1, the fixpoints
+    of #1, #2, and each dual chain's additive twin rebuilt by renaming AX
+    to EX, pre~ to pre and post~ to post."""
+    from abspres.formulas import App, Arg
+
+    twins = {"AX": "EX", "pre~": "pre", "post~": "post"}
+
+    def twin(node):
+        if isinstance(node, App):
+            return App(twins[node.op], tuple(twin(a) for a in node.args))
+        return node
+
+    nexts = {App(name, (Arg(1),)) for name in ("EX", "AX", "pre", "pre~")}
+    fixpoints = {App(name, (Arg(1), Arg(2))) for name in ("EU", "AU", "ER", "AR")}
+    if not any(op.body == App("not", (Arg(1),)) for op in ops):
+        return None
+    has_next = any(op.body in nexts for op in ops if op._chain)
+    additive = {op.body for op in ops if op._chain == "additive"}
+    cuts = []
+    for op in ops:
+        if op._boolean or (has_next and op.arity == 2 and op.body in fixpoints):
+            continue
+        if op._chain is None:
+            return None
+        if op._chain == "dual" and twin(op.body) in additive:
+            continue
+        cuts.append(op)
+    return cuts
+
+
+def spelled_route(lang):
+    """``_route`` by spelled bodies: a join is ``and #1 #2`` or ``or #1
+    #2``, and the similarity route's next operators are ``AX #1`` and
+    ``pre~ #1``."""
+    from abspres.formulas import App, Arg
+
+    joins = {App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2)))}
+    dual_nexts = {App("AX", (Arg(1),)), App("pre~", (Arg(1),))}
+    bodies = {op.body for op in lang.operators}
+    if lang.open_ops or not lang.atoms or not bodies & joins:
+        return None, []
+    cuts = spelled_splitters(lang.operators)
+    if cuts is not None:
+        return "splitter", cuts
+    full = lang.atoms[0][1].space.full_mask
+    masks = {s.mask for _, s in lang.atoms}
+    if joins < bodies <= joins | dual_nexts and masks == {full & ~m for m in masks}:
+        return "similarity", [op for op in lang.operators if op.body in dual_nexts]
+    return None, []
+
+
+def twin_by_row(op, ops) -> bool:
+    """Is ``op`` a dual chain with an additive chain among ``ops`` that is
+    its twin once each link is named by its transformer, EX, AX, pre and
+    pre~ as pre, post and post~ as post?  Such a cut adds nothing: AX(Σ∖B)
+    = Σ∖EX(B), and a set and its complement cut blocks alike."""
+    from abspres.formulas import App
+
+    side = {"EX": "pre", "AX": "pre", "pre": "pre", "pre~": "pre", "post": "post", "post~": "post"}
+
+    def named(node):
+        if isinstance(node, App):
+            return App(side.get(node.op, node.op), tuple(named(a) for a in node.args))
+        return node
+
+    return op._chain == "dual" and any(
+        o._chain == "additive" and named(o.body) == named(op.body) for o in ops
+    )
 
 
 def in_splitter_class(lang) -> bool:
@@ -422,13 +494,14 @@ def in_splitter_class(lang) -> bool:
     or ``or #1 #2``, and operators that ``_splitters`` admits (L1, L2 and
     CTL are)?  Then S = {⟦φ⟧ | φ ∈ L} is the unions of the blocks of P_L,
     which the splitter engine computes from the atom partition."""
-    from abspres.languages import _JOINS, _splitters
+    from abspres.formulas import App, Arg
 
+    joins = {App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2)))}
     return (
         bool(lang.atoms)
         and not lang.open_ops
-        and _splitters(lang.operators) is not None
-        and any(op.body in _JOINS for op in lang.operators)
+        and spelled_splitters(lang.operators) is not None
+        and any(op.body in joins for op in lang.operators)
     )
 
 
@@ -437,10 +510,12 @@ def in_similarity_class(lang) -> bool:
     operators ``and #1 #2`` and ``or #1 #2``, some ``AX #1`` or ``pre~ #1``,
     and no other operator?  L3 is.  Then S = {⟦φ⟧ | φ ∈ L} is add of the
     similarity of the atoms."""
-    from abspres.languages import _DUAL_NEXTS, _JOINS
+    from abspres.formulas import App, Arg
 
+    joins = {App("and", (Arg(1), Arg(2))), App("or", (Arg(1), Arg(2)))}
+    dual_nexts = {App("AX", (Arg(1),)), App("pre~", (Arg(1),))}
     bodies = {op.body for op in lang.operators}
-    if lang.open_ops or not lang.atoms or not _JOINS < bodies <= _JOINS | _DUAL_NEXTS:
+    if lang.open_ops or not lang.atoms or not joins < bodies <= joins | dual_nexts:
         return False
     full = lang.atoms[0][1].space.full_mask
     masks = {s.mask for _, s in lang.atoms}
@@ -538,6 +613,30 @@ def walk_chain_kind(arity: int, body):
         kind = step
         node = node.args[0]
     return kind if node == Arg(1) else None
+
+
+def walk_call(body):
+    """``Operator._call``: the built-in a body is, over #1, ..., #k in order."""
+    from abspres.formulas import App, Arg
+
+    if isinstance(body, App) and body.args == tuple(Arg(k + 1) for k in range(len(body.args))):
+        return body.op
+    return None
+
+
+def walk_sides(chain, body):
+    """``Operator._sides``: the side of each link of an additive or dual
+    chain, from the outside in."""
+    from abspres.formulas import App
+    from abspres.languages import _builtin
+
+    if chain not in ("additive", "dual"):
+        return None
+    sides = []
+    while isinstance(body, App):
+        sides.append(_builtin(body.op).side)
+        (body,) = body.args
+    return tuple(sides)
 
 
 def walk_polarity(node):

@@ -753,6 +753,25 @@ class TestBlockRoute:
         for name, want in rows.items():
             op = builtin_operator(name)
             assert (op._boolean, op._chain, op._polarity) == want, name
+            assert op._call == name, name
+        # the side of each link, outside in, for additive and dual chains only
+        sides = {
+            "EX #1": ("pre",),
+            "post EF[1,3] pre #1": ("post", None, "pre"),
+            "pre~ post~ AX #1": ("pre", "post", "pre"),
+            "AX EX #1": None,
+            "#1": None,
+            "EX #1 & #1": None,
+        }
+        for expr, want in sides.items():
+            assert operator_from_expr("f", 1, expr)._sides == want, expr
+        assert builtin_operator("EU")._sides is None
+        # a built-in over its own placeholders, at any arity the operator has
+        for arity, expr, want in (
+            (1, "! #1", "not"), (2, "! #1", "not"), (3, "#1 & #2", "and"), (2, "#2 & #1", None),
+            (1, "EX EX #1", None), (1, "#1", None), (2, "EU(#1, #2)", "EU"), (1, "EF[1,3] #1", "EF[1,3]"),
+        ):
+            assert operator_from_expr("f", arity, expr)._call == want, expr
         cases = {
             "EX #1": "additive",
             "post EF[1,3] pre #1": "additive",
@@ -781,8 +800,8 @@ class TestBlockRoute:
         from abspres.formulas import App, Arg
         from abspres.languages import Operator, apply_operator
         from conftest import (
-            random_body, walk_apply, walk_chain_kind, walk_is_boolean, walk_polarity,
-            walk_resolution_error,
+            random_body, walk_apply, walk_call, walk_chain_kind, walk_is_boolean, walk_polarity,
+            walk_resolution_error, walk_sides,
         )
 
         rng = random.Random(38)
@@ -804,6 +823,7 @@ class TestBlockRoute:
             assert got == (
                 walk_is_boolean(body), walk_chain_kind(arity, body), walk_polarity(body)
             ), body
+            assert (op._call, op._sides) == (walk_call(body), walk_sides(op._chain, body)), body
             args = [rng.randrange(kpq.space.full_mask + 1) for _ in range(arity)]
             assert apply_operator(op, kpq, args) == walk_apply(body, kpq, args), body
             seen["built"] += 1

@@ -1449,6 +1449,34 @@ class TestReadme:
             assert not uses, (info.name, uses)
         assert set(_BUILTIN_TABLE) == {"not", "and", "or", *UNARY_KEYWORDS, *BINARY_KEYWORDS}
 
+    def test_operator_bodies_are_read_in_one_place(self):
+        # an operator's routing facts are recorded when its body is resolved,
+        # so no library function but these reads `.body`: the constructor,
+        # the resolver and the language-file decoder (a built-in's body)
+        import ast
+        import pkgutil
+
+        import abspres
+
+        allowed = {("languages", "Operator.__init__"), ("languages", "_resolve_body"),
+                   ("languages", "language_from_json")}
+        src = os.path.dirname(abspres.__file__)
+        reads = []
+
+        def visit(node, module, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, ast.Attribute) and node.attr == "body":
+                if not any(scope == name or scope.startswith(name + ".") for m, name in allowed if m == module):
+                    reads.append((module, scope, node.lineno))
+            for child in ast.iter_child_nodes(node):
+                visit(child, module, scope)
+
+        for info in pkgutil.iter_modules([src]):
+            with open(os.path.join(src, f"{info.name}.py"), encoding="utf-8") as handle:
+                visit(ast.parse(handle.read()), info.name, "")
+        assert not reads, reads
+
     def test_library_example(self, capsys):
         (example,) = self.fenced("python")
         exec(compile(example, self.PATH, "exec"), {})

@@ -8,8 +8,10 @@ from abspres import (
     AbstractDomain,
     FormulaSyntaxError,
     KripkeModel,
+    Partition,
     Preorder,
     ResolutionError,
+    SetFamily,
     StateSpace,
     ValidationError,
     eval_concrete,
@@ -502,6 +504,28 @@ REFUSALS = {
     "unknown-preset": (ValidationError, "unknown language preset 'nope'", lambda m: preset_language("nope", m)),
     "negative-mask": (ValidationError, "mask -0x1 is not over", lambda m: StateSet(m.space, -1)),
     "mask-past-space": (ValidationError, "mask 0x20 is not over", lambda m: StateSet(m.space, 1 << 5)),
+    # a bare mask given where a set is read is refused as StateSet refuses it
+    "domain-mask-past-space": (
+        ValidationError,
+        "mask 0xf is not over ('a', 'b', 'c')",
+        lambda m: AbstractDomain(StateSpace.of("a", "b", "c"), image=[7, 15]),
+    ),
+    "family-mask-past-space": (
+        ValidationError,
+        "mask 0x20 is not over ('a', 'b', 'c')",
+        lambda m: SetFamily.of(StateSpace.of("a", "b", "c"), [7, 32]),
+    ),
+    "family-negative-mask": (
+        ValidationError, "mask -0x2 is not over", lambda m: SetFamily.of(m.space, [1, -2])
+    ),
+    "closure-of-mask-past-space": (
+        ValidationError,
+        "mask 0x20 is not over",
+        lambda m: AbstractDomain(m.space, image=[m.space.full_mask]).closure_mask(1 << 5),
+    ),
+    "partition-mask-past-space": (
+        ValidationError, "mask 0x3f is not over", lambda m: Partition.of(m.space, [0b111111])
+    ),
     "gamma-of-non-member": (
         ValidationError,
         "{1} is not a member of the domain image",

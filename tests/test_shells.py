@@ -54,7 +54,9 @@ from conftest import (
     random_model,
     random_total_model,
     similarity_class_languages,
+    spelled_route,
     splitter_class_languages,
+    twin_by_row,
 )
 
 
@@ -1239,6 +1241,15 @@ def with_constant(lang, value):
     return LanguageSpec(lang.name, lang.atoms, lang.operators + (const_operator("c", value),))
 
 
+def with_ex_constant(lang, value):
+    """``lang`` with one more operator, the constant ``c`` whose body is EX
+    of ``value``, so it reads the relation."""
+    from abspres.formulas import App, Const
+    from abspres.languages import Operator
+
+    return LanguageSpec(lang.name, lang.atoms, lang.operators + (Operator("c", 0, App("EX", (Const(value),))),))
+
+
 class TestConstants:
     """0-ary operators run once, in the first round of the closure, and a
     quotient reads them as it reads atoms: by their existential value."""
@@ -1333,10 +1344,30 @@ class TestConstants:
         verdict = paired_sp_check(kpq, bisim, one)
         assert verdict.verdict == "neither" and str(verdict.witness) == "c()"
 
+    def test_constant_that_reads_the_relation(self, kpq):
+        # a 0-ary operator is a constant of the language even when its body
+        # reads the relation: block models read EX of a fixed set by the
+        # least block union holding its value, as they read an atom
+        from abspres.abstraction import AbstractStructure, paired_sp_check
+        from abspres.equivalences import bisim_partition
+
+        l1 = preset_language("L1", kpq)
+        ex4 = with_ex_constant(l1, kpq.space.set_of(["4"]))
+        bisim, labels = bisim_partition(kpq), label_partition(kpq)
+        for kind in ("ee", "ae"):
+            assert paired_sp_check(kpq, quotient(kind, kpq, bisim), ex4).strong
+        assert sp_abstract_kripke_search(bisim, ex4, kpq) == sp_abstract_kripke_search(bisim, l1, kpq)
+        # EX{4} = {3,5} is no union of the label blocks {5} and {1,2,3,4}
+        q = quotient("ee", kpq, labels)
+        assert AbstractStructure.from_quotient(q, ex4).apply(ex4.operator("c"), ()) == kpq.space.full_mask
+        verdict = paired_sp_check(kpq, q, ex4)
+        assert verdict.verdict == "neither" and str(verdict.witness) == "c()"
+        assert sp_abstract_kripke_search(labels, ex4, kpq) == []
+
     def test_search_agrees_with_quotient_verdicts(self):
         # oracle: paired_sp_check of the quotient by every relation on at
         # most 3 blocks, under the constants language and under L1 and exef
-        # each with a random constant
+        # each with a random constant, and L1 with EX of one
         from abspres.abstraction import paired_sp_check
         from abspres.equivalences import bisim_partition
         from abspres.kripke import Quotient, block_name
@@ -1350,6 +1381,7 @@ class TestConstants:
                 constants_language(model),
                 with_constant(preset_language("L1", model), value),
                 with_constant(preset_language("exef", model), value),
+                with_ex_constant(preset_language("L1", model), value),
             ]
             picks = [rng.randrange(3) for _ in range(model.n)]
             shuffled = Partition.from_masks(
@@ -1475,12 +1507,19 @@ def test_each_bound_is_set_through_its_own_module(case, kpq, monkeypatch):
 
 
 class TestRoute:
-    """`languages._route` against the two class tests it replaced (oracles
-    in conftest) and against `_splitters`."""
+    """`languages._route` against the two class tests it replaced and the
+    spelled route it replaced (oracles in conftest), and against
+    `_splitters`."""
 
     @staticmethod
     def check(lang):
         engine, cuts = _route(lang)
+        # the spelled route's engine, and its cuts but for twins by row
+        want_engine, want_cuts = spelled_route(lang)
+        assert engine == want_engine, lang.name
+        dropped = [op for op in want_cuts if op not in cuts]
+        assert cuts == [op for op in want_cuts if op not in dropped], lang.name
+        assert all(twin_by_row(op, lang.operators) for op in dropped), lang.name
         splitter, similarity = in_splitter_class(lang), in_similarity_class(lang)
         assert not (splitter and similarity), lang.name
         if splitter:
@@ -1597,6 +1636,85 @@ class TestRoute:
         assert open_langs >= 10
         assert engines["splitter"] >= 50 and engines["similarity"] >= 50, engines
         assert engines[None] >= 200, engines
+
+    def test_languages_of_the_resolver_corpus(self):
+        # operators of the seeded body corpus of the resolver's test, beside
+        # `not`, the joins, the next operators and the fixpoints, over labels
+        # or complement-closed atoms; the spelled route is the oracle
+        from abspres.errors import AbspresError
+        from abspres.formulas import App, Arg
+        from abspres.languages import Operator
+        from conftest import random_body
+
+        rng = random.Random(38)
+        space = StateSpace(tuple("12345"))
+        corpus = []
+        for k in range(6000):
+            arity = rng.choice([0, 1, 1, 1, 2, 2, 3])
+            body = random_body(rng, space, rng.randint(0, 4))
+            if k % 50 == 0:
+                body = App("EU", (Arg(1), Arg(2)))
+            try:
+                corpus.append(Operator(f"f{k}", arity, body))
+            except AbspresError:
+                pass
+        assert len(corpus) >= 2000
+        names = ["not", "and", "or", "EX", "AX", "pre", "pre~", "post", "post~", "EU", "AU", "ER", "AR"]
+        engines = {"splitter": 0, "similarity": 0, None: 0}
+        for k in range(3000):
+            model = random_model(rng, 5)
+            if k % 3 == 0:
+                ops = _ops(*rng.sample(["and", "or", "AX", "pre~"], rng.randint(2, 4)))
+            else:
+                ops = _ops(*rng.sample(names, rng.randint(1, 5)))
+            ops += tuple(rng.sample(corpus, rng.randint(0, 2)))
+            full = model.space.full_mask
+            if k % 2:
+                atoms = tuple((n, StateSet(model.space, m)) for n, m in model.label_items)
+            else:
+                m = rng.randrange(full + 1)
+                atoms = (("a", StateSet(model.space, m)), ("!a", StateSet(model.space, full & ~m)))
+            engines[self.check(LanguageSpec("corpus", atoms, ops))] += 1
+        assert min(engines.values()) >= 50, engines
+
+    def test_twins_by_row_cut_by_one_operator(self):
+        # a dual chain beside its additive twin spelled with the other name
+        # of the same row adds no cut; P_L and the shells are those of the
+        # closure route
+        from abspres import moore_close
+
+        rng = random.Random(41)
+        for names in (["and", "not", "pre", "AX"], ["and", "not", "EX", "pre~"]):
+            ops = list(_ops(*names))
+            assert _splitters(ops) == [ops[2]], names
+            for _ in range(40):
+                model = random_model(rng, rng.randint(1, 6))
+                lang = language_from_ops(model, names)
+                assert _route(lang) == ("splitter", [ops[2]])
+                want = pr(moore_close(semantic_closure(lang, model)))
+                assert coarsest_sp_partition(lang, model) == want, names
+                seed = random_seed(rng, model, rng.randint(1, 3))
+                got = forward_complete_shell(seed, ops, model).domain
+                assert got == shells._closure_shell(seed, ops, model).domain, names
+
+    def test_a_next_operator_of_arity_2_leaves_the_similarity_route(self, kpq):
+        # `AX #1` in an operator of arity 2 is no chain: the spelled route
+        # sent L3 with it to the similarity engine, whose quotient test then
+        # applied it to one argument and raised; it takes the closure route,
+        # with the same A_L, and the quotient check answers
+        from abspres import bisim_partition
+        from abspres.abstraction import AbstractStructure, paired_semantic_closure, paired_sp_check
+
+        l3 = preset_language("L3", kpq)
+        ax2 = operator_from_expr("AX2", 2, "AX #1")
+        lang = LanguageSpec("L3-AX2", l3.atoms, _ops("and", "or") + (ax2,))
+        assert spelled_route(lang) == ("similarity", [ax2])
+        assert _route(lang) == (None, [])
+        assert ad_of_language(lang, kpq) == ad_of_language(l3, kpq)
+        for p in (bisim_partition(kpq), label_partition(kpq)):
+            q = quotient("ee", kpq, p)
+            want = paired_semantic_closure(kpq, AbstractStructure.from_quotient(q, lang), lang).verdict
+            assert paired_sp_check(kpq, q, lang).verdict == want == paired_sp_check(kpq, q, l3).verdict
 
     def test_splitters_runs_once_per_partition_and_once_per_block_decided_quotient_check(
         self, kpq, monkeypatch

@@ -71,7 +71,7 @@ VALUES = {
         ("parent", "partition", "model"),
         (),
     ),
-    Operator: (ex, ("name", "arity", "body"), ("_resolved", "_boolean", "_chain", "_polarity")),
+    Operator: (ex, ("name", "arity", "body"), ("_resolved", "_boolean", "_call", "_chain", "_sides", "_polarity")),
     LanguageSpec: (
         lambda: LanguageSpec("k", (("p", StateSet(space(), 1)),), (ex(),), False),
         ("name", "atoms", "operators", "open_ops"),

@@ -7,7 +7,10 @@ blocks that are stable for ``EX`` and for ``EU``, both computed by the
 splitter engine :func:`_splitter_passes`; similarity is the greatest
 fixpoint :func:`_similarity` over rows.  Bisimulation is checked as a
 symmetric simulation: an equivalence is a bisimulation exactly when it is
-a simulation.
+a simulation.  These need the model alone, no formula or language, so this
+module imports nothing from the language layer (``formulas``,
+``languages``, ``shells``, ``abstraction``) at load time, and ``import
+abspres`` does not load that layer.
 
 The splitter engine is Ranzato and Tapparo's GPT view of Paige-Tarjan: a
 family closed under ``not`` and the operators is the set of unions of the
@@ -17,10 +20,14 @@ blocks holds: f(B) is a union of blocks for every block B and additive f
 (f(Σ∖B) for a dual f), and EU(B1, B2) ∩ B1 is ∅ or B1 for all blocks
 B1 ≠ B2 (the stuttering criterion).  So the engine splits blocks by these
 sets until nothing splits.  The same test is not exact for ``AU``, ``ER``
-and ``AR``, which never cut.  :func:`abspres.languages._splitters` picks
-the operators it cuts by for :func:`abspres.shells.forward_complete_shell`
-and :func:`abspres.shells.ad_of_language`, and ``ad_of_language`` answers
-the similarity class by :func:`_similarity`.
+and ``AR``, which never cut.  The engine takes cut functions, each a
+function of one mask with a flag that says whether it is a dual, and a
+flag for ``EU``, not operators: bisimulation cuts by the model's ``pre``,
+stuttering by ``EU`` alone.  :func:`abspres.shells.forward_complete_shell`
+and :func:`abspres.shells.ad_of_language` make the cut functions of the
+operators that :func:`abspres.languages._splitters` picks, each applied
+through :func:`~abspres.languages.apply_operator`, and ``ad_of_language``
+answers the similarity class by :func:`_similarity`.
 
 The engine works by change and by the edges, and keeps only its blocks
 and one state → block index across passes.  It walks each cut block by
@@ -46,7 +53,7 @@ all-pairs loop it replaces, and the similarity the rows of the move sweep,
 which the tests keep as oracles.  The checkers read rows, not pairs:
 simulation by R(s) ⊆ pre(R(t)) for each move s → t, stuttering by the
 pairs of blocks an edge joins.  The stuttering checker's ``EU`` is
-:func:`abspres.languages.until_mask`; its judges are ``eu_path_oracle``,
+:func:`abspres.kripke.until_mask`; its judges are ``eu_path_oracle``,
 ``brute_stuttering`` and ``all_pairs_check_dbs`` in ``tests/conftest.py``,
 and the tests hold each entries cut to ``until_mask`` block by block.
 
@@ -59,24 +66,26 @@ coarsest ones by forward complete shells.  The shell routes are public here
 :func:`abspres.languages.label_constants`, and the tests check that both
 agree with the refinements and the checkers.  The simulation shell builds
 families of up to 2^n sets, so it stays off the default path; the
-bisimulation and stuttering shells run the splitter engine.  This module
-reaches the shells through the module object, ``shells.forward_complete_shell``,
-so that ``shells`` can import it at module level.
+bisimulation and stuttering shells run the splitter engine.  The shell
+routes are oracles, so each imports ``shells`` and the built-in operators
+in its own body: the language layer loads when one of them first runs.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import shells
 from .errors import ValidationError
-from .kripke import KripkeModel, label_partition
+from .kripke import KripkeModel, label_partition, until_mask
 from .lattice import (
     Mask, SetFamily, _check_space, _join_rows, _members, _owners, _set_field, _Value, moore_close,
 )
-from .languages import Operator, apply_operator, builtin_operator, until_mask
 from .partitions import Partition, Preorder, pr
+
+#: A cut function of the splitter engine and whether it is a dual: an
+#: additive f cuts by f(B), a dual one by f(Σ∖B), for each fresh block B.
+_Cut = tuple[Callable[[Mask], Mask], bool]
 
 
 def _split_once(
@@ -149,22 +158,23 @@ def _entries(
 
 
 def _splitter_passes(
-    model: KripkeModel, blocks: Iterable[Mask], ops: Sequence[Operator]
+    model: KripkeModel, blocks: Iterable[Mask], splitters: Sequence[_Cut], until: bool = False
 ) -> Iterator[list[Mask]]:
-    """Refine ``blocks`` until every operator of ``ops`` maps blocks (pairs of
-    blocks, for an until) to unions of blocks; yields the blocks after each
-    pass.
+    """Refine ``blocks`` until every cut function of ``splitters`` maps
+    blocks to unions of blocks, and with ``until`` until EU maps pairs of
+    blocks so too; yields the blocks after each pass.
 
-    A pass cuts every block by f(B) for each additive f (``op._chain ==
-    "additive"``) and by f(Σ∖B) for each dual one, over the blocks B the
-    last pass changed (all of them in the first pass), and by EU(B1, B2)
-    for each until operator and each pair of blocks B1 ≠ B2 of which one
-    is fresh: a splitter already used keeps cutting nothing, since blocks
-    only get finer.  Every operator must be a chain or an until, as those
-    that :func:`~abspres.languages._splitters` picks are.  The last pass
-    makes no block, so its yield repeats the one before (or the input).  The
-    result is the coarsest such refinement of the input, since each cut
-    separates states that every stable refinement of it separates.
+    A pass cuts every block by f(B) for each cut function f that is not a
+    dual and by f(Σ∖B) for each dual one, over the blocks B the last pass
+    changed (all of them in the first pass), and with ``until`` by
+    EU(B1, B2) for each pair of blocks B1 ≠ B2 of which one is fresh: a
+    splitter already used keeps cutting nothing, since blocks only get
+    finer.  Each f must be additive, or the dual of an additive map, as the
+    model's ``pre`` and the chains that :func:`~abspres.languages._splitters`
+    picks are.  The last pass makes no block, so its yield repeats the one
+    before (or the input).  The result is the coarsest such refinement of
+    the input, since each cut separates states that every stable refinement
+    of it separates.
 
     One state → block index is built per call and kept across passes;
     :func:`_split_once` updates it and names the indices it changed, which
@@ -207,15 +217,10 @@ def _splitter_passes(
     blocks = list(blocks)
     owner = _owners(model.n, blocks)
     fresh: Iterable[int] = range(len(blocks))
-    chains = [(op, op._chain == "dual") for op in ops if op._chain != "until"]
-    until = any(op._chain == "until" for op in ops)
     while True:
         cuts = set()
-        for op, dual in chains:
-            cuts.update(
-                apply_operator(op, model, (full & ~blocks[k] if dual else blocks[k],))
-                for k in fresh
-            )
+        for f, dual in splitters:
+            cuts.update(f(full & ~blocks[k] if dual else blocks[k]) for k in fresh)
         if until:
             cuts.update(_entries(model, blocks, owner, fresh).values())
         changed: set[int] = set()
@@ -227,23 +232,19 @@ def _splitter_passes(
 
 
 def _stable_partition(
-    model: KripkeModel, blocks: Iterable[Mask], ops: Sequence[Operator]
+    model: KripkeModel, blocks: Iterable[Mask], splitters: Sequence[_Cut], until: bool = False
 ) -> Partition:
     """The last pass of :func:`_splitter_passes`, as a partition."""
-    for last in _splitter_passes(model, blocks, ops):
+    for last in _splitter_passes(model, blocks, splitters, until):
         pass
     return Partition.from_masks(model.space, last)
 
 
-_EX = (builtin_operator("EX"),)
-_EU = (builtin_operator("EU"),)
-
-
 def bisim_partition(model: KripkeModel) -> Partition:
     """Coarsest bisimulation partition: the label partition refined by the
-    splitter engine on ``EX`` (pre) until pre(B) is a union of blocks for
-    every block B."""
-    return _stable_partition(model, label_partition(model).blocks, _EX)
+    splitter engine on the model's ``pre`` (``EX``) until pre(B) is a union
+    of blocks for every block B."""
+    return _stable_partition(model, label_partition(model).blocks, [(model.pre, False)])
 
 
 def check_bisimulation(p: Partition, model: KripkeModel) -> bool:
@@ -258,7 +259,7 @@ def dbs_partition(model: KripkeModel) -> Partition:
     """Coarsest divergence-blind stuttering partition: the label partition
     refined by the splitter engine on ``EU`` until EU(B1, B2) ∩ B1 is ∅ or
     B1 for all blocks B1 ≠ B2."""
-    return _stable_partition(model, label_partition(model).blocks, _EU)
+    return _stable_partition(model, label_partition(model).blocks, [], until=True)
 
 
 def check_dbs(p: Partition, model: KripkeModel) -> bool:
@@ -271,7 +272,7 @@ def check_dbs(p: Partition, model: KripkeModel) -> bool:
     inside B1 into B2, and its last move goes from B1 into B2.  Those B2
     meet post(B1) ∖ B1, read off the partition's own state → block index
     as the rows of the ∃∃ :func:`~abspres.kripke.quotient` are.  ``EU`` is
-    :func:`~abspres.languages.until_mask`, not the engine's entries search;
+    :func:`~abspres.kripke.until_mask`, not the engine's entries search;
     the tests judge this checker by ``brute_stuttering`` and
     ``all_pairs_check_dbs``, and ``until_mask`` by ``eu_path_oracle``
     (``tests/conftest.py``)."""
@@ -361,6 +362,9 @@ def bisim_shell_partition(model: KripkeModel) -> Partition:
     """Bisimulation through the shell route: pr(S_{∁,pre}(M(P_ℓ))).  The
     shell of these operators runs the splitter engine, as
     :func:`bisim_partition` does."""
+    from . import shells
+    from .languages import builtin_operator
+
     seed = moore_close(label_partition(model).family)
     ops = [builtin_operator("not"), builtin_operator("pre")]
     return pr(shells.forward_complete_shell(seed, ops, model).domain)
@@ -370,6 +374,9 @@ def dbs_shell_partition(model: KripkeModel) -> Partition:
     """Stuttering through the shell route: pr(S_{∁,EU}(M(P_ℓ))).  The shell
     of these operators runs the splitter engine, as :func:`dbs_partition`
     does."""
+    from . import shells
+    from .languages import builtin_operator
+
     seed = moore_close(label_partition(model).family)
     ops = [builtin_operator("not"), builtin_operator("EU")]
     return pr(shells.forward_complete_shell(seed, ops, model).domain)
@@ -378,6 +385,9 @@ def dbs_shell_partition(model: KripkeModel) -> Partition:
 def simeq_shell_partition(model: KripkeModel) -> Partition:
     """Simulation equivalence through the shell route:
     pr(S_{∪,pre~}(M({p, ∁p | p ∈ AP})))."""
+    from . import shells
+    from .languages import builtin_operator
+
     space = model.space
     literals = {space.full_mask}
     for _, mask in model.label_items:

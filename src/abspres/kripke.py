@@ -16,6 +16,8 @@ additive, their duals co-additive.  The duals are exact on non-total models
 too: a stuck state has succ = ∅ ⊆ Y, so it is in pre~(Y) for every Y, and
 it lies in no pre(∁Y).  The library builds its duals from pre and post
 (:mod:`~abspres.languages`); ``cpre`` and ``cpost`` remain for callers.
+:func:`until_mask`, EU over masks, is a backward search by pre; the
+built-in ``EU`` and the stuttering checker both run it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import ValidationError
 from .lattice import (
@@ -141,6 +143,26 @@ class KripkeModel(_Value):
     def cpost(self, y: Mask) -> Mask:
         full = self.space.full_mask
         return full & ~_join_rows(self.succ, full & ~y)
+
+
+def until_mask(model: KripkeModel, s1: Mask, s2: Mask, steps: Optional[int] = None) -> Mask:
+    """EU(S1, S2) over masks: the least fixpoint of z ↦ S2 ∪ (S1 ∩ pre(z)),
+    by a backward search from S2 through S1.  pre is additive, so the Kleene
+    step from z_k adds S1 ∩ pre(F) ∖ z_k, F the states the step before
+    added: each state's in-edges are read once, and a step that adds nothing
+    ends at the fixpoint; ``steps`` stops it after that many steps, at
+    z_steps from z_0 = S2.  ``AR`` runs it as ¬EU(¬a, ¬b), and the packed
+    masks of a :class:`~abspres.shells._BlockBatch` take the same steps slice
+    by slice, since the batch's pre is additive too: a slice whose frontier
+    is empty stays put, and the joint frontier is empty only when every
+    slice's is."""
+    reach = frontier = s2
+    while frontier and steps != 0:
+        frontier = model.pre(frontier) & s1 & ~reach
+        reach |= frontier
+        if steps is not None:
+            steps -= 1
+    return reach
 
 
 def validate_model(model: KripkeModel) -> None:

@@ -4,9 +4,9 @@ A language is a set of named atoms with fixed interpretations plus a set of
 named operators, each defined by a transformer expression over the built-ins
 (complement, meet, join, the four pre/post transformers, the until/release
 fixpoints and bounded reachability), each one row of ``_BUILTIN_TABLE``.
-``EU`` is a backward search (:func:`until_mask`) and ``AU`` a Knaster-Tarski
-iteration; ``AR`` and ``EF[lo,hi]`` use EU's search and ``ER`` AU's
-iteration (:func:`_dual`, :func:`_ef_bounded`).
+``EU`` is a backward search (:func:`~abspres.kripke.until_mask`) and ``AU``
+a Knaster-Tarski iteration; ``AR`` and ``EF[lo,hi]`` use EU's search and
+``ER`` AU's iteration (:func:`_dual`, :func:`_ef_bounded`).
 
 An :class:`Operator` resolves its body once, when it is built; only a
 constant's space is left for :func:`apply_operator` to check.  The same
@@ -51,7 +51,7 @@ from .formulas import (
     max_placeholder,
     parse_transformer,
 )
-from .kripke import KripkeModel
+from .kripke import KripkeModel, until_mask
 from .lattice import Mask, StateSet, _check_space, _set_field, _Value
 
 PRESET_NAMES = ("L1", "L2", "L3", "CTL", "semaforo", "exef", "full")
@@ -139,45 +139,35 @@ def gfp(step: Callable[[Mask], Mask], top: Mask) -> Mask:
         z = nxt
 
 
-def until_mask(model: KripkeModel, s1: Mask, s2: Mask, steps: Optional[int] = None) -> Mask:
-    """EU(S1, S2) over masks: the least fixpoint of z ↦ S2 ∪ (S1 ∩ pre(z)),
-    by a backward search from S2 through S1.  pre is additive, so the Kleene
-    step from z_k adds S1 ∩ pre(F) ∖ z_k, F the states the step before
-    added: each state's in-edges are read once, and a step that adds nothing
-    ends at the fixpoint; ``steps`` stops it after that many steps, at
-    z_steps from z_0 = S2.  ``AR`` runs it as ¬EU(¬a, ¬b), and the packed
-    masks of a :class:`~abspres.shells._BlockBatch` take the same steps slice
-    by slice, since the batch's pre is additive too: a slice whose frontier
-    is empty stays put, and the joint frontier is empty only when every
-    slice's is."""
-    reach = frontier = s2
-    while frontier and steps != 0:
-        frontier = model.pre(frontier) & s1 & ~reach
-        reach |= frontier
-        if steps is not None:
-            steps -= 1
-    return reach
-
-
-def _dual(model: KripkeModel, f: Callable[..., Mask], a: Mask, *rest: Mask) -> Mask:
-    """¬f¬ at the arguments, for f a function of masks: every dual built-in
-    is made here from the model's ``pre`` and ``post``, so a model needs
-    only those and ``space.full_mask``.  AX = pre~ = ¬pre¬, post~ = ¬post¬,
-    and by De Morgan ER(a, b) = ¬AU(¬a, ¬b) and AR(a, b) = ¬EU(¬a, ¬b):
-    complement reverses ⊆, so it maps the fixpoints of a monotone g onto
-    those of ¬g¬, the least onto the greatest, ¬μg = ν(¬g¬).  AU(¬a, ¬b) is
-    μg for g(z) = ¬b ∪ (¬a ∩ ¬pre¬z), and ¬g(¬w) = b ∩ (a ∪ pre w) is ER's
-    step; EU(¬a, ¬b) is μh for h(z) = ¬b ∪ (¬a ∩ pre z), and ¬h(¬w) =
-    b ∩ (a ∪ ¬pre¬w) is AR's.  Stuck states need no case: ¬pre¬z holds each
-    stuck state for every z (succ = ∅ ⊆ z), so this holds on every model."""
+def _pre_dual(model: KripkeModel, a: Mask) -> Mask:
+    """AX = pre~ = ¬pre¬, the complement taken inline so that the hot dual
+    costs the calls of ``EX``.  Every dual built-in is made from the model's
+    ``pre`` and ``post``, so a model needs only those and
+    ``space.full_mask``.  Stuck states need no case: ¬pre¬a holds each stuck
+    state for every a (succ = ∅ ⊆ a), so this holds on every model."""
     full = model.space.full_mask
-    if not rest:  # a unary dual, the hot case, builds no argument list
-        return full & ~f(full & ~a)
-    return full & ~f(full & ~a, *[full & ~b for b in rest])
+    return full & ~model.pre(full & ~a)
+
+
+def _post_dual(model: KripkeModel, a: Mask) -> Mask:
+    """post~ = ¬post¬, as :func:`_pre_dual`."""
+    full = model.space.full_mask
+    return full & ~model.post(full & ~a)
+
+
+def _dual(model: KripkeModel, f: Callable[[Mask, Mask], Mask], a: Mask, b: Mask) -> Mask:
+    """¬f¬ at the arguments, for f a binary function of masks: by De Morgan
+    ER(a, b) = ¬AU(¬a, ¬b) and AR(a, b) = ¬EU(¬a, ¬b).  Complement reverses
+    ⊆, so it maps the fixpoints of a monotone g onto those of ¬g¬, the least
+    onto the greatest, ¬μg = ν(¬g¬).  AU(¬a, ¬b) is μg for g(z) = ¬b ∪ (¬a
+    ∩ ¬pre¬z), and ¬g(¬w) = b ∩ (a ∪ pre w) is ER's step; EU(¬a, ¬b) is μh
+    for h(z) = ¬b ∪ (¬a ∩ pre z), and ¬h(¬w) = b ∩ (a ∪ ¬pre¬w) is AR's."""
+    full = model.space.full_mask
+    return full & ~f(full & ~a, full & ~b)
 
 
 def _au(model: KripkeModel, s1: Mask, s2: Mask) -> Mask:
-    return lfp(lambda z: s2 | (s1 & _dual(model, model.pre, z)), 0)
+    return lfp(lambda z: s2 | (s1 & _pre_dual(model, z)), 0)
 
 
 def _ef_bounded(model: KripkeModel, lo: int, hi: int, s: Mask) -> Mask:
@@ -217,11 +207,11 @@ _BUILTIN_TABLE: dict[str, _Builtin] = {
     "and": _Builtin(2, lambda model, a, b: a & b, "boolean", 0),
     "or": _Builtin(2, lambda model, a, b: a | b, "boolean", 0),
     "EX": _Builtin(1, lambda model, a: model.pre(a), "additive", 1, "pre"),
-    "AX": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1, "pre"),
+    "AX": _Builtin(1, _pre_dual, "dual", -1, "pre"),
     "pre": _Builtin(1, lambda model, a: model.pre(a), "additive", 1, "pre"),
     "post": _Builtin(1, lambda model, a: model.post(a), "additive", 1, "post"),
-    "pre~": _Builtin(1, lambda model, a: _dual(model, model.pre, a), "dual", -1, "pre"),
-    "post~": _Builtin(1, lambda model, a: _dual(model, model.post, a), "dual", -1, "post"),
+    "pre~": _Builtin(1, _pre_dual, "dual", -1, "pre"),
+    "post~": _Builtin(1, _post_dual, "dual", -1, "post"),
     "EU": _Builtin(2, until_mask, "fixpoint", 1),
     "AU": _Builtin(2, _au, "fixpoint", -1),
     "ER": _Builtin(2, lambda model, a, b: _dual(model, partial(_au, model), a, b), "fixpoint", 1),

@@ -137,6 +137,21 @@ def forward_complete_shell(
     return _closure_shell(domain, fs, model)
 
 
+def _cut_functions(
+    model: KripkeModel, cuts: Sequence[Operator]
+) -> tuple[list[equivalences._Cut], bool]:
+    """The splitter engine's arguments for the operators that
+    :func:`~abspres.languages._splitters` picks: each chain as a function of
+    one mask, applied by :func:`~abspres.languages.apply_operator`, with
+    whether it is a dual; and whether one of them is ``EU``."""
+    splitters = [
+        (lambda a, op=op: apply_operator(op, model, (a,)), op._chain == "dual")
+        for op in cuts
+        if op._chain != "until"
+    ]
+    return splitters, any(op._chain == "until" for op in cuts)
+
+
 def _splitter_shell(
     domain: AbstractDomain, cuts: Sequence[Operator], model: KripkeModel
 ) -> ShellResult:
@@ -148,7 +163,7 @@ def _splitter_shell(
     if not domain_leq(domain, adp(start)):
         snapshots.append(adp(start))
     size = len(start)
-    for blocks in equivalences._splitter_passes(model, start.blocks, cuts):
+    for blocks in equivalences._splitter_passes(model, start.blocks, *_cut_functions(model, cuts)):
         grown = len(blocks) > size
         snapshots.append(adp(Partition.from_masks(space, blocks)) if grown else snapshots[-1])
         size = len(blocks)
@@ -211,7 +226,8 @@ def ad_of_language(lang: LanguageSpec, model: KripkeModel) -> AbstractDomain:
     atoms = [s.mask for _, s in lang.atoms]
     engine, cuts = _route(lang)
     if engine == "splitter":
-        return adp(equivalences._stable_partition(model, _classes(model.n, atoms), cuts))
+        blocks = _classes(model.n, atoms)
+        return adp(equivalences._stable_partition(model, blocks, *_cut_functions(model, cuts)))
     if engine == "similarity":
         return add(equivalences._similarity(model, atoms))
     return moore_close(semantic_closure(lang, model))

@@ -1172,7 +1172,7 @@ class TestLargeModels:
     def test_ctl_cuts_as_l1_does(self, tmp_path, monkeypatch):
         # AX(Σ∖B) = Σ∖EX(B), so CTL's AX makes its twin EX's cut and the
         # splitter engine applies EX alone, as for L1
-        from abspres import equivalences
+        from abspres import shells
         from abspres.languages import apply_operator, preset_language
         from abspres.shells import coarsest_sp_partition
 
@@ -1183,7 +1183,7 @@ class TestLargeModels:
             calls.append(op.name)
             return apply_operator(op, m, args)
 
-        monkeypatch.setattr(equivalences, "apply_operator", counting)
+        monkeypatch.setattr(shells, "apply_operator", counting)
         l1 = coarsest_sp_partition(preset_language("L1", model), model)
         l1_calls = calls[:]
         calls.clear()

@@ -31,7 +31,7 @@ from abspres.equivalences import (
 from abspres.languages import builtin_operator, label_constants, preset_language
 from abspres.lattice import StateSpace, _members, _owners, moore_close
 from abspres.partitions import add, adp, pr
-from abspres.shells import semantic_closure
+from abspres.shells import _cut_functions, semantic_closure
 
 from conftest import (
     all_pairs_check_dbs,
@@ -113,7 +113,7 @@ class TestSplitterEngine:
             assert dbs_partition(model) == brute_stuttering(model), model
 
     def test_passes_end_with_one_that_splits_nothing(self, kpq):
-        ex = [builtin_operator("EX")]
+        ex = [(kpq.pre, False)]
         passes = list(equivalences._splitter_passes(kpq, label_partition(kpq).blocks, ex))
         assert [len(p) for p in passes] == [3, 4, 4]
         assert passes[-1] == passes[-2]
@@ -223,7 +223,8 @@ class TestEdgeRefinements:
             for ops, compute in ((eu, dbs_partition), (ex, bisim_partition), (ex + eu, None)):
                 if compute is None and model.n > 80:
                     continue  # the oracle's pairs make this the slow one
-                passes = [set(p) for p in equivalences._splitter_passes(model, labels, ops)]
+                engine = equivalences._splitter_passes(model, labels, *_cut_functions(model, ops))
+                passes = [set(p) for p in engine]
                 want = [set(p) for p in all_pairs_splitter_passes(model, labels, ops)]
                 assert passes == want, (model, ops)
                 if compute is not None:
@@ -246,7 +247,7 @@ class TestEdgeRefinements:
             model = sparse_model(rng, rng.randint(8, 14), stuck=i % 2 == 0)
             model = KripkeModel(model.space, model.succ, model.label_items[:1])
             labels = label_partition(model).blocks
-            passes = [set(p) for p in equivalences._splitter_passes(model, labels, eu)]
+            passes = [set(p) for p in equivalences._splitter_passes(model, labels, [], until=True)]
             want = [set(p) for p in all_pairs_splitter_passes(model, labels, eu)]
             assert passes == want, model
             split += len(want) > 2

@@ -26,6 +26,7 @@ from abspres.languages import (
     Operator,
     apply_operator,
     builtin_operator,
+    gfp,
     lfp,
     operator_from_expr,
     until_mask,
@@ -391,6 +392,61 @@ class TestFixpointOracles:
                 s1, s2 = rng.randrange(top), rng.randrange(top)
                 for args in ((s1, s2), (s1, s1 & s2), (s1 | s2, s2)):
                     assert until_mask(batch, *args) == kleene(batch, *args)
+
+    def test_builtins_are_their_fixpoint_definitions(self):
+        # every row of the table against its definition by pre and post, the
+        # unary duals as ¬f¬ and AU, ER and AR as Kleene iterations, not by
+        # De Morgan: on models with stuck states (where AX also matches
+        # kripke's own cpre) and slice by slice on relation-search batches
+        from abspres.languages import _BUILTIN_TABLE
+
+        def definitions(model):
+            full = model.space.full_mask
+            pre, post = model.pre, model.post
+
+            def ax(a):
+                return full & ~pre(full & ~a)
+
+            return {
+                "not": lambda a: full & ~a,
+                "and": lambda a, b: a & b,
+                "or": lambda a, b: a | b,
+                "EX": pre,
+                "pre": pre,
+                "post": post,
+                "AX": ax,
+                "pre~": ax,
+                "post~": lambda a: full & ~post(full & ~a),
+                "EU": lambda a, b: lfp(lambda z: b | (a & pre(z)), 0),
+                "AU": lambda a, b: lfp(lambda z: b | (a & ax(z)), 0),
+                "ER": lambda a, b: gfp(lambda z: b & (a | pre(z)), full),
+                "AR": lambda a, b: gfp(lambda z: b & (a | ax(z)), full),
+            }
+
+        def check(model, draw):
+            want = definitions(model)
+            assert set(want) == set(_BUILTIN_TABLE)
+            for _ in range(10):
+                args = (draw(), draw())
+                for name, row in _BUILTIN_TABLE.items():
+                    got = apply_operator(builtin_operator(name), model, args[: row.arity])
+                    assert got == want[name](*args[: row.arity]), (name, model, args)
+
+        rng = random.Random(43)
+        stuck = 0
+        for i in range(60):
+            model = random_model(rng, 1 + i % 8)
+            stuck += not model.is_total()
+            full = model.space.full_mask
+            check(model, lambda: rng.randrange(full + 1))
+            s = rng.randrange(full + 1)
+            assert apply_operator(builtin_operator("AX"), model, (s,)) == model.cpre(s)
+            assert apply_operator(builtin_operator("post~"), model, (s,)) == model.cpost(s)
+        assert stuck >= 10
+        for b, width in ((2, 3), (3, 16), (5, 64)):
+            top = 1 << (b * width)
+            batch = _BlockBatch(width, [rng.randrange(top) for _ in range(b)])
+            check(batch, lambda: rng.randrange(top))
 
     def test_bounded_until_is_the_cut_kleene_iteration(self):
         # k steps of the search are k steps of z ↦ S2 ∪ (S1 ∩ pre z) from

@@ -243,7 +243,8 @@ class TestForwardCompleteShell:
                 assert trace.iterations[1] == adp(pr(seed))
                 extra_steps += 1
             # each later snapshot is one pass of the engine
-            passes = list(equivalences._splitter_passes(model, pr(seed).blocks, _splitters(ops)))
+            cuts = shells._cut_functions(model, _splitters(ops))
+            passes = list(equivalences._splitter_passes(model, pr(seed).blocks, *cuts))
             assert len(trace.iterations) == 1 + (not partitioning) + len(passes)
         assert extra_steps >= 10
 

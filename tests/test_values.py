@@ -243,6 +243,46 @@ class TestValueSemantics:
         assert len(calls) == 3
 
 
+#: The names the package gives of each of its modules.
+PACKAGE_NAMES = {
+    "errors": (
+        "AbspresError", "CapacityError", "FormulaSyntaxError", "ResolutionError",
+        "SpaceMismatchError", "ValidationError",
+    ),
+    "lattice": (
+        "AbstractDomain", "SetFamily", "StateSet", "StateSpace", "domain_join", "domain_leq",
+        "domain_meet", "family_of_names", "moore_close", "powerset_domain", "top_domain",
+    ),
+    "partitions": (
+        "Partition", "Preorder", "add", "adp", "is_disjunctive", "is_partitioning", "pr",
+        "preord_of", "structural_shell",
+    ),
+    "formulas": ("Formula", "parse_formula", "parse_transformer"),
+    "kripke": (
+        "KripkeModel", "Quotient", "label_partition", "load_model", "model_from_json",
+        "model_to_json", "quotient", "transformer", "validate_model",
+    ),
+    "languages": (
+        "LanguageSpec", "Operator", "builtin_operator", "const_operator", "eval_concrete",
+        "label_constants", "language_from_json", "language_from_ops", "load_language",
+        "operator_from_expr", "preset_language",
+    ),
+    "abstraction": (
+        "AbstractStructure", "bca_apply", "completeness_check", "eval_abstract",
+        "gfp_transfer_check", "is_sp_domain", "paired_sp_check",
+    ),
+    "shells": (
+        "ShellResult", "ShellTrace", "ad_of_language", "coarsest_sp_partition",
+        "forward_complete_shell", "semantic_closure", "sp_abstract_kripke_search",
+    ),
+    "equivalences": (
+        "EquivalenceReport", "bisim_partition", "check_bisimulation", "check_dbs",
+        "check_simulation", "dbs_partition", "equivalence_report", "largest_simulation",
+        "simeq_partition",
+    ),
+}
+
+
 class TestStartUp:
     def test_import_generates_no_code(self):
         # -S: no site packages, whose start-up hooks may import anything
@@ -257,6 +297,52 @@ class TestStartUp:
             [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_refinements_load_no_language_layer(self):
+        # bisimulation, stuttering and simulation need the model alone: the
+        # package, its listing and the four refinements with their reports
+        # leave formulas, languages, shells and abstraction unloaded, and
+        # reading one name of that layer loads all four
+        code = (
+            "import sys\n"
+            "import abspres\n"
+            "from abspres.fixtures import five_state_pqr\n"
+            "layer = {f'abspres.{m}' for m in ('formulas', 'languages', 'shells', 'abstraction')}\n"
+            "m = five_state_pqr()\n"
+            "assert 'parse_formula' in dir(abspres)\n"
+            "abspres.bisim_partition(m), abspres.dbs_partition(m)\n"
+            "abspres.largest_simulation(m), abspres.simeq_partition(m)\n"
+            "for kind in ('bisim', 'dbs', 'sim', 'simeq'):\n"
+            "    assert abspres.equivalence_report(kind, m).consistent\n"
+            "print(sorted(layer & set(sys.modules)))\n"
+            "abspres.parse_formula\n"
+            "print(sorted(layer - set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["[]", "[]"]
+
+    def test_package_names_are_their_modules_objects(self):
+        # the package gives the same names as when it imported every module
+        # at once, each the object of its own module, and lists them all
+        import importlib
+
+        import abspres
+
+        everything = {name for names in PACKAGE_NAMES.values() for name in names}
+        for module, names in PACKAGE_NAMES.items():
+            home = importlib.import_module(f"abspres.{module}")
+            assert getattr(abspres, module) is home
+            for name in names:
+                assert getattr(abspres, name) is getattr(home, name), (module, name)
+        everything |= set(PACKAGE_NAMES)
+        assert sorted(abspres.__all__) == sorted(everything)
+        assert everything <= set(dir(abspres))
+        namespace: dict = {}
+        exec("from abspres import *", namespace)
+        assert set(namespace) - {"__builtins__"} == everything
 
     def test_builtin_operators_are_shared(self):
         assert builtin_operator("EX") is builtin_operator("EX")
